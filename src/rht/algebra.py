@@ -161,21 +161,9 @@ class AlgElement:
             return degs.pop()
         return None
 
-    def word_components(self):
-        """Split by word length: dict length -> AlgElement."""
-        out = {}
-        for m, c in self.terms.items():
-            out.setdefault(monomial_word_length(m), {})[m] = c
-        return {k: AlgElement(self.ctx, v) for k, v in sorted(out.items())}
-
     def word_part(self, length):
         return AlgElement(self.ctx, {m: c for m, c in self.terms.items()
                                      if monomial_word_length(m) == length})
-
-    def word_min_part(self, length):
-        """Terms of word length >= length."""
-        return AlgElement(self.ctx, {m: c for m, c in self.terms.items()
-                                     if monomial_word_length(m) >= length})
 
     def linear_part(self):
         return self.word_part(1)
@@ -250,11 +238,6 @@ class AlgElement:
         return s.replace("+ -", "- ")
 
 
-def multiply(x, y):
-    """Normal-ordered product with Koszul signs (odd squares annihilated)."""
-    return x * y
-
-
 class Derivation:
     """Degree-r derivation of Lambda(V), given by its values on generators.
 
@@ -314,11 +297,6 @@ def apply_derivation(theta, x):
                 out = out + term.scale(sign * e * coeff)
             prefix_deg += ctx.degrees[i] * e
     return out
-
-
-def compose_derivation(theta, x_images=None):
-    """theta o theta on generators, as a dict name -> AlgElement."""
-    return {name: apply_derivation(theta, theta.image_of(name)) for name in theta.ctx.names}
 
 
 def degree_basis(ctx, n, budget=DEFAULT_MONOMIAL_BUDGET):
@@ -383,18 +361,3 @@ def rebase(x, new_ctx):
     if new_ctx.gens[:len(x.ctx.gens)] != x.ctx.gens:
         raise ContextMismatchError("rebase target does not extend the source context")
     return AlgElement(new_ctx, x.terms)
-
-
-def element_from_coords(ctx, basis, coords):
-    """AlgElement from a sparse {index: Fraction} vector over a monomial basis."""
-    return AlgElement(ctx, {basis[i]: c for i, c in coords.items() if c != 0})
-
-
-def coords_from_element(x, basis_index):
-    """Sparse coordinates of x over a monomial basis given as {mono: index}."""
-    out = {}
-    for mono, coeff in x.terms.items():
-        if mono not in basis_index:
-            raise DegreeError("element has a term outside the given basis: %r" % (mono,))
-        out[basis_index[mono]] = coeff
-    return out

@@ -23,7 +23,7 @@ from .algebra import (AlgElement, Derivation, GeneratorContext, ZERO, ONE,
                       DEFAULT_MONOMIAL_BUDGET)
 from .errors import (DegreeError, RhtError, UnsupportedInputError,
                      ValidationError)
-from .linalg import Echelon, RationalMatrix, solve_linear, vec_add
+from .linalg import Echelon, slice_homology, vec_add
 
 
 class ValidationReport:
@@ -506,29 +506,15 @@ class CohomologyReport:
         self.lo = lo
         self.hi = hi
         self._reps = {}        # k -> list of coordinate vectors
-        self._bound = {}       # k -> Echelon of boundaries
-        self._cocycles = {}    # k -> list of kernel vectors
+        self._classes = {}     # k -> tracked Echelon: boundaries, then representatives
         for k in range(lo, hi + 1):
             self._compute(k)
 
     def _compute(self, k):
-        n = self.cx.dim(k)
-        cols = [self.cx.differential_column(k, i) for i in range(n)]
-        mat = RationalMatrix.from_columns(self.cx.dim(k + 1), cols)
-        res = solve_linear(mat)
-        bound = Echelon()
-        for i in range(self.cx.dim(k - 1)):
-            bound.add(self.cx.differential_column(k - 1, i))
-        reps = []
-        probe = Echelon()
-        for r in bound.rows:
-            probe.add(dict(r[1]))
-        for vec in res.kernel:
-            if probe.add(dict(vec)):
-                reps.append(vec)
-        self._cocycles[k] = res.kernel
-        self._bound[k] = bound
-        self._reps[k] = reps
+        cx = self.cx
+        _, self._reps[k], self._classes[k] = slice_homology(
+            [cx.differential_column(k, i) for i in range(cx.dim(k))], cx.dim(k + 1),
+            [cx.differential_column(k - 1, i) for i in range(cx.dim(k - 1))])
 
     def dim(self, k):
         if k < self.lo or k > self.hi:
@@ -547,24 +533,16 @@ class CohomologyReport:
             raise RhtError("representative_elements requires a free presentation")
         return [self.cx.from_coords(k, v) for v in self._reps[k]]
 
-    def boundaries(self, k):
-        return self._bound[k]
-
     def class_coordinates(self, k, cocycle_coords):
         """Coordinates of a cocycle's class in the representative basis.
 
         Solves cocycle = sum c_i rep_i + boundary; returns {i: c_i} or raises
         if the input is not a cocycle of the complex.
         """
-        ech = Echelon(track=True)
-        for i in range(self.cx.dim(k - 1)):
-            ech.add(self.cx.differential_column(k - 1, i))
-        n_b = ech.count
-        for rep in self._reps[k]:
-            ech.add(dict(rep))
-        combo = ech.coordinates(cocycle_coords)
+        combo = self._classes[k].coordinates(cocycle_coords)
         if combo is None:
             raise RhtError("vector is not a cocycle modulo the computed boundaries")
+        n_b = self.cx.dim(k - 1)
         return {i - n_b: c for i, c in combo.items() if i >= n_b}
 
     def is_cocycle(self, k, coords):
@@ -760,15 +738,6 @@ class FiniteMorphism:
                     violations.append("not multiplicative on (%s, %s)"
                                       % (self.source.label(p, i), self.source.label(q, j)))
         return ValidationReport(self.name, violations)
-
-
-def h_matrix(phi, k, src_report, tgt_report):
-    """Matrix of H^k(phi) in the representative bases of the two reports."""
-    cols = []
-    for rep in src_report.representatives(k):
-        img = phi.apply_coords(k, rep)
-        cols.append(tgt_report.class_coordinates(k, img))
-    return cols
 
 
 def is_quasi_iso(phi, n, budget=DEFAULT_MONOMIAL_BUDGET):

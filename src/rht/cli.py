@@ -523,6 +523,9 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    if getattr(args, "max", None) is not None and args.max < 0:
+        sys.stderr.write("error: --max must be >= 0, got %d\n" % args.max)
+        return 2
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -17,7 +17,7 @@ from .algebra import (AlgElement, Derivation, GeneratorContext, ONE, ZERO,
 from .cdga import (FiniteCDGA, QuotientCDGA, SullivanPresentation,
                    cohomology, complex_of, direct_sum_cohomology, tensor_finite)
 from .errors import BudgetExceededError, DegreeError, RhtError, UnsupportedInputError
-from .linalg import Echelon, RationalMatrix, solve_linear, vec_add
+from .linalg import Echelon, RationalMatrix, slice_homology, solve_linear, vec_add
 from .minimal_model import LambdaExtension
 
 
@@ -465,19 +465,9 @@ def mapping_space_pi(phi, n, budget=None):
         return src, tgt, cols
 
     src_n, tgt_n, cols_n = d_matrix(n)
-    mat_n = RationalMatrix.from_columns(len(tgt_n), cols_n)
-    kernel = solve_linear(mat_n).kernel
-    src_n1, _, cols_n1 = d_matrix(n + 1)
-    bound = Echelon()
-    for col in cols_n1:
-        bound.add(col)
-    probe = Echelon()
-    for r in bound.rows:
-        probe.add(dict(r[1]))
-    dim = 0
-    for vec in kernel:
-        if probe.add(vec):
-            dim += 1
+    _, _, cols_n1 = d_matrix(n + 1)
+    _, reps, _ = slice_homology(cols_n, len(tgt_n), cols_n1)
+    dim = len(reps)
     contributing = sorted({(V.ctx.degree_of(g), wdeg) for (g, wdeg, _) in src_n})
     return MappingSpaceReport(n, dim, contributing, complete=True)
 

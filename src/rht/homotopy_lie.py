@@ -383,12 +383,6 @@ class HurewiczReport:
         self.v_dim = v_dim
         self.rank = rank
 
-    def image_echelon(self):
-        ech = Echelon()
-        for j in range(self.matrix.cols):
-            ech.add(self.matrix.column(j))
-        return ech
-
     def __repr__(self):
         return "HurewiczReport(k=%d, H-dim %d -> V-dim %d, rank %d)" % (
             self.k, self.h_dim, self.v_dim, self.rank)

@@ -115,33 +115,14 @@ def _toomer_fails_at(p, rep, m, n):
         h = rep.dim(k)
         if h == 0:
             continue
-        qrep = _complex_cohomology(quot, k)
-        cols = []
-        for v in rep.representatives(k):
-            cols.append(quot.project(k, v))
         # injective <=> no nonzero combination of projected reps is a boundary
-        probe = Echelon()
-        for b in qrep["boundaries"].rows:
-            probe.add(dict(b[1]))
-        rank = 0
-        for c in cols:
-            if probe.add(c):
-                rank += 1
+        bound = Echelon()
+        for i in range(quot.dim(k - 1)):
+            bound.add(quot.differential_column(k - 1, i))
+        rank = sum(1 for v in rep.representatives(k) if bound.add(quot.project(k, v)))
         if rank < h:
             return k
     return None
-
-
-def _complex_cohomology(cxobj, k):
-    """Kernel/boundary data of an adapter-like complex at one degree."""
-    ncols = cxobj.dim(k)
-    cols = [cxobj.differential_column(k, i) for i in range(ncols)]
-    mat = RationalMatrix.from_columns(cxobj.dim(k + 1), cols)
-    res = solve_linear(mat)
-    bound = Echelon()
-    for i in range(cxobj.dim(k - 1)):
-        bound.add(cxobj.differential_column(k - 1, i))
-    return {"cocycles": res.kernel, "boundaries": bound}
 
 
 class CatReport:

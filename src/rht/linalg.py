@@ -1,23 +1,20 @@
 """Exact sparse linear algebra over Q.
 
 Everything the package computes (cohomology, quasi-isomorphism checks,
-surjectivity/cokernel bookkeeping) reduces to `solve_linear`.  Elimination is
-fraction-free: rows are scaled to primitive integer vectors, updates use
-integer cross-multiplication followed by content removal, and only the final
-back-substitution reintroduces fractions.  Pivoting is by smallest bit-size
-by default, which keeps entry growth in check without sacrificing exactness;
-the policy is a parameter so that callers can demonstrate pivot-independence.
+surjectivity/cokernel bookkeeping) reduces to one elimination engine,
+`Echelon`: an incremental reduced row echelon form over `Fraction`.  The
+basis it holds is the unique RREF of the span of what was fed in, so every
+answer read off it is canonical.  `solve_linear` reads kernel, image and
+particular solutions off the RREF of the augmented matrix [M | -T], and
+`slice_homology` computes cocycles modulo boundaries at one degree.
 """
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import RhtError
 
 ZERO = Fraction(0)
-
-PIVOT_MIN_BITS = "min_bits"
-PIVOT_FIRST = "first"
+ONE = Fraction(1)
 
 
 class RationalMatrix:
@@ -63,10 +60,6 @@ class RationalMatrix:
                 out[r] = out.get(r, ZERO) + v * x
         return {r: v for r, v in out.items() if v != 0}
 
-    def transpose(self):
-        return RationalMatrix(self.cols, self.rows,
-                              {(c, r): v for (r, c), v in self.entries.items()})
-
     def __repr__(self):
         return "RationalMatrix(%dx%d, %d nonzero)" % (self.rows, self.cols, len(self.entries))
 
@@ -82,214 +75,110 @@ class LinearSolveResult:
         self.solvable = solvable      # list of bool, parallel to targets
 
 
-def _row_to_int(row):
-    """Scale a sparse Fraction row to a primitive integer row."""
-    if not row:
-        return {}
-    denom_lcm = 1
-    for v in row.values():
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = {c: int(v * denom_lcm) for c, v in row.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    return ints
-
-
-def _normalize_int_row(row):
-    g = 0
-    for v in row.values():
-        g = gcd(g, abs(v))
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return dict(row)
-
-
-def _eliminate(int_rows, ncols, pivot_policy):
-    """Fraction-free forward elimination.
-
-    Returns (echelon rows as integer dicts, pivot list [(row_idx, col)]).
-    Rows include any augmented columns at indices >= ncols; pivots are only
-    chosen among columns < ncols.
-    """
-    rows = [r for r in int_rows if r]
-    pivots = []
-    echelon = []
-    for col in range(ncols):
-        candidates = [i for i, r in enumerate(rows) if r.get(col)]
-        if not candidates:
-            continue
-        if pivot_policy == PIVOT_FIRST:
-            best = candidates[0]
-        else:
-            best = min(candidates, key=lambda i: (abs(rows[i][col]).bit_length(),
-                                                  len(rows[i]), i))
-        piv_row = rows.pop(best)
-        p = piv_row[col]
-        new_rows = []
-        for r in rows:
-            m = r.get(col)
-            if not m:
-                new_rows.append(r)
-                continue
-            combined = {}
-            for c, v in r.items():
-                combined[c] = v * p
-            for c, v in piv_row.items():
-                combined[c] = combined.get(c, 0) - v * m
-            combined = {c: v for c, v in combined.items() if v != 0}
-            if combined:
-                new_rows.append(_normalize_int_row(combined))
-        rows = new_rows
-        echelon.append(piv_row)
-        pivots.append(col)
-    return echelon, pivots, rows
-
-
-def solve_linear(matrix, targets=None, pivot_policy=PIVOT_MIN_BITS):
+def solve_linear(matrix, targets=None):
     """Exact kernel / image / solve for M x = t over Q.
 
     `targets` is an optional list of sparse {row: Fraction} vectors.  Targets
     that are not in the column space are flagged unsolvable, never an error.
+    The answers are canonical: kernel vector j is 1 at the j-th free column
+    and 0 at the others, and each solution is 0 on every free column.
     Postcondition: rank + len(kernel) == cols (rank-nullity).
     """
     targets = targets or []
     ncols = matrix.cols
-    ntar = len(targets)
-    # Augment each row with target entries: columns ncols..ncols+ntar-1.
-    raw_rows = matrix.row_list()
+    # RREF of [M | -T]: target j sits in column ncols + j.
+    rows = matrix.row_list()
     for j, t in enumerate(targets):
         for r, v in t.items():
             if v != 0:
-                raw_rows[r][ncols + j] = -Fraction(v)
-    int_rows = [_row_to_int(r) for r in raw_rows]
-    echelon, pivots, leftover = _eliminate(int_rows, ncols, pivot_policy)
-    rank = len(pivots)
+                rows[r][ncols + j] = -Fraction(v)
+    ech = Echelon()
+    for row in rows:
+        ech.add(row)
 
-    # Unsolvable targets show up as leftover rows supported only on the
-    # augmented columns.
-    bad = set()
-    for r in leftover:
-        if any(c < ncols for c in r):
-            raise RhtError("elimination left an unreduced main column")  # pragma: no cover
-        for c in r:
-            bad.add(c - ncols)
+    # A row pivoting on a target column proves every target in its support
+    # unsolvable; a reduced row is 0 at every other pivot, so no solvable
+    # target appears in one.
+    unsolvable = {c - ncols for pc, row in ech.rows if pc >= ncols for c in row}
+    pivots = sorted(pc for pc in ech.position if pc < ncols)
+    kernel = {c: {c: ONE} for c in range(ncols) if c not in ech.position}
+    solutions = [None if j in unsolvable else {} for j in range(len(targets))]
+    for pc in reversed(pivots):
+        for c, v in ech.rows[ech.position[pc]][1].items():
+            if c < ncols:
+                if c != pc:
+                    kernel[c][pc] = -v
+            elif solutions[c - ncols] is not None:
+                solutions[c - ncols][pc] = -v
 
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-
-    def back_substitute(rhs_col=None, free_assign=None):
-        """Solve the echelon system with given free-variable assignment."""
-        sol = {}
-        if free_assign:
-            sol.update(free_assign)
-        for i in range(len(echelon) - 1, -1, -1):
-            row = echelon[i]
-            col = pivots[i]
-            s = ZERO
-            for c, v in row.items():
-                if c == col:
-                    continue
-                if c >= ncols:
-                    if rhs_col is not None and c == rhs_col:
-                        s += Fraction(v)
-                    continue
-                x = sol.get(c)
-                if x:
-                    s += Fraction(v) * x
-            val = -s / row[col]
-            if val != 0:
-                sol[col] = val
-        return {c: v for c, v in sol.items() if v != 0}
-
-    kernel = []
-    for fc in free_cols:
-        kernel.append(back_substitute(free_assign={fc: Fraction(1)}))
-
-    solutions = []
-    solvable = []
-    for j in range(ntar):
-        if j in bad:
-            solutions.append(None)
-            solvable.append(False)
-        else:
-            solutions.append(back_substitute(rhs_col=ncols + j))
-            solvable.append(True)
-
-    image = [matrix.column(c) for c in pivots]
-    assert rank + len(kernel) == ncols
-    return LinearSolveResult(rank, kernel, image, solutions, solvable)
+    image = {pc: {} for pc in pivots}
+    for (r, c), v in matrix.entries.items():
+        if c in image:
+            image[c][r] = v
+    return LinearSolveResult(len(pivots), list(kernel.values()), list(image.values()),
+                             solutions, [s is not None for s in solutions])
 
 
 class Echelon:
     """Incremental reduced row space over Q with optional coordinate tracking.
 
     Used as the workhorse for span membership, quotient bases, and expressing
-    vectors in terms of the vectors fed in.
+    vectors in terms of the vectors fed in.  Invariant: every row is 1 at its
+    pivot (its smallest column) and every other row is 0 there, so the rows
+    are the RREF of the span.  Subtracting a multiple of a row therefore never
+    creates an entry in another pivot column, which lets `_reduce` visit only
+    the pivots the incoming vector already has.
     """
 
     def __init__(self, track=False):
         self.rows = []        # list of (pivot_col, sparse row dict)
+        self.position = {}    # pivot_col -> index into rows
         self.track = track
         self.combos = []      # parallel: row as combination of inserted vectors
         self.count = 0        # number of inserted vectors so far
 
     def _reduce(self, vec, combo=None):
         vec = {c: Fraction(v) for c, v in vec.items() if v != 0}
-        for pc, row in self.rows:
-            x = vec.get(pc)
-            if x:
-                for c, v in row.items():
-                    vec[c] = vec.get(c, ZERO) - x * v
-                    if vec[c] == 0:
-                        del vec[c]
-                if combo is not None:
-                    idx = [r[0] for r in self.rows].index(pc)
-                    for k, v in self.combos[idx].items():
-                        combo[k] = combo.get(k, ZERO) - x * v
-                        if combo[k] == 0:
-                            del combo[k]
+        for i in [self.position[c] for c in vec if c in self.position]:
+            pc, row = self.rows[i]
+            x = vec[pc]
+            _subtract(vec, x, row)
+            if combo is not None:
+                _subtract(combo, x, self.combos[i])
         return vec, combo
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the span."""
-        combo = {self.count: Fraction(1)} if self.track else None
+        combo = {self.count: ONE} if self.track else None
         self.count += 1
         vec, combo = self._reduce(vec, combo)
         if not vec:
             return False
         pc = min(vec)
-        inv = Fraction(1) / vec[pc]
+        inv = ONE / vec[pc]
         vec = {c: v * inv for c, v in vec.items()}
         if self.track:
             combo = {k: v * inv for k, v in combo.items()}
         # Back-reduce existing rows to keep the basis reduced.
-        for i, (opc, orow) in enumerate(self.rows):
+        for i, (_, orow) in enumerate(self.rows):
             x = orow.get(pc)
             if x:
-                for c, v in vec.items():
-                    orow[c] = orow.get(c, ZERO) - x * v
-                    if orow[c] == 0:
-                        del orow[c]
+                _subtract(orow, x, vec)
                 if self.track:
-                    for k, v in combo.items():
-                        self.combos[i][k] = self.combos[i].get(k, ZERO) - x * v
-                        if self.combos[i][k] == 0:
-                            del self.combos[i][k]
+                    _subtract(self.combos[i], x, combo)
+        self.position[pc] = len(self.rows)
         self.rows.append((pc, vec))
         if self.track:
             self.combos.append(combo)
         return True
 
     def contains(self, vec):
-        vec, _ = self._reduce(dict(vec), None)
+        vec, _ = self._reduce(vec)
         return not vec
 
     def residue(self, vec):
         """vec reduced modulo the span (supported on non-pivot coordinates)."""
-        vec, _ = self._reduce(dict(vec), None)
+        vec, _ = self._reduce(vec)
         return vec
 
     def coordinates(self, vec):
@@ -299,36 +188,52 @@ class Echelon:
         """
         if not self.track:
             raise RhtError("Echelon built without coordinate tracking")
-        vec = {c: Fraction(v) for c, v in vec.items() if v != 0}
-        combo = {}
-        for i, (pc, row) in enumerate(self.rows):
-            x = vec.get(pc)
-            if x:
-                for c, v in row.items():
-                    vec[c] = vec.get(c, ZERO) - x * v
-                    if vec[c] == 0:
-                        del vec[c]
-                for k, v in self.combos[i].items():
-                    combo[k] = combo.get(k, ZERO) + x * v
-                    if combo[k] == 0:
-                        del combo[k]
+        vec, combo = self._reduce(vec, {})
         if vec:
             return None
-        return combo
+        return {k: -v for k, v in combo.items()}
 
     @property
     def dim(self):
         return len(self.rows)
 
     def pivot_columns(self):
-        return sorted(pc for pc, _ in self.rows)
+        return sorted(self.position)
 
 
-def span_dim(vectors):
-    ech = Echelon()
-    for v in vectors:
-        ech.add(v)
-    return ech.dim
+def _subtract(dst, x, src):
+    """dst -= x * src in place, dropping entries that become 0."""
+    for c, v in src.items():
+        y = dst.get(c, ZERO) - x * v
+        if y:
+            dst[c] = y
+        else:
+            del dst[c]
+
+
+def slice_homology(d_out, out_dim, d_in):
+    """Cocycles modulo boundaries at one degree k of a cochain complex.
+
+    `d_out` holds the columns of d: C^k -> C^{k+1}, vectors in a space of
+    dimension `out_dim`; `d_in` holds the columns of d: C^{k-1} -> C^k.
+    Returns (kernel, reps, classes): the kernel basis of `solve_linear`; the
+    kernel vectors that enlarge the span of the boundaries, in kernel order,
+    whose classes form a basis of H^k; and a tracked Echelon holding the
+    boundaries (inserted indices 0 .. len(d_in) - 1) followed by the
+    representatives, reps[i] at inserted index len(d_in) + i.
+    """
+    kernel = solve_linear(RationalMatrix.from_columns(out_dim, d_out)).kernel
+    classes = Echelon(track=True)
+    for col in d_in:
+        classes.add(col)
+    reps = []
+    for vec in kernel:
+        if classes.add(vec):
+            reps.append(vec)
+        else:
+            classes.count -= 1    # forget it, so the next representative keeps its index
+    return kernel, reps, classes
+
 
 def vec_add(a, b, scale=1):
     out = dict(a)
@@ -337,10 +242,3 @@ def vec_add(a, b, scale=1):
         if out[c] == 0:
             del out[c]
     return out
-
-
-def vec_scale(a, s):
-    s = Fraction(s)
-    if s == 0:
-        return {}
-    return {c: v * s for c, v in a.items()}

@@ -4,10 +4,10 @@ The model of a cdga A with H^0(A) = Q and H^1(A) = 0 is built degree by
 degree.  At stage n the partial morphism phi: (Lambda V^{<=n-1}, d) -> A has
 H^{<=n-1}(phi) iso and H^n(phi) injective; the stage adjoins cocycle
 generators spanning coker H^n(phi), then degree-n generators whose
-differentials kill ker H^{n+1}(phi).  Representatives follow the
-first-solution policy of the exact solver under the fixed monomial order, so
-the output is deterministic; different pivot policies may change
-coefficients but never the generator counts.
+differentials kill ker H^{n+1}(phi).  Representatives are the canonical
+answers of the exact solver (RREF kernel vectors, solutions that vanish on
+free columns) under the fixed monomial order, so the output is determined by
+the input alone.
 """
 
 from .algebra import (AlgElement, GeneratorContext, ONE, rebase, substitute,
@@ -15,7 +15,7 @@ from .algebra import (AlgElement, GeneratorContext, ONE, rebase, substitute,
 from .cdga import (CdgaMorphism, SullivanPresentation, cohomology, complex_of,
                    validate)
 from .errors import DegreeError, RhtError, UnsupportedInputError
-from .linalg import Echelon, RationalMatrix, solve_linear, vec_add, PIVOT_MIN_BITS
+from .linalg import Echelon, RationalMatrix, solve_linear, vec_add
 
 
 def is_minimal(p):
@@ -37,12 +37,6 @@ class SullivanCertificate:
     @property
     def ok(self):
         return not self.stuck
-
-    def stage_of(self, name):
-        for r, names in enumerate(self.stages):
-            if name in names:
-                return r
-        return None
 
     def __repr__(self):
         if self.ok:
@@ -104,8 +98,7 @@ def _target_h0_h1(A, budget):
             "(supply a finite V^1 model directly for pi_1 features)")
 
 
-def minimal_model(A, n=16, budget=DEFAULT_MONOMIAL_BUDGET, pivot_policy=PIVOT_MIN_BITS,
-                  name=None):
+def minimal_model(A, n=16, budget=DEFAULT_MONOMIAL_BUDGET, name=None):
     """Minimal Sullivan model of A with H(phi) iso up to n, injective at n+1."""
     validate(A).raise_if_invalid()
     _target_h0_h1(A, budget)
@@ -158,7 +151,7 @@ def minimal_model(A, n=16, budget=DEFAULT_MONOMIAL_BUDGET, pivot_policy=PIVOT_MI
             cols.append(tgt_rep.class_coordinates(stage + 1, img))
         hdim_tgt = tgt_rep.dim(stage + 1)
         mat = RationalMatrix.from_columns(hdim_tgt, cols)
-        ker = solve_linear(mat, pivot_policy=pivot_policy).kernel
+        ker = solve_linear(mat).kernel
         scx = complex_of(model, budget)
         d_cols = [tcx.differential_column(stage, i) for i in range(tcx.dim(stage))]
         d_mat = RationalMatrix.from_columns(tcx.dim(stage + 1), d_cols)
@@ -169,7 +162,7 @@ def minimal_model(A, n=16, budget=DEFAULT_MONOMIAL_BUDGET, pivot_policy=PIVOT_MI
                 z_coords = vec_add(z_coords, reps[i], c)
             z = scx.from_coords(stage + 1, z_coords)
             img = phi.apply_coords(stage + 1, z_coords)
-            sol = solve_linear(d_mat, targets=[img], pivot_policy=pivot_policy)
+            sol = solve_linear(d_mat, targets=[img])
             if not sol.solvable[0]:
                 raise RhtError("kernel class is not exact in the target")  # pragma: no cover
             gname = "w%d_%d" % (stage, new_count)

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from rht.cli import main
+
 DATA = os.path.join(os.path.dirname(__file__), "data", "catalog.rht")
 
 
@@ -155,6 +157,22 @@ def test_semantic_error_exit_code():
     code, _, err = run_cli("cohomology", DATA, "--name", "Nope", "--max", "4")
     assert code == 1
     assert "no cdga named" in err
+
+
+def test_negative_max_is_a_usage_error(capsys):
+    commands = [
+        ("cohomology", DATA, "--name", "S2"),
+        ("minimal-model", DATA, "--name", "S2"),
+        ("invariants", DATA, "--name", "CP3", "--toomer"),
+        ("loopspace", DATA, "--name", "S3"),
+        ("config-space", DATA, "--pd", "S2", "--k", "2"),
+        ("arrangement", DATA, "--name", "braid3"),
+    ]
+    for cmd in commands:
+        assert main([*cmd, "--max", "-3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --max must be >= 0, got -3\n"
 
 
 def test_seed_accepted_and_ignored():

@@ -1,8 +1,15 @@
 import random
 from fractions import Fraction
 
-from rht.linalg import (Echelon, RationalMatrix, solve_linear, vec_add,
-                        PIVOT_FIRST, PIVOT_MIN_BITS)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rht.algebra import AlgElement, GeneratorContext
+from rht.cdga import SullivanPresentation, cohomology
+from rht.constructions import torus
+from rht.linalg import Echelon, RationalMatrix, solve_linear, vec_add
+
+from conftest import wedge_two_s2_cohomology
 
 
 def test_identity_matrix():
@@ -79,15 +86,23 @@ def test_particular_solutions_are_exact():
         assert m.apply(res.solutions[0]) == t
 
 
-def test_pivot_policies_agree_on_rank():
+def test_row_permutation_invariance():
     rng = random.Random(11)
     for _ in range(15):
         m = random_matrix(rng, 5, 5)
-        a = solve_linear(m, pivot_policy=PIVOT_MIN_BITS)
-        b = solve_linear(m, pivot_policy=PIVOT_FIRST)
+        x = {c: Fraction(rng.randint(-4, 4)) for c in range(5)}
+        targets = [m.apply(x), {rng.randrange(5): Fraction(1)}]
+        perm = list(range(5))
+        rng.shuffle(perm)
+        pm = RationalMatrix(5, 5, {(perm[r], c): v for (r, c), v in m.entries.items()})
+        ptargets = [{perm[r]: v for r, v in t.items()} for t in targets]
+        a = solve_linear(m, targets)
+        b = solve_linear(pm, ptargets)
         assert a.rank == b.rank
-        for k in b.kernel:
-            assert m.apply(k) == {}
+        assert a.kernel == b.kernel
+        assert a.solutions == b.solutions
+        assert a.solvable == b.solvable
+        assert [{perm[r]: v for r, v in col.items()} for col in a.image] == b.image
 
 
 def test_echelon_coordinates():
@@ -99,3 +114,114 @@ def test_echelon_coordinates():
     combo = ech.coordinates(vec_add(v1, v2, 3))
     assert combo == {0: Fraction(1), 1: Fraction(3)}
     assert ech.coordinates({3: Fraction(1)}) is None
+
+
+# -- properties of the single elimination engine ----------------------------
+
+ENTRY = st.one_of(st.just(Fraction(0)),
+                  st.fractions(min_value=-4, max_value=4, max_denominator=3))
+
+
+@st.composite
+def systems(draw):
+    """A small rational matrix with solvable and arbitrary targets."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 6))
+    m = RationalMatrix(rows, cols, {(r, c): draw(ENTRY)
+                                    for r in range(rows) for c in range(cols)})
+    targets = [m.apply({c: draw(ENTRY) for c in range(cols)})
+               for _ in range(draw(st.integers(0, 2)))]
+    targets += draw(st.lists(st.dictionaries(st.integers(0, rows - 1), ENTRY,
+                                             max_size=rows), max_size=2))
+    return m, targets
+
+
+def column_rank(columns):
+    ech = Echelon()
+    return sum(1 for col in columns if ech.add(col))
+
+
+def free_columns(m):
+    """Columns in the span of the columns before them."""
+    ech = Echelon()
+    return [c for c in range(m.cols) if not ech.add(m.column(c))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems())
+def test_kernel_is_the_rref_basis(system):
+    m, targets = system
+    res = solve_linear(m, targets)
+    free = free_columns(m)
+    assert res.rank == m.cols - len(free)
+    assert len(res.kernel) == len(free)
+    for j, k in zip(free, res.kernel):
+        assert m.apply(k) == {}
+        assert {c: v for c, v in k.items() if c in free} == {j: 1}
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems())
+def test_solutions_vanish_on_free_columns(system):
+    m, targets = system
+    res = solve_linear(m, targets)
+    free = set(free_columns(m))
+    rank = column_rank(m.column(c) for c in range(m.cols))
+    for t, x, ok in zip(targets, res.solutions, res.solvable):
+        t = {r: v for r, v in t.items() if v != 0}
+        augmented = column_rank([m.column(c) for c in range(m.cols)] + [t])
+        assert ok == (augmented == rank)
+        if ok:
+            assert m.apply(x) == t
+            assert not free.intersection(x)
+        else:
+            assert x is None
+
+
+@settings(max_examples=50, deadline=None)
+@given(systems())
+def test_rank_matches_sympy(system):
+    sympy = pytest.importorskip("sympy")
+    m, _ = system
+    dense = [[m.entries.get((r, c), 0) for c in range(m.cols)] for r in range(m.rows)]
+    assert solve_linear(m).rank == sympy.Matrix(dense).rank()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 5), ENTRY, max_size=4), min_size=1, max_size=5),
+       st.dictionaries(st.integers(0, 5), ENTRY, max_size=6), st.randoms())
+def test_residue_ignores_insertion_order(vectors, probe, rnd):
+    shuffled = list(vectors)
+    rnd.shuffle(shuffled)
+    a, b = Echelon(), Echelon()
+    for v in vectors:
+        a.add(v)
+    for v in shuffled:
+        b.add(v)
+    assert a.residue(probe) == b.residue(probe)
+    assert a.pivot_columns() == b.pivot_columns()
+
+
+def boundary_before_class():
+    """H^4 = <z>, with the boundary x^2 = dy ahead of z in the degree-4 basis."""
+    ctx = GeneratorContext([("z", 4), ("x", 2), ("y", 3)])
+    x, zero = ctx.generator("x"), AlgElement.zero(ctx)
+    return SullivanPresentation(ctx, {"z": zero, "x": zero, "y": x * x})
+
+
+@pytest.mark.parametrize("make, k", [(lambda: torus(3), 1), (lambda: torus(3), 2),
+                                     (wedge_two_s2_cohomology, 2),
+                                     (boundary_before_class, 4)],
+                         ids=["T3-H1", "T3-H2", "S2vS2-H2", "boundary_first-H4"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_class_coordinates_recover_coefficients(make, k, data):
+    rep = cohomology(make(), 0, k + 1)
+    reps = rep.representatives(k)
+    coeffs = {i: data.draw(ENTRY) for i in range(len(reps))}
+    vec = {}
+    for i, c in coeffs.items():
+        vec = vec_add(vec, reps[i], c)
+    for i in range(rep.cx.dim(k - 1)):
+        vec = vec_add(vec, rep.cx.differential_column(k - 1, i), data.draw(ENTRY))
+    assert rep.class_coordinates(k, vec) == {i: c for i, c in coeffs.items() if c != 0}

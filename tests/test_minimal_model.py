@@ -7,7 +7,7 @@ from rht.cdga import (CdgaMorphism, SullivanPresentation, cohomology,
                       cohomology_algebra, is_quasi_iso, validate)
 from rht.constructions import sphere, cp, free_loop_extension
 from rht.errors import UnsupportedInputError
-from rht.linalg import PIVOT_FIRST, PIVOT_MIN_BITS
+from rht.dsl import minimal_model_json
 from rht.minimal_model import (AcyclicClosure, LambdaExtension, acyclic_closure,
                                fiber_model, is_minimal, is_sullivan, minimal_model,
                                pushout_extension)
@@ -136,14 +136,31 @@ def test_minimal_model_of_kunneth_input():
     assert ok
 
 
-def test_pivot_policy_invariance_of_ranks():
-    H = cohomology_algebra(cp(2), 4)
-    a = minimal_model(H, 8, pivot_policy=PIVOT_MIN_BITS)
-    b = minimal_model(H, 8, pivot_policy=PIVOT_FIRST)
-    assert a.ranks() == b.ranks()
-    ok_a, _ = is_quasi_iso(a.phi, 8)
-    ok_b, _ = is_quasi_iso(b.phi, 8)
-    assert ok_a and ok_b
+# minimal_model_json of the CP^2 model, recorded when the solver still had a
+# pivot-policy option; the solver's answers are canonical, so it must not move.
+FROZEN_CP2_MODEL = {
+    "certified_degree": 8,
+    "kind": "minimal_model",
+    "model": {
+        "differential": {"v2_0": "0", "w5_0": "v2_0^3"},
+        "generators": [{"degree": 2, "name": "v2_0"}, {"degree": 5, "name": "w5_0"}],
+        "kind": "cdga",
+        "name": "M(H(CP2))",
+        "schema": "rht/1",
+    },
+    "phi": {"v2_0": {"0": "1"}, "w5_0": {}},
+    "provenance": {"v2_0": {"kind": "cocycle", "stage": 2},
+                   "w5_0": {"kind": "kernel", "stage": 5}},
+    "ranks": {"2": 1, "3": 0, "4": 0, "5": 1, "6": 0, "7": 0, "8": 0},
+    "schema": "rht/1",
+}
+
+
+def test_cp2_model_matches_frozen_output():
+    mm = minimal_model(cohomology_algebra(cp(2), 4), 8)
+    assert minimal_model_json(mm) == FROZEN_CP2_MODEL
+    ok, _ = is_quasi_iso(mm.phi, 8)
+    assert ok
 
 
 def test_tensor_with_contractible_is_sullivan_not_minimal(s2):
