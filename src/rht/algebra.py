@@ -209,9 +209,13 @@ class AlgElement:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers are not defined in Lambda(V)")
-        result = AlgElement.unit(self.ctx)
-        for _ in range(n):
-            result = result * self
+        result, square = AlgElement.unit(self.ctx), self
+        while n:
+            if n & 1:
+                result = result * square
+            n >>= 1
+            if n:
+                square = square * square
         return result
 
     def __eq__(self, other):
@@ -303,35 +307,45 @@ def degree_basis(ctx, n, budget=DEFAULT_MONOMIAL_BUDGET):
     """Complete ordered monomial basis of Lambda(V) in total degree n.
 
     Deterministic order: lexicographic in exponent vectors over the context
-    order (unit first in degree 0).  Raises BudgetExceededError when the
-    basis would exceed `budget` monomials.
+    order, exponents ascending (unit first in degree 0).  Raises
+    BudgetExceededError, before building any monomial, when the basis would
+    exceed `budget` monomials.
+
+    The monomials over generators idx.. of remaining degree r form one
+    shared suffix list per (idx, r).  A forward pass finds the (idx, r) that
+    degree n reaches, a backward pass counts them, and a second backward
+    pass builds the nonempty ones, reusing a list that generator idx cannot
+    extend.  Nothing recurses, so any number of generators is fine.
     """
     if n < 0:
         return []
-    out = []
+    degrees = ctx.degrees
 
-    def rec(idx, remaining, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            if len(out) > budget:
-                raise BudgetExceededError(
-                    "degree %d basis exceeds %d monomials" % (n, budget))
-            return
-        if idx >= len(ctx.gens):
-            return
-        deg = ctx.degrees[idx]
-        max_e = remaining // deg
-        if ctx.is_odd(idx):
-            max_e = min(max_e, 1)
-        for e in range(0, max_e + 1):
-            if e:
-                acc.append((idx, e))
-            rec(idx + 1, remaining - e * deg, acc)
-            if e:
-                acc.pop()
+    def exponents(idx, r):
+        top = r // degrees[idx]
+        return range(min(top, 1) + 1 if degrees[idx] % 2 else top + 1)
 
-    rec(0, n, [])
-    return out
+    reach = [{n}]
+    for idx, deg in enumerate(degrees):
+        reach.append({r - e * deg for r in reach[idx] for e in exponents(idx, r)})
+    counts = {0: 1}
+    for idx in range(len(degrees) - 1, -1, -1):
+        counts = {r: sum(counts.get(r - e * degrees[idx], 0) for e in exponents(idx, r))
+                  for r in reach[idx]}
+    if counts.get(n, 0) > budget:
+        raise BudgetExceededError("degree %d basis exceeds %d monomials" % (n, budget))
+    suffixes = {0: [()]}
+    for idx in range(len(degrees) - 1, -1, -1):
+        deg, tails, suffixes = degrees[idx], suffixes, {}
+        for r in reach[idx]:
+            parts = [(e, tails[r - e * deg]) for e in exponents(idx, r) if r - e * deg in tails]
+            if len(parts) == 1 and not parts[0][0]:
+                suffixes[r] = parts[0][1]
+            elif parts:
+                out = suffixes[r] = []
+                for e, ms in parts:
+                    out.extend([((idx, e),) + m for m in ms] if e else ms)
+    return suffixes.get(n, [])
 
 
 def substitute(x, images, new_ctx):

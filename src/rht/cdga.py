@@ -79,9 +79,6 @@ class SullivanPresentation:
     def differential(self, x):
         return apply_derivation(self.d, x)
 
-    def generator_degrees(self):
-        return dict(zip(self.ctx.names, self.ctx.degrees))
-
     def is_finite_dimensional(self):
         """Lambda(V) has finite total dimension iff every generator is odd."""
         return all(d % 2 == 1 for d in self.ctx.degrees)
@@ -432,7 +429,6 @@ def validate(p, window=None):
 def _validate_finite(A):
     violations = []
     items = [(k, i) for k in sorted(A.basis) for i in range(A.dim(k))]
-    unit = (0, 0)
     if A.h0_is_unit_span and A.dim(0) != 1:
         violations.append("degree 0 is not spanned by the unit")
     # d^2 = 0 and degree sanity.
@@ -489,7 +485,6 @@ def _validate_finite(A):
                 if lhs != rhs:
                     violations.append("associativity fails on (%s, %s, %s)"
                                       % (A.label(p_, i), A.label(q_, j), A.label(r_, l)))
-    _ = unit
     return ValidationReport(A.name, violations)
 
 
@@ -760,12 +755,7 @@ def is_quasi_iso(phi, n, budget=DEFAULT_MONOMIAL_BUDGET):
                 cols.append(tgt.class_coordinates(k, img) if k >= tgt.lo else
                             ({} if not img else None))
             ech = Echelon()
-            rank = 0
-            for col in cols:
-                if col is None:
-                    continue
-                if ech.add(col):
-                    rank += 1
+            rank = sum(1 for col in cols if col is not None and ech.add(col))
         else:
             rank = 0
         witness[k] = (ds, dt, rank)

@@ -8,6 +8,7 @@ ignored (all computations are deterministic).
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -17,8 +18,9 @@ from .cdga import (FiniteCDGA, SullivanPresentation, cohomology,
 from .constructions import (arrangement_complex, catalog, config_space_model,
                             free_loop_model, mapping_space_pi)
 from .errors import ParseError, RhtError
-from .homotopy_lie import (bch_product, hurewicz_matrix, lcs_filtrations,
-                           lie_table, quadratic_part)
+from .homotopy_lie import (NILPOTENCY_STEPS, bch_product, hurewicz_matrix,
+                           lcs_filtrations, lie_table, nilpotency_class,
+                           quadratic_part)
 from .invariants import (DegreeSequence, cat_bounds, elliptic_degrees_check,
                          loop_homology_dims, massey_triple, tc_cup_length,
                          toomer_invariant, trichotomy_report)
@@ -136,23 +138,36 @@ def cmd_homotopy(args):
     return 0
 
 
-def _parse_vector(text):
-    out = {}
-    if text.strip():
-        for i, part in enumerate(text.split(",")):
-            q = Fraction(part.strip())
-            if q != 0:
-                out[i] = q
-    return out
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?$")
+
+
+def _parse_vector(text, dim):
+    """Exactly `dim` comma-separated rationals p or p/q as a sparse vector, else None."""
+    parts = [part.strip() for part in text.split(",")] if text.strip() else []
+    if len(parts) != dim or not all(_RATIONAL.match(part) for part in parts):
+        return None
+    return {i: q for i, q in enumerate(map(Fraction, parts)) if q != 0}
 
 
 def cmd_bch(args):
     doc = _load(args.file)
     p = doc.presentation(args.name)
     t = lie_table(quadratic_part(p), 0)
-    a = _parse_vector(args.a)
-    b = _parse_vector(args.b)
-    z = bch_product(t, a, b, nil_class=args.cls)
+    vectors = []
+    for text in (args.a, args.b):
+        vec = _parse_vector(text, t.dim(0))
+        if vec is None:
+            sys.stderr.write("error: %r is not %d comma-separated rationals (dim L_0 = %d)\n"
+                             % (text, t.dim(0), t.dim(0)))
+            return 2
+        vectors.append(vec)
+    nil = nilpotency_class(t)
+    if args.cls is not None and not nil <= args.cls <= NILPOTENCY_STEPS:
+        sys.stderr.write("error: --class must lie in %d..%d (the nilpotency class of L_0 "
+                         "is %d), got %d\n" % (nil, NILPOTENCY_STEPS, nil, args.cls))
+        return 2
+    # Brackets longer than the class vanish, so every valid --class gives this.
+    z = bch_product(t, vectors[0], vectors[1], nil_class=nil)
     labels = t.basis.get(0, [])
     payload = {"schema": dsl.SCHEMA, "kind": "bch",
                "result": {labels[i]: dsl.q_str(c) for i, c in sorted(z.items())}}
@@ -181,8 +196,7 @@ def cmd_invariants(args):
     if args.massey:
         exprs = []
         for text in args.massey:
-            parser = dsl._Parser(text)
-            exprs.append(parser.expression(p.ctx))
+            exprs.append(dsl._Parser(text).expression(p.ctx, n))
         res = massey_triple(p, *exprs)
         payload["massey"] = {
             "defined": res.defined,

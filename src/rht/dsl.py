@@ -15,13 +15,14 @@ documents round-trip through `serialize` exactly.
 import json
 from fractions import Fraction
 
-from .algebra import AlgElement, GeneratorContext, ONE, monomial_str
+from .algebra import AlgElement, GeneratorContext, ONE, monomial_degree, monomial_str
 from .cdga import (CdgaMorphism, SullivanPresentation, cohomology,
                    cohomology_algebra)
 from .constructions import PDAlgebra, SubspaceArrangement
 from .errors import ParseError, RhtError
 
 SCHEMA = "rht/1"
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +141,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -168,22 +170,21 @@ class _Parser:
             if t.value == "cdga":
                 name, pres = self.cdga_block()
                 doc.presentations[name] = pres
-                doc.order.append(("cdga", name))
             elif t.value == "morphism":
                 name, mor = self.morphism_block(doc)
                 doc.morphisms[name] = mor
-                doc.order.append(("morphism", name))
             elif t.value == "arrangement":
                 name, arr = self.arrangement_block()
                 doc.arrangements[name] = arr
-                doc.order.append(("arrangement", name))
             elif t.value == "pd":
                 name, dim, text_expr, pd = self.pd_statement(doc)
                 doc.pd_decls[name] = (dim, text_expr)
                 doc.pd_algebras[name] = pd
-                doc.order.append(("pd", name))
             else:
                 self.error("unknown block %r" % t.value, t)
+            if (t.value, name) in doc.order:
+                self.error("duplicate %s %r" % (t.value, name), t)
+            doc.order.append((t.value, name))
         return doc
 
     # -- cdga --------------------------------------------------------------
@@ -238,10 +239,10 @@ class _Parser:
                     self.error("duplicate differential for %r" % gtok.value, gtok)
                 seen_d.add(gtok.value)
                 self.expect("=")
-                expr = self.expression(ctx)
+                want = ctx.degree_of(gtok.value) + 1
+                expr = self.expression(ctx, want)
                 self.expect(";")
                 if not expr.is_zero():
-                    want = ctx.degree_of(gtok.value) + 1
                     if expr.degree() != want:
                         self.error("degree mismatch at `d %s`: expected degree %d"
                                    % (gtok.value, want), gtok)
@@ -271,7 +272,7 @@ class _Parser:
             if gtok.value not in source.ctx.index:
                 self.error("unknown generator %r in %s" % (gtok.value, src.value), gtok)
             self.expect("|->")
-            expr = self.expression(target.ctx)
+            expr = self.expression(target.ctx, source.ctx.degree_of(gtok.value))
             self.expect(";")
             if not expr.is_zero() and expr.degree() != source.ctx.degree_of(gtok.value):
                 self.error("degree mismatch in image of %r" % gtok.value, gtok)
@@ -338,7 +339,7 @@ class _Parser:
             self.error("expected `orientation`", kw)
         pres = doc.presentations[ntok.value]
         start_tok = self.peek()
-        expr = self.expression(pres.ctx)
+        expr = self.expression(pres.ctx, m)
         self.expect(";")
         if expr.is_zero() or expr.degree() != m:
             self.error("orientation element must be homogeneous of degree %d" % m,
@@ -366,37 +367,47 @@ class _Parser:
         q = Fraction(num, den)
         return -q if neg else q
 
-    def expression(self, ctx):
-        x = self.term(ctx)
+    # An expression is parsed for a statement of known degree: a power whose
+    # top degree exceeds it is rejected before it is built, and nesting is
+    # bounded, so no input hangs the parser or overflows its stack.
+    def expression(self, ctx, degree):
+        x = self.term(ctx, degree)
         while self.peek().kind in ("+", "-"):
             op = self.next().kind
-            y = self.term(ctx)
+            y = self.term(ctx, degree)
             x = x + y if op == "+" else x - y
         return x
 
-    def term(self, ctx):
-        x = self.factor(ctx)
+    def term(self, ctx, degree):
+        x = self.factor(ctx, degree)
         while self.peek().kind == "*":
             self.next()
-            x = x * self.factor(ctx)
+            x = x * self.factor(ctx, degree)
         return x
 
-    def factor(self, ctx):
+    def factor(self, ctx, degree):
         t = self.peek()
-        if t.kind == "-":
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error("expression nested deeper than %d levels" % MAX_NESTING, t)
+        if t.kind in ("-", "+"):
             self.next()
-            return -self.factor(ctx)
-        if t.kind == "+":
-            self.next()
-            return self.factor(ctx)
-        x = self.atom(ctx)
+            x = self.factor(ctx, degree)
+            x = -x if t.kind == "-" else x
+        else:
+            x = self.atom(ctx, degree)
         while self.peek().kind == "^":
             self.next()
             e = self.expect("int", "an exponent")
+            top = max((monomial_degree(ctx, m) for m in x.terms), default=0)
+            if top * e.value > degree:
+                self.error("power of degree %d exceeds the expected degree %d"
+                           % (top * e.value, degree), e)
             x = x ** e.value
+        self.depth -= 1
         return x
 
-    def atom(self, ctx):
+    def atom(self, ctx, degree):
         t = self.next()
         if t.kind == "int":
             num = t.value
@@ -412,7 +423,7 @@ class _Parser:
                 self.error("unknown generator %r" % t.value, t)
             return ctx.generator(t.value)
         if t.kind == "(":
-            x = self.expression(ctx)
+            x = self.expression(ctx, degree)
             self.expect(")")
             return x
         self.error("expected a generator, number, or parenthesized expression", t)

@@ -115,64 +115,49 @@ class LieTable:
 
 
 def lie_table(qp, bound, name=None):
-    """Structure constants of L_V up to Lie degree `bound` from d_1."""
+    """Structure constants of L_V up to Lie degree `bound` from d_1.
+
+    One pass over d_1: a term c*a*b (a < b) of d_1 v gives <v, s[x_b, x_a]>
+    = c (-1)^|a| and <v, s[x_a, x_b]> = c (-1)^(|a||b| + |b|); a term c*a^2
+    gives <v, s[x_a, x_a]> = 2c (-1)^|a|, with |.| the degree in V.
+    """
     pres = qp.presentation if isinstance(qp, QuadraticPart) else quadratic_part(qp).presentation
     ctx = pres.ctx
     gens_by_degree = {}
+    slot = {}            # generator index -> (Lie degree, position in that degree)
     for idx, (g, deg) in enumerate(ctx.gens):
-        gens_by_degree.setdefault(deg - 1, []).append(idx)
+        slot[idx] = (deg - 1, len(gens_by_degree.setdefault(deg - 1, [])))
+        gens_by_degree[deg - 1].append(idx)
     basis = {}
     for k, idxs in gens_by_degree.items():
         if 0 <= k <= bound:
             basis[k] = ["x_%s" % ctx.names[i] for i in idxs]
-    brackets = {}
-    for k in sorted(basis):
-        for l in sorted(basis):
-            if k + l > bound or (k + l) not in gens_by_degree:
-                continue
-            for i, pi in enumerate(gens_by_degree[k]):
-                for j, qj in enumerate(gens_by_degree[l]):
-                    vec = {}
-                    for m, vi in enumerate(gens_by_degree[k + l]):
-                        c = _pairing_coefficient(pres, vi, pi, qj, l)
-                        if c != 0:
-                            vec[m] = c
-                    if vec:
-                        brackets[((k, i), (l, j))] = vec
+    entries = {}
+    for v, g in enumerate(ctx.names):
+        if ctx.degrees[v] - 1 > bound:
+            continue
+        m = slot[v][1]
+        for mono, c in pres.d.image_of(g).word_part(2).terms.items():
+            if len(mono) == 1:
+                (a, _), = mono
+                contributions = [(a, a, 2 * c * (-1) ** ctx.degrees[a])]
+            else:
+                (a, _), (b, _) = mono
+                da, db = ctx.degrees[a], ctx.degrees[b]
+                contributions = [(b, a, c * (-1) ** da), (a, b, c * (-1) ** (da * db + db))]
+            for p, q, x in contributions:
+                vec = entries.setdefault((slot[p], slot[q]), {})
+                vec[m] = vec.get(m, ZERO) + x
+    brackets = {}    # in the order (k, l, i, j) of the key ((k, i), (l, j))
+    for key in sorted(entries, key=lambda kl: (kl[0][0], kl[1][0], kl[0][1], kl[1][1])):
+        vec = {m: x for m, x in sorted(entries[key].items()) if x != 0}
+        if vec:
+            brackets[key] = vec
     t = LieTable(basis, brackets, bound, name=name or ("L(%s)" % pres.name))
     ok, why = t.validate()
     if not ok:
         raise RhtError("homotopy Lie table is inconsistent (%s); d_1^2 != 0?" % why)
     return t
-
-
-def _pairing_coefficient(pres, v_idx, p_idx, q_idx, deg_y):
-    """<v, s[x,y]> with x, y the duals of generators p, q (deg_y = Lie degree of y)."""
-    ctx = pres.ctx
-    d1v = pres.d.image_of(ctx.names[v_idx]).word_part(2)
-    total = ZERO
-    for mono, coeff in d1v.terms.items():
-        factors = []
-        for i, e in mono:
-            factors.extend([i] * e)
-        if len(factors) != 2:
-            continue
-        a, b = factors
-        pair = ZERO
-        if a == b:
-            # <g ^ g, sx, sy> = 2 <g,sx><g,sy> for even g
-            if a == p_idx and a == q_idx:
-                pair = Fraction(2)
-        else:
-            # stored normal order a < b: <a ^ b, sx, sy>
-            if a == q_idx and b == p_idx:
-                pair += 1
-            if a == p_idx and b == q_idx:
-                da, db = ctx.degrees[a], ctx.degrees[b]
-                pair += (-1) ** (da * db)
-        total += coeff * pair
-    sign = (-1) ** (deg_y + 1)
-    return sign * total
 
 
 def lie_bracket(t, x, y):
@@ -335,33 +320,8 @@ def lcs_filtrations(p, k, depth=32, bound=None):
 
     # --- L-side -----------------------------------------------------------
     t = lie_table(qp, bound if bound is not None else k - 1)
-    l_dims = []
-    cur = Echelon()
-    dimL = t.dim(k - 1)
-    for i in range(dimL):
-        cur.add({i: ONE})
-    l_dims.append(cur.dim)
-    nil_l = None
-    step = 1
-    while step <= depth:
-        if cur.dim == 0:
-            nil_l = step - 1
-            break
-        nxt = Echelon()
-        for i0 in range(t.dim(0)):
-            for _, row in cur.rows:
-                _, br = t.bracket((0, {i0: ONE}), (k - 1, dict(row)))
-                if br:
-                    nxt.add(br)
-        if nxt.dim == cur.dim:
-            nil_l = "inf"
-            break
-        cur = nxt
-        l_dims.append(cur.dim)
-        step += 1
-    if nil_l is None:
-        nil_l = ">=%d" % depth
-    if dimL == 0:
+    l_dims, nil_l = _lower_central_series(t, k - 1, depth)
+    if t.dim(k - 1) == 0:
         nil_l = 0
 
     report = FiltrationReport(k, v_dims, l_dims, nil_v, nil_l)
@@ -408,39 +368,48 @@ def hurewicz_matrix(result, k, budget=None):
             col[vk_pos[i]] = c
         cols.append(col)
     mat = RationalMatrix.from_columns(len(vk), cols)
-    ech = Echelon()
-    for c in cols:
-        ech.add(c)
-    return HurewiczReport(k, mat, len(cols), len(vk), ech.dim)
+    return HurewiczReport(k, mat, len(cols), len(vk), solve_linear(mat).rank)
 
 
 # ---------------------------------------------------------------------------
 # Baker-Campbell-Hausdorff
 # ---------------------------------------------------------------------------
 
-def nilpotency_class(t, max_steps=64):
-    """Nilpotency class of L_0 from the table, or raise if non-nilpotent."""
-    n0 = t.dim(0)
-    if n0 == 0:
-        return 0
+NILPOTENCY_STEPS = 64
+
+
+def _lower_central_series(t, k, depth):
+    """Dims of L_k, [L_0, L_k], [L_0, [L_0, L_k]], ... and the step at which
+    the series vanishes: "inf" if it stabilizes above 0, ">=depth" if
+    `depth` steps do not decide."""
     cur = Echelon()
-    for i in range(n0):
+    for i in range(t.dim(k)):
         cur.add({i: ONE})
-    step = 1
-    while step <= max_steps:
+    dims = [cur.dim]
+    for step in range(1, depth + 1):
+        if cur.dim == 0:
+            return dims, step - 1
         nxt = Echelon()
-        for i0 in range(n0):
+        for i0 in range(t.dim(0)):
             for _, row in cur.rows:
-                _, br = t.bracket((0, {i0: ONE}), (0, dict(row)))
+                _, br = t.bracket((0, {i0: ONE}), (k, dict(row)))
                 if br:
                     nxt.add(br)
-        if nxt.dim == 0:
-            return step
         if nxt.dim == cur.dim:
-            raise UnsupportedInputError("L_0 is not nilpotent; BCH does not terminate")
+            return dims, "inf"
         cur = nxt
-        step += 1
-    raise UnsupportedInputError("nilpotency not resolved in %d steps" % max_steps)
+        dims.append(cur.dim)
+    return dims, ">=%d" % depth
+
+
+def nilpotency_class(t, max_steps=NILPOTENCY_STEPS):
+    """Nilpotency class of L_0 from the table, or raise if non-nilpotent."""
+    _, nil = _lower_central_series(t, 0, max_steps + 1)
+    if nil == "inf":
+        raise UnsupportedInputError("L_0 is not nilpotent; BCH does not terminate")
+    if not isinstance(nil, int):
+        raise UnsupportedInputError("nilpotency not resolved in %d steps" % max_steps)
+    return nil
 
 
 def _free_mul(x, y, cap):

@@ -45,25 +45,28 @@ class SullivanCertificate:
         return "SullivanCertificate(stuck on %s)" % ",".join(sorted(self.stuck))
 
 
-def is_sullivan(p):
-    """Greedy construction of the generation filtration; exact on failure."""
-    ctx = p.ctx
-    known = set()
+def _generation_stages(p, known, remaining):
+    """Greedy stages of generator indices whose differentials involve only
+    generators of earlier stages (or `known`); returns (stages, stuck)."""
+    known, remaining = set(known), set(remaining)
     stages = []
-    remaining = set(range(len(ctx)))
     while remaining:
-        stage = []
-        for i in sorted(remaining):
-            img = p.d.image_of(ctx.names[i])
-            if all(j in known for mono in img.terms for j, _ in mono):
-                stage.append(i)
+        stage = [i for i in sorted(remaining) if all(
+            j in known for mono in p.d.image_of(p.ctx.names[i]).terms for j, _ in mono)]
         if not stage:
             break
-        for i in stage:
-            known.add(i)
-            remaining.discard(i)
-        stages.append([ctx.names[i] for i in stage])
-    return SullivanCertificate(stages, [ctx.names[i] for i in sorted(remaining)])
+        known.update(stage)
+        remaining.difference_update(stage)
+        stages.append(stage)
+    return stages, remaining
+
+
+def is_sullivan(p):
+    """Greedy construction of the generation filtration; exact on failure."""
+    stages, stuck = _generation_stages(p, (), range(len(p.ctx)))
+    names = p.ctx.names
+    return SullivanCertificate([[names[i] for i in stage] for stage in stages],
+                               [names[i] for i in sorted(stuck)])
 
 
 class MinimalModelResult:
@@ -99,14 +102,22 @@ def _target_h0_h1(A, budget):
 
 
 def minimal_model(A, n=16, budget=DEFAULT_MONOMIAL_BUDGET, name=None):
-    """Minimal Sullivan model of A with H(phi) iso up to n, injective at n+1."""
+    """Minimal Sullivan model of A with H(phi) iso up to n, injective at n+1.
+
+    Each stage reads only the cohomology of the partial model in the degree
+    it changes: H^stage for the cocycle step, H^(stage+1) for the kernel
+    step.  All kernel-killing generators of a stage come from one batched
+    `solve_linear` and one rebuild.  Batching changes nothing: they have
+    degree `stage` and V^1 = 0, so no degree-(stage+1) monomial contains
+    them, and each solution is canonical per target.
+    """
     validate(A).raise_if_invalid()
     _target_h0_h1(A, budget)
     tgt_rep = cohomology(A, 0, n + 2, budget)
     tcx = tgt_rep.cx
 
     gens = []            # [(name, degree)]
-    d_imgs = {}          # name -> AlgElement in the current context
+    d_imgs = {}          # name -> AlgElement in some prefix of the current context
     phi_imgs = {}        # name -> target coordinate dict
     provenance = {}
 
@@ -122,7 +133,7 @@ def minimal_model(A, n=16, budget=DEFAULT_MONOMIAL_BUDGET, name=None):
 
     for stage in range(2, n + 1):
         # --- cocycle generators: span coker H^stage(phi) -------------------
-        src_rep = cohomology(model, 0, stage, budget)
+        src_rep = cohomology(model, stage, stage, budget)
         image = Echelon()
         for rep_vec in src_rep.representatives(stage):
             img = phi.apply_coords(stage, rep_vec)
@@ -135,45 +146,42 @@ def minimal_model(A, n=16, budget=DEFAULT_MONOMIAL_BUDGET, name=None):
             gname = "v%d_%d" % (stage, new_count)
             new_count += 1
             gens.append((gname, stage))
-            d_imgs[gname] = AlgElement.zero(GeneratorContext(gens))
+            d_imgs[gname] = AlgElement.zero(model.ctx)
             phi_imgs[gname] = t_rep
             provenance[gname] = ("cocycle", stage)
         if new_count:
-            d_imgs = {g: rebase(v, GeneratorContext(gens)) for g, v in d_imgs.items()}
             model, phi = build()
 
         # --- kernel-killing generators: ker H^{stage+1}(phi) ---------------
-        src_rep = cohomology(model, 0, stage + 1, budget)
+        src_rep = cohomology(model, stage + 1, stage + 1, budget)
         reps = src_rep.representatives(stage + 1)
         cols = []
         for rep_vec in reps:
             img = phi.apply_coords(stage + 1, rep_vec)
             cols.append(tgt_rep.class_coordinates(stage + 1, img))
-        hdim_tgt = tgt_rep.dim(stage + 1)
-        mat = RationalMatrix.from_columns(hdim_tgt, cols)
+        mat = RationalMatrix.from_columns(tgt_rep.dim(stage + 1), cols)
         ker = solve_linear(mat).kernel
-        scx = complex_of(model, budget)
-        d_cols = [tcx.differential_column(stage, i) for i in range(tcx.dim(stage))]
-        d_mat = RationalMatrix.from_columns(tcx.dim(stage + 1), d_cols)
-        new_count = 0
+        if not ker:
+            continue
+        cycles = []
         for kvec in ker:
             z_coords = {}
             for i, c in kvec.items():
                 z_coords = vec_add(z_coords, reps[i], c)
-            z = scx.from_coords(stage + 1, z_coords)
-            img = phi.apply_coords(stage + 1, z_coords)
-            sol = solve_linear(d_mat, targets=[img])
-            if not sol.solvable[0]:
-                raise RhtError("kernel class is not exact in the target")  # pragma: no cover
-            gname = "w%d_%d" % (stage, new_count)
-            new_count += 1
+            cycles.append(z_coords)
+        d_cols = [tcx.differential_column(stage, i) for i in range(tcx.dim(stage))]
+        d_mat = RationalMatrix.from_columns(tcx.dim(stage + 1), d_cols)
+        sol = solve_linear(d_mat, targets=[phi.apply_coords(stage + 1, z) for z in cycles])
+        if not all(sol.solvable):
+            raise RhtError("kernel class is not exact in the target")  # pragma: no cover
+        scx = src_rep.cx
+        for j, z_coords in enumerate(cycles):
+            gname = "w%d_%d" % (stage, j)
             gens.append((gname, stage))
-            new_ctx = GeneratorContext(gens)
-            d_imgs = {g: rebase(v, new_ctx) for g, v in d_imgs.items()}
-            d_imgs[gname] = rebase(z, new_ctx)
-            phi_imgs[gname] = sol.solutions[0]
+            d_imgs[gname] = scx.from_coords(stage + 1, z_coords)
+            phi_imgs[gname] = sol.solutions[j]
             provenance[gname] = ("kernel", stage)
-            model, phi = build()
+        model, phi = build()
 
     return MinimalModelResult(model, phi, n, provenance, A)
 
@@ -205,26 +213,11 @@ class LambdaExtension:
 
     def _filter(self):
         ctx = self.total.ctx
-        base_idx = {ctx.index[g] for g in self.base_names}
-        fiber_idx = [ctx.index[g] for g in self.fiber_names]
-        known = set(base_idx)
-        levels = {}
-        level = 0
-        remaining = set(fiber_idx)
-        while remaining:
-            stage = []
-            for i in sorted(remaining):
-                img = self.total.d.image_of(ctx.names[i])
-                if all(j in known for mono in img.terms for j, _ in mono):
-                    stage.append(i)
-            if not stage:
-                return None
-            level += 1
-            for i in stage:
-                known.add(i)
-                remaining.discard(i)
-                levels[ctx.names[i]] = level
-        return levels
+        stages, stuck = _generation_stages(self.total, [ctx.index[g] for g in self.base_names],
+                                           [ctx.index[g] for g in self.fiber_names])
+        if stuck:
+            return None
+        return {ctx.names[i]: level for level, stage in enumerate(stages, 1) for i in stage}
 
     def validate(self):
         violations = list(validate(self.total).violations)

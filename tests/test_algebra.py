@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from rht.algebra import (AlgElement, Derivation, GeneratorContext, apply_derivation,
                          degree_basis, monomial_degree, substitute)
-from rht.errors import ContextMismatchError, DegreeError, DerivationError
+from rht.errors import (BudgetExceededError, ContextMismatchError, DegreeError,
+                        DerivationError)
 
 
 def ctx_ab():
@@ -104,6 +105,69 @@ def test_degree_basis_matches_brute_force():
     for n in range(0, 12):
         assert sorted(degree_basis(ctx, n)) == brute_force_basis(ctx, n)
         assert len(degree_basis(ctx, n)) == len(set(degree_basis(ctx, n)))
+
+
+def recursive_degree_basis(ctx, n):
+    """The original one-frame-per-generator enumerator, kept as the order oracle."""
+    if n < 0:
+        return []
+    out = []
+
+    def rec(idx, remaining, acc):
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        if idx >= len(ctx.gens):
+            return
+        deg = ctx.degrees[idx]
+        max_e = remaining // deg
+        if ctx.is_odd(idx):
+            max_e = min(max_e, 1)
+        for e in range(0, max_e + 1):
+            if e:
+                acc.append((idx, e))
+            rec(idx + 1, remaining - e * deg, acc)
+            if e:
+                acc.pop()
+
+    rec(0, n, [])
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 5), max_size=8), st.integers(-1, 12))
+def test_degree_basis_order_matches_recursive_enumerator(degrees, n):
+    ctx = GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])
+    assert degree_basis(ctx, n) == recursive_degree_basis(ctx, n)
+
+
+def test_degree_basis_does_not_recurse_per_generator():
+    # Shaped like a deep minimal model: a few low generators, then many high
+    # ones that every enumeration still has to walk past.
+    gens = [("a", 2), ("b", 2), ("c", 3), ("e", 4), ("f", 4)]
+    gens += [("z%d" % i, 5 + i % 7) for i in range(1495)]
+    ctx = GeneratorContext(gens)
+    assert degree_basis(ctx, 2) == [((1, 1),), ((0, 1),)]
+    assert degree_basis(ctx, 4) == [((4, 1),), ((3, 1),), ((1, 2),), ((0, 1), (1, 1)),
+                                    ((0, 2),)]
+
+
+def test_degree_basis_budget_is_exact():
+    ctx = GeneratorContext([("u", 1), ("a", 2), ("v", 3), ("x", 4), ("y", 2)])
+    basis = degree_basis(ctx, 10)
+    assert len(degree_basis(ctx, 10, budget=len(basis))) == len(basis)
+    with pytest.raises(BudgetExceededError):
+        degree_basis(ctx, 10, budget=len(basis) - 1)
+
+
+def test_power_by_squaring_matches_repeated_products():
+    ctx = GeneratorContext([("u", 1), ("a", 2), ("v", 3)])
+    x = ctx.generator("a") + ctx.generator("u") * ctx.generator("v") + \
+        AlgElement.unit(ctx, Fraction(1, 2))
+    y = AlgElement.unit(ctx)
+    for n in range(9):
+        assert x ** n == y
+        y = y * x
 
 
 # -- property tests ---------------------------------------------------------

@@ -10,9 +10,9 @@ from rht.cli import main
 DATA = os.path.join(os.path.dirname(__file__), "data", "catalog.rht")
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     proc = subprocess.run([sys.executable, "-m", "rht.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -173,6 +173,38 @@ def test_negative_max_is_a_usage_error(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: --max must be >= 0, got -3\n"
+
+
+def test_bch_class_below_nilpotency_class_is_rejected(capsys):
+    # L_0 of X is the Heisenberg algebra, nilpotent of class 2.
+    for cls in ("1", "0"):
+        assert main(["bch", DATA, "--name", "X", "--class", cls, "1,0,0", "0,1,0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: --class must lie in 2..64 (the nilpotency class of L_0 "
+                       "is 2), got %s\n" % cls)
+    assert main(["bch", DATA, "--name", "X", "--class", "65", "1,0,0", "0,1,0"]) == 2
+    assert "got 65" in capsys.readouterr().err
+    for cls in ("2", "7"):
+        assert main(["bch", DATA, "--name", "X", "--class", cls, "1,0,0", "0,1,0"]) == 0
+        assert capsys.readouterr().out == "a*b = 1*x_u + 1*x_v + 1/2*x_w\n"
+
+
+@pytest.mark.parametrize("vec", ["1,x,0", "1,0,0,0,0", "1,0", "", "1/0,0,0", "1.5,0,0"])
+def test_bch_malformed_vector_is_a_usage_error(capsys, vec):
+    assert main(["bch", DATA, "--name", "X", vec, "0,1,0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: %r is not 3 comma-separated rationals (dim L_0 = 3)\n" % vec
+
+
+def test_huge_power_is_a_parse_error(tmp_path):
+    path = tmp_path / "pow.rht"
+    path.write_text("cdga P { gen x:2; gen y:3; d x = 0; d y = x^3000000; }\n")
+    code, out, err = run_cli("validate", str(path), timeout=60)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error:") and "power of degree 6000000" in err
+    assert err.count("\n") == 1
 
 
 def test_seed_accepted_and_ignored():

@@ -45,6 +45,23 @@ def test_parse_syntax_error_location():
     assert err.value.line == 1 and err.value.col is not None
 
 
+def test_duplicate_block_name_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        dsl.parse(S2_TEXT + "\ncdga S2 { gen x:4; d x = 0; }")
+    assert "duplicate cdga 'S2'" in str(err.value)
+    assert err.value.line == 2
+
+
+def test_deep_nesting_is_a_parse_error():
+    text = "cdga N { gen a:2; gen b:3; d a = 0; d b = %sa^2%s; }" % ("(" * 3000, ")" * 3000)
+    with pytest.raises(ParseError) as err:
+        dsl.parse(text)
+    assert "nested deeper than" in str(err.value)
+    # Nesting within the limit still parses.
+    doc = dsl.parse("cdga N { gen a:2; gen b:3; d a = 0; d b = %sa^2%s; }" % ("(" * 50, ")" * 50))
+    assert doc.presentation("N").d.image_of("b") == dsl.parse(S2_TEXT).presentation("S2").d.image_of("b")
+
+
 def test_parse_rational_coefficients():
     doc = dsl.parse("cdga R { gen a:2; gen b:3; d a = 0; d b = 1/2*a^2 - 3*a*a; }")
     p = doc.presentation("R")

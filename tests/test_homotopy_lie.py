@@ -5,7 +5,7 @@ import pytest
 
 from rht.algebra import AlgElement, GeneratorContext
 from rht.cdga import SullivanPresentation, cohomology_algebra
-from rht.constructions import sphere, wedge_cohomology
+from rht.constructions import cp, sphere, wedge_cohomology
 from rht.errors import UnsupportedInputError
 from rht.homotopy_lie import (LieTable, bch_product, homotopy_ranks,
                               hurewicz_matrix, lcs_filtrations, lie_bracket,
@@ -13,7 +13,7 @@ from rht.homotopy_lie import (LieTable, bch_product, homotopy_ranks,
                               whitehead_product)
 from rht.minimal_model import minimal_model
 
-from conftest import nonformal_uvw, sphere2_model
+from conftest import nonformal_uvw, sphere2_model, wedge_two_s2_cohomology
 
 
 def test_quadratic_part_examples(s2, uvw):
@@ -319,3 +319,47 @@ def test_bch_rejects_non_nilpotent():
     t = LieTable(basis, br, 0, name="sl2")
     with pytest.raises(UnsupportedInputError):
         nilpotency_class(t)
+
+
+def pairing_loop_brackets(pres, bound):
+    """The original per-(v, p, q) pairing loop, kept as the oracle of lie_table."""
+    ctx = pres.ctx
+    by_degree = {}
+    for idx, deg in enumerate(ctx.degrees):
+        by_degree.setdefault(deg - 1, []).append(idx)
+    degrees = sorted(k for k in by_degree if 0 <= k <= bound)
+    d1 = {v: pres.d.image_of(g).word_part(2).terms for v, g in enumerate(ctx.names)}
+
+    def pairing(v, p, q, deg_y):
+        total = Fraction(0)
+        for mono, coeff in d1[v].items():
+            factors = [i for i, e in mono for _ in range(e)]
+            a, b = factors
+            if a == b:
+                total += coeff * (2 if a == p == q else 0)
+            else:
+                total += coeff * ((a == q and b == p)
+                                  + (a == p and b == q) * (-1) ** (ctx.degrees[a] * ctx.degrees[b]))
+        return (-1) ** (deg_y + 1) * total
+
+    brackets = {}
+    for k in degrees:
+        for l in degrees:
+            if k + l > bound or k + l not in by_degree:
+                continue
+            for i, p in enumerate(by_degree[k]):
+                for j, q in enumerate(by_degree[l]):
+                    vec = {m: pairing(v, p, q, l) for m, v in enumerate(by_degree[k + l])}
+                    vec = {m: c for m, c in vec.items() if c != 0}
+                    if vec:
+                        brackets[((k, i), (l, j))] = vec
+    return brackets
+
+
+@pytest.mark.parametrize("target, n", [("wedge", 10), ("cp3", 9)])
+def test_lie_table_matches_pairing_loop(target, n):
+    H = wedge_two_s2_cohomology() if target == "wedge" else cohomology_algebra(cp(3), 6)
+    qp = quadratic_part(minimal_model(H, n).model)
+    t = lie_table(qp, n - 1)
+    expected = pairing_loop_brackets(qp.presentation, n - 1)
+    assert list(t.brackets.items()) == list(expected.items())

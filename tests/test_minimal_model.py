@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -7,7 +8,7 @@ from rht.cdga import (CdgaMorphism, SullivanPresentation, cohomology,
                       cohomology_algebra, is_quasi_iso, validate)
 from rht.constructions import sphere, cp, free_loop_extension
 from rht.errors import UnsupportedInputError
-from rht.dsl import minimal_model_json
+from rht.dsl import minimal_model_json, to_json_text
 from rht.minimal_model import (AcyclicClosure, LambdaExtension, acyclic_closure,
                                fiber_model, is_minimal, is_sullivan, minimal_model,
                                pushout_extension)
@@ -160,6 +161,21 @@ def test_cp2_model_matches_frozen_output():
     mm = minimal_model(cohomology_algebra(cp(2), 4), 8)
     assert minimal_model_json(mm) == FROZEN_CP2_MODEL
     ok, _ = is_quasi_iso(mm.phi, 8)
+    assert ok
+
+
+FROZEN_WEDGE_MODEL = os.path.join(os.path.dirname(__file__), "data",
+                                  "wedge_s2_model_10.json")
+
+
+def test_wedge_model_matches_frozen_output():
+    # minimal_model_json text of M(H(S2 v S2)) to degree 10 (131 generators),
+    # recorded before the per-stage batching and windowed cohomology.
+    mm = minimal_model(wedge_two_s2_cohomology(), 10)
+    with open(FROZEN_WEDGE_MODEL, encoding="utf-8") as fh:
+        frozen = fh.read()
+    assert to_json_text(minimal_model_json(mm)) == frozen
+    ok, _ = is_quasi_iso(mm.phi, 10)
     assert ok
 
 
