@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .algebra import (AlgElement, Derivation, GeneratorContext, ZERO, ONE,
                       apply_derivation, degree_basis, monomial_degree,
-                      DEFAULT_MONOMIAL_BUDGET)
+                      monomial_mul, DEFAULT_MONOMIAL_BUDGET)
 from .errors import (DegreeError, RhtError, UnsupportedInputError,
                      ValidationError)
 from .linalg import Echelon, slice_homology, vec_add
@@ -225,8 +225,18 @@ class PresentationComplex:
         return self._dcols[key]
 
     def multiply_coords(self, p, u, q, v):
-        x = self.from_coords(p, u) * self.from_coords(q, v)
-        return self.to_coords(x, p + q) if not x.is_zero() else {}
+        """Product of coordinate vectors, keys in monomial order (as `to_coords`)."""
+        ctx, bp, bq = self.pres.ctx, self.basis(p), self.basis(q)
+        out = {}
+        for i, ci in u.items():
+            for j, cj in v.items():
+                if ci and cj:
+                    sign, mono = monomial_mul(ctx, bp[i], bq[j])
+                    if sign:
+                        out[mono] = out.get(mono, ZERO) + sign * ci * cj
+        terms = sorted((m, c) for m, c in out.items() if c)
+        idx = self.index(p + q) if terms else None
+        return {idx[m]: c for m, c in terms}
 
     def unit_coords(self):
         return {0: ONE}
@@ -329,10 +339,8 @@ class QuotientComplex:
         return self.project(k + 1, self.amb.to_coords(img, k + 1))
 
     def multiply_coords(self, p, u, q, v):
-        x = self.amb.from_coords(p, self.lift(p, u)) * self.amb.from_coords(q, self.lift(q, v))
-        if x.is_zero():
-            return {}
-        return self.project(p + q, self.amb.to_coords(x, p + q))
+        x = self.amb.multiply_coords(p, self.lift(p, u), q, self.lift(q, v))
+        return self.project(p + q, x) if x else {}
 
     def unit_coords(self):
         free0 = self.free_monomials(0)
@@ -427,6 +435,13 @@ def validate(p, window=None):
 
 
 def _validate_finite(A):
+    """Axioms of a FiniteCDGA on basis elements, pairs and triples.
+
+    Every cdga is checked, including ones the library built itself.  The
+    associativity pass visits, for each pair (a, b), only the c for which
+    (ab)c or a(bc) can be nonzero (read off the keys of `A.mul`); the
+    violations and their order are those of the full N^3 loop.
+    """
     violations = []
     items = [(k, i) for k in sorted(A.basis) for i in range(A.dim(k))]
     if A.h0_is_unit_span and A.dim(0) != 1:
@@ -464,22 +479,28 @@ def _validate_finite(A):
             for k_, c in ab.items():
                 for l, c2 in A.d_of(p_ + q_, k_).items():
                     left[l] = left.get(l, ZERO) + c * c2
-            right = {}
-            for j2, c in A.d_of(p_, i).items():
-                for l, c2 in A.product(p_ + 1, j2, q_, j).items():
-                    right[l] = right.get(l, ZERO) + c * c2
-            sgn = -1 if p_ % 2 else 1
-            for j2, c in A.d_of(q_, j).items():
-                for l, c2 in A.product(p_, i, q_ + 1, j2).items():
-                    right[l] = right.get(l, ZERO) + sgn * c * c2
-            if {k: v for k, v in left.items() if v != 0} != \
-               {k: v for k, v in right.items() if v != 0}:
+            right = vec_add(A.multiply_coords(p_ + 1, A.d_of(p_, i), q_, {j: ONE}),
+                            A.multiply_coords(p_, {i: ONE}, q_ + 1, A.d_of(q_, j)),
+                            -1 if p_ % 2 else 1)
+            if {k: v for k, v in left.items() if v != 0} != right:
                 violations.append("Leibniz fails on (%s, %s)"
                                   % (A.label(p_, i), A.label(q_, j)))
-    # Associativity on basis triples.
+    # Associativity on basis triples.  With partners[x] = {y : xy != 0},
+    # (ab)c can be nonzero only for c in partners[k], k in supp(ab), and a(bc)
+    # only for c in partners[b] with some k in supp(bc) in partners[a]; every
+    # other triple is 0 = 0, so skipping it keeps the violations and their order.
+    partners = {}
+    for x, y in A.mul:
+        partners.setdefault(x, set()).add(y)
+    item_set = set(items)
     for (p_, i) in items:
+        pa = partners.get((p_, i), ())
         for (q_, j) in items:
-            for (r_, l) in items:
+            cs = {c for c in partners.get((q_, j), ())
+                  if any((q_ + c[0], k) in pa for k in A.mul[((q_, j), c)])}
+            for k_ in A.mul.get(((p_, i), (q_, j)), ()):
+                cs.update(partners.get((p_ + q_, k_), ()))
+            for (r_, l) in sorted(cs & item_set):
                 lhs = A.multiply_coords(p_ + q_, A.product(p_, i, q_, j), r_, {l: ONE})
                 rhs = A.multiply_coords(p_, {i: ONE}, q_ + r_, A.product(q_, j, r_, l))
                 if lhs != rhs:
@@ -789,11 +810,10 @@ def cohomology_algebra(p, n, budget=DEFAULT_MONOMIAL_BUDGET, name=None):
         for q_ in degs:
             if p_ + q_ > n or (p_ + q_) not in basis:
                 continue
+            reps_p, reps_q = rep.representatives(p_), rep.representatives(q_)
             for i in range(len(basis[p_])):
                 for j in range(len(basis[q_])):
-                    u = rep.representatives(p_)[i]
-                    v = rep.representatives(q_)[j]
-                    prod = cx.multiply_coords(p_, u, q_, v)
+                    prod = cx.multiply_coords(p_, reps_p[i], q_, reps_q[j])
                     if prod:
                         cls = rep.class_coordinates(p_ + q_, prod)
                         if cls:
@@ -838,6 +858,26 @@ def finite_truncation(p, n, budget=DEFAULT_MONOMIAL_BUDGET, name=None):
     return FiniteCDGA(basis, diff, mul, name=name or ("%s|<=%d" % (getattr(p, "name", "A"), n)))
 
 
+def tensor_mul(A, B, v, w):
+    """Product in A (x) B of vectors keyed (p, i, q, j) for e_{p,i} (x) e_{q,j}.
+
+    (a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb', read off the tables of
+    A and B; entries may cancel to 0.
+    """
+    out = {}
+    for (p1, i1, q1, j1), c1 in v.items():
+        for (p2, i2, q2, j2), c2 in w.items():
+            aa = A.mul.get(((p1, i1), (p2, i2)))
+            bb = aa and B.mul.get(((q1, j1), (q2, j2)))
+            if bb:
+                c = -c1 * c2 if (q1 % 2) and (p2 % 2) else c1 * c2
+                for ka, ca in aa.items():
+                    for kb, cb in bb.items():
+                        key = (p1 + p2, ka, q1 + q2, kb)
+                        out[key] = out.get(key, ZERO) + c * ca * cb
+    return out
+
+
 def tensor_finite(A, B, name=None):
     """Graded tensor product of two FiniteCDGAs (Koszul signs)."""
     basis = {}
@@ -872,16 +912,12 @@ def tensor_finite(A, B, name=None):
         tot = vec_add(col, col2)
         if tot:
             diff[(k, idx)] = tot
-    for (p1, i1, q1, j1), (k1, idx1) in pairs.items():
-        for (p2, i2, q2, j2), (k2, idx2) in pairs.items():
-            # (a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb'
-            sign = -1 if (q1 % 2) and (p2 % 2) else 1
-            aa = A.product(p1, i1, p2, i2)
-            bb = B.product(q1, j1, q2, j2)
-            if aa and bb:
-                out = emb(p1 + p2, aa, q1 + q2, bb, sign)
-                if out:
-                    mul[((k1, idx1), (k2, idx2))] = out
+    for t1, (k1, idx1) in pairs.items():
+        for t2, (k2, idx2) in pairs.items():
+            out = tensor_mul(A, B, {t1: ONE}, {t2: ONE})
+            out = {pairs[t][1]: c for t, c in out.items() if c != 0}
+            if out:
+                mul[((k1, idx1), (k2, idx2))] = out
     return FiniteCDGA(basis, diff, mul, name=name or ("%s(x)%s" % (A.name, B.name)),
                       h0_is_unit_span=A.h0_is_unit_span and B.h0_is_unit_span)
 
@@ -892,48 +928,22 @@ def direct_sum_cohomology(A, B, name=None):
         if X.diff:
             raise UnsupportedInputError("wedge sum expects zero differentials")
     basis = {0: ["1"]}
-    amap = {}
-    bmap = {}
-    for k in sorted(A.basis):
-        if k == 0:
-            continue
-        for i in range(A.dim(k)):
-            basis.setdefault(k, [])
-            amap[(k, i)] = len(basis[k])
-            basis[k].append("L.%s" % A.label(k, i))
-    for k in sorted(B.basis):
-        if k == 0:
-            continue
-        for j in range(B.dim(k)):
-            basis.setdefault(k, [])
-            bmap[(k, j)] = len(basis[k])
-            basis[k].append("R.%s" % B.label(k, j))
+    maps = ({}, {})      # (k, i) of A, resp. B -> index in degree k of the sum
+    for X, xmap, side in ((A, maps[0], "L"), (B, maps[1], "R")):
+        for k in sorted(X.basis):
+            for i in range(X.dim(k) if k else 0):
+                xmap[(k, i)] = len(basis.setdefault(k, []))
+                basis[k].append("%s.%s" % (side, X.label(k, i)))
     mul = {}
-    for (k, i), idx in amap.items():
-        mul[((0, 0), (k, idx))] = {idx: ONE}
-        mul[((k, idx), (0, 0))] = {idx: ONE}
-    for (k, j), idx in bmap.items():
-        mul[((0, 0), (k, idx))] = {idx: ONE}
-        mul[((k, idx), (0, 0))] = {idx: ONE}
+    for xmap in maps:
+        for (k, i), idx in xmap.items():
+            mul[((0, 0), (k, idx))] = {idx: ONE}
+            mul[((k, idx), (0, 0))] = {idx: ONE}
     mul[((0, 0), (0, 0))] = {0: ONE}
-    for (p, i), idx1 in amap.items():
-        for (q, j), idx2 in amap.items():
-            prod = A.product(p, i, q, j)
-            out = {}
-            for l, c in prod.items():
-                if p + q == 0:
-                    continue
-                out[amap[(p + q, l)]] = c
-            if out:
-                mul[((p, idx1), (q, idx2))] = out
-    for (p, i), idx1 in bmap.items():
-        for (q, j), idx2 in bmap.items():
-            prod = B.product(p, i, q, j)
-            out = {}
-            for l, c in prod.items():
-                if p + q == 0:
-                    continue
-                out[bmap[(p + q, l)]] = c
-            if out:
-                mul[((p, idx1), (q, idx2))] = out
+    for X, xmap in zip((A, B), maps):
+        for (p, i), idx1 in xmap.items():
+            for (q, j), idx2 in xmap.items():
+                out = {xmap[(p + q, l)]: c for l, c in X.product(p, i, q, j).items() if p + q}
+                if out:
+                    mul[((p, idx1), (q, idx2))] = out
     return FiniteCDGA(basis, {}, mul, name=name or ("%s v %s" % (A.name, B.name)))

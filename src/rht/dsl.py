@@ -15,7 +15,7 @@ documents round-trip through `serialize` exactly.
 import json
 from fractions import Fraction
 
-from .algebra import AlgElement, GeneratorContext, ONE, monomial_degree, monomial_str
+from .algebra import AlgElement, GeneratorContext, ONE, ZERO, monomial_degree, monomial_str
 from .cdga import (CdgaMorphism, SullivanPresentation, cohomology,
                    cohomology_algebra)
 from .constructions import PDAlgebra, SubspaceArrangement
@@ -23,6 +23,7 @@ from .errors import ParseError, RhtError
 
 SCHEMA = "rht/1"
 MAX_NESTING = 100
+MAX_CONSTANT_BITS = 4096    # largest numerator or denominator of a constant power
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +404,11 @@ class _Parser:
             if top * e.value > degree:
                 self.error("power of degree %d exceeds the expected degree %d"
                            % (top * e.value, degree), e)
+            c = x.terms.get((), ZERO) if top == 0 else ZERO
+            m = max(abs(c.numerator), c.denominator)     # the first test bounds m ** e
+            if (m.bit_length() - 1) * e.value >= MAX_CONSTANT_BITS or \
+                    (m ** e.value).bit_length() > MAX_CONSTANT_BITS:
+                self.error("power of a constant exceeds %d bits" % MAX_CONSTANT_BITS, e)
             x = x ** e.value
         self.depth -= 1
         return x

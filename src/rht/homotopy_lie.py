@@ -9,6 +9,7 @@ finite nilpotent table is the vector space L_0 under the exact
 Baker-Campbell-Hausdorff product log(exp a . exp b).
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from .algebra import AlgElement, ONE, ZERO, apply_derivation
@@ -80,12 +81,19 @@ class LieTable:
         return (k + l, {m: c for m, c in out.items() if c != 0})
 
     def validate(self):
-        """Antisymmetry and graded Jacobi on all basis pairs/triples in bound."""
+        """Antisymmetry and graded Jacobi on all basis pairs/triples in bound.
+
+        Only in-bound pairs and triples are visited, in the order of the full
+        loops over all items, so the first failure reported is the same.
+        """
         items = [(k, i) for k in sorted(self.basis) for i in range(self.dim(k))]
+        degs = [k for k, _ in items]
+
+        def upto(d):    # items of degree <= d: a prefix, since items are sorted
+            return items[:bisect_right(degs, d)]
+
         for (k, i) in items:
-            for (l, j) in items:
-                if k + l > self.bound:
-                    continue
+            for (l, j) in upto(self.bound - k):
                 ab = self.bracket_of(k, i, l, j)
                 ba = self.bracket_of(l, j, k, i)
                 sign = -1 if (k % 2) and (l % 2) else 1
@@ -93,10 +101,8 @@ class LieTable:
                 if vec_add(ab, ba, sign):
                     return False, "antisymmetry fails on (%d,%d),(%d,%d)" % (k, i, l, j)
         for (k, i) in items:
-            for (l, j) in items:
-                for (m, h) in items:
-                    if k + l + m > self.bound:
-                        continue
+            for (l, j) in upto(self.bound - k - degs[0]):
+                for (m, h) in upto(self.bound - k - l):
                     x = (k, {i: ONE})
                     y = (l, {j: ONE})
                     z = (m, {h: ONE})

@@ -10,7 +10,7 @@ import math
 
 from .algebra import AlgElement, ONE, monomial_word_length
 from .cdga import (FiniteCDGA, cohomology, cohomology_algebra, complex_of,
-                   tensor_finite)
+                   tensor_mul)
 from .errors import DegreeError, RhtError, UnsupportedInputError
 from .linalg import Echelon, RationalMatrix, solve_linear
 from .minimal_model import MinimalModelResult, is_minimal
@@ -435,53 +435,40 @@ def trichotomy_report(result, n=None):
 # ---------------------------------------------------------------------------
 
 def tc_cup_length(H):
-    """Cup length of ker(H (x) H -> H) for a finite cdga with zero differential."""
+    """Cup length of the zero-divisor ideal I = ker(H (x) H -> H) (Farber).
+
+    H is a connected finite cdga with zero differential.  The basis elements
+    x of H^+ outside the span of H^+ . H^+ span the indecomposables, so they
+    generate H.  Since z(ab) = z(a)(1 (x) b) + (a (x) 1)z(b) for
+    z(a) = 1 (x) a - a (x) 1, and sum a_i (x) b_i = sum (a_i (x) 1) z(b_i)
+    on I, the z(x) generate I as an ideal; by graded commutativity
+    I^k = (H (x) H) . S_k with S_1 = span z(x) and S_k = span(S_{k-1} . S_1),
+    so I^k != 0 exactly when S_k != 0.  Products are read lazily off H's
+    table with the Koszul sign (a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb',
+    on vectors keyed (p, i, q, j) for the basis pair (e_{p,i}, e_{q,j}).
+    """
     if H.diff:
         raise UnsupportedInputError("TC cup length expects zero differential")
-    if H.dim(0) != 1:
+    if H.dim(0) != 1 or H.min_degree() < 0:
         raise UnsupportedInputError("TC cup length expects a connected algebra")
-    T = tensor_finite(H, H)
-    # Kernel of multiplication degree by degree.
-    pair_of = {}
+    decomposables = Echelon()
+    for ((p, i), (q, j)), prod in H.mul.items():
+        if p and q:
+            decomposables.add({(p + q, k): c for k, c in prod.items()})
+    gens = []           # z(x) for the chosen algebra generators x
     for p in sorted(H.basis):
-        for q in sorted(H.basis):
-            for i in range(H.dim(p)):
-                for j in range(H.dim(q)):
-                    label = "%s(x)%s" % (H.label(p, i), H.label(q, j))
-                    pair_of[(p + q, label)] = (p, i, q, j)
-    kernel = {}        # degree -> list of T-coordinate vectors
-    for k in sorted(T.basis):
-        cols = []
-        for t_idx, label in enumerate(T.basis[k]):
-            p, i, q, j = pair_of[(k, label)]
-            cols.append(H.product(p, i, q, j))
-        mat = RationalMatrix.from_columns(H.dim(k), cols)
-        ker = solve_linear(mat).kernel
-        if ker:
-            kernel[k] = ker
-    if not kernel:
-        return 0
-    current = {k: list(vs) for k, vs in kernel.items()}
-    length = 1
-    top = max(T.basis)
-    while True:
-        nxt = {}
-        for k1, vs in kernel.items():
-            for k2, ws in current.items():
-                k = k1 + k2
-                if k > top:
-                    continue
-                for v in vs:
-                    for w in ws:
-                        prod = T.multiply_coords(k1, v, k2, w)
-                        if prod:
-                            nxt.setdefault(k, Echelon())
-                            nxt[k].add(prod)
-        nxt = {k: [dict(r[1]) for r in e.rows] for k, e in nxt.items() if e.dim}
-        if not nxt:
-            return length
-        current = nxt
+        for i in range(H.dim(p)):
+            if p and decomposables.add({(p, i): ONE}):
+                gens.append({(0, 0, p, i): ONE, (p, i, 0, 0): -ONE})
+    length, current = 0, gens
+    while current:
         length += 1
+        span = Echelon()
+        for v in current:
+            for z in gens:
+                span.add(tensor_mul(H, H, v, z))
+        current = [row for _, row in span.rows]
+    return length
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rht.algebra import AlgElement, GeneratorContext, degree_basis
+from rht.algebra import ONE, ZERO, AlgElement, GeneratorContext, degree_basis
 from rht.cdga import (CdgaMorphism, FiniteCDGA, QuotientCDGA, SullivanPresentation,
                       cohomology, cohomology_algebra, complex_of, euler_characteristic,
                       finite_truncation, is_quasi_iso, tensor_finite, validate)
 from rht.errors import DegreeError
 
-from conftest import nonformal_uvw, sphere2_model
+from conftest import nonformal_uvw, random_monomial_algebras, sphere2_model
 
 
 def test_validate_s2(s2):
@@ -211,3 +212,112 @@ def test_cohomology_monomial_budget():
     from rht.errors import BudgetExceededError
     with pytest.raises(BudgetExceededError):
         cohomology(torus(5), 0, 4, budget=3)
+
+
+def dense_validate_finite(A):
+    """The full N^2 / N^3 loops of FiniteCDGA validation, kept as the oracle."""
+    violations = []
+    items = [(k, i) for k in sorted(A.basis) for i in range(A.dim(k))]
+    if A.h0_is_unit_span and A.dim(0) != 1:
+        violations.append("degree 0 is not spanned by the unit")
+    for (k, i) in items:
+        col = A.d_of(k, i)
+        for j in col:
+            if j >= A.dim(k + 1):
+                violations.append("d(%s) hits a missing basis index" % A.label(k, i))
+        dd = {}
+        for j, c in col.items():
+            for l, c2 in A.d_of(k + 1, j).items():
+                dd[l] = dd.get(l, ZERO) + c * c2
+        if any(v != 0 for v in dd.values()):
+            violations.append("d^2(%s) != 0" % A.label(k, i))
+    if A.d_of(0, 0):
+        violations.append("d(1) != 0")
+    for (k, i) in items:
+        if A.multiply_coords(0, {0: ONE}, k, {i: ONE}) != {i: ONE}:
+            violations.append("1 * %s != %s" % (A.label(k, i), A.label(k, i)))
+    for (p_, i) in items:
+        for (q_, j) in items:
+            ab = A.product(p_, i, q_, j)
+            ba = A.product(q_, j, p_, i)
+            sign = -1 if (p_ % 2) and (q_ % 2) else 1
+            if {k: sign * v for k, v in ba.items()} != ab:
+                violations.append("commutativity fails on (%s, %s)"
+                                  % (A.label(p_, i), A.label(q_, j)))
+            left = {}
+            for k_, c in ab.items():
+                for l, c2 in A.d_of(p_ + q_, k_).items():
+                    left[l] = left.get(l, ZERO) + c * c2
+            right = {}
+            for j2, c in A.d_of(p_, i).items():
+                for l, c2 in A.product(p_ + 1, j2, q_, j).items():
+                    right[l] = right.get(l, ZERO) + c * c2
+            sgn = -1 if p_ % 2 else 1
+            for j2, c in A.d_of(q_, j).items():
+                for l, c2 in A.product(p_, i, q_ + 1, j2).items():
+                    right[l] = right.get(l, ZERO) + sgn * c * c2
+            if {k: v for k, v in left.items() if v != 0} != \
+               {k: v for k, v in right.items() if v != 0}:
+                violations.append("Leibniz fails on (%s, %s)"
+                                  % (A.label(p_, i), A.label(q_, j)))
+    for (p_, i) in items:
+        for (q_, j) in items:
+            for (r_, l) in items:
+                lhs = A.multiply_coords(p_ + q_, A.product(p_, i, q_, j), r_, {l: ONE})
+                rhs = A.multiply_coords(p_, {i: ONE}, q_ + r_, A.product(q_, j, r_, l))
+                if lhs != rhs:
+                    violations.append("associativity fails on (%s, %s, %s)"
+                                      % (A.label(p_, i), A.label(q_, j), A.label(r_, l)))
+    return violations
+
+
+@st.composite
+def perturbed_finite_cdgas(draw):
+    """A valid small FiniteCDGA, then a few random edits of `mul` and `diff`."""
+    base = draw(st.sampled_from(["monomial", "s2", "uvw"]))
+    if base == "monomial":
+        A = draw(random_monomial_algebras(max_dim=8))
+    else:
+        A = finite_truncation(sphere2_model() if base == "s2" else nonformal_uvw(),
+                              draw(st.integers(2, 5)))
+    items = [(k, i) for k in sorted(A.basis) for i in range(A.dim(k))]
+    mul = {k: dict(v) for k, v in A.mul.items()}
+    diff = {k: dict(v) for k, v in A.diff.items()}
+    coeff = st.integers(-2, 2).map(Fraction)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["mul", "extend", "diff", "drop"]))
+        (p, i), (q, j) = draw(st.sampled_from(items)), draw(st.sampled_from(items))
+        if kind in ("mul", "extend"):
+            # Index range one past the basis, so missing indices occur too;
+            # "extend" widens a product's support instead of replacing it.
+            old = mul.get(((p, i), (q, j)), {}) if kind == "extend" else {}
+            mul[((p, i), (q, j))] = {**old, draw(st.integers(0, A.dim(p + q))): draw(coeff)}
+        elif kind == "diff":
+            diff[(p, i)] = {draw(st.integers(0, A.dim(p + 1))): draw(coeff)}
+        elif mul:
+            del mul[draw(st.sampled_from(sorted(mul)))]
+    return FiniteCDGA(A.basis, diff, mul, name="P")
+
+
+@settings(max_examples=80, deadline=None)
+@given(perturbed_finite_cdgas())
+def test_validate_finite_matches_dense_loops(A):
+    assert validate(A).violations == dense_validate_finite(A)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.data())
+def test_multiply_coords_matches_element_product(degrees, data):
+    ctx = GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])
+    cx = complex_of(SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g in ctx.names}))
+
+    def vector(k):
+        if not cx.dim(k):
+            return {}
+        return data.draw(st.dictionaries(st.integers(0, cx.dim(k) - 1),
+                                         st.integers(-3, 3).map(Fraction), max_size=4))
+    p, q = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    u, v = vector(p), vector(q)
+    x = cx.from_coords(p, u) * cx.from_coords(q, v)
+    want = cx.to_coords(x, p + q) if not x.is_zero() else {}
+    assert list(cx.multiply_coords(p, u, q, v).items()) == list(want.items())

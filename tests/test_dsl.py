@@ -62,6 +62,21 @@ def test_deep_nesting_is_a_parse_error():
     assert doc.presentation("N").d.image_of("b") == dsl.parse(S2_TEXT).presentation("S2").d.image_of("b")
 
 
+def test_constant_power_is_bounded():
+    doc = "cdga P { gen x:2; gen y:3; d x = 0; d y = %s*x^2; }"
+    # The bound is checked before the power is built, so 3^20000000 fails at once.
+    for big in ("2^4096", "13^1107", "(1/3)^2585", "-3^2585", "((2^64)^64)^64", "3^20000000"):
+        with pytest.raises(ParseError) as err:
+            dsl.parse(doc % big)
+        assert "power of a constant exceeds 4096 bits" in str(err.value)
+    for ok, value in (("2^4095", 2 ** 4095), ("13^1106", 13 ** 1106), ("(2^64)^63", 2 ** 4032),
+                      ("(-1/3)^2584", Fraction(1, 3 ** 2584)), ("0^1000000000", 0),
+                      ("1^1000000000", 1), ("(-1)^1000000001", -1)):
+        pres = dsl.parse(doc % ok).presentation("P")
+        x = pres.ctx.generator("x")
+        assert pres.d.image_of("y") == (x * x).scale(value)
+
+
 def test_parse_rational_coefficients():
     doc = dsl.parse("cdga R { gen a:2; gen b:3; d a = 0; d b = 1/2*a^2 - 3*a*a; }")
     p = doc.presentation("R")

@@ -11,6 +11,7 @@ from rht.homotopy_lie import (LieTable, bch_product, homotopy_ranks,
                               hurewicz_matrix, lcs_filtrations, lie_bracket,
                               lie_table, nilpotency_class, quadratic_part,
                               whitehead_product)
+from rht.linalg import vec_add
 from rht.minimal_model import minimal_model
 
 from conftest import nonformal_uvw, sphere2_model, wedge_two_s2_cohomology
@@ -363,3 +364,47 @@ def test_lie_table_matches_pairing_loop(target, n):
     t = lie_table(qp, n - 1)
     expected = pairing_loop_brackets(qp.presentation, n - 1)
     assert list(t.brackets.items()) == list(expected.items())
+
+
+def full_loop_validate(t):
+    """LieTable.validate over all ordered pairs and triples, kept as the oracle."""
+    items = [(k, i) for k in sorted(t.basis) for i in range(t.dim(k))]
+    for (k, i) in items:
+        for (l, j) in items:
+            if k + l > t.bound:
+                continue
+            sign = -1 if (k % 2) and (l % 2) else 1
+            if vec_add(t.bracket_of(k, i, l, j), t.bracket_of(l, j, k, i), sign):
+                return False, "antisymmetry fails on (%d,%d),(%d,%d)" % (k, i, l, j)
+    for (k, i) in items:
+        for (l, j) in items:
+            for (m, h) in items:
+                if k + l + m > t.bound:
+                    continue
+                x, y, z = (k, {i: 1}), (l, {j: 1}), (m, {h: 1})
+                lhs = t.bracket(x, t.bracket(y, z))[1]
+                r1 = t.bracket(t.bracket(x, y), z)[1]
+                r2 = t.bracket(y, t.bracket(x, z))[1]
+                if lhs != vec_add(r1, r2, -1 if (k % 2) and (l % 2) else 1):
+                    return False, "Jacobi fails on degrees (%d,%d,%d)" % (k, l, m)
+    return True, None
+
+
+def test_lie_validate_matches_full_loops():
+    t = lie_table(quadratic_part(minimal_model(wedge_two_s2_cohomology(), 7).model), 6)
+    assert t.validate() == full_loop_validate(t) == (True, None)
+    rng = random.Random(7)
+    failures = set()
+    for trial in range(80):
+        brackets = {key: dict(vec) for key, vec in t.brackets.items()}
+        key = rng.choice(sorted(brackets))
+        brackets[key] = {m: c + rng.randint(-1, 1) for m, c in brackets[key].items()}
+        if trial % 2:       # keep antisymmetry, so that Jacobi has to catch it
+            (k, i), (l, j) = key
+            sign = 1 if (k % 2) and (l % 2) else -1
+            brackets[((l, j), (k, i))] = {m: sign * c for m, c in brackets[key].items()}
+        u = LieTable(t.basis, brackets, rng.randint(0, 6))
+        got = u.validate()
+        assert got == full_loop_validate(u)
+        failures.add(got[1].split()[0] if got[1] else None)
+    assert failures == {None, "antisymmetry", "Jacobi"}

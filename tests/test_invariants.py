@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from rht.algebra import AlgElement, GeneratorContext
-from rht.cdga import SullivanPresentation, cohomology, cohomology_algebra, validate
+from rht.cdga import (FiniteCDGA, SullivanPresentation, cohomology, cohomology_algebra,
+                      validate)
 from rht.constructions import cp, sphere, tensor_presentations, torus
 from rht.errors import UnsupportedInputError
 from rht.invariants import (DegreeSequence, cat_bounds, elliptic_degrees_check,
@@ -14,7 +16,8 @@ from rht.invariants import (DegreeSequence, cat_bounds, elliptic_degrees_check,
                             ELLIPTIC, HYPERBOLIC)
 from rht.minimal_model import minimal_model
 
-from conftest import nonformal_uvw, sphere2_model, wedge_two_s2_cohomology
+from conftest import (nonformal_uvw, random_monomial_algebras, sphere2_model,
+                      wedge_two_s2_cohomology)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +355,21 @@ def test_tc_requires_zero_differential(s2):
     A = finite_truncation(s2, 4)
     with pytest.raises(UnsupportedInputError):
         tc_cup_length(A)
+    B = FiniteCDGA({-1: ["y"], 0: ["1"]}, {}, {((0, 0), (0, 0)): {0: 1}})
+    with pytest.raises(UnsupportedInputError):
+        tc_cup_length(B)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_monomial_algebras(max_dim=9))
+def test_tc_matches_brute_force_on_random_algebras(H):
+    """Tensor products of exterior and truncated-polynomial algebras, with a
+    random change of basis of H^+ (so generators hide among decomposables)."""
+    assert tc_cup_length(H) == brute_force_tc(H)
+
+
+def test_tc_cup_length_t5():
+    assert tc_cup_length(cohomology_algebra(torus(5), 5)) == 5
 
 
 # ---------------------------------------------------------------------------
