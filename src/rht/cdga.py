@@ -98,7 +98,8 @@ class FiniteCDGA:
     mul: {((p, i), (q, j)): {k: coeff}} into degree p+q.  Unit is basis
     element 0 of degree 0.  `h0_is_unit_span` records whether degree 0 is
     required to be spanned by the unit (arrangement complexes set it False
-    because their degree-0 slot holds more than the empty subset).
+    because their degree-0 slot holds more than the empty subset).  A
+    FiniteCDGA is its own cochain complex: `complex_of(A) is A`.
     """
 
     def __init__(self, basis, diff, mul, name="A", h0_is_unit_span=True):
@@ -128,6 +129,11 @@ class FiniteCDGA:
     def d_of(self, k, i):
         return dict(self.diff.get((k, i), {}))
 
+    differential_column = d_of
+
+    def labels(self, k):
+        return list(self.basis.get(k, []))
+
     def product(self, p, i, q, j):
         return dict(self.mul.get(((p, i), (q, j)), {}))
 
@@ -145,6 +151,12 @@ class FiniteCDGA:
 
     def label(self, k, i):
         return self.basis[k][i]
+
+    def unit_coords(self):
+        return {0: ONE}
+
+    def vanishes_above(self, n):
+        return self.max_degree() <= n
 
     def __repr__(self):
         dims = ", ".join("%d:%d" % (k, len(v)) for k, v in sorted(self.basis.items()))
@@ -171,8 +183,11 @@ class QuotientCDGA:
 
 
 # ---------------------------------------------------------------------------
-# Chain-algebra adapters: a uniform degree-sliced view used by cohomology,
-# morphisms, and every consumer module.
+# Cochain complexes.  Cohomology, morphisms and every consumer module read a
+# cdga degree by degree through one protocol: dim(k), labels(k),
+# differential_column(k, i), multiply_coords(p, u, q, v), unit_coords() and
+# vanishes_above(n).  A FiniteCDGA answers it itself; the free and quotient
+# presentations are read through the two classes below.
 # ---------------------------------------------------------------------------
 
 class PresentationComplex:
@@ -246,34 +261,6 @@ class PresentationComplex:
         return top is not None and top <= n
 
 
-class FiniteComplex:
-    """Degree-sliced view of a FiniteCDGA (mostly pass-through)."""
-
-    def __init__(self, cdga):
-        self.cdga = cdga
-
-    def basis(self, k):
-        return self.cdga.basis.get(k, [])
-
-    def dim(self, k):
-        return self.cdga.dim(k)
-
-    def labels(self, k):
-        return list(self.cdga.basis.get(k, []))
-
-    def differential_column(self, k, i):
-        return self.cdga.d_of(k, i)
-
-    def multiply_coords(self, p, u, q, v):
-        return self.cdga.multiply_coords(p, u, q, v)
-
-    def unit_coords(self):
-        return {0: ONE}
-
-    def vanishes_above(self, n):
-        return self.cdga.max_degree() <= n
-
-
 class QuotientComplex:
     """Degree-sliced view of a QuotientCDGA.
 
@@ -295,10 +282,11 @@ class QuotientComplex:
                 dg = g.degree()
                 if dg > k:
                     continue
-                for m in self.amb.basis(k - dg):
-                    prod = AlgElement(self.quot.ambient.ctx, {m: ONE}) * g
-                    if not prod.is_zero():
-                        ech.add(self.amb.to_coords(prod, k))
+                gc = self.amb.to_coords(g, dg)
+                for i in range(self.amb.dim(k - dg)):
+                    prod = self.amb.multiply_coords(k - dg, {i: ONE}, dg, gc)
+                    if prod:
+                        ech.add(prod)
             pivots = set(ech.pivot_columns())
             self._span[k] = ech
             self._free[k] = [i for i in range(self.amb.dim(k)) if i not in pivots]
@@ -307,9 +295,6 @@ class QuotientComplex:
     def free_monomials(self, k):
         self._ideal_span(k)
         return self._free[k]
-
-    def basis(self, k):
-        return self.free_monomials(k)
 
     def dim(self, k):
         return len(self.free_monomials(k))
@@ -330,13 +315,8 @@ class QuotientComplex:
         return {free[i]: v for i, v in coords.items()}
 
     def differential_column(self, k, i):
-        amb_i = self.free_monomials(k)[i]
-        mono = self.amb.basis(k)[amb_i]
-        img = apply_derivation(self.quot.ambient.d,
-                               AlgElement(self.quot.ambient.ctx, {mono: ONE}))
-        if img.is_zero():
-            return {}
-        return self.project(k + 1, self.amb.to_coords(img, k + 1))
+        col = self.amb.differential_column(k, self.free_monomials(k)[i])
+        return self.project(k + 1, col) if col else {}
 
     def multiply_coords(self, p, u, q, v):
         x = self.amb.multiply_coords(p, self.lift(p, u), q, self.lift(q, v))
@@ -370,13 +350,13 @@ class QuotientComplex:
 
 
 def complex_of(obj, budget=DEFAULT_MONOMIAL_BUDGET):
-    """The degree-sliced adapter for any presentation kind (cached)."""
+    """The cochain complex of any presentation kind (cached; a FiniteCDGA is its own)."""
     if isinstance(obj, SullivanPresentation):
         if budget not in obj._adapters:
             obj._adapters[budget] = PresentationComplex(obj, budget)
         return obj._adapters[budget]
     if isinstance(obj, FiniteCDGA):
-        return FiniteComplex(obj)
+        return obj
     if isinstance(obj, QuotientCDGA):
         if budget not in obj._adapters:
             obj._adapters[budget] = QuotientComplex(obj, budget)
@@ -722,7 +702,6 @@ class FiniteMorphism:
         self.target = target
         self.matrices = {k: [dict(col) for col in cols] for k, cols in matrices.items()}
         self.name = name
-        self.tcx = complex_of(target)
 
     def apply_coords(self, k, coords):
         cols = self.matrices.get(k, [])
@@ -756,6 +735,12 @@ class FiniteMorphism:
         return ValidationReport(self.name, violations)
 
 
+def induced_classes(phi, src, tgt, k):
+    """H^k(phi) on the representatives of the report `src`, as class
+    coordinates in the report `tgt`."""
+    return [tgt.class_coordinates(k, phi.apply_coords(k, rep)) for rep in src.representatives(k)]
+
+
 def is_quasi_iso(phi, n, budget=DEFAULT_MONOMIAL_BUDGET):
     """True iff H^k(phi) is bijective for all k <= n; with per-degree witness.
 
@@ -769,15 +754,10 @@ def is_quasi_iso(phi, n, budget=DEFAULT_MONOMIAL_BUDGET):
     for k in range(lo, n + 1):
         ds = src.dim(k) if k >= src.lo else 0
         dt = tgt.dim(k) if k >= tgt.lo else 0
-        if k >= src.lo:
-            cols = []
-            for rep in src.representatives(k):
-                img = phi.apply_coords(k, rep)
-                cols.append(tgt.class_coordinates(k, img) if k >= tgt.lo else
-                            ({} if not img else None))
+        if k >= max(src.lo, tgt.lo):
             ech = Echelon()
-            rank = sum(1 for col in cols if col is not None and ech.add(col))
-        else:
+            rank = sum(1 for col in induced_classes(phi, src, tgt, k) if ech.add(col))
+        else:       # no classes on one side: H^k(phi) has rank 0
             rank = 0
         witness[k] = (ds, dt, rank)
         if not (ds == dt == rank):
@@ -912,12 +892,20 @@ def tensor_finite(A, B, name=None):
         tot = vec_add(col, col2)
         if tot:
             diff[(k, idx)] = tot
-    for t1, (k1, idx1) in pairs.items():
-        for t2, (k2, idx2) in pairs.items():
-            out = tensor_mul(A, B, {t1: ONE}, {t2: ONE})
-            out = {pairs[t][1]: c for t, c in out.items() if c != 0}
-            if out:
-                mul[((k1, idx1), (k2, idx2))] = out
+    # Only pairs with aa' != 0 and bb' != 0 multiply to nonzero; emit them in
+    # the order of the full loop over (t1, t2) in `pairs`.
+    order = {t: r for r, t in enumerate(pairs)}
+    nonzero = []
+    for a1, a2 in A.mul:
+        for b1, b2 in B.mul:
+            t1, t2 = a1 + b1, a2 + b2
+            if t1 in order and t2 in order:
+                nonzero.append((order[t1], order[t2], t1, t2))
+    for _, _, t1, t2 in sorted(nonzero):
+        out = tensor_mul(A, B, {t1: ONE}, {t2: ONE})
+        out = {pairs[t][1]: c for t, c in out.items() if c != 0}
+        if out:
+            mul[(pairs[t1], pairs[t2])] = out
     return FiniteCDGA(basis, diff, mul, name=name or ("%s(x)%s" % (A.name, B.name)),
                       h0_is_unit_span=A.h0_is_unit_span and B.h0_is_unit_span)
 

@@ -201,7 +201,7 @@ def cmd_invariants(args):
         payload["massey"] = {
             "defined": res.defined,
             "nontrivial": res.nontrivial,
-            "representative": dsl.format_element(res.representative)
+            "representative": str(res.representative)
             if res.defined and res.representative is not None else None,
             "indeterminacy_dim": len(res.indeterminacy) if res.defined else None,
             "reason": res.reason,
@@ -209,8 +209,7 @@ def cmd_invariants(args):
         if res.defined:
             lines.append("massey: %s, representative %s, indeterminacy dim %d"
                          % ("nontrivial" if res.nontrivial else "trivial",
-                            dsl.format_element(res.representative),
-                            len(res.indeterminacy)))
+                            res.representative, len(res.indeterminacy)))
         else:
             lines.append("massey: undefined (%s)" % res.reason)
     if args.tc:

@@ -15,7 +15,7 @@ documents round-trip through `serialize` exactly.
 import json
 from fractions import Fraction
 
-from .algebra import AlgElement, GeneratorContext, ONE, ZERO, monomial_degree, monomial_str
+from .algebra import AlgElement, GeneratorContext, ONE, ZERO, monomial_degree
 from .cdga import (CdgaMorphism, SullivanPresentation, cohomology,
                    cohomology_algebra)
 from .constructions import PDAlgebra, SubspaceArrangement
@@ -349,7 +349,7 @@ class _Parser:
             pd = pd_algebra_from_presentation(pres, m, expr)
         except RhtError as exc:
             self.error("pd declaration failed: %s" % exc, start_tok)
-        return ntok.value, m, format_element(expr), pd
+        return ntok.value, m, str(expr), pd
 
     # -- expressions -------------------------------------------------------
     def rational(self):
@@ -463,34 +463,12 @@ def format_coefficient(q):
     return "%d" % q if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
 
-def format_element(x):
-    """Canonical text for an AlgElement: monomial order, explicit rationals."""
-    if x.is_zero():
-        return "0"
-    parts = []
-    for mono, coeff in x.terms.items():
-        ms = monomial_str(x.ctx, mono)
-        if ms == "1":
-            body = format_coefficient(coeff)
-        elif coeff == 1:
-            body = ms
-        elif coeff == -1:
-            body = "-" + ms
-        else:
-            body = "%s*%s" % (format_coefficient(coeff), ms)
-        parts.append(body)
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
-
-
 def serialize_presentation(p):
     lines = ["cdga %s {" % p.name]
     for g, deg in p.ctx.gens:
         lines.append("  gen %s:%d;" % (g, deg))
     for g in p.ctx.names:
-        lines.append("  d %s = %s;" % (g, format_element(p.d.image_of(g))))
+        lines.append("  d %s = %s;" % (g, p.d.image_of(g)))
     lines.append("}")
     return "\n".join(lines)
 
@@ -498,11 +476,9 @@ def serialize_presentation(p):
 def serialize_morphism(name, mor):
     lines = ["morphism %s : %s -> %s {" % (name, mor.source.name,
                                            getattr(mor.target, "name", "?"))]
-    tcx = mor.tcx
     for g in mor.source.ctx.names:
-        deg = mor.source.ctx.degree_of(g)
-        el = tcx.from_coords(deg, mor.images[g]) if mor.images[g] else None
-        lines.append("  %s |-> %s;" % (g, format_element(el) if el is not None else "0"))
+        el = mor.tcx.from_coords(mor.source.ctx.degree_of(g), mor.images[g])
+        lines.append("  %s |-> %s;" % (g, el))
     lines.append("}")
     return "\n".join(lines)
 
@@ -547,7 +523,7 @@ def presentation_json(p):
         "kind": "cdga",
         "name": p.name,
         "generators": [{"name": g, "degree": d} for g, d in p.ctx.gens],
-        "differential": {g: format_element(p.d.image_of(g)) for g in p.ctx.names},
+        "differential": {g: str(p.d.image_of(g)) for g in p.ctx.names},
     }
 
 

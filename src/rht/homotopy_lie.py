@@ -101,17 +101,16 @@ class LieTable:
                 if vec_add(ab, ba, sign):
                     return False, "antisymmetry fails on (%d,%d),(%d,%d)" % (k, i, l, j)
         for (k, i) in items:
+            x = (k, {i: ONE})
             for (l, j) in upto(self.bound - k - degs[0]):
+                y, xy = (l, {j: ONE}), (k + l, self.bracket_of(k, i, l, j))
+                sign = -1 if (k % 2) and (l % 2) else 1
                 for (m, h) in upto(self.bound - k - l):
-                    x = (k, {i: ONE})
-                    y = (l, {j: ONE})
                     z = (m, {h: ONE})
-                    lhs = self.bracket(x, self.bracket(y, z))[1]
-                    r1 = self.bracket(self.bracket(x, y), z)[1]
-                    r2 = self.bracket(y, self.bracket(x, z))[1]
-                    sign = -1 if (k % 2) and (l % 2) else 1
-                    rhs = vec_add(r1, r2, sign)
-                    if lhs != rhs:
+                    lhs = self.bracket(x, (l + m, self.bracket_of(l, j, m, h)))[1]
+                    r1 = self.bracket(xy, z)[1]
+                    r2 = self.bracket(y, (k + m, self.bracket_of(k, i, m, h)))[1]
+                    if lhs != vec_add(r1, r2, sign):
                         return False, "Jacobi fails on degrees (%d,%d,%d)" % (k, l, m)
         return True, None
 

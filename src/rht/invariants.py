@@ -11,7 +11,7 @@ import math
 from .algebra import AlgElement, ONE, monomial_word_length
 from .cdga import (FiniteCDGA, cohomology, cohomology_algebra, complex_of,
                    tensor_mul)
-from .errors import DegreeError, RhtError, UnsupportedInputError
+from .errors import DegreeError, UnsupportedInputError
 from .linalg import Echelon, RationalMatrix, solve_linear
 from .minimal_model import MinimalModelResult, is_minimal
 
@@ -19,51 +19,6 @@ from .minimal_model import MinimalModelResult, is_minimal
 # ---------------------------------------------------------------------------
 # Toomer invariant and LS category bounds
 # ---------------------------------------------------------------------------
-
-class WordTruncationComplex:
-    """(Lambda V / Lambda^{>m} V, d-bar): monomials of word length <= m."""
-
-    def __init__(self, pres, m, budget=None):
-        self.pres = pres
-        self.m = m
-        self.cx = complex_of(pres)
-        self._basis = {}
-        self._index = {}
-
-    def basis(self, k):
-        if k not in self._basis:
-            keep = [i for i, mono in enumerate(self.cx.basis(k))
-                    if monomial_word_length(mono) <= self.m]
-            self._basis[k] = keep
-            self._index[k] = {amb: pos for pos, amb in enumerate(keep)}
-        return self._basis[k]
-
-    def dim(self, k):
-        return len(self.basis(k))
-
-    def project(self, k, amb_coords):
-        self.basis(k)
-        idx = self._index[k]
-        return {idx[i]: c for i, c in amb_coords.items() if i in idx}
-
-    def differential_column(self, k, i):
-        amb = self.basis(k)[i]
-        col = self.cx.differential_column(k, amb)
-        return self.project(k + 1, col)
-
-    def labels(self, k):
-        lab = self.cx.labels(k)
-        return [lab[i] for i in self.basis(k)]
-
-    def multiply_coords(self, p, u, q, v):  # pragma: no cover - not used
-        raise RhtError("truncated complexes are modules, not algebras")
-
-    def unit_coords(self):
-        return {0: ONE}
-
-    def vanishes_above(self, n):
-        return False
-
 
 class ToomerReport:
     def __init__(self, value, word_bound, window, exact, failures):
@@ -109,17 +64,26 @@ def toomer_invariant(p, word_bound=None, n=12, h_vanishes_above=None):
 
 
 def _toomer_fails_at(p, rep, m, n):
-    """First degree <= n where H(rho_m) is not injective, else None."""
-    quot = WordTruncationComplex(p, m)
+    """First degree <= n where H(rho_m) is not injective, else None.
+
+    Lambda V / Lambda^{>m} V is the ambient complex with the coordinates of
+    word length > m dropped.  On a minimal model d raises word length, so
+    the columns of the dropped monomials project to 0 and may stay.
+    """
+    cx = complex_of(p)
     for k in range(0, n + 1):
         h = rep.dim(k)
         if h == 0:
             continue
+        short = {i for i, mono in enumerate(cx.basis(k)) if monomial_word_length(mono) <= m}
+
+        def rho(v):
+            return {i: c for i, c in v.items() if i in short}
         # injective <=> no nonzero combination of projected reps is a boundary
         bound = Echelon()
-        for i in range(quot.dim(k - 1)):
-            bound.add(quot.differential_column(k - 1, i))
-        rank = sum(1 for v in rep.representatives(k) if bound.add(quot.project(k, v)))
+        for i in range(cx.dim(k - 1)):
+            bound.add(rho(cx.differential_column(k - 1, i)))
+        rank = sum(1 for v in rep.representatives(k) if bound.add(rho(v)))
         if rank < h:
             return k
     return None

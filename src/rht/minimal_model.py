@@ -13,7 +13,7 @@ the input alone.
 from .algebra import (AlgElement, GeneratorContext, ONE, rebase, substitute,
                       DEFAULT_MONOMIAL_BUDGET)
 from .cdga import (CdgaMorphism, SullivanPresentation, cohomology, complex_of,
-                   validate)
+                   induced_classes, validate)
 from .errors import DegreeError, RhtError, UnsupportedInputError
 from .linalg import Echelon, RationalMatrix, solve_linear, vec_add
 
@@ -135,9 +135,7 @@ def minimal_model(A, n=16, budget=DEFAULT_MONOMIAL_BUDGET, name=None):
         # --- cocycle generators: span coker H^stage(phi) -------------------
         src_rep = cohomology(model, stage, stage, budget)
         image = Echelon()
-        for rep_vec in src_rep.representatives(stage):
-            img = phi.apply_coords(stage, rep_vec)
-            cls = tgt_rep.class_coordinates(stage, img)
+        for cls in induced_classes(phi, src_rep, tgt_rep, stage):
             image.add(cls)
         new_count = 0
         for i, t_rep in enumerate(tgt_rep.representatives(stage)):
@@ -155,10 +153,7 @@ def minimal_model(A, n=16, budget=DEFAULT_MONOMIAL_BUDGET, name=None):
         # --- kernel-killing generators: ker H^{stage+1}(phi) ---------------
         src_rep = cohomology(model, stage + 1, stage + 1, budget)
         reps = src_rep.representatives(stage + 1)
-        cols = []
-        for rep_vec in reps:
-            img = phi.apply_coords(stage + 1, rep_vec)
-            cols.append(tgt_rep.class_coordinates(stage + 1, img))
+        cols = induced_classes(phi, src_rep, tgt_rep, stage + 1)
         mat = RationalMatrix.from_columns(tgt_rep.dim(stage + 1), cols)
         ker = solve_linear(mat).kernel
         if not ker:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rht.algebra import (AlgElement, Derivation, GeneratorContext, apply_derivation,
-                         degree_basis, monomial_degree, substitute)
+                         degree_basis, monomial_degree, monomial_str, substitute)
 from rht.errors import (BudgetExceededError, ContextMismatchError, DegreeError,
                         DerivationError)
 
@@ -236,6 +236,36 @@ def test_leibniz_on_random_products(x, y):
             continue
         rhs = rhs + apply_derivation(d, xp) * y + xp.scale((-1) ** p) * apply_derivation(d, y)
     assert lhs == rhs
+
+
+def _format_element_loop(x):
+    """The element text loop the DSL serializer used to carry, kept as an oracle."""
+    if x.is_zero():
+        return "0"
+    parts = []
+    for mono, coeff in x.terms.items():
+        ms = monomial_str(x.ctx, mono)
+        q = "%d" % coeff if coeff.denominator == 1 else "%d/%d" % (coeff.numerator,
+                                                                   coeff.denominator)
+        if ms == "1":
+            body = q
+        elif coeff == 1:
+            body = ms
+        elif coeff == -1:
+            body = "-" + ms
+        else:
+            body = "%s*%s" % (q, ms)
+        parts.append(body)
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements(max_terms=6))
+def test_element_text_matches_format_loop(x):
+    assert str(x) == _format_element_loop(x)
 
 
 def test_substitute_is_multiplicative():

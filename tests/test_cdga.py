@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rht.algebra import ONE, ZERO, AlgElement, GeneratorContext, degree_basis
 from rht.cdga import (CdgaMorphism, FiniteCDGA, QuotientCDGA, SullivanPresentation,
                       cohomology, cohomology_algebra, complex_of, euler_characteristic,
-                      finite_truncation, is_quasi_iso, tensor_finite, validate)
+                      finite_truncation, is_quasi_iso, tensor_finite, tensor_mul, validate)
 from rht.errors import DegreeError
 
 from conftest import nonformal_uvw, random_monomial_algebras, sphere2_model
@@ -132,6 +132,18 @@ def test_is_quasi_iso_to_finite_cohomology(s2):
     assert ok
 
 
+def test_is_quasi_iso_source_below_target_window():
+    from rht.cdga import FiniteMorphism
+    A = FiniteCDGA({-1: ["e"], 0: ["1"]}, {}, {((0, 0), (0, 0)): {0: 1},
+                                              ((0, 0), (-1, 0)): {0: 1},
+                                              ((-1, 0), (0, 0)): {0: 1}}, name="A")
+    B = FiniteCDGA({0: ["1"]}, {}, {((0, 0), (0, 0)): {0: 1}}, name="Q")
+    for col in ({}, {0: 1}):    # the image of e lies outside B either way
+        ok, witness = is_quasi_iso(FiniteMorphism(A, B, {-1: [col], 0: [{0: 1}]}), 2)
+        assert not ok
+        assert witness[-1] == (1, 0, 0) and witness[0] == (1, 1, 1)
+
+
 def test_inclusion_of_q_is_not_quasi_iso():
     ctx = GeneratorContext([("u", 3)])
     p = SullivanPresentation(ctx, {"u": AlgElement.zero(ctx)})
@@ -186,11 +198,41 @@ def test_tensor_finite_is_valid_cdga(s2):
     assert T.dim(0) == 1 and T.dim(2) == 2 and T.dim(4) == 1
 
 
-def test_cohomology_dims_bounded_by_cochain_dims(uvw):
-    rep = cohomology(uvw, 0, 4)
-    cx = complex_of(uvw)
-    for k in range(0, 5):
-        assert rep.dim(k) <= cx.dim(k)
+def dense_tensor_table(A, B):
+    """The product table of A (x) B from the loop over all pairs of basis pairs."""
+    pairs, count = {}, {}
+    for p in sorted(A.basis):
+        for q in sorted(B.basis):
+            for i in range(A.dim(p)):
+                for j in range(B.dim(q)):
+                    pairs[(p, i, q, j)] = (p + q, count.get(p + q, 0))
+                    count[p + q] = count.get(p + q, 0) + 1
+    mul = {}
+    for t1, k1 in pairs.items():
+        for t2, k2 in pairs.items():
+            out = tensor_mul(A, B, {t1: ONE}, {t2: ONE})
+            out = {pairs[t][1]: c for t, c in out.items() if c != 0}
+            if out:
+                mul[(k1, k2)] = out
+    return mul
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_monomial_algebras(max_dim=8), st.data())
+def test_tensor_finite_table_matches_dense_loop(A, data):
+    B = data.draw(st.one_of(random_monomial_algebras(max_dim=6),
+                            st.integers(2, 4).map(lambda n: finite_truncation(nonformal_uvw(), n))))
+    assert list(tensor_finite(A, B).mul.items()) == list(dense_tensor_table(A, B).items())
+
+
+def test_cohomology_dims_bounded_by_cochain_dims(uvw, s2):
+    H = cohomology_algebra(s2, 2)
+    assert complex_of(H) is H
+    for p in (uvw, H):
+        rep = cohomology(p, 0, 4)
+        cx = complex_of(p)
+        for k in range(0, 5):
+            assert rep.dim(k) <= cx.dim(k)
 
 
 def test_finite_morphism_matrix_chain_map(s2):

@@ -5,15 +5,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from rht.algebra import AlgElement, GeneratorContext
+from rht.algebra import AlgElement, GeneratorContext, monomial_word_length
 from rht.cdga import (FiniteCDGA, SullivanPresentation, cohomology, cohomology_algebra,
-                      validate)
-from rht.constructions import cp, sphere, tensor_presentations, torus
+                      complex_of, tensor_finite, validate)
+from rht.constructions import (cp, k_z, sphere, tensor_presentations, torus,
+                               wedge_cohomology)
 from rht.errors import UnsupportedInputError
-from rht.invariants import (DegreeSequence, cat_bounds, elliptic_degrees_check,
-                            loop_homology_dims, massey_triple, tc_cup_length,
-                            toomer_invariant, trichotomy_report,
+from rht.invariants import (DegreeSequence, _toomer_fails_at, cat_bounds,
+                            elliptic_degrees_check, loop_homology_dims, massey_triple,
+                            tc_cup_length, toomer_invariant, trichotomy_report,
                             ELLIPTIC, HYPERBOLIC)
+from rht.linalg import Echelon
 from rht.minimal_model import minimal_model
 
 from conftest import (nonformal_uvw, random_monomial_algebras, sphere2_model,
@@ -43,6 +45,48 @@ def test_toomer_cp_n():
 def test_toomer_trivial_model():
     q = SullivanPresentation(GeneratorContext([]), {}, name="Q")
     assert toomer_invariant(q, n=4).value == 0
+
+
+def _word_truncation_fails_at(p, rep, m, n):
+    """Oracle: Lambda V / Lambda^{>m} V as its own complex, on the monomials of
+    word length <= m re-indexed in ambient order, with projected columns."""
+    cx = complex_of(p)
+
+    def kept(k):
+        return [i for i, mono in enumerate(cx.basis(k)) if monomial_word_length(mono) <= m]
+
+    def project(k, vec):
+        pos = {amb: i for i, amb in enumerate(kept(k))}
+        return {pos[i]: c for i, c in vec.items() if i in pos}
+
+    for k in range(0, n + 1):
+        h = rep.dim(k)
+        if h == 0:
+            continue
+        bound = Echelon()
+        for amb in kept(k - 1):
+            bound.add(project(k, cx.differential_column(k - 1, amb)))
+        rank = sum(1 for v in rep.representatives(k) if bound.add(project(k, v)))
+        if rank < h:
+            return k
+    return None
+
+
+def test_toomer_truncation_matches_truncated_complex():
+    s2, s3 = sphere(2), sphere(3)
+    h2 = cohomology_algebra(s2, 2)
+    corpus = [s2, s3, sphere(4), cp(2), cp(3), cp(4), torus(3), k_z(2),
+              tensor_presentations(s2, s3), tensor_presentations(s2, s2),
+              tensor_presentations(cp(2), s3), tensor_presentations(s3, torus(2))]
+    for H in (tensor_finite(h2, h2), wedge_cohomology(h2, cohomology_algebra(s3, 3)),
+              wedge_cohomology(h2, h2)):
+        corpus.append(minimal_model(H, 8).model)
+    for p in corpus:
+        rep = cohomology(p, 0, 8)
+        for m in range(0, 7):
+            for n in range(0, 9):
+                assert _toomer_fails_at(p, rep, m, n) == \
+                    _word_truncation_fails_at(p, rep, m, n), (p.name, m, n)
 
 
 def test_cat_cp3_poincare_duality_exact():
