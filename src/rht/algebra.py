@@ -12,6 +12,7 @@ canonical (gcd 1, positive denominator).  There is no floating-point mode.
 from fractions import Fraction
 
 from .errors import ContextMismatchError, DegreeError, DerivationError, BudgetExceededError
+from .linalg import lincomb
 
 Q = Fraction
 
@@ -285,7 +286,7 @@ def apply_derivation(theta, x):
         raise ContextMismatchError("derivation and element contexts differ")
     ctx = x.ctx
     r = theta.degree
-    out = AlgElement.zero(ctx)
+    terms = []
     for mono, coeff in x.terms.items():
         prefix_deg = 0
         for pos, (i, e) in enumerate(mono):
@@ -293,14 +294,21 @@ def apply_derivation(theta, x):
             if not g_img.is_zero():
                 # Remove one copy of generator i; even copies commute so the
                 # remaining e-1 copies may sit on either side without a sign.
-                left = tuple((j, f) for j, f in mono[:pos]) + \
-                    (((i, e - 1),) if e > 1 else ())
+                left = mono[:pos] + (((i, e - 1),) if e > 1 else ())
                 right = mono[pos + 1:]
+                # left * m * right over the terms m of theta(x_i); multiplying
+                # by fixed monomials is injective, so no two share a key.
+                term = {}
+                for m, c in g_img.terms.items():
+                    s1, lm = monomial_mul(ctx, left, m)
+                    if s1:
+                        s2, lmr = monomial_mul(ctx, lm, right)
+                        if s2:
+                            term[lmr] = s1 * s2 * c
                 sign = -1 if (r % 2) and (prefix_deg % 2) else 1
-                term = AlgElement(ctx, {left: ONE}) * g_img * AlgElement(ctx, {right: ONE})
-                out = out + term.scale(sign * e * coeff)
+                terms.append((sign * e * coeff, term))
             prefix_deg += ctx.degrees[i] * e
-    return out
+    return AlgElement(ctx, lincomb(terms))
 
 
 def degree_basis(ctx, n, budget=DEFAULT_MONOMIAL_BUDGET):

@@ -23,7 +23,7 @@ from .algebra import (AlgElement, Derivation, GeneratorContext, ZERO, ONE,
                       monomial_mul, DEFAULT_MONOMIAL_BUDGET)
 from .errors import (DegreeError, RhtError, UnsupportedInputError,
                      ValidationError)
-from .linalg import Echelon, slice_homology, vec_add
+from .linalg import Echelon, lincomb, slice_homology
 
 
 class ValidationReport:
@@ -454,15 +454,11 @@ def _validate_finite(A):
             if {k: sign * v for k, v in ba.items()} != ab:
                 violations.append("commutativity fails on (%s, %s)"
                                   % (A.label(p_, i), A.label(q_, j)))
-            # d(ab) = (da)b + (-1)^p a(db)
-            left = {}
-            for k_, c in ab.items():
-                for l, c2 in A.d_of(p_ + q_, k_).items():
-                    left[l] = left.get(l, ZERO) + c * c2
-            right = vec_add(A.multiply_coords(p_ + 1, A.d_of(p_, i), q_, {j: ONE}),
-                            A.multiply_coords(p_, {i: ONE}, q_ + 1, A.d_of(q_, j)),
-                            -1 if p_ % 2 else 1)
-            if {k: v for k, v in left.items() if v != 0} != right:
+            # d(ab) - (da)b - (-1)^p a(db) = 0
+            if lincomb([(c, A.d_of(p_ + q_, k_)) for k_, c in ab.items()]
+                       + [(-1, A.multiply_coords(p_ + 1, A.d_of(p_, i), q_, {j: ONE})),
+                          (1 if p_ % 2 else -1,
+                           A.multiply_coords(p_, {i: ONE}, q_ + 1, A.d_of(q_, j)))]):
                 violations.append("Leibniz fails on (%s, %s)"
                                   % (A.label(p_, i), A.label(q_, j)))
     # Associativity on basis triples.  With partners[x] = {y : xy != 0},
@@ -542,10 +538,7 @@ class CohomologyReport:
         return {i - n_b: c for i, c in combo.items() if i >= n_b}
 
     def is_cocycle(self, k, coords):
-        img = {}
-        for i, c in coords.items():
-            img = vec_add(img, self.cx.differential_column(k, i), c)
-        return not img
+        return not lincomb((c, self.cx.differential_column(k, i)) for i, c in coords.items())
 
     def certified_above(self):
         """True when H^{>hi} = 0 is certified, not merely unobserved."""
@@ -648,19 +641,11 @@ class CdgaMorphism:
         deg = x.degree()
         if deg is None:
             raise DegreeError("morphisms apply to homogeneous elements degree-wise")
-        out = {}
-        for mono, c in x.terms.items():
-            _, coords = self.apply_monomial(mono)
-            out = vec_add(out, coords, c)
-        return deg, out
+        return deg, lincomb((c, self.apply_monomial(mono)[1]) for mono, c in x.terms.items())
 
     def apply_coords(self, k, coords):
         scx = complex_of(self.source, self.budget)
-        out = {}
-        for i, c in coords.items():
-            _, img = self.apply_monomial(scx.basis(k)[i])
-            out = vec_add(out, img, c)
-        return out
+        return lincomb((c, self.apply_monomial(scx.basis(k)[i])[1]) for i, c in coords.items())
 
     def apply_element(self, x):
         """Image as an AlgElement (free targets only)."""
@@ -674,9 +659,8 @@ class CdgaMorphism:
         for gname in self.source.ctx.names:
             deg = self.source.ctx.degree_of(gname)
             _, lhs = self.apply(self.source.d.image_of(gname))
-            rhs = {}
-            for i, c in self.images[gname].items():
-                rhs = vec_add(rhs, self.tcx.differential_column(deg, i), c)
+            rhs = lincomb((c, self.tcx.differential_column(deg, i))
+                          for i, c in self.images[gname].items())
             if lhs != rhs:
                 return False, gname
         return True, None
@@ -705,11 +689,7 @@ class FiniteMorphism:
 
     def apply_coords(self, k, coords):
         cols = self.matrices.get(k, [])
-        out = {}
-        for i, c in coords.items():
-            if i < len(cols):
-                out = vec_add(out, cols[i], c)
-        return out
+        return lincomb((c, cols[i]) for i, c in coords.items() if i < len(cols))
 
     def validate(self):
         violations = []
@@ -718,9 +698,8 @@ class FiniteMorphism:
         for k in sorted(self.source.basis):
             for i in range(self.source.dim(k)):
                 lhs = self.apply_coords(k + 1, self.source.d_of(k, i))
-                rhs = {}
-                for j, c in self.apply_coords(k, {i: ONE}).items():
-                    rhs = vec_add(rhs, self.target.d_of(k, j), c)
+                rhs = lincomb((c, self.target.d_of(k, j))
+                              for j, c in self.apply_coords(k, {i: ONE}).items())
                 if lhs != rhs:
                     violations.append("not a chain map on %s" % self.source.label(k, i))
         items = [(k, i) for k in sorted(self.source.basis) for i in range(self.source.dim(k))]
@@ -889,7 +868,7 @@ def tensor_finite(A, B, name=None):
         col = emb(p + 1, A.d_of(p, i), q, {j: ONE})
         sgn = -1 if p % 2 else 1
         col2 = emb(p, {i: ONE}, q + 1, B.d_of(q, j), sgn)
-        tot = vec_add(col, col2)
+        tot = lincomb([(1, col), (1, col2)])
         if tot:
             diff[(k, idx)] = tot
     # Only pairs with aa' != 0 and bb' != 0 multiply to nonzero; emit them in

@@ -423,8 +423,8 @@ def cmd_mapping_space(args):
 def build_parser():
     ap = argparse.ArgumentParser(prog="rht",
                                  description="Sullivan-model computer algebra")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="accepted and ignored; all computations are deterministic")
+    seed_help = "accepted and ignored; all computations are deterministic"
+    ap.add_argument("--seed", type=int, default=None, help=seed_help)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate every object in a file")
@@ -530,6 +530,10 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_mapping_space)
 
+    # Also accept --seed after the subcommand; SUPPRESS keeps a value given
+    # before it.
+    for p in sub.choices.values():
+        p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help=seed_help)
     return ap
 
 

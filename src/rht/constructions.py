@@ -17,7 +17,7 @@ from .algebra import (AlgElement, Derivation, GeneratorContext, ONE, ZERO,
 from .cdga import (FiniteCDGA, QuotientCDGA, SullivanPresentation,
                    cohomology, complex_of, direct_sum_cohomology, tensor_finite)
 from .errors import BudgetExceededError, DegreeError, RhtError, UnsupportedInputError
-from .linalg import Echelon, RationalMatrix, slice_homology, solve_linear, vec_add
+from .linalg import Echelon, RationalMatrix, lincomb, slice_homology, solve_linear
 from .minimal_model import LambdaExtension
 
 
@@ -520,17 +520,15 @@ class PDAlgebra:
                     if val:
                         col[j] = val
                 cols.append(col)
-            # Solve for each i the vector x with eps(a_i . sum_j x_j c_j) = delta_ik
+            # Solve for each k the vector x with eps(a_i . sum_j x_j c_j) = delta_ik,
+            # all k in one solve: each solution is canonical per target.
             mat = RationalMatrix.from_columns(npairs, [
                 {i: cols[i].get(j, ZERO) for i in range(npairs) if cols[i].get(j)}
                 for j in range(A.dim(q))])
-            duals = []
-            for i in range(npairs):
-                sol = solve_linear(mat, targets=[{i: ONE}])
-                if not sol.solvable[0]:
-                    raise UnsupportedInputError("top pairing is degenerate in degree %d" % p)
-                duals.append(sol.solutions[0])
-            self._duals[p] = duals
+            sol = solve_linear(mat, targets=[{k: ONE} for k in range(npairs)])
+            if not all(sol.solvable):
+                raise UnsupportedInputError("top pairing is degenerate in degree %d" % p)
+            self._duals[p] = sol.solutions
 
     def omega(self):
         """The fundamental class: eps(omega) = 1."""
@@ -572,10 +570,7 @@ def diagonal_class(A):
                 terms.append((sign * c, (p, i), (q, j)))
     coords = {i: c for i, c in coords.items() if c != 0}
     # Cycle check in (A (x) A, d).
-    img = {}
-    for i, c in coords.items():
-        img = vec_add(img, T.d_of(A.m, i), c)
-    if img:
+    if lincomb((c, T.d_of(A.m, i)) for i, c in coords.items()):
         raise RhtError("diagonal class is not a cycle")  # pragma: no cover
     return T, coords, terms
 

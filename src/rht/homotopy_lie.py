@@ -15,7 +15,7 @@ from fractions import Fraction
 from .algebra import AlgElement, ONE, ZERO, apply_derivation
 from .cdga import SullivanPresentation, cohomology, complex_of
 from .errors import DegreeError, RhtError, UnsupportedInputError
-from .linalg import Echelon, RationalMatrix, solve_linear, vec_add
+from .linalg import Echelon, RationalMatrix, lincomb, solve_linear
 from .minimal_model import is_minimal
 
 
@@ -73,12 +73,10 @@ class LieTable:
     def bracket(self, x, y):
         """Bilinear bracket of homogeneous elements (deg, vector)."""
         (k, u), (l, v) = x, y
-        out = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                for m, c in self.bracket_of(k, i, l, j).items():
-                    out[m] = out.get(m, ZERO) + ci * cj * c
-        return (k + l, {m: c for m, c in out.items() if c != 0})
+        if k + l > self.bound:
+            raise DegreeError("bracket lands beyond the table bound %d" % self.bound)
+        return (k + l, lincomb((ci * cj, self.brackets.get(((k, i), (l, j)), {}))
+                               for i, ci in u.items() for j, cj in v.items()))
 
     def validate(self):
         """Antisymmetry and graded Jacobi on all basis pairs/triples in bound.
@@ -98,7 +96,7 @@ class LieTable:
                 ba = self.bracket_of(l, j, k, i)
                 sign = -1 if (k % 2) and (l % 2) else 1
                 # [x,y] + (-1)^{|x||y|}[y,x] = 0
-                if vec_add(ab, ba, sign):
+                if lincomb([(1, ab), (sign, ba)]):
                     return False, "antisymmetry fails on (%d,%d),(%d,%d)" % (k, i, l, j)
         for (k, i) in items:
             x = (k, {i: ONE})
@@ -110,7 +108,7 @@ class LieTable:
                     lhs = self.bracket(x, (l + m, self.bracket_of(l, j, m, h)))[1]
                     r1 = self.bracket(xy, z)[1]
                     r2 = self.bracket(y, (k + m, self.bracket_of(k, i, m, h)))[1]
-                    if lhs != vec_add(r1, r2, sign):
+                    if lhs != lincomb([(1, r1), (sign, r2)]):
                         return False, "Jacobi fails on degrees (%d,%d,%d)" % (k, l, m)
         return True, None
 
@@ -470,13 +468,12 @@ def bch_product(t, a, b, nil_class=None):
         return {}
     z = _free_log(_free_mul(_free_exp({(0,): ONE}, c), _free_exp({(1,): ONE}, c), c), c)
     inputs = (dict(a), dict(b))
-    out = {}
+    terms = []
     for word, coeff in z.items():
         vec = inputs[word[0]]
         for s in word[1:]:
             _, vec = t.bracket((0, vec), (0, inputs[s]))
             if not vec:
                 break
-        if vec:
-            out = vec_add(out, vec, coeff / len(word))
-    return out
+        terms.append((coeff / len(word), vec))
+    return lincomb(terms)

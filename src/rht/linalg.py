@@ -7,6 +7,8 @@ basis it holds is the unique RREF of the span of what was fed in, so every
 answer read off it is canonical.  `solve_linear` reads kernel, image and
 particular solutions off the RREF of the augmented matrix [M | -T], and
 `slice_homology` computes cocycles modulo boundaries at one degree.
+Sparse vectors are {index: Fraction} dicts; `lincomb` sums them in place, on
+the same loop `Echelon` reduces with.
 """
 
 from fractions import Fraction
@@ -208,7 +210,20 @@ def _subtract(dst, x, src):
         if y:
             dst[c] = y
         else:
-            del dst[c]
+            dst.pop(c, None)
+
+
+def lincomb(terms):
+    """Sum of c * v over the (c, v) pairs, as one fresh sparse vector.
+
+    Entries that become 0 are dropped at once, so a key that cancels and is
+    touched again moves to the end, exactly as repeated `out + c * v` would.
+    """
+    out = {}
+    for c, v in terms:
+        if v:
+            _subtract(out, -c, v)
+    return out
 
 
 def slice_homology(d_out, out_dim, d_in):
@@ -233,12 +248,3 @@ def slice_homology(d_out, out_dim, d_in):
         else:
             classes.count -= 1    # forget it, so the next representative keeps its index
     return kernel, reps, classes
-
-
-def vec_add(a, b, scale=1):
-    out = dict(a)
-    for c, v in b.items():
-        out[c] = out.get(c, ZERO) + Fraction(scale) * v
-        if out[c] == 0:
-            del out[c]
-    return out

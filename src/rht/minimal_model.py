@@ -15,7 +15,7 @@ from .algebra import (AlgElement, GeneratorContext, ONE, rebase, substitute,
 from .cdga import (CdgaMorphism, SullivanPresentation, cohomology, complex_of,
                    induced_classes, validate)
 from .errors import DegreeError, RhtError, UnsupportedInputError
-from .linalg import Echelon, RationalMatrix, solve_linear, vec_add
+from .linalg import Echelon, RationalMatrix, lincomb, solve_linear
 
 
 def is_minimal(p):
@@ -158,12 +158,7 @@ def minimal_model(A, n=16, budget=DEFAULT_MONOMIAL_BUDGET, name=None):
         ker = solve_linear(mat).kernel
         if not ker:
             continue
-        cycles = []
-        for kvec in ker:
-            z_coords = {}
-            for i, c in kvec.items():
-                z_coords = vec_add(z_coords, reps[i], c)
-            cycles.append(z_coords)
+        cycles = [lincomb((c, reps[i]) for i, c in kvec.items()) for kvec in ker]
         d_cols = [tcx.differential_column(stage, i) for i in range(tcx.dim(stage))]
         d_mat = RationalMatrix.from_columns(tcx.dim(stage + 1), d_cols)
         sol = solve_linear(d_mat, targets=[phi.apply_coords(stage + 1, z) for z in cycles])

@@ -238,6 +238,52 @@ def test_leibniz_on_random_products(x, y):
     assert lhs == rhs
 
 
+def _leibniz_loop(theta, x):
+    """Leibniz rule with one AlgElement product per term, kept as the oracle."""
+    ctx, r = x.ctx, theta.degree
+    out = AlgElement.zero(ctx)
+    for mono, coeff in x.terms.items():
+        prefix_deg = 0
+        for pos, (i, e) in enumerate(mono):
+            g_img = theta.image_of(ctx.names[i])
+            if not g_img.is_zero():
+                left = mono[:pos] + (((i, e - 1),) if e > 1 else ())
+                right = mono[pos + 1:]
+                sign = -1 if (r % 2) and (prefix_deg % 2) else 1
+                term = AlgElement(ctx, {left: 1}) * g_img * AlgElement(ctx, {right: 1})
+                out = out + term.scale(sign * e * coeff)
+            prefix_deg += ctx.degrees[i] * e
+    return out
+
+
+@st.composite
+def derivations_and_elements(draw):
+    """A degree-r derivation on a random context, r in {-1, 0, 1, 2}, and an
+    element whose even generators carry exponents up to 3."""
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    ctx = GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])
+    r = draw(st.sampled_from([-1, 0, 1, 2]))
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    images = {}
+    for name, d in ctx.gens:
+        basis = degree_basis(ctx, d + r)
+        picks = draw(st.lists(st.sampled_from(basis), max_size=3)) if basis else []
+        images[name] = AlgElement(ctx, {m: draw(coeff) for m in picks})
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = [draw(st.integers(0, 1 if d % 2 else 3)) for d in degrees]
+        terms[tuple((i, e) for i, e in enumerate(exps) if e)] = draw(coeff)
+    return Derivation(ctx, r, images), AlgElement(ctx, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(derivations_and_elements())
+def test_apply_derivation_matches_product_loop(case):
+    theta, x = case
+    assert list(apply_derivation(theta, x).terms.items()) == \
+        list(_leibniz_loop(theta, x).terms.items())
+
+
 def _format_element_loop(x):
     """The element text loop the DSL serializer used to carry, kept as an oracle."""
     if x.is_zero():

@@ -331,6 +331,23 @@ def test_diagonal_class_point():
     assert [(c, p[0], q_[0]) for c, p, q_ in terms] == [(1, 0, 0)]
 
 
+@pytest.mark.parametrize("make, m, eps", [(lambda: torus(4), 4, None),
+                                          (lambda: product(cp(2), sphere(2)), 6,
+                                           {0: Fraction(-2, 3)})],
+                         ids=["T4", "CP2xS2-eps"])
+def test_dual_basis_pairs_to_delta(make, m, eps):
+    H = cohomology_algebra(make(), m)
+    A = PDAlgebra(H, m, eps=eps)
+    assert max(H.dim(p) for p in H.degrees()) > 1
+    for p in H.degrees():
+        duals = A.dual_basis(p)
+        assert len(duals) == H.dim(p)
+        for i in range(H.dim(p)):
+            for j, dual in enumerate(duals):
+                pairing = A.eps_of(H.multiply_coords(p, {i: Fraction(1)}, m - p, dual))
+                assert pairing == (1 if i == j else 0)
+
+
 def test_config_space_k1_returns_a(s2):
     A = PDAlgebra(cohomology_algebra(s2, 2), 2)
     assert config_space_model(A, 1) is A.cdga

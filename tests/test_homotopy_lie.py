@@ -11,7 +11,7 @@ from rht.homotopy_lie import (LieTable, bch_product, homotopy_ranks,
                               hurewicz_matrix, lcs_filtrations, lie_bracket,
                               lie_table, nilpotency_class, quadratic_part,
                               whitehead_product)
-from rht.linalg import vec_add
+from rht.linalg import lincomb
 from rht.minimal_model import minimal_model
 
 from conftest import nonformal_uvw, sphere2_model, wedge_two_s2_cohomology
@@ -374,7 +374,7 @@ def full_loop_validate(t):
             if k + l > t.bound:
                 continue
             sign = -1 if (k % 2) and (l % 2) else 1
-            if vec_add(t.bracket_of(k, i, l, j), t.bracket_of(l, j, k, i), sign):
+            if lincomb([(1, t.bracket_of(k, i, l, j)), (sign, t.bracket_of(l, j, k, i))]):
                 return False, "antisymmetry fails on (%d,%d),(%d,%d)" % (k, i, l, j)
     for (k, i) in items:
         for (l, j) in items:
@@ -385,7 +385,7 @@ def full_loop_validate(t):
                 lhs = t.bracket(x, t.bracket(y, z))[1]
                 r1 = t.bracket(t.bracket(x, y), z)[1]
                 r2 = t.bracket(y, t.bracket(x, z))[1]
-                if lhs != vec_add(r1, r2, -1 if (k % 2) and (l % 2) else 1):
+                if lhs != lincomb([(1, r1), (-1 if (k % 2) and (l % 2) else 1, r2)]):
                     return False, "Jacobi fails on degrees (%d,%d,%d)" % (k, l, m)
     return True, None
 

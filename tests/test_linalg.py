@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rht.algebra import AlgElement, GeneratorContext
 from rht.cdga import SullivanPresentation, cohomology
 from rht.constructions import torus
-from rht.linalg import Echelon, RationalMatrix, solve_linear, vec_add
+from rht.linalg import Echelon, RationalMatrix, lincomb, solve_linear
 
 from conftest import wedge_two_s2_cohomology
 
@@ -111,9 +111,15 @@ def test_echelon_coordinates():
     v2 = {1: Fraction(1), 2: Fraction(1)}
     ech.add(v1)
     ech.add(v2)
-    combo = ech.coordinates(vec_add(v1, v2, 3))
+    combo = ech.coordinates(lincomb([(1, v1), (3, v2)]))
     assert combo == {0: Fraction(1), 1: Fraction(3)}
     assert ech.coordinates({3: Fraction(1)}) is None
+    # Key 0 cancels and is touched again, so it moves to the end; a zero
+    # coefficient, or a zero entry, on an absent key adds nothing.
+    vec = lincomb([(1, v1), (-1, {0: Fraction(1)}), (0, {3: Fraction(1)}),
+                   (3, v2), (1, {4: Fraction(0)}), (1, {0: Fraction(1)})])
+    assert list(vec.items()) == [(1, Fraction(5)), (2, Fraction(3)), (0, Fraction(1))]
+    assert ech.coordinates(vec) == {0: Fraction(1), 1: Fraction(3)}
 
 
 # -- properties of the single elimination engine ----------------------------
@@ -219,9 +225,7 @@ def test_class_coordinates_recover_coefficients(make, k, data):
     rep = cohomology(make(), 0, k + 1)
     reps = rep.representatives(k)
     coeffs = {i: data.draw(ENTRY) for i in range(len(reps))}
-    vec = {}
-    for i, c in coeffs.items():
-        vec = vec_add(vec, reps[i], c)
-    for i in range(rep.cx.dim(k - 1)):
-        vec = vec_add(vec, rep.cx.differential_column(k - 1, i), data.draw(ENTRY))
+    vec = lincomb([(c, reps[i]) for i, c in coeffs.items()]
+                  + [(data.draw(ENTRY), rep.cx.differential_column(k - 1, i))
+                     for i in range(rep.cx.dim(k - 1))])
     assert rep.class_coordinates(k, vec) == {i: c for i, c in coeffs.items() if c != 0}
