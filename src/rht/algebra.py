@@ -19,7 +19,8 @@ Q = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-DEFAULT_MONOMIAL_BUDGET = 200_000
+# Largest monomial basis `degree_basis` builds in one degree.
+MONOMIAL_BUDGET = 200_000
 
 
 def as_q(value):
@@ -311,13 +312,13 @@ def apply_derivation(theta, x):
     return AlgElement(ctx, lincomb(terms))
 
 
-def degree_basis(ctx, n, budget=DEFAULT_MONOMIAL_BUDGET):
+def degree_basis(ctx, n):
     """Complete ordered monomial basis of Lambda(V) in total degree n.
 
     Deterministic order: lexicographic in exponent vectors over the context
     order, exponents ascending (unit first in degree 0).  Raises
     BudgetExceededError, before building any monomial, when the basis would
-    exceed `budget` monomials.
+    exceed MONOMIAL_BUDGET monomials.
 
     The monomials over generators idx.. of remaining degree r form one
     shared suffix list per (idx, r).  A forward pass finds the (idx, r) that
@@ -340,8 +341,8 @@ def degree_basis(ctx, n, budget=DEFAULT_MONOMIAL_BUDGET):
     for idx in range(len(degrees) - 1, -1, -1):
         counts = {r: sum(counts.get(r - e * degrees[idx], 0) for e in exponents(idx, r))
                   for r in reach[idx]}
-    if counts.get(n, 0) > budget:
-        raise BudgetExceededError("degree %d basis exceeds %d monomials" % (n, budget))
+    if counts.get(n, 0) > MONOMIAL_BUDGET:
+        raise BudgetExceededError("degree %d basis exceeds %d monomials" % (n, MONOMIAL_BUDGET))
     suffixes = {0: [()]}
     for idx in range(len(degrees) - 1, -1, -1):
         deg, tails, suffixes = degrees[idx], suffixes, {}
@@ -363,7 +364,7 @@ def substitute(x, images, new_ctx):
     `new_ctx`; the map is extended multiplicatively (Koszul signs included
     via ordinary products in the target).
     """
-    out = AlgElement.zero(new_ctx)
+    terms = []
     for mono, coeff in x.terms.items():
         term = AlgElement.unit(new_ctx, coeff)
         for i, e in mono:
@@ -374,8 +375,8 @@ def substitute(x, images, new_ctx):
                     break
             if term.is_zero():
                 break
-        out = out + term
-    return out
+        terms.append((1, term.terms))
+    return AlgElement(new_ctx, lincomb(terms))
 
 
 def rebase(x, new_ctx):

@@ -10,6 +10,9 @@ Three kinds of presentation are supported:
 * `QuotientCDGA` -- a free ambient modulo a differential-stable ideal,
   handled degree-wise by linear algebra (no Groebner bases).
 
+Each kind is its own cochain complex: cohomology, morphisms and every
+consumer module read it degree by degree through the same methods.
+
 All cohomology statements are windowed.  A report certifies `H^{>N} = 0`
 only when the underlying cochain spaces provably vanish above N (finite
 total dimension, an all-odd generator argument, or a full gap window in a
@@ -20,7 +23,7 @@ from fractions import Fraction
 
 from .algebra import (AlgElement, Derivation, GeneratorContext, ZERO, ONE,
                       apply_derivation, degree_basis, monomial_degree,
-                      monomial_mul, DEFAULT_MONOMIAL_BUDGET)
+                      monomial_mul, monomial_str)
 from .errors import (DegreeError, RhtError, UnsupportedInputError,
                      ValidationError)
 from .linalg import Echelon, lincomb, slice_homology
@@ -48,6 +51,13 @@ class ValidationReport:
         return "ValidationReport(%s: %s)" % (self.subject, "; ".join(self.violations))
 
 
+# ---------------------------------------------------------------------------
+# Presentations.  Each kind is its own cochain complex: cohomology, morphisms
+# and every consumer module read it degree by degree through dim(k),
+# labels(k), differential_column(k, i), multiply_coords(p, u, q, v),
+# unit_coords() and vanishes_above(n).
+# ---------------------------------------------------------------------------
+
 class SullivanPresentation:
     """Free cdga (Lambda(V), d) given by generators and their differentials.
 
@@ -59,7 +69,9 @@ class SullivanPresentation:
         self.ctx = ctx
         self.name = name
         self.d = Derivation(ctx, +1, d_images)
-        self._adapters = {}
+        self._basis = {}
+        self._index = {}
+        self._dcols = {}
 
     @staticmethod
     def build(generators, d_exprs, name="cdga"):
@@ -86,6 +98,62 @@ class SullivanPresentation:
     def top_degree(self):
         return sum(self.ctx.degrees) if self.is_finite_dimensional() else None
 
+    # -- cochain complex: degree k is spanned by degree_basis(ctx, k) --------
+    def basis(self, k):
+        if k not in self._basis:
+            b = degree_basis(self.ctx, k) if k >= 0 else []
+            self._basis[k] = b
+            self._index[k] = {m: i for i, m in enumerate(b)}
+        return self._basis[k]
+
+    def index(self, k):
+        self.basis(k)
+        return self._index[k]
+
+    def dim(self, k):
+        return len(self.basis(k))
+
+    def labels(self, k):
+        return [monomial_str(self.ctx, m) for m in self.basis(k)]
+
+    def to_coords(self, x, k=None):
+        if x.is_zero():
+            return {}
+        idx = self.index(x.degree() if k is None else k)
+        return {idx[m]: c for m, c in x.terms.items()}
+
+    def from_coords(self, k, coords):
+        b = self.basis(k)
+        return AlgElement(self.ctx, {b[i]: c for i, c in coords.items() if c != 0})
+
+    def differential_column(self, k, i):
+        key = (k, i)
+        if key not in self._dcols:
+            img = apply_derivation(self.d, AlgElement(self.ctx, {self.basis(k)[i]: ONE}))
+            self._dcols[key] = self.to_coords(img, k + 1)
+        return self._dcols[key]
+
+    def multiply_coords(self, p, u, q, v):
+        """Product of coordinate vectors, keys in monomial order (as `to_coords`)."""
+        ctx, bp, bq = self.ctx, self.basis(p), self.basis(q)
+        out = {}
+        for i, ci in u.items():
+            for j, cj in v.items():
+                if ci and cj:
+                    sign, mono = monomial_mul(ctx, bp[i], bq[j])
+                    if sign:
+                        out[mono] = out.get(mono, ZERO) + sign * ci * cj
+        terms = sorted((m, c) for m, c in out.items() if c)
+        idx = self.index(p + q) if terms else None
+        return {idx[m]: c for m, c in terms}
+
+    def unit_coords(self):
+        return {0: ONE}
+
+    def vanishes_above(self, n):
+        top = self.top_degree()
+        return top is not None and top <= n
+
     def __repr__(self):
         return "SullivanPresentation(%s; %s)" % (
             self.name, ", ".join("%s:%d" % g for g in self.ctx.gens))
@@ -98,8 +166,7 @@ class FiniteCDGA:
     mul: {((p, i), (q, j)): {k: coeff}} into degree p+q.  Unit is basis
     element 0 of degree 0.  `h0_is_unit_span` records whether degree 0 is
     required to be spanned by the unit (arrangement complexes set it False
-    because their degree-0 slot holds more than the empty subset).  A
-    FiniteCDGA is its own cochain complex: `complex_of(A) is A`.
+    because their degree-0 slot holds more than the empty subset).
     """
 
     def __init__(self, basis, diff, mul, name="A", h0_is_unit_span=True):
@@ -164,7 +231,13 @@ class FiniteCDGA:
 
 
 class QuotientCDGA:
-    """Free ambient Lambda(V) modulo a differential-stable homogeneous ideal."""
+    """Free ambient Lambda(V) modulo a differential-stable homogeneous ideal.
+
+    Quotient coordinates at degree k are the ambient monomials whose indices
+    are *not* pivot columns of the ideal-span echelon at degree k, in
+    ambient order.  Reduction modulo the span is the projection; columns and
+    products are the ambient's, projected.
+    """
 
     def __init__(self, ambient, ideal_generators, name="quotient"):
         self.ambient = ambient
@@ -176,120 +249,25 @@ class QuotientCDGA:
                 raise DegreeError("ideal generators must be homogeneous")
             self.ideal.append(g)
         self.name = name
-        self._adapters = {}
-
-    def __repr__(self):
-        return "QuotientCDGA(%s; %d ideal generators)" % (self.name, len(self.ideal))
-
-
-# ---------------------------------------------------------------------------
-# Cochain complexes.  Cohomology, morphisms and every consumer module read a
-# cdga degree by degree through one protocol: dim(k), labels(k),
-# differential_column(k, i), multiply_coords(p, u, q, v), unit_coords() and
-# vanishes_above(n).  A FiniteCDGA answers it itself; the free and quotient
-# presentations are read through the two classes below.
-# ---------------------------------------------------------------------------
-
-class PresentationComplex:
-    """Degree-sliced view of a SullivanPresentation."""
-
-    def __init__(self, pres, budget=DEFAULT_MONOMIAL_BUDGET):
-        self.pres = pres
-        self.budget = budget
-        self._basis = {}
-        self._index = {}
-        self._dcols = {}
-
-    def basis(self, k):
-        if k not in self._basis:
-            b = degree_basis(self.pres.ctx, k, self.budget) if k >= 0 else []
-            self._basis[k] = b
-            self._index[k] = {m: i for i, m in enumerate(b)}
-        return self._basis[k]
-
-    def index(self, k):
-        self.basis(k)
-        return self._index[k]
-
-    def dim(self, k):
-        return len(self.basis(k))
-
-    def labels(self, k):
-        from .algebra import monomial_str
-        return [monomial_str(self.pres.ctx, m) for m in self.basis(k)]
-
-    def to_coords(self, x, k=None):
-        if x.is_zero():
-            return {}
-        deg = x.degree() if k is None else k
-        idx = self.index(deg)
-        out = {}
-        for m, c in x.terms.items():
-            out[idx[m]] = c
-        return out
-
-    def from_coords(self, k, coords):
-        b = self.basis(k)
-        return AlgElement(self.pres.ctx, {b[i]: c for i, c in coords.items() if c != 0})
-
-    def differential_column(self, k, i):
-        key = (k, i)
-        if key not in self._dcols:
-            img = apply_derivation(self.pres.d, AlgElement(self.pres.ctx, {self.basis(k)[i]: ONE}))
-            self._dcols[key] = self.to_coords(img, k + 1) if not img.is_zero() else {}
-        return self._dcols[key]
-
-    def multiply_coords(self, p, u, q, v):
-        """Product of coordinate vectors, keys in monomial order (as `to_coords`)."""
-        ctx, bp, bq = self.pres.ctx, self.basis(p), self.basis(q)
-        out = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                if ci and cj:
-                    sign, mono = monomial_mul(ctx, bp[i], bq[j])
-                    if sign:
-                        out[mono] = out.get(mono, ZERO) + sign * ci * cj
-        terms = sorted((m, c) for m, c in out.items() if c)
-        idx = self.index(p + q) if terms else None
-        return {idx[m]: c for m, c in terms}
-
-    def unit_coords(self):
-        return {0: ONE}
-
-    def vanishes_above(self, n):
-        top = self.pres.top_degree()
-        return top is not None and top <= n
-
-
-class QuotientComplex:
-    """Degree-sliced view of a QuotientCDGA.
-
-    Quotient coordinates at degree k are the ambient monomials whose indices
-    are *not* pivot columns of the ideal-span echelon at degree k, in
-    ambient order.  Reduction modulo the span is the projection.
-    """
-
-    def __init__(self, quot, budget=DEFAULT_MONOMIAL_BUDGET):
-        self.quot = quot
-        self.amb = PresentationComplex(quot.ambient, budget)
         self._span = {}
         self._free = {}
 
     def _ideal_span(self, k):
         if k not in self._span:
+            amb = self.ambient
             ech = Echelon()
-            for g in self.quot.ideal:
+            for g in self.ideal:
                 dg = g.degree()
                 if dg > k:
                     continue
-                gc = self.amb.to_coords(g, dg)
-                for i in range(self.amb.dim(k - dg)):
-                    prod = self.amb.multiply_coords(k - dg, {i: ONE}, dg, gc)
+                gc = amb.to_coords(g, dg)
+                for i in range(amb.dim(k - dg)):
+                    prod = amb.multiply_coords(k - dg, {i: ONE}, dg, gc)
                     if prod:
                         ech.add(prod)
             pivots = set(ech.pivot_columns())
             self._span[k] = ech
-            self._free[k] = [i for i in range(self.amb.dim(k)) if i not in pivots]
+            self._free[k] = [i for i in range(amb.dim(k)) if i not in pivots]
         return self._span[k]
 
     def free_monomials(self, k):
@@ -300,14 +278,13 @@ class QuotientComplex:
         return len(self.free_monomials(k))
 
     def labels(self, k):
-        alab = self.amb.labels(k)
+        alab = self.ambient.labels(k)
         return [alab[i] for i in self.free_monomials(k)]
 
     def project(self, k, amb_coords):
         """Ambient coordinates -> quotient coordinates at degree k."""
         res = self._ideal_span(k).residue(amb_coords)
-        free = self.free_monomials(k)
-        pos = {m: i for i, m in enumerate(free)}
+        pos = {m: i for i, m in enumerate(self.free_monomials(k))}
         return {pos[c]: v for c, v in res.items()}
 
     def lift(self, k, coords):
@@ -315,11 +292,11 @@ class QuotientComplex:
         return {free[i]: v for i, v in coords.items()}
 
     def differential_column(self, k, i):
-        col = self.amb.differential_column(k, self.free_monomials(k)[i])
+        col = self.ambient.differential_column(k, self.free_monomials(k)[i])
         return self.project(k + 1, col) if col else {}
 
     def multiply_coords(self, p, u, q, v):
-        x = self.amb.multiply_coords(p, self.lift(p, u), q, self.lift(q, v))
+        x = self.ambient.multiply_coords(p, self.lift(p, u), q, self.lift(q, v))
         return self.project(p + q, x) if x else {}
 
     def unit_coords(self):
@@ -328,7 +305,7 @@ class QuotientComplex:
             raise RhtError("unit of the ambient algebra lies in the ideal")
         return {free0.index(0): ONE}
 
-    def vanishes_above(self, n, checked_dims=None):
+    def vanishes_above(self, n):
         """Sound vanishing certificate for Q^{>n}.
 
         Either the ambient is finite dimensional with top <= n, or the
@@ -336,32 +313,18 @@ class QuotientComplex:
         larger than every generator degree (then every longer monomial
         factors through the gap).
         """
-        if self.amb.vanishes_above(n):
+        if self.ambient.vanishes_above(n):
             return True
-        if checked_dims is None:
-            return False
-        maxgen = max(self.quot.ambient.ctx.degrees, default=0)
+        maxgen = max(self.ambient.ctx.degrees, default=0)
         for t in range(maxgen + 1, n + 1):
             if 2 * t - 1 > n:
                 break
-            if all(checked_dims.get(j, None) == 0 for j in range(t, 2 * t)):
+            if all(self.dim(j) == 0 for j in range(t, 2 * t)):
                 return True
         return False
 
-
-def complex_of(obj, budget=DEFAULT_MONOMIAL_BUDGET):
-    """The cochain complex of any presentation kind (cached; a FiniteCDGA is its own)."""
-    if isinstance(obj, SullivanPresentation):
-        if budget not in obj._adapters:
-            obj._adapters[budget] = PresentationComplex(obj, budget)
-        return obj._adapters[budget]
-    if isinstance(obj, FiniteCDGA):
-        return obj
-    if isinstance(obj, QuotientCDGA):
-        if budget not in obj._adapters:
-            obj._adapters[budget] = QuotientComplex(obj, budget)
-        return obj._adapters[budget]
-    raise RhtError("not a presentation: %r" % (obj,))
+    def __repr__(self):
+        return "QuotientCDGA(%s; %d ideal generators)" % (self.name, len(self.ideal))
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +363,12 @@ def validate(p, window=None):
     if isinstance(p, QuotientCDGA):
         amb = validate(p.ambient)
         violations.extend(amb.violations)
-        cx = complex_of(p)
         for g in p.ideal:
             dg = apply_derivation(p.ambient.d, g)
             if dg.is_zero():
                 continue
             k = dg.degree()
-            span = cx._ideal_span(k)
-            if not span.contains(cx.amb.to_coords(dg, k)):
+            if not p._ideal_span(k).contains(p.ambient.to_coords(dg, k)):
                 violations.append("ideal is not differential-stable: d(%s) escapes" % g)
         return ValidationReport(p.name, violations)
 
@@ -492,9 +453,8 @@ def _validate_finite(A):
 class CohomologyReport:
     """Per-degree Betti numbers with representative cocycles, reusable."""
 
-    def __init__(self, pres, cx, lo, hi):
+    def __init__(self, pres, lo, hi):
         self.pres = pres
-        self.cx = cx
         self.lo = lo
         self.hi = hi
         self._reps = {}        # k -> list of coordinate vectors
@@ -503,10 +463,10 @@ class CohomologyReport:
             self._compute(k)
 
     def _compute(self, k):
-        cx = self.cx
+        p = self.pres
         _, self._reps[k], self._classes[k] = slice_homology(
-            [cx.differential_column(k, i) for i in range(cx.dim(k))], cx.dim(k + 1),
-            [cx.differential_column(k - 1, i) for i in range(cx.dim(k - 1))])
+            [p.differential_column(k, i) for i in range(p.dim(k))], p.dim(k + 1),
+            [p.differential_column(k - 1, i) for i in range(p.dim(k - 1))])
 
     def dim(self, k):
         if k < self.lo or k > self.hi:
@@ -521,9 +481,9 @@ class CohomologyReport:
 
     def representative_elements(self, k):
         """Representatives as AlgElements (free presentations only)."""
-        if not isinstance(self.cx, PresentationComplex):
+        if not isinstance(self.pres, SullivanPresentation):
             raise RhtError("representative_elements requires a free presentation")
-        return [self.cx.from_coords(k, v) for v in self._reps[k]]
+        return [self.pres.from_coords(k, v) for v in self._reps[k]]
 
     def class_coordinates(self, k, cocycle_coords):
         """Coordinates of a cocycle's class in the representative basis.
@@ -534,33 +494,29 @@ class CohomologyReport:
         combo = self._classes[k].coordinates(cocycle_coords)
         if combo is None:
             raise RhtError("vector is not a cocycle modulo the computed boundaries")
-        n_b = self.cx.dim(k - 1)
+        n_b = self.pres.dim(k - 1)
         return {i - n_b: c for i, c in combo.items() if i >= n_b}
 
     def is_cocycle(self, k, coords):
-        return not lincomb((c, self.cx.differential_column(k, i)) for i, c in coords.items())
+        return not lincomb((c, self.pres.differential_column(k, i)) for i, c in coords.items())
 
     def certified_above(self):
         """True when H^{>hi} = 0 is certified, not merely unobserved."""
-        if isinstance(self.cx, QuotientComplex):
-            dims = {k: self.cx.dim(k) for k in range(self.lo, self.hi + 1)}
-            return self.cx.vanishes_above(self.hi, dims)
-        return self.cx.vanishes_above(self.hi)
+        return self.pres.vanishes_above(self.hi)
 
 
-def cohomology(p, lo=0, hi=None, budget=DEFAULT_MONOMIAL_BUDGET):
+def cohomology(p, lo, hi):
     """Exact Betti numbers and representatives in the window [lo, hi]."""
-    if hi is None:
-        raise DegreeError("cohomology requires an explicit upper degree")
-    cx = complex_of(p, budget)
+    if not isinstance(p, (SullivanPresentation, FiniteCDGA, QuotientCDGA)):
+        raise RhtError("not a presentation: %r" % (p,))
     if isinstance(p, FiniteCDGA):
         lo = min(lo, p.min_degree())
-    return CohomologyReport(p, cx, lo, hi)
+    return CohomologyReport(p, lo, hi)
 
 
-def euler_characteristic(p, n, budget=DEFAULT_MONOMIAL_BUDGET):
+def euler_characteristic(p, n):
     """Window-truncated Euler characteristic of H; `exact` when certified."""
-    rep = cohomology(p, 0, n, budget)
+    rep = cohomology(p, 0, n)
     lo = rep.lo
     chi = sum((-1) ** (k % 2) * rep.dim(k) for k in range(lo, n + 1))
     return chi, rep.certified_above()
@@ -578,12 +534,10 @@ class CdgaMorphism:
     may be used instead of indices for FiniteCDGA targets).
     """
 
-    def __init__(self, source, target, images, name="phi", budget=DEFAULT_MONOMIAL_BUDGET):
+    def __init__(self, source, target, images, name="phi"):
         self.source = source
         self.target = target
         self.name = name
-        self.budget = budget
-        self.tcx = complex_of(target, budget)
         self.images = {}
         for gname in source.ctx.names:
             if gname not in images:
@@ -596,7 +550,7 @@ class CdgaMorphism:
                 else:
                     if raw.degree() != deg:
                         raise DegreeError("image of %s must have degree %d" % (gname, deg))
-                    coords = self.tcx.to_coords(raw, deg)
+                    coords = self.target.to_coords(raw, deg)
             else:
                 coords = {}
                 for key, c in dict(raw).items():
@@ -604,7 +558,7 @@ class CdgaMorphism:
                     if c == 0:
                         continue
                     if isinstance(key, str):
-                        labels = self.tcx.labels(deg)
+                        labels = self.target.labels(deg)
                         if key not in labels:
                             raise DegreeError("no basis element %r in degree %d" % (key, deg))
                         key = labels.index(key)
@@ -618,12 +572,12 @@ class CdgaMorphism:
             return self._mono_cache[mono]
         ctx = self.source.ctx
         deg = 0
-        coords = self.tcx.unit_coords()
+        coords = self.target.unit_coords()
         for i, e in mono:
             g = ctx.names[i]
             gdeg = ctx.degrees[i]
             for _ in range(e):
-                coords = self.tcx.multiply_coords(deg, coords, gdeg, self.images[g])
+                coords = self.target.multiply_coords(deg, coords, gdeg, self.images[g])
                 deg += gdeg
                 if not coords:
                     break
@@ -644,22 +598,22 @@ class CdgaMorphism:
         return deg, lincomb((c, self.apply_monomial(mono)[1]) for mono, c in x.terms.items())
 
     def apply_coords(self, k, coords):
-        scx = complex_of(self.source, self.budget)
-        return lincomb((c, self.apply_monomial(scx.basis(k)[i])[1]) for i, c in coords.items())
+        basis = self.source.basis(k)
+        return lincomb((c, self.apply_monomial(basis[i])[1]) for i, c in coords.items())
 
     def apply_element(self, x):
         """Image as an AlgElement (free targets only)."""
         deg, coords = self.apply(x)
         if not coords:
             return AlgElement.zero(self.target.ctx)
-        return self.tcx.from_coords(deg, coords)
+        return self.target.from_coords(deg, coords)
 
     def is_chain_map(self):
         """phi(dv) = d(phi(v)) on every generator."""
         for gname in self.source.ctx.names:
             deg = self.source.ctx.degree_of(gname)
             _, lhs = self.apply(self.source.d.image_of(gname))
-            rhs = lincomb((c, self.tcx.differential_column(deg, i))
+            rhs = lincomb((c, self.target.differential_column(deg, i))
                           for i, c in self.images[gname].items())
             if lhs != rhs:
                 return False, gname
@@ -720,13 +674,13 @@ def induced_classes(phi, src, tgt, k):
     return [tgt.class_coordinates(k, phi.apply_coords(k, rep)) for rep in src.representatives(k)]
 
 
-def is_quasi_iso(phi, n, budget=DEFAULT_MONOMIAL_BUDGET):
+def is_quasi_iso(phi, n):
     """True iff H^k(phi) is bijective for all k <= n; with per-degree witness.
 
     Returns (bool, {k: (dim source H, dim target H, rank of H(phi))}).
     """
-    src = cohomology(phi.source, 0, n, budget)
-    tgt = cohomology(phi.target, 0, n, budget)
+    src = cohomology(phi.source, 0, n)
+    tgt = cohomology(phi.target, 0, n)
     witness = {}
     ok = True
     lo = min(src.lo, tgt.lo)
@@ -748,14 +702,13 @@ def is_quasi_iso(phi, n, budget=DEFAULT_MONOMIAL_BUDGET):
 # Derived finite cdgas
 # ---------------------------------------------------------------------------
 
-def cohomology_algebra(p, n, budget=DEFAULT_MONOMIAL_BUDGET, name=None):
+def cohomology_algebra(p, n, name=None):
     """(H(p), 0) as a FiniteCDGA on the window [0, n], with products.
 
     Products landing above the window are dropped; the result is the honest
     cohomology algebra exactly when the report certifies H^{>n} = 0.
     """
-    rep = cohomology(p, 0, n, budget)
-    cx = rep.cx
+    rep = cohomology(p, 0, n)
     basis = {}
     for k in range(rep.lo, n + 1):
         d = rep.dim(k)
@@ -772,7 +725,7 @@ def cohomology_algebra(p, n, budget=DEFAULT_MONOMIAL_BUDGET, name=None):
             reps_p, reps_q = rep.representatives(p_), rep.representatives(q_)
             for i in range(len(basis[p_])):
                 for j in range(len(basis[q_])):
-                    prod = cx.multiply_coords(p_, reps_p[i], q_, reps_q[j])
+                    prod = p.multiply_coords(p_, reps_p[i], q_, reps_q[j])
                     if prod:
                         cls = rep.class_coordinates(p_ + q_, prod)
                         if cls:
@@ -789,29 +742,28 @@ def cohomology_algebra(p, n, budget=DEFAULT_MONOMIAL_BUDGET, name=None):
     return A
 
 
-def finite_truncation(p, n, budget=DEFAULT_MONOMIAL_BUDGET, name=None):
+def finite_truncation(p, n, name=None):
     """FiniteCDGA copy of the cochain algebra of p in degrees <= n.
 
     Products landing above n are dropped, so cohomology agrees with p only
     in degrees <= n-1 in general; the caller owns the window bookkeeping.
     """
-    cx = complex_of(p, budget)
     basis = {}
     for k in range(0, n + 1):
-        if cx.dim(k):
-            basis[k] = list(cx.labels(k))
+        if p.dim(k):
+            basis[k] = list(p.labels(k))
     diff = {}
     for k in range(0, n):
-        for i in range(cx.dim(k)):
-            col = cx.differential_column(k, i)
+        for i in range(p.dim(k)):
+            col = p.differential_column(k, i)
             if col:
                 diff[(k, i)] = col
     mul = {}
     for p_ in range(0, n + 1):
         for q_ in range(0, n + 1 - p_):
-            for i in range(cx.dim(p_)):
-                for j in range(cx.dim(q_)):
-                    prod = cx.multiply_coords(p_, {i: ONE}, q_, {j: ONE})
+            for i in range(p.dim(p_)):
+                for j in range(p.dim(q_)):
+                    prod = p.multiply_coords(p_, {i: ONE}, q_, {j: ONE})
                     if prod:
                         mul[((p_, i), (q_, j))] = prod
     return FiniteCDGA(basis, diff, mul, name=name or ("%s|<=%d" % (getattr(p, "name", "A"), n)))

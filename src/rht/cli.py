@@ -7,6 +7,7 @@ ignored (all computations are deterministic).
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -420,7 +421,9 @@ def cmd_mapping_space(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process (parsing does not change it)."""
     ap = argparse.ArgumentParser(prog="rht",
                                  description="Sullivan-model computer algebra")
     seed_help = "accepted and ignored; all computations are deterministic"

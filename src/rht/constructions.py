@@ -15,7 +15,7 @@ from itertools import combinations
 from .algebra import (AlgElement, Derivation, GeneratorContext, ONE, ZERO,
                       apply_derivation, rebase, substitute)
 from .cdga import (FiniteCDGA, QuotientCDGA, SullivanPresentation,
-                   cohomology, complex_of, direct_sum_cohomology, tensor_finite)
+                   cohomology, direct_sum_cohomology, tensor_finite)
 from .errors import BudgetExceededError, DegreeError, RhtError, UnsupportedInputError
 from .linalg import Echelon, RationalMatrix, lincomb, slice_homology, solve_linear
 from .minimal_model import LambdaExtension
@@ -256,7 +256,7 @@ class HolonomyReport:
     def matrix(self, i, k):
         return self.matrices.get((i, k), [])
 
-    def is_nilpotent(self, i, max_power=None):
+    def is_nilpotent(self, i):
         """theta_i nilpotent on the computed window (degreewise composition)."""
         deg_shift = 1 - self.base_degrees[i]
         if deg_shift < 0:
@@ -269,8 +269,7 @@ class HolonomyReport:
             mat = {(l, j): c for j in range(dim)
                    for l, c in (cols[j] if j < len(cols) else {}).items()}
             power = dict(mat)
-            n = max_power or (dim + 1)
-            for _ in range(n):
+            for _ in range(dim + 1):
                 if not power:
                     break
                 power = _mat_mul(mat, power)
@@ -304,9 +303,7 @@ def holonomy_representation(ext, n):
     base_idx = [ctx.index[g] for g in ext.base_names]
     base_set = set(base_idx)
     fiber = ext.fiber_presentation()
-    fib_cx = complex_of(fiber)
     frep = cohomology(fiber, 0, n + 1)
-    tot_cx = complex_of(total)
 
     fiber_pos = {ctx.index[g]: fiber.ctx.index[g] for g in ext.fiber_names}
 
@@ -331,7 +328,7 @@ def holonomy_representation(ext, n):
             matrices[(w_pos, k)] = []
     for k in range(0, n + 1):
         for rep_vec in frep.representatives(k):
-            lifted = AlgElement(ctx, {lift_monomial(fib_cx.basis(k)[i]): c
+            lifted = AlgElement(ctx, {lift_monomial(fiber.basis(k)[i]): c
                                       for i, c in rep_vec.items()})
             image = apply_derivation(total.d, lifted)
             parts = split_w_linear(image)
@@ -341,7 +338,7 @@ def holonomy_representation(ext, n):
                     matrices[(w_pos, k)].append({})
                     continue
                 pdeg = psi.degree()
-                coords = fib_cx.to_coords(psi, pdeg)
+                coords = fiber.to_coords(psi, pdeg)
                 if not frep.is_cocycle(pdeg, coords):
                     raise RhtError("holonomy coefficient is not a fiber cocycle")
                 if pdeg > n + 1:
@@ -372,7 +369,7 @@ class MappingSpaceReport:
         return "MappingSpaceReport(n=%d, dim=%d)" % (self.n, self.dim)
 
 
-def mapping_space_pi(phi, n, budget=None):
+def mapping_space_pi(phi, n):
     """dim H_n(Der_phi(Lambda V, Lambda W), D) with D t = d t - (-1)^n t d.
 
     A phi-derivation of degree n is determined by the generator images
@@ -385,7 +382,6 @@ def mapping_space_pi(phi, n, budget=None):
     W = phi.target
     if not isinstance(W, SullivanPresentation):
         raise UnsupportedInputError("derivation complexes need a free target")
-    wcx = complex_of(W)
 
     def der_basis(m):
         out = []
@@ -394,13 +390,13 @@ def mapping_space_pi(phi, n, budget=None):
             wdeg = dv - m
             if wdeg < 0:
                 continue
-            for i in range(wcx.dim(wdeg)):
+            for i in range(W.dim(wdeg)):
                 out.append((g, wdeg, i))
         return out
 
     def theta_apply(assign, m, x):
         """Extend a generator assignment (dict g -> AlgElement in W) to x."""
-        out = AlgElement.zero(W.ctx)
+        terms = []
         for mono, coeff in x.terms.items():
             factors = []
             for gi, e in mono:
@@ -425,8 +421,8 @@ def mapping_space_pi(phi, n, budget=None):
                     if term.is_zero():
                         break
                     term = term * phi.apply_element(V.ctx.generator(V.ctx.names[f]))
-                out = out + term
-        return out
+                terms.append((1, term.terms))
+        return AlgElement(W.ctx, lincomb(terms))
 
     def d_matrix(m):
         """D: Der_m -> Der_{m-1} in the bases der_basis(m) -> der_basis(m-1)."""
@@ -437,13 +433,13 @@ def mapping_space_pi(phi, n, budget=None):
             tgt_pos[(g, i)] = pos
         cols = []
         for (g, wdeg, i) in src:
-            base_img = wcx.from_coords(wdeg, {i: ONE})
+            base_img = W.from_coords(wdeg, {i: ONE})
             assign = {g: base_img}
             col = {}
             # (d theta)(v) = d_W(theta(v)): only v = g contributes directly.
             dpart = apply_derivation(W.d, base_img)
             for mono, c in dpart.terms.items():
-                pos = tgt_pos.get((g, wcx.index(wdeg + 1)[mono]))
+                pos = tgt_pos.get((g, W.index(wdeg + 1)[mono]))
                 if pos is not None:
                     col[pos] = col.get(pos, ZERO) + c
             # (theta d)(v) for every generator v.
@@ -457,7 +453,7 @@ def mapping_space_pi(phi, n, budget=None):
                 vdeg = val.degree()
                 sign = -1 if (m % 2) else 1
                 for mono, c in val.terms.items():
-                    pos = tgt_pos.get((v, wcx.index(vdeg)[mono]))
+                    pos = tgt_pos.get((v, W.index(vdeg)[mono]))
                     if pos is None:
                         raise RhtError("derivation image outside the complex")
                     col[pos] = col.get(pos, ZERO) - sign * c
@@ -624,10 +620,8 @@ def config_space_model(A, k, name=None, max_k=3):
 
     def slot_vec(slot, p, coords):
         """A-coordinates at degree p > 0 -> ambient element in slot `slot`."""
-        out = AlgElement.zero(ctx)
-        for i, c in coords.items():
-            out = out + ctx.generator(slot_gen[(slot, p, i)]).scale(c)
-        return out
+        return AlgElement(ctx, {((ctx.index[slot_gen[(slot, p, i)]], 1),): c
+                                for i, c in coords.items()})
 
     # Differential: slot copies follow d_A; x_ij maps to p_ij(D_A).
     d_imgs = {}
@@ -638,12 +632,12 @@ def config_space_model(A, k, name=None, max_k=3):
                 else AlgElement.zero(ctx)
     _, _, terms = diagonal_class(A)
     for (i, j), gname in x_name.items():
-        img = AlgElement.zero(ctx)
+        parts = []
         for c, (p, ai), (q, aj) in terms:
             left = AlgElement.unit(ctx, ONE) if p == 0 else slot_vec(i, p, {ai: ONE})
             right = AlgElement.unit(ctx, ONE) if q == 0 else slot_vec(j, q, {aj: ONE})
-            img = img + (left * right).scale(c)
-        d_imgs[gname] = img
+            parts.append((c, (left * right).terms))
+        d_imgs[gname] = AlgElement(ctx, lincomb(parts))
     ambient = SullivanPresentation(ctx, d_imgs, name="%s-ambient" % (name or "F"))
 
     ideal = []

@@ -435,13 +435,11 @@ class _Parser:
         self.error("expected a generator, number, or parenthesized expression", t)
 
 
-def pd_algebra_from_presentation(pres, m, orientation, budget=None):
+def pd_algebra_from_presentation(pres, m, orientation):
     """PDAlgebra on H(pres) in [0, m], oriented by the class of `orientation`."""
     H = cohomology_algebra(pres, m)
     rep = cohomology(pres, 0, m)
-    from .cdga import complex_of
-    cx = complex_of(pres)
-    cls = rep.class_coordinates(m, cx.to_coords(orientation, m))
+    cls = rep.class_coordinates(m, pres.to_coords(orientation, m))
     if len(cls) != 1 or H.dim(m) != 1:
         raise RhtError("orientation class must span the one-dimensional H^%d" % m)
     (idx, coeff), = cls.items()
@@ -477,7 +475,7 @@ def serialize_morphism(name, mor):
     lines = ["morphism %s : %s -> %s {" % (name, mor.source.name,
                                            getattr(mor.target, "name", "?"))]
     for g in mor.source.ctx.names:
-        el = mor.tcx.from_coords(mor.source.ctx.degree_of(g), mor.images[g])
+        el = mor.target.from_coords(mor.source.ctx.degree_of(g), mor.images[g])
         lines.append("  %s |-> %s;" % (g, el))
     lines.append("}")
     return "\n".join(lines)

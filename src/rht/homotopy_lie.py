@@ -13,7 +13,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from .algebra import AlgElement, ONE, ZERO, apply_derivation
-from .cdga import SullivanPresentation, cohomology, complex_of
+from .cdga import SullivanPresentation, cohomology
 from .errors import DegreeError, RhtError, UnsupportedInputError
 from .linalg import Echelon, RationalMatrix, lincomb, solve_linear
 from .minimal_model import is_minimal
@@ -230,7 +230,7 @@ class FiltrationReport:
                                              self.nil_v, self.nil_l))
 
 
-def lcs_filtrations(p, k, depth=32, bound=None):
+def lcs_filtrations(p, k, depth=32):
     """Filtration of V^k dual to the lower central series of L_{k-1}.
 
     For k = 1 the filtration is F_0 = ker d_1, F_{r+1} = d_1^{-1}(Lambda^2 F_r);
@@ -242,14 +242,13 @@ def lcs_filtrations(p, k, depth=32, bound=None):
     qp = quadratic_part(p)
     pres = qp.presentation
     ctx = pres.ctx
-    cx = complex_of(pres)
     vk_idx = [i for i, d in enumerate(ctx.degrees) if d == k]
     if not vk_idx:
         return FiltrationReport(k, [0], [0], 0, 0)
 
     # --- V-side -----------------------------------------------------------
     v1_idx = [i for i, d in enumerate(ctx.degrees) if d == 1]
-    basis_k1 = cx.basis(k + 1)
+    basis_k1 = pres.basis(k + 1)
     pos = {m: c for c, m in enumerate(basis_k1)}
 
     def relevant(mono):
@@ -285,10 +284,7 @@ def lcs_filtrations(p, k, depth=32, bound=None):
         ech = Echelon()
         f_elems = []
         for vec in f_basis:
-            el = AlgElement(ctx, {})
-            for c_i, c in vec.items():
-                el = el + ctx.generator(ctx.names[vk_idx[c_i]]).scale(c)
-            f_elems.append(el)
+            f_elems.append(AlgElement(ctx, {((vk_idx[c_i], 1),): c for c_i, c in vec.items()}))
         if k == 1:
             for a in range(len(f_elems)):
                 for b in range(a, len(f_elems)):
@@ -322,7 +318,7 @@ def lcs_filtrations(p, k, depth=32, bound=None):
         nil_v = ">=%d" % depth
 
     # --- L-side -----------------------------------------------------------
-    t = lie_table(qp, bound if bound is not None else k - 1)
+    t = lie_table(qp, k - 1)
     l_dims, nil_l = _lower_central_series(t, k - 1, depth)
     if t.dim(k - 1) == 0:
         nil_l = 0
@@ -351,7 +347,7 @@ class HurewiczReport:
             self.k, self.h_dim, self.v_dim, self.rank)
 
 
-def hurewicz_matrix(result, k, budget=None):
+def hurewicz_matrix(result, k):
     """Matrix of H(zeta): H^k(Lambda V, d) -> V^k on representatives.
 
     zeta is the projection onto word length 1; it vanishes on boundaries of
@@ -405,13 +401,13 @@ def _lower_central_series(t, k, depth):
     return dims, ">=%d" % depth
 
 
-def nilpotency_class(t, max_steps=NILPOTENCY_STEPS):
+def nilpotency_class(t):
     """Nilpotency class of L_0 from the table, or raise if non-nilpotent."""
-    _, nil = _lower_central_series(t, 0, max_steps + 1)
+    _, nil = _lower_central_series(t, 0, NILPOTENCY_STEPS + 1)
     if nil == "inf":
         raise UnsupportedInputError("L_0 is not nilpotent; BCH does not terminate")
     if not isinstance(nil, int):
-        raise UnsupportedInputError("nilpotency not resolved in %d steps" % max_steps)
+        raise UnsupportedInputError("nilpotency not resolved in %d steps" % NILPOTENCY_STEPS)
     return nil
 
 

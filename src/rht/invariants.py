@@ -9,8 +9,7 @@ whether H^{>N} = 0 was certified or merely observed in the window.
 import math
 
 from .algebra import AlgElement, ONE, monomial_word_length
-from .cdga import (FiniteCDGA, cohomology, cohomology_algebra, complex_of,
-                   tensor_mul)
+from .cdga import FiniteCDGA, cohomology, cohomology_algebra, tensor_mul
 from .errors import DegreeError, UnsupportedInputError
 from .linalg import Echelon, RationalMatrix, solve_linear
 from .minimal_model import MinimalModelResult, is_minimal
@@ -34,7 +33,7 @@ class ToomerReport:
             v, self.window, "exact" if self.exact else "window-verified")
 
 
-def toomer_invariant(p, word_bound=None, n=12, h_vanishes_above=None):
+def toomer_invariant(p, n=12, h_vanishes_above=None):
     """Least m such that H(Lambda V -> Lambda V/Lambda^{>m}V) is injective.
 
     Checked for every degree <= n; `h_vanishes_above` lets a caller certify
@@ -46,12 +45,11 @@ def toomer_invariant(p, word_bound=None, n=12, h_vanishes_above=None):
     rep = cohomology(p, 0, n)
     certified = rep.certified_above() or (h_vanishes_above is not None
                                           and h_vanishes_above <= n)
-    if word_bound is None:
-        if certified:
-            top = max((k for k in range(0, n + 1) if rep.dim(k)), default=0)
-            word_bound = max(top, 1)
-        else:
-            word_bound = 12
+    if certified:
+        top = max((k for k in range(0, n + 1) if rep.dim(k)), default=0)
+        word_bound = max(top, 1)
+    else:
+        word_bound = 12
     failures = {}
     value = None
     for m in range(0, word_bound + 1):
@@ -70,19 +68,18 @@ def _toomer_fails_at(p, rep, m, n):
     word length > m dropped.  On a minimal model d raises word length, so
     the columns of the dropped monomials project to 0 and may stay.
     """
-    cx = complex_of(p)
     for k in range(0, n + 1):
         h = rep.dim(k)
         if h == 0:
             continue
-        short = {i for i, mono in enumerate(cx.basis(k)) if monomial_word_length(mono) <= m}
+        short = {i for i, mono in enumerate(p.basis(k)) if monomial_word_length(mono) <= m}
 
         def rho(v):
             return {i: c for i, c in v.items() if i in short}
         # injective <=> no nonzero combination of projected reps is a boundary
         bound = Echelon()
-        for i in range(cx.dim(k - 1)):
-            bound.add(rho(cx.differential_column(k - 1, i)))
+        for i in range(p.dim(k - 1)):
+            bound.add(rho(p.differential_column(k - 1, i)))
         rank = sum(1 for v in rep.representatives(k) if bound.add(rho(v)))
         if rank < h:
             return k
@@ -181,7 +178,7 @@ class MasseyResult:
             "nontrivial" if self.nontrivial else "trivial", len(self.indeterminacy))
 
 
-def massey_triple(p, a, b, c, budget=None):
+def massey_triple(p, a, b, c):
     """<a, b, c> with the convention  x c + (-1)^(deg a + 1) a y,  dx = ab, dy = bc.
 
     Inputs are cocycle AlgElements of a free presentation.  Returns a
@@ -190,7 +187,6 @@ def massey_triple(p, a, b, c, budget=None):
     indeterminacy span.  Undefined (not an error) when [a][b] or [b][c] is
     nonzero in H.
     """
-    cx = complex_of(p)
     for name, z in (("a", a), ("b", b), ("c", c)):
         if not z.is_zero() and not p.differential(z).is_zero():
             raise DegreeError("Massey input %s is not a cocycle" % name)
@@ -203,11 +199,11 @@ def massey_triple(p, a, b, c, budget=None):
         raise DegreeError("Massey inputs must be homogeneous")
     ab = a * b
     bc = b * c
-    x = _primitive(p, cx, ab, da + db)
+    x = _primitive(p, ab, da + db)
     if x is None:
         return MasseyResult(False, None, None, None, None,
                             reason="[a][b] != 0 in cohomology")
-    y = _primitive(p, cx, bc, db + dc)
+    y = _primitive(p, bc, db + dc)
     if y is None:
         return MasseyResult(False, None, None, None, None,
                             reason="[b][c] != 0 in cohomology")
@@ -215,35 +211,35 @@ def massey_triple(p, a, b, c, budget=None):
     rep_el = x * c + a.scale(sign) * y
     top = da + db + dc - 1
     hrep = cohomology(p, 0, top)
-    rep_class = hrep.class_coordinates(top, cx.to_coords(rep_el, top)) if not rep_el.is_zero() else {}
+    rep_class = hrep.class_coordinates(top, p.to_coords(rep_el, top)) if not rep_el.is_zero() else {}
     ind = Echelon()
     ind_classes = []
     for h in (hrep.representative_elements(db + dc - 1) if db + dc - 1 >= 0 else []):
         z = a * h
         if not z.is_zero():
-            cls = hrep.class_coordinates(top, cx.to_coords(z, top))
+            cls = hrep.class_coordinates(top, p.to_coords(z, top))
             if cls and ind.add(dict(cls)):
                 ind_classes.append(cls)
     for h in (hrep.representative_elements(da + db - 1) if da + db - 1 >= 0 else []):
         z = h * c
         if not z.is_zero():
-            cls = hrep.class_coordinates(top, cx.to_coords(z, top))
+            cls = hrep.class_coordinates(top, p.to_coords(z, top))
             if cls and ind.add(dict(cls)):
                 ind_classes.append(cls)
     nontrivial = bool(rep_class) and not ind.contains(rep_class)
     return MasseyResult(True, rep_el, rep_class, ind_classes, nontrivial)
 
 
-def _primitive(p, cx, target, deg):
+def _primitive(p, target, deg):
     """First-solution x with dx = target (degree deg cochain), or None."""
     if target.is_zero():
         return AlgElement.zero(p.ctx)
-    cols = [cx.differential_column(deg - 1, i) for i in range(cx.dim(deg - 1))]
-    mat = RationalMatrix.from_columns(cx.dim(deg), cols)
-    sol = solve_linear(mat, targets=[cx.to_coords(target, deg)])
+    cols = [p.differential_column(deg - 1, i) for i in range(p.dim(deg - 1))]
+    mat = RationalMatrix.from_columns(p.dim(deg), cols)
+    sol = solve_linear(mat, targets=[p.to_coords(target, deg)])
     if not sol.solvable[0]:
         return None
-    return cx.from_coords(deg - 1, sol.solutions[0])
+    return p.from_coords(deg - 1, sol.solutions[0])
 
 
 # ---------------------------------------------------------------------------
@@ -266,24 +262,26 @@ class DegreeSequence:
         return "DegreeSequence(evens=%s, odds=%s)" % (self.evens, self.odds)
 
 
-def _representable(b, values, min_coins=2, _memo=None):
-    """b = sum k_l v_l with k_l >= 0 integers and sum k_l >= min_coins?"""
+def _representable(b, values, memo):
+    """b = sum k_l v_l with k_l >= 0 integers and sum k_l >= 2?
+
+    `memo` may be shared only by calls with the same `values`.
+    """
     values = tuple(sorted(set(values)))
-    memo = _memo if _memo is not None else {}
 
     def rec(amount, idx, coins):
         if amount == 0:
-            return coins >= min_coins
+            return coins >= 2
         if idx >= len(values):
             return False
-        key = (amount, idx, min(coins, min_coins))
+        key = (amount, idx, min(coins, 2))
         if key in memo:
             return memo[key]
         v = values[idx]
         k = 0
         ok = False
         while k * v <= amount:
-            if rec(amount - k * v, idx + 1, min(coins + k, min_coins)):
+            if rec(amount - k * v, idx + 1, min(coins + k, 2)):
                 ok = True
                 break
             k += 1
@@ -312,7 +310,7 @@ def elliptic_degrees_check(seq):
             continue
         seen.add(sub)
         memo = {}
-        count = sum(1 for b in odds if _representable(b, sub, 2, memo))
+        count = sum(1 for b in odds if _representable(b, sub, memo))
         if count < len(sub):
             return False, list(sub)
     return True, None

@@ -10,10 +10,9 @@ free columns) under the fixed monomial order, so the output is determined by
 the input alone.
 """
 
-from .algebra import (AlgElement, GeneratorContext, ONE, rebase, substitute,
-                      DEFAULT_MONOMIAL_BUDGET)
-from .cdga import (CdgaMorphism, SullivanPresentation, cohomology, complex_of,
-                   induced_classes, validate)
+from .algebra import AlgElement, GeneratorContext, ONE, rebase, substitute
+from .cdga import (CdgaMorphism, SullivanPresentation, cohomology, induced_classes,
+                   validate)
 from .errors import DegreeError, RhtError, UnsupportedInputError
 from .linalg import Echelon, RationalMatrix, lincomb, solve_linear
 
@@ -91,8 +90,8 @@ class MinimalModelResult:
         return "MinimalModelResult(%s, certified to %d)" % (self.model, self.certified_degree)
 
 
-def _target_h0_h1(A, budget):
-    rep = cohomology(A, 0, 1, budget)
+def _target_h0_h1(A):
+    rep = cohomology(A, 0, 1)
     if rep.dim(0) != 1:
         raise UnsupportedInputError("minimal models require H^0 = Q, got dim %d" % rep.dim(0))
     if rep.dim(1) != 0:
@@ -101,7 +100,7 @@ def _target_h0_h1(A, budget):
             "(supply a finite V^1 model directly for pi_1 features)")
 
 
-def minimal_model(A, n=16, budget=DEFAULT_MONOMIAL_BUDGET, name=None):
+def minimal_model(A, n=16, name=None):
     """Minimal Sullivan model of A with H(phi) iso up to n, injective at n+1.
 
     Each stage reads only the cohomology of the partial model in the degree
@@ -112,9 +111,8 @@ def minimal_model(A, n=16, budget=DEFAULT_MONOMIAL_BUDGET, name=None):
     them, and each solution is canonical per target.
     """
     validate(A).raise_if_invalid()
-    _target_h0_h1(A, budget)
-    tgt_rep = cohomology(A, 0, n + 2, budget)
-    tcx = tgt_rep.cx
+    _target_h0_h1(A)
+    tgt_rep = cohomology(A, 0, n + 2)
 
     gens = []            # [(name, degree)]
     d_imgs = {}          # name -> AlgElement in some prefix of the current context
@@ -126,14 +124,14 @@ def minimal_model(A, n=16, budget=DEFAULT_MONOMIAL_BUDGET, name=None):
         images = {g: rebase(img, ctx) for g, img in d_imgs.items()}
         model = SullivanPresentation(ctx, images,
                                      name=name or ("M(%s)" % getattr(A, "name", "A")))
-        phi = CdgaMorphism(model, A, dict(phi_imgs), name="phi", budget=budget)
+        phi = CdgaMorphism(model, A, dict(phi_imgs), name="phi")
         return model, phi
 
     model, phi = build()
 
     for stage in range(2, n + 1):
         # --- cocycle generators: span coker H^stage(phi) -------------------
-        src_rep = cohomology(model, stage, stage, budget)
+        src_rep = cohomology(model, stage, stage)
         image = Echelon()
         for cls in induced_classes(phi, src_rep, tgt_rep, stage):
             image.add(cls)
@@ -151,7 +149,7 @@ def minimal_model(A, n=16, budget=DEFAULT_MONOMIAL_BUDGET, name=None):
             model, phi = build()
 
         # --- kernel-killing generators: ker H^{stage+1}(phi) ---------------
-        src_rep = cohomology(model, stage + 1, stage + 1, budget)
+        src_rep = cohomology(model, stage + 1, stage + 1)
         reps = src_rep.representatives(stage + 1)
         cols = induced_classes(phi, src_rep, tgt_rep, stage + 1)
         mat = RationalMatrix.from_columns(tgt_rep.dim(stage + 1), cols)
@@ -159,16 +157,15 @@ def minimal_model(A, n=16, budget=DEFAULT_MONOMIAL_BUDGET, name=None):
         if not ker:
             continue
         cycles = [lincomb((c, reps[i]) for i, c in kvec.items()) for kvec in ker]
-        d_cols = [tcx.differential_column(stage, i) for i in range(tcx.dim(stage))]
-        d_mat = RationalMatrix.from_columns(tcx.dim(stage + 1), d_cols)
+        d_cols = [A.differential_column(stage, i) for i in range(A.dim(stage))]
+        d_mat = RationalMatrix.from_columns(A.dim(stage + 1), d_cols)
         sol = solve_linear(d_mat, targets=[phi.apply_coords(stage + 1, z) for z in cycles])
         if not all(sol.solvable):
             raise RhtError("kernel class is not exact in the target")  # pragma: no cover
-        scx = src_rep.cx
         for j, z_coords in enumerate(cycles):
             gname = "w%d_%d" % (stage, j)
             gens.append((gname, stage))
-            d_imgs[gname] = scx.from_coords(stage + 1, z_coords)
+            d_imgs[gname] = model.from_coords(stage + 1, z_coords)
             phi_imgs[gname] = sol.solutions[j]
             provenance[gname] = ("kernel", stage)
         model, phi = build()
@@ -311,7 +308,7 @@ class AcyclicClosure:
         return "AcyclicClosure(%s; verified to %d)" % (self.total.name, self.verified_degree)
 
 
-def acyclic_closure(p, n, budget=DEFAULT_MONOMIAL_BUDGET):
+def acyclic_closure(p, n):
     """Acyclic closure of a minimal Sullivan presentation with V = V^{>=2}.
 
     For each generator v a fiber generator u with deg u = deg v - 1 is
@@ -340,7 +337,7 @@ def acyclic_closure(p, n, budget=DEFAULT_MONOMIAL_BUDGET):
         if dv.is_zero():
             s = AlgElement.zero(ctx)
         else:
-            s = _primitive_in_v_ideal(cur, set(p.ctx.names), dv, budget)
+            s = _primitive_in_v_ideal(cur, set(p.ctx.names), dv)
         gens.append((uname, vdeg - 1))
         new_ctx = GeneratorContext(gens)
         d_imgs = {g: rebase(img, new_ctx) for g, img in d_imgs.items()}
@@ -350,7 +347,7 @@ def acyclic_closure(p, n, budget=DEFAULT_MONOMIAL_BUDGET):
     total = SullivanPresentation(ctx, {g: rebase(img, ctx) for g, img in d_imgs.items()},
                                  name="%s-closure" % p.name)
     ext = LambdaExtension(total, list(p.ctx.names), name=total.name)
-    rep = cohomology(total, 0, n, budget)
+    rep = cohomology(total, 0, n)
     for k in range(1, n + 1):
         if rep.dim(k) != 0:
             raise RhtError("acyclic closure failed: H^%d != 0" % k)  # pragma: no cover
@@ -361,21 +358,20 @@ def acyclic_closure(p, n, budget=DEFAULT_MONOMIAL_BUDGET):
     return AcyclicClosure(ext, pairing, n)
 
 
-def _primitive_in_v_ideal(pres, v_names, target, budget):
+def _primitive_in_v_ideal(pres, v_names, target):
     """Solve d(s) = target with s in V ^ Lambda^+(V + U), first-solution policy."""
-    cx = complex_of(pres, budget)
     deg = target.degree() - 1
     ctx = pres.ctx
     v_idx = {ctx.index[g] for g in v_names if g in ctx.index}
     candidates = []
-    for pos, mono in enumerate(cx.basis(deg)):
+    for pos, mono in enumerate(pres.basis(deg)):
         wl = sum(e for _, e in mono)
         if wl >= 2 and any(i in v_idx for i, _ in mono):
             candidates.append(pos)
-    cols = [cx.differential_column(deg, i) for i in candidates]
-    mat = RationalMatrix.from_columns(cx.dim(deg + 1), cols)
-    sol = solve_linear(mat, targets=[cx.to_coords(target, deg + 1)])
+    cols = [pres.differential_column(deg, i) for i in candidates]
+    mat = RationalMatrix.from_columns(pres.dim(deg + 1), cols)
+    sol = solve_linear(mat, targets=[pres.to_coords(target, deg + 1)])
     if not sol.solvable[0]:
         raise RhtError("no primitive in the V-ideal; closure construction failed")
     coords = {candidates[i]: c for i, c in sol.solutions[0].items()}
-    return cx.from_coords(deg, coords)
+    return pres.from_coords(deg, coords)

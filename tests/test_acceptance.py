@@ -18,7 +18,7 @@ import pytest
 
 from rht.algebra import AlgElement, GeneratorContext
 from rht.cdga import (CdgaMorphism, SullivanPresentation, cohomology,
-                      cohomology_algebra, complex_of, euler_characteristic,
+                      cohomology_algebra, euler_characteristic,
                       is_quasi_iso, validate)
 from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
                                config_space_model, cp, free_loop_model,

@@ -4,6 +4,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rht.algebra
 from rht.algebra import (AlgElement, Derivation, GeneratorContext, apply_derivation,
                          degree_basis, monomial_degree, monomial_str, substitute)
 from rht.errors import (BudgetExceededError, ContextMismatchError, DegreeError,
@@ -152,12 +153,14 @@ def test_degree_basis_does_not_recurse_per_generator():
                                     ((0, 2),)]
 
 
-def test_degree_basis_budget_is_exact():
+def test_degree_basis_budget_is_exact(monkeypatch):
     ctx = GeneratorContext([("u", 1), ("a", 2), ("v", 3), ("x", 4), ("y", 2)])
     basis = degree_basis(ctx, 10)
-    assert len(degree_basis(ctx, 10, budget=len(basis))) == len(basis)
+    monkeypatch.setattr(rht.algebra, "MONOMIAL_BUDGET", len(basis))
+    assert len(degree_basis(ctx, 10)) == len(basis)
+    monkeypatch.setattr(rht.algebra, "MONOMIAL_BUDGET", len(basis) - 1)
     with pytest.raises(BudgetExceededError):
-        degree_basis(ctx, 10, budget=len(basis) - 1)
+        degree_basis(ctx, 10)
 
 
 def test_power_by_squaring_matches_repeated_products():

@@ -215,6 +215,29 @@ def test_seed_accepted_and_ignored():
     assert len({out for _, out, _ in runs}) == 1
 
 
+def test_cached_parser_is_unchanged_by_a_usage_error(capsys):
+    good = ["cohomology", DATA, "--name", "S2", "--max", "4", "--seed", "7"]
+    first = main(good), capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", DATA, "--max", "4"])        # --name is required
+    assert exc.value.code == 2
+    assert "--name" in capsys.readouterr().err
+    assert (main(good), capsys.readouterr()) == first
+    assert first[0] == 0 and first[1].out
+
+
+def test_basis_over_the_monomial_budget_exits_1(tmp_path):
+    # Degree 20 of 700 degree-10 generators: 700 + C(700, 2) = 245,350 monomials.
+    names = ["a%d" % i for i in range(700)]
+    text = "cdga W {\n%s%s}\n" % ("".join("  gen %s:10;\n" % g for g in names),
+                                  "".join("  d %s = 0;\n" % g for g in names))
+    path = tmp_path / "wide.rht"
+    path.write_text(text)
+    code, out, err = run_cli("cohomology", str(path), "--name", "W", "--max", "20", timeout=60)
+    assert (code, out) == (1, "")
+    assert err == "error: degree 20 basis exceeds 200000 monomials\n"
+
+
 def test_determinism_three_runs():
     commands = [
         ("cohomology", DATA, "--name", "X", "--max", "4", "--json"),

@@ -5,7 +5,7 @@ import pytest
 
 from rht.algebra import AlgElement, GeneratorContext, apply_derivation
 from rht.cdga import (CdgaMorphism, SullivanPresentation, cohomology,
-                      cohomology_algebra, complex_of, euler_characteristic,
+                      cohomology_algebra, euler_characteristic,
                       validate)
 from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
                                biquotient_model, catalog, config_space_model, cp,
@@ -387,7 +387,7 @@ def test_config_space_arnold_relation_in_quotient():
     model = config_space_model(A, 3)
     quot = model.quotient
     assert validate(quot).ok
-    cx = complex_of(quot)
+    cx = quot
     ctx = quot.ambient.ctx
     m = A.m
     x12 = ctx.generator("x12")
@@ -397,7 +397,7 @@ def test_config_space_arnold_relation_in_quotient():
     arnold = x12 * x23 + (x23 * x13).scale((-1) ** m) + (x13 * x12).scale((-1) ** m)
     if arnold.is_zero():
         return
-    amb = complex_of(quot.ambient)
+    amb = quot.ambient
     deg = arnold.degree()
     assert cx.project(deg, amb.to_coords(arnold, deg)) == {}
 
@@ -548,3 +548,35 @@ def test_random_arrangements_give_valid_cdgas():
         rep = validate(D)
         assert rep.ok, rep.violations
         done += 1
+
+
+def window_gap_certified(quot, lo, hi):
+    """The quotient certificate as it read only the cochain dims in [lo, hi]:
+    a finite ambient with top <= hi, or dims 0 on a full gap [t, 2t-1]."""
+    top = quot.ambient.top_degree()
+    if top is not None and top <= hi:
+        return True
+    checked = {k: quot.dim(k) for k in range(lo, hi + 1)}
+    maxgen = max(quot.ambient.ctx.degrees, default=0)
+    for t in range(maxgen + 1, hi + 1):
+        if 2 * t - 1 > hi:
+            break
+        if all(checked.get(j) == 0 for j in range(t, 2 * t)):
+            return True
+    return False
+
+
+def test_quotient_certificate_matches_window_gap_argument():
+    # F(S^2,2) ~ S^2, F(S^3,2) ~ S^3, F(S^2,3) ~_Q S^3 and F(S^4,2) ~ S^4.
+    cases = [(2, 2, 2), (3, 2, 3), (2, 3, 3), (4, 2, 4)]
+    verdicts = set()
+    for m, k, betti_top in cases:
+        quot = config_space_model(PDAlgebra(cohomology_algebra(sphere(m), m), m), k).quotient
+        for lo in (0, 1, 3, 5):
+            for hi in range(lo, 16):
+                rep = cohomology(quot, lo, hi)
+                want = window_gap_certified(quot, lo, hi)
+                assert rep.certified_above() == want, (m, k, lo, hi)
+                verdicts.add(want)
+                assert rep.dims() == {j: int(j in (0, betti_top)) for j in range(lo, hi + 1)}
+    assert verdicts == {True, False}

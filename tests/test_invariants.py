@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from rht.algebra import AlgElement, GeneratorContext, monomial_word_length
 from rht.cdga import (FiniteCDGA, SullivanPresentation, cohomology, cohomology_algebra,
-                      complex_of, tensor_finite, validate)
+                      tensor_finite, validate)
 from rht.constructions import (cp, k_z, sphere, tensor_presentations, torus,
                                wedge_cohomology)
 from rht.errors import UnsupportedInputError
@@ -50,7 +50,7 @@ def test_toomer_trivial_model():
 def _word_truncation_fails_at(p, rep, m, n):
     """Oracle: Lambda V / Lambda^{>m} V as its own complex, on the monomials of
     word length <= m re-indexed in ambient order, with projected columns."""
-    cx = complex_of(p)
+    cx = p
 
     def kept(k):
         return [i for i, mono in enumerate(cx.basis(k)) if monomial_word_length(mono) <= m]
@@ -184,7 +184,6 @@ def test_massey_zero_slot_trivial(uvw):
 def test_massey_representative_moves_within_indeterminacy(uvw):
     # <u, v, u>: dw = uv gives primitives for both products; changing them
     # by degree-1 cocycles moves the class only inside the indeterminacy.
-    from rht.cdga import complex_of
     from rht.linalg import Echelon
     u, v, w = (uvw.ctx.generator(g) for g in "uvw")
     res = massey_triple(uvw, u, v, u)
@@ -192,7 +191,7 @@ def test_massey_representative_moves_within_indeterminacy(uvw):
     rep0 = res.representative
     top = 2
     hrep = cohomology(uvw, 0, top)
-    cx = complex_of(uvw)
+    cx = uvw
     ech = Echelon()
     for vcl in res.indeterminacy:
         ech.add(dict(vcl))

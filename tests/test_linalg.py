@@ -226,6 +226,6 @@ def test_class_coordinates_recover_coefficients(make, k, data):
     reps = rep.representatives(k)
     coeffs = {i: data.draw(ENTRY) for i in range(len(reps))}
     vec = lincomb([(c, reps[i]) for i, c in coeffs.items()]
-                  + [(data.draw(ENTRY), rep.cx.differential_column(k - 1, i))
-                     for i in range(rep.cx.dim(k - 1))])
+                  + [(data.draw(ENTRY), rep.pres.differential_column(k - 1, i))
+                     for i in range(rep.pres.dim(k - 1))])
     assert rep.class_coordinates(k, vec) == {i: c for i, c in coeffs.items() if c != 0}

@@ -323,8 +323,7 @@ def test_acyclic_closure_cp2_deeper_corrections():
     # fiber dims must match the PBW count for L(CP2): degrees 1 and 4
     fib = ac.fiber()
     assert sorted(fib.ctx.degrees) == [1, 4]
-    from rht.cdga import complex_of
-    cx = complex_of(fib)
+    cx = fib
     assert [cx.dim(k) for k in range(11)] == [1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0]
 
 
