@@ -331,7 +331,7 @@ class QuotientCDGA:
 # Validation
 # ---------------------------------------------------------------------------
 
-def validate(p, window=None):
+def validate(p):
     """Check the cdga axioms appropriate to the presentation kind.
 
     Returns a ValidationReport; never raises on mathematical violations.
@@ -504,6 +504,49 @@ class CohomologyReport:
         """True when H^{>hi} = 0 is certified, not merely unobserved."""
         return self.pres.vanishes_above(self.hi)
 
+    def euler_characteristic(self):
+        """(chi, exact): alternating sum of the window's Betti numbers, exact when certified."""
+        chi = sum((-1) ** (k % 2) * d for k, d in self.dims().items())
+        return chi, self.certified_above()
+
+    def algebra(self, name=None):
+        """(H, 0) as a FiniteCDGA on the window, with products.
+
+        Products landing above the window are dropped; the result is the honest
+        cohomology algebra exactly when the report certifies H^{>hi} = 0.
+        """
+        p, n = self.pres, self.hi
+        basis = {}
+        for k in range(self.lo, n + 1):
+            d = self.dim(k)
+            if d:
+                basis[k] = ["h%d_%d" % (k, i) for i in range(d)]
+        if 0 not in basis:
+            basis[0] = ["h0_0"]
+        mul = {}
+        degs = sorted(basis)
+        for p_ in degs:
+            for q_ in degs:
+                if p_ + q_ > n or (p_ + q_) not in basis:
+                    continue
+                for i, u in enumerate(self._reps[p_]):
+                    for j, v in enumerate(self._reps[q_]):
+                        prod = p.multiply_coords(p_, u, q_, v)
+                        if prod:
+                            cls = self.class_coordinates(p_ + q_, prod)
+                            if cls:
+                                mul[((p_, i), (q_, j))] = cls
+        # The degree-0 class is the unit; pin its products to the identity so the
+        # result is independent of representative scaling.
+        if len(basis[0]) == 1:
+            for k in degs:
+                for i in range(len(basis[k])):
+                    mul[((0, 0), (k, i))] = {i: ONE}
+                    mul[((k, i), (0, 0))] = {i: ONE}
+        A = FiniteCDGA(basis, {}, mul, name=name or ("H(%s)" % getattr(p, "name", "A")))
+        A.window_certified = self.certified_above()
+        return A
+
 
 def cohomology(p, lo, hi):
     """Exact Betti numbers and representatives in the window [lo, hi]."""
@@ -512,14 +555,6 @@ def cohomology(p, lo, hi):
     if isinstance(p, FiniteCDGA):
         lo = min(lo, p.min_degree())
     return CohomologyReport(p, lo, hi)
-
-
-def euler_characteristic(p, n):
-    """Window-truncated Euler characteristic of H; `exact` when certified."""
-    rep = cohomology(p, 0, n)
-    lo = rep.lo
-    chi = sum((-1) ** (k % 2) * rep.dim(k) for k in range(lo, n + 1))
-    return chi, rep.certified_above()
 
 
 # ---------------------------------------------------------------------------
@@ -703,43 +738,8 @@ def is_quasi_iso(phi, n):
 # ---------------------------------------------------------------------------
 
 def cohomology_algebra(p, n, name=None):
-    """(H(p), 0) as a FiniteCDGA on the window [0, n], with products.
-
-    Products landing above the window are dropped; the result is the honest
-    cohomology algebra exactly when the report certifies H^{>n} = 0.
-    """
-    rep = cohomology(p, 0, n)
-    basis = {}
-    for k in range(rep.lo, n + 1):
-        d = rep.dim(k)
-        if d:
-            basis[k] = ["h%d_%d" % (k, i) for i in range(d)]
-    if 0 not in basis:
-        basis[0] = ["h0_0"]
-    mul = {}
-    degs = sorted(basis)
-    for p_ in degs:
-        for q_ in degs:
-            if p_ + q_ > n or (p_ + q_) not in basis:
-                continue
-            reps_p, reps_q = rep.representatives(p_), rep.representatives(q_)
-            for i in range(len(basis[p_])):
-                for j in range(len(basis[q_])):
-                    prod = p.multiply_coords(p_, reps_p[i], q_, reps_q[j])
-                    if prod:
-                        cls = rep.class_coordinates(p_ + q_, prod)
-                        if cls:
-                            mul[((p_, i), (q_, j))] = cls
-    # The degree-0 class is the unit; pin its products to the identity so the
-    # result is independent of representative scaling.
-    if len(basis[0]) == 1:
-        for k in degs:
-            for i in range(len(basis[k])):
-                mul[((0, 0), (k, i))] = {i: ONE}
-                mul[((k, i), (0, 0))] = {i: ONE}
-    A = FiniteCDGA(basis, {}, mul, name=name or ("H(%s)" % getattr(p, "name", "A")))
-    A.window_certified = rep.certified_above()
-    return A
+    """(H(p), 0) as a FiniteCDGA on the window [0, n]; see `CohomologyReport.algebra`."""
+    return cohomology(p, 0, n).algebra(name)
 
 
 def finite_truncation(p, n, name=None):
@@ -789,19 +789,27 @@ def tensor_mul(A, B, v, w):
     return out
 
 
-def tensor_finite(A, B, name=None):
-    """Graded tensor product of two FiniteCDGAs (Koszul signs)."""
-    basis = {}
+def tensor_positions(A, B):
+    """(p, i, q, j) -> (degree, index) of e_{p,i} (x) e_{q,j} in the basis of
+    A (x) B, in the order `tensor_finite` lists that basis."""
     pairs = {}
+    counts = {}
     for p in sorted(A.basis):
         for q in sorted(B.basis):
             k = p + q
             for i in range(A.dim(p)):
                 for j in range(B.dim(q)):
-                    basis.setdefault(k, [])
-                    idx = len(basis[k])
-                    basis[k].append("%s(x)%s" % (A.label(p, i), B.label(q, j)))
-                    pairs[(p, i, q, j)] = (k, idx)
+                    pairs[(p, i, q, j)] = (k, counts.get(k, 0))
+                    counts[k] = counts.get(k, 0) + 1
+    return pairs
+
+
+def tensor_finite(A, B, name=None):
+    """Graded tensor product of two FiniteCDGAs (Koszul signs)."""
+    pairs = tensor_positions(A, B)
+    basis = {}
+    for (p, i, q, j), (k, _) in pairs.items():
+        basis.setdefault(k, []).append("%s(x)%s" % (A.label(p, i), B.label(q, j)))
     # Ensure the unit pair sits at index 0 of degree 0.
     if pairs[(0, 0, 0, 0)] != (0, 0):
         raise RhtError("tensor basis ordering broke the unit convention")

@@ -14,8 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import dsl
-from .cdga import (FiniteCDGA, SullivanPresentation, cohomology,
-                   cohomology_algebra, euler_characteristic, validate)
+from .cdga import SullivanPresentation, cohomology, cohomology_algebra, validate
 from .constructions import (arrangement_complex, catalog, config_space_model,
                             free_loop_model, mapping_space_pi)
 from .errors import ParseError, RhtError
@@ -70,7 +69,7 @@ def cmd_cohomology(args):
     p = doc.presentation(args.name)
     rep = cohomology(p, 0, args.max)
     payload = dsl.cohomology_json(rep)
-    chi, exact = euler_characteristic(p, args.max)
+    chi, exact = rep.euler_characteristic()
     payload["euler_characteristic"] = {"value": chi, "exact": exact}
     text_lines = ["H(%s) in degrees 0..%d%s:" % (
         args.name, args.max,
@@ -254,8 +253,12 @@ def cmd_invariants(args):
 
 
 def cmd_elliptic_check(args):
-    evens = [int(x) for x in args.evens.split(",") if x.strip()] if args.evens else []
-    odds = [int(x) for x in args.odds.split(",") if x.strip()] if args.odds else []
+    try:
+        evens, odds = ([int(x) for x in text.split(",") if x.strip()]
+                       for text in (args.evens, args.odds))
+    except ValueError as exc:
+        sys.stderr.write("error: --evens and --odds take comma-separated integers (%s)\n" % exc)
+        return 2
     ok, witness = elliptic_degrees_check(DegreeSequence(evens, odds))
     payload = {"schema": dsl.SCHEMA, "kind": "elliptic_check", "realizable": ok,
                "witness": witness}
@@ -311,8 +314,8 @@ def cmd_config_space(args):
     rep = validate(quot)
     rep.raise_if_invalid()
     window = args.max if args.max is not None else 2 * pd.m * args.k
-    chi, exact = euler_characteristic(quot, window)
     h = cohomology(quot, 0, window)
+    chi, exact = h.euler_characteristic()
     payload = {"schema": dsl.SCHEMA, "kind": "config_space", "k": args.k,
                "certified_degree": window,
                "euler_characteristic": {"value": chi, "exact": exact},
@@ -396,7 +399,8 @@ def _eval_catalog(text):
             params.append(_eval_catalog(part))
     name = name.strip()
     if name == "wedge_cohomology":
-        params = [p if isinstance(p, FiniteCDGA) else _as_cohomology(p) for p in params]
+        params = [_as_cohomology(p) if isinstance(p, SullivanPresentation) else p
+                  for p in params]
     return catalog(name, *params)
 
 
@@ -540,12 +544,19 @@ def build_parser():
     return ap
 
 
+NON_NEGATIVE = ("max", "of_cohomology", "ranks", "brackets",     # degree bounds: < 0 exits 2
+                "filtration", "hurewicz", "loop_betti")
+
+
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "max", None) is not None and args.max < 0:
-        sys.stderr.write("error: --max must be >= 0, got %d\n" % args.max)
-        return 2
+    for dest in NON_NEGATIVE:
+        value = getattr(args, dest, None)
+        if value is not None and value < 0:
+            sys.stderr.write("error: --%s must be >= 0, got %d\n"
+                             % (dest.replace("_", "-"), value))
+            return 2
     try:
         return args.fn(args)
     except ParseError as exc:

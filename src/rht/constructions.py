@@ -15,7 +15,8 @@ from itertools import combinations
 from .algebra import (AlgElement, Derivation, GeneratorContext, ONE, ZERO,
                       apply_derivation, rebase, substitute)
 from .cdga import (FiniteCDGA, QuotientCDGA, SullivanPresentation,
-                   cohomology, direct_sum_cohomology, tensor_finite)
+                   cohomology, direct_sum_cohomology, tensor_finite,
+                   tensor_positions)
 from .errors import BudgetExceededError, DegreeError, RhtError, UnsupportedInputError
 from .linalg import Echelon, RationalMatrix, lincomb, slice_homology, solve_linear
 from .minimal_model import LambdaExtension
@@ -107,29 +108,27 @@ def wedge_cohomology(H1, H2, name=None):
     return direct_sum_cohomology(H1, H2, name=name)
 
 
+# name -> (builder, the type of each parameter)
 CATALOG = {
-    "point": (point, 0),
-    "sphere": (sphere, 1),
-    "cp": (cp, 1),
-    "k_z": (k_z, 1),
-    "torus": (torus, 1),
+    "point": (point, ()),
+    "sphere": (sphere, (int,)),
+    "cp": (cp, (int,)),
+    "k_z": (k_z, (int,)),
+    "torus": (torus, (int,)),
+    "truncated_poly": (truncated_poly, (int, int)),
+    "product": (product, (SullivanPresentation, SullivanPresentation)),
+    "wedge_cohomology": (wedge_cohomology, (FiniteCDGA, FiniteCDGA)),
 }
 
 
 def catalog(name, *params):
     """Catalog dispatch: sphere(n), cp(n), k_z(n), torus(n), point(),
     product(m1, m2), wedge_cohomology(H1, H2), truncated_poly(deg, power)."""
-    if name == "product":
-        return product(*params)
-    if name == "wedge_cohomology":
-        return wedge_cohomology(*params)
-    if name == "truncated_poly":
-        return truncated_poly(*params)
     if name not in CATALOG:
         raise UnsupportedInputError("unknown catalog entry %r" % name)
-    fn, arity = CATALOG[name]
-    if len(params) != arity:
-        raise DegreeError("catalog %s expects %d parameter(s)" % (name, arity))
+    fn, types = CATALOG[name]
+    if len(params) != len(types) or not all(map(isinstance, params, types)):
+        raise DegreeError("catalog %s takes (%s)" % (name, ", ".join(t.__name__ for t in types)))
     return fn(*params)
 
 
@@ -257,38 +256,22 @@ class HolonomyReport:
         return self.matrices.get((i, k), [])
 
     def is_nilpotent(self, i):
-        """theta_i nilpotent on the computed window (degreewise composition)."""
-        deg_shift = 1 - self.base_degrees[i]
-        if deg_shift < 0:
+        """theta_i nilpotent on the computed window: theta_i^dim = 0 on each H^k."""
+        if self.base_degrees[i] > 1:
             return True        # strictly degree-lowering, bounded below on the window
         for k in range(0, self.window + 1):
             dim = self.fiber_report.dim(k)
-            if dim == 0:
-                continue
-            cols = self.matrix(i, k)
-            mat = {(l, j): c for j in range(dim)
-                   for l, c in (cols[j] if j < len(cols) else {}).items()}
-            power = dict(mat)
-            for _ in range(dim + 1):
-                if not power:
-                    break
-                power = _mat_mul(mat, power)
-            if power:
+            cols = self.matrix(i, k) + [{}] * dim      # a missing column is 0
+            powers = [{j: ONE} for j in range(dim)]      # theta_i^r applied to e_j
+            for _ in range(dim):
+                powers = [lincomb((c, cols[j]) for j, c in v.items()) for v in powers]
+            if any(powers):
                 return False
         return True
 
     def __repr__(self):
         return "HolonomyReport(base %s, window %d)" % (",".join(self.base_labels),
                                                        self.window)
-
-
-def _mat_mul(a, b):
-    out = {}
-    for (i, j), v in a.items():
-        for (j2, k), w in b.items():
-            if j == j2:
-                out[(i, k)] = out.get((i, k), ZERO) + v * w
-    return {k: v for k, v in out.items() if v != 0}
 
 
 def holonomy_representation(ext, n):
@@ -543,16 +526,7 @@ def diagonal_class(A):
     coordinates of D_A in degree m, structured terms).
     """
     T = tensor_finite(A.cdga, A.cdga)
-    pos = {}
-    counter = {}
-    for p in sorted(A.cdga.basis):
-        for q in sorted(A.cdga.basis):
-            k = p + q
-            for i in range(A.cdga.dim(p)):
-                for j in range(A.cdga.dim(q)):
-                    counter.setdefault(k, 0)
-                    pos[(p, i, q, j)] = (k, counter[k])
-                    counter[k] += 1
+    pos = tensor_positions(A.cdga, A.cdga)
     coords = {}
     terms = []
     for p in sorted(A.cdga.basis):

@@ -16,8 +16,7 @@ import json
 from fractions import Fraction
 
 from .algebra import AlgElement, GeneratorContext, ONE, ZERO, monomial_degree
-from .cdga import (CdgaMorphism, SullivanPresentation, cohomology,
-                   cohomology_algebra)
+from .cdga import CdgaMorphism, SullivanPresentation, cohomology
 from .constructions import PDAlgebra, SubspaceArrangement
 from .errors import ParseError, RhtError
 
@@ -437,8 +436,8 @@ class _Parser:
 
 def pd_algebra_from_presentation(pres, m, orientation):
     """PDAlgebra on H(pres) in [0, m], oriented by the class of `orientation`."""
-    H = cohomology_algebra(pres, m)
     rep = cohomology(pres, 0, m)
+    H = rep.algebra()
     cls = rep.class_coordinates(m, pres.to_coords(orientation, m))
     if len(cls) != 1 or H.dim(m) != 1:
         raise RhtError("orientation class must span the one-dimensional H^%d" % m)

@@ -9,7 +9,7 @@ whether H^{>N} = 0 was certified or merely observed in the window.
 import math
 
 from .algebra import AlgElement, ONE, monomial_word_length
-from .cdga import FiniteCDGA, cohomology, cohomology_algebra, tensor_mul
+from .cdga import FiniteCDGA, cohomology, tensor_mul
 from .errors import DegreeError, UnsupportedInputError
 from .linalg import Echelon, RationalMatrix, solve_linear
 from .minimal_model import MinimalModelResult, is_minimal
@@ -20,12 +20,13 @@ from .minimal_model import MinimalModelResult, is_minimal
 # ---------------------------------------------------------------------------
 
 class ToomerReport:
-    def __init__(self, value, word_bound, window, exact, failures):
+    def __init__(self, value, word_bound, window, exact, failures, cohomology):
         self.value = value            # least m with H(rho_m) injective, or None
         self.word_bound = word_bound
         self.window = window
         self.exact = exact            # True when H^{>window} = 0 was certified
         self.failures = failures      # m -> first degree where injectivity fails
+        self.cohomology = cohomology  # the CohomologyReport of the window [0, window]
 
     def __repr__(self):
         v = "e=%s" % self.value if self.value is not None else "e>%d" % self.word_bound
@@ -58,7 +59,7 @@ def toomer_invariant(p, n=12, h_vanishes_above=None):
             value = m
             break
         failures[m] = bad
-    return ToomerReport(value, word_bound, n, certified, failures)
+    return ToomerReport(value, word_bound, n, certified, failures, rep)
 
 
 def _toomer_fails_at(p, rep, m, n):
@@ -105,18 +106,18 @@ class CatReport:
         return s + ")"
 
 
-def is_poincare_duality(H, top=None):
-    """Nondegenerate top pairing on a finite cdga with zero differential."""
+def is_poincare_duality(H):
+    """Nondegenerate pairing into the top degree, on a finite cdga with zero differential."""
     if H.diff:
-        return False, None
+        return False
     degs = [k for k in H.degrees() if H.dim(k)]
-    m = top if top is not None else max(degs)
+    m = max(degs)
     if H.dim(m) != 1 or H.dim(0) != 1:
-        return False, None
+        return False
     for p in degs:
         q = m - p
         if H.dim(q) != H.dim(p):
-            return False, None
+            return False
         rows = []
         for i in range(H.dim(p)):
             row = {}
@@ -128,12 +129,13 @@ def is_poincare_duality(H, top=None):
         ech = Echelon()
         rank = sum(1 for r in rows if ech.add(r))
         if rank != H.dim(p):
-            return False, None
-    return True, m
+            return False
+    return True
 
 
 def cat_bounds(m, n=12, h_vanishes_above=None):
-    """Toomer lower bound, H^{>top}=0 upper bound, PD-exact value when it applies.
+    """Toomer lower bound, H^{>top}=0 upper bound, PD-exact value when it applies,
+    all read off the one window [0, n] that `toomer_invariant` computes.
 
     Accepts a MinimalModelResult (certification inherited from a finite
     target) or a bare minimal SullivanPresentation.
@@ -144,17 +146,14 @@ def cat_bounds(m, n=12, h_vanishes_above=None):
             h_vanishes_above = m.target.max_degree()
     else:
         model = m
-    rep = cohomology(model, 0, n)
-    certified = rep.certified_above() or (h_vanishes_above is not None
-                                          and h_vanishes_above <= n)
     toomer = toomer_invariant(model, n=n, h_vanishes_above=h_vanishes_above)
+    rep = toomer.cohomology
     top = max((k for k in range(0, n + 1) if rep.dim(k)), default=0)
-    H = cohomology_algebra(model, min(n, max(top, 0)))
-    pd, pd_top = is_poincare_duality(H)
+    pd = is_poincare_duality(rep.algebra())
     cat_exact = None
-    if pd and certified and toomer.value is not None:
+    if pd and toomer.exact and toomer.value is not None:
         cat_exact = toomer.value
-    return CatReport(toomer.value, top, certified, pd, cat_exact, n)
+    return CatReport(toomer.value, top, toomer.exact, pd, cat_exact, n)
 
 
 # ---------------------------------------------------------------------------

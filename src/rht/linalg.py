@@ -4,7 +4,7 @@ Everything the package computes (cohomology, quasi-isomorphism checks,
 surjectivity/cokernel bookkeeping) reduces to one elimination engine,
 `Echelon`: an incremental reduced row echelon form over `Fraction`.  The
 basis it holds is the unique RREF of the span of what was fed in, so every
-answer read off it is canonical.  `solve_linear` reads kernel, image and
+answer read off it is canonical.  `solve_linear` reads the kernel, rank and
 particular solutions off the RREF of the augmented matrix [M | -T], and
 `slice_homology` computes cocycles modulo boundaries at one degree.
 Sparse vectors are {index: Fraction} dicts; `lincomb` sums them in place, on
@@ -67,18 +67,17 @@ class RationalMatrix:
 
 
 class LinearSolveResult:
-    """Kernel basis, image basis, rank, and per-target particular solutions."""
+    """Kernel basis, rank, and per-target particular solutions."""
 
-    def __init__(self, rank, kernel, image, solutions, solvable):
+    def __init__(self, rank, kernel, solutions, solvable):
         self.rank = rank
         self.kernel = kernel          # list of sparse {col: Fraction}, M k = 0
-        self.image = image            # list of sparse {row: Fraction} spanning col space
         self.solutions = solutions    # list of sparse {col: Fraction} or None
         self.solvable = solvable      # list of bool, parallel to targets
 
 
 def solve_linear(matrix, targets=None):
-    """Exact kernel / image / solve for M x = t over Q.
+    """Exact kernel / rank / solve for M x = t over Q.
 
     `targets` is an optional list of sparse {row: Fraction} vectors.  Targets
     that are not in the column space are flagged unsolvable, never an error.
@@ -112,13 +111,8 @@ def solve_linear(matrix, targets=None):
                     kernel[c][pc] = -v
             elif solutions[c - ncols] is not None:
                 solutions[c - ncols][pc] = -v
-
-    image = {pc: {} for pc in pivots}
-    for (r, c), v in matrix.entries.items():
-        if c in image:
-            image[c][r] = v
-    return LinearSolveResult(len(pivots), list(kernel.values()), list(image.values()),
-                             solutions, [s is not None for s in solutions])
+    return LinearSolveResult(len(pivots), list(kernel.values()), solutions,
+                             [s is not None for s in solutions])
 
 
 class Echelon:

@@ -105,7 +105,8 @@ def minimal_model(A, n=16, name=None):
 
     Each stage reads only the cohomology of the partial model in the degree
     it changes: H^stage for the cocycle step, H^(stage+1) for the kernel
-    step.  All kernel-killing generators of a stage come from one batched
+    step, which the next cocycle step reuses when it added no generators.  All
+    kernel-killing generators of a stage come from one batched
     `solve_linear` and one rebuild.  Batching changes nothing: they have
     degree `stage` and V^1 = 0, so no degree-(stage+1) monomial contains
     them, and each solution is canonical per target.
@@ -128,10 +129,11 @@ def minimal_model(A, n=16, name=None):
         return model, phi
 
     model, phi = build()
+    held = None          # H^stage report of `model`, when the last kernel step kept it
 
     for stage in range(2, n + 1):
         # --- cocycle generators: span coker H^stage(phi) -------------------
-        src_rep = cohomology(model, stage, stage)
+        src_rep = held or cohomology(model, stage, stage)
         image = Echelon()
         for cls in induced_classes(phi, src_rep, tgt_rep, stage):
             image.add(cls)
@@ -154,6 +156,7 @@ def minimal_model(A, n=16, name=None):
         cols = induced_classes(phi, src_rep, tgt_rep, stage + 1)
         mat = RationalMatrix.from_columns(tgt_rep.dim(stage + 1), cols)
         ker = solve_linear(mat).kernel
+        held = None if ker else src_rep
         if not ker:
             continue
         cycles = [lincomb((c, reps[i]) for i, c in kvec.items()) for kvec in ker]
@@ -192,6 +195,9 @@ class LambdaExtension:
         self.base_names = list(base_names)
         self.name = name
         base_set = set(self.base_names)
+        unknown = [g for g in self.base_names if g not in total.ctx.index]
+        if unknown:
+            raise DegreeError("base generator %s is not in %s" % (unknown[0], total.name))
         for i, gname in enumerate(total.ctx.names):
             if gname in base_set and i >= len(self.base_names):
                 raise DegreeError("base generators must come first in the total context")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from rht.algebra import AlgElement, GeneratorContext
-from rht.cdga import FiniteCDGA, SullivanPresentation, cohomology_algebra
+from rht.cdga import CohomologyReport, FiniteCDGA, SullivanPresentation, cohomology_algebra
 
 
 def sphere2_model():
@@ -130,3 +130,16 @@ def s2():
 @pytest.fixture
 def uvw():
     return nonformal_uvw()
+
+
+@pytest.fixture
+def report_windows(monkeypatch):
+    """Records (presentation name, lo, hi) for every CohomologyReport built."""
+    windows = []
+    init = CohomologyReport.__init__
+
+    def recording_init(self, pres, lo, hi):
+        windows.append((getattr(pres, "name", "?"), lo, hi))
+        init(self, pres, lo, hi)
+    monkeypatch.setattr(CohomologyReport, "__init__", recording_init)
+    return windows

@@ -18,8 +18,7 @@ import pytest
 
 from rht.algebra import AlgElement, GeneratorContext
 from rht.cdga import (CdgaMorphism, SullivanPresentation, cohomology,
-                      cohomology_algebra, euler_characteristic,
-                      is_quasi_iso, validate)
+                      cohomology_algebra, is_quasi_iso, validate)
 from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
                                config_space_model, cp, free_loop_model,
                                mapping_space_pi, sphere, tensor_presentations,
@@ -339,7 +338,7 @@ def test_criterion_13_configuration_model():
     model = config_space_model(A, 2)
     rep = validate(model.quotient)
     assert rep.ok, rep.violations
-    chi, exact = euler_characteristic(model.quotient, 11)
+    chi, exact = cohomology(model.quotient, 0, 11).euler_characteristic()
     assert (chi, exact) == (2, True)
     amb = model.quotient.ambient
     dx = amb.d.image_of("x12")

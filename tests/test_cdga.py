@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from rht.algebra import ONE, ZERO, AlgElement, GeneratorContext, degree_basis
 from rht.cdga import (CdgaMorphism, FiniteCDGA, QuotientCDGA, SullivanPresentation,
-                      cohomology, cohomology_algebra, euler_characteristic,
-                      finite_truncation, is_quasi_iso, tensor_finite, tensor_mul, validate)
+                      cohomology, cohomology_algebra, finite_truncation, is_quasi_iso,
+                      tensor_finite, tensor_mul, validate)
+from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
+                               config_space_model, cp, sphere)
 from rht.errors import DegreeError
 
 from conftest import nonformal_uvw, random_monomial_algebras, sphere2_model
@@ -154,11 +156,31 @@ def test_inclusion_of_q_is_not_quasi_iso():
     assert witness[3] == (0, 1, 0)
 
 
+def _free_euler_characteristic(p, n):
+    """The free function `CohomologyReport.euler_characteristic` replaced."""
+    rep = cohomology(p, 0, n)
+    lo = rep.lo
+    chi = sum((-1) ** (k % 2) * rep.dim(k) for k in range(lo, n + 1))
+    return chi, rep.certified_above()
+
+
+def test_report_euler_characteristic_matches_the_free_function():
+    pd = PDAlgebra(cohomology_algebra(sphere(2), 2), 2)
+    three_equal = arrangement_complex(SubspaceArrangement(3, [[[1, -1, 0]]] * 3))
+    cases = [(sphere(2), 8), (sphere(3), 8), (cp(3), 10),
+             (config_space_model(pd, 2).quotient, 11), (three_equal, 2)]
+    pairs = [(cohomology(p, 0, n).euler_characteristic(), _free_euler_characteristic(p, n))
+             for p, n in cases]
+    assert [new for new, _ in pairs] == [old for _, old in pairs]
+    assert [new for new, _ in pairs] == [(2, False), (0, True), (4, False), (2, True), (0, True)]
+    assert cohomology(three_equal, 0, 2).lo == -1
+
+
 def test_euler_characteristic_spheres(s2):
-    assert euler_characteristic(s2, 8)[0] == 2
+    assert cohomology(s2, 0, 8).euler_characteristic()[0] == 2
     ctx = GeneratorContext([("u", 3)])
     s3 = SullivanPresentation(ctx, {"u": AlgElement.zero(ctx)})
-    chi, exact = euler_characteristic(s3, 8)
+    chi, exact = cohomology(s3, 0, 8).euler_characteristic()
     assert chi == 0 and exact
 
 

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rht.cli import main
 
@@ -248,3 +253,162 @@ def test_determinism_three_runs():
     for cmd in commands:
         outs = {run_cli(*cmd)[1] for _ in range(3)}
         assert len(outs) == 1
+
+
+@pytest.mark.parametrize("evens, odds, bad", [("a", "", "a"), ("1", "1.5", "1.5")])
+def test_elliptic_check_non_integer_entry_is_a_usage_error(capsys, evens, odds, bad):
+    assert main(["elliptic-check", "--evens", evens, "--odds", odds]) == 2
+    assert capsys.readouterr() == ("", "error: --evens and --odds take comma-separated "
+                                   "integers (invalid literal for int() with base 10: %r)\n"
+                                   % bad)
+    assert main(["elliptic-check", "--evens", "1,,2", "--odds", "3,,4,"]) == 0
+    assert capsys.readouterr().out == "realizable: True\n"
+
+
+def test_cohomology_and_config_space_read_chi_from_the_printed_report(
+        tmp_path, capsys, report_windows):
+    path = tmp_path / "s2.rht"
+    path.write_text("cdga S2 { gen a:2; gen b:3; d a = 0; d b = a^2; }\n")
+    assert main(["cohomology", str(path), "--name", "S2", "--max", "6", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["euler_characteristic"] == \
+        {"value": 2, "exact": False}
+    assert report_windows == [("S2", 0, 6)]
+    report_windows.clear()
+    # The catalog's two pd declarations build one report each while parsing.
+    assert main(["config-space", DATA, "--pd", "S2", "--k", "2", "--max", "11"]) == 0
+    assert "euler characteristic: 2 (exact)" in capsys.readouterr().out
+    assert [hi for _, _, hi in report_windows] == [2, 3, 11]
+
+
+def test_fibration_unknown_base_generator_exits_1(capsys):
+    argv = ["fibration", "pullback", DATA, "--total", "S2", "--base", "u", "--along", "double"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: base generator u is not in S2\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimal-model", DATA, "--name", "S2", "--of-cohomology"],
+    ["homotopy", DATA, "--name", "S2", "--ranks"],
+    ["homotopy", DATA, "--name", "S2", "--brackets"],
+    ["homotopy", DATA, "--name", "X", "--filtration"],
+    ["homotopy", DATA, "--name", "S2", "--hurewicz"],
+    ["invariants", DATA, "--name", "S2", "--loop-betti"],
+])
+def test_negative_degree_flags_are_usage_errors(capsys, argv):
+    flag = argv[-1]
+    assert main([*argv, "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: %s must be >= 0, got -1\n" % flag)
+    assert main([*argv, "0"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec, types", [
+    ("truncated_poly(2)", "int, int"), ("wedge_cohomology(1,2)", "FiniteCDGA, FiniteCDGA"),
+    ("product(2,3)", "SullivanPresentation, SullivanPresentation"), ("sphere(point)", "int"),
+])
+def test_catalog_parameter_of_the_wrong_type_exits_1(capsys, spec, types):
+    assert main(["catalog", spec]) == 1
+    name = spec.split("(")[0]
+    assert capsys.readouterr() == ("", "error: catalog %s takes (%s)\n" % (name, types))
+
+
+# In-process CLI fuzz: random argv over every subcommand, on copies of the
+# catalog with up to three token mutations.  Every run must end in exit code
+# 0, 1 or 2 (argparse's SystemExit counts as its code) and raise nothing else.
+with open(DATA, encoding="utf-8") as _fh:
+    _CATALOG = "".join(line for line in _fh if not line.startswith("#"))
+_TOKENS = re.findall(r"\|->|->|[A-Za-z_]\w*|\d+|\S", _CATALOG)
+_POOL = sorted(set(_TOKENS)) + ["0", "1", "7", "99", "-", "pd", "dim", "nope"]
+
+_INT = st.integers(-2, 6).map(lambda v: [str(v)])
+_INTS = st.lists(st.sampled_from(["-1", "0", "1", "2", "3", "", "a", "1.5"]),
+                 max_size=3).map(lambda xs: [",".join(xs)])
+_NAME = st.sampled_from(["S2", "S3", "CP3", "X", "Hopf", "nope"]).map(lambda s: [s])
+_MORPHISM = st.sampled_from(["double", "collapse", "nope"]).map(lambda s: [s])
+_ON = st.just([])
+_FILE = st.just(["{file}"])
+_VEC = st.sampled_from(["1,0,0", "0,1,0", "1/2,0,-1", "1,0", "x,0,0"]).map(lambda s: [s])
+_ELEMENT = st.sampled_from(["u", "v", "a", "x", "0", "u*v", "a^2"])
+_SPEC = st.recursive(
+    st.sampled_from(["-1", "2", "3", "6", "point", "nope"]),
+    lambda inner: st.builds("{}({})".format,
+                            st.sampled_from(["sphere", "cp", "torus", "k_z", "point", "product",
+                                             "wedge_cohomology", "truncated_poly", "nope"]),
+                            st.lists(inner, max_size=2).map(",".join)),
+    max_leaves=3).map(lambda s: [s])
+
+# subcommand -> (positional arguments, options, of which the first `required` are)
+_COMMANDS = {
+    "validate": ([_FILE], [], 0),
+    "cohomology": ([_FILE], [("--name", _NAME), ("--max", _INT), ("--json", _ON)], 1),
+    "minimal-model": ([_FILE], [("--name", _NAME), ("--max", _INT),
+                                ("--of-cohomology", _INT), ("--json", _ON)], 1),
+    "homotopy": ([_FILE], [("--name", _NAME), ("--ranks", _INT), ("--brackets", _INT),
+                           ("--filtration", _INT), ("--hurewicz", _INT), ("--json", _ON)], 1),
+    "bch": ([_FILE, _VEC, _VEC], [("--name", _NAME), ("--class", _INT), ("--json", _ON)], 1),
+    "invariants": ([_FILE], [("--name", _NAME), ("--max", _INT), ("--toomer", _ON),
+                             ("--cat", _ON), ("--massey", st.lists(_ELEMENT, min_size=3,
+                                                                   max_size=3)),
+                             ("--tc", _ON), ("--loop-betti", _INT), ("--trichotomy", _ON),
+                             ("--of-cohomology", _ON), ("--plot", st.just(["{dir}/p.csv"])),
+                             ("--json", _ON)], 1),
+    "elliptic-check": ([], [("--evens", _INTS), ("--odds", _INTS), ("--json", _ON)], 0),
+    "loopspace": ([_FILE], [("--name", _NAME), ("--max", _INT), ("--json", _ON)], 1),
+    "fibration": ([st.just(["pullback"]), _FILE],
+                  [("--total", _NAME), ("--base", st.sampled_from(["a", "a,b", "u", ""])
+                                        .map(lambda s: [s])),
+                   ("--along", _MORPHISM), ("--json", _ON)], 3),
+    "config-space": ([_FILE], [("--pd", _NAME), ("--k", _INT), ("--max", _INT),
+                               ("--json", _ON)], 2),
+    "arrangement": ([_FILE], [("--name", st.sampled_from(["braid3", "boolean3", "nope"])
+                               .map(lambda s: [s])), ("--max", _INT), ("--json", _ON)], 1),
+    "catalog": ([_SPEC], [("--json", _ON)], 0),
+    "mapping-space": ([_FILE], [("--morphism", _MORPHISM), ("--n", _INT), ("--json", _ON)], 2),
+}
+
+
+@st.composite
+def _cli_cases(draw):
+    tokens = list(_TOKENS)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):      # half keep the catalog
+        i = draw(st.integers(0, len(tokens) - 1))
+        op = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+        if op == "delete":
+            del tokens[i]
+        elif op == "duplicate":
+            tokens.insert(i, tokens[i])
+        else:
+            tokens[i] = draw(st.sampled_from(_POOL))
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    positional, options, required = _COMMANDS[command]
+    argv = [command]
+    for strategy in positional:
+        argv += draw(strategy)
+    for i, (flag, strategy) in enumerate(options):
+        if i < required or draw(st.booleans()):
+            argv += [flag] + draw(strategy)
+    return " ".join(tokens), argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_cli_cases())
+@example(case=(_CATALOG, ["elliptic-check", "--evens", "a"]))
+@example(case=(_CATALOG, ["elliptic-check", "--evens", "1.5"]))
+@example(case=(_CATALOG, ["fibration", "pullback", "{file}", "--total", "S2", "--base", "u",
+                          "--along", "double"]))
+@example(case=(_CATALOG, ["invariants", "{file}", "--name", "S2", "--loop-betti", "-1"]))
+@example(case=(_CATALOG, ["homotopy", "{file}", "--name", "S2", "--hurewicz", "-1"]))
+@example(case=(_CATALOG, ["catalog", "wedge_cohomology(1,2)"]))
+def test_cli_fuzz_exits_0_1_or_2(case):
+    text, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.rht")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [a.replace("{file}", path).replace("{dir}", tmp) for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), argv

@@ -5,8 +5,7 @@ import pytest
 
 from rht.algebra import AlgElement, GeneratorContext, apply_derivation
 from rht.cdga import (CdgaMorphism, SullivanPresentation, cohomology,
-                      cohomology_algebra, euler_characteristic,
-                      validate)
+                      cohomology_algebra, validate)
 from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
                                biquotient_model, catalog, config_space_model, cp,
                                diagonal_class, free_loop_extension, free_loop_model,
@@ -120,7 +119,7 @@ def test_homogeneous_flag_manifold_su3_mod_torus():
     assert validate(m).ok
     rep = cohomology(m, 0, 8)
     assert [rep.dim(k) for k in range(9)] == [1, 0, 2, 0, 2, 0, 1, 0, 0]
-    chi, _ = euler_characteristic(m, 8)
+    chi, _ = cohomology(m, 0, 8).euler_characteristic()
     assert chi == 6            # order of the Weyl group
 
 
@@ -358,7 +357,7 @@ def test_config_space_s2_k2(s2):
     model = config_space_model(A, 2)
     rep = validate(model.quotient)
     assert rep.ok, rep.violations
-    chi, exact = euler_characteristic(model.quotient, 11)
+    chi, exact = cohomology(model.quotient, 0, 11).euler_characteristic()
     assert chi == 2 and exact          # chi(F(M,2)) = chi(chi - 1) = 2
     h = cohomology(model.quotient, 0, 8)
     assert h.dim(0) == 1 and h.dim(2) == 1
@@ -378,7 +377,7 @@ def test_config_space_s3_k2():
     h = cohomology(model.quotient, 0, 9)
     # F(S^3, 2) ~ S^3: Fadell-Neuwirth fibration with contractible fibre
     assert [h.dim(k) for k in range(10)] == [1, 0, 0, 1, 0, 0, 0, 0, 0, 0]
-    chi, exact = euler_characteristic(model.quotient, 13)
+    chi, exact = cohomology(model.quotient, 0, 13).euler_characteristic()
     assert chi == 0 and exact
 
 
@@ -430,7 +429,7 @@ def test_config_space_s4_k2_even_sign_branch():
     A = PDAlgebra(cohomology_algebra(sphere(4), 4), 4)
     model = config_space_model(A, 2)
     assert validate(model.quotient).ok
-    chi, exact = euler_characteristic(model.quotient, 23)
+    chi, exact = cohomology(model.quotient, 0, 23).euler_characteristic()
     assert chi == 2 and exact
 
 
@@ -439,7 +438,7 @@ def test_config_space_s2_k3_euler():
     A = PDAlgebra(cohomology_algebra(sphere(2), 2), 2)
     model = config_space_model(A, 3)
     assert validate(model.quotient).ok
-    chi, exact = euler_characteristic(model.quotient, 15)
+    chi, exact = cohomology(model.quotient, 0, 15).euler_characteristic()
     assert chi == 0 and exact
 
 

@@ -12,7 +12,8 @@ from rht.constructions import (cp, k_z, sphere, tensor_presentations, torus,
                                wedge_cohomology)
 from rht.errors import UnsupportedInputError
 from rht.invariants import (DegreeSequence, _toomer_fails_at, cat_bounds,
-                            elliptic_degrees_check, loop_homology_dims, massey_triple,
+                            elliptic_degrees_check, is_poincare_duality,
+                            loop_homology_dims, massey_triple,
                             tc_cup_length, toomer_invariant, trichotomy_report,
                             ELLIPTIC, HYPERBOLIC)
 from rht.linalg import Echelon
@@ -127,6 +128,45 @@ def test_cat_interval_never_inverted(s2):
     rep = cat_bounds(s2, n=8, h_vanishes_above=2)
     assert rep.e <= rep.upper
     assert rep.cat_exact == 1
+
+
+def _cat_bounds_three_windows(model, n, h_vanishes_above=None):
+    """`cat_bounds` as it was before it read the Toomer report's window:
+    (e, upper, certified, pd, cat_exact) from three separate windows."""
+    rep = cohomology(model, 0, n)
+    certified = rep.certified_above() or (h_vanishes_above is not None
+                                          and h_vanishes_above <= n)
+    toomer = toomer_invariant(model, n=n, h_vanishes_above=h_vanishes_above)
+    top = max((k for k in range(0, n + 1) if rep.dim(k)), default=0)
+    H = cohomology_algebra(model, min(n, max(top, 0)))
+    pd = is_poincare_duality(H)
+    cat_exact = toomer.value if pd and certified and toomer.value is not None else None
+    return (toomer.value, top, certified, pd, cat_exact), H
+
+
+@pytest.mark.parametrize("model, n, bound", [
+    (cp(2), 8, None), (cp(2), 8, 4), (cp(3), 9, 6), (cp(3), 4, None),
+    (sphere(2), 6, None), (sphere(2), 6, 2), (sphere(2), 1, None),
+])
+def test_cat_bounds_matches_the_three_window_version(model, n, bound):
+    rep = cat_bounds(model, n=n, h_vanishes_above=bound)
+    old, old_H = _cat_bounds_three_windows(model, n, bound)
+    assert (rep.e, rep.upper, rep.certified, rep.pd, rep.cat_exact) == old
+    # H on [0, n] and on [0, top] differ only in window_certified.
+    H = toomer_invariant(model, n=n, h_vanishes_above=bound).cohomology.algebra()
+    assert (H.name, H.basis, list(H.mul.items())) == \
+        (old_H.name, old_H.basis, list(old_H.mul.items()))
+
+
+def test_cat_bounds_builds_one_window(report_windows):
+    cat_bounds(cp(3), n=9)
+    assert report_windows == [("CP3", 0, 9)]
+    report_windows.clear()
+    ctx = GeneratorContext([("a", 2), ("z", 1)])
+    linear = SullivanPresentation(ctx, {"a": AlgElement.zero(ctx), "z": ctx.generator("a")})
+    with pytest.raises(UnsupportedInputError):       # not minimal: rejected before any window
+        cat_bounds(linear, n=4)
+    assert report_windows == []
 
 
 def test_cat_point():

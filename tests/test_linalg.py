@@ -59,13 +59,6 @@ def test_rank_nullity_and_kernel_on_random_matrices():
         assert res.rank + len(res.kernel) == cols
         for k in res.kernel:
             assert m.apply(k) == {}
-        # image basis spans every M x
-        ech = Echelon()
-        for col in res.image:
-            ech.add(col)
-        assert ech.dim == res.rank
-        probe = {c: Fraction(rng.randint(-3, 3)) for c in range(cols)}
-        assert ech.contains(m.apply(probe))
 
 
 def test_5x7_rank_nullity():
@@ -102,7 +95,6 @@ def test_row_permutation_invariance():
         assert a.kernel == b.kernel
         assert a.solutions == b.solutions
         assert a.solvable == b.solvable
-        assert [{perm[r]: v for r, v in col.items()} for col in a.image] == b.image
 
 
 def test_echelon_coordinates():
