@@ -458,13 +458,13 @@ class CohomologyReport:
         self.lo = lo
         self.hi = hi
         self._reps = {}        # k -> list of coordinate vectors
-        self._classes = {}     # k -> tracked Echelon: boundaries, then representatives
+        self._classes = {}     # k -> Echelon of boundaries and tagged representatives
         for k in range(lo, hi + 1):
             self._compute(k)
 
     def _compute(self, k):
         p = self.pres
-        _, self._reps[k], self._classes[k] = slice_homology(
+        self._reps[k], self._classes[k] = slice_homology(
             [p.differential_column(k, i) for i in range(p.dim(k))], p.dim(k + 1),
             [p.differential_column(k - 1, i) for i in range(p.dim(k - 1))])
 
@@ -489,13 +489,16 @@ class CohomologyReport:
         """Coordinates of a cocycle's class in the representative basis.
 
         Solves cocycle = sum c_i rep_i + boundary; returns {i: c_i} or raises
-        if the input is not a cocycle of the complex.
+        if the input is not a cocycle of the complex.  The classes Echelon
+        spans {b + 0} and {rep_i + e_i}, e_i at column n + i, n = dim C^k; the
+        reps are independent modulo B, so every pivot is < n, and the unique
+        residue of z = sum c_i rep_i + b is 0 + (-c), as in `solve_linear`.
         """
-        combo = self._classes[k].coordinates(cocycle_coords)
-        if combo is None:
+        n = self.pres.dim(k)
+        res = self._classes[k].residue(cocycle_coords)
+        if min(res, default=n) < n:
             raise RhtError("vector is not a cocycle modulo the computed boundaries")
-        n_b = self.pres.dim(k - 1)
-        return {i - n_b: c for i, c in combo.items() if i >= n_b}
+        return {i - n: -c for i, c in res.items()}
 
     def is_cocycle(self, k, coords):
         return not lincomb((c, self.pres.differential_column(k, i)) for i, c in coords.items())

@@ -183,12 +183,13 @@ def cmd_invariants(args):
     payload = {"schema": dsl.SCHEMA, "kind": "invariants", "name": args.name,
                "certified_degree": n}
     lines = []
+    # One Toomer report (one window) serves --toomer, --cat, --tc, --of-cohomology.
+    c = cat_bounds(p, n=n) if args.cat else None
+    t = c.toomer if c else toomer_invariant(p, n=n) if args.toomer else None
     if args.toomer:
-        t = toomer_invariant(p, n=n)
         payload["toomer"] = {"value": t.value, "exact": t.exact, "window": t.window}
         lines.append("toomer e = %s%s" % (t.value, " (exact)" if t.exact else " (window)"))
     if args.cat:
-        c = cat_bounds(p, n=n)
         payload["cat"] = {"e": c.e, "upper": c.upper, "certified": c.certified,
                           "pd": c.pd, "cat_exact": c.cat_exact}
         lines.append("cat bounds: [%s, %s]%s" % (
@@ -213,7 +214,7 @@ def cmd_invariants(args):
         else:
             lines.append("massey: undefined (%s)" % res.reason)
     if args.tc:
-        H = cohomology_algebra(p, n)
+        H = t.cohomology.algebra() if t else cohomology_algebra(p, n)
         value = tc_cup_length(H)
         payload["tc_cup_length"] = {"value": value,
                                     "window_certified": H.window_certified}
@@ -228,8 +229,8 @@ def cmd_invariants(args):
         lines.append("loop homology dims: %s" % json.dumps(
             {str(k): v for k, v in dims.items()}, sort_keys=True))
     if args.trichotomy:
-        result = minimal_model(cohomology_algebra(p, n) if args.of_cohomology
-                               else p, n)
+        result = minimal_model((t.cohomology.algebra() if t else cohomology_algebra(p, n))
+                               if args.of_cohomology else p, n)
         rep = trichotomy_report(result, n)
         payload["trichotomy"] = {
             "tag": rep.tag, "chi_pi": rep.chi_pi,

@@ -445,7 +445,7 @@ def mapping_space_pi(phi, n):
 
     src_n, tgt_n, cols_n = d_matrix(n)
     _, _, cols_n1 = d_matrix(n + 1)
-    _, reps, _ = slice_homology(cols_n, len(tgt_n), cols_n1)
+    reps, _ = slice_homology(cols_n, len(tgt_n), cols_n1)
     dim = len(reps)
     contributing = sorted({(V.ctx.degree_of(g), wdeg) for (g, wdeg, _) in src_n})
     return MappingSpaceReport(n, dim, contributing, complete=True)

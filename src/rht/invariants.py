@@ -90,10 +90,11 @@ def _toomer_fails_at(p, rep, m, n):
 class CatReport:
     """Interval [e, upper] with a PD equality certificate when available."""
 
-    def __init__(self, e, upper, certified, pd, cat_exact, window):
-        self.e = e
+    def __init__(self, toomer, upper, pd, cat_exact, window):
+        self.toomer = toomer            # the ToomerReport the bounds were read from
+        self.e = toomer.value
         self.upper = upper
-        self.certified = certified
+        self.certified = toomer.exact
         self.pd = pd
         self.cat_exact = cat_exact
         self.window = window
@@ -153,7 +154,7 @@ def cat_bounds(m, n=12, h_vanishes_above=None):
     cat_exact = None
     if pd and toomer.exact and toomer.value is not None:
         cat_exact = toomer.value
-    return CatReport(toomer.value, top, toomer.exact, pd, cat_exact, n)
+    return CatReport(toomer, top, pd, cat_exact, n)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +265,18 @@ class DegreeSequence:
 def _representable(b, values, memo):
     """b = sum k_l v_l with k_l >= 0 integers and sum k_l >= 2?
 
-    `memo` may be shared only by calls with the same `values`.
+    `memo` may be shared only by calls with the same `values`.  With g their
+    gcd and a, c the least and largest of values/g, every integer >= (a-1)(c-1)
+    is a sum of values/g (Schur's Frobenius bound), so b/g >= c + max(that, 1)
+    is one c plus a nonempty such sum; only smaller b are searched.
     """
     values = tuple(sorted(set(values)))
+    g = math.gcd(*values)
+    a, c = values[0] // g, values[-1] // g
+    if b % g:
+        return False
+    if b // g >= c + max((a - 1) * (c - 1), 1):
+        return True
 
     def rec(amount, idx, coins):
         if amount == 0:

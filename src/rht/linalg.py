@@ -1,12 +1,12 @@
 """Exact sparse linear algebra over Q.
 
 Everything the package computes (cohomology, quasi-isomorphism checks,
-surjectivity/cokernel bookkeeping) reduces to one elimination engine,
-`Echelon`: an incremental reduced row echelon form over `Fraction`.  The
-basis it holds is the unique RREF of the span of what was fed in, so every
-answer read off it is canonical.  `solve_linear` reads the kernel, rank and
-particular solutions off the RREF of the augmented matrix [M | -T], and
-`slice_homology` computes cocycles modulo boundaries at one degree.
+surjectivity/cokernel bookkeeping) reduces to one elimination engine with one
+mode, `Echelon`: an incremental reduced row echelon form over `Fraction`.  Its
+basis is the unique RREF of the span of what was fed in, so every answer read
+off it is canonical.  `solve_linear` reads kernel, rank and solutions off the
+RREF of [M | -T]; `slice_homology` tags each cocycle representative with a
+unit column, so class coordinates are read off a residue the same way.
 Sparse vectors are {index: Fraction} dicts; `lincomb` sums them in place, on
 the same loop `Echelon` reduces with.
 """
@@ -116,78 +116,50 @@ def solve_linear(matrix, targets=None):
 
 
 class Echelon:
-    """Incremental reduced row space over Q with optional coordinate tracking.
+    """Incremental reduced row space over Q.
 
-    Used as the workhorse for span membership, quotient bases, and expressing
-    vectors in terms of the vectors fed in.  Invariant: every row is 1 at its
-    pivot (its smallest column) and every other row is 0 there, so the rows
-    are the RREF of the span.  Subtracting a multiple of a row therefore never
-    creates an entry in another pivot column, which lets `_reduce` visit only
-    the pivots the incoming vector already has.
+    Used as the workhorse for span membership, quotient bases and residues.
+    Invariant: every row is 1 at its pivot (its smallest column) and every
+    other row is 0 there, so the rows are the RREF of the span.  Subtracting
+    a multiple of a row therefore never creates an entry in another pivot
+    column, which lets `_reduce` visit only the pivots the incoming vector
+    already has.
     """
 
-    def __init__(self, track=False):
+    def __init__(self):
         self.rows = []        # list of (pivot_col, sparse row dict)
         self.position = {}    # pivot_col -> index into rows
-        self.track = track
-        self.combos = []      # parallel: row as combination of inserted vectors
-        self.count = 0        # number of inserted vectors so far
 
-    def _reduce(self, vec, combo=None):
+    def _reduce(self, vec):
         vec = {c: Fraction(v) for c, v in vec.items() if v != 0}
         for i in [self.position[c] for c in vec if c in self.position]:
             pc, row = self.rows[i]
-            x = vec[pc]
-            _subtract(vec, x, row)
-            if combo is not None:
-                _subtract(combo, x, self.combos[i])
-        return vec, combo
+            _subtract(vec, vec[pc], row)
+        return vec
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the span."""
-        combo = {self.count: ONE} if self.track else None
-        self.count += 1
-        vec, combo = self._reduce(vec, combo)
+        vec = self._reduce(vec)
         if not vec:
             return False
         pc = min(vec)
         inv = ONE / vec[pc]
         vec = {c: v * inv for c, v in vec.items()}
-        if self.track:
-            combo = {k: v * inv for k, v in combo.items()}
         # Back-reduce existing rows to keep the basis reduced.
-        for i, (_, orow) in enumerate(self.rows):
+        for _, orow in self.rows:
             x = orow.get(pc)
             if x:
                 _subtract(orow, x, vec)
-                if self.track:
-                    _subtract(self.combos[i], x, combo)
         self.position[pc] = len(self.rows)
         self.rows.append((pc, vec))
-        if self.track:
-            self.combos.append(combo)
         return True
 
     def contains(self, vec):
-        vec, _ = self._reduce(vec)
-        return not vec
+        return not self._reduce(vec)
 
     def residue(self, vec):
         """vec reduced modulo the span (supported on non-pivot coordinates)."""
-        vec, _ = self._reduce(vec)
-        return vec
-
-    def coordinates(self, vec):
-        """Express vec as a combination of the *inserted* vectors, or None.
-
-        Requires track=True.  Returns {inserted_index: Fraction}.
-        """
-        if not self.track:
-            raise RhtError("Echelon built without coordinate tracking")
-        vec, combo = self._reduce(vec, {})
-        if vec:
-            return None
-        return {k: -v for k, v in combo.items()}
+        return self._reduce(vec)
 
     @property
     def dim(self):
@@ -225,20 +197,22 @@ def slice_homology(d_out, out_dim, d_in):
 
     `d_out` holds the columns of d: C^k -> C^{k+1}, vectors in a space of
     dimension `out_dim`; `d_in` holds the columns of d: C^{k-1} -> C^k.
-    Returns (kernel, reps, classes): the kernel basis of `solve_linear`; the
-    kernel vectors that enlarge the span of the boundaries, in kernel order,
-    whose classes form a basis of H^k; and a tracked Echelon holding the
-    boundaries (inserted indices 0 .. len(d_in) - 1) followed by the
-    representatives, reps[i] at inserted index len(d_in) + i.
+    Returns (reps, classes): the kernel vectors of `solve_linear` whose
+    classes form a basis of H^k, in kernel order; and an Echelon of every
+    boundary b as b + 0 and each reps[i] as reps[i] + e_i, e_i at column
+    len(d_out) + i, from which class coordinates are read as residues.
     """
+    n = len(d_out)
     kernel = solve_linear(RationalMatrix.from_columns(out_dim, d_out)).kernel
-    classes = Echelon(track=True)
+    classes = Echelon()
     for col in d_in:
         classes.add(col)
     reps = []
     for vec in kernel:
-        if classes.add(vec):
+        res = classes.residue(vec)
+        if min(res, default=n) < n:
+            res[n + len(reps)] = ONE
+            classes.add(res)
             reps.append(vec)
-        else:
-            classes.count -= 1    # forget it, so the next representative keeps its index
-    return kernel, reps, classes
+    return reps, classes
+

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -79,6 +80,32 @@ def test_elliptic_check_command():
     assert code == 0 and "True" in out
     code, out, _ = run_cli("elliptic-check", "--evens", "1", "--odds", "")
     assert code == 0 and "False" in out
+
+
+def test_elliptic_check_large_odd_half_is_fast():
+    # The search is bounded by the Frobenius number of the evens, not by b.
+    start = time.monotonic()
+    code, out, _ = run_cli("elliptic-check", "--evens", "2,3", "--odds", "1000000000",
+                           timeout=10)
+    assert time.monotonic() - start < 1.0
+    assert code == 0 and out == "realizable: False (failing subsequence [3])\n"
+
+
+def test_invariants_reads_one_window(monkeypatch, capsys):
+    from rht.cdga import CohomologyReport
+    built = []
+    init = CohomologyReport.__init__
+
+    def counting_init(self, pres, lo, hi):
+        built.append((pres.name, lo, hi))
+        init(self, pres, lo, hi)
+    monkeypatch.setattr(CohomologyReport, "__init__", counting_init)
+    assert main(["invariants", DATA, "--name", "CP3", "--max", "8",
+                 "--toomer", "--cat", "--tc"]) == 0
+    assert capsys.readouterr().out == ("toomer e = 3 (window)\ncat bounds: [3, 6]\n"
+                                       "TC cup length c_H = 6 (cohomology windowed at 8)\n")
+    # the two `pd` declarations of the catalog, then CP3 once
+    assert len(built) == 3 and built[-1][1:] == (0, 8)
 
 
 def test_loopspace_command():

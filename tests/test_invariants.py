@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from rht.algebra import AlgElement, GeneratorContext, monomial_word_length
 from rht.cdga import (FiniteCDGA, SullivanPresentation, cohomology, cohomology_algebra,
@@ -11,7 +11,7 @@ from rht.cdga import (FiniteCDGA, SullivanPresentation, cohomology, cohomology_a
 from rht.constructions import (cp, k_z, sphere, tensor_presentations, torus,
                                wedge_cohomology)
 from rht.errors import UnsupportedInputError
-from rht.invariants import (DegreeSequence, _toomer_fails_at, cat_bounds,
+from rht.invariants import (DegreeSequence, _representable, _toomer_fails_at, cat_bounds,
                             elliptic_degrees_check, is_poincare_duality,
                             loop_homology_dims, massey_triple,
                             tc_cup_length, toomer_invariant, trichotomy_report,
@@ -313,6 +313,26 @@ def test_elliptic_checker_agrees_with_brute_force_small():
         odds = [rng.randint(1, 7) for _ in range(rng.randint(0, 3))]
         got, _ = elliptic_degrees_check(DegreeSequence(evens, odds))
         assert got == brute_force_elliptic(sorted(evens), sorted(odds))
+
+
+def coin_dp_representable(b, values):
+    """Oracle by dynamic programming: reach[s][j] says s is a sum of values
+    with min(number of terms, 2) = j."""
+    reach = [[False] * 3 for _ in range(b + 1)]
+    reach[0][0] = True
+    for s in range(1, b + 1):
+        for v in values:
+            if v <= s:
+                for j in range(3):
+                    if reach[s - v][j]:
+                        reach[s][min(j + 1, 2)] = True
+    return reach[b][2]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 80), st.lists(st.integers(1, 9), min_size=1, max_size=5))
+def test_representable_agrees_with_coin_dp(b, values):
+    assert _representable(b, values, {}) == coin_dp_representable(b, values)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rht.algebra import AlgElement, GeneratorContext
-from rht.cdga import SullivanPresentation, cohomology
-from rht.constructions import torus
+from rht.cdga import SullivanPresentation, cohomology, cohomology_algebra
+from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
+                               config_space_model, sphere, torus)
+from rht.errors import RhtError
 from rht.linalg import Echelon, RationalMatrix, lincomb, solve_linear
 
 from conftest import wedge_two_s2_cohomology
@@ -97,21 +99,14 @@ def test_row_permutation_invariance():
         assert a.solvable == b.solvable
 
 
-def test_echelon_coordinates():
-    ech = Echelon(track=True)
+def test_lincomb_key_order_after_cancellation():
     v1 = {0: Fraction(1), 1: Fraction(2)}
     v2 = {1: Fraction(1), 2: Fraction(1)}
-    ech.add(v1)
-    ech.add(v2)
-    combo = ech.coordinates(lincomb([(1, v1), (3, v2)]))
-    assert combo == {0: Fraction(1), 1: Fraction(3)}
-    assert ech.coordinates({3: Fraction(1)}) is None
     # Key 0 cancels and is touched again, so it moves to the end; a zero
     # coefficient, or a zero entry, on an absent key adds nothing.
     vec = lincomb([(1, v1), (-1, {0: Fraction(1)}), (0, {3: Fraction(1)}),
                    (3, v2), (1, {4: Fraction(0)}), (1, {0: Fraction(1)})])
     assert list(vec.items()) == [(1, Fraction(5)), (2, Fraction(3)), (0, Fraction(1))]
-    assert ech.coordinates(vec) == {0: Fraction(1), 1: Fraction(3)}
 
 
 # -- properties of the single elimination engine ----------------------------
@@ -207,10 +202,22 @@ def boundary_before_class():
     return SullivanPresentation(ctx, {"z": zero, "x": zero, "y": x * x})
 
 
+def config_s2_2():
+    """The quotient model of F(S^2, 2): H^2 = Q, and d x12 lands in C^2."""
+    return config_space_model(PDAlgebra(cohomology_algebra(sphere(2), 2), 2), 2).quotient
+
+
+def three_equal_hyperplanes():
+    """Arrangement complex with a degree -1 cell whose boundary lands in C^0, H^0 = Q."""
+    return arrangement_complex(SubspaceArrangement(3, [[[1, -1, 0]]] * 3))
+
+
 @pytest.mark.parametrize("make, k", [(lambda: torus(3), 1), (lambda: torus(3), 2),
                                      (wedge_two_s2_cohomology, 2),
-                                     (boundary_before_class, 4)],
-                         ids=["T3-H1", "T3-H2", "S2vS2-H2", "boundary_first-H4"])
+                                     (boundary_before_class, 4),
+                                     (config_s2_2, 2), (three_equal_hyperplanes, 0)],
+                         ids=["T3-H1", "T3-H2", "S2vS2-H2", "boundary_first-H4",
+                              "F(S2,2)-H2", "three_equal-H0"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_class_coordinates_recover_coefficients(make, k, data):
@@ -221,3 +228,10 @@ def test_class_coordinates_recover_coefficients(make, k, data):
                   + [(data.draw(ENTRY), rep.pres.differential_column(k - 1, i))
                      for i in range(rep.pres.dim(k - 1))])
     assert rep.class_coordinates(k, vec) == {i: c for i, c in coeffs.items() if c != 0}
+
+
+def test_class_coordinates_rejects_a_non_cocycle(s2):
+    rep = cohomology(s2, 0, 4)
+    b = s2.to_coords(s2.ctx.generator("b"), 3)
+    with pytest.raises(RhtError):
+        rep.class_coordinates(3, b)
