@@ -5,10 +5,11 @@ normal order (context order), odd generators square to zero, and every sign
 is computed by counting transpositions of odd factors.  Elements are sparse
 maps monomial -> Fraction in canonical form, so equality is literal equality.
 
-Coefficients are `fractions.Fraction` throughout: exact, arbitrary precision,
-canonical (gcd 1, positive denominator).  There is no floating-point mode.
+Coefficients are `fractions.Fraction` throughout the API (`linalg` eliminates
+on integer rows inside): exact and canonical.  There is no floating-point mode.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from .errors import ContextMismatchError, DegreeError, DerivationError, BudgetExceededError
@@ -50,6 +51,7 @@ class GeneratorContext:
         self.gens = tuple(gens)
         self.names = tuple(names)
         self.degrees = tuple(d for _, d in gens)
+        self.odd = tuple(d % 2 == 1 for d in self.degrees)
         self.index = {n: i for i, (n, _) in enumerate(gens)}
 
     def __len__(self):
@@ -68,7 +70,7 @@ class GeneratorContext:
         return self.degrees[self.index[name]]
 
     def is_odd(self, i):
-        return self.degrees[i] % 2 == 1
+        return self.odd[i]
 
     def extend(self, more):
         """New context with extra generators appended (order preserved)."""
@@ -98,23 +100,17 @@ def monomial_mul(ctx, m1, m2):
     if not m2:
         return 1, m1
     # Sign: each odd factor of m2 hops over the odd factors of m1 with larger index.
-    odd1 = [i for i, _ in m1 if ctx.is_odd(i)]
+    odd = ctx.odd
+    odd1 = [i for i, _ in m1 if odd[i]]
+    merged = dict(m1)
     swaps = 0
-    for j, _ in m2:
-        if ctx.is_odd(j):
-            for i in odd1:
-                if i > j:
-                    swaps += 1
-    merged = {}
-    for i, e in m1:
-        merged[i] = merged.get(i, 0) + e
-    for i, e in m2:
-        merged[i] = merged.get(i, 0) + e
-    for i, e in merged.items():
-        if ctx.is_odd(i) and e > 1:
-            return 0, None
-    mono = tuple(sorted(merged.items()))
-    return (-1) ** swaps, mono
+    for j, e in m2:
+        if odd[j]:
+            if j in merged:
+                return 0, None
+            swaps += len(odd1) - bisect_right(odd1, j)
+        merged[j] = merged.get(j, 0) + e
+    return -1 if swaps & 1 else 1, tuple(sorted(merged.items()))
 
 
 def monomial_str(ctx, mono):

@@ -11,6 +11,7 @@ Baker-Campbell-Hausdorff product log(exp a . exp b).
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 
 from .algebra import AlgElement, ONE, ZERO, apply_derivation
 from .cdga import SullivanPresentation, cohomology
@@ -81,33 +82,40 @@ class LieTable:
     def validate(self):
         """Antisymmetry and graded Jacobi on all basis pairs/triples in bound.
 
-        Only in-bound pairs and triples are visited, in the order of the full
-        loops over all items, so the first failure reported is the same.
+        Checked on the integer table L*T, L the lcm of the denominators: both
+        are homogeneous in the structure constants, so each holds on L*T
+        exactly when on T.  Only in-bound pairs and triples are visited, in
+        the order of the full loops over all items, so the first failure
+        reported is the same.
         """
-        items = [(k, i) for k in sorted(self.basis) for i in range(self.dim(k))]
+        den = lcm(*[c.denominator for vec in self.brackets.values() for c in vec.values()])
+        t = LieTable(self.basis, {key: {m: c.numerator * (den // c.denominator)
+                                        for m, c in vec.items()}
+                                  for key, vec in self.brackets.items()}, self.bound)
+        items = [(k, i) for k in sorted(t.basis) for i in range(t.dim(k))]
         degs = [k for k, _ in items]
 
         def upto(d):    # items of degree <= d: a prefix, since items are sorted
             return items[:bisect_right(degs, d)]
 
         for (k, i) in items:
-            for (l, j) in upto(self.bound - k):
-                ab = self.bracket_of(k, i, l, j)
-                ba = self.bracket_of(l, j, k, i)
+            for (l, j) in upto(t.bound - k):
+                ab = t.bracket_of(k, i, l, j)
+                ba = t.bracket_of(l, j, k, i)
                 sign = -1 if (k % 2) and (l % 2) else 1
                 # [x,y] + (-1)^{|x||y|}[y,x] = 0
                 if lincomb([(1, ab), (sign, ba)]):
                     return False, "antisymmetry fails on (%d,%d),(%d,%d)" % (k, i, l, j)
         for (k, i) in items:
-            x = (k, {i: ONE})
-            for (l, j) in upto(self.bound - k - degs[0]):
-                y, xy = (l, {j: ONE}), (k + l, self.bracket_of(k, i, l, j))
+            x = (k, {i: 1})
+            for (l, j) in upto(t.bound - k - degs[0]):
+                y, xy = (l, {j: 1}), (k + l, t.bracket_of(k, i, l, j))
                 sign = -1 if (k % 2) and (l % 2) else 1
-                for (m, h) in upto(self.bound - k - l):
-                    z = (m, {h: ONE})
-                    lhs = self.bracket(x, (l + m, self.bracket_of(l, j, m, h)))[1]
-                    r1 = self.bracket(xy, z)[1]
-                    r2 = self.bracket(y, (k + m, self.bracket_of(k, i, m, h)))[1]
+                for (m, h) in upto(t.bound - k - l):
+                    z = (m, {h: 1})
+                    lhs = t.bracket(x, (l + m, t.bracket_of(l, j, m, h)))[1]
+                    r1 = t.bracket(xy, z)[1]
+                    r2 = t.bracket(y, (k + m, t.bracket_of(k, i, m, h)))[1]
                     if lhs != lincomb([(1, r1), (sign, r2)]):
                         return False, "Jacobi fails on degrees (%d,%d,%d)" % (k, l, m)
         return True, None
@@ -389,9 +397,10 @@ def _lower_central_series(t, k, depth):
         if cur.dim == 0:
             return dims, step - 1
         nxt = Echelon()
+        rows = [row for _, row in cur.rows]
         for i0 in range(t.dim(0)):
-            for _, row in cur.rows:
-                _, br = t.bracket((0, {i0: ONE}), (k, dict(row)))
+            for row in rows:
+                _, br = t.bracket((0, {i0: ONE}), (k, row))
                 if br:
                     nxt.add(br)
         if nxt.dim == cur.dim:

@@ -6,6 +6,7 @@ Window honesty: every bound derived from cohomology carries a flag telling
 whether H^{>N} = 0 was certified or merely observed in the window.
 """
 
+import heapq
 import math
 
 from .algebra import AlgElement, ONE, monomial_word_length
@@ -266,38 +267,36 @@ def _representable(b, values, memo):
     """b = sum k_l v_l with k_l >= 0 integers and sum k_l >= 2?
 
     `memo` may be shared only by calls with the same `values`.  With g their
-    gcd and a, c the least and largest of values/g, every integer >= (a-1)(c-1)
-    is a sum of values/g (Schur's Frobenius bound), so b/g >= c + max(that, 1)
-    is one c plus a nonempty such sum; only smaller b are searched.
+    gcd and a, c the least and largest of w = values/g, every integer >=
+    (a-1)(c-1) is a sum of w (Schur's Frobenius bound), so b/g >= c +
+    max(that, 1) is one c plus a nonempty such sum.  Below it, dist[r] is the
+    least sum of w that is r mod a (Dijkstra over the classes, kept in `memo`):
+    x is a nonempty sum iff x > 0 and x >= dist[x % a], and b/g is a sum of
+    >= 2 terms iff b/g - v is a nonempty one for some v in w.
     """
     values = tuple(sorted(set(values)))
     g = math.gcd(*values)
-    a, c = values[0] // g, values[-1] // g
+    w = [v // g for v in values]
+    a, c = w[0], w[-1]
     if b % g:
         return False
-    if b // g >= c + max((a - 1) * (c - 1), 1):
+    b //= g
+    if b >= c + max((a - 1) * (c - 1), 1):
         return True
-
-    def rec(amount, idx, coins):
-        if amount == 0:
-            return coins >= 2
-        if idx >= len(values):
-            return False
-        key = (amount, idx, min(coins, 2))
-        if key in memo:
-            return memo[key]
-        v = values[idx]
-        k = 0
-        ok = False
-        while k * v <= amount:
-            if rec(amount - k * v, idx + 1, min(coins + k, 2)):
-                ok = True
-                break
-            k += 1
-        memo[key] = ok
-        return ok
-
-    return rec(b, 0, 0)
+    dist = memo.get("dist")
+    if dist is None:
+        dist = memo["dist"] = [0] + [math.inf] * (a - 1)
+        heap = [(0, 0)]
+        while heap:
+            d, r = heapq.heappop(heap)
+            if d > dist[r]:
+                continue
+            for v in w[1:]:
+                s = (r + v) % a
+                if d + v < dist[s]:
+                    dist[s] = d + v
+                    heapq.heappush(heap, (d + v, s))
+    return any(b - v > 0 and b - v >= dist[(b - v) % a] for v in w)
 
 
 def elliptic_degrees_check(seq):

@@ -1,17 +1,19 @@
 """Exact sparse linear algebra over Q.
 
 Everything the package computes (cohomology, quasi-isomorphism checks,
-surjectivity/cokernel bookkeeping) reduces to one elimination engine with one
-mode, `Echelon`: an incremental reduced row echelon form over `Fraction`.  Its
-basis is the unique RREF of the span of what was fed in, so every answer read
-off it is canonical.  `solve_linear` reads kernel, rank and solutions off the
-RREF of [M | -T]; `slice_homology` tags each cocycle representative with a
-unit column, so class coordinates are read off a residue the same way.
-Sparse vectors are {index: Fraction} dicts; `lincomb` sums them in place, on
-the same loop `Echelon` reduces with.
+surjectivity/cokernel bookkeeping) reduces to one elimination engine,
+`Echelon`: the unique RREF of the span of what was fed in, so every answer
+read off it is canonical.  Inside, its rows are primitive integer vectors,
+eliminated by cross-multiplication, with a column -> rows occupancy index;
+Fractions appear only at the boundary: `residue`, `rows`, and the kernel and
+solutions `solve_linear` reads off the RREF of [M | -T].  `slice_homology`
+tags each cocycle representative with a unit column, so class coordinates
+are a residue too.  Sparse vectors are {index: Fraction} dicts; `lincomb`
+sums them in place, on the same loop `Echelon` reduces with.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import RhtError
 
@@ -100,79 +102,117 @@ def solve_linear(matrix, targets=None):
     # A row pivoting on a target column proves every target in its support
     # unsolvable; a reduced row is 0 at every other pivot, so no solvable
     # target appears in one.
-    unsolvable = {c - ncols for pc, row in ech.rows if pc >= ncols for c in row}
+    unsolvable = {c - ncols for pc, row in ech._rows if pc >= ncols for c in row}
     pivots = sorted(pc for pc in ech.position if pc < ncols)
     kernel = {c: {c: ONE} for c in range(ncols) if c not in ech.position}
     solutions = [None if j in unsolvable else {} for j in range(len(targets))]
     for pc in reversed(pivots):
-        for c, v in ech.rows[ech.position[pc]][1].items():
+        row = ech._rows[ech.position[pc]][1]
+        p = row[pc]
+        for c, v in row.items():
             if c < ncols:
                 if c != pc:
-                    kernel[c][pc] = -v
+                    kernel[c][pc] = Fraction(-v, p)
             elif solutions[c - ncols] is not None:
-                solutions[c - ncols][pc] = -v
+                solutions[c - ncols][pc] = Fraction(-v, p)
     return LinearSolveResult(len(pivots), list(kernel.values()), solutions,
                              [s is not None for s in solutions])
 
 
 class Echelon:
-    """Incremental reduced row space over Q.
+    """Incremental reduced row space over Q, eliminated on integers.
 
-    Used as the workhorse for span membership, quotient bases and residues.
-    Invariant: every row is 1 at its pivot (its smallest column) and every
-    other row is 0 there, so the rows are the RREF of the span.  Subtracting
-    a multiple of a row therefore never creates an entry in another pivot
-    column, which lets `_reduce` visit only the pivots the incoming vector
-    already has.
+    A row is a primitive integer vector r (content 1, r[pc] > 0 at its pivot
+    pc, its smallest column) standing for the RREF row r / r[pc]; every other
+    row is 0 at pc.  So subtracting a multiple of a row never creates an
+    entry in another pivot column: `_reduce` visits only the pivots the
+    vector has, and `add` back-reduces only the rows that the occupancy
+    index lists under the new pivot and that are still nonzero there.
     """
 
     def __init__(self):
-        self.rows = []        # list of (pivot_col, sparse row dict)
-        self.position = {}    # pivot_col -> index into rows
+        self._rows = []       # list of (pivot_col, primitive integer row dict)
+        self.position = {}    # pivot_col -> index into _rows
+        self._occupied = {}   # non-pivot col -> indices of the rows nonzero there, or once were
 
     def _reduce(self, vec):
-        vec = {c: Fraction(v) for c, v in vec.items() if v != 0}
-        for i in [self.position[c] for c in vec if c in self.position]:
-            pc, row = self.rows[i]
-            _subtract(vec, vec[pc], row)
-        return vec
+        """(out, den), out integral: out / den equals the vector a Fraction
+        elimination holds at every step, so zeros and key order are the same."""
+        ratios = [(c, v.as_integer_ratio()) for c, v in vec.items()]
+        den = lcm(*[d for _, (n, d) in ratios if n])
+        out = {c: n * (den // d) for c, (n, d) in ratios if n}
+        for i in [self.position[c] for c in out if c in self.position]:
+            pc, row = self._rows[i]
+            den *= _eliminate(out, row, pc)
+        return out, den
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the span."""
-        vec = self._reduce(vec)
+        vec, _ = self._reduce(vec)
         if not vec:
             return False
         pc = min(vec)
-        inv = ONE / vec[pc]
-        vec = {c: v * inv for c, v in vec.items()}
-        # Back-reduce existing rows to keep the basis reduced.
-        for _, orow in self.rows:
-            x = orow.get(pc)
-            if x:
-                _subtract(orow, x, vec)
-        self.position[pc] = len(self.rows)
-        self.rows.append((pc, vec))
+        vec = _primitive(vec, vec[pc] < 0)
+        occupied = self._occupied
+        for i in occupied.pop(pc, ()):    # back-reduce to keep the basis reduced
+            orow = self._rows[i][1]
+            if pc in orow:
+                for c in vec:
+                    if c not in orow:
+                        occupied.setdefault(c, []).append(i)
+                _eliminate(orow, vec, pc)
+                self._rows[i] = (self._rows[i][0], _primitive(orow, False))
+        for c in vec:
+            if c != pc:
+                occupied.setdefault(c, []).append(len(self._rows))
+        self.position[pc] = len(self._rows)
+        self._rows.append((pc, vec))
         return True
 
     def contains(self, vec):
-        return not self._reduce(vec)
+        return not self._reduce(vec)[0]
 
     def residue(self, vec):
         """vec reduced modulo the span (supported on non-pivot coordinates)."""
-        return self._reduce(vec)
+        vec, den = self._reduce(vec)
+        return {c: Fraction(v, den) for c, v in vec.items()}
+
+    @property
+    def rows(self):
+        """The RREF rows as (pivot_col, {col: Fraction}) pairs, in insertion order."""
+        return [(pc, {c: Fraction(v, row[pc]) for c, v in row.items()})
+                for pc, row in self._rows]
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._rows)
 
     def pivot_columns(self):
         return sorted(self.position)
 
 
+def _eliminate(dst, src, pc):
+    """dst = b * dst - a * src in place, with a / b = dst[pc] / src[pc] in
+    lowest terms and b > 0, so that dst is 0 at pc; returns b."""
+    g = gcd(dst[pc], src[pc])
+    a, b = dst[pc] // g, src[pc] // g
+    if b != 1:
+        for c in dst:
+            dst[c] *= b
+    _subtract(dst, a, src)
+    return b
+
+
+def _primitive(vec, negate):
+    """vec divided by its content, and by -1 as well if `negate`."""
+    g = -gcd(*vec.values()) if negate else gcd(*vec.values())
+    return vec if g == 1 else {c: v // g for c, v in vec.items()}
+
+
 def _subtract(dst, x, src):
-    """dst -= x * src in place, dropping entries that become 0."""
+    """dst -= x * src in place, dropping 0 entries; an absent key starts at int 0."""
     for c, v in src.items():
-        y = dst.get(c, ZERO) - x * v
+        y = dst.get(c, 0) - x * v
         if y:
             dst[c] = y
         else:

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import rht.algebra
 from rht.algebra import (AlgElement, Derivation, GeneratorContext, apply_derivation,
-                         degree_basis, monomial_degree, monomial_str, substitute)
+                         degree_basis, monomial_degree, monomial_mul, monomial_str,
+                         substitute)
 from rht.errors import (BudgetExceededError, ContextMismatchError, DegreeError,
                         DerivationError)
 
@@ -285,6 +286,53 @@ def test_apply_derivation_matches_product_loop(case):
     theta, x = case
     assert list(apply_derivation(theta, x).terms.items()) == \
         list(_leibniz_loop(theta, x).terms.items())
+
+
+def _monomial_mul_loop(ctx, m1, m2):
+    """Merge-then-check monomial product with a (-1)**swaps sign, kept as the oracle."""
+    if not m1:
+        return 1, m2
+    if not m2:
+        return 1, m1
+    odd1 = [i for i, _ in m1 if ctx.degrees[i] % 2]
+    swaps = 0
+    for j, _ in m2:
+        if ctx.degrees[j] % 2:
+            for i in odd1:
+                if i > j:
+                    swaps += 1
+    merged = {}
+    for i, e in m1:
+        merged[i] = merged.get(i, 0) + e
+    for i, e in m2:
+        merged[i] = merged.get(i, 0) + e
+    for i, e in merged.items():
+        if ctx.degrees[i] % 2 and e > 1:
+            return 0, None
+    return (-1) ** swaps, tuple(sorted(merged.items()))
+
+
+@st.composite
+def monomial_pairs(draw):
+    """A random context with odd and even generators and two normal-ordered
+    monomials, even exponents up to 3."""
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    ctx = GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])
+
+    def mono():
+        exps = [draw(st.integers(0, 1 if d % 2 else 3)) for d in degrees]
+        return tuple((i, e) for i, e in enumerate(exps) if e)
+
+    return ctx, mono(), mono()
+
+
+@settings(max_examples=400, deadline=None)
+@given(monomial_pairs())
+def test_monomial_mul_matches_merge_loop(case):
+    ctx, m1, m2 = case
+    sign, mono = monomial_mul(ctx, m1, m2)
+    assert (sign, mono) == _monomial_mul_loop(ctx, m1, m2)
+    assert type(sign) is int
 
 
 def _format_element_loop(x):

@@ -91,6 +91,18 @@ def test_elliptic_check_large_odd_half_is_fast():
     assert code == 0 and out == "realizable: False (failing subsequence [3])\n"
 
 
+def test_elliptic_check_below_schur_bound_is_fast():
+    # F = A(A+1) - 2A - 1 is the Frobenius number of (A, A+1), just below
+    # Schur's bound, so the residue-class table has to decide it.
+    a = 10_000
+    start = time.monotonic()
+    code, out, _ = run_cli("elliptic-check", "--evens", "%d,%d" % (a, a + 1),
+                           "--odds", "%d,%d,%d" % (2 * a, 2 * a + 2, a * (a + 1) - 2 * a - 1),
+                           timeout=10)
+    assert time.monotonic() - start < 1.0
+    assert code == 0 and out == "realizable: True\n"
+
+
 def test_invariants_reads_one_window(monkeypatch, capsys):
     from rht.cdga import CohomologyReport
     built = []

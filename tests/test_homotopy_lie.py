@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -408,3 +409,22 @@ def test_lie_validate_matches_full_loops():
         assert got == full_loop_validate(u)
         failures.add(got[1].split()[0] if got[1] else None)
     assert failures == {None, "antisymmetry", "Jacobi"}
+    # Perturbations by Fraction(p, q), q <= 7: validate checks the table
+    # scaled by the lcm of its denominators, which now exceeds 6.
+    failures, lcms = set(), set()
+    for trial in range(80):
+        brackets = {key: dict(vec) for key, vec in t.brackets.items()}
+        key = rng.choice(sorted(brackets))
+        brackets[key] = {m: c + Fraction(rng.randint(-3, 3), rng.randint(1, 7))
+                         for m, c in brackets[key].items()}
+        if trial % 2:
+            (k, i), (l, j) = key
+            sign = 1 if (k % 2) and (l % 2) else -1
+            brackets[((l, j), (k, i))] = {m: sign * c for m, c in brackets[key].items()}
+        lcms.add(math.lcm(*[c.denominator for vec in brackets.values() for c in vec.values()]))
+        u = LieTable(t.basis, brackets, rng.randint(0, 6))
+        got = u.validate()
+        assert got == full_loop_validate(u)
+        failures.add(got[1].split()[0] if got[1] else None)
+    assert failures == {None, "antisymmetry", "Jacobi"}
+    assert max(lcms) > 6

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -235,3 +236,150 @@ def test_class_coordinates_rejects_a_non_cocycle(s2):
     b = s2.to_coords(s2.ctx.generator("b"), 3)
     with pytest.raises(RhtError):
         rep.class_coordinates(3, b)
+
+
+# -- the integer-row eliminator against the Fraction one it replaced ---------
+
+class FractionEchelon:
+    """The Fraction RREF that `Echelon` replaced, kept as the oracle: every row
+    is 1 at its pivot and 0 at every other pivot."""
+
+    def __init__(self):
+        self.rows = []
+        self.position = {}
+
+    def _reduce(self, vec):
+        vec = {c: Fraction(v) for c, v in vec.items() if v != 0}
+        for i in [self.position[c] for c in vec if c in self.position]:
+            pc, row = self.rows[i]
+            fraction_subtract(vec, vec[pc], row)
+        return vec
+
+    def add(self, vec):
+        vec = self._reduce(vec)
+        if not vec:
+            return False
+        pc = min(vec)
+        inv = Fraction(1) / vec[pc]
+        vec = {c: v * inv for c, v in vec.items()}
+        for _, orow in self.rows:
+            x = orow.get(pc)
+            if x:
+                fraction_subtract(orow, x, vec)
+        self.position[pc] = len(self.rows)
+        self.rows.append((pc, vec))
+        return True
+
+    def contains(self, vec):
+        return not self._reduce(vec)
+
+    def residue(self, vec):
+        return self._reduce(vec)
+
+
+def fraction_subtract(dst, x, src):
+    for c, v in src.items():
+        y = dst.get(c, Fraction(0)) - x * v
+        if y:
+            dst[c] = y
+        else:
+            dst.pop(c, None)
+
+
+def fraction_solve_linear(matrix, targets):
+    """`solve_linear` on `FractionEchelon`, kept as the oracle:
+    (rank, kernel, solutions, solvable)."""
+    ncols = matrix.cols
+    rows = matrix.row_list()
+    for j, t in enumerate(targets):
+        for r, v in t.items():
+            if v != 0:
+                rows[r][ncols + j] = -Fraction(v)
+    ech = FractionEchelon()
+    for row in rows:
+        ech.add(row)
+    unsolvable = {c - ncols for pc, row in ech.rows if pc >= ncols for c in row}
+    pivots = sorted(pc for pc in ech.position if pc < ncols)
+    kernel = {c: {c: Fraction(1)} for c in range(ncols) if c not in ech.position}
+    solutions = [None if j in unsolvable else {} for j in range(len(targets))]
+    for pc in reversed(pivots):
+        for c, v in ech.rows[ech.position[pc]][1].items():
+            if c < ncols:
+                if c != pc:
+                    kernel[c][pc] = -v
+            elif solutions[c - ncols] is not None:
+                solutions[c - ncols][pc] = -v
+    return len(pivots), list(kernel.values()), solutions, [s is not None for s in solutions]
+
+
+def typed(vec):
+    """Items with value types, so that key order and Fraction-ness are compared."""
+    return None if vec is None else [(c, type(v), v) for c, v in vec.items()]
+
+
+BIG_ENTRY = st.one_of(st.just(0), st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 12)),
+                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 12)))
+
+
+@st.composite
+def echelon_scripts(draw):
+    """add / residue / contains steps on sparse vectors over 7 columns; some
+    vectors are combinations of earlier ones, so that entries cancel."""
+    steps, seen = [], []
+    for _ in range(draw(st.integers(1, 14))):
+        if seen and draw(st.booleans()):
+            a, b = draw(st.sampled_from(seen)), draw(st.sampled_from(seen))
+            x, y = draw(BIG_ENTRY), draw(BIG_ENTRY)
+            vec = {c: x * a.get(c, 0) + y * b.get(c, 0) for c in list(a) + list(b)}
+            vec.update(draw(st.dictionaries(st.integers(0, 6), BIG_ENTRY, max_size=1)))
+        else:
+            vec = draw(st.dictionaries(st.integers(0, 6), BIG_ENTRY, max_size=5))
+        seen.append(vec)
+        steps.append((draw(st.sampled_from(["add", "add", "residue", "contains"])), vec))
+    return steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_scripts())
+def test_echelon_matches_fraction_echelon(steps):
+    ech, ref = Echelon(), FractionEchelon()
+    for op, vec in steps:
+        if op == "residue":
+            assert typed(ech.residue(vec)) == typed(ref.residue(vec))
+        else:
+            assert getattr(ech, op)(vec) == getattr(ref, op)(vec)
+        assert [(pc, typed(row)) for pc, row in ech.rows] == \
+            [(pc, typed(row)) for pc, row in ref.rows]
+        assert ech.dim == len(ref.rows)
+        assert ech.pivot_columns() == sorted(ref.position)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_solve_linear_matches_fraction_solve(data):
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    m = RationalMatrix(rows, cols, {(r, c): data.draw(BIG_ENTRY)
+                                    for r in range(rows) for c in range(cols)})
+    targets = [m.apply({c: data.draw(BIG_ENTRY) for c in range(cols)})
+               for _ in range(data.draw(st.integers(0, 2)))]
+    targets += data.draw(st.lists(st.dictionaries(st.integers(0, rows - 1), BIG_ENTRY,
+                                                  max_size=rows), max_size=2))
+    res = solve_linear(m, targets)
+    rank, kernel, solutions, solvable = fraction_solve_linear(m, targets)
+    assert res.rank == rank
+    assert [typed(k) for k in res.kernel] == [typed(k) for k in kernel]
+    assert [typed(s) for s in res.solutions] == [typed(s) for s in solutions]
+    assert res.solvable == solvable
+
+
+def test_cohomology_of_many_free_generators_is_fast():
+    # 200 degree-10 generators with d = 0: H^20 is the whole degree-20 space,
+    # 200 * 201 / 2 = 20,100 classes, each added to the classes Echelon with a
+    # pivot no earlier row has, so back-reduction must not scan the rows.
+    ctx = GeneratorContext([("g%d" % i, 10) for i in range(200)])
+    p = SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g in ctx.names})
+    start = time.perf_counter()
+    rep = cohomology(p, 0, 20)
+    assert {k: d for k, d in rep.dims().items() if d} == {0: 1, 10: 200, 20: 20100}
+    assert time.perf_counter() - start < 5.0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -332,3 +333,12 @@ def test_free_loop_extension_fiber_of_s3():
     fib = fiber_model(ext)
     assert list(fib.ctx.degrees) == [2]
     assert fib.d.image_of("s_u").is_zero()
+
+
+def test_wedge_model_to_degree_12_is_unchanged():
+    # sha256 of the minimal_model_json text of M(H(S2 v S2)) to degree 12,
+    # recorded with the Fraction eliminator that the integer rows replaced.
+    mm = minimal_model(wedge_two_s2_cohomology(), 12)
+    text = to_json_text(minimal_model_json(mm))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        "dfc83199b9981e7911c3bfa22dac104bf4f2dfda298ec9538e946a2821323257"
