@@ -237,6 +237,21 @@ class QuotientCDGA:
     are *not* pivot columns of the ideal-span echelon at degree k, in
     ambient order.  Reduction modulo the span is the projection; columns and
     products are the ambient's, projected.
+
+    The span at degree k is built from the products m * g_j of ambient
+    monomials and ideal generators, g_j in `ideal` order and m in ambient
+    order, skipping m * g_j when m is the last column of a product m'' * g_i,
+    i < j, at degree k - |g_j| (the rewritten criterion of F5, Faugere 2002,
+    for the reverse of the ambient order).  Such a product adds nothing: with
+    h that product scaled to 1 at m, m * g_j = h * g_j - (h - m) * g_j, where
+    h * g_j, a multiple of (m'' * g_j) * g_i by graded commutativity, lies in
+    the span of the products of g_i, and h - m sums monomials before m, whose
+    products with g_j came earlier.  So the echelon sees the vectors the full
+    loop would find independent, in the same order, and its rows, the free
+    monomials and `project` are the full loop's, key order included.  A span
+    at degree k reads the spans of all lower degrees, so a first query at
+    degree k costs the window [0, k]; every quotient window in the package
+    starts at 0.
     """
 
     def __init__(self, ambient, ideal_generators, name="quotient"):
@@ -249,30 +264,39 @@ class QuotientCDGA:
                 raise DegreeError("ideal generators must be homogeneous")
             self.ideal.append(g)
         self.name = name
-        self._span = {}
-        self._free = {}
+        self._span = []     # degree -> Echelon of the ideal's span
+        self._free = []     # degree -> ambient indices that are not pivots
+        self._last = []     # degree -> {last column of a product m * g_j: first such j}
 
     def _ideal_span(self, k):
-        if k not in self._span:
-            amb = self.ambient
-            ech = Echelon()
-            for g in self.ideal:
-                dg = g.degree()
-                if dg > k:
+        amb = self.ambient
+        for e in range(len(self._span), k + 1):
+            ech, last, index = Echelon(), {}, amb.index(e)
+            for j, g in enumerate(self.ideal):
+                p = e - g.degree()
+                if p < 0:
                     continue
-                gc = amb.to_coords(g, dg)
-                for i in range(amb.dim(k - dg)):
-                    prod = amb.multiply_coords(k - dg, {i: ONE}, dg, gc)
-                    if prod:
-                        ech.add(prod)
-            pivots = set(ech.pivot_columns())
-            self._span[k] = ech
-            self._free[k] = [i for i in range(amb.dim(k)) if i not in pivots]
-        return self._span[k]
+                done = self._last[p] if p < e else last
+                for i, m in enumerate(amb.basis(p)):
+                    if done.get(i, j) < j:
+                        continue
+                    terms = []
+                    for mg, c in g.terms.items():
+                        sign, mono = monomial_mul(amb.ctx, m, mg)
+                        if sign:
+                            terms.append((mono, c if sign > 0 else -c))
+                    if terms:
+                        vec = {index[mono]: c for mono, c in sorted(terms)}
+                        last.setdefault(max(vec), j)
+                        ech.add(vec)
+            self._last.append(last)
+            self._span.append(ech)
+            self._free.append([i for i in range(amb.dim(e)) if i not in ech.position])
+        return self._span[k] if k >= 0 else Echelon()
 
     def free_monomials(self, k):
         self._ideal_span(k)
-        return self._free[k]
+        return self._free[k] if k >= 0 else []
 
     def dim(self, k):
         return len(self.free_monomials(k))

@@ -39,12 +39,8 @@ class RationalMatrix:
     @staticmethod
     def from_columns(rows, columns):
         """Matrix whose j-th column is the sparse vector columns[j]."""
-        entries = {}
-        for j, col in enumerate(columns):
-            for r, v in col.items():
-                if v != 0:
-                    entries[(r, j)] = Fraction(v)
-        return RationalMatrix(rows, len(columns), entries)
+        return RationalMatrix(rows, len(columns), {(r, j): v for j, col in enumerate(columns)
+                                                   for r, v in col.items()})
 
     def column(self, j):
         return {r: v for (r, c), v in self.entries.items() if c == j}

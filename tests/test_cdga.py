@@ -1,3 +1,6 @@
+import inspect
+import random
+import sys
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -11,6 +14,7 @@ from rht.cdga import (CdgaMorphism, FiniteCDGA, QuotientCDGA, SullivanPresentati
 from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
                                config_space_model, cp, sphere)
 from rht.errors import DegreeError
+from rht.linalg import Echelon
 
 from conftest import nonformal_uvw, random_monomial_algebras, sphere2_model
 
@@ -385,3 +389,117 @@ def test_multiply_coords_matches_element_product(degrees, data):
     x = cx.from_coords(p, u) * cx.from_coords(q, v)
     want = cx.to_coords(x, p + q) if not x.is_zero() else {}
     assert list(cx.multiply_coords(p, u, q, v).items()) == list(want.items())
+
+
+# -- ideal spans: the rewritten criterion against every product m * g ---------
+
+def full_product_span(quot, k):
+    """The ideal span at degree k from every product m * g of an ambient
+    monomial and an ideal generator, as a criterion-free loop forms it."""
+    amb, ech = quot.ambient, Echelon()
+    for g in quot.ideal:
+        dg = g.degree()
+        if dg > k:
+            continue
+        gc = amb.to_coords(g, dg)
+        for i in range(amb.dim(k - dg)):
+            prod = amb.multiply_coords(k - dg, {i: ONE}, dg, gc)
+            if prod:
+                ech.add(prod)
+    return ech
+
+
+def assert_span_matches_full_products(quot, top, vectors):
+    """Rows, free monomials and `project` agree with the full product loop at
+    every degree up to `top`, in values and key order; `vectors(k)` gives the
+    ambient vectors to project at degree k.  The rows agree in insertion order
+    too: every skipped product is one the full loop finds in the span."""
+    for k in range(top + 1):
+        full = full_product_span(quot, k)
+        assert [(pc, list(row.items())) for pc, row in quot._ideal_span(k).rows] == \
+            [(pc, list(row.items())) for pc, row in full.rows]
+        free = [i for i in range(quot.ambient.dim(k)) if i not in full.position]
+        assert quot.free_monomials(k) == free
+        for vec in vectors(k):
+            want = {free.index(c): v for c, v in full.residue(vec).items()}
+            assert list(quot.project(k, vec).items()) == list(want.items())
+
+
+@st.composite
+def random_quotients(draw):
+    """A free ambient with odd and even generators and zero differential,
+    modulo 1-4 random homogeneous elements (not differential-stable)."""
+    degrees = [1, 2] + draw(st.lists(st.sampled_from([1, 1, 2, 3, 4]), min_size=1, max_size=3))
+    ctx = GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])
+    amb = SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g in ctx.names})
+    ideal = []
+    for _ in range(draw(st.integers(1, 4))):
+        basis = amb.basis(draw(st.integers(1, 5)))
+        if basis:
+            picks = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=4, unique=True))
+            coeffs = draw(st.lists(st.sampled_from([1, -1, 2, -3]), min_size=len(picks),
+                                   max_size=len(picks)))
+            ideal.append(AlgElement(ctx, dict(zip(picks, coeffs))))
+    return QuotientCDGA(amb, ideal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_quotients(), st.data())
+def test_ideal_span_criterion_matches_full_products(quot, data):
+    def vectors(k):
+        n = quot.ambient.dim(k)
+        if not n:
+            return []
+        keys = st.lists(st.integers(0, n - 1), max_size=6, unique=True)
+        return [dict(zip(ks, data.draw(st.lists(st.integers(-3, 3).map(Fraction),
+                                                 min_size=len(ks), max_size=len(ks)))))
+                for ks in [data.draw(keys) for _ in range(2)]]
+    assert_span_matches_full_products(quot, 8, vectors)
+
+
+def test_ideal_span_criterion_matches_full_products_on_fixed_quotients():
+    # The configuration spaces of the quotient-certificate test, and an
+    # exterior quotient where y1 * (y0 + y2) = -y0*y1 + y1*y2 mixes signs.
+    ctx = GeneratorContext([("y0", 1), ("y1", 1), ("y2", 1), ("x", 2)])
+    y0, y1, y2, x = (ctx.generator(g) for g in ctx.names)
+    amb = SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g in ctx.names})
+    quotients = [QuotientCDGA(amb, [y0 + y2, x * y1 - y0 * y1 * y2])]
+    for m, k in [(2, 2), (3, 2), (2, 3), (4, 2)]:
+        quotients.append(config_space_model(PDAlgebra(cohomology_algebra(sphere(m), m), m),
+                                            k).quotient)
+    rng = random.Random(7)
+    for quot in quotients:
+        def vectors(k):
+            n = quot.ambient.dim(k)
+            return [{i: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                     for i in rng.sample(range(n), min(n, 8))} for _ in range(3)] if n else []
+        assert_span_matches_full_products(quot, 15, vectors)
+
+
+def test_ideal_span_skips_redundant_products(monkeypatch):
+    class CountingEchelon(Echelon):
+        adds = 0
+
+        def add(self, vec):
+            CountingEchelon.adds += 1
+            return super().add(vec)
+    monkeypatch.setattr("rht.cdga.Echelon", CountingEchelon)
+    # Every product m * g over degrees 0..top: 8,062 and 13,674 vectors; the
+    # criterion hands 4,279 and 5,310 of them to the echelon.
+    for m, top, bound in [(3, 13, 4300), (2, 11, 5400)]:
+        CountingEchelon.adds = 0
+        pd = PDAlgebra(cohomology_algebra(sphere(m), m), m)
+        config_space_model(pd, 4, max_k=4).quotient.free_monomials(top)
+        assert CountingEchelon.adds <= bound, (m, CountingEchelon.adds)
+
+
+def test_ideal_span_fills_lower_degrees_without_recursion():
+    # The first query at degree 300 fills degrees 0..299 first; a recursive
+    # fill would need a frame per degree.
+    quot = config_space_model(PDAlgebra(cohomology_algebra(sphere(2), 2), 2), 2).quotient
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        assert quot.dim(300) == 0
+    finally:
+        sys.setrecursionlimit(limit)

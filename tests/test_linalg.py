@@ -130,6 +130,30 @@ def systems(draw):
     return m, targets
 
 
+def converting_from_columns(rows, columns):
+    """`RationalMatrix.from_columns` as it was: each entry converted here and
+    again by the constructor."""
+    entries = {}
+    for j, col in enumerate(columns):
+        for r, v in col.items():
+            if v != 0:
+                entries[(r, j)] = Fraction(v)
+    return RationalMatrix(rows, len(columns), entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 6), st.one_of(ENTRY, st.integers(-3, 3)),
+                                max_size=5), max_size=5))
+def test_from_columns_matches_the_converting_copy(columns):
+    def build(from_columns):
+        try:    # 5 rows, so some entries fall outside
+            m = from_columns(5, columns)
+        except RhtError as exc:
+            return str(exc)
+        return m.rows, m.cols, [(key, type(v), v) for key, v in m.entries.items()]
+    assert build(RationalMatrix.from_columns) == build(converting_from_columns)
+
+
 def column_rank(columns):
     ech = Echelon()
     return sum(1 for col in columns if ech.add(col))
