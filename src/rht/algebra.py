@@ -25,7 +25,9 @@ MONOMIAL_BUDGET = 200_000
 
 
 def as_q(value):
-    """Coerce ints / strings like '2/3' to Fraction; reject floats."""
+    """Coerce ints / strings like '2/3' to Fraction, return a Fraction unchanged; reject floats."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError("floating-point coefficients are not allowed: %r" % value)
     return Fraction(value)
@@ -113,6 +115,20 @@ def monomial_mul(ctx, m1, m2):
     return -1 if swaps & 1 else 1, tuple(sorted(merged.items()))
 
 
+def monomial_products(ctx, x, y):
+    """Sum of the products of two {monomial: coeff} maps, unsorted: one `lincomb`
+    row per monomial of x (a fixed factor is injective, so a row repeats no key)."""
+    rows = []
+    for m1, c1 in x.items():
+        row = {}
+        for m2, c2 in y.items():
+            sign, mono = monomial_mul(ctx, m1, m2)
+            if sign:
+                row[mono] = c2 if sign > 0 else -c2
+        rows.append((c1, row))
+    return lincomb(rows)
+
+
 def monomial_str(ctx, mono):
     if not mono:
         return "1"
@@ -129,15 +145,8 @@ class AlgElement:
 
     def __init__(self, ctx, terms=None):
         self.ctx = ctx
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = as_q(coeff)
-                if coeff != 0:
-                    clean[mono] = clean.get(mono, ZERO) + coeff
-                    if clean[mono] == 0:
-                        del clean[mono]
-        self.terms = dict(sorted(clean.items()))
+        terms = {m: as_q(c) for m, c in terms.items()} if terms else {}
+        self.terms = dict(sorted((m, c) for m, c in terms.items() if c))
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -173,13 +182,11 @@ class AlgElement:
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, ZERO) + c
-        return AlgElement(self.ctx, out)
+        return AlgElement(self.ctx, lincomb([(ONE, self.terms), (ONE, other.terms)]))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return AlgElement(self.ctx, lincomb([(ONE, self.terms), (-ONE, other.terms)]))
 
     def __neg__(self):
         return AlgElement(self.ctx, {m: -c for m, c in self.terms.items()})
@@ -192,14 +199,7 @@ class AlgElement:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                sign, mono = monomial_mul(self.ctx, m1, m2)
-                if sign == 0:
-                    continue
-                out[mono] = out.get(mono, ZERO) + sign * c1 * c2
-        return AlgElement(self.ctx, out)
+        return AlgElement(self.ctx, monomial_products(self.ctx, self.terms, other.terms))
 
     def __rmul__(self, coeff):
         return self.scale(coeff)

@@ -19,11 +19,9 @@ total dimension, an all-odd generator argument, or a full gap window in a
 quotient); otherwise results are labelled as verified up to N.
 """
 
-from fractions import Fraction
-
-from .algebra import (AlgElement, Derivation, GeneratorContext, ZERO, ONE,
-                      apply_derivation, degree_basis, monomial_degree,
-                      monomial_mul, monomial_str)
+from .algebra import (AlgElement, Derivation, GeneratorContext, ONE, apply_derivation,
+                      as_q, degree_basis, monomial_degree, monomial_mul,
+                      monomial_products, monomial_str)
 from .errors import (DegreeError, RhtError, UnsupportedInputError,
                      ValidationError)
 from .linalg import Echelon, lincomb, slice_homology
@@ -134,18 +132,14 @@ class SullivanPresentation:
         return self._dcols[key]
 
     def multiply_coords(self, p, u, q, v):
-        """Product of coordinate vectors, keys in monomial order (as `to_coords`)."""
-        ctx, bp, bq = self.ctx, self.basis(p), self.basis(q)
-        out = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                if ci and cj:
-                    sign, mono = monomial_mul(ctx, bp[i], bq[j])
-                    if sign:
-                        out[mono] = out.get(mono, ZERO) + sign * ci * cj
-        terms = sorted((m, c) for m, c in out.items() if c)
-        idx = self.index(p + q) if terms else None
-        return {idx[m]: c for m, c in terms}
+        """Product of coordinate vectors in Fractions, keys in monomial order (as `to_coords`)."""
+        bp, bq = self.basis(p), self.basis(q)
+        out = monomial_products(self.ctx, {bp[i]: c for i, c in u.items()},
+                                {bq[j]: c for j, c in v.items()})
+        if not out:
+            return {}
+        idx = self.index(p + q)
+        return {idx[m]: as_q(out[m]) for m in sorted(out)}
 
     def unit_coords(self):
         return {0: ONE}
@@ -163,16 +157,17 @@ class FiniteCDGA:
     """Cdga with an explicit finite basis in each degree.
 
     basis: {degree: [labels]}; diff: {(deg, i): {j: coeff}} into degree+1;
-    mul: {((p, i), (q, j)): {k: coeff}} into degree p+q.  Unit is basis
-    element 0 of degree 0.  `h0_is_unit_span` records whether degree 0 is
-    required to be spanned by the unit (arrangement complexes set it False
-    because their degree-0 slot holds more than the empty subset).
+    mul: {((p, i), (q, j)): {k: coeff}} into degree p+q; coefficients go
+    through `as_q`, zeros kept for validation to see.  Unit is basis element
+    0 of degree 0.  `h0_is_unit_span` records whether degree 0 is required
+    to be spanned by the unit (arrangement complexes set it False because
+    their degree-0 slot holds more than the empty subset).
     """
 
     def __init__(self, basis, diff, mul, name="A", h0_is_unit_span=True):
         self.basis = {k: list(v) for k, v in basis.items() if v}
-        self.diff = {k: dict(v) for k, v in diff.items() if v}
-        self.mul = {k: dict(v) for k, v in mul.items() if v}
+        self.diff = {k: {j: as_q(c) for j, c in v.items()} for k, v in diff.items() if v}
+        self.mul = {k: {j: as_q(c) for j, c in v.items()} for k, v in mul.items() if v}
         self.name = name
         self.h0_is_unit_span = h0_is_unit_span
         if 0 not in self.basis or not self.basis[0]:
@@ -205,16 +200,8 @@ class FiniteCDGA:
         return dict(self.mul.get(((p, i), (q, j)), {}))
 
     def multiply_coords(self, p, u, q, v):
-        out = {}
-        for i, ci in u.items():
-            if ci == 0:
-                continue
-            for j, cj in v.items():
-                if cj == 0:
-                    continue
-                for k, c in self.mul.get(((p, i), (q, j)), {}).items():
-                    out[k] = out.get(k, ZERO) + ci * cj * c
-        return {k: c for k, c in out.items() if c != 0}
+        return lincomb((ci * cj, self.mul.get(((p, i), (q, j)), {}))
+                       for i, ci in u.items() for j, cj in v.items())
 
     def label(self, k, i):
         return self.basis[k][i]
@@ -417,11 +404,7 @@ def _validate_finite(A):
         for j in col:
             if j >= A.dim(k + 1):
                 violations.append("d(%s) hits a missing basis index" % A.label(k, i))
-        dd = {}
-        for j, c in col.items():
-            for l, c2 in A.d_of(k + 1, j).items():
-                dd[l] = dd.get(l, ZERO) + c * c2
-        if any(v != 0 for v in dd.values()):
+        if lincomb((c, A.d_of(k + 1, j)) for j, c in col.items()):
             violations.append("d^2(%s) != 0" % A.label(k, i))
     # Unit is a two-sided identity and a cocycle.
     if A.d_of(0, 0):
@@ -616,7 +599,7 @@ class CdgaMorphism:
             else:
                 coords = {}
                 for key, c in dict(raw).items():
-                    c = Fraction(c)
+                    c = as_q(c)
                     if c == 0:
                         continue
                     if isinstance(key, str):
@@ -700,7 +683,8 @@ class FiniteMorphism:
     def __init__(self, source, target, matrices, name="phi"):
         self.source = source
         self.target = target
-        self.matrices = {k: [dict(col) for col in cols] for k, cols in matrices.items()}
+        self.matrices = {k: [{r: as_q(c) for r, c in col.items()} for col in cols]
+                         for k, cols in matrices.items()}
         self.name = name
 
     def apply_coords(self, k, coords):
@@ -800,20 +784,18 @@ def tensor_mul(A, B, v, w):
     """Product in A (x) B of vectors keyed (p, i, q, j) for e_{p,i} (x) e_{q,j}.
 
     (a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb', read off the tables of
-    A and B; entries may cancel to 0.
+    A and B, one `lincomb` row per pair of terms: entries that cancel are dropped.
     """
-    out = {}
+    rows = []
     for (p1, i1, q1, j1), c1 in v.items():
         for (p2, i2, q2, j2), c2 in w.items():
             aa = A.mul.get(((p1, i1), (p2, i2)))
             bb = aa and B.mul.get(((q1, j1), (q2, j2)))
             if bb:
-                c = -c1 * c2 if (q1 % 2) and (p2 % 2) else c1 * c2
-                for ka, ca in aa.items():
-                    for kb, cb in bb.items():
-                        key = (p1 + p2, ka, q1 + q2, kb)
-                        out[key] = out.get(key, ZERO) + c * ca * cb
-    return out
+                rows.append((-c1 * c2 if (q1 % 2) and (p2 % 2) else c1 * c2,
+                             {(p1 + p2, ka, q1 + q2, kb): ca * cb
+                              for ka, ca in aa.items() for kb, cb in bb.items()}))
+    return lincomb(rows)
 
 
 def tensor_positions(A, B):
@@ -841,21 +823,13 @@ def tensor_finite(A, B, name=None):
     if pairs[(0, 0, 0, 0)] != (0, 0):
         raise RhtError("tensor basis ordering broke the unit convention")
 
-    def emb(p, u, q, v, sign=1):
-        out = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                k, idx = pairs[(p, i, q, j)]
-                out[idx] = out.get(idx, ZERO) + sign * ci * cj
-        return {i: c for i, c in out.items() if c != 0}
-
     diff = {}
     mul = {}
     for (p, i, q, j), (k, idx) in pairs.items():
-        col = emb(p + 1, A.d_of(p, i), q, {j: ONE})
-        sgn = -1 if p % 2 else 1
-        col2 = emb(p, {i: ONE}, q + 1, B.d_of(q, j), sgn)
-        tot = lincomb([(1, col), (1, col2)])
+        # d(a (x) b) = da (x) b + (-1)^|a| a (x) db, each side a relabelled column.
+        tot = lincomb([(1, {pairs[(p + 1, l, q, j)][1]: c for l, c in A.d_of(p, i).items()}),
+                       (-1 if p % 2 else 1,
+                        {pairs[(p, i, q + 1, l)][1]: c for l, c in B.d_of(q, j).items()})])
         if tot:
             diff[(k, idx)] = tot
     # Only pairs with aa' != 0 and bb' != 0 multiply to nonzero; emit them in
@@ -868,8 +842,7 @@ def tensor_finite(A, B, name=None):
             if t1 in order and t2 in order:
                 nonzero.append((order[t1], order[t2], t1, t2))
     for _, _, t1, t2 in sorted(nonzero):
-        out = tensor_mul(A, B, {t1: ONE}, {t2: ONE})
-        out = {pairs[t][1]: c for t, c in out.items() if c != 0}
+        out = {pairs[t][1]: c for t, c in tensor_mul(A, B, {t1: ONE}, {t2: ONE}).items()}
         if out:
             mul[(pairs[t1], pairs[t2])] = out
     return FiniteCDGA(basis, diff, mul, name=name or ("%s(x)%s" % (A.name, B.name)),

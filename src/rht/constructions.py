@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebra import (AlgElement, Derivation, GeneratorContext, ONE, ZERO,
-                      apply_derivation, rebase, substitute)
+                      apply_derivation, as_q, rebase, substitute)
 from .cdga import (FiniteCDGA, QuotientCDGA, SullivanPresentation,
                    cohomology, direct_sum_cohomology, tensor_finite,
                    tensor_positions)
@@ -418,13 +418,10 @@ def mapping_space_pi(phi, n):
         for (g, wdeg, i) in src:
             base_img = W.from_coords(wdeg, {i: ONE})
             assign = {g: base_img}
-            col = {}
             # (d theta)(v) = d_W(theta(v)): only v = g contributes directly.
-            dpart = apply_derivation(W.d, base_img)
-            for mono, c in dpart.terms.items():
-                pos = tgt_pos.get((g, W.index(wdeg + 1)[mono]))
-                if pos is not None:
-                    col[pos] = col.get(pos, ZERO) + c
+            index = W.index(wdeg + 1)
+            rows = [(1, {pos: c for mono, c in apply_derivation(W.d, base_img).terms.items()
+                         if (pos := tgt_pos.get((g, index[mono]))) is not None})]
             # (theta d)(v) for every generator v.
             for v in V.ctx.names:
                 dv = V.d.image_of(v)
@@ -433,14 +430,15 @@ def mapping_space_pi(phi, n):
                 val = theta_apply(assign, m, dv)
                 if val.is_zero():
                     continue
-                vdeg = val.degree()
-                sign = -1 if (m % 2) else 1
+                index = W.index(val.degree())
+                row = {}
                 for mono, c in val.terms.items():
-                    pos = tgt_pos.get((v, W.index(vdeg)[mono]))
+                    pos = tgt_pos.get((v, index[mono]))
                     if pos is None:
                         raise RhtError("derivation image outside the complex")
-                    col[pos] = col.get(pos, ZERO) - sign * c
-            cols.append({p: c for p, c in col.items() if c != 0})
+                    row[pos] = c
+                rows.append((1 if m % 2 else -1, row))
+            cols.append(lincomb(rows))
         return src, tgt, cols
 
     src_n, tgt_n, cols_n = d_matrix(n)
@@ -472,7 +470,8 @@ class PDAlgebra:
             raise UnsupportedInputError("A^%d must be one dimensional" % m)
         if eps is None:
             eps = {0: ONE}
-        self.eps = {i: Fraction(c) for i, c in eps.items() if c != 0}
+        eps = {i: as_q(c) for i, c in eps.items()}
+        self.eps = {i: c for i, c in eps.items() if c}
         if list(self.eps) != [0]:
             raise UnsupportedInputError("orientation must be supported on A^m")
         self._duals = {}
@@ -535,10 +534,8 @@ def diagonal_class(A):
         for i in range(A.cdga.dim(p)):
             sign = -1 if p % 2 else 1
             for j, c in duals[i].items():
-                k, idx = pos[(p, i, q, j)]
-                coords[idx] = coords.get(idx, ZERO) + sign * c
+                coords[pos[(p, i, q, j)][1]] = sign * c
                 terms.append((sign * c, (p, i), (q, j)))
-    coords = {i: c for i, c in coords.items() if c != 0}
     # Cycle check in (A (x) A, d).
     if lincomb((c, T.d_of(A.m, i)) for i, c in coords.items()):
         raise RhtError("diagonal class is not a cycle")  # pragma: no cover
@@ -757,8 +754,7 @@ def arrangement_complex(arr, name=None):
                 kt, it = index[tau]
                 if kt != k + 1:
                     raise RhtError("differential is not of degree +1")  # pragma: no cover
-                col[it] = col.get(it, ZERO) + Fraction((-1) ** pos)
-        col = {i: c for i, c in col.items() if c != 0}
+                col[it] = Fraction((-1) ** pos)
         if col:
             diff[(k, idx)] = col
 

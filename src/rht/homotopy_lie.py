@@ -11,9 +11,9 @@ Baker-Campbell-Hausdorff product log(exp a . exp b).
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
-from .algebra import AlgElement, ONE, ZERO, apply_derivation
+from .algebra import AlgElement, ONE, apply_derivation
 from .cdga import SullivanPresentation, cohomology
 from .errors import DegreeError, RhtError, UnsupportedInputError
 from .linalg import Echelon, RationalMatrix, lincomb, solve_linear
@@ -156,14 +156,12 @@ def lie_table(qp, bound, name=None):
                 (a, _), (b, _) = mono
                 da, db = ctx.degrees[a], ctx.degrees[b]
                 contributions = [(b, a, c * (-1) ** da), (a, b, c * (-1) ** (da * db + db))]
+            # Distinct terms of d_1 v give distinct (p, q): one value per m, in m order.
             for p, q, x in contributions:
-                vec = entries.setdefault((slot[p], slot[q]), {})
-                vec[m] = vec.get(m, ZERO) + x
-    brackets = {}    # in the order (k, l, i, j) of the key ((k, i), (l, j))
-    for key in sorted(entries, key=lambda kl: (kl[0][0], kl[1][0], kl[0][1], kl[1][1])):
-        vec = {m: x for m, x in sorted(entries[key].items()) if x != 0}
-        if vec:
-            brackets[key] = vec
+                entries.setdefault((slot[p], slot[q]), {})[m] = x
+    # in the order (k, l, i, j) of the key ((k, i), (l, j))
+    brackets = {key: entries[key] for key in sorted(
+        entries, key=lambda kl: (kl[0][0], kl[1][0], kl[0][1], kl[1][1]))}
     t = LieTable(basis, brackets, bound, name=name or ("L(%s)" % pres.name))
     ok, why = t.validate()
     if not ok:
@@ -421,43 +419,32 @@ def nilpotency_class(t):
 
 
 def _free_mul(x, y, cap):
-    out = {}
-    for w1, c1 in x.items():
-        for w2, c2 in y.items():
-            if len(w1) + len(w2) > cap:
-                continue
-            w = w1 + w2
-            out[w] = out.get(w, ZERO) + c1 * c2
-    return {w: c for w, c in out.items() if c != 0}
+    # One row per left word: concatenating a fixed word is injective.
+    return lincomb((c1, {w1 + w2: c2 for w2, c2 in y.items() if len(w1) + len(w2) <= cap})
+                   for w1, c1 in x.items())
 
 
 def _free_exp(x, cap):
-    out = {(): ONE}
+    terms = [(ONE, {(): ONE})]
     term = {(): ONE}
-    fact = 1
     for m in range(1, cap + 1):
         term = _free_mul(term, x, cap)
         if not term:
             break
-        fact *= m
-        for w, c in term.items():
-            out[w] = out.get(w, ZERO) + c / fact
-    return {w: c for w, c in out.items() if c != 0}
+        terms.append((Fraction(1, factorial(m)), term))
+    return lincomb(terms)
 
 
 def _free_log(x, cap):
-    u = dict(x)
-    u.pop((), None)
-    out = {}
+    u = {w: c for w, c in x.items() if w}
+    terms = []
     term = {(): ONE}
     for m in range(1, cap + 1):
         term = _free_mul(term, u, cap)
         if not term:
             break
-        sign = Fraction((-1) ** (m + 1), m)
-        for w, c in term.items():
-            out[w] = out.get(w, ZERO) + sign * c
-    return {w: c for w, c in out.items() if c != 0}
+        terms.append((Fraction((-1) ** (m + 1), m), term))
+    return lincomb(terms)
 
 
 def bch_product(t, a, b, nil_class=None):

@@ -53,6 +53,7 @@ class RationalMatrix:
 
     def apply(self, vec):
         """Matrix-vector product on a sparse column vector {col: Fraction}."""
+        # Not routed through `lincomb`: only tests call it, and it goes with RationalMatrix.
         out = {}
         for (r, c), v in self.entries.items():
             x = vec.get(c)
@@ -195,7 +196,7 @@ def _eliminate(dst, src, pc):
     if b != 1:
         for c in dst:
             dst[c] *= b
-    _subtract(dst, a, src)
+    _addmul(dst, -a, src)
     return b
 
 
@@ -205,10 +206,12 @@ def _primitive(vec, negate):
     return vec if g == 1 else {c: v // g for c, v in vec.items()}
 
 
-def _subtract(dst, x, src):
-    """dst -= x * src in place, dropping 0 entries; an absent key starts at int 0."""
+def _addmul(dst, x, src):
+    """dst += x * src in place, dropping 0 entries; an absent key takes x * v,
+    of its own type (int * int stays int, which `Echelon` needs)."""
     for c, v in src.items():
-        y = dst.get(c, 0) - x * v
+        y = dst.get(c)
+        y = v * x if y is None else y + v * x
         if y:
             dst[c] = y
         else:
@@ -224,7 +227,7 @@ def lincomb(terms):
     out = {}
     for c, v in terms:
         if v:
-            _subtract(out, -c, v)
+            _addmul(out, c, v)
     return out
 
 

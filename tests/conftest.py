@@ -33,6 +33,30 @@ def wedge_two_s2_cohomology():
     return wedge_cohomology(h, cohomology_algebra(sphere(2), 2), name="H(S2vS2)")
 
 
+class ZeroTouchDict(dict):
+    """Accumulator for reference copies of the hand-written sparse sums
+    (`out[k] = out.get(k, ZERO) + x`, zeros filtered at the end).  It notes
+    when a key that holds 0 is assigned again: from then on `lincomb`, which
+    drops a 0 at once, may list that key later than the reference does."""
+
+    retouched = False
+
+    def __setitem__(self, key, value):
+        if self.get(key, 1) == 0:
+            self.retouched = True
+        super().__setitem__(key, value)
+
+
+def assert_matches_reference_sum(got, ref, retouched):
+    """`got` holds exactly the nonzero entries of `ref`, with the same values
+    and value types, in the same key order unless `retouched`."""
+    nonzero = {k: v for k, v in ref.items() if v != 0}
+    assert got == nonzero
+    assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in nonzero.items()}
+    if not retouched:
+        assert list(got) == list(nonzero)
+
+
 def monomial_algebra(factors, name="A"):
     """FiniteCDGA of a tensor product of exterior and truncated-polynomial algebras.
 

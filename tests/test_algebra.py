@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rht.algebra
-from rht.algebra import (AlgElement, Derivation, GeneratorContext, apply_derivation,
+from rht.algebra import (ZERO, AlgElement, Derivation, GeneratorContext, apply_derivation,
                          degree_basis, monomial_degree, monomial_mul, monomial_str,
                          substitute)
+from rht.cdga import SullivanPresentation
 from rht.errors import (BudgetExceededError, ContextMismatchError, DegreeError,
                         DerivationError)
+
+from conftest import ZeroTouchDict, assert_matches_reference_sum
 
 
 def ctx_ab():
@@ -373,3 +376,60 @@ def test_substitute_is_multiplicative():
     a, b = ctx.generator("a"), ctx.generator("b")
     assert substitute(a * b + a ** 2, images, tgt) == \
         tgt.generator("x") * tgt.generator("y") + tgt.generator("x") ** 2
+
+
+# -- products and sums through lincomb, pinned against the loops they replaced -
+
+def reference_product(ctx, x, y):
+    """{monomial: coeff} product of two term maps, accumulated pair by pair."""
+    out = ZeroTouchDict()
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            sign, mono = monomial_mul(ctx, m1, m2)
+            if sign == 0:
+                continue
+            out[mono] = out.get(mono, ZERO) + sign * c1 * c2
+    return out
+
+
+def reference_element(out):
+    """Terms of AlgElement(ctx, out): Fractions, zeros dropped, sorted."""
+    return dict(sorted((m, Fraction(c)) for m, c in out.items() if c != 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements(), elements())
+def test_element_arithmetic_matches_reference_loops(x, y):
+    added = dict(x.terms)
+    for m, c in y.terms.items():
+        added[m] = added.get(m, ZERO) + c
+    subtracted = dict(x.terms)
+    for m, c in y.terms.items():
+        subtracted[m] = subtracted.get(m, ZERO) - c
+    for got, want in ((x + y, added), (x - y, subtracted),
+                      (x * y, reference_product(ELEM_CTX, x.terms, y.terms))):
+        want = reference_element(want)
+        assert list(got.terms.items()) == list(want.items())
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.booleans(), st.data())
+def test_presentation_multiply_coords_matches_reference_loop(degrees, ints, data):
+    ctx = GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])
+    cx = SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g in ctx.names})
+    coeff = st.integers(-2, 2) if ints else \
+        st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+    def vector(k):
+        if not cx.dim(k):
+            return {}
+        return data.draw(st.dictionaries(st.integers(0, cx.dim(k) - 1), coeff, max_size=4))
+    p, q = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    u, v = vector(p), vector(q)
+    bp, bq = cx.basis(p), cx.basis(q)
+    out = reference_product(ctx, {bp[i]: c for i, c in u.items() if c},
+                            {bq[j]: c for j, c in v.items() if c})
+    # Keys in monomial order, so the order never depends on cancellations.
+    want = {cx.index(p + q)[m]: c for m, c in sorted(out.items()) if c}
+    assert_matches_reference_sum(cx.multiply_coords(p, u, q, v), want, False)

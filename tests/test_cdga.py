@@ -7,16 +7,18 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rht.algebra import ONE, ZERO, AlgElement, GeneratorContext, degree_basis
-from rht.cdga import (CdgaMorphism, FiniteCDGA, QuotientCDGA, SullivanPresentation,
-                      cohomology, cohomology_algebra, finite_truncation, is_quasi_iso,
-                      tensor_finite, tensor_mul, validate)
+from rht.algebra import ONE, ZERO, AlgElement, GeneratorContext, as_q, degree_basis
+from rht.cdga import (CdgaMorphism, FiniteCDGA, FiniteMorphism, QuotientCDGA,
+                      SullivanPresentation, cohomology, cohomology_algebra,
+                      finite_truncation, is_quasi_iso, tensor_finite, tensor_mul,
+                      tensor_positions, validate)
 from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
                                config_space_model, cp, sphere)
 from rht.errors import DegreeError
 from rht.linalg import Echelon
 
-from conftest import nonformal_uvw, random_monomial_algebras, sphere2_model
+from conftest import (ZeroTouchDict, assert_matches_reference_sum, nonformal_uvw,
+                      random_monomial_algebras, sphere2_model)
 
 
 def test_validate_s2(s2):
@@ -503,3 +505,217 @@ def test_ideal_span_fills_lower_degrees_without_recursion():
         assert quot.dim(300) == 0
     finally:
         sys.setrecursionlimit(limit)
+
+
+# -- sparse sums through lincomb, pinned against the loops they replaced ------
+
+def reference_lincomb(terms):
+    """lincomb as it was: dst -= (-c) * v, an absent key starting at int 0."""
+    out = {}
+    for c, v in terms:
+        for k, x in (v or {}).items():
+            y = out.get(k, 0) - (-c) * x
+            if y:
+                out[k] = y
+            else:
+                out.pop(k, None)
+    return out
+
+
+def reference_finite_multiply(mul, p, u, q, v):
+    out = ZeroTouchDict()
+    for i, ci in u.items():
+        if ci == 0:
+            continue
+        for j, cj in v.items():
+            if cj == 0:
+                continue
+            for k, c in mul.get(((p, i), (q, j)), {}).items():
+                out[k] = out.get(k, ZERO) + ci * cj * c
+    return out, out.retouched
+
+
+def reference_tensor_mul(amul, bmul, v, w):
+    out = ZeroTouchDict()
+    for (p1, i1, q1, j1), c1 in v.items():
+        for (p2, i2, q2, j2), c2 in w.items():
+            aa = amul.get(((p1, i1), (p2, i2)))
+            bb = aa and bmul.get(((q1, j1), (q2, j2)))
+            if bb:
+                c = -c1 * c2 if (q1 % 2) and (p2 % 2) else c1 * c2
+                for ka, ca in aa.items():
+                    for kb, cb in bb.items():
+                        key = (p1 + p2, ka, q1 + q2, kb)
+                        out[key] = out.get(key, ZERO) + c * ca * cb
+    return out, out.retouched
+
+
+def reference_tensor_tables(A, B, a_raw, b_raw):
+    """diff and mul of tensor_finite(A, B) from the per-side embedding loop,
+    read off the raw tables A and B were built from."""
+    (_, adiff, amul), (_, bdiff, bmul) = a_raw, b_raw
+    pairs = tensor_positions(A, B)
+
+    def emb(p, u, q, v, sign=1):
+        out = {}
+        for i, ci in u.items():
+            for j, cj in v.items():
+                k, idx = pairs[(p, i, q, j)]
+                out[idx] = out.get(idx, ZERO) + sign * ci * cj
+        return {i: c for i, c in out.items() if c != 0}
+
+    diff, mul = {}, {}
+    for (p, i, q, j), (k, idx) in pairs.items():
+        col = emb(p + 1, adiff.get((p, i), {}), q, {j: ONE})
+        col2 = emb(p, {i: ONE}, q + 1, bdiff.get((q, j), {}), -1 if p % 2 else 1)
+        tot = reference_lincomb([(1, col), (1, col2)])
+        if tot:
+            diff[(k, idx)] = tot
+    order = {t: r for r, t in enumerate(pairs)}
+    nonzero = sorted((order[a1 + b1], order[a2 + b2], a1 + b1, a2 + b2)
+                     for a1, a2 in amul for b1, b2 in bmul
+                     if a1 + b1 in order and a2 + b2 in order)
+    for _, _, t1, t2 in nonzero:
+        out, _ = reference_tensor_mul(amul, bmul, {t1: ONE}, {t2: ONE})
+        out = {pairs[t][1]: c for t, c in out.items() if c != 0}
+        if out:
+            mul[(pairs[t1], pairs[t2])] = out
+    return diff, mul
+
+
+def coefficients(ints):
+    """Small coefficients, 0 included: ints, or Fractions with small denominators."""
+    if ints:
+        return st.integers(-2, 2)
+    return st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+@st.composite
+def raw_tables(draw, ints):
+    """(basis, diff, mul) of a small cdga as a caller passes them to FiniteCDGA,
+    Fraction-valued or, with `ints`, with every integral entry an int; then a
+    few in-range edits, which may store 0 or break the axioms."""
+    base = draw(st.sampled_from(["monomial", "s2", "uvw"]))
+    if base == "monomial":
+        A = draw(random_monomial_algebras(max_dim=6))
+    else:
+        A = finite_truncation(sphere2_model() if base == "s2" else nonformal_uvw(),
+                              draw(st.integers(2, 4)))
+
+    def raw(c):
+        return int(c) if ints and c.denominator == 1 else c
+    diff = {key: {j: raw(c) for j, c in col.items()} for key, col in A.diff.items()}
+    mul = {key: {k: raw(c) for k, c in prod.items()} for key, prod in A.mul.items()}
+    items = [(k, i) for k in sorted(A.basis) for i in range(A.dim(k))]
+    for _ in range(draw(st.integers(0, 3))):
+        (p, i), (q, j) = draw(st.sampled_from(items)), draw(st.sampled_from(items))
+        if draw(st.booleans()) and A.dim(p + q):
+            key = ((p, i), (q, j))
+            mul[key] = {**mul.get(key, {}),
+                        draw(st.integers(0, A.dim(p + q) - 1)): draw(coefficients(ints))}
+        elif A.dim(p + 1):
+            diff[(p, i)] = {**diff.get((p, i), {}),
+                            draw(st.integers(0, A.dim(p + 1) - 1)): draw(coefficients(ints))}
+    return A.basis, diff, mul
+
+
+def vector_with(draw, key, keys, ints):
+    """{key: 1} plus up to 3 more entries over `keys`, 0 among the coefficients."""
+    more = draw(st.dictionaries(st.sampled_from(keys), coefficients(ints), max_size=3))
+    return {key: 1 if ints else ONE, **more}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.data())
+def test_finite_multiply_coords_matches_reference_loop(ints, data):
+    basis, diff, mul = data.draw(raw_tables(ints))
+    A = FiniteCDGA(basis, diff, mul)
+    (p, i), (q, j) = data.draw(st.sampled_from(sorted(mul)))
+    u = vector_with(data.draw, i, list(range(A.dim(p))), ints)
+    v = vector_with(data.draw, j, list(range(A.dim(q))), ints)
+    ref, retouched = reference_finite_multiply(mul, p, u, q, v)
+    assert_matches_reference_sum(A.multiply_coords(p, u, q, v), ref, retouched)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.data())
+def test_tensor_mul_matches_reference_loop(ints, data):
+    a_raw, b_raw = data.draw(raw_tables(ints)), data.draw(raw_tables(ints))
+    A, B = FiniteCDGA(*a_raw), FiniteCDGA(*b_raw)
+    keys = list(tensor_positions(A, B))
+    (a1, a2), (b1, b2) = data.draw(st.sampled_from(sorted(a_raw[2]))), \
+        data.draw(st.sampled_from(sorted(b_raw[2])))
+    v = vector_with(data.draw, a1 + b1, keys, ints)
+    w = vector_with(data.draw, a2 + b2, keys, ints)
+    ref, retouched = reference_tensor_mul(a_raw[2], b_raw[2], v, w)
+    # The reference keeps the entries that cancel to 0; tensor_mul drops them.
+    assert_matches_reference_sum(tensor_mul(A, B, v, w), ref, retouched)
+
+
+def test_tensor_mul_drops_the_entries_that_cancel():
+    # Not a cdga (1 * b = a), but tensor_mul only reads the tables: one entry
+    # of the table is 0, and the two products of 1 (x) 1 land on one key.
+    A = FiniteCDGA({0: ["1"], 2: ["a", "b"]}, {},
+                   {((0, 0), (0, 0)): {0: 1}, ((0, 0), (2, 0)): {0: 1, 1: 0},
+                    ((0, 0), (2, 1)): {0: 1}})
+    v, w = {(0, 0, 0, 0): ONE}, {(2, 0, 0, 0): ONE, (2, 1, 0, 0): -ONE}
+    ref, _ = reference_tensor_mul(A.mul, A.mul, v, w)
+    assert ref == {(2, 0, 0, 0): 0, (2, 1, 0, 0): 0}
+    assert tensor_mul(A, A, v, w) == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.data())
+def test_tensor_finite_tables_match_reference_loops(ints, data):
+    a_raw, b_raw = data.draw(raw_tables(ints)), data.draw(raw_tables(ints))
+    A, B = FiniteCDGA(*a_raw), FiniteCDGA(*b_raw)
+    T = tensor_finite(A, B)
+    diff, mul = reference_tensor_tables(A, B, a_raw, b_raw)
+    for got, want in ((T.diff, diff), (T.mul, mul)):
+        assert list(got.items()) == list(want.items())
+        assert [type(c) for vec in got.values() for c in vec.values()] == \
+            [type(c) for vec in want.values() for c in vec.values()]
+
+
+# -- exact coefficients at every public constructor ----------------------------
+
+def test_as_q_keeps_fractions_and_rejects_floats():
+    x = Fraction(2, 3)
+    assert as_q(x) is x
+    assert as_q(3) == 3 and type(as_q(3)) is Fraction
+    assert as_q("2/3") == x
+    with pytest.raises(TypeError):
+        as_q(0.5)
+
+
+def test_finite_cdga_coefficients_are_exact():
+    basis = {0: ["1"], 1: ["x"]}
+    with pytest.raises(TypeError):
+        FiniteCDGA(basis, {}, {((0, 0), (0, 0)): {0: 1.0}})
+    with pytest.raises(TypeError):
+        FiniteCDGA(basis, {(0, 0): {0: 0.0}}, {((0, 0), (0, 0)): {0: 1}})
+    A = FiniteCDGA(basis, {(1, 0): {3: 0}}, {((0, 0), (0, 0)): {0: 1}})
+    assert type(A.mul[((0, 0), (0, 0))][0]) is Fraction
+    assert type(A.multiply_coords(0, {0: 1}, 0, {0: 1})[0]) is Fraction
+    # A zero entry is kept, so validation still sees its out-of-range index.
+    assert "d(x) hits a missing basis index" in validate(A).violations
+
+
+def test_morphism_coefficients_are_exact(s2):
+    H = cohomology_algebra(s2, 2)
+    with pytest.raises(TypeError):
+        CdgaMorphism(s2, H, {"a": {0: 0.1}, "b": {}})
+    phi = CdgaMorphism(s2, H, {"a": {0: 1}, "b": {}})
+    assert type(phi.images["a"][0]) is Fraction
+    with pytest.raises(TypeError):
+        FiniteMorphism(H, H, {0: [{0: 1.0}], 2: [{0: 1}]})
+    ident = FiniteMorphism(H, H, {0: [{0: 1}], 2: [{0: 1}]})
+    assert type(ident.matrices[2][0][0]) is Fraction
+
+
+def test_pd_orientation_is_exact():
+    H = cohomology_algebra(sphere(2), 2)
+    with pytest.raises(TypeError):
+        PDAlgebra(H, 2, eps={0: 0.25})
+    pd = PDAlgebra(H, 2, eps={0: 2})
+    assert pd.eps == {0: 2} and type(pd.eps[0]) is Fraction

@@ -3,19 +3,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rht.algebra import AlgElement, GeneratorContext
+from rht.algebra import ONE, ZERO, AlgElement, GeneratorContext
 from rht.cdga import SullivanPresentation, cohomology_algebra
 from rht.constructions import cp, sphere, wedge_cohomology
 from rht.errors import UnsupportedInputError
-from rht.homotopy_lie import (LieTable, bch_product, homotopy_ranks,
+from rht.homotopy_lie import (LieTable, _free_exp, _free_log, _free_mul, bch_product,
+                              homotopy_ranks,
                               hurewicz_matrix, lcs_filtrations, lie_bracket,
                               lie_table, nilpotency_class, quadratic_part,
                               whitehead_product)
 from rht.linalg import lincomb
 from rht.minimal_model import minimal_model
 
-from conftest import nonformal_uvw, sphere2_model, wedge_two_s2_cohomology
+from conftest import (ZeroTouchDict, assert_matches_reference_sum, nonformal_uvw,
+                      sphere2_model, wedge_two_s2_cohomology)
 
 
 def test_quadratic_part_examples(s2, uvw):
@@ -428,3 +431,64 @@ def test_lie_validate_matches_full_loops():
         failures.add(got[1].split()[0] if got[1] else None)
     assert failures == {None, "antisymmetry", "Jacobi"}
     assert max(lcms) > 6
+
+
+# -- the free associative algebra of BCH, pinned against the loops it replaced -
+
+def reference_free_mul(x, y, cap):
+    out = ZeroTouchDict()
+    for w1, c1 in x.items():
+        for w2, c2 in y.items():
+            if len(w1) + len(w2) > cap:
+                continue
+            w = w1 + w2
+            out[w] = out.get(w, ZERO) + c1 * c2
+    return {w: c for w, c in out.items() if c != 0}, out.retouched
+
+
+def reference_free_exp(x, cap):
+    out = ZeroTouchDict({(): ONE})
+    term, retouched = {(): ONE}, False
+    fact = 1
+    for m in range(1, cap + 1):
+        term, r = reference_free_mul(term, x, cap)
+        retouched |= r
+        if not term:
+            break
+        fact *= m
+        for w, c in term.items():
+            out[w] = out.get(w, ZERO) + c / fact
+    return out, retouched or out.retouched
+
+
+def reference_free_log(x, cap):
+    u = dict(x)
+    u.pop((), None)
+    out = ZeroTouchDict()
+    term, retouched = {(): ONE}, False
+    for m in range(1, cap + 1):
+        term, r = reference_free_mul(term, u, cap)
+        retouched |= r
+        if not term:
+            break
+        sign = Fraction((-1) ** (m + 1), m)
+        for w, c in term.items():
+            out[w] = out.get(w, ZERO) + sign * c
+    return out, retouched or out.retouched
+
+
+# bch_product feeds these Fraction-valued sums only; 0 is among the coefficients.
+FREE_ELEMENTS = st.dictionaries(
+    st.lists(st.integers(0, 1), max_size=3).map(tuple),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3), max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(FREE_ELEMENTS, FREE_ELEMENTS, st.integers(1, 4))
+def test_free_algebra_sums_match_reference_loops(x, y, cap):
+    ref, retouched = reference_free_mul(x, y, cap)
+    assert_matches_reference_sum(_free_mul(x, y, cap), ref, retouched)
+    ref, retouched = reference_free_exp(x, cap)
+    assert_matches_reference_sum(_free_exp(x, cap), ref, retouched)
+    ref, retouched = reference_free_log(x, cap)
+    assert_matches_reference_sum(_free_log(x, cap), ref, retouched)

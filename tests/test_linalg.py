@@ -108,6 +108,14 @@ def test_lincomb_key_order_after_cancellation():
     vec = lincomb([(1, v1), (-1, {0: Fraction(1)}), (0, {3: Fraction(1)}),
                    (3, v2), (1, {4: Fraction(0)}), (1, {0: Fraction(1)})])
     assert list(vec.items()) == [(1, Fraction(5)), (2, Fraction(3)), (0, Fraction(1))]
+    # An absent key takes x * v with its own type: int * int stays int, which
+    # `Echelon`'s integer rows need, and a Fraction on either side gives one.
+    vec = lincomb([(2, {0: 3}), (Fraction(1, 2), {1: 4}), (3, {2: Fraction(1, 3)})])
+    assert list(vec.items()) == [(0, 6), (1, 2), (2, 1)]
+    assert [type(x) for x in vec.values()] == [int, Fraction, Fraction]
+    # A zero coefficient, or a zero entry, on an existing key leaves it in place.
+    vec = lincomb([(1, v1), (0, {0: Fraction(7)}), (1, {0: Fraction(0), 5: Fraction(1)})])
+    assert list(vec.items()) == [(0, Fraction(1)), (1, Fraction(2)), (5, Fraction(1))]
 
 
 # -- properties of the single elimination engine ----------------------------
