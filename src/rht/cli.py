@@ -170,8 +170,8 @@ def cmd_bch(args):
     z = bch_product(t, vectors[0], vectors[1], nil_class=nil)
     labels = t.basis.get(0, [])
     payload = {"schema": dsl.SCHEMA, "kind": "bch",
-               "result": {labels[i]: dsl.q_str(c) for i, c in sorted(z.items())}}
-    terms = ["%s*%s" % (dsl.q_str(c), labels[i]) for i, c in sorted(z.items())]
+               "result": {labels[i]: dsl.format_coefficient(c) for i, c in sorted(z.items())}}
+    terms = ["%s*%s" % (dsl.format_coefficient(c), labels[i]) for i, c in sorted(z.items())]
     _emit(args, payload, "a*b = %s\n" % (" + ".join(terms) if terms else "0"))
     return 0
 

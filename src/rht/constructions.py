@@ -355,9 +355,17 @@ class MappingSpaceReport:
 def mapping_space_pi(phi, n):
     """dim H_n(Der_phi(Lambda V, Lambda W), D) with D t = d t - (-1)^n t d.
 
-    A phi-derivation of degree n is determined by the generator images
-    theta(v) in (Lambda W)^{deg v - n}; the extension to products follows
-    theta(xy) = theta(x) phi(y) + (-1)^(deg x * n) phi(x) theta(y).
+    A phi-derivation of degree m is determined by the generator images
+    theta(v) in (Lambda W)^{deg v - m}; the extension to products follows
+    theta(xy) = theta(x) phi(y) + (-1)^(deg x * m) phi(x) theta(y).  The
+    basis derivation theta with theta(g) = e_i in W^{deg g - m} and 0 on the
+    other generators has the D-column
+
+        d_W(e_i) at g  -  (-1)^m sum over v, over the monomials c * left g right of dv,
+            of (-1)^(m * deg left) * e * c * phi(left) e_i phi(right) at v,
+
+    where e is the exponent of g in the monomial and left holds its other
+    e - 1 copies (an even g commutes, so its e copies give e equal terms).
     """
     if n < 1:
         raise DegreeError("mapping-space homotopy is computed for n >= 1")
@@ -377,67 +385,29 @@ def mapping_space_pi(phi, n):
                 out.append((g, wdeg, i))
         return out
 
-    def theta_apply(assign, m, x):
-        """Extend a generator assignment (dict g -> AlgElement in W) to x."""
-        terms = []
-        for mono, coeff in x.terms.items():
-            factors = []
-            for gi, e in mono:
-                factors.extend([gi] * e)
-            # theta(f1 f2 ... fr) = sum_i (+-) phi(f1..f_{i-1}) theta(f_i) phi(f_{i+1}..fr)
-            for pos in range(len(factors)):
-                gname = V.ctx.names[factors[pos]]
-                img = assign.get(gname)
-                if img is None or img.is_zero():
-                    continue
-                prefix_deg = sum(V.ctx.degrees[f] for f in factors[:pos])
-                sign = -1 if (m % 2) and (prefix_deg % 2) else 1
-                term = AlgElement.unit(W.ctx, coeff * sign)
-                for f in factors[:pos]:
-                    term = term * phi.apply_element(V.ctx.generator(V.ctx.names[f]))
-                    if term.is_zero():
-                        break
-                if term.is_zero():
-                    continue
-                term = term * img
-                for f in factors[pos + 1:]:
-                    if term.is_zero():
-                        break
-                    term = term * phi.apply_element(V.ctx.generator(V.ctx.names[f]))
-                terms.append((1, term.terms))
-        return AlgElement(W.ctx, lincomb(terms))
+    # For each generator g: (v, e * c, phi(left), phi(right)) per copy of g
+    # in a monomial c * left g right of dv, as in `apply_derivation`.
+    slots = {g: [] for g in V.ctx.names}
+    for v in V.ctx.names:
+        for mono, c in V.d.image_of(v).terms.items():
+            for pos, (j, e) in enumerate(mono):
+                left = mono[:pos] + (((j, e - 1),) if e > 1 else ())
+                slots[V.ctx.names[j]].append((v, e * c, phi.apply_monomial(left),
+                                              phi.apply_monomial(mono[pos + 1:])))
 
     def d_matrix(m):
         """D: Der_m -> Der_{m-1} in the bases der_basis(m) -> der_basis(m-1)."""
         src = der_basis(m)
         tgt = der_basis(m - 1)
-        tgt_pos = {}
-        for pos, (g, wdeg, i) in enumerate(tgt):
-            tgt_pos[(g, i)] = pos
+        tgt_pos = {(g, i): pos for pos, (g, _, i) in enumerate(tgt)}
         cols = []
         for (g, wdeg, i) in src:
-            base_img = W.from_coords(wdeg, {i: ONE})
-            assign = {g: base_img}
-            # (d theta)(v) = d_W(theta(v)): only v = g contributes directly.
-            index = W.index(wdeg + 1)
-            rows = [(1, {pos: c for mono, c in apply_derivation(W.d, base_img).terms.items()
-                         if (pos := tgt_pos.get((g, index[mono]))) is not None})]
-            # (theta d)(v) for every generator v.
-            for v in V.ctx.names:
-                dv = V.d.image_of(v)
-                if dv.is_zero():
-                    continue
-                val = theta_apply(assign, m, dv)
-                if val.is_zero():
-                    continue
-                index = W.index(val.degree())
-                row = {}
-                for mono, c in val.terms.items():
-                    pos = tgt_pos.get((v, index[mono]))
-                    if pos is None:
-                        raise RhtError("derivation image outside the complex")
-                    row[pos] = c
-                rows.append((1 if m % 2 else -1, row))
+            rows = [(1, {tgt_pos[(g, k)]: c for k, c in W.differential_column(wdeg, i).items()})]
+            for v, c, (ldeg, lc), (rdeg, rc) in slots[g]:
+                val = W.multiply_coords(ldeg + wdeg, W.multiply_coords(ldeg, lc, wdeg, {i: ONE}),
+                                        rdeg, rc)
+                sign = -1 if m % 2 == 0 or ldeg % 2 else 1
+                rows.append((sign * c, {tgt_pos[(v, k)]: x for k, x in val.items()}))
             cols.append(lincomb(rows))
         return src, tgt, cols
 

@@ -510,10 +510,6 @@ def serialize(doc):
 # JSON encoding
 # ---------------------------------------------------------------------------
 
-def q_str(q):
-    return format_coefficient(q)
-
-
 def presentation_json(p):
     return {
         "schema": SCHEMA,
@@ -530,10 +526,8 @@ def finite_cdga_json(A):
         "kind": "finite_cdga",
         "name": A.name,
         "basis": {str(k): list(v) for k, v in sorted(A.basis.items())},
-        "differential": {"%d:%d" % k: {str(j): q_str(c) for j, c in sorted(col.items())}
-                         for k, col in sorted(A.diff.items())},
-        "products": {"%d:%d|%d:%d" % (k1 + k2): {str(j): q_str(c)
-                                                 for j, c in sorted(col.items())}
+        "differential": {"%d:%d" % k: _coords_json(col) for k, col in sorted(A.diff.items())},
+        "products": {"%d:%d|%d:%d" % (k1 + k2): _coords_json(col)
                      for (k1, k2), col in sorted(A.mul.items())},
     }
 
@@ -565,7 +559,7 @@ def minimal_model_json(result):
 
 
 def _coords_json(coords):
-    return {str(i): q_str(c) for i, c in sorted(coords.items())}
+    return {str(i): format_coefficient(c) for i, c in sorted(coords.items())}
 
 
 def lie_table_json(t):
@@ -579,7 +573,7 @@ def lie_table_json(t):
     }
     for ((k, i), (l, j)), vec in sorted(t.brackets.items()):
         key = "[%s,%s]" % (t.basis[k][i], t.basis[l][j])
-        out["brackets"][key] = {t.basis[k + l][m]: q_str(c)
+        out["brackets"][key] = {t.basis[k + l][m]: format_coefficient(c)
                                 for m, c in sorted(vec.items())}
     return out
 

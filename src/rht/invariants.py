@@ -11,9 +11,10 @@ import math
 
 from .algebra import AlgElement, ONE, monomial_word_length
 from .cdga import FiniteCDGA, cohomology, tensor_mul
+from .constructions import PDAlgebra
 from .errors import DegreeError, UnsupportedInputError
-from .linalg import Echelon, RationalMatrix, solve_linear
-from .minimal_model import MinimalModelResult, is_minimal
+from .linalg import Echelon
+from .minimal_model import MinimalModelResult, is_minimal, primitive
 
 
 # ---------------------------------------------------------------------------
@@ -109,29 +110,14 @@ class CatReport:
 
 
 def is_poincare_duality(H):
-    """Nondegenerate pairing into the top degree, on a finite cdga with zero differential."""
+    """Nondegenerate pairing into the top degree, on a finite cdga with zero
+    differential: whether `PDAlgebra` verifies H in [0, max degree]."""
     if H.diff:
         return False
-    degs = [k for k in H.degrees() if H.dim(k)]
-    m = max(degs)
-    if H.dim(m) != 1 or H.dim(0) != 1:
+    try:
+        PDAlgebra(H, H.max_degree())
+    except UnsupportedInputError:
         return False
-    for p in degs:
-        q = m - p
-        if H.dim(q) != H.dim(p):
-            return False
-        rows = []
-        for i in range(H.dim(p)):
-            row = {}
-            for j in range(H.dim(q)):
-                prod = H.product(p, i, q, j)
-                if prod.get(0):
-                    row[j] = prod[0]
-            rows.append(row)
-        ech = Echelon()
-        rank = sum(1 for r in rows if ech.add(r))
-        if rank != H.dim(p):
-            return False
     return True
 
 
@@ -200,11 +186,11 @@ def massey_triple(p, a, b, c):
         raise DegreeError("Massey inputs must be homogeneous")
     ab = a * b
     bc = b * c
-    x = _primitive(p, ab, da + db)
+    x = primitive(p, ab, range(p.dim(da + db - 1)))
     if x is None:
         return MasseyResult(False, None, None, None, None,
                             reason="[a][b] != 0 in cohomology")
-    y = _primitive(p, bc, db + dc)
+    y = primitive(p, bc, range(p.dim(db + dc - 1)))
     if y is None:
         return MasseyResult(False, None, None, None, None,
                             reason="[b][c] != 0 in cohomology")
@@ -229,18 +215,6 @@ def massey_triple(p, a, b, c):
                 ind_classes.append(cls)
     nontrivial = bool(rep_class) and not ind.contains(rep_class)
     return MasseyResult(True, rep_el, rep_class, ind_classes, nontrivial)
-
-
-def _primitive(p, target, deg):
-    """First-solution x with dx = target (degree deg cochain), or None."""
-    if target.is_zero():
-        return AlgElement.zero(p.ctx)
-    cols = [p.differential_column(deg - 1, i) for i in range(p.dim(deg - 1))]
-    mat = RationalMatrix.from_columns(p.dim(deg), cols)
-    sol = solve_linear(mat, targets=[p.to_coords(target, deg)])
-    if not sol.solvable[0]:
-        return None
-    return p.from_coords(deg - 1, sol.solutions[0])
 
 
 # ---------------------------------------------------------------------------

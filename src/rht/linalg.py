@@ -8,8 +8,9 @@ eliminated by cross-multiplication, with a column -> rows occupancy index;
 Fractions appear only at the boundary: `residue`, `rows`, and the kernel and
 solutions `solve_linear` reads off the RREF of [M | -T].  `slice_homology`
 tags each cocycle representative with a unit column, so class coordinates
-are a residue too.  Sparse vectors are {index: Fraction} dicts; `lincomb`
-sums them in place, on the same loop `Echelon` reduces with.
+are a residue too.  `RationalMatrix` only holds the shape and entries that
+`solve_linear` reads.  Sparse vectors are {index: Fraction} dicts; `lincomb`,
+the one sparse sum, adds them in place, on the same loop `Echelon` reduces with.
 """
 
 from fractions import Fraction
@@ -17,12 +18,12 @@ from math import gcd, lcm
 
 from .errors import RhtError
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 class RationalMatrix:
-    """Sparse matrix over Q acting on column vectors: entries {(row, col): Fraction}."""
+    """Shape and nonzero entries {(row, col): Fraction} of a sparse matrix over Q,
+    the input of `solve_linear`."""
 
     def __init__(self, rows, cols, entries=None):
         self.rows = rows
@@ -41,25 +42,6 @@ class RationalMatrix:
         """Matrix whose j-th column is the sparse vector columns[j]."""
         return RationalMatrix(rows, len(columns), {(r, j): v for j, col in enumerate(columns)
                                                    for r, v in col.items()})
-
-    def column(self, j):
-        return {r: v for (r, c), v in self.entries.items() if c == j}
-
-    def row_list(self):
-        out = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
-    def apply(self, vec):
-        """Matrix-vector product on a sparse column vector {col: Fraction}."""
-        # Not routed through `lincomb`: only tests call it, and it goes with RationalMatrix.
-        out = {}
-        for (r, c), v in self.entries.items():
-            x = vec.get(c)
-            if x:
-                out[r] = out.get(r, ZERO) + v * x
-        return {r: v for r, v in out.items() if v != 0}
 
     def __repr__(self):
         return "RationalMatrix(%dx%d, %d nonzero)" % (self.rows, self.cols, len(self.entries))
@@ -87,7 +69,9 @@ def solve_linear(matrix, targets=None):
     targets = targets or []
     ncols = matrix.cols
     # RREF of [M | -T]: target j sits in column ncols + j.
-    rows = matrix.row_list()
+    rows = [{} for _ in range(matrix.rows)]
+    for (r, c), v in matrix.entries.items():
+        rows[r][c] = v
     for j, t in enumerate(targets):
         for r, v in t.items():
             if v != 0:

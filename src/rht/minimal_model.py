@@ -10,7 +10,8 @@ free columns) under the fixed monomial order, so the output is determined by
 the input alone.
 """
 
-from .algebra import AlgElement, GeneratorContext, ONE, rebase, substitute
+from .algebra import (AlgElement, GeneratorContext, ONE, monomial_word_length, rebase,
+                      substitute)
 from .cdga import (CdgaMorphism, SullivanPresentation, cohomology, induced_classes,
                    validate)
 from .errors import DegreeError, RhtError, UnsupportedInputError
@@ -339,11 +340,13 @@ def acyclic_closure(p, n):
             raise DegreeError("generator name %s collides with the closure naming" % uname)
         ctx = GeneratorContext(gens)  # context before adjoining u
         cur = SullivanPresentation(ctx, {g: rebase(img, ctx) for g, img in d_imgs.items()})
-        dv = rebase(p.d.image_of(vname), ctx)
-        if dv.is_zero():
-            s = AlgElement.zero(ctx)
-        else:
-            s = _primitive_in_v_ideal(cur, set(p.ctx.names), dv)
+        # s in V ^ Lambda^+(V + U): word length >= 2 with a V factor
+        v_idx = {ctx.index[g] for g in p.ctx.names}
+        s = primitive(cur, rebase(p.d.image_of(vname), ctx),
+                      [pos for pos, mono in enumerate(cur.basis(vdeg))
+                       if monomial_word_length(mono) >= 2 and any(i in v_idx for i, _ in mono)])
+        if s is None:
+            raise RhtError("no primitive in the V-ideal; closure construction failed")
         gens.append((uname, vdeg - 1))
         new_ctx = GeneratorContext(gens)
         d_imgs = {g: rebase(img, new_ctx) for g, img in d_imgs.items()}
@@ -364,20 +367,15 @@ def acyclic_closure(p, n):
     return AcyclicClosure(ext, pairing, n)
 
 
-def _primitive_in_v_ideal(pres, v_names, target):
-    """Solve d(s) = target with s in V ^ Lambda^+(V + U), first-solution policy."""
+def primitive(pres, target, candidates):
+    """First-solution s with d(s) = target, s in the span of the basis
+    monomials of degree |target| - 1 indexed by `candidates`; None if none."""
+    if target.is_zero():
+        return AlgElement.zero(pres.ctx)
     deg = target.degree() - 1
-    ctx = pres.ctx
-    v_idx = {ctx.index[g] for g in v_names if g in ctx.index}
-    candidates = []
-    for pos, mono in enumerate(pres.basis(deg)):
-        wl = sum(e for _, e in mono)
-        if wl >= 2 and any(i in v_idx for i, _ in mono):
-            candidates.append(pos)
     cols = [pres.differential_column(deg, i) for i in candidates]
     mat = RationalMatrix.from_columns(pres.dim(deg + 1), cols)
     sol = solve_linear(mat, targets=[pres.to_coords(target, deg + 1)])
     if not sol.solvable[0]:
-        raise RhtError("no primitive in the V-ideal; closure construction failed")
-    coords = {candidates[i]: c for i, c in sol.solutions[0].items()}
-    return pres.from_coords(deg, coords)
+        return None
+    return pres.from_coords(deg, {candidates[i]: c for i, c in sol.solutions[0].items()})

@@ -1,9 +1,12 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from rht.algebra import AlgElement, GeneratorContext, apply_derivation
+import rht.constructions
+from rht import dsl
+from rht.algebra import ONE, AlgElement, GeneratorContext, apply_derivation
 from rht.cdga import (CdgaMorphism, SullivanPresentation, cohomology,
                       cohomology_algebra, validate)
 from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
@@ -13,9 +16,10 @@ from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_compl
                                mapping_space_pi, point, product, sphere, torus,
                                truncated_poly, wedge_cohomology)
 from rht.errors import BudgetExceededError, UnsupportedInputError
-from rht.minimal_model import LambdaExtension, acyclic_closure, fiber_model
+from rht.linalg import lincomb
+from rht.minimal_model import LambdaExtension, acyclic_closure, fiber_model, minimal_model
 
-from conftest import sphere2_model
+from conftest import sphere2_model, wedge_two_s2_cohomology
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +307,113 @@ def test_mapping_space_y_point():
     phi = CdgaMorphism(pt, X, {})
     for n in range(1, 4):
         assert mapping_space_pi(phi, n).dim == 0
+
+
+def reference_d_matrix(phi, m):
+    """D: Der_m -> Der_{m-1} of the phi-derivation complex, built generically:
+    theta(x) expands every monomial of x into its factors and multiplies
+    AlgElements phi(f_1) ... theta(f_i) ... phi(f_r) one factor at a time.
+    Returns (columns, dim Der_{m-1})."""
+    V, W = phi.source, phi.target
+
+    def der_basis(k):
+        return [(g, V.ctx.degree_of(g) - k, i) for g in V.ctx.names
+                if V.ctx.degree_of(g) >= k for i in range(W.dim(V.ctx.degree_of(g) - k))]
+
+    def theta_apply(assign, x):
+        terms = []
+        for mono, coeff in x.terms.items():
+            factors = [gi for gi, e in mono for _ in range(e)]
+            for pos, f in enumerate(factors):
+                img = assign.get(V.ctx.names[f])
+                if img is None:
+                    continue
+                prefix_deg = sum(V.ctx.degrees[h] for h in factors[:pos])
+                term = AlgElement.unit(W.ctx, -coeff if m % 2 and prefix_deg % 2 else coeff)
+                for h in factors[:pos]:
+                    term = term * phi.apply_element(V.ctx.generator(V.ctx.names[h]))
+                term = term * img
+                for h in factors[pos + 1:]:
+                    term = term * phi.apply_element(V.ctx.generator(V.ctx.names[h]))
+                terms.append((1, term.terms))
+        return AlgElement(W.ctx, lincomb(terms))
+
+    tgt = der_basis(m - 1)
+    tgt_pos = {(g, i): pos for pos, (g, _, i) in enumerate(tgt)}
+    cols = []
+    for g, wdeg, i in der_basis(m):
+        base = W.from_coords(wdeg, {i: ONE})
+        dw = apply_derivation(W.d, base)
+        rows = [(1, {tgt_pos[(g, W.index(wdeg + 1)[mono])]: c for mono, c in dw.terms.items()})]
+        for v in V.ctx.names:
+            val = theta_apply({g: base}, V.d.image_of(v))
+            if not val.is_zero():
+                index = W.index(val.degree())
+                rows.append((1 if m % 2 else -1,
+                             {tgt_pos[(v, index[mono])]: c for mono, c in val.terms.items()}))
+        cols.append(lincomb(rows))
+    return cols, len(tgt)
+
+
+def _morphism(source, target, images):
+    return CdgaMorphism(source, target, {g: target.ctx.generator(x).scale(c) if x else
+                                         AlgElement.zero(target.ctx)
+                                         for g, (c, x) in images.items()})
+
+
+def _mapping_space_morphisms():
+    with open(os.path.join(os.path.dirname(__file__), "data", "catalog.rht"),
+              encoding="utf-8") as fh:
+        doc = dsl.parse(fh.read())
+    s2, c2, t3, s2s3 = sphere(2), cp(2), torus(3), product(sphere(2), sphere(3))
+    wedge = minimal_model(wedge_two_s2_cohomology(), 5).model
+    t1, t2, v = t3.generator("t1"), t3.generator("t2"), wedge.generator("v2_0")
+    return [
+        ("double", doc.morphisms["double"]),
+        ("collapse", doc.morphisms["collapse"]),
+        ("id S2", _morphism(s2, s2, {"a": (1, "a"), "b": (1, "b")})),
+        ("3 on S2", _morphism(s2, s2, {"a": (3, "a"), "b": (9, "b")})),
+        ("id CP2", _morphism(c2, c2, {"x": (1, "x"), "y": (1, "y")})),
+        ("2 on CP2", _morphism(c2, c2, {"x": (2, "x"), "y": (8, "y")})),
+        ("id T3", _morphism(t3, t3, {"t1": (1, "t1"), "t2": (1, "t2"), "t3": (1, "t3")})),
+        ("scaling T3", _morphism(t3, t3, {"t1": (2, "t1"), "t2": (-1, "t2"),
+                                          "t3": (Fraction(1, 2), "t3")})),
+        ("id S2xS3", _morphism(s2s3, s2s3, {"a_1": (1, "a_1"), "b_1": (1, "b_1"),
+                                            "u_2": (1, "u_2")})),
+        ("S2 -> S2xS3", _morphism(s2s3, s2, {"a_1": (1, "a"), "b_1": (1, "b"),
+                                             "u_2": (0, None)})),
+        ("S2xS3 -> S2", _morphism(s2, s2s3, {"a": (1, "a_1"), "b": (1, "b_1")})),
+        # Targets with more in low degrees, where theta d has many terms.
+        ("id X", _morphism(doc.presentations["X"], doc.presentations["X"],
+                           {"u": (1, "u"), "v": (1, "v"), "w": (1, "w")})),
+        ("T3 -> S2", CdgaMorphism(s2, t3, {"a": t1 * t2, "b": t1 * t2 * t3.generator("t3")})),
+        ("M(S2vS2) -> CP2", CdgaMorphism(c2, wedge, {"x": v, "y": v * wedge.generator("w3_2")})),
+        ("id M(S2vS2)", _morphism(wedge, wedge, {g: (1, g) for g in wedge.ctx.names})),
+    ]
+
+
+MAPPING_SPACE_MORPHISMS = _mapping_space_morphisms()
+
+
+@pytest.mark.parametrize("name, phi", MAPPING_SPACE_MORPHISMS,
+                         ids=[name for name, _ in MAPPING_SPACE_MORPHISMS])
+def test_mapping_space_d_matrices_match_the_generic_theta(name, phi, monkeypatch):
+    # The D matrices `mapping_space_pi` hands to `slice_homology` equal the
+    # ones the generic theta(x) extension gives, for n = 1..6.
+    seen = []
+    original = rht.constructions.slice_homology
+
+    def recording_slice_homology(d_out, out_dim, d_in):
+        seen.append((d_out, out_dim, d_in))
+        return original(d_out, out_dim, d_in)
+
+    monkeypatch.setattr(rht.constructions, "slice_homology", recording_slice_homology)
+    assert phi.validate().ok
+    for n in range(1, 7):
+        mapping_space_pi(phi, n)
+        cols_n, dim_n1 = reference_d_matrix(phi, n)
+        cols_n1, _ = reference_d_matrix(phi, n + 1)
+        assert seen.pop() == (cols_n, dim_n1, cols_n1)
 
 
 # ---------------------------------------------------------------------------

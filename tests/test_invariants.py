@@ -9,7 +9,7 @@ from rht.algebra import AlgElement, GeneratorContext, monomial_word_length
 from rht.cdga import (FiniteCDGA, SullivanPresentation, cohomology, cohomology_algebra,
                       tensor_finite, validate)
 from rht.constructions import (cp, k_z, sphere, tensor_presentations, torus,
-                               wedge_cohomology)
+                               truncated_poly, wedge_cohomology)
 from rht.errors import UnsupportedInputError
 from rht.invariants import (DegreeSequence, _representable, _toomer_fails_at, cat_bounds,
                             elliptic_degrees_check, is_poincare_duality,
@@ -142,6 +142,88 @@ def _cat_bounds_three_windows(model, n, h_vanishes_above=None):
     pd = is_poincare_duality(H)
     cat_exact = toomer.value if pd and certified and toomer.value is not None else None
     return (toomer.value, top, certified, pd, cat_exact), H
+
+
+def rank_check_poincare_duality(H):
+    """`is_poincare_duality` as a rank check: each pairing matrix
+    P[i][j] = coefficient of the top class in a_i c_j has full rank."""
+    if H.diff:
+        return False
+    degs = [k for k in H.degrees() if H.dim(k)]
+    m = max(degs)
+    if H.dim(m) != 1 or H.dim(0) != 1:
+        return False
+    for p in degs:
+        q = m - p
+        if H.dim(q) != H.dim(p):
+            return False
+        ech = Echelon()
+        rows = [{j: H.product(p, i, q, j)[0] for j in range(H.dim(q))
+                 if H.product(p, i, q, j).get(0)} for i in range(H.dim(p))]
+        if sum(1 for r in rows if ech.add(r)) != H.dim(p):
+            return False
+    return True
+
+
+def _outcome(f, H):
+    try:
+        return f(H)
+    except Exception as exc:    # the two must fail alike, too
+        return type(exc), str(exc)
+
+
+@st.composite
+def random_tables(draw):
+    """A FiniteCDGA table with random dimensions in degrees -1..4 (degree 0
+    at least 1), or with dim A^k = dim A^(m-k) and dim A^0 = dim A^m = 1, so
+    that only the pairing decides; products with zero entries kept, and
+    sometimes a nonzero d."""
+    if draw(st.booleans()):
+        dims = {k: draw(st.integers(1 if k == 0 else 0, 2)) for k in range(-1, 5)}
+    else:
+        m = draw(st.integers(0, 4))
+        dims = {0: 1, m: 1}
+        for k in range(1, m // 2 + 1):
+            dims[k] = dims[m - k] = draw(st.integers(0, 2))
+    basis = {k: ["e%d_%d" % (k, i) for i in range(n)] for k, n in dims.items()}
+    items = [(k, i) for k in basis for i in range(len(basis[k]))]
+    coeff = st.integers(-2, 2)
+    mul = {}
+    for (p, i), (q, j) in itertools.product(items, repeat=2):
+        if basis.get(p + q) and draw(st.integers(0, 3)):
+            mul[((p, i), (q, j))] = draw(st.dictionaries(
+                st.integers(0, len(basis[p + q]) - 1), coeff, min_size=1))
+    diff = {}
+    if draw(st.integers(0, 4)) == 0:
+        for k, i in items:
+            if basis.get(k + 1) and draw(st.booleans()):
+                diff[(k, i)] = {draw(st.integers(0, len(basis[k + 1]) - 1)): draw(coeff)}
+    return FiniteCDGA(basis, diff, mul, name="T")
+
+
+def _pd_algebras():
+    return ([cohomology_algebra(torus(k), k) for k in range(1, 5)]
+            + [truncated_poly(d, h) for d in (2, 4) for h in (2, 3, 4)]
+            + [cohomology_algebra(cp(n), 2 * n) for n in range(1, 5)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_tables())
+def test_poincare_duality_matches_the_rank_check_on_random_tables(H):
+    assert _outcome(is_poincare_duality, H) == _outcome(rank_check_poincare_duality, H)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_monomial_algebras())
+def test_poincare_duality_on_monomial_algebras_in_random_bases(H):
+    assert is_poincare_duality(H) is True
+    assert rank_check_poincare_duality(H) is True
+
+
+@pytest.mark.parametrize("H", _pd_algebras(), ids=lambda H: H.name)
+def test_poincare_duality_on_exterior_truncated_and_projective(H):
+    assert is_poincare_duality(H) is True
+    assert rank_check_poincare_duality(H) is True
 
 
 @pytest.mark.parametrize("model, n, bound", [

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 
@@ -7,9 +8,9 @@ import pytest
 from rht.algebra import AlgElement, GeneratorContext, apply_derivation
 from rht.cdga import (CdgaMorphism, SullivanPresentation, cohomology,
                       cohomology_algebra, is_quasi_iso, validate)
-from rht.constructions import sphere, cp, free_loop_extension
+from rht.constructions import sphere, cp, free_loop_extension, product
 from rht.errors import UnsupportedInputError
-from rht.dsl import minimal_model_json, to_json_text
+from rht.dsl import minimal_model_json, serialize_presentation, to_json_text
 from rht.minimal_model import (AcyclicClosure, LambdaExtension, acyclic_closure,
                                fiber_model, is_minimal, is_sullivan, minimal_model,
                                pushout_extension)
@@ -326,6 +327,24 @@ def test_acyclic_closure_cp2_deeper_corrections():
     assert sorted(fib.ctx.degrees) == [1, 4]
     cx = fib
     assert [cx.dim(k) for k in range(11)] == [1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0]
+
+
+FROZEN_CLOSURES = os.path.join(os.path.dirname(__file__), "data", "acyclic_closures.json")
+
+
+@pytest.mark.parametrize("name, make", [
+    ("CP2", lambda: cp(2)),
+    ("S2xS3", lambda: product(sphere(2), sphere(3))),
+    ("S2vS2_model_5", lambda: minimal_model(wedge_two_s2_cohomology(), 5).model),
+])
+def test_acyclic_closure_matches_frozen_output(name, make):
+    # serialize_presentation of the total space and the pairing, recorded
+    # when each primitive was solved by its own V-ideal solver.
+    with open(FROZEN_CLOSURES, encoding="utf-8") as fh:
+        frozen = json.load(fh)[name]
+    ac = acyclic_closure(make(), frozen["n"])
+    assert serialize_presentation(ac.total) == frozen["total"]
+    assert ac.pairing == frozen["pairing"]
 
 
 def test_free_loop_extension_fiber_of_s3():
