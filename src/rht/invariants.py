@@ -14,7 +14,7 @@ from .cdga import FiniteCDGA, cohomology, tensor_mul
 from .constructions import PDAlgebra
 from .errors import DegreeError, UnsupportedInputError
 from .linalg import Echelon
-from .minimal_model import MinimalModelResult, is_minimal, primitive
+from .minimal_model import MinimalModelResult, is_minimal, primitives
 
 
 # ---------------------------------------------------------------------------
@@ -184,31 +184,25 @@ def massey_triple(p, a, b, c):
             zero = AlgElement.zero(p.ctx)
             return MasseyResult(True, zero, {}, [], False)
         raise DegreeError("Massey inputs must be homogeneous")
-    ab = a * b
-    bc = b * c
-    x = primitive(p, ab, range(p.dim(da + db - 1)))
+    x = primitives(p, da + db - 1, [p.to_coords(a * b, da + db)], range(p.dim(da + db - 1)))[0]
     if x is None:
         return MasseyResult(False, None, None, None, None,
                             reason="[a][b] != 0 in cohomology")
-    y = primitive(p, bc, range(p.dim(db + dc - 1)))
+    y = primitives(p, db + dc - 1, [p.to_coords(b * c, db + dc)], range(p.dim(db + dc - 1)))[0]
     if y is None:
         return MasseyResult(False, None, None, None, None,
                             reason="[b][c] != 0 in cohomology")
     sign = (-1) ** (da + 1)
-    rep_el = x * c + a.scale(sign) * y
+    rep_el = (p.from_coords(da + db - 1, x) * c
+              + a.scale(sign) * p.from_coords(db + dc - 1, y))
     top = da + db + dc - 1
     hrep = cohomology(p, 0, top)
     rep_class = hrep.class_coordinates(top, p.to_coords(rep_el, top)) if not rep_el.is_zero() else {}
     ind = Echelon()
     ind_classes = []
-    for h in (hrep.representative_elements(db + dc - 1) if db + dc - 1 >= 0 else []):
-        z = a * h
-        if not z.is_zero():
-            cls = hrep.class_coordinates(top, p.to_coords(z, top))
-            if cls and ind.add(dict(cls)):
-                ind_classes.append(cls)
-    for h in (hrep.representative_elements(da + db - 1) if da + db - 1 >= 0 else []):
-        z = h * c
+    reps = {k: hrep.representative_elements(k) if k >= 0 else []
+            for k in (da + db - 1, db + dc - 1)}
+    for z in [a * h for h in reps[db + dc - 1]] + [h * c for h in reps[da + db - 1]]:
         if not z.is_zero():
             cls = hrep.class_coordinates(top, p.to_coords(z, top))
             if cls and ind.add(dict(cls)):

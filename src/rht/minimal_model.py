@@ -108,7 +108,7 @@ def minimal_model(A, n=16, name=None):
     it changes: H^stage for the cocycle step, H^(stage+1) for the kernel
     step, which the next cocycle step reuses when it added no generators.  All
     kernel-killing generators of a stage come from one batched
-    `solve_linear` and one rebuild.  Batching changes nothing: they have
+    `primitives` solve and one rebuild.  Batching changes nothing: they have
     degree `stage` and V^1 = 0, so no degree-(stage+1) monomial contains
     them, and each solution is canonical per target.
     """
@@ -161,16 +161,15 @@ def minimal_model(A, n=16, name=None):
         if not ker:
             continue
         cycles = [lincomb((c, reps[i]) for i, c in kvec.items()) for kvec in ker]
-        d_cols = [A.differential_column(stage, i) for i in range(A.dim(stage))]
-        d_mat = RationalMatrix.from_columns(A.dim(stage + 1), d_cols)
-        sol = solve_linear(d_mat, targets=[phi.apply_coords(stage + 1, z) for z in cycles])
-        if not all(sol.solvable):
+        sols = primitives(A, stage, [phi.apply_coords(stage + 1, z) for z in cycles],
+                          range(A.dim(stage)))
+        if None in sols:
             raise RhtError("kernel class is not exact in the target")  # pragma: no cover
-        for j, z_coords in enumerate(cycles):
+        for j, (z_coords, s) in enumerate(zip(cycles, sols)):
             gname = "w%d_%d" % (stage, j)
             gens.append((gname, stage))
             d_imgs[gname] = model.from_coords(stage + 1, z_coords)
-            phi_imgs[gname] = sol.solutions[j]
+            phi_imgs[gname] = s
             provenance[gname] = ("kernel", stage)
         model, phi = build()
 
@@ -323,6 +322,12 @@ def acyclic_closure(p, n):
     generated by V (word length >= 2, at least one V factor).  The quotient
     differential on Lambda U vanishes by construction; H^{1..n} of the total
     algebra is verified to be zero.
+
+    The u of one degree come from one presentation and one `primitives` solve,
+    as one at a time would give them: a degree-k candidate has a V factor of
+    degree >= 2, so no factor of degree k - 1, where the batch's u live;
+    contexts only append generators, so candidates, columns and targets are
+    the same vectors; and each solution is canonical per target.
     """
     if not is_minimal(p):
         raise UnsupportedInputError("acyclic closure requires a minimal presentation")
@@ -330,28 +335,30 @@ def acyclic_closure(p, n):
         raise UnsupportedInputError("acyclic closure requires V = V^{>=2} "
                                     "(V^1 would force U^0 != 0)")
     v_names = sorted(p.ctx.names, key=lambda g: (p.ctx.degree_of(g), p.ctx.index[g]))
+    clash = [v + "_bar" for v in v_names if v + "_bar" in p.ctx.index]
+    if clash:
+        raise DegreeError("generator name %s collides with the closure naming" % clash[0])
     gens = list(p.ctx.gens)
     d_imgs = {g: p.d.image_of(g) for g in p.ctx.names}
     pairing = {}
-    for vname in v_names:
-        vdeg = p.ctx.degree_of(vname)
-        uname = vname + "_bar"
-        if uname in [g for g, _ in gens]:
-            raise DegreeError("generator name %s collides with the closure naming" % uname)
-        ctx = GeneratorContext(gens)  # context before adjoining u
+    for vdeg in sorted(set(p.ctx.degrees)):
+        batch = [v for v in v_names if p.ctx.degree_of(v) == vdeg]
+        ctx = GeneratorContext(gens)  # context before adjoining the batch
         cur = SullivanPresentation(ctx, {g: rebase(img, ctx) for g, img in d_imgs.items()})
         # s in V ^ Lambda^+(V + U): word length >= 2 with a V factor
         v_idx = {ctx.index[g] for g in p.ctx.names}
-        s = primitive(cur, rebase(p.d.image_of(vname), ctx),
-                      [pos for pos, mono in enumerate(cur.basis(vdeg))
-                       if monomial_word_length(mono) >= 2 and any(i in v_idx for i, _ in mono)])
-        if s is None:
+        sols = primitives(cur, vdeg,
+                          [cur.to_coords(rebase(p.d.image_of(v), ctx), vdeg + 1) for v in batch],
+                          [pos for pos, mono in enumerate(cur.basis(vdeg))
+                           if monomial_word_length(mono) >= 2 and any(i in v_idx for i, _ in mono)])
+        if None in sols:
             raise RhtError("no primitive in the V-ideal; closure construction failed")
-        gens.append((uname, vdeg - 1))
+        gens += [(v + "_bar", vdeg - 1) for v in batch]
         new_ctx = GeneratorContext(gens)
         d_imgs = {g: rebase(img, new_ctx) for g, img in d_imgs.items()}
-        d_imgs[uname] = rebase(ctx.generator(vname), new_ctx) - rebase(s, new_ctx)
-        pairing[uname] = vname
+        for v, s in zip(batch, sols):
+            d_imgs[v + "_bar"] = rebase(ctx.generator(v) - cur.from_coords(vdeg, s), new_ctx)
+            pairing[v + "_bar"] = v
     ctx = GeneratorContext(gens)
     total = SullivanPresentation(ctx, {g: rebase(img, ctx) for g, img in d_imgs.items()},
                                  name="%s-closure" % p.name)
@@ -367,15 +374,12 @@ def acyclic_closure(p, n):
     return AcyclicClosure(ext, pairing, n)
 
 
-def primitive(pres, target, candidates):
-    """First-solution s with d(s) = target, s in the span of the basis
-    monomials of degree |target| - 1 indexed by `candidates`; None if none."""
-    if target.is_zero():
-        return AlgElement.zero(pres.ctx)
-    deg = target.degree() - 1
+def primitives(pres, deg, targets, candidates):
+    """One `solve_linear` for d(s) = t, s in the span of the degree-`deg` basis
+    vectors indexed by the sequence `candidates`, per coordinate target t at
+    degree deg + 1: the canonical s as {basis index: Fraction} (0 on every
+    free column, whatever the other targets), or None when there is none."""
     cols = [pres.differential_column(deg, i) for i in candidates]
-    mat = RationalMatrix.from_columns(pres.dim(deg + 1), cols)
-    sol = solve_linear(mat, targets=[pres.to_coords(target, deg + 1)])
-    if not sol.solvable[0]:
-        return None
-    return pres.from_coords(deg, {candidates[i]: c for i, c in sol.solutions[0].items()})
+    sol = solve_linear(RationalMatrix.from_columns(pres.dim(deg + 1), cols), targets=targets)
+    return [None if s is None else {candidates[i]: c for i, c in s.items()}
+            for s in sol.solutions]

@@ -2,18 +2,22 @@ import hashlib
 import json
 import math
 import os
+from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rht.algebra import AlgElement, GeneratorContext, apply_derivation
+from rht.algebra import AlgElement, GeneratorContext, ONE, apply_derivation, degree_basis
 from rht.cdga import (CdgaMorphism, SullivanPresentation, cohomology,
                       cohomology_algebra, is_quasi_iso, validate)
 from rht.constructions import sphere, cp, free_loop_extension, product
-from rht.errors import UnsupportedInputError
+from rht.errors import DegreeError, UnsupportedInputError
 from rht.dsl import minimal_model_json, serialize_presentation, to_json_text
+from rht.linalg import Echelon, lincomb, solve_linear
 from rht.minimal_model import (AcyclicClosure, LambdaExtension, acyclic_closure,
                                fiber_model, is_minimal, is_sullivan, minimal_model,
-                               pushout_extension)
+                               primitives, pushout_extension)
 
 from conftest import nonformal_uvw, sphere2_model, wedge_two_s2_cohomology
 
@@ -336,6 +340,7 @@ FROZEN_CLOSURES = os.path.join(os.path.dirname(__file__), "data", "acyclic_closu
     ("CP2", lambda: cp(2)),
     ("S2xS3", lambda: product(sphere(2), sphere(3))),
     ("S2vS2_model_5", lambda: minimal_model(wedge_two_s2_cohomology(), 5).model),
+    ("S2vS2_model_7", lambda: minimal_model(wedge_two_s2_cohomology(), 7).model),
 ])
 def test_acyclic_closure_matches_frozen_output(name, make):
     # serialize_presentation of the total space and the pairing, recorded
@@ -345,6 +350,87 @@ def test_acyclic_closure_matches_frozen_output(name, make):
     ac = acyclic_closure(make(), frozen["n"])
     assert serialize_presentation(ac.total) == frozen["total"]
     assert ac.pairing == frozen["pairing"]
+
+
+def test_acyclic_closure_solves_once_per_degree(monkeypatch):
+    # 45 generators in degrees 2..8: one presentation and one solve per
+    # degree, then the total space and its fiber (47 and 43 one at a time).
+    p = minimal_model(wedge_two_s2_cohomology(), 8).model
+    counts = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("rht.minimal_model.SullivanPresentation",
+                        counted("presentations", SullivanPresentation))
+    monkeypatch.setattr("rht.minimal_model.solve_linear", counted("solves", solve_linear))
+    acyclic_closure(p, 8)
+    assert counts == {"presentations": 9, "solves": 7}
+
+
+def test_acyclic_closure_name_collision_names_first_generator():
+    # In (degree, context) order y comes first, and its u would be named y_bar.
+    p = SullivanPresentation.build([("x", 3), ("x_bar", 3), ("y", 2), ("y_bar", 2)], {})
+    with pytest.raises(DegreeError, match="generator name y_bar collides"):
+        acyclic_closure(p, 4)
+
+
+@st.composite
+def primitive_batches(draw):
+    """A presentation on odd and even generators (d of degree +1, d^2 not
+    required), a degree, candidate indices and a batch of targets, each with
+    its expected solvability: a boundary of a candidate chain (True), one
+    plus a unit vector outside the candidates' image (False), or a random
+    vector (None: either)."""
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    ctx = GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])
+    coeff = st.builds(Fraction, st.sampled_from([-3, -1, 1, 2]), st.integers(1, 3))
+    images = {}
+    for name, d in ctx.gens:
+        basis = degree_basis(ctx, d + 1)
+        picks = draw(st.lists(st.sampled_from(basis), max_size=3)) if basis else []
+        images[name] = AlgElement(ctx, {m: draw(coeff) for m in picks})
+    pres = SullivanPresentation(ctx, images)
+    deg = draw(st.sampled_from([k for k in range(1, 6) if pres.dim(k) and pres.dim(k + 1)] or [1]))
+    n, m = pres.dim(deg), pres.dim(deg + 1)
+    candidates = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))) if n else []
+    image = Echelon()
+    for i in candidates:
+        image.add(pres.differential_column(deg, i))
+    outside = [r for r in range(m) if r not in image.pivot_columns()]
+    targets, expected = [], []
+    for kind in draw(st.lists(st.sampled_from([True, False, None]), min_size=1, max_size=5)):
+        chain = (draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=3))
+                 if candidates else [])
+        t = lincomb((draw(coeff), pres.differential_column(deg, i)) for i in chain)
+        if kind is False and outside:
+            t = lincomb([(ONE, t), (ONE, {draw(st.sampled_from(outside)): ONE})])
+        elif kind is None and m:
+            t = {r: draw(coeff) for r in draw(st.lists(st.integers(0, m - 1), max_size=3))}
+        targets.append(t)
+        expected.append(kind if kind or outside else None)
+    return pres, deg, targets, candidates, expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(primitive_batches())
+def test_primitives_batch_matches_single_target_calls(case):
+    pres, deg, targets, candidates, expected = case
+    batch = primitives(pres, deg, targets, candidates)
+    singles = [primitives(pres, deg, [t], candidates)[0] for t in targets]
+
+    def shape(sols):
+        return [None if s is None else [(i, type(c), c) for i, c in s.items()] for s in sols]
+
+    assert shape(batch) == shape(singles)
+    for t, s, solvable in zip(targets, batch, expected):
+        assert solvable is None or (s is not None) == solvable
+        if s is not None:
+            assert set(s) <= set(candidates)
+            assert lincomb((c, pres.differential_column(deg, i)) for i, c in s.items()) == t
 
 
 def test_free_loop_extension_fiber_of_s3():
