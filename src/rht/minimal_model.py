@@ -108,28 +108,20 @@ def minimal_model(A, n=16, name=None):
     it changes: H^stage for the cocycle step, H^(stage+1) for the kernel
     step, which the next cocycle step reuses when it added no generators.  All
     kernel-killing generators of a stage come from one batched
-    `primitives` solve and one rebuild.  Batching changes nothing: they have
+    `primitives` solve and one `extend`.  Batching changes nothing: they have
     degree `stage` and V^1 = 0, so no degree-(stage+1) monomial contains
-    them, and each solution is canonical per target.
+    them, and each solution is canonical per target.  The stages are one
+    chain of `extend` calls, so each differential column is computed once.
     """
     validate(A).raise_if_invalid()
     _target_h0_h1(A)
     tgt_rep = cohomology(A, 0, n + 2)
 
-    gens = []            # [(name, degree)]
-    d_imgs = {}          # name -> AlgElement in some prefix of the current context
+    model = SullivanPresentation(GeneratorContext([]), {},
+                                 name=name or ("M(%s)" % getattr(A, "name", "A")))
     phi_imgs = {}        # name -> target coordinate dict
     provenance = {}
-
-    def build():
-        ctx = GeneratorContext(gens)
-        images = {g: rebase(img, ctx) for g, img in d_imgs.items()}
-        model = SullivanPresentation(ctx, images,
-                                     name=name or ("M(%s)" % getattr(A, "name", "A")))
-        phi = CdgaMorphism(model, A, dict(phi_imgs), name="phi")
-        return model, phi
-
-    model, phi = build()
+    phi = CdgaMorphism(model, A, {}, name="phi")
     held = None          # H^stage report of `model`, when the last kernel step kept it
 
     for stage in range(2, n + 1):
@@ -138,18 +130,17 @@ def minimal_model(A, n=16, name=None):
         image = Echelon()
         for cls in induced_classes(phi, src_rep, tgt_rep, stage):
             image.add(cls)
-        new_count = 0
+        new = {}
         for i, t_rep in enumerate(tgt_rep.representatives(stage)):
             if not image.add({i: ONE}):
                 continue
-            gname = "v%d_%d" % (stage, new_count)
-            new_count += 1
-            gens.append((gname, stage))
-            d_imgs[gname] = AlgElement.zero(model.ctx)
+            gname = "v%d_%d" % (stage, len(new))
+            new[gname] = AlgElement.zero(model.ctx)
             phi_imgs[gname] = t_rep
             provenance[gname] = ("cocycle", stage)
-        if new_count:
-            model, phi = build()
+        if new:
+            model = model.extend([(g, stage) for g in new], new)
+            phi = CdgaMorphism(model, A, dict(phi_imgs), name="phi")
 
         # --- kernel-killing generators: ker H^{stage+1}(phi) ---------------
         src_rep = cohomology(model, stage + 1, stage + 1)
@@ -165,13 +156,14 @@ def minimal_model(A, n=16, name=None):
                           range(A.dim(stage)))
         if None in sols:
             raise RhtError("kernel class is not exact in the target")  # pragma: no cover
+        new = {}
         for j, (z_coords, s) in enumerate(zip(cycles, sols)):
             gname = "w%d_%d" % (stage, j)
-            gens.append((gname, stage))
-            d_imgs[gname] = model.from_coords(stage + 1, z_coords)
+            new[gname] = model.from_coords(stage + 1, z_coords)
             phi_imgs[gname] = s
             provenance[gname] = ("kernel", stage)
-        model, phi = build()
+        model = model.extend([(g, stage) for g in new], new)
+        phi = CdgaMorphism(model, A, dict(phi_imgs), name="phi")
 
     return MinimalModelResult(model, phi, n, provenance, A)
 
@@ -275,19 +267,16 @@ def pushout_extension(phi, ext, name=None):
     for g, _ in fiber_gens:
         if g in new_base.ctx.index:
             raise DegreeError("fiber generator %s collides with the new base" % g)
-    ctx = GeneratorContext(list(new_base.ctx.gens) + fiber_gens)
-    images = {}
-    for g in new_base.ctx.names:
-        images[g] = rebase(new_base.d.image_of(g), ctx)
+    ctx = new_base.ctx.extend(fiber_gens)
     assign = {}
     for g in ext.total.ctx.names:
         if g in ext.base_names:
             assign[g] = rebase(phi.apply_element(phi.source.ctx.generator(g)), ctx)
         else:
             assign[g] = ctx.generator(g)
-    for g in ext.fiber_names:
-        images[g] = substitute(ext.total.d.image_of(g), assign, ctx)
-    total = SullivanPresentation(ctx, images, name=name or ("%s^*%s" % (phi.name, ext.name)))
+    total = new_base.extend(fiber_gens, {g: substitute(ext.total.d.image_of(g), assign, ctx)
+                                         for g in ext.fiber_names},
+                            name=name or ("%s^*%s" % (phi.name, ext.name)))
     out = LambdaExtension(total, list(new_base.ctx.names), name=total.name)
     if out.filtration is None:
         raise RhtError("pullback destroyed the nilpotence filtration")  # pragma: no cover
@@ -327,7 +316,9 @@ def acyclic_closure(p, n):
     as one at a time would give them: a degree-k candidate has a V factor of
     degree >= 2, so no factor of degree k - 1, where the batch's u live;
     contexts only append generators, so candidates, columns and targets are
-    the same vectors; and each solution is canonical per target.
+    the same vectors; and each solution is canonical per target.  The
+    presentations are one chain of `extend` calls from a copy of p, so the
+    final check of H^{1..n} reads the columns the solves computed.
     """
     if not is_minimal(p):
         raise UnsupportedInputError("acyclic closure requires a minimal presentation")
@@ -338,30 +329,21 @@ def acyclic_closure(p, n):
     clash = [v + "_bar" for v in v_names if v + "_bar" in p.ctx.index]
     if clash:
         raise DegreeError("generator name %s collides with the closure naming" % clash[0])
-    gens = list(p.ctx.gens)
-    d_imgs = {g: p.d.image_of(g) for g in p.ctx.names}
+    total = p.extend([], {}, name="%s-closure" % p.name)
     pairing = {}
     for vdeg in sorted(set(p.ctx.degrees)):
         batch = [v for v in v_names if p.ctx.degree_of(v) == vdeg]
-        ctx = GeneratorContext(gens)  # context before adjoining the batch
-        cur = SullivanPresentation(ctx, {g: rebase(img, ctx) for g, img in d_imgs.items()})
-        # s in V ^ Lambda^+(V + U): word length >= 2 with a V factor
-        v_idx = {ctx.index[g] for g in p.ctx.names}
-        sols = primitives(cur, vdeg,
-                          [cur.to_coords(rebase(p.d.image_of(v), ctx), vdeg + 1) for v in batch],
-                          [pos for pos, mono in enumerate(cur.basis(vdeg))
-                           if monomial_word_length(mono) >= 2 and any(i in v_idx for i, _ in mono)])
+        # s in V ^ Lambda^+(V + U): word length >= 2, and V comes first in normal order
+        sols = primitives(total, vdeg,
+                          [total.to_coords(total.d.image_of(v), vdeg + 1) for v in batch],
+                          [pos for pos, mono in enumerate(total.basis(vdeg))
+                           if monomial_word_length(mono) >= 2 and mono[0][0] < len(p.ctx)])
         if None in sols:
             raise RhtError("no primitive in the V-ideal; closure construction failed")
-        gens += [(v + "_bar", vdeg - 1) for v in batch]
-        new_ctx = GeneratorContext(gens)
-        d_imgs = {g: rebase(img, new_ctx) for g, img in d_imgs.items()}
-        for v, s in zip(batch, sols):
-            d_imgs[v + "_bar"] = rebase(ctx.generator(v) - cur.from_coords(vdeg, s), new_ctx)
-            pairing[v + "_bar"] = v
-    ctx = GeneratorContext(gens)
-    total = SullivanPresentation(ctx, {g: rebase(img, ctx) for g, img in d_imgs.items()},
-                                 name="%s-closure" % p.name)
+        total = total.extend([(v + "_bar", vdeg - 1) for v in batch],
+                             {v + "_bar": total.generator(v) - total.from_coords(vdeg, s)
+                              for v, s in zip(batch, sols)})
+        pairing.update((v + "_bar", v) for v in batch)
     ext = LambdaExtension(total, list(p.ctx.names), name=total.name)
     rep = cohomology(total, 0, n)
     for k in range(1, n + 1):

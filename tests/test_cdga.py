@@ -7,7 +7,8 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rht.algebra import ONE, ZERO, AlgElement, GeneratorContext, as_q, degree_basis
+from rht.algebra import (ONE, ZERO, AlgElement, GeneratorContext, apply_derivation, as_q,
+                         degree_basis)
 from rht.cdga import (CdgaMorphism, FiniteCDGA, FiniteMorphism, QuotientCDGA,
                       SullivanPresentation, cohomology, cohomology_algebra,
                       finite_truncation, is_quasi_iso, tensor_finite, tensor_mul,
@@ -505,6 +506,123 @@ def test_ideal_span_fills_lower_degrees_without_recursion():
         assert quot.dim(300) == 0
     finally:
         sys.setrecursionlimit(limit)
+
+
+# -- differential columns by the Leibniz rule, pinned against apply_derivation
+
+def reference_column(pres, mono):
+    """d(mono) in coordinates through the element path: values, value types
+    and key order as `differential_column` must give them."""
+    k = sum(pres.ctx.degrees[i] * e for i, e in mono)
+    img = apply_derivation(pres.d, AlgElement(pres.ctx, {mono: ONE}))
+    return [(i, type(c), c) for i, c in pres.to_coords(img, k + 1).items()]
+
+
+def assert_columns_match_reference(pres, monos):
+    for mono in monos:
+        k = sum(pres.ctx.degrees[i] * e for i, e in mono)
+        col = pres.differential_column(k, pres.index(k)[mono])
+        assert [(i, type(c), c) for i, c in col.items()] == reference_column(pres, mono)
+
+
+def random_image(draw, ctx, degree):
+    """A random element of degree `degree`, rational coefficients from a few
+    values, so that Leibniz terms often cancel (d^2 = 0 is not required)."""
+    basis = degree_basis(ctx, degree)
+    coeff = st.builds(Fraction, st.sampled_from([-2, -1, 1, 2]), st.sampled_from([1, 3]))
+    picks = draw(st.lists(st.sampled_from(basis), max_size=4)) if basis else []
+    return AlgElement(ctx, {m: draw(coeff) for m in picks})
+
+
+def random_monomials(draw, ctx, count):
+    """Monomials, exponents up to 4 on the even generators, in a random query order."""
+    exps = st.tuples(*(st.integers(0, 1) if odd else st.integers(0, 4) for odd in ctx.odd))
+    return [tuple((i, e) for i, e in enumerate(v) if e)
+            for v in draw(st.lists(exps, min_size=1, max_size=count))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.data())
+def test_leibniz_columns_match_apply_derivation(degrees, data):
+    ctx = GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])
+    pres = SullivanPresentation(ctx, {g: random_image(data.draw, ctx, d + 1)
+                                      for g, d in ctx.gens})
+    assert_columns_match_reference(pres, random_monomials(data.draw, ctx, 8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(1, 4), st.data())
+def test_sibling_extensions_keep_their_own_columns(degrees, z_degree, data):
+    # Two extensions of one parent give the new generator z different images;
+    # each is queried after the other, and neither sees the other's columns.
+    ctx = GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])
+    parent = SullivanPresentation(ctx, {g: random_image(data.draw, ctx, d + 1)
+                                        for g, d in ctx.gens})
+    assert_columns_match_reference(parent, random_monomials(data.draw, ctx, 4))
+    new_ctx = ctx.extend([("z", z_degree)])
+    first, second = (parent.extend([("z", z_degree)],
+                                   {"z": random_image(data.draw, new_ctx, z_degree + 1)})
+                     for _ in range(2))
+    monos = random_monomials(data.draw, new_ctx, 6)
+    for pres in (first, second, first):
+        assert_columns_match_reference(pres, monos)
+        assert_columns_match_reference(pres, random_monomials(data.draw, new_ctx, 3))
+
+
+def test_leibniz_columns_of_a_long_word_without_recursion():
+    # H^3000(S2) = 0 is read off words of length 1500; the product of 300
+    # degree-1 generators, d(g_i) = g_(i+1) g_(i+2), has 300 blocks to split.
+    ctx = GeneratorContext([("g%d" % i, 1) for i in range(300)])
+    g = [ctx.generator(name) for name in ctx.names] + [AlgElement.zero(ctx)] * 2
+    pres = SullivanPresentation(ctx, {name: g[i + 1] * g[i + 2]
+                                      for i, name in enumerate(ctx.names)})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        assert cohomology(sphere2_model(), 3000, 3000).dims() == {3000: 0}
+        assert pres.differential_column(300, 0) == {}
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@st.composite
+def pure_sullivan_algebras(draw):
+    """(presentation, Betti numbers on [0, formal dimension + 1]) for a pure
+    Sullivan algebra with even x_i of degree 2..6, dx_i = 0, and odd y_i with
+    dy_i = x_i^n_i + f_i, n_i <= 4, f_i a random integer combination of the
+    monomials in x_1..x_i of degree n_i |x_i| with x_i-exponent below n_i.
+    Each dy_i is monic in x_i over Q[x_1..x_(i-1)], so the dy_i form a regular
+    sequence and H = Q[x]/(dy), with Poincare series
+    prod (1 - t^(n_i |x_i|)) / (1 - t^|x_i|) (Halperin 1977)."""
+    xdeg = draw(st.lists(st.sampled_from([2, 4, 6]), min_size=2, max_size=3))
+    powers = draw(st.lists(st.integers(1, 4), min_size=len(xdeg), max_size=len(xdeg)))
+    gens = [("x%d" % i, d) for i, d in enumerate(xdeg)]
+    gens += [("y%d" % i, n * d - 1) for i, (d, n) in enumerate(zip(xdeg, powers))]
+    ctx = GeneratorContext(draw(st.permutations(gens)))
+    x = [ctx.generator("x%d" % i) for i in range(len(xdeg))]
+    images = {"x%d" % i: AlgElement.zero(ctx) for i in range(len(xdeg))}
+    for i, (d, n) in enumerate(zip(xdeg, powers)):
+        dy = x[i] ** n
+        for exps in iproduct(*(range(n * d // xdeg[j] + 1) for j in range(i + 1))):
+            if exps[i] < n and sum(e * xdeg[j] for j, e in enumerate(exps)) == n * d:
+                term = AlgElement.unit(ctx, draw(st.integers(-3, 3)))
+                for j, e in enumerate(exps):
+                    term = term * x[j] ** e
+                dy = dy + term
+        images["y%d" % i] = dy
+    top = sum((n - 1) * d for d, n in zip(xdeg, powers))
+    betti = [1] + [0] * (top + 1)
+    for d, n in zip(xdeg, powers):
+        betti = [sum(betti[k - a * d] for a in range(n) if k >= a * d) for k in range(top + 2)]
+    return SullivanPresentation(ctx, images, name="pure"), dict(enumerate(betti))
+
+
+@settings(max_examples=50, deadline=None)
+@given(pure_sullivan_algebras())
+def test_pure_sullivan_betti_numbers_match_the_poincare_series(case):
+    pres, betti = case
+    assert validate(pres).ok
+    assert cohomology(pres, 0, len(betti) - 1).dims() == betti
 
 
 # -- sparse sums through lincomb, pinned against the loops they replaced ------

@@ -353,8 +353,9 @@ def test_acyclic_closure_matches_frozen_output(name, make):
 
 
 def test_acyclic_closure_solves_once_per_degree(monkeypatch):
-    # 45 generators in degrees 2..8: one presentation and one solve per
-    # degree, then the total space and its fiber (47 and 43 one at a time).
+    # 45 generators in degrees 2..8: a copy of p, then one extension and one
+    # solve per degree (the last extension is the total space), then the
+    # fiber (47 and 43 one at a time).
     p = minimal_model(wedge_two_s2_cohomology(), 8).model
     counts = Counter()
 
@@ -364,11 +365,36 @@ def test_acyclic_closure_solves_once_per_degree(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr("rht.minimal_model.SullivanPresentation",
-                        counted("presentations", SullivanPresentation))
+    monkeypatch.setattr(SullivanPresentation, "__init__",
+                        counted("presentations", SullivanPresentation.__init__))
     monkeypatch.setattr("rht.minimal_model.solve_linear", counted("solves", solve_linear))
     acyclic_closure(p, 8)
     assert counts == {"presentations": 9, "solves": 7}
+
+
+@pytest.mark.parametrize("n, columns", [(10, 748), (12, 2759)])
+def test_model_chain_computes_each_column_once(monkeypatch, n, columns):
+    # The stages are one chain of extensions, so the columns of the returned
+    # model are the ones its stages computed, and the quasi-iso check reads
+    # them; every column comes from the Leibniz rule, never apply_derivation
+    # (the parent made 1,171 + 449 calls at n = 10, 4,390 + 1,623 at n = 12).
+    H = wedge_two_s2_cohomology()
+    computed = Counter()
+    leibniz = SullivanPresentation._leibniz
+
+    def counted_leibniz(pres, block, rest, d_rest):
+        computed[(block,) + rest] += 1
+        return leibniz(pres, block, rest, d_rest)
+
+    def refused(*args):
+        raise AssertionError("apply_derivation called")
+
+    monkeypatch.setattr(SullivanPresentation, "_leibniz", counted_leibniz)
+    monkeypatch.setattr("rht.algebra.apply_derivation", refused)
+    monkeypatch.setattr("rht.cdga.apply_derivation", refused)
+    mm = minimal_model(H, n)
+    assert is_quasi_iso(mm.phi, n)[0]
+    assert sum(computed.values()) == len(computed) == columns
 
 
 def test_acyclic_closure_name_collision_names_first_generator():
