@@ -244,7 +244,9 @@ class Derivation:
     """Degree-r derivation of Lambda(V), given by its values on generators.
 
     Extension to monomials follows the graded Leibniz rule
-    theta(xy) = theta(x) y + (-1)^(r deg x) x theta(y).
+    theta(xy) = theta(x) y + (-1)^(r deg x) x theta(y).  A derivation keeps
+    one column store {monomial: theta(monomial)}: images are fixed at
+    construction, so a stored column never changes.
     """
 
     def __init__(self, ctx, degree, images):
@@ -263,11 +265,48 @@ class Derivation:
                         "image of %r must be homogeneous of degree %d"
                         % (name, ctx.degree_of(name) + degree))
             self.images[name] = img
+        self._columns = {(): {}}    # monomial -> theta(monomial) as {monomial: Fraction}, sorted
+        self._monos = {}            # monomial -> the one tuple the columns use for it
 
     def image_of(self, name):
         if name not in self.images:
             raise DerivationError("derivation has no image for generator %r" % name)
         return self.images[name]
+
+    def column(self, mono):
+        """theta(mono) by the Leibniz rule, stored for each suffix of mono, from
+        the longest suffix already stored down (a loop: a word may be long)."""
+        store, monos = self._columns, self._monos
+        j, col = 0, store.get(mono)
+        while col is None:
+            j += 1
+            col = store.get(mono[j:])
+        for i, _ in mono[:j]:       # a missing image is named leftmost first
+            self.image_of(self.ctx.names[i])
+        for j in range(j - 1, -1, -1):
+            suffix = monos.setdefault(mono[j:], mono[j:])
+            col = store[suffix] = self._leibniz(mono[j], mono[j + 1:], col)
+        return col
+
+    def _leibniz(self, block, rest, theta_rest):
+        """theta(x^e m') = e theta(x) x^(e-1) m' + (-1)^(r e |x|) x^e theta(m') for
+        block = (x, e), x before every generator of m' (theta(x) commutes with
+        the even x^(e-1))."""
+        ctx = self.ctx
+        i, e = block
+        tail = (((i, e - 1),) if e > 1 else ()) + rest
+        first, second = {}, {}
+        for m, c in self.image_of(ctx.names[i]).terms.items():
+            sign, prod = monomial_mul(ctx, m, tail)
+            if sign:
+                first[prod] = c if sign * e == 1 else sign * e * c
+        sign_x = -1 if self.degree % 2 and ctx.odd[i] else 1
+        for m, c in theta_rest.items():
+            sign, prod = monomial_mul(ctx, (block,), m)
+            if sign:
+                second[prod] = c if sign == sign_x else -c
+        col = lincomb([(1, first), (1, second)]) if first and second else first or second
+        return {self._monos.setdefault(m, m): c for m, c in sorted(col.items())}
 
     def __call__(self, x):
         return apply_derivation(self, x)
@@ -281,31 +320,7 @@ def apply_derivation(theta, x):
     """Leibniz extension of a derivation to an arbitrary element."""
     if x.ctx != theta.ctx:
         raise ContextMismatchError("derivation and element contexts differ")
-    ctx = x.ctx
-    r = theta.degree
-    terms = []
-    for mono, coeff in x.terms.items():
-        prefix_deg = 0
-        for pos, (i, e) in enumerate(mono):
-            g_img = theta.image_of(ctx.names[i])
-            if not g_img.is_zero():
-                # Remove one copy of generator i; even copies commute so the
-                # remaining e-1 copies may sit on either side without a sign.
-                left = mono[:pos] + (((i, e - 1),) if e > 1 else ())
-                right = mono[pos + 1:]
-                # left * m * right over the terms m of theta(x_i); multiplying
-                # by fixed monomials is injective, so no two share a key.
-                term = {}
-                for m, c in g_img.terms.items():
-                    s1, lm = monomial_mul(ctx, left, m)
-                    if s1:
-                        s2, lmr = monomial_mul(ctx, lm, right)
-                        if s2:
-                            term[lmr] = s1 * s2 * c
-                sign = -1 if (r % 2) and (prefix_deg % 2) else 1
-                terms.append((sign * e * coeff, term))
-            prefix_deg += ctx.degrees[i] * e
-    return AlgElement(ctx, lincomb(terms))
+    return AlgElement(x.ctx, lincomb((c, theta.column(m)) for m, c in x.terms.items()))
 
 
 def degree_basis(ctx, n):

@@ -69,19 +69,17 @@ class SullivanPresentation:
         self.d = Derivation(ctx, +1, d_images)
         self._basis = {}
         self._index = {}
-        self._columns = {(): {}}    # monomial -> d(monomial) as {monomial: Fraction}, sorted
-        self._monos = {}            # monomial -> the one tuple the columns use for it
 
     def extend(self, generators, images, name=None):
         """The presentation on ctx.extend(generators), d(g) = images[g] (in this
         context or the new one) on the new generators.  d of an old monomial is
-        unchanged, so it starts from a copy of this one's column store (a copy:
+        unchanged, so its d starts from a copy of this d's column store (a copy:
         two extensions of one presentation never see each other's columns)."""
         ctx = self.ctx.extend(generators)
         out = SullivanPresentation(
             ctx, {g: rebase(img, ctx) for g, img in {**self.d.images, **images}.items()},
             name=self.name if name is None else name)
-        out._columns, out._monos = dict(self._columns), self._monos
+        out.d._columns, out.d._monos = dict(self.d._columns), self.d._monos
         return out
 
     @staticmethod
@@ -138,41 +136,9 @@ class SullivanPresentation:
         return AlgElement(self.ctx, {b[i]: c for i, c in coords.items() if c != 0})
 
     def differential_column(self, k, i):
-        col = self._column(self.basis(k)[i])
+        col = self.d.column(self.basis(k)[i])
         idx = self.index(k + 1) if col else None
         return {idx[m]: c for m, c in col.items()}
-
-    def _column(self, mono):
-        """d(mono) by the Leibniz rule, stored for each suffix of mono, from the
-        longest suffix already stored down (a loop: a word may be long)."""
-        store, monos = self._columns, self._monos
-        j, col = 0, store.get(mono)
-        while col is None:
-            j += 1
-            col = store.get(mono[j:])
-        for j in range(j - 1, -1, -1):
-            suffix = monos.setdefault(mono[j:], mono[j:])
-            col = store[suffix] = self._leibniz(mono[j], mono[j + 1:], col)
-        return col
-
-    def _leibniz(self, block, rest, d_rest):
-        """d(x^e m') = e dx x^(e-1) m' + (-1)^(e|x|) x^e d(m') for block = (x, e),
-        x before every generator of m' (dx commutes with the even x^(e-1))."""
-        ctx = self.ctx
-        i, e = block
-        tail = (((i, e - 1),) if e > 1 else ()) + rest
-        first, second = {}, {}
-        for m, c in self.d.image_of(ctx.names[i]).terms.items():
-            sign, prod = monomial_mul(ctx, m, tail)
-            if sign:
-                first[prod] = c if sign * e == 1 else sign * e * c
-        sign_x = -1 if ctx.odd[i] else 1
-        for m, c in d_rest.items():
-            sign, prod = monomial_mul(ctx, (block,), m)
-            if sign:
-                second[prod] = c if sign == sign_x else -c
-        col = lincomb([(1, first), (1, second)]) if first and second else first or second
-        return {self._monos.setdefault(m, m): c for m, c in sorted(col.items())}
 
     def multiply_coords(self, p, u, q, v):
         """Product of coordinate vectors in Fractions, keys in monomial order (as `to_coords`)."""

@@ -385,8 +385,9 @@ def mapping_space_pi(phi, n):
                 out.append((g, wdeg, i))
         return out
 
-    # For each generator g: (v, e * c, phi(left), phi(right)) per copy of g
-    # in a monomial c * left g right of dv, as in `apply_derivation`.
+    # For each generator g: (v, e * c, phi(left), phi(right)) per block g^e
+    # of a monomial c * left g right of dv, with left holding the other e - 1
+    # copies of g (g is even when e > 1, so they move without a sign).
     slots = {g: [] for g in V.ctx.names}
     for v in V.ctx.names:
         for mono, c in V.d.image_of(v).terms.items():

@@ -57,6 +57,26 @@ def assert_matches_reference_sum(got, ref, retouched):
         assert list(got) == list(nonzero)
 
 
+def leibniz_loop(theta, x):
+    """Leibniz rule with one AlgElement product per term, kept as the reference
+    for `Derivation.column` and `apply_derivation`: it reads only the images of
+    theta, never its column store."""
+    ctx, r = x.ctx, theta.degree
+    out = AlgElement.zero(ctx)
+    for mono, coeff in x.terms.items():
+        prefix_deg = 0
+        for pos, (i, e) in enumerate(mono):
+            g_img = theta.image_of(ctx.names[i])
+            if not g_img.is_zero():
+                left = mono[:pos] + (((i, e - 1),) if e > 1 else ())
+                right = mono[pos + 1:]
+                sign = -1 if (r % 2) and (prefix_deg % 2) else 1
+                term = AlgElement(ctx, {left: 1}) * g_img * AlgElement(ctx, {right: 1})
+                out = out + term.scale(sign * e * coeff)
+            prefix_deg += ctx.degrees[i] * e
+    return out
+
+
 def monomial_algebra(factors, name="A"):
     """FiniteCDGA of a tensor product of exterior and truncated-polynomial algebras.
 

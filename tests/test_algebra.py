@@ -12,7 +12,7 @@ from rht.cdga import SullivanPresentation
 from rht.errors import (BudgetExceededError, ContextMismatchError, DegreeError,
                         DerivationError)
 
-from conftest import ZeroTouchDict, assert_matches_reference_sum
+from conftest import ZeroTouchDict, assert_matches_reference_sum, leibniz_loop
 
 
 def ctx_ab():
@@ -79,6 +79,10 @@ def test_derivation_missing_image():
     d = Derivation(ctx, +1, {"a": AlgElement.zero(ctx)})
     with pytest.raises(DerivationError):
         apply_derivation(d, ctx.generator("b"))
+    # With no image at all, a * b names a, its leftmost generator.
+    a, b = ctx.generator("a"), ctx.generator("b")
+    with pytest.raises(DerivationError, match="no image for generator 'a'"):
+        apply_derivation(Derivation(ctx, +1, {}), a * b)
 
 
 def brute_force_basis(ctx, n):
@@ -245,50 +249,40 @@ def test_leibniz_on_random_products(x, y):
     assert lhs == rhs
 
 
-def _leibniz_loop(theta, x):
-    """Leibniz rule with one AlgElement product per term, kept as the oracle."""
-    ctx, r = x.ctx, theta.degree
-    out = AlgElement.zero(ctx)
-    for mono, coeff in x.terms.items():
-        prefix_deg = 0
-        for pos, (i, e) in enumerate(mono):
-            g_img = theta.image_of(ctx.names[i])
-            if not g_img.is_zero():
-                left = mono[:pos] + (((i, e - 1),) if e > 1 else ())
-                right = mono[pos + 1:]
-                sign = -1 if (r % 2) and (prefix_deg % 2) else 1
-                term = AlgElement(ctx, {left: 1}) * g_img * AlgElement(ctx, {right: 1})
-                out = out + term.scale(sign * e * coeff)
-            prefix_deg += ctx.degrees[i] * e
-    return out
-
-
 @st.composite
 def derivations_and_elements(draw):
-    """A degree-r derivation on a random context, r in {-1, 0, 1, 2}, and an
-    element whose even generators carry exponents up to 3."""
+    """A degree-r derivation on a random context, r in {-2, ..., 2}, and two
+    elements whose even generators carry exponents up to 4, drawn from one
+    pool of monomials so that the second often shares monomials and suffixes
+    with the first."""
     degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     ctx = GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])
-    r = draw(st.sampled_from([-1, 0, 1, 2]))
+    r = draw(st.integers(-2, 2))
     coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
     images = {}
     for name, d in ctx.gens:
         basis = degree_basis(ctx, d + r)
         picks = draw(st.lists(st.sampled_from(basis), max_size=3)) if basis else []
         images[name] = AlgElement(ctx, {m: draw(coeff) for m in picks})
-    terms = {}
-    for _ in range(draw(st.integers(0, 4))):
-        exps = [draw(st.integers(0, 1 if d % 2 else 3)) for d in degrees]
-        terms[tuple((i, e) for i, e in enumerate(exps) if e)] = draw(coeff)
-    return Derivation(ctx, r, images), AlgElement(ctx, terms)
+    pool = [tuple((i, e) for i, e in enumerate(exps) if e)
+            for exps in draw(st.lists(st.tuples(*(st.integers(0, 1 if d % 2 else 4)
+                                                   for d in degrees)),
+                                      min_size=1, max_size=6))]
+    elements = [AlgElement(ctx, {m: draw(coeff)
+                                 for m in draw(st.lists(st.sampled_from(pool), max_size=4))})
+                for _ in range(2)]
+    return Derivation(ctx, r, images), elements
 
 
 @settings(max_examples=300, deadline=None)
 @given(derivations_and_elements())
 def test_apply_derivation_matches_product_loop(case):
-    theta, x = case
-    assert list(apply_derivation(theta, x).terms.items()) == \
-        list(_leibniz_loop(theta, x).terms.items())
+    # One derivation, two elements in turn: the second query reads the
+    # columns the first one stored.
+    theta, elements = case
+    for x in elements:
+        assert list(apply_derivation(theta, x).terms.items()) == \
+            list(leibniz_loop(theta, x).terms.items())
 
 
 def _monomial_mul_loop(ctx, m1, m2):

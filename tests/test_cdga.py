@@ -7,7 +7,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rht.algebra import (ONE, ZERO, AlgElement, GeneratorContext, apply_derivation, as_q,
+from rht.algebra import (ONE, ZERO, AlgElement, GeneratorContext, as_q,
                          degree_basis)
 from rht.cdga import (CdgaMorphism, FiniteCDGA, FiniteMorphism, QuotientCDGA,
                       SullivanPresentation, cohomology, cohomology_algebra,
@@ -18,8 +18,8 @@ from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_compl
 from rht.errors import DegreeError
 from rht.linalg import Echelon
 
-from conftest import (ZeroTouchDict, assert_matches_reference_sum, nonformal_uvw,
-                      random_monomial_algebras, sphere2_model)
+from conftest import (ZeroTouchDict, assert_matches_reference_sum, leibniz_loop,
+                      nonformal_uvw, random_monomial_algebras, sphere2_model)
 
 
 def test_validate_s2(s2):
@@ -508,13 +508,14 @@ def test_ideal_span_fills_lower_degrees_without_recursion():
         sys.setrecursionlimit(limit)
 
 
-# -- differential columns by the Leibniz rule, pinned against apply_derivation
+# -- differential columns by the Leibniz rule, pinned against leibniz_loop
 
 def reference_column(pres, mono):
-    """d(mono) in coordinates through the element path: values, value types
-    and key order as `differential_column` must give them."""
+    """d(mono) in coordinates through the element path of the test-local
+    Leibniz loop: values, value types and key order as `differential_column`
+    must give them."""
     k = sum(pres.ctx.degrees[i] * e for i, e in mono)
-    img = apply_derivation(pres.d, AlgElement(pres.ctx, {mono: ONE}))
+    img = leibniz_loop(pres.d, AlgElement(pres.ctx, {mono: ONE}))
     return [(i, type(c), c) for i, c in pres.to_coords(img, k + 1).items()]
 
 

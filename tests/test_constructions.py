@@ -6,7 +6,7 @@ import pytest
 
 import rht.constructions
 from rht import dsl
-from rht.algebra import ONE, AlgElement, GeneratorContext, apply_derivation
+from rht.algebra import ONE, AlgElement, GeneratorContext
 from rht.cdga import (CdgaMorphism, SullivanPresentation, cohomology,
                       cohomology_algebra, validate)
 from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
@@ -19,7 +19,7 @@ from rht.errors import BudgetExceededError, UnsupportedInputError
 from rht.linalg import lincomb
 from rht.minimal_model import LambdaExtension, acyclic_closure, fiber_model, minimal_model
 
-from conftest import sphere2_model, wedge_two_s2_cohomology
+from conftest import leibniz_loop, sphere2_model, wedge_two_s2_cohomology
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,7 @@ def reference_d_matrix(phi, m):
     cols = []
     for g, wdeg, i in der_basis(m):
         base = W.from_coords(wdeg, {i: ONE})
-        dw = apply_derivation(W.d, base)
+        dw = leibniz_loop(W.d, base)
         rows = [(1, {tgt_pos[(g, W.index(wdeg + 1)[mono])]: c for mono, c in dw.terms.items()})]
         for v in V.ctx.names:
             val = theta_apply({g: base}, V.d.image_of(v))

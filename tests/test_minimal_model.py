@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rht.algebra import AlgElement, GeneratorContext, ONE, apply_derivation, degree_basis
+from rht.algebra import AlgElement, Derivation, GeneratorContext, ONE, degree_basis
 from rht.cdga import (CdgaMorphism, SullivanPresentation, cohomology,
                       cohomology_algebra, is_quasi_iso, validate)
 from rht.constructions import sphere, cp, free_loop_extension, product
@@ -376,25 +376,28 @@ def test_acyclic_closure_solves_once_per_degree(monkeypatch):
 def test_model_chain_computes_each_column_once(monkeypatch, n, columns):
     # The stages are one chain of extensions, so the columns of the returned
     # model are the ones its stages computed, and the quasi-iso check reads
-    # them; every column comes from the Leibniz rule, never apply_derivation
-    # (the parent made 1,171 + 449 calls at n = 10, 4,390 + 1,623 at n = 12).
+    # them; every column comes from the Leibniz rule, never apply_derivation.
+    # validate's d^2 check then reads the same store and computes no column.
     H = wedge_two_s2_cohomology()
     computed = Counter()
-    leibniz = SullivanPresentation._leibniz
+    leibniz = Derivation._leibniz
 
-    def counted_leibniz(pres, block, rest, d_rest):
+    def counted_leibniz(theta, block, rest, theta_rest):
         computed[(block,) + rest] += 1
-        return leibniz(pres, block, rest, d_rest)
+        return leibniz(theta, block, rest, theta_rest)
 
     def refused(*args):
         raise AssertionError("apply_derivation called")
 
-    monkeypatch.setattr(SullivanPresentation, "_leibniz", counted_leibniz)
-    monkeypatch.setattr("rht.algebra.apply_derivation", refused)
-    monkeypatch.setattr("rht.cdga.apply_derivation", refused)
-    mm = minimal_model(H, n)
-    assert is_quasi_iso(mm.phi, n)[0]
+    monkeypatch.setattr(Derivation, "_leibniz", counted_leibniz)
+    with monkeypatch.context() as refusing:
+        refusing.setattr("rht.algebra.apply_derivation", refused)
+        refusing.setattr("rht.cdga.apply_derivation", refused)
+        mm = minimal_model(H, n)
+        assert is_quasi_iso(mm.phi, n)[0]
     assert sum(computed.values()) == len(computed) == columns
+    assert validate(mm.model).ok
+    assert sum(computed.values()) == columns
 
 
 def test_acyclic_closure_name_collision_names_first_generator():
