@@ -243,7 +243,9 @@ def cmd_invariants(args):
         lines.append("trichotomy: %s (chi_pi=%d, alpha~%.4f)"
                      % (rep.tag, rep.chi_pi, rep.alpha_estimate))
     if args.plot:
-        result = minimal_model(p, n)
+        # --trichotomy without --of-cohomology has already modelled p
+        if args.of_cohomology or not args.trichotomy:
+            result = minimal_model(p, n)
         with open(args.plot, "w", encoding="utf-8") as fh:
             fh.write("degree,rank\n")
             for k, v in sorted(result.ranks().items()):

@@ -360,7 +360,7 @@ def hurewicz_matrix(result, k):
     a minimal presentation, so the class map is well defined.
     """
     model = result.model if hasattr(result, "model") else result
-    rep = cohomology(model, 0, k)
+    rep = cohomology(model, k, k)
     ctx = model.ctx
     vk = [i for i, d in enumerate(ctx.degrees) if d == k]
     vk_pos = {g: c for c, g in enumerate(vk)}

@@ -104,31 +104,29 @@ def _target_h0_h1(A):
 def minimal_model(A, n=16, name=None):
     """Minimal Sullivan model of A with H(phi) iso up to n, injective at n+1.
 
-    Each stage reads only the cohomology of the partial model in the degree
-    it changes: H^stage for the cocycle step, H^(stage+1) for the kernel
-    step, which the next cocycle step reuses when it added no generators.  All
-    kernel-killing generators of a stage come from one batched
-    `primitives` solve and one `extend`.  Batching changes nothing: they have
-    degree `stage` and V^1 = 0, so no degree-(stage+1) monomial contains
-    them, and each solution is canonical per target.  The stages are one
-    chain of `extend` calls, so each differential column is computed once.
+    A stage computes the partial model's cohomology in one degree: H^(stage+1)
+    for its kernel step, whose induced classes the next cocycle step reuses as
+    im H^(stage+1)(phi) (at stage 2 it is H^2(Q) = 0).  As V^1 = 0, the kernel
+    step's generators w (degree `stage`, dw = z) occur in no degree-(stage+1)
+    monomial: the cocycles stay, the new boundaries z map to 0 in H(A).  So one
+    `primitives` solve (canonical per target) and one `extend` adjoin all w of
+    a stage; the stages are one `extend` chain, each column computed once.
     """
     validate(A).raise_if_invalid()
     _target_h0_h1(A)
-    tgt_rep = cohomology(A, 0, n + 2)
+    tgt_rep = cohomology(A, 0, n + 1)
 
     model = SullivanPresentation(GeneratorContext([]), {},
                                  name=name or ("M(%s)" % getattr(A, "name", "A")))
     phi_imgs = {}        # name -> target coordinate dict
     provenance = {}
     phi = CdgaMorphism(model, A, {}, name="phi")
-    held = None          # H^stage report of `model`, when the last kernel step kept it
+    cols = []            # classes spanning im H^stage(phi), from the last kernel step
 
     for stage in range(2, n + 1):
         # --- cocycle generators: span coker H^stage(phi) -------------------
-        src_rep = held or cohomology(model, stage, stage)
         image = Echelon()
-        for cls in induced_classes(phi, src_rep, tgt_rep, stage):
+        for cls in cols:
             image.add(cls)
         new = {}
         for i, t_rep in enumerate(tgt_rep.representatives(stage)):
@@ -148,7 +146,6 @@ def minimal_model(A, n=16, name=None):
         cols = induced_classes(phi, src_rep, tgt_rep, stage + 1)
         mat = RationalMatrix.from_columns(tgt_rep.dim(stage + 1), cols)
         ker = solve_linear(mat).kernel
-        held = None if ker else src_rep
         if not ker:
             continue
         cycles = [lincomb((c, reps[i]) for i, c in kvec.items()) for kvec in ker]

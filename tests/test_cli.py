@@ -189,6 +189,32 @@ def test_invariants_plot_csv(tmp_path):
     assert table["2"] == "1" and table["3"] == "1"
 
 
+@pytest.mark.parametrize("of_cohomology, models", [([], 1), (["--of-cohomology"], 2)])
+def test_invariants_trichotomy_and_plot_share_one_model(
+        tmp_path, capsys, monkeypatch, of_cohomology, models):
+    # --plot always models the presentation; --trichotomy models it too unless
+    # --of-cohomology asks for the model of its cohomology algebra.
+    from rht.cli import minimal_model as build
+    calls = []
+
+    def counted(A, n):
+        calls.append(A.name)
+        return build(A, n)
+    monkeypatch.setattr("rht.cli.minimal_model", counted)
+    plot = str(tmp_path / "ranks.csv")
+    argv = ["invariants", DATA, "--name", "CP3", "--max", "8"]
+    outputs = []
+    for flags in (["--trichotomy"] + of_cohomology, ["--plot", plot],
+                  ["--trichotomy", "--plot", plot] + of_cohomology):
+        calls.clear()
+        assert main(argv + flags) == 0
+        with open(plot, encoding="utf-8") if "--plot" in flags else io.StringIO() as fh:
+            outputs.append((capsys.readouterr().out, fh.read()))
+    (alone, _), (plotted, table), (both, both_table) = outputs
+    assert both == alone + plotted and both_table == table
+    assert len(calls) == models and calls[-1] == "CP3"
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.rht"
     bad.write_text("cdga Bad { gen a:2; d a = a; }")

@@ -188,6 +188,20 @@ def test_hurewicz_wedge_iso_in_metastable_range():
     assert rep.h_dim == 2 and rep.v_dim == 2 and rep.rank == 2
 
 
+def test_hurewicz_builds_only_its_degree(report_windows):
+    from conftest import wedge_two_s2_cohomology
+    from rht.cdga import cohomology
+    mm = minimal_model(wedge_two_s2_cohomology(), 4)
+    report_windows.clear()
+    rep = hurewicz_matrix(mm, 2)
+    assert report_windows == [(mm.model.name, 2, 2)]
+    assert (rep.h_dim, rep.v_dim, rep.rank) == (2, 2, 2)
+    # Representatives in degree k do not depend on the rest of the window.
+    for k in range(5):
+        assert cohomology(mm.model, k, k).representative_elements(k) == \
+            cohomology(mm.model, 0, k).representative_elements(k)
+
+
 def test_hurewicz_s2_k3_image_orthogonal_to_whitehead(s2):
     from rht.cdga import cohomology
     # H^3(S2 model) = 0, and the Whitehead product [x,x] spans L_2 = (V^3)^#;

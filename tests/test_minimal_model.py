@@ -373,7 +373,7 @@ def test_acyclic_closure_solves_once_per_degree(monkeypatch):
 
 
 @pytest.mark.parametrize("n, columns", [(10, 748), (12, 2759)])
-def test_model_chain_computes_each_column_once(monkeypatch, n, columns):
+def test_model_chain_computes_each_column_once(monkeypatch, report_windows, n, columns):
     # The stages are one chain of extensions, so the columns of the returned
     # model are the ones its stages computed, and the quasi-iso check reads
     # them; every column comes from the Leibniz rule, never apply_derivation.
@@ -393,11 +393,91 @@ def test_model_chain_computes_each_column_once(monkeypatch, n, columns):
     with monkeypatch.context() as refusing:
         refusing.setattr("rht.algebra.apply_derivation", refused)
         refusing.setattr("rht.cdga.apply_derivation", refused)
+        report_windows.clear()
         mm = minimal_model(H, n)
+        # One report per stage, H^(stage+1) of the partial model, and the
+        # target to n + 1 after its H^0, H^1 check.
+        assert report_windows == [(H.name, 0, 1), (H.name, 0, n + 1)] + [
+            (mm.model.name, k, k) for k in range(3, n + 2)]
         assert is_quasi_iso(mm.phi, n)[0]
     assert sum(computed.values()) == len(computed) == columns
     assert validate(mm.model).ok
     assert sum(computed.values()) == columns
+
+
+def _two_report_minimal_model(A, n):
+    """Reference stage loop with two reports per stage: the cocycle step
+    computes H^stage of the partial model itself unless the last kernel step
+    added no generator, and the target window runs to n + 2."""
+    from rht.cdga import induced_classes
+    from rht.linalg import RationalMatrix
+    from rht.minimal_model import MinimalModelResult
+    tgt_rep = cohomology(A, 0, n + 2)
+    model = SullivanPresentation(GeneratorContext([]), {}, name="M(%s)" % A.name)
+    phi_imgs, provenance = {}, {}
+    phi = CdgaMorphism(model, A, {}, name="phi")
+    held = None
+    for stage in range(2, n + 1):
+        src_rep = held or cohomology(model, stage, stage)
+        image = Echelon()
+        for cls in induced_classes(phi, src_rep, tgt_rep, stage):
+            image.add(cls)
+        new = {}
+        for i, t_rep in enumerate(tgt_rep.representatives(stage)):
+            if not image.add({i: ONE}):
+                continue
+            gname = "v%d_%d" % (stage, len(new))
+            new[gname] = AlgElement.zero(model.ctx)
+            phi_imgs[gname] = t_rep
+            provenance[gname] = ("cocycle", stage)
+        if new:
+            model = model.extend([(g, stage) for g in new], new)
+            phi = CdgaMorphism(model, A, dict(phi_imgs), name="phi")
+        src_rep = cohomology(model, stage + 1, stage + 1)
+        reps = src_rep.representatives(stage + 1)
+        cols = induced_classes(phi, src_rep, tgt_rep, stage + 1)
+        ker = solve_linear(RationalMatrix.from_columns(tgt_rep.dim(stage + 1), cols)).kernel
+        held = None if ker else src_rep
+        if not ker:
+            continue
+        cycles = [lincomb((c, reps[i]) for i, c in kvec.items()) for kvec in ker]
+        sols = primitives(A, stage, [phi.apply_coords(stage + 1, z) for z in cycles],
+                          range(A.dim(stage)))
+        new = {}
+        for j, (z_coords, s) in enumerate(zip(cycles, sols)):
+            gname = "w%d_%d" % (stage, j)
+            new[gname] = model.from_coords(stage + 1, z_coords)
+            phi_imgs[gname] = s
+            provenance[gname] = ("kernel", stage)
+        model = model.extend([(g, stage) for g in new], new)
+        phi = CdgaMorphism(model, A, dict(phi_imgs), name="phi")
+    return MinimalModelResult(model, phi, n, provenance, A)
+
+
+def _stage_loop_targets():
+    from rht.constructions import truncated_poly, wedge_cohomology
+    from rht.dsl import parse
+    H = cohomology_algebra
+    s2, s3, s4 = (H(sphere(k), k, name="H(S%d)" % k) for k in (2, 3, 4))
+    doc = parse("cdga W { gen a:2; gen b:2; gen x:3; gen y:3; gen z:3; "
+                "d x = a^2; d y = a*b; d z = b^2; }\n"
+                "cdga V { gen a:2; gen b:4; gen x:5; gen y:7; d x = a^3; d y = b^2; }")
+    return [H(product(sphere(2), sphere(2)), 4, name="H(S2xS2)"),
+            wedge_cohomology(s2, s4, name="H(S2vS4)"),
+            wedge_cohomology(H(cp(2), 4), s3, name="H(CP2vS3)"),
+            H(cp(3), 6, name="H(CP3)"),
+            truncated_poly(4, 3),
+            wedge_cohomology(H(product(sphere(2), sphere(3)), 5), s4, name="H(S2xS3)vH(S4)"),
+            cp(2), product(sphere(2), sphere(4)),
+            doc.presentation("W"), doc.presentation("V")]
+
+
+def test_one_report_per_stage_matches_the_two_report_loop():
+    # Targets whose cocycle generators appear after stage 2, or whose kernel
+    # step hands the next cocycle step a nonzero image.
+    for A in _stage_loop_targets():
+        assert to_json_text(minimal_model_json(minimal_model(A, 8))) == \
+            to_json_text(minimal_model_json(_two_report_minimal_model(A, 8))), A.name
 
 
 def test_acyclic_closure_name_collision_names_first_generator():
