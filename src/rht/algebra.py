@@ -335,7 +335,10 @@ def degree_basis(ctx, n):
     shared suffix list per (idx, r).  A forward pass finds the (idx, r) that
     degree n reaches, a backward pass counts them, and a second backward
     pass builds the nonempty ones, reusing a list that generator idx cannot
-    extend.  Nothing recurses, so any number of generators is fine.
+    extend.  The passes visit only the generators of degree <= n, the ones
+    that fit: any other takes exponent 0 and would leave every reach set,
+    count and suffix list as it was.  Monomials keep the context indices.
+    Nothing recurses, so any number of generators is fine.
     """
     if n < 0:
         return []
@@ -345,19 +348,21 @@ def degree_basis(ctx, n):
         top = r // degrees[idx]
         return range(min(top, 1) + 1 if degrees[idx] % 2 else top + 1)
 
+    fits = [idx for idx, deg in enumerate(degrees) if deg <= n]
     reach = [{n}]
-    for idx, deg in enumerate(degrees):
-        reach.append({r - e * deg for r in reach[idx] for e in exponents(idx, r)})
+    for idx in fits:
+        reach.append({r - e * degrees[idx] for r in reach[-1] for e in exponents(idx, r)})
+    layers = list(zip(fits, reach))[::-1]     # (idx, its reach), last generator first
     counts = {0: 1}
-    for idx in range(len(degrees) - 1, -1, -1):
+    for idx, rs in layers:
         counts = {r: sum(counts.get(r - e * degrees[idx], 0) for e in exponents(idx, r))
-                  for r in reach[idx]}
+                  for r in rs}
     if counts.get(n, 0) > MONOMIAL_BUDGET:
         raise BudgetExceededError("degree %d basis exceeds %d monomials" % (n, MONOMIAL_BUDGET))
     suffixes = {0: [()]}
-    for idx in range(len(degrees) - 1, -1, -1):
+    for idx, rs in layers:
         deg, tails, suffixes = degrees[idx], suffixes, {}
-        for r in reach[idx]:
+        for r in rs:
             parts = [(e, tails[r - e * deg]) for e in exponents(idx, r) if r - e * deg in tails]
             if len(parts) == 1 and not parts[0][0]:
                 suffixes[r] = parts[0][1]

@@ -13,6 +13,7 @@ documents round-trip through `serialize` exactly.
 """
 
 import json
+import re
 from fractions import Fraction
 
 from .algebra import AlgElement, GeneratorContext, ONE, ZERO, monomial_degree
@@ -29,8 +30,12 @@ MAX_CONSTANT_BITS = 4096    # largest numerator or denominator of a constant pow
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_PUNCT = ("|->", "->", "{", "}", "(", ")", "[", "]", ";", ":", ",", "=",
-          "+", "-", "*", "^", "/")
+# One alternative per token kind, tried in this order at each position.  An
+# identifier is any \w run here; tokenize accepts it only if it starts with a
+# letter or "_", so a leading digit such as '²' is an unexpected character.
+_TOKEN = re.compile(r"""(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>\#[^\n]*)
+    |(?P<punct>\|->|->|[{}()\[\];:,=+\-*^/])|(?P<int>\d+)|(?P<ident>\w+)|(?P<other>.)""",
+                    re.VERBOSE | re.DOTALL)
 
 
 class Token:
@@ -47,50 +52,25 @@ class Token:
 def tokenize(text):
     tokens = []
     line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind, s = m.lastgroup, m.group()
+        if kind == "newline":
+            line, col = line + 1, 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "comment":       # the column stays at the '#'
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        matched = None
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                matched = p
-                break
-        if matched:
-            tokens.append(Token(matched, matched, line, col))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", int(text[i:j]), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
+        if kind == "punct":
+            tokens.append(Token(s, s, line, col))
+        elif kind == "int":
+            try:
+                tokens.append(Token("int", int(s), line, col))
+            except ValueError:      # more digits than sys.get_int_max_str_digits()
+                raise ParseError("integer literal too long", line, col) from None
+        elif kind == "ident" and (s[0].isalpha() or s[0] == "_"):
+            tokens.append(Token("ident", s, line, col))
+        elif kind != "space":
+            raise ParseError("unexpected character %r" % s[0], line, col)
+        col += len(s)
     tokens.append(Token("eof", None, line, col))
     return tokens
 

@@ -84,9 +84,13 @@ class LieTable:
 
         Checked on the integer table L*T, L the lcm of the denominators: both
         are homogeneous in the structure constants, so each holds on L*T
-        exactly when on T.  Only in-bound pairs and triples are visited, in
-        the order of the full loops over all items, so the first failure
-        reported is the same.
+        exactly when on T.  Each orbit is visited once, in bound: pairs
+        x <= y and triples x <= y <= z in item order.  The failing pairs are
+        closed under swapping, and once antisymmetry holds the Jacobi defect
+        J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|}[y,[x,z]] changes only
+        by a sign under swapping x,y or y,z.  So the first failure of the
+        full loops over all ordered pairs and triples is sorted, and it is
+        the one reported here.
         """
         den = lcm(*[c.denominator for vec in self.brackets.values() for c in vec.values()])
         t = LieTable(self.basis, {key: {m: c.numerator * (den // c.denominator)
@@ -95,23 +99,23 @@ class LieTable:
         items = [(k, i) for k in sorted(t.basis) for i in range(t.dim(k))]
         degs = [k for k, _ in items]
 
-        def upto(d):    # items of degree <= d: a prefix, since items are sorted
-            return items[:bisect_right(degs, d)]
+        def upto(p, d):    # (position, item) from p on, of degree <= d: a slice, items sorted
+            return enumerate(items[p:bisect_right(degs, d)], p)
 
-        for (k, i) in items:
-            for (l, j) in upto(t.bound - k):
+        for p, (k, i) in enumerate(items):
+            for _, (l, j) in upto(p, t.bound - k):
                 ab = t.bracket_of(k, i, l, j)
                 ba = t.bracket_of(l, j, k, i)
                 sign = -1 if (k % 2) and (l % 2) else 1
                 # [x,y] + (-1)^{|x||y|}[y,x] = 0
                 if lincomb([(1, ab), (sign, ba)]):
                     return False, "antisymmetry fails on (%d,%d),(%d,%d)" % (k, i, l, j)
-        for (k, i) in items:
+        for p, (k, i) in enumerate(items):
             x = (k, {i: 1})
-            for (l, j) in upto(t.bound - k - degs[0]):
+            for q, (l, j) in upto(p, (t.bound - k) // 2):
                 y, xy = (l, {j: 1}), (k + l, t.bracket_of(k, i, l, j))
                 sign = -1 if (k % 2) and (l % 2) else 1
-                for (m, h) in upto(t.bound - k - l):
+                for _, (m, h) in upto(q, t.bound - k - l):
                     z = (m, {h: 1})
                     lhs = t.bracket(x, (l + m, t.bracket_of(l, j, m, h)))[1]
                     r1 = t.bracket(xy, z)[1]

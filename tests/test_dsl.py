@@ -45,6 +45,94 @@ def test_parse_syntax_error_location():
     assert err.value.line == 1 and err.value.col is not None
 
 
+def loop_tokenize(text):
+    """The per-character tokenizer that the compiled pattern replaced, kept as its oracle."""
+    punct = ("|->", "->", "{", "}", "(", ")", "[", "]", ";", ":", ",", "=",
+             "+", "-", "*", "^", "/")
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        matched = next((p for p in punct if text.startswith(p, i)), None)
+        if matched:
+            tokens.append(dsl.Token(matched, matched, line, col))
+            i += len(matched)
+            col += len(matched)
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(dsl.Token("int", int(text[i:j]), line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(dsl.Token("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError("unexpected character %r" % ch, line, col)
+    tokens.append(dsl.Token("eof", None, line, col))
+    return tokens
+
+
+def tokenize_outcome(tokenize, text):
+    try:
+        return [(t.kind, t.value, t.line, t.col) for t in tokenize(text)]
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line, exc.col)
+
+
+# Characters the grammar uses, plus the ones that test each token class's edge:
+# non-decimal digits, a numeric that is neither, letters outside ASCII, the
+# whitespace the tokenizer does not skip, and a lone '|'.
+GRAMMAR_CHARS = "ab_z019 \t\r\n#{}()[];:,=+-*^/|>²½٣éΩ\x0b\x0c"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), st.text(GRAMMAR_CHARS, max_size=40)))
+def test_tokenize_matches_the_character_loop(text):
+    try:
+        expected = tokenize_outcome(loop_tokenize, text)
+    except Exception:       # the loop's own crash, e.g. int('²'): now a ParseError
+        with pytest.raises(ParseError):
+            dsl.tokenize(text)
+        return
+    assert tokenize_outcome(dsl.tokenize, text) == expected
+
+
+@pytest.mark.parametrize("text, message, col", [
+    ("cdga X { gen a:²; d a = 0; }", "unexpected character '²'", 16),
+    ("cdga X { gen a:2; d a = 0 # c", "unterminated cdga block", 27),
+    ("cdga X { gen a:2;\x0b d a = 0; }", "unexpected character '\\x0b'", 18),
+    ("cdga X { gen a:%s; }" % ("9" * 5000), "integer literal too long", 16),
+], ids=["superscript-two", "trailing-comment", "vertical-tab", "long-integer"])
+def test_malformed_characters_are_parse_errors(text, message, col):
+    with pytest.raises(ParseError) as err:
+        dsl.parse(text)
+    assert (str(err.value), err.value.line, err.value.col) == (
+        "line 1, col %d: %s" % (col, message), 1, col)
+
+
 def test_duplicate_block_name_is_a_parse_error():
     with pytest.raises(ParseError) as err:
         dsl.parse(S2_TEXT + "\ncdga S2 { gen x:4; d x = 0; }")

@@ -447,6 +447,22 @@ def test_lie_validate_matches_full_loops():
     assert max(lcms) > 6
 
 
+def test_lie_validate_checks_diagonal_pairs_and_triples():
+    # Each failure below sits on a repeated basis element, so a scan that
+    # skips x == y or y == z misses it.
+    one = Fraction(1)
+    basis = {1: ["x"], 2: ["y"], 3: ["z"]}
+    jacobi = LieTable(basis, {((1, 0), (1, 0)): {0: one}, ((1, 0), (2, 0)): {0: one},
+                              ((2, 0), (1, 0)): {0: -one}}, 3)
+    # [x,[x,x]] - [[x,x],x] + [x,[x,x]] = z + z + z
+    assert jacobi.validate() == full_loop_validate(jacobi) == (
+        False, "Jacobi fails on degrees (1,1,1)")
+    square = LieTable({2: ["x"], 4: ["y"]}, {((2, 0), (2, 0)): {0: one}}, 4)
+    # [x,x] + [x,x] = 2y for x even
+    assert square.validate() == full_loop_validate(square) == (
+        False, "antisymmetry fails on (2,0),(2,0)")
+
+
 # -- the free associative algebra of BCH, pinned against the loops it replaced -
 
 def reference_free_mul(x, y, cap):
