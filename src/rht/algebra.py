@@ -15,8 +15,6 @@ from fractions import Fraction
 from .errors import ContextMismatchError, DegreeError, DerivationError, BudgetExceededError
 from .linalg import lincomb
 
-Q = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -70,9 +68,6 @@ class GeneratorContext:
 
     def degree_of(self, name):
         return self.degrees[self.index[name]]
-
-    def is_odd(self, i):
-        return self.odd[i]
 
     def extend(self, more):
         """New context with extra generators appended (order preserved)."""

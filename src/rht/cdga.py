@@ -188,9 +188,6 @@ class FiniteCDGA:
     def dim(self, k):
         return len(self.basis.get(k, ()))
 
-    def total_dim(self):
-        return sum(len(v) for v in self.basis.values())
-
     def max_degree(self):
         return max(self.basis)
 
@@ -475,14 +472,12 @@ class CohomologyReport:
         self.hi = hi
         self._reps = {}        # k -> list of coordinate vectors
         self._classes = {}     # k -> Echelon of boundaries and tagged representatives
+        # Each degree's columns are read once: d out of C^k is d into C^(k+1).
+        d_in = [pres.differential_column(lo - 1, i) for i in range(pres.dim(lo - 1))]
         for k in range(lo, hi + 1):
-            self._compute(k)
-
-    def _compute(self, k):
-        p = self.pres
-        self._reps[k], self._classes[k] = slice_homology(
-            [p.differential_column(k, i) for i in range(p.dim(k))], p.dim(k + 1),
-            [p.differential_column(k - 1, i) for i in range(p.dim(k - 1))])
+            d_out = [pres.differential_column(k, i) for i in range(pres.dim(k))]
+            self._reps[k], self._classes[k] = slice_homology(d_out, pres.dim(k + 1), d_in)
+            d_in = d_out
 
     def dim(self, k):
         if k < self.lo or k > self.hi:

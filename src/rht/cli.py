@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from . import dsl
 from .cdga import SullivanPresentation, cohomology, cohomology_algebra, validate
-from .constructions import (arrangement_complex, catalog, config_space_model,
-                            free_loop_model, mapping_space_pi)
+from .constructions import (arrangement_complex, config_space_model, free_loop_model,
+                            mapping_space_pi)
 from .errors import ParseError, RhtError
 from .homotopy_lie import (NILPOTENCY_STEPS, bch_product, hurewicz_matrix,
                            lcs_filtrations, lie_table, nilpotency_class,
@@ -195,10 +195,7 @@ def cmd_invariants(args):
         lines.append("cat bounds: [%s, %s]%s" % (
             c.e, c.upper, (", cat = %d (PD)" % c.cat_exact) if c.cat_exact is not None else ""))
     if args.massey:
-        exprs = []
-        for text in args.massey:
-            exprs.append(dsl._Parser(text).expression(p.ctx, n))
-        res = massey_triple(p, *exprs)
+        res = massey_triple(p, *(dsl.parse_element(text, p.ctx, n) for text in args.massey))
         payload["massey"] = {
             "defined": res.defined,
             "nontrivial": res.nontrivial,
@@ -355,8 +352,7 @@ def cmd_arrangement(args):
 
 
 def cmd_catalog(args):
-    spec_text = args.spec.strip()
-    obj = _eval_catalog(spec_text)
+    obj = dsl.parse_catalog(args.spec)
     if isinstance(obj, SullivanPresentation):
         payload = dsl.presentation_json(obj)
         text = dsl.serialize_presentation(obj) + "\n"
@@ -365,54 +361,6 @@ def cmd_catalog(args):
         text = dsl.to_json_text(payload)
     _emit(args, payload, text)
     return 0
-
-
-def _eval_catalog(text):
-    """Evaluate catalog expressions like product(sphere(2), sphere(3))."""
-    text = text.strip()
-    if "(" not in text:
-        if text == "point":
-            return catalog("point")
-        raise RhtError("catalog expression must look like name(args)")
-    name, rest = text.split("(", 1)
-    if not rest.endswith(")"):
-        raise RhtError("unbalanced parentheses in catalog expression")
-    body = rest[:-1]
-    parts = []
-    depth = 0
-    cur = ""
-    for ch in body:
-        if ch == "," and depth == 0:
-            parts.append(cur)
-            cur = ""
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        cur += ch
-    if cur.strip():
-        parts.append(cur)
-    params = []
-    for part in parts:
-        part = part.strip()
-        if part.lstrip("-").isdigit():
-            params.append(int(part))
-        else:
-            params.append(_eval_catalog(part))
-    name = name.strip()
-    if name == "wedge_cohomology":
-        params = [_as_cohomology(p) if isinstance(p, SullivanPresentation) else p
-                  for p in params]
-    return catalog(name, *params)
-
-
-def _as_cohomology(p):
-    top = p.top_degree()
-    if top is None:
-        # even generators: the catalog models have known finite cohomology tops
-        top = max(p.ctx.degrees) * 2
-    return cohomology_algebra(p, top)
 
 
 def cmd_mapping_space(args):

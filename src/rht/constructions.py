@@ -459,21 +459,13 @@ class PDAlgebra:
             if A.dim(q) != A.dim(p):
                 raise UnsupportedInputError(
                     "pairing cannot be nondegenerate: dim A^%d != dim A^%d" % (p, q))
-            # P[i][j] = eps(a_i c_j); dual basis solves P X = I.
+            # Column j of P is {i: eps(a_i c_j)}; the dual basis solves P X = I.
             npairs = A.dim(p)
-            cols = []
-            for i in range(npairs):
-                col = {}
-                for j in range(A.dim(q)):
-                    val = self.eps_of(A.product(p, i, q, j))
-                    if val:
-                        col[j] = val
-                cols.append(col)
+            cols = [{i: e for i in range(npairs) if (e := self.eps_of(A.product(p, i, q, j)))}
+                    for j in range(A.dim(q))]
             # Solve for each k the vector x with eps(a_i . sum_j x_j c_j) = delta_ik,
             # all k in one solve: each solution is canonical per target.
-            mat = RationalMatrix.from_columns(npairs, [
-                {i: cols[i].get(j, ZERO) for i in range(npairs) if cols[i].get(j)}
-                for j in range(A.dim(q))])
+            mat = RationalMatrix.from_columns(npairs, cols)
             sol = solve_linear(mat, targets=[{k: ONE} for k in range(npairs)])
             if not all(sol.solvable):
                 raise UnsupportedInputError("top pairing is degenerate in degree %d" % p)

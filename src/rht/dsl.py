@@ -9,7 +9,9 @@ Grammar (line oriented, semicolon terminated):
 
 Expressions use + - * ^ and rational literals p/q.  Parsing is total: every
 syntax or semantic problem raises ParseError with a line/column; canonical
-documents round-trip through `serialize` exactly.
+documents round-trip through `serialize` exactly.  The same tokenizer and
+parser read the command line's catalog specs (`parse_catalog`) and single
+elements (`parse_element`).
 """
 
 import json
@@ -17,8 +19,8 @@ import re
 from fractions import Fraction
 
 from .algebra import AlgElement, GeneratorContext, ONE, ZERO, monomial_degree
-from .cdga import CdgaMorphism, SullivanPresentation, cohomology
-from .constructions import PDAlgebra, SubspaceArrangement
+from .cdga import CdgaMorphism, SullivanPresentation, cohomology, cohomology_algebra
+from .constructions import PDAlgebra, SubspaceArrangement, catalog
 from .errors import ParseError, RhtError
 
 SCHEMA = "rht/1"
@@ -413,6 +415,35 @@ class _Parser:
             return x
         self.error("expected a generator, number, or parenthesized expression", t)
 
+    # -- catalog spec ------------------------------------------------------
+    def catalog_spec(self):
+        """NAME [ "(" [ARG {"," ARG} [","]] ")" ] as (name, args)."""
+        t = self.expect("ident", "a catalog name")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error("catalog spec nested deeper than %d levels" % MAX_NESTING, t)
+        args = []
+        if self.peek().kind == "(":
+            self.next()
+            while self.peek().kind != ")":
+                args.append(self.catalog_arg())
+                if self.peek().kind != ",":
+                    break
+                self.next()
+            self.expect(")")
+        self.depth -= 1
+        return t.value, args
+
+    def catalog_arg(self):
+        """A nested spec, or an int whose '-' stands right before its digits."""
+        if self.peek().kind == "ident":
+            return self.catalog_spec()
+        minus = self.next() if self.peek().kind == "-" else None
+        n = self.expect("int", "an integer or a catalog spec")
+        if minus and (n.line, n.col) != (minus.line, minus.col + 1):
+            self.error("expected the digits right after '-'", n)
+        return -n.value if minus else n.value
+
 
 def pd_algebra_from_presentation(pres, m, orientation):
     """PDAlgebra on H(pres) in [0, m], oriented by the class of `orientation`."""
@@ -426,9 +457,45 @@ def pd_algebra_from_presentation(pres, m, orientation):
     return PDAlgebra(H, m, eps, name="PD(H(%s))" % pres.name)
 
 
+def _parse_all(text, rule, *args):
+    """rule(parser, *args) on `text`, which must leave nothing unparsed."""
+    parser = _Parser(text)
+    value = rule(parser, *args)
+    parser.expect("eof", "end of input")
+    return value
+
+
 def parse(text):
     """Parse a document; ParseError carries line/column on any failure."""
-    return _Parser(text).document()
+    return _parse_all(text, _Parser.document)
+
+
+def parse_element(text, ctx, degree):
+    """One expression over `ctx`, its powers bounded by `degree`."""
+    return _parse_all(text, _Parser.expression, ctx, degree)
+
+
+def parse_catalog(text):
+    """The catalog object of a spec such as product(sphere(2), cp(3)).  The
+    whole spec is parsed before anything is built, so malformed text is a
+    ParseError and only a well-formed spec reaches `constructions.catalog`."""
+    return _build_catalog(*_parse_all(text, _Parser.catalog_spec))
+
+
+def _build_catalog(name, args):
+    params = [a if isinstance(a, int) else _build_catalog(*a) for a in args]
+    if name == "wedge_cohomology":
+        params = [_as_cohomology(p) if isinstance(p, SullivanPresentation) else p
+                  for p in params]
+    return catalog(name, *params)
+
+
+def _as_cohomology(p):
+    top = p.top_degree()
+    if top is None:
+        # even generators: the catalog models have known finite cohomology tops
+        top = max(p.ctx.degrees) * 2
+    return cohomology_algebra(p, top)
 
 
 # ---------------------------------------------------------------------------

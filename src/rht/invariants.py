@@ -337,13 +337,9 @@ def trichotomy_report(result, n=None):
         if r >= 1:
             alpha = max(alpha, math.log(r) / k)
     # Refined growth estimate: max over the sliding window [n0, n0 + r] with
-    # r = window - 2 (the only full window in range starts at 2); an
-    # estimate, never a certified limit.
+    # r = window - 2.  The only full window in range is [2, n], the degrees
+    # alpha ranges over, so the estimate is alpha; never a certified limit.
     r_len = max(n - 2, 0)
-    refined = 0.0
-    for k in range(2, min(2 + r_len, n) + 1):
-        if ranks.get(k, 0) >= 1:
-            refined = max(refined, math.log(ranks[k]) / k)
     notes = ["growth/dichotomy theorems are cited as context, not certified "
              "from a finite window"]
     h_finite = isinstance(result.target, FiniteCDGA)
@@ -365,7 +361,7 @@ def trichotomy_report(result, n=None):
     if tag == ELLIPTIC:
         notes.append("chi_pi computed over the full window; exact because no "
                      "generators appear in the last %d degrees" % tail)
-    return TrichotomyReport(ranks, chi_pi, alpha, (r_len, refined), tag, n, notes)
+    return TrichotomyReport(ranks, chi_pi, alpha, (r_len, alpha), tag, n, notes)
 
 
 # ---------------------------------------------------------------------------

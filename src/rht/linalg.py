@@ -168,9 +168,6 @@ class Echelon:
     def dim(self):
         return len(self._rows)
 
-    def pivot_columns(self):
-        return sorted(self.position)
-
 
 def _eliminate(dst, src, pc):
     """dst = b * dst - a * src in place, with a / b = dst[pc] / src[pc] in

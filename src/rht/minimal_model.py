@@ -12,8 +12,8 @@ the input alone.
 
 from .algebra import (AlgElement, GeneratorContext, ONE, monomial_word_length, rebase,
                       substitute)
-from .cdga import (CdgaMorphism, SullivanPresentation, cohomology, induced_classes,
-                   validate)
+from .cdga import (CdgaMorphism, SullivanPresentation, ValidationReport, cohomology,
+                   induced_classes, validate)
 from .errors import DegreeError, RhtError, UnsupportedInputError
 from .linalg import Echelon, RationalMatrix, lincomb, solve_linear
 
@@ -211,7 +211,6 @@ class LambdaExtension:
                 violations.append("d(%s) leaves the base algebra" % g)
         if self.filtration is None:
             violations.append("fiber generators admit no nilpotence filtration")
-        from .cdga import ValidationReport
         return ValidationReport(self.name, violations)
 
     def base_presentation(self):

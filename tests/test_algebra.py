@@ -130,7 +130,7 @@ def recursive_degree_basis(ctx, n):
             return
         deg = ctx.degrees[idx]
         max_e = remaining // deg
-        if ctx.is_odd(idx):
+        if ctx.odd[idx]:
             max_e = min(max_e, 1)
         for e in range(0, max_e + 1):
             if e:

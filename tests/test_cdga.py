@@ -285,6 +285,24 @@ def test_cohomology_monomial_budget():
         cohomology(p, 20, 20)
 
 
+@pytest.mark.parametrize("make, lo, hi", [
+    (lambda: cp(3), 0, 9),
+    (lambda: cp(2), 3, 8),
+    (nonformal_uvw, 1, 4),
+    (lambda: arrangement_complex(SubspaceArrangement(
+        3, [[[1, -1, 0]], [[0, 1, -1]], [[1, 0, -1]]], name="braid")), -6, 2),
+])
+def test_cohomology_reads_each_degree_once(make, lo, hi):
+    """A report over [lo, hi] reads the columns of degrees lo - 1 ... hi once each."""
+    p = make()
+    lo = min(lo, p.min_degree()) if isinstance(p, FiniteCDGA) else lo
+    calls = []
+    column = p.differential_column
+    p.differential_column = lambda k, i: calls.append((k, i)) or column(k, i)
+    cohomology(p, lo, hi)
+    assert sorted(calls) == [(k, i) for k in range(lo - 1, hi + 1) for i in range(p.dim(k))]
+
+
 def dense_validate_finite(A):
     """The full N^2 / N^3 loops of FiniteCDGA validation, kept as the oracle."""
     violations = []

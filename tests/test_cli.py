@@ -377,6 +377,44 @@ def test_catalog_parameter_of_the_wrong_type_exits_1(capsys, spec, types):
     assert capsys.readouterr() == ("", "error: catalog %s takes (%s)\n" % (name, types))
 
 
+_MASSEY = ["invariants", DATA, "--name", "X", "--max", "3", "--massey"]
+
+
+@pytest.mark.parametrize("argv, col, message", [
+    (["catalog", "sphere(²)"], 8, "unexpected character '²'"),
+    (["catalog", "sphere(--2)"], 9, "expected an integer or a catalog spec, found '-'"),
+    (["catalog", "sphere(- 2)"], 10, "expected the digits right after '-'"),
+    (["catalog", "sphere(2"], 9, "expected ), found None"),
+    (["catalog", "sphere(2) x"], 11, "expected end of input, found 'x'"),
+    (["catalog", "product(point," * 100 + "point" + ")" * 100], 1395,
+     "catalog spec nested deeper than 100 levels"),
+    (["catalog", "product(point," * 1000 + "point" + ")" * 1000], 1395,
+     "catalog spec nested deeper than 100 levels"),
+    (["catalog", "product(" * 1000], 801, "catalog spec nested deeper than 100 levels"),
+    (["catalog", "sphere(%s)" % ("9" * 5000)], 8, "integer literal too long"),
+    (_MASSEY + ["u v", "v", "v"], 3, "expected end of input, found 'v'"),
+    (_MASSEY + ["u)", "v", "v"], 2, "expected end of input, found ')'"),
+    (_MASSEY + ["u;", "v", "v"], 2, "expected end of input, found ';'"),
+], ids=["superscript-two", "double-minus", "detached-minus", "unclosed", "trailing-text",
+        "101-deep", "1000-deep", "1000-open", "long-integer", "massey-two-elements",
+        "massey-paren", "massey-semicolon"])
+def test_malformed_cli_text_exits_2(capsys, argv, col, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "parse error: line 1, col %d: %s\n" % (col, message))
+
+
+@pytest.mark.parametrize("specs", [
+    ("product(sphere(2),torus(-0))", " product( sphere(2) ,\ttorus(0), ) "),
+    ("point", "point()", " point( ) "),
+], ids=["spaces-trailing-comma", "point"])
+def test_equivalent_catalog_specs_print_the_same(capsys, specs):
+    outputs = []
+    for spec in specs:
+        assert main(["catalog", spec]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs == [outputs[0]] * len(specs)
+
+
 # In-process CLI fuzz: random argv over every subcommand, on copies of the
 # catalog with up to three token mutations.  Every run must end in exit code
 # 0, 1 or 2 (argparse's SystemExit counts as its code) and raise nothing else.

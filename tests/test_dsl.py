@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rht import dsl
 from rht.algebra import AlgElement, GeneratorContext, degree_basis
-from rht.cdga import SullivanPresentation, validate
-from rht.errors import ParseError
+from rht.cdga import SullivanPresentation, cohomology_algebra, validate
+from rht.constructions import catalog
+from rht.errors import ParseError, RhtError
 
 S2_TEXT = "cdga S2 { gen a:2; gen b:3; d a = 0; d b = a^2; }"
 UVW_TEXT = "cdga X { gen u:1; gen v:1; gen w:1; d u = 0; d v = 0; d w = u*v; }"
@@ -131,6 +132,143 @@ def test_malformed_characters_are_parse_errors(text, message, col):
         dsl.parse(text)
     assert (str(err.value), err.value.line, err.value.col) == (
         "line 1, col %d: %s" % (col, message), 1, col)
+
+
+def split_eval_catalog(text):
+    """The string-splitting evaluator that `dsl.parse_catalog` replaced, kept as its oracle."""
+    text = text.strip()
+    if "(" not in text:
+        if text == "point":
+            return catalog("point")
+        raise RhtError("catalog expression must look like name(args)")
+    name, rest = text.split("(", 1)
+    if not rest.endswith(")"):
+        raise RhtError("unbalanced parentheses in catalog expression")
+    body = rest[:-1]
+    parts = []
+    depth = 0
+    cur = ""
+    for ch in body:
+        if ch == "," and depth == 0:
+            parts.append(cur)
+            cur = ""
+            continue
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        cur += ch
+    if cur.strip():
+        parts.append(cur)
+    params = []
+    for part in parts:
+        part = part.strip()
+        if part.lstrip("-").isdigit():
+            params.append(int(part))
+        else:
+            params.append(split_eval_catalog(part))
+    name = name.strip()
+    if name == "wedge_cohomology":
+        params = [split_as_cohomology(p) if isinstance(p, SullivanPresentation) else p
+                  for p in params]
+    return catalog(name, *params)
+
+
+def split_as_cohomology(p):
+    top = p.top_degree()
+    if top is None:
+        top = max(p.ctx.degrees) * 2
+    return cohomology_algebra(p, top)
+
+
+def catalog_outcome(evaluate, text):
+    obj = evaluate(text)
+    if isinstance(obj, SullivanPresentation):
+        return "cdga", dsl.serialize_presentation(obj)
+    return "finite", dsl.to_json_text(dsl.finite_cdga_json(obj))
+
+
+_CATALOG_NAMES = ["point", "sphere", "cp", "k_z", "torus", "truncated_poly", "product",
+                  "wedge_cohomology", "nope"]
+# Integer leaves: ASCII, negative, zero-padded, a non-ASCII decimal digit
+# (int() reads it), and a digit that is not decimal (int() rejects it).
+_CATALOG_INTS = st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["-0", "003", "٣", "²"]))
+_CATALOG_TREES = st.recursive(
+    st.one_of(_CATALOG_INTS, st.sampled_from(_CATALOG_NAMES).map(lambda n: (n, None))),
+    lambda inner: st.tuples(st.sampled_from(_CATALOG_NAMES), st.lists(inner, max_size=3)),
+    max_leaves=5)
+# Well-typed trees, so that about a third of the specs build.
+_PRESENTATION_TREES = st.recursive(
+    st.one_of(st.sampled_from([("point", None), ("point", [])]),
+              st.tuples(st.sampled_from(["sphere", "cp", "k_z", "torus"]),
+                        st.lists(st.sampled_from(["1", "2", "3", "-0", "٣"]), min_size=1,
+                                 max_size=1))),
+    lambda inner: st.tuples(st.just("product"), st.lists(inner, min_size=2, max_size=2)),
+    max_leaves=3)
+_FINITE_TREES = st.tuples(st.just("truncated_poly"),
+                          st.lists(st.sampled_from(["2", "4"]), min_size=2, max_size=2))
+_TYPED_TREES = st.one_of(_PRESENTATION_TREES, _FINITE_TREES, st.tuples(
+    st.just("wedge_cohomology"),
+    st.lists(st.one_of(_PRESENTATION_TREES, _FINITE_TREES), min_size=2, max_size=2)))
+
+
+@st.composite
+def catalog_spec_texts(draw):
+    """Grammar-shaped specs: random whitespace between tokens, trailing commas,
+    negative ints, up to 100 levels of nesting, and now and then one character
+    inserted, doubled, deleted or replaced."""
+    space = st.sampled_from(["", "", "", " ", "  ", "\t", "\n", "\r"])
+
+    def render(tree):
+        if isinstance(tree, str):
+            return tree
+        name, args = tree
+        if args is None:
+            return name
+        inner = (draw(space) + "," + draw(space)).join(map(render, args))
+        if args and draw(st.booleans()):
+            inner += draw(space) + ","
+        return name + draw(space) + "(" + draw(space) + inner + draw(space) + ")"
+
+    text = render(draw(st.one_of(_CATALOG_TREES, _TYPED_TREES)))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 10, 40, 94]))):
+        text = "product(point," + draw(space) + text + ")"
+    text = draw(space) + text + draw(space)
+    if draw(st.integers(0, 2)) == 0:
+        i = draw(st.one_of(st.integers(0, len(text)), st.just(len(text))))
+        text = text[:i] + draw(st.sampled_from(["", text[i:i + 1], *"(),-x2 "])) + text[i:]
+        text = text[:i] + text[i + 1:] if draw(st.booleans()) else text
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(catalog_spec_texts())
+@example(" point ")
+@example("point ( )")
+@example("sphere(2,)")
+@example(" product( sphere(2) ,\tcp(2), ) ")
+@example("torus(-0)")
+@example("torus(- 2)")
+@example("torus(-\n2)")
+@example("sphere(--2)")
+@example("sphere(٣)")
+@example("sphere(2 3)")
+@example("point(,)")
+@example("sphere(2,,)")
+@example("product(point,point")
+@example("sphere(2))")
+@example("point x")
+@example("product(sphere(2)),(sphere(3))")
+@example("wedge_cohomology(sphere(2), truncated_poly(2, 3))")
+@example("product(point," * 99 + "sphere(3)" + ")" * 99)
+def test_parse_catalog_matches_the_string_splitting_evaluator(text):
+    try:
+        expected = catalog_outcome(split_eval_catalog, text)
+    except Exception:       # a refusal, or the old crash on '²' or '--2': now an RhtError
+        with pytest.raises(RhtError):
+            dsl.parse_catalog(text)
+        return
+    assert catalog_outcome(dsl.parse_catalog, text) == expected
 
 
 def test_duplicate_block_name_is_a_parse_error():

@@ -509,7 +509,7 @@ def primitive_batches(draw):
     image = Echelon()
     for i in candidates:
         image.add(pres.differential_column(deg, i))
-    outside = [r for r in range(m) if r not in image.pivot_columns()]
+    outside = [r for r in range(m) if r not in sorted(image.position)]
     targets, expected = [], []
     for kind in draw(st.lists(st.sampled_from([True, False, None]), min_size=1, max_size=5)):
         chain = (draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=3))
