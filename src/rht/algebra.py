@@ -58,7 +58,7 @@ class GeneratorContext:
         return len(self.gens)
 
     def __eq__(self, other):
-        return isinstance(other, GeneratorContext) and self.gens == other.gens
+        return self is other or (isinstance(other, GeneratorContext) and self.gens == other.gens)
 
     def __hash__(self):
         return hash(self.gens)

@@ -395,64 +395,75 @@ def validate(p):
 def _validate_finite(A):
     """Axioms of a FiniteCDGA on basis elements, pairs and triples.
 
-    Every cdga is checked, including ones the library built itself.  The
-    associativity pass visits, for each pair (a, b), only the c for which
-    (ab)c or a(bc) can be nonzero (read off the keys of `A.mul`); the
-    violations and their order are those of the full N^3 loop.
+    Every cdga is checked, including ones the library built itself.  Each
+    pass visits only what the keys of `A.mul` and `A.diff` can make nonzero:
+    commutativity and Leibniz the pairs (a, b) with ab or ba a key of `A.mul`
+    or with a row of `A.diff` at a or b, associativity the c for which (ab)c
+    or a(bc) can be nonzero.  Every pair and triple skipped is 0 = 0, so the
+    violations and their order are those of the full N^2 and N^3 loops.  The
+    per-element and pair checks sum rows of integer copies of the tables (an
+    entry with denominator 1 becomes its numerator, zeros are kept); an
+    absent row is read as None, which `lincomb` skips.
     """
     violations = []
     items = [(k, i) for k in sorted(A.basis) for i in range(A.dim(k))]
+    item_set = set(items)
+    mul, diff = ({key: {j: c.numerator if c.denominator == 1 else c for j, c in row.items()}
+                  for key, row in table.items()} for table in (A.mul, A.diff))
     if A.h0_is_unit_span and A.dim(0) != 1:
         violations.append("degree 0 is not spanned by the unit")
     # d^2 = 0 and degree sanity.
     for (k, i) in items:
-        col = A.d_of(k, i)
+        col = diff.get((k, i), {})
         for j in col:
             if j >= A.dim(k + 1):
                 violations.append("d(%s) hits a missing basis index" % A.label(k, i))
-        if lincomb((c, A.d_of(k + 1, j)) for j, c in col.items()):
+        if lincomb((c, diff.get((k + 1, j))) for j, c in col.items()):
             violations.append("d^2(%s) != 0" % A.label(k, i))
     # Unit is a two-sided identity and a cocycle.
-    if A.d_of(0, 0):
+    if diff.get((0, 0)):
         violations.append("d(1) != 0")
     for (k, i) in items:
-        u = A.multiply_coords(0, {0: ONE}, k, {i: ONE})
-        if u != {i: ONE}:
+        if lincomb([(1, mul.get(((0, 0), (k, i))))]) != {i: 1}:
             violations.append("1 * %s != %s" % (A.label(k, i), A.label(k, i)))
-    # Graded commutativity and Leibniz on basis pairs.
-    for (p_, i) in items:
-        for (q_, j) in items:
-            ab = A.product(p_, i, q_, j)
-            ba = A.product(q_, j, p_, i)
-            sign = -1 if (p_ % 2) and (q_ % 2) else 1
-            if {k: sign * v for k, v in ba.items()} != ab:
-                violations.append("commutativity fails on (%s, %s)"
-                                  % (A.label(p_, i), A.label(q_, j)))
-            # d(ab) - (da)b - (-1)^p a(db) = 0
-            if lincomb([(c, A.d_of(p_ + q_, k_)) for k_, c in ab.items()]
-                       + [(-1, A.multiply_coords(p_ + 1, A.d_of(p_, i), q_, {j: ONE})),
-                          (1 if p_ % 2 else -1,
-                           A.multiply_coords(p_, {i: ONE}, q_ + 1, A.d_of(q_, j)))]):
-                violations.append("Leibniz fails on (%s, %s)"
-                                  % (A.label(p_, i), A.label(q_, j)))
+    # Graded commutativity and Leibniz on the basis pairs of a key of `mul`,
+    # in either order, and of an element with a row of `diff`.
+    pairs = {pair for key in mul for pair in (key, key[::-1])}
+    pairs.update(pair for a in diff.keys() & item_set for b in items for pair in ((a, b), (b, a)))
+    for a, b in sorted(pair for pair in pairs if pair[0] in item_set and pair[1] in item_set):
+        (p_, i), (q_, j) = a, b
+        ab, ba = mul.get((a, b), {}), mul.get((b, a), {})
+        sign = -1 if (p_ % 2) and (q_ % 2) else 1
+        if {k: sign * v for k, v in ba.items()} != ab:
+            violations.append("commutativity fails on (%s, %s)"
+                              % (A.label(p_, i), A.label(q_, j)))
+        # d(ab) - (da)b - (-1)^p a(db) = 0
+        if lincomb([(c, diff.get((p_ + q_, k))) for k, c in ab.items()]
+                   + [(-c, mul.get(((p_ + 1, k), b))) for k, c in diff.get(a, {}).items()]
+                   + [(c if p_ % 2 else -c, mul.get((a, (q_ + 1, k))))
+                      for k, c in diff.get(b, {}).items()]):
+            violations.append("Leibniz fails on (%s, %s)"
+                              % (A.label(p_, i), A.label(q_, j)))
     # Associativity on basis triples.  With partners[x] = {y : xy != 0},
     # (ab)c can be nonzero only for c in partners[k], k in supp(ab), and a(bc)
     # only for c in partners[b] with some k in supp(bc) in partners[a]; every
-    # other triple is 0 = 0, so skipping it keeps the violations and their order.
+    # other triple is 0 = 0, and so is every triple whose a has no partners.
     partners = {}
     for x, y in A.mul:
         partners.setdefault(x, set()).add(y)
-    item_set = set(items)
-    for (p_, i) in items:
-        pa = partners.get((p_, i), ())
+    for a in items:
+        if a not in partners:
+            continue
+        (p_, i), pa = a, partners[a]
         for (q_, j) in items:
+            ab = A.mul.get((a, (q_, j)), {})
             cs = {c for c in partners.get((q_, j), ())
                   if any((q_ + c[0], k) in pa for k in A.mul[((q_, j), c)])}
-            for k_ in A.mul.get(((p_, i), (q_, j)), ()):
-                cs.update(partners.get((p_ + q_, k_), ()))
+            for k in ab:
+                cs.update(partners.get((p_ + q_, k), ()))
             for (r_, l) in sorted(cs & item_set):
-                lhs = A.multiply_coords(p_ + q_, A.product(p_, i, q_, j), r_, {l: ONE})
-                rhs = A.multiply_coords(p_, {i: ONE}, q_ + r_, A.product(q_, j, r_, l))
+                lhs = A.multiply_coords(p_ + q_, ab, r_, {l: ONE})
+                rhs = A.multiply_coords(p_, {i: ONE}, q_ + r_, A.mul.get(((q_, j), (r_, l)), {}))
                 if lhs != rhs:
                     violations.append("associativity fails on (%s, %s, %s)"
                                       % (A.label(p_, i), A.label(q_, j), A.label(r_, l)))

@@ -12,8 +12,8 @@ hand or by independent brute force.
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import (AlgElement, Derivation, GeneratorContext, ONE, ZERO,
-                      apply_derivation, as_q, rebase, substitute)
+from .algebra import (MONOMIAL_BUDGET, AlgElement, Derivation, GeneratorContext, ONE,
+                      ZERO, apply_derivation, as_q, rebase, substitute)
 from .cdga import (FiniteCDGA, QuotientCDGA, SullivanPresentation,
                    cohomology, direct_sum_cohomology, tensor_finite,
                    tensor_positions)
@@ -73,13 +73,14 @@ def truncated_poly(degree, power, name=None):
         raise DegreeError("truncated polynomial generator degree must be even >= 2")
     if power < 2:
         raise DegreeError("truncation power must be >= 2")
+    products = power * (power + 1) // 2
+    if products > MONOMIAL_BUDGET:
+        raise BudgetExceededError("truncated_poly(%d, %d) has %d nonzero products, more than %d"
+                                  % (degree, power, products, MONOMIAL_BUDGET))
     basis = {k * degree: ["x^%d" % k if k > 1 else ("x" if k == 1 else "1")]
              for k in range(power)}
-    mul = {}
-    for i in range(power):
-        for j in range(power):
-            if i + j < power:
-                mul[((i * degree, 0), (j * degree, 0))] = {0: ONE}
+    mul = {((i * degree, 0), (j * degree, 0)): {0: ONE}
+           for i in range(power) for j in range(power - i)}
     return FiniteCDGA(basis, {}, mul, name=name or "Q[x]/x^%d" % power)
 
 

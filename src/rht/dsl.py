@@ -136,8 +136,8 @@ class _Parser:
     def expect(self, kind, what=None):
         t = self.next()
         if t.kind != kind:
-            raise ParseError("expected %s, found %r" % (what or kind, t.value),
-                             t.line, t.col)
+            found = "end of input" if t.kind == "eof" else repr(t.value)
+            raise ParseError("expected %s, found %s" % (what or kind, found), t.line, t.col)
         return t
 
     def error(self, message, token=None):

@@ -361,31 +361,49 @@ def dense_validate_finite(A):
 
 
 @st.composite
+def small_arrangements(draw):
+    """One to three subspaces of Q^2 or Q^3, each cut out by one or two nonzero rows."""
+    n = draw(st.integers(2, 3))
+    row = st.lists(st.integers(-1, 1), min_size=n, max_size=n).filter(any)
+    return SubspaceArrangement(n, draw(st.lists(st.lists(row, min_size=1, max_size=2),
+                                                min_size=1, max_size=3)))
+
+
+@st.composite
 def perturbed_finite_cdgas(draw):
-    """A valid small FiniteCDGA, then a few random edits of `mul` and `diff`."""
-    base = draw(st.sampled_from(["monomial", "s2", "uvw"]))
+    """A valid small FiniteCDGA, then a few random edits of `mul` and `diff`.
+
+    Coefficients are p/q with q <= 3, explicit zeros among them.  An edited
+    key's source or target index, and a `diff` row's source, may lie one past
+    its degree's basis.  Arrangement complexes bring a nonempty `diff` and
+    h0_is_unit_span=False.
+    """
+    base = draw(st.sampled_from(["monomial", "s2", "uvw", "arrangement"]))
     if base == "monomial":
         A = draw(random_monomial_algebras(max_dim=8))
+    elif base == "arrangement":
+        A = arrangement_complex(draw(small_arrangements()))
     else:
         A = finite_truncation(sphere2_model() if base == "s2" else nonformal_uvw(),
                               draw(st.integers(2, 5)))
     items = [(k, i) for k in sorted(A.basis) for i in range(A.dim(k))]
+    past = [(k, A.dim(k)) for k in sorted(A.basis)]
     mul = {k: dict(v) for k, v in A.mul.items()}
     diff = {k: dict(v) for k, v in A.diff.items()}
-    coeff = st.integers(-2, 2).map(Fraction)
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["mul", "extend", "diff", "drop"]))
-        (p, i), (q, j) = draw(st.sampled_from(items)), draw(st.sampled_from(items))
+        (p, i), (q, j) = draw(st.sampled_from(items + past)), draw(st.sampled_from(items + past))
         if kind in ("mul", "extend"):
-            # Index range one past the basis, so missing indices occur too;
-            # "extend" widens a product's support instead of replacing it.
+            # Target index range one past the basis, so missing indices occur
+            # too; "extend" widens a product's support instead of replacing it.
             old = mul.get(((p, i), (q, j)), {}) if kind == "extend" else {}
             mul[((p, i), (q, j))] = {**old, draw(st.integers(0, A.dim(p + q))): draw(coeff)}
         elif kind == "diff":
             diff[(p, i)] = {draw(st.integers(0, A.dim(p + 1))): draw(coeff)}
         elif mul:
             del mul[draw(st.sampled_from(sorted(mul)))]
-    return FiniteCDGA(A.basis, diff, mul, name="P")
+    return FiniteCDGA(A.basis, diff, mul, name="P", h0_is_unit_span=A.h0_is_unit_span)
 
 
 @settings(max_examples=80, deadline=None)

@@ -377,6 +377,22 @@ def test_catalog_parameter_of_the_wrong_type_exits_1(capsys, spec, types):
     assert capsys.readouterr() == ("", "error: catalog %s takes (%s)\n" % (name, types))
 
 
+def test_catalog_torus_builds_in_linear_time(capsys):
+    # Each generator's image is checked against the context; comparing a
+    # context with itself is an identity test, not a walk over n generators.
+    t0 = time.perf_counter()
+    assert main(["catalog", "torus(40000)"]) == 0
+    assert time.perf_counter() - t0 < 2.0
+    assert "gen t40000:1;" in capsys.readouterr().out
+
+
+def test_truncated_poly_over_the_budget_exits_1(capsys):
+    # 700 * 701 / 2 = 245,350 nonzero products, over the 200,000 budget.
+    assert main(["catalog", "truncated_poly(2, 700)"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: truncated_poly(2, 700) has 245350 nonzero products, more than 200000\n")
+
+
 _MASSEY = ["invariants", DATA, "--name", "X", "--max", "3", "--massey"]
 
 
@@ -384,7 +400,7 @@ _MASSEY = ["invariants", DATA, "--name", "X", "--max", "3", "--massey"]
     (["catalog", "sphere(²)"], 8, "unexpected character '²'"),
     (["catalog", "sphere(--2)"], 9, "expected an integer or a catalog spec, found '-'"),
     (["catalog", "sphere(- 2)"], 10, "expected the digits right after '-'"),
-    (["catalog", "sphere(2"], 9, "expected ), found None"),
+    (["catalog", "sphere(2"], 9, "expected ), found end of input"),
     (["catalog", "sphere(2) x"], 11, "expected end of input, found 'x'"),
     (["catalog", "product(point," * 100 + "point" + ")" * 100], 1395,
      "catalog spec nested deeper than 100 levels"),

@@ -70,6 +70,23 @@ def test_truncated_poly_is_valid():
     assert [A.dim(k) for k in (0, 2, 4, 6)] == [1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("degree, power", [(2, 2), (4, 7), (2, 30)])
+def test_truncated_poly_table_matches_the_square_loop(degree, power):
+    """The p(p+1)/2 nonzero products, in the order the p x p loop wrote them."""
+    want = [(((i * degree, 0), (j * degree, 0)), {0: ONE})
+            for i in range(power) for j in range(power) if i + j < power]
+    assert list(truncated_poly(degree, power).mul.items()) == want
+
+
+def test_truncated_poly_budget(monkeypatch):
+    with pytest.raises(BudgetExceededError, match="has 200028 nonzero products"):
+        truncated_poly(2, 632)      # 632 * 633 / 2 = 200,028 products
+    monkeypatch.setattr(rht.constructions, "MONOMIAL_BUDGET", 10)
+    assert len(truncated_poly(2, 4).mul) == 10
+    with pytest.raises(BudgetExceededError, match="has 15 nonzero products, more than 10"):
+        truncated_poly(2, 5)
+
+
 def test_torus_model():
     t = torus(3)
     rep = cohomology(t, 0, 3)

@@ -46,6 +46,17 @@ def test_parse_syntax_error_location():
     assert err.value.line == 1 and err.value.col is not None
 
 
+@pytest.mark.parametrize("text, message", [
+    ("cdga X { gen a:2", "line 1, col 17: expected ;, found end of input"),
+    ("cdga", "line 1, col 5: expected a cdga name, found end of input"),
+    ("morphism f : X", "line 1, col 15: expected ->, found end of input"),
+])
+def test_document_cut_short_names_the_end_of_input(text, message):
+    with pytest.raises(ParseError) as err:
+        dsl.parse(text)
+    assert str(err.value) == message
+
+
 def loop_tokenize(text):
     """The per-character tokenizer that the compiled pattern replaced, kept as its oracle."""
     punct = ("|->", "->", "{", "}", "(", ")", "[", "]", ";", ":", ",", "=",
