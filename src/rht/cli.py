@@ -28,8 +28,12 @@ from .minimal_model import LambdaExtension, minimal_model, pushout_extension
 
 
 def _load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return dsl.parse(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s: byte %d is not UTF-8" % (path, exc.start)) from None
+    return dsl.parse(text)
 
 
 def _emit(args, payload, text):
@@ -335,9 +339,8 @@ def cmd_arrangement(args):
     arr = doc.arrangements[args.name]
     D = arrangement_complex(arr)
     validate(D).raise_if_invalid()
-    lo = min(0, D.min_degree())
     hi = max(D.max_degree(), 0) if args.max is None else args.max
-    rep = cohomology(D, lo, hi)
+    rep = cohomology(D, 0, hi)
     payload = {"schema": dsl.SCHEMA, "kind": "arrangement",
                "name": args.name, "certified_degree": hi, "certified_above": True,
                "betti": {str(k): rep.dim(k) for k in range(rep.lo, hi + 1)}}
@@ -513,7 +516,7 @@ def main(argv=None):
     except ParseError as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return 2
-    except RhtError as exc:
+    except (RhtError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
 

@@ -138,7 +138,8 @@ def catalog(name, *params):
 # ---------------------------------------------------------------------------
 
 def homogeneous_space_model(g_degrees, h_degrees, images, name="G/H"):
-    """Model (Lambda s^{-1}V_H (x) Lambda V_G, d) of a homogeneous space G/H.
+    """Model (Lambda s^{-1}V_H (x) Lambda V_G, d) of a homogeneous space G/H:
+    the biquotient K\\G/H with K trivial.
 
     g_degrees: odd degrees of V_G; h_degrees: odd degrees of V_H.  `images`
     receives the list of s^{-1}V_H generators (degrees h+1) and must return
@@ -146,22 +147,9 @@ def homogeneous_space_model(g_degrees, h_degrees, images, name="G/H"):
     evaluated on s^{-1}V_G.  Then d vanishes on s^{-1}V_H and d(x_i) is the
     supplied polynomial.
     """
-    if any(d % 2 == 0 for d in g_degrees) or any(d % 2 == 0 for d in h_degrees):
-        raise DegreeError("V_G and V_H must be concentrated in odd degrees")
-    gens = [("t%d" % (i + 1), d + 1) for i, d in enumerate(h_degrees)]
-    gens += [("x%d" % (i + 1), d) for i, d in enumerate(g_degrees)]
-    ctx = GeneratorContext(gens)
-    t_gens = [ctx.generator("t%d" % (i + 1)) for i in range(len(h_degrees))]
-    d_imgs = {"t%d" % (i + 1): AlgElement.zero(ctx) for i in range(len(h_degrees))}
-    polys = images(t_gens) if callable(images) else list(images)
-    if len(polys) != len(g_degrees):
-        raise DegreeError("one image per V_G generator is required")
-    for i, poly in enumerate(polys):
-        want = g_degrees[i] + 1
-        if not poly.is_zero() and poly.degree() != want:
-            raise DegreeError("image of x%d must have degree %d" % (i + 1, want))
-        d_imgs["x%d" % (i + 1)] = rebase(poly, ctx) if poly.ctx != ctx else poly
-    return SullivanPresentation(ctx, d_imgs, name=name)
+    zero = AlgElement.zero(GeneratorContext([]))
+    return biquotient_model(g_degrees, h_degrees, [], images, [zero] * len(g_degrees),
+                            name=name)
 
 
 def biquotient_model(g_degrees, h_degrees, k_degrees, bf_images, bg_images,
@@ -428,8 +416,9 @@ def mapping_space_pi(phi, n):
 class PDAlgebra:
     """FiniteCDGA with a verified nondegenerate top pairing.
 
-    eps is the orientation functional on A^m given by coordinates; dual
-    bases a_i' with a_i a_j' = delta_ij omega are computed blockwise.
+    eps is the orientation functional on A^m given by coordinates and omega
+    the class with eps(omega) = 1; dual bases a_i' with a_i a_j' =
+    delta_ij omega are computed blockwise.
     """
 
     def __init__(self, cdga, m, eps=None, name=None):
@@ -447,7 +436,6 @@ class PDAlgebra:
         if list(self.eps) != [0]:
             raise UnsupportedInputError("orientation must be supported on A^m")
         self._duals = {}
-        self._omega = {0: ONE / self.eps[0]}
         self._verify()
 
     def eps_of(self, coords):
@@ -471,10 +459,6 @@ class PDAlgebra:
             if not all(sol.solvable):
                 raise UnsupportedInputError("top pairing is degenerate in degree %d" % p)
             self._duals[p] = sol.solutions
-
-    def omega(self):
-        """The fundamental class: eps(omega) = 1."""
-        return dict(self._omega)
 
     def dual_basis(self, p):
         """a_i' in A^{m-p} with a_i a_j' = delta_ij omega."""
@@ -653,14 +637,18 @@ class SubspaceArrangement:
     def __len__(self):
         return len(self.subspaces)
 
+    def _span(self, sigma):
+        """Echelon of the stacked equations of the subspaces in sigma."""
+        ech = Echelon()
+        for i in sorted(sigma):
+            for row in self.subspaces[i]:
+                ech.add({c: v for c, v in enumerate(row) if v != 0})
+        return ech
+
     def codim(self, sigma):
         sigma = frozenset(sigma)
         if sigma not in self._codim:
-            ech = Echelon()
-            for i in sorted(sigma):
-                for row in self.subspaces[i]:
-                    ech.add({c: v for c, v in enumerate(row) if v != 0})
-            self._codim[sigma] = ech.dim
+            self._codim[sigma] = self._span(sigma).dim
         return self._codim[sigma]
 
     def intersection_lattice(self):
@@ -668,10 +656,7 @@ class SubspaceArrangement:
         spaces = {}
         for r in range(len(self.subspaces) + 1):
             for sigma in combinations(range(len(self.subspaces)), r):
-                ech = Echelon()
-                for i in sigma:
-                    for row in self.subspaces[i]:
-                        ech.add({c: v for c, v in enumerate(row) if v != 0})
+                ech = self._span(sigma)
                 key = tuple(sorted((pc, tuple(sorted(r_.items()))) for pc, r_ in ech.rows))
                 spaces.setdefault(key, {"codim": ech.dim, "subsets": []})
                 spaces[key]["subsets"].append(sigma)

@@ -230,10 +230,6 @@ class FiltrationReport:
         self.nil_v = nil_v
         self.nil_l = nil_l
 
-    @property
-    def resolved(self):
-        return isinstance(self.nil_v, int) and isinstance(self.nil_l, int)
-
     def __repr__(self):
         return ("FiltrationReport(k=%d, V-filtration dims %s, LCS dims %s, "
                 "nil V = %s, nil L = %s)" % (self.k, self.v_dims, self.l_dims,
@@ -347,7 +343,7 @@ def lcs_filtrations(p, k, depth=32):
 class HurewiczReport:
     def __init__(self, k, matrix, h_dim, v_dim, rank):
         self.k = k
-        self.matrix = matrix      # columns: image of each H^k class in V^k coords
+        self.matrix = matrix      # sparse columns: image of each H^k class in V^k coords
         self.h_dim = h_dim
         self.v_dim = v_dim
         self.rank = rank
@@ -376,8 +372,10 @@ def hurewicz_matrix(result, k):
             (i, _), = mono
             col[vk_pos[i]] = c
         cols.append(col)
-    mat = RationalMatrix.from_columns(len(vk), cols)
-    return HurewiczReport(k, mat, len(cols), len(vk), solve_linear(mat).rank)
+    span = Echelon()
+    for col in cols:
+        span.add(col)
+    return HurewiczReport(k, cols, len(cols), len(vk), span.dim)
 
 
 # ---------------------------------------------------------------------------

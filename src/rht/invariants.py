@@ -13,6 +13,7 @@ from .algebra import AlgElement, ONE, monomial_word_length
 from .cdga import FiniteCDGA, cohomology, tensor_mul
 from .constructions import PDAlgebra
 from .errors import DegreeError, UnsupportedInputError
+from .homotopy_lie import homotopy_ranks
 from .linalg import Echelon
 from .minimal_model import MinimalModelResult, is_minimal, primitives
 
@@ -327,9 +328,7 @@ def trichotomy_report(result, n=None):
     """
     if n is None:
         n = result.certified_degree
-    if n > result.certified_degree:
-        raise DegreeError("window exceeds the certified degree")
-    ranks = {k: result.ranks().get(k, 0) for k in range(2, n + 1)}
+    ranks = homotopy_ranks(result, n)
     chi_pi = sum(ranks[k] for k in ranks if k % 2 == 0) - \
         sum(ranks[k] for k in ranks if k % 2 == 1)
     alpha = 0.0

@@ -201,51 +201,42 @@ class LambdaExtension:
             return None
         return {ctx.names[i]: level for level, stage in enumerate(stages, 1) for i in stage}
 
+    def _escapes(self):
+        """The base generators whose differential leaves the base algebra."""
+        base_idx = {self.total.ctx.index[g] for g in self.base_names}
+        return [g for g in self.base_names
+                if any(j not in base_idx for mono in self.total.d.image_of(g).terms
+                       for j, _ in mono)]
+
     def validate(self):
         violations = list(validate(self.total).violations)
-        ctx = self.total.ctx
-        base_idx = {ctx.index[g] for g in self.base_names}
-        for g in self.base_names:
-            img = self.total.d.image_of(g)
-            if any(j not in base_idx for mono in img.terms for j, _ in mono):
-                violations.append("d(%s) leaves the base algebra" % g)
+        violations += ["d(%s) leaves the base algebra" % g for g in self._escapes()]
         if self.filtration is None:
             violations.append("fiber generators admit no nilpotence filtration")
         return ValidationReport(self.name, violations)
 
+    def _restriction(self, names, part):
+        """The generators `names` and d, with every other generator sent to 0."""
+        ctx = self.total.ctx
+        sub = GeneratorContext([(g, ctx.degree_of(g)) for g in names])
+        kill = {g: sub.generator(g) if g in sub.index else AlgElement.zero(sub)
+                for g in ctx.names}
+        images = {g: substitute(self.total.d.image_of(g), kill, sub) for g in names}
+        return SullivanPresentation(sub, images, name="%s|%s" % (self.name, part))
+
     def base_presentation(self):
-        sub = GeneratorContext([(g, self.total.ctx.degree_of(g)) for g in self.base_names])
-        assign = {g: sub.generator(g) for g in self.base_names}
-        images = {}
-        for g in self.base_names:
-            src = self.total.d.image_of(g)
-            for mono in src.terms:
-                for j, _ in mono:
-                    if self.total.ctx.names[j] not in sub.index:
-                        raise DegreeError("d(%s) leaves the base algebra" % g)
-            images[g] = substitute(src, assign, sub)
-        return SullivanPresentation(sub, images, name="%s|base" % self.name)
+        escapes = self._escapes()
+        if escapes:
+            raise DegreeError("d(%s) leaves the base algebra" % escapes[0])
+        return self._restriction(self.base_names, "base")
 
     def fiber_presentation(self):
         """(Lambda Z, d-bar): the total differential with base terms deleted."""
-        ctx = self.total.ctx
-        sub = GeneratorContext([(g, ctx.degree_of(g)) for g in self.fiber_names])
-        kill = {}
-        for g in ctx.names:
-            kill[g] = sub.generator(g) if g in sub.index else AlgElement.zero(sub)
-        images = {}
-        for g in self.fiber_names:
-            images[g] = substitute(self.total.d.image_of(g), kill, sub)
-        return SullivanPresentation(sub, images, name="%s|fiber" % self.name)
+        return self._restriction(self.fiber_names, "fiber")
 
     def __repr__(self):
         return "LambdaExtension(%s; base %s; fiber %s)" % (
             self.name, ",".join(self.base_names), ",".join(self.fiber_names))
-
-
-def fiber_model(ext):
-    """The fiber (Lambda Z, d-bar) of a Lambda-extension."""
-    return ext.fiber_presentation()
 
 
 def pushout_extension(phi, ext, name=None):
@@ -291,9 +282,6 @@ class AcyclicClosure:
         self.total = extension.total
         self.pairing = pairing            # u name -> v name, deg v = deg u + 1
         self.verified_degree = verified_degree
-
-    def fiber(self):
-        return self.extension.fiber_presentation()
 
     def __repr__(self):
         return "AcyclicClosure(%s; verified to %d)" % (self.total.name, self.verified_degree)

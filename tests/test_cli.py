@@ -419,6 +419,26 @@ def test_malformed_cli_text_exits_2(capsys, argv, col, message):
     assert capsys.readouterr() == ("", "parse error: line 1, col %d: %s\n" % (col, message))
 
 
+_LATIN1 = b"cdga X { gen a:2; d a = 0; }\n# caf\xe9\n"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["cohomology", "{tmp}/missing.rht", "--name", "S2"], 1,
+     "error: [Errno 2] No such file or directory: '{tmp}/missing.rht'"),
+    (["cohomology", "{tmp}", "--name", "S2"], 1, "error: [Errno 21] Is a directory: '{tmp}'"),
+    (["invariants", DATA, "--name", "S2", "--max", "4", "--trichotomy",
+      "--plot", "{tmp}/missing/x.csv"], 1,
+     "error: [Errno 2] No such file or directory: '{tmp}/missing/x.csv'"),
+    (["cohomology", "{tmp}/latin1.rht", "--name", "X"], 2,
+     "parse error: {tmp}/latin1.rht: byte %d is not UTF-8" % _LATIN1.index(b"\xe9")),
+], ids=["missing-file", "directory", "plot-in-missing-directory", "not-utf8"])
+def test_file_errors_exit_with_a_message(tmp_path, capsys, argv, code, message):
+    (tmp_path / "latin1.rht").write_bytes(_LATIN1)
+    tmp = str(tmp_path)
+    assert main([a.replace("{tmp}", tmp) for a in argv]) == code
+    assert capsys.readouterr() == ("", message.replace("{tmp}", tmp) + "\n")
+
+
 @pytest.mark.parametrize("specs", [
     ("product(sphere(2),torus(-0))", " product( sphere(2) ,\ttorus(0), ) "),
     ("point", "point()", " point( ) "),

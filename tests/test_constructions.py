@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rht.constructions
 from rht import dsl
-from rht.algebra import ONE, AlgElement, GeneratorContext
+from rht.algebra import ONE, AlgElement, GeneratorContext, degree_basis, rebase
 from rht.cdga import (CdgaMorphism, SullivanPresentation, cohomology,
                       cohomology_algebra, validate)
 from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
@@ -17,7 +18,7 @@ from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_compl
                                truncated_poly, wedge_cohomology)
 from rht.errors import BudgetExceededError, UnsupportedInputError
 from rht.linalg import lincomb
-from rht.minimal_model import LambdaExtension, acyclic_closure, fiber_model, minimal_model
+from rht.minimal_model import LambdaExtension, acyclic_closure, minimal_model
 
 from conftest import leibniz_loop, sphere2_model, wedge_two_s2_cohomology
 
@@ -142,6 +143,75 @@ def test_homogeneous_flag_manifold_su3_mod_torus():
     assert [rep.dim(k) for k in range(9)] == [1, 0, 2, 0, 2, 0, 1, 0, 0]
     chi, _ = cohomology(m, 0, 8).euler_characteristic()
     assert chi == 6            # order of the Weyl group
+
+
+def _homogeneous_oracle(g_degrees, h_degrees, images, name="G/H"):
+    """The homogeneous-space builder as it was before it became the
+    biquotient with K trivial: its own generators, images and checks."""
+    gens = [("t%d" % (i + 1), d + 1) for i, d in enumerate(h_degrees)]
+    gens += [("x%d" % (i + 1), d) for i, d in enumerate(g_degrees)]
+    ctx = GeneratorContext(gens)
+    t_gens = [ctx.generator("t%d" % (i + 1)) for i in range(len(h_degrees))]
+    d_imgs = {"t%d" % (i + 1): AlgElement.zero(ctx) for i in range(len(h_degrees))}
+    polys = images(t_gens) if callable(images) else list(images)
+    assert len(polys) == len(g_degrees)
+    for i, poly in enumerate(polys):
+        assert poly.is_zero() or poly.degree() == g_degrees[i] + 1
+        d_imgs["x%d" % (i + 1)] = rebase(poly, ctx) if poly.ctx != ctx else poly
+    return SullivanPresentation(ctx, d_imgs, name=name)
+
+
+def _same_presentation(m, oracle):
+    assert (m.ctx.gens, m.name) == (oracle.ctx.gens, oracle.name)
+    for g in oracle.ctx.names:
+        img, want = m.d.image_of(g), oracle.d.image_of(g)
+        assert img.ctx == want.ctx and list(img.terms.items()) == list(want.terms.items())
+
+
+def _su3_mod_u2(t):
+    c1, c2 = t
+    return [c2 - c1 * c1, -(c1 * c2)]
+
+
+def _su3_mod_torus(t):
+    t1, t2 = t
+    return [t1 * t2 - (t1 + t2) * (t1 + t2), -(t1 * t2) * (t1 + t2)]
+
+
+def _trivial_h(_):
+    ctx = GeneratorContext([("x1", 3), ("x2", 5)])
+    return [AlgElement.zero(ctx)] * 2
+
+
+@pytest.mark.parametrize("h_degrees, images, name", [
+    ([1, 3], _su3_mod_u2, "CP2"), ([1, 1], _su3_mod_torus, "G/H"), ([], _trivial_h, "SU3"),
+], ids=["SU3/U2", "SU3/T", "trivial-H"])
+def test_homogeneous_space_is_the_biquotient_with_k_trivial(h_degrees, images, name):
+    _same_presentation(homogeneous_space_model([3, 5], h_degrees, images, name=name),
+                       _homogeneous_oracle([3, 5], h_degrees, images, name=name))
+
+
+@st.composite
+def _homogeneous_inputs(draw):
+    odd = st.sampled_from([1, 3, 5, 7])
+    g_degrees = draw(st.lists(odd, max_size=3))
+    h_degrees = draw(st.lists(st.sampled_from([1, 3]), max_size=3))
+    t_gens = [("t%d" % (i + 1), d + 1) for i, d in enumerate(h_degrees)]
+    x_gens = [("x%d" % (i + 1), d) for i, d in enumerate(g_degrees)]
+    # Images over the s^{-1}V_H generators alone (rebased) or over all of them.
+    ctx = GeneratorContext(t_gens + (x_gens if draw(st.booleans()) else []))
+    coeff = st.integers(-3, 3)
+    polys = [AlgElement(ctx, {mono: draw(coeff) for mono in degree_basis(ctx, d + 1)})
+             for d in g_degrees]
+    return g_degrees, h_degrees, polys
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_homogeneous_inputs())
+def test_homogeneous_space_matches_its_oracle_on_random_images(case):
+    g_degrees, h_degrees, polys = case
+    _same_presentation(homogeneous_space_model(g_degrees, h_degrees, lambda t: polys),
+                       _homogeneous_oracle(g_degrees, h_degrees, lambda t: polys))
 
 
 def test_biquotient_reduces_to_homogeneous():

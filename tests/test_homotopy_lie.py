@@ -14,7 +14,7 @@ from rht.homotopy_lie import (LieTable, _free_exp, _free_log, _free_mul, bch_pro
                               hurewicz_matrix, lcs_filtrations, lie_bracket,
                               lie_table, nilpotency_class, quadratic_part,
                               whitehead_product)
-from rht.linalg import lincomb
+from rht.linalg import RationalMatrix, lincomb, solve_linear
 from rht.minimal_model import minimal_model
 
 from conftest import (ZeroTouchDict, assert_matches_reference_sum, nonformal_uvw,
@@ -218,6 +218,18 @@ def test_hurewicz_s2_k3_image_orthogonal_to_whitehead(s2):
 def test_hurewicz_s2_k4_zero_map(s2):
     rep = hurewicz_matrix(s2, 4)
     assert rep.h_dim == 0 and rep.rank == 0
+
+
+@pytest.mark.parametrize("space", ["S2", "S3", "S2vS2", "CP2"])
+def test_hurewicz_rank_of_its_sparse_columns_is_the_solver_rank(space):
+    # On CP2 the class of a^2 in H^4 maps to V^4 = 0: rank 0 < h_dim.
+    model = {"S2": sphere2_model, "S3": lambda: sphere(3), "CP2": lambda: cp(2),
+             "S2vS2": lambda: minimal_model(wedge_two_s2_cohomology(), 5)}[space]()
+    for k in range(2, 5):
+        rep = hurewicz_matrix(model, k)
+        assert isinstance(rep.matrix, list) and len(rep.matrix) == rep.h_dim
+        solver = solve_linear(RationalMatrix.from_columns(rep.v_dim, rep.matrix))
+        assert rep.rank == solver.rank
 
 
 # ---------------------------------------------------------------------------

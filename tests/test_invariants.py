@@ -10,7 +10,8 @@ from rht.cdga import (FiniteCDGA, SullivanPresentation, cohomology, cohomology_a
                       tensor_finite, validate)
 from rht.constructions import (cp, k_z, sphere, tensor_presentations, torus,
                                truncated_poly, wedge_cohomology)
-from rht.errors import UnsupportedInputError
+from rht.errors import DegreeError, UnsupportedInputError
+from rht.homotopy_lie import homotopy_ranks
 from rht.invariants import (DegreeSequence, _representable, _toomer_fails_at, cat_bounds,
                             elliptic_degrees_check, is_poincare_duality,
                             loop_homology_dims, massey_triple,
@@ -443,6 +444,14 @@ def test_trichotomy_point():
     rep = trichotomy_report(mm, 9)
     assert rep.tag == ELLIPTIC
     assert all(v == 0 for v in rep.ranks.values())
+
+
+def test_trichotomy_reads_the_rank_table_of_homotopy_ranks():
+    mm = minimal_model(wedge_two_s2_cohomology(), 6)
+    assert trichotomy_report(mm).ranks == homotopy_ranks(mm, 6)
+    assert trichotomy_report(mm, 4).ranks == homotopy_ranks(mm, 4)
+    with pytest.raises(DegreeError, match="^ranks requested beyond the certified degree 6$"):
+        trichotomy_report(mm, 7)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rht.algebra import AlgElement, Derivation, GeneratorContext, ONE, degree_basis
+from rht.algebra import (AlgElement, Derivation, GeneratorContext, ONE, degree_basis,
+                         substitute)
 from rht.cdga import (CdgaMorphism, SullivanPresentation, cohomology,
                       cohomology_algebra, is_quasi_iso, validate)
 from rht.constructions import sphere, cp, free_loop_extension, product
@@ -16,7 +17,7 @@ from rht.errors import DegreeError, UnsupportedInputError
 from rht.dsl import minimal_model_json, serialize_presentation, to_json_text
 from rht.linalg import Echelon, lincomb, solve_linear
 from rht.minimal_model import (AcyclicClosure, LambdaExtension, acyclic_closure,
-                               fiber_model, is_minimal, is_sullivan, minimal_model,
+                               is_minimal, is_sullivan, minimal_model,
                                primitives, pushout_extension)
 
 from conftest import nonformal_uvw, sphere2_model, wedge_two_s2_cohomology
@@ -235,9 +236,68 @@ def test_fiber_model_of_trivial_extension(s2):
     other = sphere(3)
     t = tensor_presentations(s2, other)
     ext = LambdaExtension(t, ["a_1", "b_1"])
-    fib = fiber_model(ext)
+    fib = ext.fiber_presentation()
     assert [d for d in fib.ctx.degrees] == [3]
     assert fib.d.image_of("u_2").is_zero()
+
+
+def _base_oracle(ext):
+    """base_presentation as it was before base and fiber shared one restriction."""
+    sub = GeneratorContext([(g, ext.total.ctx.degree_of(g)) for g in ext.base_names])
+    assign = {g: sub.generator(g) for g in ext.base_names}
+    images = {}
+    for g in ext.base_names:
+        src = ext.total.d.image_of(g)
+        for mono in src.terms:
+            for j, _ in mono:
+                if ext.total.ctx.names[j] not in sub.index:
+                    raise DegreeError("d(%s) leaves the base algebra" % g)
+        images[g] = substitute(src, assign, sub)
+    return SullivanPresentation(sub, images, name="%s|base" % ext.name)
+
+
+def _fiber_oracle(ext):
+    """fiber_presentation as it was before base and fiber shared one restriction."""
+    ctx = ext.total.ctx
+    sub = GeneratorContext([(g, ctx.degree_of(g)) for g in ext.fiber_names])
+    kill = {g: sub.generator(g) if g in sub.index else AlgElement.zero(sub) for g in ctx.names}
+    images = {g: substitute(ext.total.d.image_of(g), kill, sub) for g in ext.fiber_names}
+    return SullivanPresentation(sub, images, name="%s|fiber" % ext.name)
+
+
+def _tensor_s2_s3():
+    from rht.constructions import tensor_presentations
+    return LambdaExtension(tensor_presentations(sphere2_model(), sphere(3)), ["a_1", "b_1"])
+
+
+@pytest.mark.parametrize("make", [
+    elementary_fibration_over_s2, _tensor_s2_s3,
+    lambda: free_loop_extension(sphere(2)), lambda: free_loop_extension(cp(2)),
+    lambda: acyclic_closure(sphere2_model(), 8).extension,
+], ids=["hopf", "S2xS3", "LS2", "LCP2", "acyclic-S2"])
+def test_base_and_fiber_restrictions_match_their_oracles(make):
+    ext = make()
+    for got, want in ((ext.base_presentation(), _base_oracle(ext)),
+                      (ext.fiber_presentation(), _fiber_oracle(ext))):
+        assert (got.ctx.gens, got.name) == (want.ctx.gens, want.name)
+        for g in want.ctx.names:
+            assert list(got.d.image_of(g).terms.items()) == \
+                list(want.d.image_of(g).terms.items())
+
+
+def test_base_presentation_rejects_an_escaping_base():
+    ctx = GeneratorContext([("a", 2), ("b", 3), ("z", 1), ("y", 3)])
+    z, y = ctx.generator("z"), ctx.generator("y")
+    total = SullivanPresentation(ctx, {"a": AlgElement.zero(ctx), "b": z * y,
+                                       "z": AlgElement.zero(ctx), "y": AlgElement.zero(ctx)})
+    ext = LambdaExtension(total, ["a", "b"], name="escape")
+    with pytest.raises(DegreeError) as want:
+        _base_oracle(ext)
+    with pytest.raises(DegreeError) as got:
+        ext.base_presentation()
+    assert str(got.value) == str(want.value) == "d(b) leaves the base algebra"
+    assert "d(b) leaves the base algebra" in ext.validate().violations
+    assert ext.fiber_presentation().ctx.names == ("z", "y")
 
 
 def test_pushout_identity_keeps_extension(s2):
@@ -257,7 +317,7 @@ def test_pushout_to_point_gives_fiber(s2):
     collapse = CdgaMorphism(base, point, {g: AlgElement.zero(point.ctx)
                                           for g in base.ctx.names})
     out = pushout_extension(collapse, ext)
-    fib = fiber_model(ext)
+    fib = ext.fiber_presentation()
     assert [out.total.ctx.degree_of(g) for g in out.total.ctx.names] == \
         [fib.ctx.degree_of(g) for g in fib.ctx.names]
     for g in out.total.ctx.names:
@@ -278,7 +338,7 @@ def test_pushout_elementary_fibration_pullback():
     # new differential of z carries phi(a) = 2a
     assert out.total.d.image_of("z") == out.total.ctx.generator("a").scale(2)
     # fiber unchanged: single degree-1 generator with zero differential
-    fib = fiber_model(out)
+    fib = out.fiber_presentation()
     assert list(fib.ctx.degrees) == [1]
     assert fib.d.image_of("z").is_zero()
 
@@ -310,7 +370,7 @@ def test_acyclic_closure_s2(s2):
     rep = cohomology(ac.total, 0, 8)
     assert all(rep.dim(k) == 0 for k in range(1, 9))
     # quotient differential on Lambda U vanishes
-    fib = ac.fiber()
+    fib = ac.extension.fiber_presentation()
     assert all(fib.d.image_of(g).is_zero() for g in fib.ctx.names)
     # pairing degrees: deg(alpha(u)) = deg(u) + 1
     for u, v in ac.pairing.items():
@@ -327,7 +387,7 @@ def test_acyclic_closure_cp2_deeper_corrections():
     rep = cohomology(ac.total, 0, 10)
     assert all(rep.dim(k) == 0 for k in range(1, 11))
     # fiber dims must match the PBW count for L(CP2): degrees 1 and 4
-    fib = ac.fiber()
+    fib = ac.extension.fiber_presentation()
     assert sorted(fib.ctx.degrees) == [1, 4]
     cx = fib
     assert [cx.dim(k) for k in range(11)] == [1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0]
@@ -544,7 +604,7 @@ def test_primitives_batch_matches_single_target_calls(case):
 
 def test_free_loop_extension_fiber_of_s3():
     ext = free_loop_extension(sphere(3))
-    fib = fiber_model(ext)
+    fib = ext.fiber_presentation()
     assert list(fib.ctx.degrees) == [2]
     assert fib.d.image_of("s_u").is_zero()
 
