@@ -10,6 +10,7 @@ on integer rows inside): exact and canonical.  There is no floating-point mode.
 """
 
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 
 from .errors import ContextMismatchError, DegreeError, DerivationError, BudgetExceededError
@@ -18,7 +19,7 @@ from .linalg import lincomb
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Largest monomial basis `degree_basis` builds in one degree.
+# Largest monomial basis `MonomialBases.basis` builds in one degree (read at call time).
 MONOMIAL_BUDGET = 200_000
 
 
@@ -68,6 +69,11 @@ class GeneratorContext:
 
     def degree_of(self, name):
         return self.degrees[self.index[name]]
+
+    def ranks(self, degrees=None):
+        """{k: dim V^k} for k in `degrees` (by default those that occur, ascending)."""
+        counts = Counter(self.degrees)
+        return {k: counts[k] for k in (sorted(counts) if degrees is None else degrees)}
 
     def extend(self, more):
         """New context with extra generators appended (order preserved)."""
@@ -318,54 +324,89 @@ def apply_derivation(theta, x):
     return AlgElement(x.ctx, lincomb((c, theta.column(m)) for m, c in x.terms.items()))
 
 
+class MonomialBases:
+    """Ordered monomial bases of Lambda(V) (lexicographic in exponent vectors
+    over the context order, exponents ascending) read off one table.  Row r
+    counts the monomials of degree r over generators i.., i = 0..N, and is
+    computed once, by c_i(r) = c_{i+1}(r) + c_i(r - |x_i|) for an even x_i and
+    c_{i+1}(r) + c_{i+1}(r - |x_i|) for an odd one.  The suffix lists (i, r)
+    follow the same rule, built on demand with an explicit stack and kept; a
+    list generator i cannot extend is list (i + 1, r).  So a window costs time
+    linear in its width.  `basis(k)` raises BudgetExceededError, before any
+    monomial is built, when degree k has more than MONOMIAL_BUDGET."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self._rows = []         # degree r -> [c_0(r), ..., c_N(r)]
+        # (i, r) -> the monomials over generators i.. of degree r; degree 0 is the unit
+        self._lists = dict.fromkeys(((i, 0) for i in range(len(ctx) + 1)), [()])
+        self._bases = {}        # requested degree -> basis
+        self._index = {}        # requested degree -> {monomial: position}
+
+    def extended(self, ctx):
+        """The bases of `ctx`, this context with generators appended, keeping every
+        degree below the lowest new generator's (none of its monomials holds one)."""
+        low = min(ctx.degrees[len(self.ctx):], default=None)
+        out = MonomialBases(ctx)
+        for k, b in self._bases.items():
+            if low is None or k < low:
+                out._bases[k], out._index[k] = b, self._index[k]
+        return out
+
+    def _row(self, r):
+        rows, degrees, odd = self._rows, self.ctx.degrees, self.ctx.odd
+        while len(rows) <= r:
+            s = len(rows)
+            row = [0] * len(degrees) + [1 if s == 0 else 0]
+            for i in range(len(degrees) - 1, -1, -1):
+                d = degrees[i]
+                row[i] = row[i + 1] + (rows[s - d][i + 1 if odd[i] else i] if d <= s else 0)
+            rows.append(row)
+        return rows[r]
+
+    def _suffixes(self, i, r):
+        lists, rows, degrees, odd = self._lists, self._rows, self.ctx.degrees, self.ctx.odd
+        todo = [(i, r)]
+        while todo:
+            i, r = key = todo[-1]
+            if key in lists:
+                todo.pop()
+                continue
+            row, j = rows[r], i
+            while row[j] == row[j + 1]:
+                j += 1          # generators i..j-1 take exponent 0 (some x_j fits: r > 0)
+            # Exponent 0 of x_j first, then x_j times the list (j + 1, r - |x_j|)
+            # (odd x_j) or (j, r - |x_j|) (even x_j, its exponent raised by one).
+            rest, times = (j + 1, r), (j + 1 if odd[j] else j, r - degrees[j])
+            missing = [p for p in (rest, times) if p not in lists and rows[p[1]][p[0]]]
+            if missing:
+                todo.extend(missing)
+                continue
+            out, x = list(lists[rest]) if row[j + 1] else [], ((j, 1),)
+            out += [((j, m[0][1] + 1),) + m[1:] if m and m[0][0] == j else x + m
+                    for m in lists[times]]
+            lists[key] = lists[j, r] = out
+        return lists[i, r]
+
+    def basis(self, k):
+        b = self._bases.get(k)
+        if b is None:
+            size = self._row(k)[0] if k >= 0 else 0
+            if size > MONOMIAL_BUDGET:
+                raise BudgetExceededError("degree %d basis exceeds %d monomials" % (k, MONOMIAL_BUDGET))
+            b = self._bases[k] = self._suffixes(0, k) if size else []
+            self._index[k] = {m: i for i, m in enumerate(b)}
+        return b
+
+    def index(self, k):
+        """{monomial: its position in basis(k)}."""
+        self.basis(k)
+        return self._index[k]
+
+
 def degree_basis(ctx, n):
-    """Complete ordered monomial basis of Lambda(V) in total degree n.
-
-    Deterministic order: lexicographic in exponent vectors over the context
-    order, exponents ascending (unit first in degree 0).  Raises
-    BudgetExceededError, before building any monomial, when the basis would
-    exceed MONOMIAL_BUDGET monomials.
-
-    The monomials over generators idx.. of remaining degree r form one
-    shared suffix list per (idx, r).  A forward pass finds the (idx, r) that
-    degree n reaches, a backward pass counts them, and a second backward
-    pass builds the nonempty ones, reusing a list that generator idx cannot
-    extend.  The passes visit only the generators of degree <= n, the ones
-    that fit: any other takes exponent 0 and would leave every reach set,
-    count and suffix list as it was.  Monomials keep the context indices.
-    Nothing recurses, so any number of generators is fine.
-    """
-    if n < 0:
-        return []
-    degrees = ctx.degrees
-
-    def exponents(idx, r):
-        top = r // degrees[idx]
-        return range(min(top, 1) + 1 if degrees[idx] % 2 else top + 1)
-
-    fits = [idx for idx, deg in enumerate(degrees) if deg <= n]
-    reach = [{n}]
-    for idx in fits:
-        reach.append({r - e * degrees[idx] for r in reach[-1] for e in exponents(idx, r)})
-    layers = list(zip(fits, reach))[::-1]     # (idx, its reach), last generator first
-    counts = {0: 1}
-    for idx, rs in layers:
-        counts = {r: sum(counts.get(r - e * degrees[idx], 0) for e in exponents(idx, r))
-                  for r in rs}
-    if counts.get(n, 0) > MONOMIAL_BUDGET:
-        raise BudgetExceededError("degree %d basis exceeds %d monomials" % (n, MONOMIAL_BUDGET))
-    suffixes = {0: [()]}
-    for idx, rs in layers:
-        deg, tails, suffixes = degrees[idx], suffixes, {}
-        for r in rs:
-            parts = [(e, tails[r - e * deg]) for e in exponents(idx, r) if r - e * deg in tails]
-            if len(parts) == 1 and not parts[0][0]:
-                suffixes[r] = parts[0][1]
-            elif parts:
-                out = suffixes[r] = []
-                for e, ms in parts:
-                    out.extend([((idx, e),) + m for m in ms] if e else ms)
-    return suffixes.get(n, [])
+    """The ordered degree-n monomial basis of Lambda(V), from a fresh `MonomialBases`."""
+    return MonomialBases(ctx).basis(n)
 
 
 def substitute(x, images, new_ctx):

@@ -19,8 +19,8 @@ total dimension, an all-odd generator argument, or a full gap window in a
 quotient); otherwise results are labelled as verified up to N.
 """
 
-from .algebra import (AlgElement, Derivation, GeneratorContext, ONE, apply_derivation,
-                      as_q, degree_basis, monomial_degree, monomial_mul,
+from .algebra import (AlgElement, Derivation, GeneratorContext, MonomialBases, ONE,
+                      apply_derivation, as_q, monomial_degree, monomial_mul,
                       monomial_products, monomial_str, rebase)
 from .errors import (DegreeError, RhtError, UnsupportedInputError,
                      ValidationError)
@@ -67,19 +67,20 @@ class SullivanPresentation:
         self.ctx = ctx
         self.name = name
         self.d = Derivation(ctx, +1, d_images)
-        self._basis = {}
-        self._index = {}
+        self._bases = MonomialBases(ctx)
 
     def extend(self, generators, images, name=None):
         """The presentation on ctx.extend(generators), d(g) = images[g] (in this
         context or the new one) on the new generators.  d of an old monomial is
         unchanged, so its d starts from a copy of this d's column store (a copy:
-        two extensions of one presentation never see each other's columns)."""
+        two extensions never see each other's columns), and its bases from this
+        one's in the degrees below the new generators."""
         ctx = self.ctx.extend(generators)
         out = SullivanPresentation(
             ctx, {g: rebase(img, ctx) for g, img in {**self.d.images, **images}.items()},
             name=self.name if name is None else name)
         out.d._columns, out.d._monos = dict(self.d._columns), self.d._monos
+        out._bases = self._bases.extended(ctx)
         return out
 
     @staticmethod
@@ -107,17 +108,12 @@ class SullivanPresentation:
     def top_degree(self):
         return sum(self.ctx.degrees) if self.is_finite_dimensional() else None
 
-    # -- cochain complex: degree k is spanned by degree_basis(ctx, k) --------
+    # -- cochain complex: degree k is spanned by the monomial basis of degree k
     def basis(self, k):
-        if k not in self._basis:
-            b = degree_basis(self.ctx, k) if k >= 0 else []
-            self._basis[k] = b
-            self._index[k] = {m: i for i, m in enumerate(b)}
-        return self._basis[k]
+        return self._bases.basis(k)
 
     def index(self, k):
-        self.basis(k)
-        return self._index[k]
+        return self._bases.index(k)
 
     def dim(self, k):
         return len(self.basis(k))

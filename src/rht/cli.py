@@ -108,11 +108,7 @@ def cmd_homotopy(args):
     out = {}
     lines = []
     if args.ranks is not None:
-        counts = {}
-        for g, d in p.ctx.gens:
-            if 2 <= d <= args.ranks:
-                counts[d] = counts.get(d, 0) + 1
-        ranks = {k: counts.get(k, 0) for k in range(2, args.ranks + 1)}
+        ranks = p.ctx.ranks(range(2, args.ranks + 1))
         out["ranks"] = {str(k): v for k, v in ranks.items()}
         lines.append("ranks (dim V^k of the given minimal presentation):")
         for k in sorted(ranks):
@@ -222,10 +218,7 @@ def cmd_invariants(args):
         lines.append("TC cup length c_H = %d%s" % (
             value, "" if H.window_certified else " (cohomology windowed at %d)" % n))
     if args.loop_betti is not None:
-        counts = {}
-        for g, d in p.ctx.gens:
-            counts[d - 1] = counts.get(d - 1, 0) + 1
-        dims = loop_homology_dims(counts, args.loop_betti)
+        dims = loop_homology_dims({k - 1: r for k, r in p.ctx.ranks().items()}, args.loop_betti)
         payload["loop_betti"] = {str(k): v for k, v in dims.items()}
         lines.append("loop homology dims: %s" % json.dumps(
             {str(k): v for k, v in dims.items()}, sort_keys=True))

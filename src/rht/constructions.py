@@ -62,6 +62,10 @@ def k_z(n):
 
 
 def torus(n):
+    """(Lambda(t_1..t_n), 0); its degree-1 basis, the n generators, must fit MONOMIAL_BUDGET."""
+    if n > MONOMIAL_BUDGET:
+        raise BudgetExceededError("torus(%d) has a degree 1 basis of %d monomials, more than %d"
+                                  % (n, n, MONOMIAL_BUDGET))
     ctx = GeneratorContext([("t%d" % (i + 1), 1) for i in range(n)])
     return SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g in ctx.names},
                                 name="T%d" % n)

@@ -183,8 +183,7 @@ def homotopy_ranks(result, n):
     if n > result.certified_degree:
         raise DegreeError("ranks requested beyond the certified degree %d"
                           % result.certified_degree)
-    ranks = result.ranks()
-    return {k: ranks.get(k, 0) for k in range(2, n + 1)}
+    return result.model.ctx.ranks(range(2, n + 1))
 
 
 def whitehead_product(t, alpha, beta):

@@ -81,11 +81,7 @@ class MinimalModelResult:
 
     def ranks(self):
         """dim V^k for 2 <= k <= certified_degree (Theorem: = rk_k of the space)."""
-        out = {k: 0 for k in range(2, self.certified_degree + 1)}
-        for name, deg in zip(self.model.ctx.names, self.model.ctx.degrees):
-            if deg in out:
-                out[deg] += 1
-        return out
+        return self.model.ctx.ranks(range(2, self.certified_degree + 1))
 
     def __repr__(self):
         return "MinimalModelResult(%s, certified to %d)" % (self.model, self.certified_degree)

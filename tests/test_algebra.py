@@ -1,3 +1,8 @@
+import gc
+import inspect
+import sys
+import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -8,7 +13,8 @@ import rht.algebra
 from rht.algebra import (ZERO, AlgElement, Derivation, GeneratorContext, apply_derivation,
                          degree_basis, monomial_degree, monomial_mul, monomial_str,
                          substitute)
-from rht.cdga import SullivanPresentation
+from rht.cdga import SullivanPresentation, cohomology
+from rht.constructions import sphere
 from rht.errors import (BudgetExceededError, ContextMismatchError, DegreeError,
                         DerivationError)
 
@@ -83,6 +89,14 @@ def test_derivation_missing_image():
     a, b = ctx.generator("a"), ctx.generator("b")
     with pytest.raises(DerivationError, match="no image for generator 'a'"):
         apply_derivation(Derivation(ctx, +1, {}), a * b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(1, 9), max_size=10), st.integers(0, 12))
+def test_ranks_count_the_generators_of_each_degree(degrees, n):
+    ctx = GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])
+    assert ctx.ranks(range(2, n + 1)) == {k: degrees.count(k) for k in range(2, n + 1)}
+    assert list(ctx.ranks().items()) == [(k, degrees.count(k)) for k in sorted(set(degrees))]
 
 
 def brute_force_basis(ctx, n):
@@ -170,6 +184,114 @@ def test_degree_basis_budget_is_exact(monkeypatch):
     monkeypatch.setattr(rht.algebra, "MONOMIAL_BUDGET", len(basis) - 1)
     with pytest.raises(BudgetExceededError):
         degree_basis(ctx, 10)
+
+
+def _expected_basis(ctx, k):
+    """(basis, None) as the recursive oracle gives it, or (None, message) when
+    degree_basis raises under the budget in force."""
+    try:
+        degree_basis(ctx, k)
+    except BudgetExceededError as exc:
+        return None, str(exc)
+    return recursive_degree_basis(ctx, k), None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(1, 14), max_size=4), min_size=1, max_size=4)
+       .filter(lambda chunks: sum(map(len, chunks)) <= 8),
+       st.one_of(st.just(None), st.integers(0, 30)), st.data())
+def test_presentation_bases_along_extend_chains_match_recursive_enumerator(chunks, budget, data):
+    # A chain of extensions, each link with unsorted degrees 1..14; degrees
+    # -1..20 requested in random order on every link, so a link reads the
+    # bases it inherited as well as the ones it builds, under one budget.
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(rht.algebra, "MONOMIAL_BUDGET", budget)
+        names = iter("g%d" % i for i in range(8))
+        gens = [(next(names), d) for d in chunks[0]]
+        ctx = GeneratorContext(gens)
+        p = SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g, _ in gens})
+        for i, chunk in enumerate(chunks):
+            if i:
+                new = [(next(names), d) for d in chunk]
+                p = p.extend(new, {g: AlgElement.zero(p.ctx) for g, _ in new})
+            for k in data.draw(st.lists(st.integers(-1, 20), unique=True, max_size=10)):
+                basis, message = _expected_basis(p.ctx, k)
+                if message is not None:
+                    with pytest.raises(BudgetExceededError, match="^%s$" % message):
+                        p.basis(k)
+                    with pytest.raises(BudgetExceededError, match="^%s$" % message):
+                        p.index(k)
+                    continue
+                assert p.basis(k) == basis
+                assert p.index(k) == {m: pos for pos, m in enumerate(basis)}
+
+
+def fitting_recursive_basis(ctx, n):
+    """The recursive oracle on the generators of degree <= n only (one frame
+    each), in the context's indices."""
+    fit = [i for i, d in enumerate(ctx.degrees) if d <= n]
+    small = GeneratorContext([ctx.gens[i] for i in fit])
+    return [tuple((fit[i], e) for i, e in m) for m in recursive_degree_basis(small, n)]
+
+
+def test_presentation_bases_of_a_deep_context_without_recursion():
+    # 1,500 generators, most of them above the degrees asked for, through a
+    # presentation and an extension, at stack depth + 100.
+    gens = [("a", 2), ("b", 2), ("c", 3), ("e", 4), ("f", 4)]
+    gens += [("z%d" % i, 5 + i % 7) for i in range(1495)]
+    ctx = GeneratorContext(gens)
+    p = SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g, _ in gens})
+    expected = {k: fitting_recursive_basis(ctx, k) for k in (2, 4, 7)}
+    expected_q = fitting_recursive_basis(ctx.extend([("w", 3)]), 7)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        assert [p.basis(k) for k in (4, 2, 7)] == [expected[k] for k in (4, 2, 7)]
+        q = p.extend([("w", 3)], {"w": AlgElement.zero(ctx)})
+        assert q.basis(2) is p.basis(2)
+        assert q.basis(7) == expected_q
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_extend_passes_on_the_bases_below_its_new_generators():
+    s2 = SullivanPresentation.build([("a", 2), ("b", 3)], {})
+    for k in range(-1, 8):
+        s2.basis(k)
+    child = s2.extend([("c", 4), ("u", 5)], {})
+    for k in range(-1, 4):
+        assert child.basis(k) is s2.basis(k) and child.index(k) is s2.index(k)
+    assert child.basis(4) == [((2, 1),), ((0, 2),)]
+    same = s2.extend([], {})
+    assert all(same.basis(k) is s2.basis(k) for k in range(-1, 8))
+    # A chain's tables are not kept alive by its last link.
+    table = weakref.ref(s2._bases)
+    del s2, same
+    gc.collect()
+    assert table() is None and child.basis(2) == [((0, 1),)]
+
+
+def test_each_count_row_is_computed_once():
+    # One presentation computes each degree's count row at most once, and the
+    # bases [0, K + 1] that the cohomology window [0, K] of S^2 reads cost at
+    # most (N + 1)(K + 2) count cells, N = 2 generators.  Recorded values
+    # (cells for K = 1000) may only go down.
+    computed, cells = Counter(), []
+
+    class CountingRows(list):
+        def append(self, row):
+            computed[len(self)] += 1
+            cells.append(len(row))
+            super().append(row)
+
+    s2 = sphere(2)
+    s2._bases._rows = CountingRows()
+    cohomology(s2, 0, 1000)
+    cohomology(s2, 0, 1000)
+    s2.basis(500)
+    assert set(computed.values()) == {1} and sorted(computed) == list(range(1002))
+    assert sum(cells) <= 3 * 1002 == 3006
 
 
 def test_power_by_squaring_matches_repeated_products():

@@ -11,6 +11,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import rht.constructions
 from rht.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "catalog.rht")
@@ -384,6 +385,16 @@ def test_catalog_torus_builds_in_linear_time(capsys):
     assert main(["catalog", "torus(40000)"]) == 0
     assert time.perf_counter() - t0 < 2.0
     assert "gen t40000:1;" in capsys.readouterr().out
+
+
+def test_torus_over_the_budget_exits_1(monkeypatch, capsys):
+    # torus(n)'s degree-1 basis is its n generators: over the budget, the
+    # catalog exits 1 with a message before building the context.
+    monkeypatch.setattr(rht.constructions, "MONOMIAL_BUDGET", 100)
+    assert main(["catalog", "torus(101)"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: torus(101) has a degree 1 basis of 101 monomials, more than 100\n")
+    assert main(["catalog", "torus(100)"]) == 0
 
 
 def test_truncated_poly_over_the_budget_exits_1(capsys):
