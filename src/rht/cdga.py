@@ -19,11 +19,9 @@ total dimension, an all-odd generator argument, or a full gap window in a
 quotient); otherwise results are labelled as verified up to N.
 """
 
-from .algebra import (AlgElement, Derivation, GeneratorContext, MonomialBases, ONE,
-                      apply_derivation, as_q, monomial_degree, monomial_mul,
-                      monomial_products, monomial_str, rebase)
-from .errors import (DegreeError, RhtError, UnsupportedInputError,
-                     ValidationError)
+from .algebra import (AlgElement, Derivation, MonomialBases, ONE, apply_derivation, as_q,
+                      monomial_mul, monomial_products, monomial_str, rebase)
+from .errors import DegreeError, RhtError, ValidationError
 from .linalg import Echelon, lincomb, slice_homology
 
 
@@ -82,18 +80,6 @@ class SullivanPresentation:
         out.d._columns, out.d._monos = dict(self.d._columns), self.d._monos
         out._bases = self._bases.extended(ctx)
         return out
-
-    @staticmethod
-    def build(generators, d_exprs, name="cdga"):
-        """Convenience: generators [(name, deg)], d_exprs {name: AlgElement or 0}."""
-        ctx = GeneratorContext(generators)
-        images = {}
-        for gname, _ in generators:
-            img = d_exprs.get(gname, 0)
-            if img == 0:
-                img = AlgElement.zero(ctx)
-            images[gname] = img
-        return SullivanPresentation(ctx, images, name=name)
 
     def generator(self, name):
         return self.ctx.generator(name)
@@ -190,10 +176,8 @@ class FiniteCDGA:
     def min_degree(self):
         return min(self.basis)
 
-    def d_of(self, k, i):
+    def differential_column(self, k, i):
         return dict(self.diff.get((k, i), {}))
-
-    differential_column = d_of
 
     def labels(self, k):
         return list(self.basis.get(k, []))
@@ -623,7 +607,7 @@ class CdgaMorphism:
         self._mono_cache = {}
 
     def apply_monomial(self, mono):
-        """Image coordinates of a source monomial, with degree."""
+        """Image coordinates of a source monomial."""
         if mono in self._mono_cache:
             return self._mono_cache[mono]
         ctx = self.source.ctx
@@ -638,37 +622,29 @@ class CdgaMorphism:
                 if not coords:
                     break
             if not coords:
-                deg = monomial_degree(ctx, mono)
                 break
-        result = (monomial_degree(ctx, mono), coords if coords else {})
-        self._mono_cache[mono] = result
-        return result
-
-    def apply(self, x):
-        """Image coordinates of a homogeneous AlgElement: (degree, coords)."""
-        if x.is_zero():
-            return None, {}
-        deg = x.degree()
-        if deg is None:
-            raise DegreeError("morphisms apply to homogeneous elements degree-wise")
-        return deg, lincomb((c, self.apply_monomial(mono)[1]) for mono, c in x.terms.items())
+        self._mono_cache[mono] = coords
+        return coords
 
     def apply_coords(self, k, coords):
         basis = self.source.basis(k)
-        return lincomb((c, self.apply_monomial(basis[i])[1]) for i, c in coords.items())
+        return lincomb((c, self.apply_monomial(basis[i])) for i, c in coords.items())
 
     def apply_element(self, x):
         """Image as an AlgElement (free targets only)."""
-        deg, coords = self.apply(x)
-        if not coords:
+        if x.is_zero():
             return AlgElement.zero(self.target.ctx)
-        return self.target.from_coords(deg, coords)
+        deg = x.degree()
+        if deg is None:
+            raise DegreeError("morphisms apply to homogeneous elements degree-wise")
+        return self.target.from_coords(deg, self.apply_coords(deg, self.source.to_coords(x, deg)))
 
     def is_chain_map(self):
         """phi(dv) = d(phi(v)) on every generator."""
         for gname in self.source.ctx.names:
             deg = self.source.ctx.degree_of(gname)
-            _, lhs = self.apply(self.source.d.image_of(gname))
+            dv = self.source.d.image_of(gname)
+            lhs = self.apply_coords(deg + 1, self.source.to_coords(dv, deg + 1))
             rhs = lincomb((c, self.target.differential_column(deg, i))
                           for i, c in self.images[gname].items())
             if lhs != rhs:
@@ -708,8 +684,8 @@ class FiniteMorphism:
             violations.append("unit is not preserved")
         for k in sorted(self.source.basis):
             for i in range(self.source.dim(k)):
-                lhs = self.apply_coords(k + 1, self.source.d_of(k, i))
-                rhs = lincomb((c, self.target.d_of(k, j))
+                lhs = self.apply_coords(k + 1, self.source.differential_column(k, i))
+                rhs = lincomb((c, self.target.differential_column(k, j))
                               for j, c in self.apply_coords(k, {i: ONE}).items())
                 if lhs != rhs:
                     violations.append("not a chain map on %s" % self.source.label(k, i))
@@ -838,9 +814,9 @@ def tensor_finite(A, B, name=None):
     mul = {}
     for (p, i, q, j), (k, idx) in pairs.items():
         # d(a (x) b) = da (x) b + (-1)^|a| a (x) db, each side a relabelled column.
-        tot = lincomb([(1, {pairs[(p + 1, l, q, j)][1]: c for l, c in A.d_of(p, i).items()}),
-                       (-1 if p % 2 else 1,
-                        {pairs[(p, i, q + 1, l)][1]: c for l, c in B.d_of(q, j).items()})])
+        da, db = A.differential_column(p, i), B.differential_column(q, j)
+        tot = lincomb([(1, {pairs[(p + 1, l, q, j)][1]: c for l, c in da.items()}),
+                       (-1 if p % 2 else 1, {pairs[(p, i, q + 1, l)][1]: c for l, c in db.items()})])
         if tot:
             diff[(k, idx)] = tot
     # Only pairs with aa' != 0 and bb' != 0 multiply to nonzero; emit them in
@@ -858,30 +834,3 @@ def tensor_finite(A, B, name=None):
             mul[(pairs[t1], pairs[t2])] = out
     return FiniteCDGA(basis, diff, mul, name=name or ("%s(x)%s" % (A.name, B.name)),
                       h0_is_unit_span=A.h0_is_unit_span and B.h0_is_unit_span)
-
-
-def direct_sum_cohomology(A, B, name=None):
-    """H1 (+)_Q H2: unit glued, positive parts orthogonal (wedge cohomology)."""
-    for X in (A, B):
-        if X.diff:
-            raise UnsupportedInputError("wedge sum expects zero differentials")
-    basis = {0: ["1"]}
-    maps = ({}, {})      # (k, i) of A, resp. B -> index in degree k of the sum
-    for X, xmap, side in ((A, maps[0], "L"), (B, maps[1], "R")):
-        for k in sorted(X.basis):
-            for i in range(X.dim(k) if k else 0):
-                xmap[(k, i)] = len(basis.setdefault(k, []))
-                basis[k].append("%s.%s" % (side, X.label(k, i)))
-    mul = {}
-    for xmap in maps:
-        for (k, i), idx in xmap.items():
-            mul[((0, 0), (k, idx))] = {idx: ONE}
-            mul[((k, idx), (0, 0))] = {idx: ONE}
-    mul[((0, 0), (0, 0))] = {0: ONE}
-    for X, xmap in zip((A, B), maps):
-        for (p, i), idx1 in xmap.items():
-            for (q, j), idx2 in xmap.items():
-                out = {xmap[(p + q, l)]: c for l, c in X.product(p, i, q, j).items() if p + q}
-                if out:
-                    mul[((p, idx1), (q, idx2))] = out
-    return FiniteCDGA(basis, {}, mul, name=name or ("%s v %s" % (A.name, B.name)))

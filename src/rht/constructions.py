@@ -12,10 +12,10 @@ hand or by independent brute force.
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import (MONOMIAL_BUDGET, AlgElement, Derivation, GeneratorContext, ONE,
-                      ZERO, apply_derivation, as_q, rebase, substitute)
-from .cdga import (FiniteCDGA, QuotientCDGA, SullivanPresentation,
-                   cohomology, direct_sum_cohomology, tensor_finite,
+from . import algebra
+from .algebra import (AlgElement, Derivation, GeneratorContext, ONE, ZERO, apply_derivation,
+                      as_q, monomial_degree, rebase, substitute)
+from .cdga import (FiniteCDGA, QuotientCDGA, SullivanPresentation, cohomology, tensor_finite,
                    tensor_positions)
 from .errors import BudgetExceededError, DegreeError, RhtError, UnsupportedInputError
 from .linalg import Echelon, RationalMatrix, lincomb, slice_homology, solve_linear
@@ -63,9 +63,9 @@ def k_z(n):
 
 def torus(n):
     """(Lambda(t_1..t_n), 0); its degree-1 basis, the n generators, must fit MONOMIAL_BUDGET."""
-    if n > MONOMIAL_BUDGET:
+    if n > algebra.MONOMIAL_BUDGET:
         raise BudgetExceededError("torus(%d) has a degree 1 basis of %d monomials, more than %d"
-                                  % (n, n, MONOMIAL_BUDGET))
+                                  % (n, n, algebra.MONOMIAL_BUDGET))
     ctx = GeneratorContext([("t%d" % (i + 1), 1) for i in range(n)])
     return SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g in ctx.names},
                                 name="T%d" % n)
@@ -78,9 +78,9 @@ def truncated_poly(degree, power, name=None):
     if power < 2:
         raise DegreeError("truncation power must be >= 2")
     products = power * (power + 1) // 2
-    if products > MONOMIAL_BUDGET:
+    if products > algebra.MONOMIAL_BUDGET:
         raise BudgetExceededError("truncated_poly(%d, %d) has %d nonzero products, more than %d"
-                                  % (degree, power, products, MONOMIAL_BUDGET))
+                                  % (degree, power, products, algebra.MONOMIAL_BUDGET))
     basis = {k * degree: ["x^%d" % k if k > 1 else ("x" if k == 1 else "1")]
              for k in range(power)}
     mul = {((i * degree, 0), (j * degree, 0)): {0: ONE}
@@ -104,13 +104,31 @@ def tensor_presentations(p1, p2, name=None):
                                 name=name or "%sx%s" % (p1.name, p2.name))
 
 
-def product(p1, p2, name=None):
-    return tensor_presentations(p1, p2, name=name)
-
-
 def wedge_cohomology(H1, H2, name=None):
-    """H1 (+)_Q H2 with zero products across the summands (wedge of spaces)."""
-    return direct_sum_cohomology(H1, H2, name=name)
+    """H1 (+)_Q H2: unit glued, positive parts orthogonal (wedge of spaces)."""
+    for X in (H1, H2):
+        if X.diff:
+            raise UnsupportedInputError("wedge sum expects zero differentials")
+    basis = {0: ["1"]}
+    maps = ({}, {})      # (k, i) of H1, resp. H2 -> index in degree k of the sum
+    for X, xmap, side in ((H1, maps[0], "L"), (H2, maps[1], "R")):
+        for k in sorted(X.basis):
+            for i in range(X.dim(k) if k else 0):
+                xmap[(k, i)] = len(basis.setdefault(k, []))
+                basis[k].append("%s.%s" % (side, X.label(k, i)))
+    mul = {}
+    for xmap in maps:
+        for (k, i), idx in xmap.items():
+            mul[((0, 0), (k, idx))] = {idx: ONE}
+            mul[((k, idx), (0, 0))] = {idx: ONE}
+    mul[((0, 0), (0, 0))] = {0: ONE}
+    for X, xmap in zip((H1, H2), maps):
+        for (p, i), idx1 in xmap.items():
+            for (q, j), idx2 in xmap.items():
+                out = {xmap[(p + q, l)]: c for l, c in X.product(p, i, q, j).items() if p + q}
+                if out:
+                    mul[((p, idx1), (q, idx2))] = out
+    return FiniteCDGA(basis, {}, mul, name=name or ("%s v %s" % (H1.name, H2.name)))
 
 
 # name -> (builder, the type of each parameter)
@@ -121,7 +139,7 @@ CATALOG = {
     "k_z": (k_z, (int,)),
     "torus": (torus, (int,)),
     "truncated_poly": (truncated_poly, (int, int)),
-    "product": (product, (SullivanPresentation, SullivanPresentation)),
+    "product": (tensor_presentations, (SullivanPresentation, SullivanPresentation)),
     "wedge_cohomology": (wedge_cohomology, (FiniteCDGA, FiniteCDGA)),
 }
 
@@ -386,8 +404,9 @@ def mapping_space_pi(phi, n):
         for mono, c in V.d.image_of(v).terms.items():
             for pos, (j, e) in enumerate(mono):
                 left = mono[:pos] + (((j, e - 1),) if e > 1 else ())
-                slots[V.ctx.names[j]].append((v, e * c, phi.apply_monomial(left),
-                                              phi.apply_monomial(mono[pos + 1:])))
+                halves = [(monomial_degree(V.ctx, w), phi.apply_monomial(w))
+                          for w in (left, mono[pos + 1:])]
+                slots[V.ctx.names[j]].append((v, e * c, *halves))
 
     def d_matrix(m):
         """D: Der_m -> Der_{m-1} in the bases der_basis(m) -> der_basis(m-1)."""
@@ -489,7 +508,7 @@ def diagonal_class(A):
                 coords[pos[(p, i, q, j)][1]] = sign * c
                 terms.append((sign * c, (p, i), (q, j)))
     # Cycle check in (A (x) A, d).
-    if lincomb((c, T.d_of(A.m, i)) for i, c in coords.items()):
+    if lincomb((c, T.differential_column(A.m, i)) for i, c in coords.items()):
         raise RhtError("diagonal class is not a cycle")  # pragma: no cover
     return T, coords, terms
 
@@ -550,7 +569,7 @@ def config_space_model(A, k, name=None, max_k=3):
     d_imgs = {}
     for slot in range(1, k + 1):
         for (p, i) in pos_basis:
-            col = Acd.d_of(p, i)
+            col = Acd.differential_column(p, i)
             d_imgs[slot_gen[(slot, p, i)]] = slot_vec(slot, p + 1, col) if col \
                 else AlgElement.zero(ctx)
     _, _, terms = diagonal_class(A)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .algebra import AlgElement, GeneratorContext, ONE, ZERO, monomial_degree
 from .cdga import CdgaMorphism, SullivanPresentation, cohomology, cohomology_algebra
 from .constructions import PDAlgebra, SubspaceArrangement, catalog
-from .errors import ParseError, RhtError
+from .errors import ParseError, RhtError, UnsupportedInputError
 
 SCHEMA = "rht/1"
 MAX_NESTING = 100
@@ -491,10 +491,16 @@ def _build_catalog(name, args):
 
 
 def _as_cohomology(p):
-    top = p.top_degree()
-    if top is None:
-        # even generators: the catalog models have known finite cohomology tops
-        top = max(p.ctx.degrees) * 2
+    """H(p) of a pure catalog model on [0, its formal dimension], where H ends
+    when it is finite; it is finite exactly when a power of each even
+    generator past that degree is exact (FHT 32), and refused otherwise."""
+    top = sum(d if d % 2 else 1 - d for d in p.ctx.degrees)
+    for g, d in p.ctx.gens:
+        e = max(top // d + 1, 1)        # the least power of g past the top
+        if d % 2 == 0 and cohomology(p, e * d, e * d).class_coordinates(
+                e * d, p.to_coords(p.generator(g) ** e, e * d)):
+            raise UnsupportedInputError("wedge_cohomology needs finite cohomology: %s^%d is "
+                                        "not exact in %s" % (g, e, p.name))
     return cohomology_algebra(p, top)
 
 

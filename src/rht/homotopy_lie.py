@@ -20,19 +20,9 @@ from .linalg import Echelon, RationalMatrix, lincomb, solve_linear
 from .minimal_model import is_minimal
 
 
-class QuadraticPart:
-    """(Lambda V, d_1): only the word-length-2 component of the differential."""
-
-    def __init__(self, presentation):
-        self.presentation = presentation
-
-    @property
-    def ctx(self):
-        return self.presentation.ctx
-
-
 def quadratic_part(p):
-    """Extract (Lambda V, d_1) from a minimal presentation; d_1^2 = 0 verified."""
+    """(Lambda V, d_1) of a minimal presentation: only the word-length-2
+    component of d, verified d_1^2 = 0."""
     if not is_minimal(p):
         raise UnsupportedInputError("quadratic part requires a minimal presentation")
     ctx = p.ctx
@@ -43,7 +33,7 @@ def quadratic_part(p):
     for g in ctx.names:
         if not apply_derivation(q.d, q.d.image_of(g)).is_zero():
             raise RhtError("d_1^2 != 0; input was not a valid minimal presentation")
-    return QuadraticPart(q)
+    return q
 
 
 class LieTable:
@@ -129,14 +119,17 @@ class LieTable:
             self.name, ", ".join("%d:%d" % kv for kv in sorted(self.dims().items())), self.bound)
 
 
-def lie_table(qp, bound, name=None):
-    """Structure constants of L_V up to Lie degree `bound` from d_1.
+def lie_table(pres, bound, name=None):
+    """Structure constants of L_V up to Lie degree `bound` from the d_1 of a
+    minimal presentation, read off the word-length-2 part of each image.
 
     One pass over d_1: a term c*a*b (a < b) of d_1 v gives <v, s[x_b, x_a]>
     = c (-1)^|a| and <v, s[x_a, x_b]> = c (-1)^(|a||b| + |b|); a term c*a^2
-    gives <v, s[x_a, x_a]> = 2c (-1)^|a|, with |.| the degree in V.
+    gives <v, s[x_a, x_a]> = 2c (-1)^|a|, with |.| the degree in V.  The
+    table's Jacobi check is, on its degrees, the dual of d_1^2 = 0.
     """
-    pres = qp.presentation if isinstance(qp, QuadraticPart) else quadratic_part(qp).presentation
+    if not is_minimal(pres):
+        raise UnsupportedInputError("quadratic part requires a minimal presentation")
     ctx = pres.ctx
     gens_by_degree = {}
     slot = {}            # generator index -> (Lie degree, position in that degree)
@@ -171,11 +164,6 @@ def lie_table(qp, bound, name=None):
     if not ok:
         raise RhtError("homotopy Lie table is inconsistent (%s); d_1^2 != 0?" % why)
     return t
-
-
-def lie_bracket(t, x, y):
-    """Bracket of homogeneous Lie elements (degree, sparse vector)."""
-    return t.bracket(x, y)
 
 
 def homotopy_ranks(result, n):
@@ -244,8 +232,7 @@ def lcs_filtrations(p, k, depth=32):
     the Theorem equality nil V^k = nil L_{k-1} is asserted whenever both
     stabilize.
     """
-    qp = quadratic_part(p)
-    pres = qp.presentation
+    pres = quadratic_part(p)
     ctx = pres.ctx
     vk_idx = [i for i, d in enumerate(ctx.degrees) if d == k]
     if not vk_idx:
@@ -323,7 +310,7 @@ def lcs_filtrations(p, k, depth=32):
         nil_v = ">=%d" % depth
 
     # --- L-side -----------------------------------------------------------
-    t = lie_table(qp, k - 1)
+    t = lie_table(pres, k - 1)
     l_dims, nil_l = _lower_central_series(t, k - 1, depth)
     if t.dim(k - 1) == 0:
         nil_l = 0

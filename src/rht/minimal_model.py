@@ -87,16 +87,6 @@ class MinimalModelResult:
         return "MinimalModelResult(%s, certified to %d)" % (self.model, self.certified_degree)
 
 
-def _target_h0_h1(A):
-    rep = cohomology(A, 0, 1)
-    if rep.dim(0) != 1:
-        raise UnsupportedInputError("minimal models require H^0 = Q, got dim %d" % rep.dim(0))
-    if rep.dim(1) != 0:
-        raise UnsupportedInputError(
-            "minimal models of presentations with H^1 != 0 are not supported "
-            "(supply a finite V^1 model directly for pi_1 features)")
-
-
 def minimal_model(A, n=16, name=None):
     """Minimal Sullivan model of A with H(phi) iso up to n, injective at n+1.
 
@@ -109,8 +99,13 @@ def minimal_model(A, n=16, name=None):
     a stage; the stages are one `extend` chain, each column computed once.
     """
     validate(A).raise_if_invalid()
-    _target_h0_h1(A)
-    tgt_rep = cohomology(A, 0, n + 1)
+    tgt_rep = cohomology(A, 0, max(n + 1, 1))
+    if tgt_rep.dim(0) != 1:
+        raise UnsupportedInputError("minimal models require H^0 = Q, got dim %d" % tgt_rep.dim(0))
+    if tgt_rep.dim(1) != 0:
+        raise UnsupportedInputError(
+            "minimal models of presentations with H^1 != 0 are not supported "
+            "(supply a finite V^1 model directly for pi_1 features)")
 
     model = SullivanPresentation(GeneratorContext([]), {},
                                  name=name or ("M(%s)" % getattr(A, "name", "A")))

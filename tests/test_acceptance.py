@@ -23,7 +23,7 @@ from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_compl
                                config_space_model, cp, free_loop_model,
                                mapping_space_pi, sphere, tensor_presentations,
                                torus, wedge_cohomology)
-from rht.homotopy_lie import (LieTable, bch_product, lcs_filtrations, lie_bracket,
+from rht.homotopy_lie import (LieTable, bch_product, lcs_filtrations,
                               lie_table, nilpotency_class, quadratic_part,
                               whitehead_product)
 from rht.invariants import (DegreeSequence, cat_bounds, elliptic_degrees_check,
@@ -130,7 +130,7 @@ def test_criterion_04_lie_signs_match_frozen_oracle():
     s2 = sphere2_model()
     t = lie_table(quadratic_part(s2), 4)
     # frozen hand evaluation: <b, s[x,x]> = (-1)^{1+1} <a^2, sx, sx> = 2
-    deg, vec = lie_bracket(t, (1, {0: 1}), (1, {0: 1}))
+    deg, vec = t.bracket((1, {0: 1}), (1, {0: 1}))
     assert (deg, vec) == (2, {0: Fraction(2)})
     # Whitehead transport [sx, sy]_W = (-1)^{deg x} s[x, y]: deg x = 1
     degw, vecw = whitehead_product(t, (2, {0: 1}), (2, {0: 1}))
@@ -142,7 +142,7 @@ def test_criterion_04_lie_signs_match_frozen_oracle():
     zero = AlgElement.zero(ctx)
     m = SullivanPresentation(ctx, {"p": zero, "q": zero, "r": p * q})
     t2 = lie_table(quadratic_part(m), 6)
-    _, inner = lie_bracket(t2, (2, {0: 1}), (2, {1: 1}))
+    _, inner = t2.bracket((2, {0: 1}), (2, {1: 1}))
     degw, outer = whitehead_product(t2, (3, {0: 1}), (3, {1: 1}))
     assert degw == 5 and outer == inner      # (-1)^{deg x} = +1 for deg x = 2
     report(4, "S2 bracket [x,x] = +2y and Whitehead signs match the frozen "
@@ -390,7 +390,7 @@ def test_criterion_14_arrangements():
         for (k, i), col in Dx.diff.items():
             dd = {}
             for j, c in col.items():
-                for l, c2 in Dx.d_of(k + 1, j).items():
+                for l, c2 in Dx.differential_column(k + 1, j).items():
                     dd[l] = dd.get(l, Fraction(0)) + c * c2
             assert all(v == 0 for v in dd.values())
     elapsed = time.monotonic() - start

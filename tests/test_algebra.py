@@ -256,7 +256,8 @@ def test_presentation_bases_of_a_deep_context_without_recursion():
 
 
 def test_extend_passes_on_the_bases_below_its_new_generators():
-    s2 = SullivanPresentation.build([("a", 2), ("b", 3)], {})
+    ctx = GeneratorContext([("a", 2), ("b", 3)])
+    s2 = SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g in ctx.names})
     for k in range(-1, 8):
         s2.basis(k)
     child = s2.extend([("c", 4), ("u", 5)], {})

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rht.algebra import (ONE, ZERO, AlgElement, GeneratorContext, as_q,
-                         degree_basis)
+                         degree_basis, monomial_degree)
 from rht.cdga import (CdgaMorphism, FiniteCDGA, FiniteMorphism, QuotientCDGA,
                       SullivanPresentation, cohomology, cohomology_algebra,
                       finite_truncation, is_quasi_iso, tensor_finite, tensor_mul,
@@ -16,7 +16,7 @@ from rht.cdga import (CdgaMorphism, FiniteCDGA, FiniteMorphism, QuotientCDGA,
 from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
                                config_space_model, cp, sphere)
 from rht.errors import DegreeError
-from rht.linalg import Echelon
+from rht.linalg import Echelon, lincomb
 
 from conftest import (ZeroTouchDict, assert_matches_reference_sum, leibniz_loop,
                       nonformal_uvw, random_monomial_algebras, sphere2_model)
@@ -280,7 +280,8 @@ def test_finite_morphism_matrix_chain_map(s2):
 def test_cohomology_monomial_budget():
     from rht.errors import BudgetExceededError
     # Degree 20 of Q[a_1..a_12], |a_i| = 2, has C(21, 11) = 352716 monomials.
-    p = SullivanPresentation.build([("a%d" % i, 2) for i in range(12)], {})
+    ctx = GeneratorContext([("a%d" % i, 2) for i in range(12)])
+    p = SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g in ctx.names})
     with pytest.raises(BudgetExceededError):
         cohomology(p, 20, 20)
 
@@ -310,17 +311,17 @@ def dense_validate_finite(A):
     if A.h0_is_unit_span and A.dim(0) != 1:
         violations.append("degree 0 is not spanned by the unit")
     for (k, i) in items:
-        col = A.d_of(k, i)
+        col = A.differential_column(k, i)
         for j in col:
             if j >= A.dim(k + 1):
                 violations.append("d(%s) hits a missing basis index" % A.label(k, i))
         dd = {}
         for j, c in col.items():
-            for l, c2 in A.d_of(k + 1, j).items():
+            for l, c2 in A.differential_column(k + 1, j).items():
                 dd[l] = dd.get(l, ZERO) + c * c2
         if any(v != 0 for v in dd.values()):
             violations.append("d^2(%s) != 0" % A.label(k, i))
-    if A.d_of(0, 0):
+    if A.differential_column(0, 0):
         violations.append("d(1) != 0")
     for (k, i) in items:
         if A.multiply_coords(0, {0: ONE}, k, {i: ONE}) != {i: ONE}:
@@ -335,14 +336,14 @@ def dense_validate_finite(A):
                                   % (A.label(p_, i), A.label(q_, j)))
             left = {}
             for k_, c in ab.items():
-                for l, c2 in A.d_of(p_ + q_, k_).items():
+                for l, c2 in A.differential_column(p_ + q_, k_).items():
                     left[l] = left.get(l, ZERO) + c * c2
             right = {}
-            for j2, c in A.d_of(p_, i).items():
+            for j2, c in A.differential_column(p_, i).items():
                 for l, c2 in A.product(p_ + 1, j2, q_, j).items():
                     right[l] = right.get(l, ZERO) + c * c2
             sgn = -1 if p_ % 2 else 1
-            for j2, c in A.d_of(q_, j).items():
+            for j2, c in A.differential_column(q_, j).items():
                 for l, c2 in A.product(p_, i, q_ + 1, j2).items():
                     right[l] = right.get(l, ZERO) + sgn * c * c2
             if {k: v for k, v in left.items() if v != 0} != \
@@ -620,6 +621,97 @@ def test_leibniz_columns_of_a_long_word_without_recursion():
         assert pres.differential_column(300, 0) == {}
     finally:
         sys.setrecursionlimit(limit)
+
+
+# -- morphisms: apply_coords, apply_element, is_chain_map against the old apply --
+
+def old_apply_monomial(phi, mono):
+    """CdgaMorphism.apply_monomial as it was, with its degree, uncached."""
+    ctx = phi.source.ctx
+    deg, coords = 0, phi.target.unit_coords()
+    for i, e in mono:
+        for _ in range(e):
+            coords = phi.target.multiply_coords(deg, coords, ctx.degrees[i],
+                                                phi.images[ctx.names[i]])
+            deg += ctx.degrees[i]
+            if not coords:
+                break
+        if not coords:
+            break
+    return monomial_degree(ctx, mono), coords if coords else {}
+
+
+def old_apply(phi, x):
+    """CdgaMorphism.apply as it was: (degree, coords) of a homogeneous element."""
+    if x.is_zero():
+        return None, {}
+    deg = x.degree()
+    if deg is None:
+        raise DegreeError("morphisms apply to homogeneous elements degree-wise")
+    return deg, lincomb((c, old_apply_monomial(phi, mono)[1]) for mono, c in x.terms.items())
+
+
+def old_apply_element(phi, x):
+    deg, coords = old_apply(phi, x)
+    if not coords:
+        return AlgElement.zero(phi.target.ctx)
+    return phi.target.from_coords(deg, coords)
+
+
+def old_is_chain_map(phi):
+    for gname in phi.source.ctx.names:
+        deg = phi.source.ctx.degree_of(gname)
+        _, lhs = old_apply(phi, phi.source.d.image_of(gname))
+        rhs = lincomb((c, phi.target.differential_column(deg, i))
+                      for i, c in phi.images[gname].items())
+        if lhs != rhs:
+            return False, gname
+    return True, None
+
+
+@st.composite
+def random_morphisms(draw):
+    """A morphism out of a random free presentation: to a random free
+    presentation, to itself by the identity (a chain map), or to a random
+    monomial algebra, generator images random (0 among them)."""
+    ctx = GeneratorContext([("g%d" % i, d) for i, d in
+                            enumerate(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))])
+    source = SullivanPresentation(ctx, {g: random_image(draw, ctx, d + 1) for g, d in ctx.gens})
+    kind = draw(st.sampled_from(["free", "identity", "finite"]))
+    if kind == "identity":
+        return CdgaMorphism(source, source, {g: ctx.generator(g) for g in ctx.names})
+    if kind == "finite":
+        A = draw(random_monomial_algebras(max_dim=8))
+        coeff = st.integers(-2, 2).map(Fraction)
+        return CdgaMorphism(source, A, {g: draw(st.dictionaries(
+            st.integers(0, A.dim(d) - 1), coeff, max_size=3)) if A.dim(d) else {}
+            for g, d in ctx.gens})
+    tctx = GeneratorContext([("h%d" % i, d) for i, d in
+                             enumerate(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))])
+    target = SullivanPresentation(tctx, {h: random_image(draw, tctx, d + 1) for h, d in tctx.gens})
+    return CdgaMorphism(source, target, {g: random_image(draw, tctx, d) for g, d in ctx.gens})
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_morphisms(), st.data())
+def test_morphism_application_matches_the_old_apply(phi, data):
+    src, free = phi.source, isinstance(phi.target, SullivanPresentation)
+    assert phi.is_chain_map() == old_is_chain_map(phi)
+    for k in range(0, 7):
+        x = random_image(data.draw, src.ctx, k)
+        want = old_apply(phi, x)[1]
+        assert list(phi.apply_coords(k, src.to_coords(x, k)).items()) == list(want.items())
+        if free:
+            assert list(phi.apply_element(x).terms.items()) == \
+                list(old_apply_element(phi, x).terms.items())
+    if free:
+        assert phi.apply_element(AlgElement.zero(src.ctx)) == AlgElement.zero(phi.target.ctx)
+    # Non-homogeneous input: the same DegreeError, on either kind of target.
+    x = random_image(data.draw, src.ctx, 2) + random_image(data.draw, src.ctx, 3)
+    if x.degree() is None and not x.is_zero():
+        for apply in (phi.apply_element, lambda y: old_apply(phi, y)):
+            with pytest.raises(DegreeError, match="morphisms apply to homogeneous elements"):
+                apply(x)
 
 
 @st.composite

@@ -11,7 +11,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import rht.constructions
+import rht.algebra
 from rht.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "catalog.rht")
@@ -390,7 +390,7 @@ def test_catalog_torus_builds_in_linear_time(capsys):
 def test_torus_over_the_budget_exits_1(monkeypatch, capsys):
     # torus(n)'s degree-1 basis is its n generators: over the budget, the
     # catalog exits 1 with a message before building the context.
-    monkeypatch.setattr(rht.constructions, "MONOMIAL_BUDGET", 100)
+    monkeypatch.setattr(rht.algebra, "MONOMIAL_BUDGET", 100)
     assert main(["catalog", "torus(101)"]) == 1
     assert capsys.readouterr() == (
         "", "error: torus(101) has a degree 1 basis of 101 monomials, more than 100\n")
@@ -402,6 +402,28 @@ def test_truncated_poly_over_the_budget_exits_1(capsys):
     assert main(["catalog", "truncated_poly(2, 700)"]) == 1
     assert capsys.readouterr() == (
         "", "error: truncated_poly(2, 700) has 245350 nonzero products, more than 200000\n")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("wedge_cohomology(k_z(2), sphere(3))", "a^1 is not exact in KZ2"),
+    ("wedge_cohomology(product(k_z(2), sphere(5)), point())", "a_1^3 is not exact in KZ2xS5"),
+])
+def test_wedge_of_infinite_cohomology_exits_1(spec, message):
+    # H(K(Z,2)) = Q[a] has no top: no power of a past the formal dimension
+    # is exact, so the wedge is refused instead of cut off at a guessed degree.
+    code, out, err = run_cli("catalog", spec)
+    assert (code, out) == (1, "")
+    assert err == "error: wedge_cohomology needs finite cohomology: %s\n" % message
+
+
+def test_wedge_of_three_cp3_reaches_degree_18():
+    # H(CP3 x CP3 x CP3) ends at 18 = 3 * 6, past the 2 * 7 the window once stopped at.
+    code, out, _ = run_cli("catalog",
+                           "wedge_cohomology(product(product(cp(3),cp(3)),cp(3)), point())")
+    assert code == 0
+    basis = json.loads(out)["basis"]
+    assert {k: len(v) for k, v in basis.items()} == {
+        "0": 1, "2": 3, "4": 6, "6": 10, "8": 12, "10": 12, "12": 10, "14": 6, "16": 3, "18": 1}
 
 
 _MASSEY = ["invariants", DATA, "--name", "X", "--max", "3", "--massey"]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rht.algebra
 import rht.constructions
 from rht import dsl
 from rht.algebra import ONE, AlgElement, GeneratorContext, degree_basis, rebase
@@ -14,8 +15,8 @@ from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_compl
                                biquotient_model, catalog, config_space_model, cp,
                                diagonal_class, free_loop_extension, free_loop_model,
                                holonomy_representation, homogeneous_space_model,
-                               mapping_space_pi, point, product, sphere, torus,
-                               truncated_poly, wedge_cohomology)
+                               mapping_space_pi, point, sphere, tensor_presentations,
+                               torus, truncated_poly, wedge_cohomology)
 from rht.errors import BudgetExceededError, UnsupportedInputError
 from rht.linalg import lincomb
 from rht.minimal_model import LambdaExtension, acyclic_closure, minimal_model
@@ -82,7 +83,7 @@ def test_truncated_poly_table_matches_the_square_loop(degree, power):
 def test_truncated_poly_budget(monkeypatch):
     with pytest.raises(BudgetExceededError, match="has 200028 nonzero products"):
         truncated_poly(2, 632)      # 632 * 633 / 2 = 200,028 products
-    monkeypatch.setattr(rht.constructions, "MONOMIAL_BUDGET", 10)
+    monkeypatch.setattr(rht.algebra, "MONOMIAL_BUDGET", 10)
     assert len(truncated_poly(2, 4).mul) == 10
     with pytest.raises(BudgetExceededError, match="has 15 nonzero products, more than 10"):
         truncated_poly(2, 5)
@@ -332,7 +333,7 @@ def test_free_loop_cp2_betti_regression():
 # ---------------------------------------------------------------------------
 
 def test_holonomy_product_extension_is_zero(s2):
-    t = product(s2, sphere(3))
+    t = tensor_presentations(s2, sphere(3))
     ext = LambdaExtension(t, ["a_1", "b_1"])
     rep = holonomy_representation(ext, 5)
     for i in range(2):
@@ -452,7 +453,7 @@ def _mapping_space_morphisms():
     with open(os.path.join(os.path.dirname(__file__), "data", "catalog.rht"),
               encoding="utf-8") as fh:
         doc = dsl.parse(fh.read())
-    s2, c2, t3, s2s3 = sphere(2), cp(2), torus(3), product(sphere(2), sphere(3))
+    s2, c2, t3, s2s3 = sphere(2), cp(2), torus(3), tensor_presentations(sphere(2), sphere(3))
     wedge = minimal_model(wedge_two_s2_cohomology(), 5).model
     t1, t2, v = t3.generator("t1"), t3.generator("t2"), wedge.generator("v2_0")
     return [
@@ -529,7 +530,7 @@ def test_diagonal_class_point():
 
 
 @pytest.mark.parametrize("make, m, eps", [(lambda: torus(4), 4, None),
-                                          (lambda: product(cp(2), sphere(2)), 6,
+                                          (lambda: tensor_presentations(cp(2), sphere(2)), 6,
                                            {0: Fraction(-2, 3)})],
                          ids=["T4", "CP2xS2-eps"])
 def test_dual_basis_pairs_to_delta(make, m, eps):

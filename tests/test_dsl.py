@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rht import dsl
 from rht.algebra import AlgElement, GeneratorContext, degree_basis
-from rht.cdga import SullivanPresentation, cohomology_algebra, validate
+from rht.cdga import SullivanPresentation, validate
 from rht.constructions import catalog
 from rht.errors import ParseError, RhtError
 
@@ -180,16 +180,9 @@ def split_eval_catalog(text):
             params.append(split_eval_catalog(part))
     name = name.strip()
     if name == "wedge_cohomology":
-        params = [split_as_cohomology(p) if isinstance(p, SullivanPresentation) else p
+        params = [dsl._as_cohomology(p) if isinstance(p, SullivanPresentation) else p
                   for p in params]
     return catalog(name, *params)
-
-
-def split_as_cohomology(p):
-    top = p.top_degree()
-    if top is None:
-        top = max(p.ctx.degrees) * 2
-    return cohomology_algebra(p, top)
 
 
 def catalog_outcome(evaluate, text):
@@ -271,6 +264,8 @@ def catalog_spec_texts(draw):
 @example("point x")
 @example("product(sphere(2)),(sphere(3))")
 @example("wedge_cohomology(sphere(2), truncated_poly(2, 3))")
+@example("wedge_cohomology(k_z(2), sphere(3))")
+@example("wedge_cohomology(product(product(cp(3),cp(3)),cp(3)), point())")
 @example("product(point," * 99 + "sphere(3)" + ")" * 99)
 def test_parse_catalog_matches_the_string_splitting_evaluator(text):
     try:

@@ -1,30 +1,33 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rht.algebra import ONE, ZERO, AlgElement, GeneratorContext
+from rht.algebra import ONE, ZERO, AlgElement, GeneratorContext, apply_derivation
 from rht.cdga import SullivanPresentation, cohomology_algebra
-from rht.constructions import cp, sphere, wedge_cohomology
-from rht.errors import UnsupportedInputError
+from rht.constructions import (cp, k_z, point, sphere, tensor_presentations, torus,
+                               wedge_cohomology)
+from rht.errors import RhtError, UnsupportedInputError
 from rht.homotopy_lie import (LieTable, _free_exp, _free_log, _free_mul, bch_product,
                               homotopy_ranks,
-                              hurewicz_matrix, lcs_filtrations, lie_bracket,
+                              hurewicz_matrix, lcs_filtrations,
                               lie_table, nilpotency_class, quadratic_part,
                               whitehead_product)
 from rht.linalg import RationalMatrix, lincomb, solve_linear
-from rht.minimal_model import minimal_model
+from rht.minimal_model import is_minimal, minimal_model
 
 from conftest import (ZeroTouchDict, assert_matches_reference_sum, nonformal_uvw,
                       sphere2_model, wedge_two_s2_cohomology)
+from test_cdga import pure_sullivan_algebras, random_image
 
 
 def test_quadratic_part_examples(s2, uvw):
-    assert quadratic_part(s2).presentation.d.image_of("b") == \
+    assert quadratic_part(s2).d.image_of("b") == \
         s2.ctx.generator("a") ** 2
-    assert quadratic_part(uvw).presentation.d.image_of("w") == \
+    assert quadratic_part(uvw).d.image_of("w") == \
         uvw.ctx.generator("u") * uvw.ctx.generator("v")
     # cubic and higher terms are dropped, quadratic ones kept
     ctx = GeneratorContext([("a", 2), ("c", 2), ("e", 4), ("b", 3), ("f", 7)])
@@ -33,8 +36,81 @@ def test_quadratic_part_examples(s2, uvw):
     p = SullivanPresentation(ctx, {"a": zero, "c": zero, "e": zero,
                                    "b": a * a, "f": a ** 4 + a * c * e + e * e * 2})
     qp = quadratic_part(p)
-    assert qp.presentation.d.image_of("f") == e * e * 2
-    assert qp.presentation.d.image_of("b") == a * a
+    assert qp.d.image_of("f") == e * e * 2
+    assert qp.d.image_of("b") == a * a
+
+
+def wrapped_quadratic_part(p):
+    """quadratic_part as it was, returning the presentation its wrapper held."""
+    if not is_minimal(p):
+        raise UnsupportedInputError("quadratic part requires a minimal presentation")
+    ctx = p.ctx
+    images = {g: p.d.image_of(g).word_part(2) for g in ctx.names}
+    q = SullivanPresentation(ctx, images, name="%s.d1" % p.name)
+    for g in ctx.names:
+        if not apply_derivation(q.d, q.d.image_of(g)).is_zero():
+            raise RhtError("d_1^2 != 0; input was not a valid minimal presentation")
+    return q
+
+
+def assert_quadratic_part_pinned(p):
+    """quadratic_part(p) is the presentation the old wrapper held: same
+    context, name and images (values and key order), or the same error; and
+    lie_table reads the same d_1 off p itself, or refuses a non-minimal p."""
+    try:
+        want = wrapped_quadratic_part(p)
+    except RhtError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            quadratic_part(p)
+        if isinstance(exc, UnsupportedInputError):
+            with pytest.raises(UnsupportedInputError, match="requires a minimal presentation"):
+                lie_table(p, 4)
+        return
+    got = quadratic_part(p)
+    assert got.ctx is want.ctx and got.name == want.name
+    assert [(g, list(got.d.image_of(g).terms.items())) for g in got.ctx.names] == \
+        [(g, list(want.d.image_of(g).terms.items())) for g in want.ctx.names]
+    bound = max(p.ctx.degrees, default=1)
+    assert list(lie_table(p, bound).brackets.items()) == \
+        list(lie_table(got, bound).brackets.items())
+
+
+@pytest.mark.parametrize("make", [
+    point, lambda: sphere(2), lambda: sphere(3), lambda: sphere(4), lambda: cp(1),
+    lambda: cp(3), lambda: k_z(2), lambda: torus(3), nonformal_uvw,
+    lambda: tensor_presentations(sphere(2), cp(2)),
+    lambda: minimal_model(wedge_two_s2_cohomology(), 6).model,
+    lambda: minimal_model(wedge_cohomology(cohomology_algebra(sphere(2), 2),
+                                           cohomology_algebra(sphere(3), 3)), 7).model,
+], ids=["point", "S2", "S3", "S4", "CP1", "CP3", "KZ2", "T3", "uvw", "S2xCP2",
+        "S2vS2_model_6", "S2vS3_model_7"])
+def test_quadratic_part_is_the_old_wrapped_presentation(make):
+    assert_quadratic_part_pinned(make())
+
+
+@settings(max_examples=60, deadline=None)
+@given(pure_sullivan_algebras())
+def test_quadratic_part_of_random_pure_models_is_pinned(case):
+    # dy_i = x_i^n_i + ...: minimal when every n_i >= 2, else a linear term.
+    assert_quadratic_part_pinned(case[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.data())
+def test_quadratic_part_of_random_presentations_is_pinned(degrees, data):
+    # Random images without their linear terms, so minimal: d_1^2 != 0 and
+    # valid d_1 both occur (the pure models above bring the non-minimal ones).
+    ctx = GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])
+    images = {g: random_image(data.draw, ctx, d + 1) for g, d in ctx.gens}
+    assert_quadratic_part_pinned(SullivanPresentation(
+        ctx, {g: img - img.linear_part() for g, img in images.items()}))
+
+
+def test_lie_table_refuses_a_non_minimal_presentation():
+    ctx = GeneratorContext([("w", 1), ("u", 2)])
+    p = SullivanPresentation(ctx, {"w": ctx.generator("u"), "u": AlgElement.zero(ctx)})
+    with pytest.raises(UnsupportedInputError, match="requires a minimal presentation"):
+        lie_table(p, 3)
 
 
 # Frozen pairing oracle (hand evaluation of <v, s[x,y]> = (-1)^{deg y+1}
@@ -47,7 +123,7 @@ S2_WHITEHEAD_XX = -2
 
 def test_s2_bracket_sign_frozen(s2):
     t = lie_table(quadratic_part(s2), 4)
-    deg, vec = lie_bracket(t, (1, {0: 1}), (1, {0: 1}))
+    deg, vec = t.bracket((1, {0: 1}), (1, {0: 1}))
     assert deg == 2 and vec == {0: Fraction(S2_BRACKET_XX)}
 
 
@@ -60,8 +136,8 @@ def test_s2_whitehead_sign_frozen(s2):
 def test_uvw_brackets(uvw):
     t = lie_table(quadratic_part(uvw), 0)
     # [x_u, x_v] = x_w (hand-evaluated), [x_u, x_w] = 0
-    assert lie_bracket(t, (0, {0: 1}), (0, {1: 1}))[1] == {2: Fraction(1)}
-    assert lie_bracket(t, (0, {0: 1}), (0, {2: 1}))[1] == {}
+    assert t.bracket((0, {0: 1}), (0, {1: 1}))[1] == {2: Fraction(1)}
+    assert t.bracket((0, {0: 1}), (0, {2: 1}))[1] == {}
 
 
 def test_abelian_model_brackets_vanish():
@@ -210,7 +286,7 @@ def test_hurewicz_s2_k3_image_orthogonal_to_whitehead(s2):
     rep = hurewicz_matrix(s2, 3)
     assert rep.h_dim == 0 and rep.v_dim == 1 and rep.rank == 0
     t = lie_table(quadratic_part(s2), 4)
-    _, wh = lie_bracket(t, (1, {0: 1}), (1, {0: 1}))
+    _, wh = t.bracket((1, {0: 1}), (1, {0: 1}))
     assert wh                      # the Whitehead span is everything
     # annihilator of a spanning set in a 1-dim space is 0 = image rank.
 
@@ -392,7 +468,7 @@ def test_lie_table_matches_pairing_loop(target, n):
     H = wedge_two_s2_cohomology() if target == "wedge" else cohomology_algebra(cp(3), 6)
     qp = quadratic_part(minimal_model(H, n).model)
     t = lie_table(qp, n - 1)
-    expected = pairing_loop_brackets(qp.presentation, n - 1)
+    expected = pairing_loop_brackets(qp, n - 1)
     assert list(t.brackets.items()) == list(expected.items())
 
 

@@ -12,7 +12,7 @@ from rht.algebra import (AlgElement, Derivation, GeneratorContext, ONE, degree_b
                          substitute)
 from rht.cdga import (CdgaMorphism, SullivanPresentation, cohomology,
                       cohomology_algebra, is_quasi_iso, validate)
-from rht.constructions import sphere, cp, free_loop_extension, product
+from rht.constructions import sphere, cp, free_loop_extension, tensor_presentations
 from rht.errors import DegreeError, UnsupportedInputError
 from rht.dsl import minimal_model_json, serialize_presentation, to_json_text
 from rht.linalg import Echelon, lincomb, solve_linear
@@ -398,7 +398,7 @@ FROZEN_CLOSURES = os.path.join(os.path.dirname(__file__), "data", "acyclic_closu
 
 @pytest.mark.parametrize("name, make", [
     ("CP2", lambda: cp(2)),
-    ("S2xS3", lambda: product(sphere(2), sphere(3))),
+    ("S2xS3", lambda: tensor_presentations(sphere(2), sphere(3))),
     ("S2vS2_model_5", lambda: minimal_model(wedge_two_s2_cohomology(), 5).model),
     ("S2vS2_model_7", lambda: minimal_model(wedge_two_s2_cohomology(), 7).model),
 ])
@@ -456,8 +456,8 @@ def test_model_chain_computes_each_column_once(monkeypatch, report_windows, n, c
         report_windows.clear()
         mm = minimal_model(H, n)
         # One report per stage, H^(stage+1) of the partial model, and the
-        # target to n + 1 after its H^0, H^1 check.
-        assert report_windows == [(H.name, 0, 1), (H.name, 0, n + 1)] + [
+        # target to n + 1, whose H^0 and H^1 are checked.
+        assert report_windows == [(H.name, 0, n + 1)] + [
             (mm.model.name, k, k) for k in range(3, n + 2)]
         assert is_quasi_iso(mm.phi, n)[0]
     assert sum(computed.values()) == len(computed) == columns
@@ -522,13 +522,14 @@ def _stage_loop_targets():
     doc = parse("cdga W { gen a:2; gen b:2; gen x:3; gen y:3; gen z:3; "
                 "d x = a^2; d y = a*b; d z = b^2; }\n"
                 "cdga V { gen a:2; gen b:4; gen x:5; gen y:7; d x = a^3; d y = b^2; }")
-    return [H(product(sphere(2), sphere(2)), 4, name="H(S2xS2)"),
+    return [H(tensor_presentations(sphere(2), sphere(2)), 4, name="H(S2xS2)"),
             wedge_cohomology(s2, s4, name="H(S2vS4)"),
             wedge_cohomology(H(cp(2), 4), s3, name="H(CP2vS3)"),
             H(cp(3), 6, name="H(CP3)"),
             truncated_poly(4, 3),
-            wedge_cohomology(H(product(sphere(2), sphere(3)), 5), s4, name="H(S2xS3)vH(S4)"),
-            cp(2), product(sphere(2), sphere(4)),
+            wedge_cohomology(H(tensor_presentations(sphere(2), sphere(3)), 5), s4,
+                             name="H(S2xS3)vH(S4)"),
+            cp(2), tensor_presentations(sphere(2), sphere(4)),
             doc.presentation("W"), doc.presentation("V")]
 
 
@@ -542,7 +543,8 @@ def test_one_report_per_stage_matches_the_two_report_loop():
 
 def test_acyclic_closure_name_collision_names_first_generator():
     # In (degree, context) order y comes first, and its u would be named y_bar.
-    p = SullivanPresentation.build([("x", 3), ("x_bar", 3), ("y", 2), ("y_bar", 2)], {})
+    ctx = GeneratorContext([("x", 3), ("x_bar", 3), ("y", 2), ("y_bar", 2)])
+    p = SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g in ctx.names})
     with pytest.raises(DegreeError, match="generator name y_bar collides"):
         acyclic_closure(p, 4)
 
