@@ -462,7 +462,7 @@ class CohomologyReport:
         self.lo = lo
         self.hi = hi
         self._reps = {}        # k -> list of coordinate vectors
-        self._classes = {}     # k -> Echelon of boundaries and tagged representatives
+        self._classes = {}     # k -> what class coordinates are read from (slice_homology)
         # Each degree's columns are read once: d out of C^k is d into C^(k+1).
         d_in = [pres.differential_column(lo - 1, i) for i in range(pres.dim(lo - 1))]
         for k in range(lo, hi + 1):
@@ -490,17 +490,20 @@ class CohomologyReport:
     def class_coordinates(self, k, cocycle_coords):
         """Coordinates of a cocycle's class in the representative basis.
 
-        Solves cocycle = sum c_i rep_i + boundary; returns {i: c_i} or raises
-        if the input is not a cocycle of the complex.  The classes Echelon
-        spans {b + 0} and {rep_i + e_i}, e_i at column n + i, n = dim C^k; the
-        reps are independent modulo B, so every pivot is < n, and the unique
-        residue of z = sum c_i rep_i + b is 0 + (-c), as in `solve_linear`.
+        Solves cocycle = sum c_i rep_i + boundary; returns {i: c_i}, keys in
+        ascending order, or raises if the input is not a cocycle.  A vector z
+        is a cocycle exactly when its entries off the free columns F are those
+        of sum z[f] (k_f less its unit entry); then the residue of z|F modulo
+        the restricted boundaries of `slice_homology` lies on the reps'
+        columns and holds the c_i.
         """
-        n = self.pres.dim(k)
-        res = self._classes[k].residue(cocycle_coords)
-        if min(res, default=n) < n:
+        free, tails, echelon, index = self._classes[k]
+        z = {c: v for c, v in cocycle_coords.items() if v}
+        restricted = {free[c]: v for c, v in z.items() if c in free}
+        if lincomb((v, tails[col]) for col, v in restricted.items()) != \
+                {c: v for c, v in z.items() if c not in free}:
             raise RhtError("vector is not a cocycle modulo the computed boundaries")
-        return {i - n: -c for i, c in res.items()}
+        return dict(sorted((index[col], c) for col, c in echelon.residue(restricted).items()))
 
     def is_cocycle(self, k, coords):
         return not lincomb((c, self.pres.differential_column(k, i)) for i, c in coords.items())
@@ -518,7 +521,9 @@ class CohomologyReport:
         """(H, 0) as a FiniteCDGA on the window, with products.
 
         Products landing above the window are dropped; the result is the honest
-        cohomology algebra exactly when the report certifies H^{>hi} = 0.
+        cohomology algebra exactly when the report certifies H^{>hi} = 0.  A
+        free presentation is graded-commutative, so there each pair (b, a)
+        that the loop reaches after (a, b) is read off it: ba = (-1)^pq ab.
         """
         p, n = self.pres, self.hi
         basis = {}
@@ -530,17 +535,22 @@ class CohomologyReport:
             basis[0] = ["h0_0"]
         mul = {}
         degs = sorted(basis)
+        commutes = isinstance(p, SullivanPresentation)
         for p_ in degs:
             for q_ in degs:
                 if p_ + q_ > n or (p_ + q_) not in basis:
                     continue
+                odd = p_ * q_ % 2
                 for i, u in enumerate(self._reps[p_]):
                     for j, v in enumerate(self._reps[q_]):
-                        prod = p.multiply_coords(p_, u, q_, v)
-                        if prod:
-                            cls = self.class_coordinates(p_ + q_, prod)
-                            if cls:
-                                mul[((p_, i), (q_, j))] = cls
+                        if commutes and (q_, j) < (p_, i):
+                            cls = {c: -x if odd else x
+                                   for c, x in mul.get(((q_, j), (p_, i)), {}).items()}
+                        else:
+                            prod = p.multiply_coords(p_, u, q_, v)
+                            cls = prod and self.class_coordinates(p_ + q_, prod)
+                        if cls:
+                            mul[((p_, i), (q_, j))] = cls
         # The degree-0 class is the unit; pin its products to the identity so the
         # result is independent of representative scaling.
         if len(basis[0]) == 1:

@@ -3,12 +3,14 @@
 Everything the package computes (cohomology, quasi-isomorphism checks,
 surjectivity/cokernel bookkeeping) reduces to one elimination engine,
 `Echelon`: the unique RREF of the span of what was fed in, so every answer
-read off it is canonical.  Inside, its rows are primitive integer vectors,
-eliminated by cross-multiplication, with a column -> rows occupancy index;
-Fractions appear only at the boundary: `residue`, `rows`, and the kernel and
-solutions `solve_linear` reads off the RREF of [M | -T].  `slice_homology`
-tags each cocycle representative with a unit column, so class coordinates
-are a residue too.  `RationalMatrix` only holds the shape and entries that
+read off it is canonical, whatever order the vectors came in; the order only
+changes the work, and `solve_linear` feeds the rows of [M | -T] in a
+fill-reducing one.  Inside, rows are primitive integer vectors, eliminated by
+cross-multiplication, with a column -> rows occupancy index; Fractions appear
+only at the boundary: `residue`, `rows`, and the kernel and solutions read
+off the RREF.  `slice_homology` eliminates boundaries in the kernel's free
+coordinates, a space of dimension nullity, and class coordinates are a
+residue there.  `RationalMatrix` holds the shape and Fraction entries that
 `solve_linear` reads.  Sparse vectors are {index: Fraction} dicts; `lincomb`,
 the one sparse sum, adds them in place, on the same loop `Echelon` reduces with.
 """
@@ -39,9 +41,17 @@ class RationalMatrix:
 
     @staticmethod
     def from_columns(rows, columns):
-        """Matrix whose j-th column is the sparse vector columns[j]."""
-        return RationalMatrix(rows, len(columns), {(r, j): v for j, col in enumerate(columns)
-                                                   for r, v in col.items()})
+        """Matrix whose j-th column is the sparse vector columns[j], converted once."""
+        m = RationalMatrix(rows, len(columns))
+        for j, col in enumerate(columns):
+            for r, v in col.items():
+                if type(v) is not Fraction:
+                    v = Fraction(v)
+                if v:
+                    if not 0 <= r < rows:
+                        raise RhtError("entry (%d,%d) outside %dx%d matrix" % (r, j, rows, m.cols))
+                    m.entries[(r, j)] = v
+        return m
 
     def __repr__(self):
         return "RationalMatrix(%dx%d, %d nonzero)" % (self.rows, self.cols, len(self.entries))
@@ -76,8 +86,11 @@ def solve_linear(matrix, targets=None):
         for r, v in t.items():
             if v != 0:
                 rows[r][ncols + j] = -Fraction(v)
+    # Nonzero rows in a fill-reducing order (Markowitz 1957): largest smallest
+    # column first, so a row mostly pivots left of the rows before it, and
+    # they, 0 left of their own pivots, need no back-reduction.
     ech = Echelon()
-    for row in rows:
+    for row in sorted(filter(None, rows), key=min, reverse=True):
         ech.add(row)
 
     # A row pivoting on a target column proves every target in its support
@@ -216,23 +229,30 @@ def slice_homology(d_out, out_dim, d_in):
     """Cocycles modulo boundaries at one degree k of a cochain complex.
 
     `d_out` holds the columns of d: C^k -> C^{k+1}, vectors in a space of
-    dimension `out_dim`; `d_in` holds the columns of d: C^{k-1} -> C^k.
-    Returns (reps, classes): the kernel vectors of `solve_linear` whose
-    classes form a basis of H^k, in kernel order; and an Echelon of every
-    boundary b as b + 0 and each reps[i] as reps[i] + e_i, e_i at column
-    len(d_out) + i, from which class coordinates are read as residues.
+    dimension `out_dim`; `d_in` holds the columns of d: C^{k-1} -> C^k, which
+    are cocycles (d^2 = 0).  Kernel vector j of `solve_linear` is 1 at its
+    free column f_j, 0 at the other free columns F, and elsewhere nonzero only
+    at pivots left of f_j.  So z -> z|F maps the cocycles onto Q^F, and H^k is
+    computed there, in dimension nullity, not dim C^k (homology on a reduced
+    complex: Kaczynski-Mischaikow-Mrozek 2004).  Returns (reps, classes):
+    reps are the kernel vectors j with e_j outside the span of the b|F and
+    e_0 .. e_(j-1), in kernel order.  classes = (free, tails, echelon, index):
+    free maps f_j to column -j, tails maps -j to kernel vector j less its unit
+    entry, the Echelon holds every b|F on those columns (a row's pivot is its
+    largest j: the j that are not reps), and index maps -j to i for reps[i].
     """
-    n = len(d_out)
     kernel = solve_linear(RationalMatrix.from_columns(out_dim, d_out)).kernel
-    classes = Echelon()
+    free, tails = {}, {}
+    for j, vec in enumerate(kernel):
+        f = max(vec)
+        free[f] = -j
+        tails[-j] = tail = dict(vec)
+        del tail[f]
+    echelon = Echelon()
     for col in d_in:
-        classes.add(col)
-    reps = []
-    for vec in kernel:
-        res = classes.residue(vec)
-        if min(res, default=n) < n:
-            res[n + len(reps)] = ONE
-            classes.add(res)
-            reps.append(vec)
-    return reps, classes
-
+        echelon.add({free[c]: v for c, v in col.items() if c in free})
+    index = {}
+    for j in range(len(kernel)):
+        if -j not in echelon.position:
+            index[-j] = len(index)
+    return [kernel[-col] for col in index], (free, tails, echelon, index)

@@ -754,6 +754,79 @@ def test_pure_sullivan_betti_numbers_match_the_poincare_series(case):
     assert cohomology(pres, 0, len(betti) - 1).dims() == betti
 
 
+@st.composite
+def closed_product_presentations(draw):
+    """A free presentation on generators of degree 1..4 in which d of each
+    generator is a random integer combination of products of two earlier
+    generators with d = 0, so d^2 = 0 and odd classes multiply."""
+    degrees = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    ctx = GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])
+    gens = [ctx.generator("g%d" % i) for i in range(len(degrees))]
+    images = []
+    for i, d in enumerate(degrees):
+        image = AlgElement.zero(ctx)
+        closed = [j for j in range(i) if images[j].is_zero()]
+        for a in closed:
+            for b in closed:
+                if a <= b and degrees[a] + degrees[b] == d + 1:
+                    image = image + AlgElement.unit(ctx, draw(st.integers(-2, 2))) * gens[a] * gens[b]
+        images.append(image)
+    return SullivanPresentation(ctx, {"g%d" % i: x for i, x in enumerate(images)}, name="P")
+
+
+def double_loop_products(report):
+    """The products of `CohomologyReport.algebra` as it formed them: every
+    ordered pair of representatives multiplied and read as a class."""
+    p, n = report.pres, report.hi
+    basis = {k: report.dim(k) for k in range(report.lo, n + 1) if report.dim(k)}
+    basis.setdefault(0, 1)
+    mul = {}
+    degs = sorted(basis)
+    for p_ in degs:
+        for q_ in degs:
+            if p_ + q_ > n or (p_ + q_) not in basis:
+                continue
+            for i, u in enumerate(report.representatives(p_)):
+                for j, v in enumerate(report.representatives(q_)):
+                    prod = p.multiply_coords(p_, u, q_, v)
+                    if prod:
+                        cls = report.class_coordinates(p_ + q_, prod)
+                        if cls:
+                            mul[((p_, i), (q_, j))] = cls
+    if basis[0] == 1:
+        for k in degs:
+            for i in range(basis[k]):
+                mul[((0, 0), (k, i))] = {i: ONE}
+                mul[((k, i), (0, 0))] = {i: ONE}
+    return mul
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(pure_sullivan_algebras().map(lambda case: case[0]),
+                 closed_product_presentations()), st.integers(2, 8))
+def test_algebra_matches_the_double_loop(pres, hi):
+    # A free presentation reads each pair (b, a) that follows (a, b) off the
+    # stored (a, b), with the sign (-1)^pq: the same keys, key order, values
+    # and value types, and every entry a dict of its own.
+    report = cohomology(pres, 0, hi)
+    captured = []
+
+    class Capturing(FiniteCDGA):
+        def __init__(self, basis, diff, mul, *args, **kwargs):
+            captured.append(mul)
+            super().__init__(basis, diff, mul, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("rht.cdga.FiniteCDGA", Capturing)
+        report.algebra()
+    [mul] = captured
+
+    def typed(table):
+        return [(key, [(c, type(x), x) for c, x in v.items()]) for key, v in table.items()]
+    assert typed(mul) == typed(double_loop_products(report))
+    assert len({id(v) for v in mul.values()}) == len(mul)
+
+
 # -- sparse sums through lincomb, pinned against the loops they replaced ------
 
 def reference_lincomb(terms):

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 import time
 from fractions import Fraction
@@ -6,11 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rht.algebra import AlgElement, GeneratorContext
-from rht.cdga import SullivanPresentation, cohomology, cohomology_algebra
+from rht.cdga import (CohomologyReport, SullivanPresentation, cohomology, cohomology_algebra,
+                      is_quasi_iso)
 from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
                                config_space_model, sphere, torus)
 from rht.errors import RhtError
 from rht.linalg import Echelon, RationalMatrix, lincomb, solve_linear
+from rht.minimal_model import minimal_model
+import rht.constructions
+import rht.homotopy_lie
+import rht.linalg
+import rht.minimal_model
 
 from conftest import wedge_two_s2_cohomology
 
@@ -422,3 +430,208 @@ def test_cohomology_of_many_free_generators_is_fast():
     rep = cohomology(p, 0, 20)
     assert {k: d for k, d in rep.dims().items() if d} == {0: 1, 10: 200, 20: 20100}
     assert time.perf_counter() - start < 5.0
+
+
+# -- elimination sized to the answer, pinned against the code it replaced ------
+
+def insertion_order_solve_linear(matrix, targets=None):
+    """`solve_linear` as it was: the rows of [M | -T] enter the Echelon in
+    row order."""
+    targets = targets or []
+    ncols = matrix.cols
+    rows = [{} for _ in range(matrix.rows)]
+    for (r, c), v in matrix.entries.items():
+        rows[r][c] = v
+    for j, t in enumerate(targets):
+        for r, v in t.items():
+            if v != 0:
+                rows[r][ncols + j] = -Fraction(v)
+    ech = Echelon()
+    for row in rows:
+        ech.add(row)
+    unsolvable = {c - ncols for pc, row in ech._rows if pc >= ncols for c in row}
+    pivots = sorted(pc for pc in ech.position if pc < ncols)
+    kernel = {c: {c: Fraction(1)} for c in range(ncols) if c not in ech.position}
+    solutions = [None if j in unsolvable else {} for j in range(len(targets))]
+    for pc in reversed(pivots):
+        row = ech._rows[ech.position[pc]][1]
+        p = row[pc]
+        for c, v in row.items():
+            if c < ncols:
+                if c != pc:
+                    kernel[c][pc] = Fraction(-v, p)
+            elif solutions[c - ncols] is not None:
+                solutions[c - ncols][pc] = Fraction(-v, p)
+    return len(pivots), list(kernel.values()), solutions, [s is not None for s in solutions]
+
+
+SPARSE_ENTRY = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                         st.fractions(min_value=-4, max_value=4, max_denominator=3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_solve_linear_matches_insertion_order(data):
+    # Rows enter sorted by their smallest column, largest first; the answers
+    # are read off the RREF, so they cannot see the order.
+    rows, cols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    m = RationalMatrix(rows, cols, {(r, c): data.draw(SPARSE_ENTRY)
+                                    for r in range(rows) for c in range(cols)})
+    targets = [apply(m, {c: data.draw(SPARSE_ENTRY) for c in range(cols)})
+               for _ in range(data.draw(st.integers(0, 2)))]
+    targets += data.draw(st.lists(st.dictionaries(st.integers(0, rows - 1), SPARSE_ENTRY,
+                                                  max_size=rows), max_size=2))
+    res = solve_linear(m, targets)
+    rank, kernel, solutions, solvable = insertion_order_solve_linear(m, targets)
+    assert res.rank == rank
+    assert [typed(k) for k in res.kernel] == [typed(k) for k in kernel]
+    assert [typed(s) for s in res.solutions] == [typed(s) for s in solutions]
+    assert res.solvable == solvable
+
+
+def full_space_slice_homology(d_out, out_dim, d_in):
+    """`slice_homology` as it was: boundaries and tagged representatives
+    eliminated in C^k itself."""
+    n = len(d_out)
+    kernel = solve_linear(RationalMatrix.from_columns(out_dim, d_out)).kernel
+    classes = Echelon()
+    for col in d_in:
+        classes.add(col)
+    reps = []
+    for vec in kernel:
+        res = classes.residue(vec)
+        if min(res, default=n) < n:
+            res[n + len(reps)] = Fraction(1)
+            classes.add(res)
+            reps.append(vec)
+    return reps, classes
+
+
+def full_space_class_coordinates(n, classes, cocycle):
+    """`CohomologyReport.class_coordinates` as it was, on the Echelon above."""
+    res = classes.residue(cocycle)
+    if min(res, default=n) < n:
+        raise RhtError("vector is not a cocycle modulo the computed boundaries")
+    return {i - n: -c for i, c in res.items()}
+
+
+class ColumnComplex:
+    """A cochain complex given by the columns of its differentials: d[k][i]
+    is d of basis vector i of C^k; C^k is 0 outside the keys of d."""
+
+    def __init__(self, d, dims):
+        self.d, self.dims = d, dims
+
+    def dim(self, k):
+        return self.dims.get(k, 0)
+
+    def differential_column(self, k, i):
+        return dict(self.d[k][i])
+
+
+@st.composite
+def random_complexes(draw):
+    """A complex C^0 -> ... -> C^top with d^2 = 0, built from the top down:
+    d out of C^top is random, and each column of d into C^k is a random
+    sparse combination of a kernel basis of d out of C^k (the Fraction
+    oracle's), so every boundary is a cocycle."""
+    top = draw(st.integers(1, 3))
+    dims = {k: draw(st.integers(0, 6)) for k in range(top + 1)}
+    d = {top: [draw(st.dictionaries(st.integers(0, 2), SPARSE_ENTRY, max_size=2))
+               for _ in range(dims[top])]}
+    dims[top + 1] = 3
+    for k in range(top - 1, -1, -1):
+        m = RationalMatrix.from_columns(dims[k + 2], d[k + 1])
+        _, kernel, _, _ = fraction_solve_linear(m, [])
+        d[k] = [lincomb((draw(SPARSE_ENTRY), vec) for vec in kernel
+                        if draw(st.booleans())) for _ in range(dims[k])]
+    return ColumnComplex(d, dims), top
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_complexes(), st.data())
+def test_class_coordinates_match_the_full_space_echelon(case, data):
+    cx, top = case
+    report = CohomologyReport(cx, 0, top)
+    for k in range(top + 1):
+        n = cx.dim(k)
+        d_out = [cx.differential_column(k, i) for i in range(n)]
+        d_in = [cx.differential_column(k - 1, i) for i in range(cx.dim(k - 1))]
+        reps, classes = full_space_slice_homology(d_out, cx.dim(k + 1), d_in)
+        assert [typed(v) for v in report.representatives(k)] == [typed(v) for v in reps]
+        kernel = solve_linear(RationalMatrix.from_columns(cx.dim(k + 1), d_out)).kernel
+        probes = [lincomb((data.draw(SPARSE_ENTRY), vec) for vec in kernel + d_in)
+                  for _ in range(3)]
+        probes += [data.draw(st.dictionaries(st.integers(0, max(n - 1, 0)), SPARSE_ENTRY,
+                                             max_size=n)) for _ in range(2)]
+        for z in probes:
+            try:
+                want = typed(dict(sorted(full_space_class_coordinates(n, classes, z).items())))
+            except RhtError as exc:
+                want = str(exc)
+            try:
+                got = typed(report.class_coordinates(k, z))
+            except RhtError as exc:
+                got = str(exc)
+            assert got == want
+
+
+# -- deterministic work counts ----------------------------------------------
+
+WORK_COUNTS = os.path.join(os.path.dirname(__file__), "data", "work_counts.json")
+
+
+def wedge_model_and_quasi_iso():
+    mm = minimal_model(wedge_two_s2_cohomology(), 12)
+    assert is_quasi_iso(mm.phi, 12)[0]
+
+
+def config_s3_4():
+    pd = PDAlgebra(cohomology_algebra(sphere(3), 3), 3)
+    dims = cohomology(config_space_model(pd, 4, max_k=4).quotient, 0, 12).dims()
+    # F(S^3, 4) ~ S^3 x F(R^3, 3): (1 + t^3)(1 + t^2)(1 + 2t^2)
+    assert [dims[k] for k in range(13)] == [1, 0, 3, 1, 2, 3, 0, 2, 0, 0, 0, 0, 0]
+
+
+WORKLOADS = {
+    "minimal_model(H(S2vS2), 12) + is_quasi_iso": wedge_model_and_quasi_iso,
+    "cohomology_algebra(T7, 7)": lambda: cohomology_algebra(torus(7), 7),
+    "cohomology(F(S3, 4), 0, 12)": config_s3_4,
+}
+
+
+def work_counts(run, monkeypatch):
+    """Entries passed through `_addmul`, `Echelon.add` calls and `solve_linear`
+    calls while `run()` runs; counts that do not depend on the machine."""
+    counts = {"addmul_entries": 0, "echelon_add_calls": 0, "solve_linear_calls": 0}
+    addmul, add = rht.linalg._addmul, Echelon.add
+
+    def counted_addmul(dst, x, src):
+        counts["addmul_entries"] += len(src)
+        return addmul(dst, x, src)
+
+    def counted_add(self, vec):
+        counts["echelon_add_calls"] += 1
+        return add(self, vec)
+
+    def counted_solve(*args, **kwargs):
+        counts["solve_linear_calls"] += 1
+        return solve_linear(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rht.linalg, "_addmul", counted_addmul)
+        patch.setattr(Echelon, "add", counted_add)
+        for module in (rht.linalg, rht.constructions, rht.homotopy_lie, rht.minimal_model):
+            patch.setattr(module, "solve_linear", counted_solve)
+        run()
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_work_counts_stay_within_their_records(name, monkeypatch):
+    # tests/data/work_counts.json records each count; a change that lowers one
+    # records the new value, and one that raises it must give its reason.
+    with open(WORK_COUNTS, encoding="utf-8") as fh:
+        record = json.load(fh)[name]
+    counts = work_counts(WORKLOADS[name], monkeypatch)
+    assert {key: (counts[key], n) for key, n in record.items() if counts[key] > n} == {}

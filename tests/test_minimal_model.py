@@ -618,3 +618,13 @@ def test_wedge_model_to_degree_12_is_unchanged():
     text = to_json_text(minimal_model_json(mm))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
         "dfc83199b9981e7911c3bfa22dac104bf4f2dfda298ec9538e946a2821323257"
+
+
+def test_wedge_model_to_degree_13_is_unchanged():
+    # sha256 of the minimal_model_json text of M(H(S2 v S2)) to degree 13,
+    # recorded before the solves' rows were sorted and before cohomology was
+    # read in kernel coordinates.
+    mm = minimal_model(wedge_two_s2_cohomology(), 13)
+    text = to_json_text(minimal_model_json(mm))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        "364956e43ae2f052456372152af370431f370186ed056e29b6135a52e277fdac"
