@@ -206,57 +206,69 @@ class FiniteCDGA:
 class QuotientCDGA:
     """Free ambient Lambda(V) modulo a differential-stable homogeneous ideal.
 
-    Quotient coordinates at degree k are the ambient monomials whose indices
-    are *not* pivot columns of the ideal-span echelon at degree k, in
-    ambient order.  Reduction modulo the span is the projection; columns and
+    Quotient coordinates at degree k are the live ambient monomials (below)
+    that are not pivot columns of the ideal-span echelon at degree k, in
+    ambient order.  Reduction modulo the ideal is the projection; columns and
     products are the ambient's, projected.
 
-    The span at degree k is built from the products m * g_j of ambient
-    monomials and ideal generators, g_j in `ideal` order and m in ambient
-    order, skipping m * g_j when m is the last column of a product m'' * g_i,
-    i < j, at degree k - |g_j| (the rewritten criterion of F5, Faugere 2002,
-    for the reverse of the ambient order).  Such a product adds nothing: with
-    h that product scaled to 1 at m, m * g_j = h * g_j - (h - m) * g_j, where
-    h * g_j, a multiple of (m'' * g_j) * g_i by graded commutativity, lies in
-    the span of the products of g_i, and h - m sums monomials before m, whose
-    products with g_j came earlier.  So the echelon sees the vectors the full
-    loop would find independent, in the same order, and its rows, the free
-    monomials and `project` are the full loop's, key order included.  A span
-    at degree k reads the spans of all lower degrees, so a first query at
-    degree k costs the window [0, k]; every quotient window in the package
-    starts at 0.
+    A generator c * x^2, x even, spans exactly the dead monomials, those with
+    x to a power >= 2, so the ideal at degree k is the dead unit vectors plus
+    the span of the other generators' products restricted to the live
+    monomials.  The echelon is fed m * g_j, m live in ambient order and g_j in
+    `ideal` order, dead terms dropped, skipping m * g_j when m is the last
+    column of a restricted m'' * g_i, i < j, at degree k - |g_j| (the
+    rewritten criterion of F5, Faugere 2002, for the reverse of the ambient
+    order).  Such a product adds nothing: with h that product scaled to 1 at
+    m, m * g_j = h * g_j - (h - m) * g_j modulo the dead monomials (an ideal),
+    where h * g_j, a multiple of (m'' * g_j) * g_i by graded commutativity,
+    lies in the span of the products of g_i, and h - m sums live monomials
+    before m, whose products with g_j came earlier.  So the free monomials,
+    `project` and the rows, dead unit rows added, are the full product loop's
+    with the squares fed first, key order included.  A span at degree k reads
+    the spans of all lower degrees, so a first query at degree k costs the
+    window [0, k]; every quotient window in the package starts at 0.
     """
 
     def __init__(self, ambient, ideal_generators, name="quotient"):
         self.ambient = ambient
-        self.ideal = []
+        # Every generator; the x with some c * x^2 among them; the others.
+        self.ideal, self._squares, self._rest = [], set(), []
         for g in ideal_generators:
             if g.is_zero():
                 continue
             if g.degree() is None:
                 raise DegreeError("ideal generators must be homogeneous")
             self.ideal.append(g)
+            mono = next(iter(g.terms)) if len(g.terms) == 1 else ()
+            if len(mono) == 1 and mono[0][1] == 2:
+                self._squares.add(mono[0][0])
+            else:
+                self._rest.append(g)
         self.name = name
-        self._span = []     # degree -> Echelon of the ideal's span
-        self._free = []     # degree -> ambient indices that are not pivots
+        self._live = []     # degree -> {ambient index: monomial} of the live monomials
+        self._span = []     # degree -> Echelon of the restricted products
+        self._free = []     # degree -> live ambient indices that are not pivots
         self._last = []     # degree -> {last column of a product m * g_j: first such j}
 
     def _ideal_span(self, k):
-        amb = self.ambient
+        amb, squares = self.ambient, self._squares
         for e in range(len(self._span), k + 1):
             ech, last, index = Echelon(), {}, amb.index(e)
-            for j, g in enumerate(self.ideal):
+            live = {i: m for i, m in enumerate(amb.basis(e))
+                    if not any(x > 1 and v in squares for v, x in m)}
+            self._live.append(live)
+            for j, g in enumerate(self._rest):
                 p = e - g.degree()
                 if p < 0:
                     continue
                 done = self._last[p] if p < e else last
-                for i, m in enumerate(amb.basis(p)):
+                for i, m in self._live[p].items():
                     if done.get(i, j) < j:
                         continue
                     terms = []
                     for mg, c in g.terms.items():
                         sign, mono = monomial_mul(amb.ctx, m, mg)
-                        if sign:
+                        if sign and index[mono] in live:
                             terms.append((mono, c if sign > 0 else -c))
                     if terms:
                         vec = {index[mono]: c for mono, c in sorted(terms)}
@@ -264,8 +276,13 @@ class QuotientCDGA:
                         ech.add(vec)
             self._last.append(last)
             self._span.append(ech)
-            self._free.append([i for i in range(amb.dim(e)) if i not in ech.position])
+            self._free.append([i for i in live if i not in ech.position])
         return self._span[k] if k >= 0 else Echelon()
+
+    def _residue(self, k, amb_coords):
+        """Ambient coordinates at degree k modulo the ideal: dead keys dropped, then reduced."""
+        ech = self._ideal_span(k)
+        return ech.residue({c: v for c, v in amb_coords.items() if c in self._live[k]})
 
     def free_monomials(self, k):
         self._ideal_span(k)
@@ -280,7 +297,7 @@ class QuotientCDGA:
 
     def project(self, k, amb_coords):
         """Ambient coordinates -> quotient coordinates at degree k."""
-        res = self._ideal_span(k).residue(amb_coords)
+        res = self._residue(k, amb_coords)
         pos = {m: i for i, m in enumerate(self.free_monomials(k))}
         return {pos[c]: v for c, v in res.items()}
 
@@ -365,7 +382,7 @@ def validate(p):
             if dg.is_zero():
                 continue
             k = dg.degree()
-            if not p._ideal_span(k).contains(p.ambient.to_coords(dg, k)):
+            if p._residue(k, p.ambient.to_coords(dg, k)):
                 violations.append("ideal is not differential-stable: d(%s) escapes" % g)
         return ValidationReport(p.name, violations)
 
@@ -526,6 +543,8 @@ class CohomologyReport:
         that the loop reaches after (a, b) is read off it: ba = (-1)^pq ab.
         """
         p, n = self.pres, self.hi
+        if self.lo > 0:
+            raise DegreeError("algebra needs degree 0 in the window, not [%d, %d]" % (self.lo, n))
         basis = {}
         for k in range(self.lo, n + 1):
             d = self.dim(k)

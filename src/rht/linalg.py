@@ -249,8 +249,9 @@ def slice_homology(d_out, out_dim, d_in):
         tails[-j] = tail = dict(vec)
         del tail[f]
     echelon = Echelon()
-    for col in d_in:
-        echelon.add({free[c]: v for c, v in col.items() if c in free})
+    restricted = ({free[c]: v for c, v in col.items() if c in free} for col in d_in)
+    for vec in filter(None, restricted):
+        echelon.add(vec)
     index = {}
     for j in range(len(kernel)):
         if -j not in echelon.position:

@@ -14,7 +14,7 @@ from rht.cdga import (CdgaMorphism, FiniteCDGA, FiniteMorphism, QuotientCDGA,
                       finite_truncation, is_quasi_iso, tensor_finite, tensor_mul,
                       tensor_positions, validate)
 from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
-                               config_space_model, cp, sphere)
+                               config_space_model, cp, sphere, torus)
 from rht.errors import DegreeError
 from rht.linalg import Echelon, lincomb
 
@@ -433,11 +433,19 @@ def test_multiply_coords_matches_element_product(degrees, data):
 
 # -- ideal spans: the rewritten criterion against every product m * g ---------
 
+def is_square(g):
+    """Whether g is a single term c * x^2."""
+    return len(g.terms) == 1 and [x for _, x in next(iter(g.terms))] == [2]
+
+
 def full_product_span(quot, k):
     """The ideal span at degree k from every product m * g of an ambient
-    monomial and an ideal generator, as a criterion-free loop forms it."""
+    monomial and an ideal generator, as a criterion-free loop forms it, the
+    squares c * x^2 first.  The order of the generators changes only the key
+    order of the rows; with the squares first, their unit rows come before
+    any other row, so reducing by them deletes keys and appends none."""
     amb, ech = quot.ambient, Echelon()
-    for g in quot.ideal:
+    for g in sorted(quot.ideal, key=lambda g: not is_square(g)):
         dg = g.degree()
         if dg > k:
             continue
@@ -452,12 +460,14 @@ def full_product_span(quot, k):
 def assert_span_matches_full_products(quot, top, vectors):
     """Rows, free monomials and `project` agree with the full product loop at
     every degree up to `top`, in values and key order; `vectors(k)` gives the
-    ambient vectors to project at degree k.  The rows agree in insertion order
-    too: every skipped product is one the full loop finds in the span."""
+    ambient vectors to project at degree k.  The full loop's rows are the unit
+    rows on the dead monomials and the span's rows, each in its key order; the
+    full loop inserts the dead rows first, so the lists are sorted by pivot."""
     for k in range(top + 1):
-        full = full_product_span(quot, k)
-        assert [(pc, list(row.items())) for pc, row in quot._ideal_span(k).rows] == \
-            [(pc, list(row.items())) for pc, row in full.rows]
+        full, span = full_product_span(quot, k), quot._ideal_span(k)
+        dead = [(i, [(i, ONE)]) for i in range(quot.ambient.dim(k)) if i not in quot._live[k]]
+        assert sorted(dead + [(pc, list(row.items())) for pc, row in span.rows]) == \
+            sorted((pc, list(row.items())) for pc, row in full.rows)
         free = [i for i in range(quot.ambient.dim(k)) if i not in full.position]
         assert quot.free_monomials(k) == free
         for vec in vectors(k):
@@ -468,7 +478,8 @@ def assert_span_matches_full_products(quot, top, vectors):
 @st.composite
 def random_quotients(draw):
     """A free ambient with odd and even generators and zero differential,
-    modulo 1-4 random homogeneous elements (not differential-stable)."""
+    modulo 1-4 random homogeneous elements (not differential-stable) and 0-2
+    squares c * x^2 of even generators, at random places in the list."""
     degrees = [1, 2] + draw(st.lists(st.sampled_from([1, 1, 2, 3, 4]), min_size=1, max_size=3))
     ctx = GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])
     amb = SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g in ctx.names})
@@ -480,6 +491,10 @@ def random_quotients(draw):
             coeffs = draw(st.lists(st.sampled_from([1, -1, 2, -3]), min_size=len(picks),
                                    max_size=len(picks)))
             ideal.append(AlgElement(ctx, dict(zip(picks, coeffs))))
+    evens = [i for i, d in enumerate(degrees) if d % 2 == 0]
+    for x in draw(st.lists(st.sampled_from(evens), max_size=2, unique=True)):
+        square = AlgElement(ctx, {((x, 2),): draw(st.sampled_from([1, -1, 2, -3]))})
+        ideal.insert(draw(st.integers(0, len(ideal))), square)
     return QuotientCDGA(amb, ideal)
 
 
@@ -524,9 +539,11 @@ def test_ideal_span_skips_redundant_products(monkeypatch):
             CountingEchelon.adds += 1
             return super().add(vec)
     monkeypatch.setattr("rht.cdga.Echelon", CountingEchelon)
-    # Every product m * g over degrees 0..top: 8,062 and 13,674 vectors; the
-    # criterion hands 4,279 and 5,310 of them to the echelon.
-    for m, top, bound in [(3, 13, 4300), (2, 11, 5400)]:
+    # Every product m * g over degrees 0..top: 8,062 and 13,674 vectors.  The
+    # products of live monomials and generators other than squares that stay
+    # nonzero on the live monomials are 1,526 and 3,982; the criterion hands
+    # 1,073 and 1,975 of them to the echelon.
+    for m, top, bound in [(3, 13, 1073), (2, 11, 1975)]:
         CountingEchelon.adds = 0
         pd = PDAlgebra(cohomology_algebra(sphere(m), m), m)
         config_space_model(pd, 4, max_k=4).quotient.free_monomials(top)
@@ -825,6 +842,15 @@ def test_algebra_matches_the_double_loop(pres, hi):
         return [(key, [(c, type(x), x) for c, x in v.items()]) for key, v in table.items()]
     assert typed(mul) == typed(double_loop_products(report))
     assert len({id(v) for v in mul.values()}) == len(mul)
+
+
+def test_algebra_refuses_a_window_above_degree_0(monkeypatch):
+    # The unit class lives in degree 0, outside the window [1, 2]: the error
+    # names the window and comes before any product is formed.
+    report = cohomology(torus(2), 1, 2)
+    monkeypatch.setattr(report.pres, "multiply_coords", None)
+    with pytest.raises(DegreeError, match=r"\[1, 2\]"):
+        report.algebra()
 
 
 # -- sparse sums through lincomb, pinned against the loops they replaced ------

@@ -15,6 +15,7 @@ from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_compl
 from rht.errors import RhtError
 from rht.linalg import Echelon, RationalMatrix, lincomb, solve_linear
 from rht.minimal_model import minimal_model
+import rht.cdga
 import rht.constructions
 import rht.homotopy_lie
 import rht.linalg
@@ -601,10 +602,12 @@ WORKLOADS = {
 
 
 def work_counts(run, monkeypatch):
-    """Entries passed through `_addmul`, `Echelon.add` calls and `solve_linear`
-    calls while `run()` runs; counts that do not depend on the machine."""
-    counts = {"addmul_entries": 0, "echelon_add_calls": 0, "solve_linear_calls": 0}
-    addmul, add = rht.linalg._addmul, Echelon.add
+    """Entries passed through `_addmul`, `Echelon.add` calls, `solve_linear`
+    calls and monomial products of quotient ideal spans while `run()` runs;
+    counts that do not depend on the machine."""
+    counts = {"addmul_entries": 0, "echelon_add_calls": 0, "solve_linear_calls": 0,
+              "span_products": 0}
+    addmul, add, monomial_mul = rht.linalg._addmul, Echelon.add, rht.cdga.monomial_mul
 
     def counted_addmul(dst, x, src):
         counts["addmul_entries"] += len(src)
@@ -618,9 +621,14 @@ def work_counts(run, monkeypatch):
         counts["solve_linear_calls"] += 1
         return solve_linear(*args, **kwargs)
 
+    def counted_monomial_mul(*args):
+        counts["span_products"] += 1
+        return monomial_mul(*args)
+
     with monkeypatch.context() as patch:
         patch.setattr(rht.linalg, "_addmul", counted_addmul)
         patch.setattr(Echelon, "add", counted_add)
+        patch.setattr(rht.cdga, "monomial_mul", counted_monomial_mul)
         for module in (rht.linalg, rht.constructions, rht.homotopy_lie, rht.minimal_model):
             patch.setattr(module, "solve_linear", counted_solve)
         run()
