@@ -211,27 +211,27 @@ class QuotientCDGA:
     ambient order.  Reduction modulo the ideal is the projection; columns and
     products are the ambient's, projected.
 
-    A generator c * x^2, x even, spans exactly the dead monomials, those with
-    x to a power >= 2, so the ideal at degree k is the dead unit vectors plus
-    the span of the other generators' products restricted to the live
-    monomials.  The echelon is fed m * g_j, m live in ambient order and g_j in
-    `ideal` order, dead terms dropped, skipping m * g_j when m is the last
-    column of a restricted m'' * g_i, i < j, at degree k - |g_j| (the
-    rewritten criterion of F5, Faugere 2002, for the reverse of the ambient
-    order).  Such a product adds nothing: with h that product scaled to 1 at
-    m, m * g_j = h * g_j - (h - m) * g_j modulo the dead monomials (an ideal),
-    where h * g_j, a multiple of (m'' * g_j) * g_i by graded commutativity,
+    The generators c * x^2, x even, that lead `ideal` span exactly the dead
+    monomials, with such an x to a power >= 2, so the ideal at degree k is
+    the dead unit vectors plus the other generators' products restricted to
+    the live monomials.  The echelon is fed m * g_j, m live in ambient order
+    and g_j in `ideal` order, dead terms dropped, skipping m * g_j when m is
+    the last column of a restricted m'' * g_i, i < j, at degree k - |g_j|
+    (the rewritten criterion of F5, Faugere 2002, for the reverse of the
+    ambient order).  Such a product adds nothing: with h that product scaled
+    to 1 at m, m * g_j = h * g_j - (h - m) * g_j modulo the dead monomials,
+    an ideal; h * g_j, by graded commutativity a multiple of (m'' * g_j) * g_i,
     lies in the span of the products of g_i, and h - m sums live monomials
-    before m, whose products with g_j came earlier.  So the free monomials,
-    `project` and the rows, dead unit rows added, are the full product loop's
-    with the squares fed first, key order included.  A span at degree k reads
-    the spans of all lower degrees, so a first query at degree k costs the
-    window [0, k]; every quotient window in the package starts at 0.
+    before m, whose products with g_j came earlier.  The full product loop
+    meets the leading squares' unit rows first, which only delete keys, so
+    the free monomials, `project` and the rows (dead unit rows added) are
+    that loop's, key order included; a later square stays in the span, as
+    its unit rows would reorder keys.  A query at degree k builds [0, k].
     """
 
     def __init__(self, ambient, ideal_generators, name="quotient"):
         self.ambient = ambient
-        # Every generator; the x with some c * x^2 among them; the others.
+        # Every generator; the x with a c * x^2 before any other generator; the others.
         self.ideal, self._squares, self._rest = [], set(), []
         for g in ideal_generators:
             if g.is_zero():
@@ -240,7 +240,7 @@ class QuotientCDGA:
                 raise DegreeError("ideal generators must be homogeneous")
             self.ideal.append(g)
             mono = next(iter(g.terms)) if len(g.terms) == 1 else ()
-            if len(mono) == 1 and mono[0][1] == 2:
+            if not self._rest and len(mono) == 1 and mono[0][1] == 2:
                 self._squares.add(mono[0][0])
             else:
                 self._rest.append(g)
