@@ -7,8 +7,8 @@ Three kinds of presentation are supported:
 * `FiniteCDGA` -- explicit per-degree basis with product structure constants
   and differential matrices (cohomology algebras, PD models, arrangement
   complexes live here);
-* `QuotientCDGA` -- a free ambient modulo a differential-stable ideal,
-  handled degree-wise by linear algebra (no Groebner bases).
+* `QuotientCDGA` -- a free ambient modulo a differential-stable ideal, on
+  the standard monomials of a Groebner basis grown one degree at a time.
 
 Each kind is its own cochain complex: cohomology, morphisms and every
 consumer module read it degree by degree through the same methods.
@@ -19,10 +19,13 @@ total dimension, an all-odd generator argument, or a full gap window in a
 quotient); otherwise results are labelled as verified up to N.
 """
 
+from collections import Counter, defaultdict
+from heapq import heappop, heappush
+
 from .algebra import (AlgElement, Derivation, MonomialBases, ONE, apply_derivation, as_q,
-                      monomial_mul, monomial_products, monomial_str, rebase)
+                      monomial_degree, monomial_products, monomial_str, rebase)
 from .errors import DegreeError, RhtError, ValidationError
-from .linalg import Echelon, lincomb, slice_homology
+from .linalg import Echelon, _addmul, lincomb, slice_homology
 
 
 class ValidationReport:
@@ -203,121 +206,129 @@ class FiniteCDGA:
         return "FiniteCDGA(%s; dims %s)" % (self.name, dims)
 
 
+def _order(mono):
+    """Sort key of the ambient basis order within a degree (lexicographic in exponent vectors)."""
+    return [(-j, e) for j, e in mono]
+
+
+def _divide(mono, lead):
+    """mono / lead as a monomial, or None when lead does not divide mono."""
+    exps = dict(mono)
+    for j, e in lead:
+        if exps.get(j, 0) < e:
+            return None
+        exps[j] -= e
+    return tuple((j, e) for j, e in exps.items() if e)
+
+
 class QuotientCDGA:
-    """Free ambient Lambda(V) modulo a differential-stable homogeneous ideal.
+    """Free ambient Lambda(V) modulo a differential-stable homogeneous ideal,
+    read off a Groebner basis grown one degree at a time.
 
-    Quotient coordinates at degree k are the live ambient monomials (below)
-    that are not pivot columns of the ideal-span echelon at degree k, in
-    ambient order.  Reduction modulo the ideal is the projection; columns and
-    products are the ambient's, projected.
-
-    The generators c * x^2, x even, that lead `ideal` span exactly the dead
-    monomials, with such an x to a power >= 2, so the ideal at degree k is
-    the dead unit vectors plus the other generators' products restricted to
-    the live monomials.  The echelon is fed m * g_j, m live in ambient order
-    and g_j in `ideal` order, dead terms dropped, skipping m * g_j when m is
-    the last column of a restricted m'' * g_i, i < j, at degree k - |g_j|
-    (the rewritten criterion of F5, Faugere 2002, for the reverse of the
-    ambient order).  Such a product adds nothing: with h that product scaled
-    to 1 at m, m * g_j = h * g_j - (h - m) * g_j modulo the dead monomials,
-    an ideal; h * g_j, by graded commutativity a multiple of (m'' * g_j) * g_i,
-    lies in the span of the products of g_i, and h - m sums live monomials
-    before m, whose products with g_j came earlier.  The full product loop
-    meets the leading squares' unit rows first, which only delete keys, so
-    the free monomials, `project` and the rows (dead unit rows added) are
-    that loop's, key order included; a later square stays in the span, as
-    its unit rows would reorder keys.  A query at degree k builds [0, k].
+    Multiplication keeps the ambient basis order within a degree
+    (lexicographic in exponent vectors), so an element's first monomial is a
+    leading monomial for a monomial order.  At degree e the ideal generators,
+    S-pairs (Buchberger 1965) and x * f, x odd in the leading monomial of f
+    (Stokes 1990, for exterior algebras), of degree e are reduced; a nonzero
+    normal form joins the basis, scaled to 1 at its leading monomial, and
+    queues its pairs.  The normal form is then the one vector congruent to the
+    input on the standard monomials, which no leading monomial divides: the
+    residue of the RREF of the ideal span, whose pivots are its first columns.
+    Quotient coordinates at degree k are the standard monomials in ambient
+    order, keys ascending.  A query at degree k builds [0, k].
     """
 
     def __init__(self, ambient, ideal_generators, name="quotient"):
         self.ambient = ambient
-        # Every generator; the x with a c * x^2 before any other generator; the others.
-        self.ideal, self._squares, self._rest = [], set(), []
-        for g in ideal_generators:
-            if g.is_zero():
-                continue
-            if g.degree() is None:
-                raise DegreeError("ideal generators must be homogeneous")
-            self.ideal.append(g)
-            mono = next(iter(g.terms)) if len(g.terms) == 1 else ()
-            if not self._rest and len(mono) == 1 and mono[0][1] == 2:
-                self._squares.add(mono[0][0])
-            else:
-                self._rest.append(g)
+        self.ideal = [g for g in ideal_generators if not g.is_zero()]
+        if any(g.degree() is None for g in self.ideal):
+            raise DegreeError("ideal generators must be homogeneous")
         self.name = name
-        self._live = []     # degree -> {ambient index: monomial} of the live monomials
-        self._span = []     # degree -> Echelon of the restricted products
-        self._free = []     # degree -> live ambient indices that are not pivots
-        self._last = []     # degree -> {last column of a product m * g_j: first such j}
+        self._lead = {}       # leading monomial -> basis element {monomial: coeff}, 1 there
+        self._reducers = {}   # monomial -> (u, f), lead of f times u; None once standard
+        self._pairs = defaultdict(list)   # degree -> S-pairs and x * f, not yet reduced
+        self._standard = []   # degree -> standard monomials in ambient order
+        self._position = []   # degree -> {standard monomial: its position}
 
-    def _ideal_span(self, k):
-        amb, squares = self.ambient, self._squares
-        for e in range(len(self._span), k + 1):
-            ech, last, index = Echelon(), {}, amb.index(e)
-            live = {i: m for i, m in enumerate(amb.basis(e))
-                    if not any(x > 1 and v in squares for v, x in m)}
-            self._live.append(live)
-            for j, g in enumerate(self._rest):
-                p = e - g.degree()
-                if p < 0:
-                    continue
-                done = self._last[p] if p < e else last
-                for i, m in self._live[p].items():
-                    if done.get(i, j) < j:
-                        continue
-                    terms = []
-                    for mg, c in g.terms.items():
-                        sign, mono = monomial_mul(amb.ctx, m, mg)
-                        if sign and index[mono] in live:
-                            terms.append((mono, c if sign > 0 else -c))
-                    if terms:
-                        vec = {index[mono]: c for mono, c in sorted(terms)}
-                        last.setdefault(max(vec), j)
-                        ech.add(vec)
-            self._last.append(last)
-            self._span.append(ech)
-            self._free.append([i for i in live if i not in ech.position])
-        return self._span[k] if k >= 0 else Echelon()
+    def _divisor(self, mono):
+        if mono not in self._reducers:
+            for lead, f in self._lead.items():
+                u = _divide(mono, lead)
+                if u is not None:
+                    self._reducers[mono] = u, f
+                    break
+        return self._reducers.get(mono)
 
-    def _residue(self, k, amb_coords):
-        """Ambient coordinates at degree k modulo the ideal: dead keys dropped, then reduced."""
-        ech = self._ideal_span(k)
-        return ech.residue({c: v for c, v in amb_coords.items() if c in self._live[k]})
+    def _reduce(self, vec):
+        """Normal form of {monomial: coeff}, summed in place: each monomial a leading
+        monomial divides is cancelled, first to last, by a multiple adding later ones."""
+        ctx, out = self.ambient.ctx, {m: c for m, c in vec.items() if c}
+        todo = sorted((_order(m), m) for m in out)     # a sorted list is a heap
+        while todo:
+            mono = heappop(todo)[1]
+            hit = mono in out and self._divisor(mono)
+            if hit:
+                prod = monomial_products(ctx, {hit[0]: 1}, hit[1])
+                _addmul(out, -out[mono] * prod[mono], prod)
+                for m in prod.keys() & out.keys():
+                    heappush(todo, (_order(m), m))
+        return out
 
-    def free_monomials(self, k):
-        self._ideal_span(k)
-        return self._free[k] if k >= 0 else []
+    def _standard_monomials(self, k):
+        """The standard monomials of degree k, the basis grown through degree k."""
+        ctx, pairs = self.ambient.ctx, self._pairs
+        for e in range(len(self._standard), k + 1):
+            todo = [g.terms for g in self.ideal if g.degree() == e] + pairs.pop(e, [])
+            for h in filter(None, map(self._reduce, todo)):
+                lead = min(h, key=_order)
+                h = {m: c / h[lead] for m, c in h.items()}
+                for other, g in self._lead.items():
+                    lcm = tuple(sorted((Counter(dict(other)) | Counter(dict(lead))).items()))
+                    s, w = (monomial_products(ctx, {_divide(lcm, a): 1}, b)
+                            for a, b in ((lead, h), (other, g)))
+                    _addmul(s, -s[lcm] * w[lcm], w)
+                    pairs[monomial_degree(ctx, lcm)].append(s)
+                for j in (j for j, _ in lead if ctx.odd[j]):
+                    pairs[e + ctx.degrees[j]].append(monomial_products(ctx, {((j, 1),): 1}, h))
+                self._lead[lead] = h
+            # m * x, m standard of degree e - |x| and x its last generator or after it
+            cands = [()] if e == 0 else [
+                m[:-1] + ((x, m[-1][1] + 1),) if m and m[-1][0] == x else m + ((x, 1),)
+                for x, d in enumerate(ctx.degrees) if d <= e for m in self._standard[e - d]
+                if not m or m[-1][0] < x or m[-1][0] == x and not ctx.odd[x]]
+            std = sorted((m for m in cands if self._divisor(m) is None), key=_order)
+            self._reducers.update(dict.fromkeys(std))
+            self._standard.append(std)
+            self._position.append({m: i for i, m in enumerate(std)})
+        return self._standard[k] if k >= 0 else []
 
     def dim(self, k):
-        return len(self.free_monomials(k))
+        return len(self._standard_monomials(k))
 
     def labels(self, k):
-        alab = self.ambient.labels(k)
-        return [alab[i] for i in self.free_monomials(k)]
+        return [monomial_str(self.ambient.ctx, m) for m in self._standard_monomials(k)]
+
+    def _coords(self, k, vec):
+        """Quotient coordinates at degree k of an ambient {monomial: coeff}, keys ascending."""
+        nf = self._reduce(vec) if self._standard_monomials(k) else {}
+        return dict(sorted((self._position[k][m], as_q(c)) for m, c in nf.items()))
 
     def project(self, k, amb_coords):
         """Ambient coordinates -> quotient coordinates at degree k."""
-        res = self._residue(k, amb_coords)
-        pos = {m: i for i, m in enumerate(self.free_monomials(k))}
-        return {pos[c]: v for c, v in res.items()}
-
-    def lift(self, k, coords):
-        free = self.free_monomials(k)
-        return {free[i]: v for i, v in coords.items()}
+        return self._coords(k, self.ambient.from_coords(k, amb_coords).terms)
 
     def differential_column(self, k, i):
-        col = self.ambient.differential_column(k, self.free_monomials(k)[i])
-        return self.project(k + 1, col) if col else {}
+        return self._coords(k + 1, self.ambient.d.column(self._standard_monomials(k)[i]))
 
     def multiply_coords(self, p, u, q, v):
-        x = self.ambient.multiply_coords(p, self.lift(p, u), q, self.lift(q, v))
-        return self.project(p + q, x) if x else {}
+        sp, sq = self._standard_monomials(p), self._standard_monomials(q)
+        return self._coords(p + q, monomial_products(
+            self.ambient.ctx, {sp[i]: c for i, c in u.items()}, {sq[j]: c for j, c in v.items()}))
 
     def unit_coords(self):
-        free0 = self.free_monomials(0)
-        if 0 not in free0:
+        if not self._standard_monomials(0):
             raise RhtError("unit of the ambient algebra lies in the ideal")
-        return {free0.index(0): ONE}
+        return {0: ONE}
 
     def vanishes_above(self, n):
         """Sound vanishing certificate for Q^{>n}.
@@ -327,15 +338,9 @@ class QuotientCDGA:
         larger than every generator degree (then every longer monomial
         factors through the gap).
         """
-        if self.ambient.vanishes_above(n):
-            return True
         maxgen = max(self.ambient.ctx.degrees, default=0)
-        for t in range(maxgen + 1, n + 1):
-            if 2 * t - 1 > n:
-                break
-            if all(self.dim(j) == 0 for j in range(t, 2 * t)):
-                return True
-        return False
+        return self.ambient.vanishes_above(n) or any(
+            all(self.dim(j) == 0 for j in range(t, 2 * t)) for t in range(maxgen + 1, (n + 3) // 2))
 
     def __repr__(self):
         return "QuotientCDGA(%s; %d ideal generators)" % (self.name, len(self.ideal))
@@ -375,14 +380,9 @@ def validate(p):
         return _validate_finite(p)
 
     if isinstance(p, QuotientCDGA):
-        amb = validate(p.ambient)
-        violations.extend(amb.violations)
+        violations.extend(validate(p.ambient).violations)
         for g in p.ideal:
-            dg = apply_derivation(p.ambient.d, g)
-            if dg.is_zero():
-                continue
-            k = dg.degree()
-            if p._residue(k, p.ambient.to_coords(dg, k)):
+            if p._coords(g.degree() + 1, apply_derivation(p.ambient.d, g).terms):
                 violations.append("ideal is not differential-stable: d(%s) escapes" % g)
         return ValidationReport(p.name, violations)
 

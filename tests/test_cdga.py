@@ -7,7 +7,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rht.algebra import (ONE, ZERO, AlgElement, GeneratorContext, as_q,
+from rht.algebra import (ONE, ZERO, AlgElement, GeneratorContext, MonomialBases, as_q,
                          degree_basis, monomial_degree)
 from rht.cdga import (CdgaMorphism, FiniteCDGA, FiniteMorphism, QuotientCDGA,
                       SullivanPresentation, cohomology, cohomology_algebra,
@@ -15,8 +15,9 @@ from rht.cdga import (CdgaMorphism, FiniteCDGA, FiniteMorphism, QuotientCDGA,
                       tensor_positions, validate)
 from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
                                config_space_model, cp, sphere, torus)
-from rht.errors import DegreeError
+from rht.errors import DegreeError, RhtError
 from rht.linalg import Echelon, lincomb
+import rht.algebra
 
 from conftest import (ZeroTouchDict, assert_matches_reference_sum, leibniz_loop,
                       nonformal_uvw, random_monomial_algebras, sphere2_model)
@@ -431,7 +432,7 @@ def test_multiply_coords_matches_element_product(degrees, data):
     assert list(cx.multiply_coords(p, u, q, v).items()) == list(want.items())
 
 
-# -- ideal spans: the rewritten criterion against every product m * g ---------
+# -- quotients: the Groebner normal forms against every product m * g ---------
 
 def full_product_span(quot, k):
     """The ideal span at degree k from every product m * g of an ambient
@@ -450,35 +451,59 @@ def full_product_span(quot, k):
 
 
 def assert_span_matches_full_products(quot, top, vectors):
-    """Rows, free monomials and `project` agree with the full product loop at
-    every degree up to `top`, in values and key order; `vectors(k)` gives the
-    ambient vectors to project at degree k.  The full loop's rows are the unit
-    rows on the dead monomials and the span's rows, each in its key order; the
-    full loop inserts the dead rows first, so the lists are sorted by pivot."""
+    """The standard monomials, `project`, `differential_column` and
+    `multiply_coords` agree with the full product loop at every degree up to
+    `top`: the labels are the ambient labels of the loop's non-pivot columns,
+    and each vector is the loop's residue on them, in values and `Fraction`
+    types, keys ascending.  `vectors(k)` gives the ambient vectors to project
+    at degree k; the first projection of each degree multiplies the others,
+    and the sums of the bases of two degrees, with int coefficients, multiply
+    to Fractions."""
+    amb, spans, free, projected = quot.ambient, {}, {}, {}
+
+    def reference(k, vec):
+        if k not in spans:
+            spans[k] = full_product_span(quot, k)
+            free[k] = [i for i in range(amb.dim(k)) if i not in spans[k].position]
+        return sorted((free[k].index(c), Fraction, v) for c, v in spans[k].residue(vec).items())
+
+    def typed(vec):
+        return [(i, type(v), v) for i, v in vec.items()]
+
     for k in range(top + 1):
-        full, span = full_product_span(quot, k), quot._ideal_span(k)
-        dead = [(i, [(i, ONE)]) for i in range(quot.ambient.dim(k)) if i not in quot._live[k]]
-        assert sorted(dead + [(pc, list(row.items())) for pc, row in span.rows]) == \
-            sorted((pc, list(row.items())) for pc, row in full.rows)
-        free = [i for i in range(quot.ambient.dim(k)) if i not in full.position]
-        assert quot.free_monomials(k) == free
+        reference(k, {})
+        labels = amb.labels(k)
+        assert quot.labels(k) == [labels[i] for i in free[k]] and quot.dim(k) == len(free[k])
+        for i, m in enumerate(free[k]):
+            want = reference(k + 1, amb.differential_column(k, m))
+            assert typed(quot.differential_column(k, i)) == want
+        projected[k] = []
         for vec in vectors(k):
-            want = {free.index(c): v for c, v in full.residue(vec).items()}
-            assert list(quot.project(k, vec).items()) == list(want.items())
+            projected[k].append(quot.project(k, vec))
+            assert typed(projected[k][-1]) == reference(k, vec)
+    for p in range(top + 1):
+        for q in range(top + 1 - p):
+            ones = dict.fromkeys(range(len(free[p])), 1), dict.fromkeys(range(len(free[q])), 1)
+            for u, v in list(iproduct(projected[p][:1], projected[q])) + [ones]:
+                lift = {free[p][i]: c for i, c in u.items()}, {free[q][j]: c for j, c in v.items()}
+                want = reference(p + q, amb.multiply_coords(p, lift[0], q, lift[1]))
+                assert typed(quot.multiply_coords(p, u, q, v)) == want
 
 
 @st.composite
 def random_quotients(draw):
     """A free ambient with odd and even generators and zero differential,
-    modulo 1-4 random homogeneous elements (not differential-stable) and 0-2
-    squares c * x^2 of even generators, each at the front of the list (where
-    the span leaves it out) or at a random place."""
-    degrees = [1, 2] + draw(st.lists(st.sampled_from([1, 1, 2, 3, 4]), min_size=1, max_size=3))
+    modulo 2-4 random homogeneous elements of degree 1-4 (not
+    differential-stable) and 0-2 squares c * x^2 of even generators, each at
+    the front of the list or at a random place.  An even generator comes
+    first, so a leading monomial often holds only odd ones, as y0 * y1 in
+    y0 * y1 - x does."""
+    degrees = [2, 1, 1] + draw(st.lists(st.sampled_from([1, 1, 2, 3, 4]), min_size=1, max_size=3))
     ctx = GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])
     amb = SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g in ctx.names})
     ideal = []
-    for _ in range(draw(st.integers(1, 4))):
-        basis = amb.basis(draw(st.integers(1, 5)))
+    for _ in range(draw(st.integers(2, 4))):
+        basis = amb.basis(draw(st.integers(1, 4)))
         if basis:
             picks = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=4, unique=True))
             coeffs = draw(st.lists(st.sampled_from([1, -1, 2, -3]), min_size=len(picks),
@@ -494,6 +519,9 @@ def random_quotients(draw):
 @settings(max_examples=60, deadline=None)
 @given(random_quotients(), st.data())
 def test_ideal_span_criterion_matches_full_products(quot, data):
+    # The guard of the Buchberger steps: a basis grown without its S-pairs, or
+    # without the products x * f of odd x, fails here on random ideals, while
+    # the configuration-space ideals below need neither.
     def vectors(k):
         n = quot.ambient.dim(k)
         if not n:
@@ -506,47 +534,72 @@ def test_ideal_span_criterion_matches_full_products(quot, data):
 
 
 def test_ideal_span_criterion_matches_full_products_on_fixed_quotients():
-    # The configuration spaces of the quotient-certificate test, an exterior
-    # quotient where y1 * (y0 + y2) = -y0*y1 + y1*y2 mixes signs, and a square
-    # after the other generators, which stays in the span: taken out, it
-    # changed the key order of rows and of projections.
+    # The configuration spaces of the quotient-certificate test, F(S^3, 3) and
+    # F(CP^2, 3), which has no square relations, an exterior quotient where
+    # y1 * (y0 + y2) = -y0*y1 + y1*y2 mixes signs, a square after the other
+    # generators, an ideal that holds a constant, whose quotient is 0, and
+    # x = y0 * y1 with x first: its leading monomial y0 * y1 gives x * y0 and
+    # x * y1 by the odd products and then x^2 by an S-pair.
     ctx = GeneratorContext([("y0", 1), ("y1", 1), ("y2", 1), ("x", 2)])
     y0, y1, y2, x = (ctx.generator(g) for g in ctx.names)
     amb = SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g in ctx.names})
-    quotients = [QuotientCDGA(amb, [y0 + y2, x * y1 - y0 * y1 * y2])]
+    quotients = [(QuotientCDGA(amb, [y0 + y2, x * y1 - y0 * y1 * y2]), 15)]
+    unit_ideal = QuotientCDGA(amb, [y0 * y1 - x, AlgElement.unit(ctx, Fraction(3, 2))])
+    quotients.append((unit_ideal, 6))
+    ctx = GeneratorContext([("x", 2), ("y0", 1), ("y1", 1)])
+    x, y0, y1 = (ctx.generator(g) for g in ctx.names)
+    amb = SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g in ctx.names})
+    quotients.append((QuotientCDGA(amb, [y0 * y1 - x]), 8))
     ctx = GeneratorContext([("a", 1), ("x", 2), ("b", 1), ("y", 2), ("z", 2)])
     a, x, b, y, z = (ctx.generator(g) for g in ctx.names)
     amb = SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g in ctx.names})
-    quotients.append(QuotientCDGA(amb, [b * z, a * b + x + y + z, z * z]))
-    for m, k in [(2, 2), (3, 2), (2, 3), (4, 2)]:
-        quotients.append(config_space_model(PDAlgebra(cohomology_algebra(sphere(m), m), m),
-                                            k).quotient)
+    quotients.append((QuotientCDGA(amb, [b * z, a * b + x + y + z, z * z]), 15))
+    for m, k, top in [(2, 2, 15), (3, 2, 15), (2, 3, 15), (4, 2, 15), (3, 3, 13)]:
+        pd = PDAlgebra(cohomology_algebra(sphere(m), m), m)
+        quotients.append((config_space_model(pd, k).quotient, top))
+    quotients.append((config_space_model(PDAlgebra(cohomology_algebra(cp(2), 4), 4), 3).quotient, 13))
     rng = random.Random(7)
-    for quot in quotients:
+    for quot, top in quotients:
         def vectors(k):
             n = quot.ambient.dim(k)
             return [{i: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                      for i in rng.sample(range(n), min(n, 8))} for _ in range(3)] if n else []
-        assert_span_matches_full_products(quot, 15, vectors)
+        assert_span_matches_full_products(quot, top, vectors)
+    assert all(unit_ideal.dim(k) == 0 for k in range(7))
+    with pytest.raises(RhtError, match="unit of the ambient algebra lies in the ideal"):
+        unit_ideal.unit_coords()
 
 
 def test_ideal_span_skips_redundant_products(monkeypatch):
-    class CountingEchelon(Echelon):
-        adds = 0
+    # Every product m * g over degrees 0..top is 8,062 and 13,674 vectors.
+    # The Groebner basis (16 and 14 elements) and the standard monomials
+    # through degree top take 1,084 and 1,034 products of two monomials: its
+    # S-pairs, products x * f and their reductions.
+    products = []
+    mul = rht.algebra.monomial_mul
+    monkeypatch.setattr(rht.algebra, "monomial_mul", lambda *args: products.append(1) or mul(*args))
+    for m, top, bound in [(3, 13, 1084), (2, 11, 1034)]:
+        quot = config_space_model(PDAlgebra(cohomology_algebra(sphere(m), m), m), 4,
+                                  max_k=4).quotient
+        del products[:]
+        quot.dim(top)
+        assert len(products) <= bound, (m, len(products))
 
-        def add(self, vec):
-            CountingEchelon.adds += 1
-            return super().add(vec)
-    monkeypatch.setattr("rht.cdga.Echelon", CountingEchelon)
-    # Every product m * g over degrees 0..top: 8,062 and 13,674 vectors.  The
-    # products of live monomials and generators other than squares that stay
-    # nonzero on the live monomials are 1,526 and 3,982; the criterion hands
-    # 1,073 and 1,975 of them to the echelon.
-    for m, top, bound in [(3, 13, 1073), (2, 11, 1975)]:
-        CountingEchelon.adds = 0
-        pd = PDAlgebra(cohomology_algebra(sphere(m), m), m)
-        config_space_model(pd, 4, max_k=4).quotient.free_monomials(top)
-        assert CountingEchelon.adds <= bound, (m, CountingEchelon.adds)
+
+def test_configuration_space_cohomology_enumerates_no_ambient_basis(monkeypatch):
+    # Quotient coordinates are standard monomials, built from those of lower
+    # degrees, and columns are normal forms of Leibniz columns: no ambient
+    # monomial basis is listed, also in the degrees where the quotient is 0.
+    for m, top in [(2, 10), (3, 12)]:
+        quot = config_space_model(PDAlgebra(cohomology_algebra(sphere(m), m), m), 4,
+                                  max_k=4).quotient
+        listed = []
+        basis = MonomialBases.basis
+        monkeypatch.setattr(MonomialBases, "basis",
+                            lambda self, k: listed.append(k) or basis(self, k))
+        cohomology(quot, 0, top)
+        monkeypatch.undo()
+        assert listed == [], (m, listed)
 
 
 def test_ideal_span_fills_lower_degrees_without_recursion():

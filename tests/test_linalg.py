@@ -15,6 +15,7 @@ from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_compl
 from rht.errors import RhtError
 from rht.linalg import Echelon, RationalMatrix, lincomb, solve_linear
 from rht.minimal_model import minimal_model
+import rht.algebra
 import rht.cdga
 import rht.constructions
 import rht.homotopy_lie
@@ -602,12 +603,13 @@ WORKLOADS = {
 
 
 def work_counts(run, monkeypatch):
-    """Entries passed through `_addmul`, `Echelon.add` calls, `solve_linear`
-    calls and monomial products of quotient ideal spans while `run()` runs;
-    counts that do not depend on the machine."""
+    """Entries passed through `_addmul` (by `linalg` and by the quotient normal
+    forms of `cdga`), `Echelon.add` calls, `solve_linear` calls and products of
+    two monomials (`algebra.monomial_mul`) while `run()` runs; counts that do
+    not depend on the machine."""
     counts = {"addmul_entries": 0, "echelon_add_calls": 0, "solve_linear_calls": 0,
-              "span_products": 0}
-    addmul, add, monomial_mul = rht.linalg._addmul, Echelon.add, rht.cdga.monomial_mul
+              "monomial_products": 0}
+    addmul, add, monomial_mul = rht.linalg._addmul, Echelon.add, rht.algebra.monomial_mul
 
     def counted_addmul(dst, x, src):
         counts["addmul_entries"] += len(src)
@@ -622,13 +624,14 @@ def work_counts(run, monkeypatch):
         return solve_linear(*args, **kwargs)
 
     def counted_monomial_mul(*args):
-        counts["span_products"] += 1
+        counts["monomial_products"] += 1
         return monomial_mul(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(rht.linalg, "_addmul", counted_addmul)
+        for module in (rht.linalg, rht.cdga):
+            patch.setattr(module, "_addmul", counted_addmul)
         patch.setattr(Echelon, "add", counted_add)
-        patch.setattr(rht.cdga, "monomial_mul", counted_monomial_mul)
+        patch.setattr(rht.algebra, "monomial_mul", counted_monomial_mul)
         for module in (rht.linalg, rht.constructions, rht.homotopy_lie, rht.minimal_model):
             patch.setattr(module, "solve_linear", counted_solve)
         run()
