@@ -19,7 +19,8 @@ from .linalg import lincomb
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Largest monomial basis `MonomialBases.basis` builds in one degree (read at call time).
+# Largest monomial basis `MonomialBases.basis`, or standard monomial basis of a
+# `QuotientCDGA`, built in one degree (read at call time).
 MONOMIAL_BUDGET = 200_000
 
 
@@ -308,9 +309,6 @@ class Derivation:
                 second[prod] = c if sign == sign_x else -c
         col = lincomb([(1, first), (1, second)]) if first and second else first or second
         return {self._monos.setdefault(m, m): c for m, c in sorted(col.items())}
-
-    def __call__(self, x):
-        return apply_derivation(self, x)
 
     def __repr__(self):
         body = ", ".join("%s -> %s" % (n, v) for n, v in self.images.items())

@@ -22,9 +22,10 @@ quotient); otherwise results are labelled as verified up to N.
 from collections import Counter, defaultdict
 from heapq import heappop, heappush
 
+from . import algebra
 from .algebra import (AlgElement, Derivation, MonomialBases, ONE, apply_derivation, as_q,
                       monomial_degree, monomial_products, monomial_str, rebase)
-from .errors import DegreeError, RhtError, ValidationError
+from .errors import BudgetExceededError, DegreeError, RhtError, ValidationError
 from .linalg import Echelon, _addmul, lincomb, slice_homology
 
 
@@ -275,7 +276,8 @@ class QuotientCDGA:
         return out
 
     def _standard_monomials(self, k):
-        """The standard monomials of degree k, the basis grown through degree k."""
+        """The standard monomials of degree k, the basis grown through degree k;
+        BudgetExceededError when a degree has more than MONOMIAL_BUDGET."""
         ctx, pairs = self.ambient.ctx, self._pairs
         for e in range(len(self._standard), k + 1):
             todo = [g.terms for g in self.ideal if g.degree() == e] + pairs.pop(e, [])
@@ -297,6 +299,9 @@ class QuotientCDGA:
                 for x, d in enumerate(ctx.degrees) if d <= e for m in self._standard[e - d]
                 if not m or m[-1][0] < x or m[-1][0] == x and not ctx.odd[x]]
             std = sorted((m for m in cands if self._divisor(m) is None), key=_order)
+            if len(std) > algebra.MONOMIAL_BUDGET:
+                raise BudgetExceededError("degree %d basis exceeds %d monomials"
+                                          % (e, algebra.MONOMIAL_BUDGET))
             self._reducers.update(dict.fromkeys(std))
             self._standard.append(std)
             self._position.append({m: i for i, m in enumerate(std)})
@@ -357,20 +362,11 @@ def validate(p):
     """
     violations = []
     if isinstance(p, SullivanPresentation):
-        ctx = p.ctx
-        for name in ctx.names:
-            if name not in p.d.images:
-                violations.append("generator %s has no differential" % name)
-                continue
-            img = p.d.images[name]
-            if () in img.terms:
-                violations.append("d(%s) has a constant term" % name)
-            if not img.is_zero():
-                want = ctx.degree_of(name) + 1
-                if img.degree() != want:
-                    violations.append("d(%s) is not homogeneous of degree %d" % (name, want))
+        # `Derivation` already refuses a constant or inhomogeneous image.
+        violations = ["generator %s has no differential" % name
+                      for name in p.ctx.names if name not in p.d.images]
         if not violations:
-            for name in ctx.names:
+            for name in p.ctx.names:
                 dd = apply_derivation(p.d, p.d.images[name])
                 if not dd.is_zero():
                     violations.append("d^2(%s) = %s != 0" % (name, dd))

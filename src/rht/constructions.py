@@ -16,7 +16,7 @@ from . import algebra
 from .algebra import (AlgElement, Derivation, GeneratorContext, ONE, ZERO, apply_derivation,
                       as_q, monomial_degree, rebase, substitute)
 from .cdga import (FiniteCDGA, QuotientCDGA, SullivanPresentation, cohomology, tensor_finite,
-                   tensor_positions)
+                   tensor_positions, validate)
 from .errors import BudgetExceededError, DegreeError, RhtError, UnsupportedInputError
 from .linalg import Echelon, RationalMatrix, lincomb, slice_homology, solve_linear
 from .minimal_model import LambdaExtension
@@ -232,9 +232,8 @@ def free_loop_model(p, name=None):
         images[g] = dv
         images["s_%s" % g] = -apply_derivation(s_der, dv)
     total = SullivanPresentation(ctx, images, name=name or ("L%s" % p.name))
-    for g in ctx.names:
-        if not apply_derivation(total.d, total.d.image_of(g)).is_zero():
-            raise RhtError("free loop differential does not square to zero")  # pragma: no cover
+    if not validate(total).ok:
+        raise RhtError("free loop differential does not square to zero")
     return total
 
 
@@ -353,11 +352,10 @@ def holonomy_representation(ext, n):
 # ---------------------------------------------------------------------------
 
 class MappingSpaceReport:
-    def __init__(self, n, dim, contributing, complete):
+    def __init__(self, n, dim, contributing):
         self.n = n
         self.dim = dim
         self.contributing = contributing      # [(generator degree, word degree)]
-        self.complete = complete
 
     def __repr__(self):
         return "MappingSpaceReport(n=%d, dim=%d)" % (self.n, self.dim)
@@ -429,7 +427,7 @@ def mapping_space_pi(phi, n):
     reps, _ = slice_homology(cols_n, len(tgt_n), cols_n1)
     dim = len(reps)
     contributing = sorted({(V.ctx.degree_of(g), wdeg) for (g, wdeg, _) in src_n})
-    return MappingSpaceReport(n, dim, contributing, complete=True)
+    return MappingSpaceReport(n, dim, contributing)
 
 
 # ---------------------------------------------------------------------------

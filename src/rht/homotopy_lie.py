@@ -13,8 +13,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import factorial, lcm
 
-from .algebra import AlgElement, ONE, apply_derivation
-from .cdga import SullivanPresentation, cohomology
+from .algebra import ONE
+from .cdga import SullivanPresentation, cohomology, validate
 from .errors import DegreeError, RhtError, UnsupportedInputError
 from .linalg import Echelon, RationalMatrix, lincomb, solve_linear
 from .minimal_model import is_minimal
@@ -30,9 +30,8 @@ def quadratic_part(p):
     q = SullivanPresentation(ctx, images, name="%s.d1" % p.name)
     # d^2 = 0 forces d_1^2 = 0 on the nose (the word-3 component of d^2 is
     # exactly d_1 d_1), so a failure here means the input was invalid.
-    for g in ctx.names:
-        if not apply_derivation(q.d, q.d.image_of(g)).is_zero():
-            raise RhtError("d_1^2 != 0; input was not a valid minimal presentation")
+    if not validate(q).ok:
+        raise RhtError("d_1^2 != 0; input was not a valid minimal presentation")
     return q
 
 
@@ -238,58 +237,31 @@ def lcs_filtrations(p, k, depth=32):
     if not vk_idx:
         return FiltrationReport(k, [0], [0], 0, 0)
 
-    # --- V-side -----------------------------------------------------------
-    v1_idx = [i for i, d in enumerate(ctx.degrees) if d == 1]
+    # --- V-side, in the coordinates of pres.basis(k + 1) ---------------------
+    v1 = [pres.index(1)[((i, 1),)] for i, d in enumerate(ctx.degrees) if d == 1]
+    vk = [pres.index(k)[((i, 1),)] for i in vk_idx]
     basis_k1 = pres.basis(k + 1)
-    pos = {m: c for c, m in enumerate(basis_k1)}
-
-    def relevant(mono):
-        factors = []
-        for i, e in mono:
-            factors.extend([i] * e)
-        if len(factors) != 2:
-            return False
-        if k == 1:
-            return ctx.degrees[factors[0]] == 1 and ctx.degrees[factors[1]] == 1
-        return sorted(ctx.degrees[f] for f in factors) == [1, k]
-
-    def delta_column(gen_idx):
-        img = pres.d.image_of(ctx.names[gen_idx])
-        out = {}
-        for mono, c in img.terms.items():
-            if relevant(mono):
-                out[pos[mono]] = c
-        return out
-
-    delta_cols = {i: delta_column(i) for i in vk_idx}
+    # delta keeps the monomials x y of d_1 with |x| = 1 and |y| = k
+    relevant = {j for j, mono in enumerate(basis_k1)
+                if sorted(ctx.degrees[i] for i, e in mono for _ in range(e)) == [1, k]}
+    delta_cols = [{j: c for j, c in pres.differential_column(k, g).items() if j in relevant}
+                  for g in vk]
 
     def preimage(span_ech):
         """{v in V^k : delta v in span} as vectors over vk_idx coordinates."""
-        cols = []
-        for i in vk_idx:
-            cols.append(span_ech.residue(delta_cols[i]))
-        mat = RationalMatrix.from_columns(len(basis_k1), cols)
+        mat = RationalMatrix.from_columns(len(basis_k1), [span_ech.residue(c) for c in delta_cols])
         return solve_linear(mat).kernel
 
     def span_of_level(f_basis):
         """Echelon of Lambda^2 F (k=1) or V^1 ^ F (k>=2) inside degree k+1 monomials."""
+        f = [{vk[c]: x for c, x in vec.items()} for vec in f_basis]
+        left = f if k == 1 else [{u: ONE} for u in v1]
         ech = Echelon()
-        f_elems = []
-        for vec in f_basis:
-            f_elems.append(AlgElement(ctx, {((vk_idx[c_i], 1),): c for c_i, c in vec.items()}))
-        if k == 1:
-            for a in range(len(f_elems)):
-                for b in range(a, len(f_elems)):
-                    prod = f_elems[a] * f_elems[b]
-                    if not prod.is_zero():
-                        ech.add({pos[m]: c for m, c in prod.terms.items()})
-        else:
-            for u in v1_idx:
-                gu = ctx.generator(ctx.names[u])
-                for f in f_elems:
-                    prod = gu * f
-                    if not prod.is_zero():
-                        ech.add({pos[m]: c for m, c in prod.terms.items()})
+        for a, x in enumerate(left):
+            for y in f[a:] if k == 1 else f:
+                prod = pres.multiply_coords(1, x, k, y)
+                if prod:
+                    ech.add(prod)
         return ech
 
     v_dims = []

@@ -278,13 +278,25 @@ def test_finite_morphism_matrix_chain_map(s2):
     assert not rep.ok and any("unit" in v for v in rep.violations)
 
 
-def test_cohomology_monomial_budget():
+def test_cohomology_monomial_budget(monkeypatch):
     from rht.errors import BudgetExceededError
     # Degree 20 of Q[a_1..a_12], |a_i| = 2, has C(21, 11) = 352716 monomials.
     ctx = GeneratorContext([("a%d" % i, 2) for i in range(12)])
     p = SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g in ctx.names})
     with pytest.raises(BudgetExceededError):
         cohomology(p, 20, 20)
+    # A quotient's standard monomials obey the same budget: degree 10 of
+    # Q[x0..x3], |x_i| = 2, has C(8, 3) = 56 monomials, 36 of them outside (x0 x1).
+    monkeypatch.setattr(rht.algebra, "MONOMIAL_BUDGET", 50)
+    ctx = GeneratorContext([("x%d" % i, 2) for i in range(4)])
+    ambient = SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g in ctx.names})
+    free = QuotientCDGA(ambient, [])
+    with pytest.raises(BudgetExceededError, match="^degree 10 basis exceeds 50 monomials$"):
+        cohomology(free, 10, 10)
+    monkeypatch.setattr(rht.algebra, "MONOMIAL_BUDGET", 56)
+    assert free.dim(10) == 56       # the refused degree is built again, whole
+    quot = QuotientCDGA(ambient, [ctx.generator("x0") * ctx.generator("x1")])
+    assert cohomology(quot, 10, 10).dims() == {10: 36}
 
 
 @pytest.mark.parametrize("make, lo, hi", [

@@ -17,7 +17,7 @@ from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_compl
                                holonomy_representation, homogeneous_space_model,
                                mapping_space_pi, point, sphere, tensor_presentations,
                                torus, truncated_poly, wedge_cohomology)
-from rht.errors import BudgetExceededError, UnsupportedInputError
+from rht.errors import BudgetExceededError, RhtError, UnsupportedInputError
 from rht.linalg import lincomb
 from rht.minimal_model import LambdaExtension, acyclic_closure, minimal_model
 
@@ -319,6 +319,15 @@ def test_free_loop_restriction_is_original(s2):
 def test_free_loop_rejects_degree_one():
     with pytest.raises(UnsupportedInputError):
         free_loop_model(torus(1))
+
+
+def test_free_loop_rejects_an_invalid_differential():
+    # da = 0, db = a^2, dc = a b: d^2(c) = a^3, and so D^2(c) on the loop model.
+    ctx = GeneratorContext([("a", 2), ("b", 3), ("c", 4)])
+    a, b = ctx.generator("a"), ctx.generator("b")
+    p = SullivanPresentation(ctx, {"a": AlgElement.zero(ctx), "b": a * a, "c": a * b})
+    with pytest.raises(RhtError, match="^free loop differential does not square to zero$"):
+        free_loop_model(p)
 
 
 def test_free_loop_cp2_betti_regression():

@@ -11,12 +11,12 @@ from rht.cdga import SullivanPresentation, cohomology_algebra
 from rht.constructions import (cp, k_z, point, sphere, tensor_presentations, torus,
                                wedge_cohomology)
 from rht.errors import RhtError, UnsupportedInputError
-from rht.homotopy_lie import (LieTable, _free_exp, _free_log, _free_mul, bch_product,
-                              homotopy_ranks,
+from rht.homotopy_lie import (LieTable, _free_exp, _free_log, _free_mul, _lower_central_series,
+                              bch_product, homotopy_ranks,
                               hurewicz_matrix, lcs_filtrations,
                               lie_table, nilpotency_class, quadratic_part,
                               whitehead_product)
-from rht.linalg import RationalMatrix, lincomb, solve_linear
+from rht.linalg import Echelon, RationalMatrix, lincomb, solve_linear
 from rht.minimal_model import is_minimal, minimal_model
 
 from conftest import (ZeroTouchDict, assert_matches_reference_sum, nonformal_uvw,
@@ -243,6 +243,106 @@ def test_lcs_non_nilpotent_is_infinite_on_both_sides():
                                    "v": u * ctx.generator("v")})
     rep = lcs_filtrations(p, 1, depth=12)
     assert rep.nil_v == "inf" and rep.nil_l == "inf"
+
+
+def test_lcs_v1_times_v2_filtration():
+    # du = da = 0, db = u a: delta(b) = u a lies in V^1 . ker delta, so
+    # F_0 = <a> and F_1 = V^2; dually [x_u, x_a] = +-x_b spans the LCS step.
+    ctx = GeneratorContext([("u", 1), ("a", 2), ("b", 2)])
+    zero = AlgElement.zero(ctx)
+    p = SullivanPresentation(ctx, {"u": zero, "a": zero,
+                                   "b": ctx.generator("u") * ctx.generator("a")})
+    rep = lcs_filtrations(p, 2)
+    assert (rep.v_dims, rep.l_dims, rep.nil_v, rep.nil_l) == ([1, 2], [2, 1, 0], 2, 2)
+
+
+def reference_lcs(p, k, depth=32):
+    """(v_dims, l_dims, nil_v, nil_l) of lcs_filtrations with the V-side
+    formed from AlgElement products over a hand-built monomial index."""
+    pres = quadratic_part(p)
+    ctx = pres.ctx
+    vk_idx = [i for i, d in enumerate(ctx.degrees) if d == k]
+    if not vk_idx:
+        return [0], [0], 0, 0
+    v1_idx = [i for i, d in enumerate(ctx.degrees) if d == 1]
+    basis_k1 = pres.basis(k + 1)
+    pos = {m: c for c, m in enumerate(basis_k1)}
+
+    def relevant(mono):
+        factors = [i for i, e in mono for _ in range(e)]
+        if len(factors) != 2:
+            return False
+        return sorted(ctx.degrees[f] for f in factors) == [1, k]
+
+    delta = {i: {pos[m]: c for m, c in pres.d.image_of(ctx.names[i]).terms.items()
+                 if relevant(m)} for i in vk_idx}
+
+    def preimage(ech):
+        mat = RationalMatrix.from_columns(len(basis_k1), [ech.residue(delta[i]) for i in vk_idx])
+        return solve_linear(mat).kernel
+
+    def span_of_level(level):
+        ech = Echelon()
+        elems = [AlgElement(ctx, {((vk_idx[c], 1),): x for c, x in vec.items()})
+                 for vec in level]
+        if k == 1:
+            prods = [elems[a] * elems[b] for a in range(len(elems))
+                     for b in range(a, len(elems))]
+        else:
+            prods = [ctx.generator(ctx.names[u]) * f for u in v1_idx for f in elems]
+        for prod in prods:
+            if not prod.is_zero():
+                ech.add({pos[m]: c for m, c in prod.terms.items()})
+        return ech
+
+    level = preimage(Echelon())
+    v_dims, nil_v = [len(level)], ">=%d" % depth
+    for _ in range(depth):
+        if len(level) == len(vk_idx):
+            nil_v = len(v_dims)
+            break
+        nxt = preimage(span_of_level(level))
+        if len(nxt) == len(level):
+            nil_v = "inf"
+            break
+        level = nxt
+        v_dims.append(len(level))
+    t = lie_table(pres, k - 1)
+    l_dims, nil_l = _lower_central_series(t, k - 1, depth)
+    return v_dims, l_dims, nil_v, 0 if t.dim(k - 1) == 0 else nil_l
+
+
+def random_triangular_model(rng):
+    """Generators of degree 1-3 in random order; each dg a random sum of
+    products of two earlier cocycle generators (or 0), so d^2 = 0 and d is
+    quadratic."""
+    ctx = GeneratorContext([("g%d" % i, rng.randint(1, 3)) for i in range(rng.randint(3, 7))])
+    images, cocycles = {}, []
+    for name, deg in ctx.gens:
+        pairs = [(a, b) for a in cocycles for b in cocycles
+                 if a <= b and ctx.degree_of(a) + ctx.degree_of(b) == deg + 1]
+        img = AlgElement.zero(ctx)
+        if pairs and rng.random() < 0.7:
+            for a, b in rng.choices(pairs, k=rng.randint(1, 3)):
+                img = img + ctx.generator(a) * ctx.generator(b) * rng.choice([-2, -1, 1, 2])
+        images[name] = img
+        if img.is_zero():
+            cocycles.append(name)
+    return SullivanPresentation(ctx, images)
+
+
+def test_lcs_filtrations_match_algelement_v_side_on_triangular_models():
+    rng = random.Random(20261019)
+    deep = 0
+    for _ in range(150):
+        p = random_triangular_model(rng)
+        for k in (1, 2, 3):
+            v_dims, l_dims, nil_v, nil_l = reference_lcs(p, k)
+            rep = lcs_filtrations(p, k)
+            assert (rep.v_dims, rep.l_dims, rep.nil_v, rep.nil_l) == \
+                (v_dims, l_dims, nil_v, nil_l), (p.d, k)
+            deep += k >= 2 and len(v_dims) > 1
+    assert deep >= 20, deep
 
 
 # ---------------------------------------------------------------------------
