@@ -119,7 +119,8 @@ def monomial_mul(ctx, m1, m2):
 
 def monomial_products(ctx, x, y):
     """Sum of the products of two {monomial: coeff} maps, unsorted: one `lincomb`
-    row per monomial of x (a fixed factor is injective, so a row repeats no key)."""
+    row per monomial of x (a fixed factor is injective, so a row repeats no key);
+    a lone row that its coefficient 1 leaves as it is (no 0, no int made a Fraction) is returned."""
     rows = []
     for m1, c1 in x.items():
         row = {}
@@ -128,6 +129,9 @@ def monomial_products(ctx, x, y):
             if sign:
                 row[mono] = c2 if sign > 0 else -c2
         rows.append((c1, row))
+    if len(rows) == 1 and c1 == 1 and all(row.values()) and (
+            type(c1) is int or all(type(v) is Fraction for v in row.values())):
+        return row
     return lincomb(rows)
 
 

@@ -232,7 +232,11 @@ class QuotientCDGA:
     S-pairs (Buchberger 1965) and x * f, x odd in the leading monomial of f
     (Stokes 1990, for exterior algebras), of degree e are reduced; a nonzero
     normal form joins the basis, scaled to 1 at its leading monomial, and
-    queues its pairs.  The normal form is then the one vector congruent to the
+    queues its pairs.  A pair whose leading monomials share no generator is
+    skipped, as it reduces to 0 (Buchberger 1979): g * f = +-f * g gives
+    S(f, g) = +-(tail(g) * f -+ tail(f) * g), and a term t * f with
+    t * lead(f) = 0 is t' * (x * f), x odd in both, which is reduced.
+    The normal form is then the one vector congruent to the
     input on the standard monomials, which no leading monomial divides: the
     residue of the RREF of the ideal span, whose pivots are its first columns.
     Quotient coordinates at degree k are the standard monomials in ambient
@@ -283,8 +287,10 @@ class QuotientCDGA:
             todo = [g.terms for g in self.ideal if g.degree() == e] + pairs.pop(e, [])
             for h in filter(None, map(self._reduce, todo)):
                 lead = min(h, key=_order)
-                h = {m: c / h[lead] for m, c in h.items()}
+                h, gens = {m: c / h[lead] for m, c in h.items()}, {j for j, _ in lead}
                 for other, g in self._lead.items():
+                    if gens.isdisjoint(j for j, _ in other):
+                        continue    # coprime leading monomials (Buchberger 1979)
                     lcm = tuple(sorted((Counter(dict(other)) | Counter(dict(lead))).items()))
                     s, w = (monomial_products(ctx, {_divide(lcm, a): 1}, b)
                             for a, b in ((lead, h), (other, g)))

@@ -515,6 +515,37 @@ def reference_element(out):
     return dict(sorted((m, Fraction(c)) for m, c in out.items() if c != 0))
 
 
+def test_monomial_products_of_one_monomial_match_the_lincomb_path(monkeypatch):
+    # A lone row with the int coefficient 1, or with Fraction(1) over Fraction
+    # entries, and no 0 is returned without `lincomb`; every case keeps the
+    # values, types and key order of the `lincomb` row, where Fraction(1)
+    # turns int entries into Fractions and a 0 entry is dropped.
+    ctx = GeneratorContext([("x", 2), ("y", 1), ("z", 1), ("w", 3)])
+    y_mono = ((1, 1),)
+    right = [((3, 1),), ((0, 2),), ((1, 1),), ((2, 1), (3, 1)), ((0, 1), (2, 1))]
+    rows = [dict(zip(right, values)) for values in
+            ([3, -1, 2, 5, -4], [Fraction(3, 2), -1, 2, Fraction(-5, 3), 4],
+             [Fraction(v) for v in (3, -1, 2, 5, -4)], [3, 0, 2, 0, -4],
+             [Fraction(3), Fraction(0), 2, Fraction(1, 2), -4])]
+    calls = []
+    lincomb = rht.algebra.lincomb
+    monkeypatch.setattr(rht.algebra, "lincomb", lambda terms: calls.append(1) or lincomb(terms))
+    fast = [(int, 0), (int, 1), (int, 2), (Fraction, 2)]   # (type of the 1, row)
+    for c in (1, Fraction(1), 2):
+        for r, y in enumerate(rows):
+            row = {}
+            for m2, c2 in y.items():
+                sign, mono = monomial_mul(ctx, y_mono, m2)
+                if sign:
+                    row[mono] = c2 if sign > 0 else -c2
+            want = lincomb([(c, row)])
+            del calls[:]
+            got = rht.algebra.monomial_products(ctx, {y_mono: c}, y)
+            assert [(m, type(v), v) for m, v in got.items()] == \
+                [(m, type(v), v) for m, v in want.items()], (c, y)
+            assert calls == ([] if c == 1 and (type(c), r) in fast else [1]), (c, y)
+
+
 @settings(max_examples=100, deadline=None)
 @given(elements(), elements())
 def test_element_arithmetic_matches_reference_loops(x, y):

@@ -2,7 +2,7 @@ import inspect
 import random
 import sys
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -545,13 +545,14 @@ def test_ideal_span_criterion_matches_full_products(quot, data):
     assert_span_matches_full_products(quot, 8, vectors)
 
 
-def test_ideal_span_criterion_matches_full_products_on_fixed_quotients():
-    # The configuration spaces of the quotient-certificate test, F(S^3, 3) and
-    # F(CP^2, 3), which has no square relations, an exterior quotient where
-    # y1 * (y0 + y2) = -y0*y1 + y1*y2 mixes signs, a square after the other
-    # generators, an ideal that holds a constant, whose quotient is 0, and
-    # x = y0 * y1 with x first: its leading monomial y0 * y1 gives x * y0 and
-    # x * y1 by the odd products and then x^2 by an S-pair.
+def fixed_quotients():
+    """(quotient, top) pairs: an exterior quotient where y1 * (y0 + y2) =
+    -y0*y1 + y1*y2 mixes signs, an ideal that holds a constant, whose quotient
+    is 0, x = y0 * y1 with x first: its leading monomial y0 * y1 gives x * y0
+    and x * y1 by the odd products and then x^2 by an S-pair, a square after
+    the other generators, and the configuration spaces of the
+    quotient-certificate test, F(S^3, 3) and F(CP^2, 3), which has no square
+    relations."""
     ctx = GeneratorContext([("y0", 1), ("y1", 1), ("y2", 1), ("x", 2)])
     y0, y1, y2, x = (ctx.generator(g) for g in ctx.names)
     amb = SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g in ctx.names})
@@ -570,6 +571,12 @@ def test_ideal_span_criterion_matches_full_products_on_fixed_quotients():
         pd = PDAlgebra(cohomology_algebra(sphere(m), m), m)
         quotients.append((config_space_model(pd, k).quotient, top))
     quotients.append((config_space_model(PDAlgebra(cohomology_algebra(cp(2), 4), 4), 3).quotient, 13))
+    return quotients
+
+
+def test_ideal_span_criterion_matches_full_products_on_fixed_quotients():
+    quotients = fixed_quotients()
+    unit_ideal = quotients[1][0]
     rng = random.Random(7)
     for quot, top in quotients:
         def vectors(k):
@@ -582,15 +589,54 @@ def test_ideal_span_criterion_matches_full_products_on_fixed_quotients():
         unit_ideal.unit_coords()
 
 
+def coprime_pair_certificate(quot, top):
+    """Grow the basis through degree top, then form here, with `AlgElement`
+    products, the S-polynomial of every two basis elements whose leading
+    monomials share no generator and whose lcm has degree <= top, and assert
+    that each reduces to 0: the pairs the growth skips certify nothing.
+    Returns the number of pairs checked."""
+    quot.dim(top)
+    ctx = quot.ambient.ctx
+    basis = [(lead, AlgElement(ctx, f)) for lead, f in quot._lead.items()]
+    checked = 0
+    for (a, f), (b, g) in combinations(basis, 2):
+        if {j for j, _ in a} & {j for j, _ in b}:
+            continue
+        lcm = tuple(sorted(a + b))
+        if monomial_degree(ctx, lcm) > top:
+            continue
+        bf, ag = AlgElement(ctx, {b: 1}) * f, AlgElement(ctx, {a: 1}) * g
+        s = bf * ag.terms[lcm] - ag * bf.terms[lcm]
+        assert lcm not in s.terms and quot._reduce(s.terms) == {}, (a, b)
+        checked += 1
+    return checked
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_quotients())
+def test_skipped_pairs_reduce_to_zero_on_random_quotients(quot):
+    coprime_pair_certificate(quot, 8)
+
+
+def test_skipped_pairs_reduce_to_zero_on_fixed_quotients():
+    # The quotients of the full-product comparison above: 74 coprime pairs,
+    # 70 of them in the configuration spaces (the leading monomials, and so
+    # these counts, do not depend on the order in which the basis grows).
+    checked = [coprime_pair_certificate(quot, top) for quot, top in fixed_quotients()]
+    assert checked == [1, 0, 1, 2, 2, 0, 15, 1, 13, 39]
+
+
 def test_ideal_span_skips_redundant_products(monkeypatch):
     # Every product m * g over degrees 0..top is 8,062 and 13,674 vectors.
     # The Groebner basis (16 and 14 elements) and the standard monomials
-    # through degree top take 1,084 and 1,034 products of two monomials: its
-    # S-pairs, products x * f and their reductions.
+    # through degree top take 368 and 336 products of two monomials: its
+    # S-pairs, products x * f and their reductions.  The product criterion
+    # skips 91 of the 120 pairs and 70 of the 91, so 51 and 49 candidates are
+    # reduced, where forming every S-pair reduced 142 and 119.
     products = []
     mul = rht.algebra.monomial_mul
     monkeypatch.setattr(rht.algebra, "monomial_mul", lambda *args: products.append(1) or mul(*args))
-    for m, top, bound in [(3, 13, 1084), (2, 11, 1034)]:
+    for m, top, bound in [(3, 13, 368), (2, 11, 336)]:
         quot = config_space_model(PDAlgebra(cohomology_algebra(sphere(m), m), m), 4,
                                   max_k=4).quotient
         del products[:]
