@@ -326,7 +326,7 @@ class QuotientCDGA:
 
     def project(self, k, amb_coords):
         """Ambient coordinates -> quotient coordinates at degree k."""
-        return self._coords(k, self.ambient.from_coords(k, amb_coords).terms)
+        return self._coords(k, {self.ambient.basis(k)[i]: c for i, c in amb_coords.items()})
 
     def differential_column(self, k, i):
         return self._coords(k + 1, self.ambient.d.column(self._standard_monomials(k)[i]))
@@ -499,12 +499,6 @@ class CohomologyReport:
 
     def representatives(self, k):
         return [dict(v) for v in self._reps[k]]
-
-    def representative_elements(self, k):
-        """Representatives as AlgElements (free presentations only)."""
-        if not isinstance(self.pres, SullivanPresentation):
-            raise RhtError("representative_elements requires a free presentation")
-        return [self.pres.from_coords(k, v) for v in self._reps[k]]
 
     def class_coordinates(self, k, cocycle_coords):
         """Coordinates of a cocycle's class in the representative basis.

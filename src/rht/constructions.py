@@ -289,54 +289,34 @@ def holonomy_representation(ext, n):
 
     d(1 (x) Phi) = sum_i w_i (x) theta_i(Phi) + higher W-length terms; the
     w_i-coefficients are fiber cocycles and their classes define theta_i on
-    H(Lambda Z, d-bar).
+    H(Lambda Z, d-bar).  The total context lists the nb base generators first
+    and the fiber in its own order, so fiber generator j is total generator
+    nb + j, and a W-linear monomial is (w, 1) followed by fiber factors only.
     """
     total = ext.total
-    ctx = total.ctx
+    ctx, nb = total.ctx, len(ext.base_names)
     base_idx = [ctx.index[g] for g in ext.base_names]
-    base_set = set(base_idx)
     fiber = ext.fiber_presentation()
     frep = cohomology(fiber, 0, n + 1)
-
-    fiber_pos = {ctx.index[g]: fiber.ctx.index[g] for g in ext.fiber_names}
-
-    def lift_monomial(mono):
-        return tuple((ctx.index[fiber.ctx.names[i]], e) for i, e in mono)
-
-    def split_w_linear(el):
-        """Terms w_i * (fiber monomial): {i: AlgElement over fiber ctx}."""
-        out = {}
-        for mono, c in el.terms.items():
-            base_part = [(i, e) for i, e in mono if i in base_set]
-            if len(base_part) != 1 or base_part[0][1] != 1:
-                continue
-            w = base_part[0][0]
-            fib_mono = tuple((fiber_pos[i], e) for i, e in mono if i not in base_set)
-            out.setdefault(w, {})[fib_mono] = c
-        return {w: AlgElement(fiber.ctx, terms) for w, terms in out.items()}
-
-    matrices = {}
+    matrices = {(w_pos, k): [] for k in range(0, n + 1) for w_pos in range(nb)}
     for k in range(0, n + 1):
-        for w_pos, w_idx in enumerate(base_idx):
-            matrices[(w_pos, k)] = []
-    for k in range(0, n + 1):
+        basis = fiber.basis(k)
         for rep_vec in frep.representatives(k):
-            lifted = AlgElement(ctx, {lift_monomial(fiber.basis(k)[i]): c
-                                      for i, c in rep_vec.items()})
-            image = apply_derivation(total.d, lifted)
-            parts = split_w_linear(image)
+            image = lincomb((c, total.d.column(tuple((nb + j, e) for j, e in basis[i])))
+                            for i, c in rep_vec.items())
+            parts = {}      # w -> fiber coordinates of its coefficient, monomials ascending
+            for mono, c in sorted(image.items()):
+                w, e = mono[0]
+                if w < nb and e == 1 and (len(mono) == 1 or mono[1][0] >= nb):
+                    fib_mono = tuple((j - nb, f) for j, f in mono[1:])
+                    parts.setdefault(w, {})[fiber.index(k + 1 - ctx.degrees[w])[fib_mono]] = c
             for w_pos, w_idx in enumerate(base_idx):
-                psi = parts.get(w_idx)
-                if psi is None or psi.is_zero():
+                coords, pdeg = parts.get(w_idx), k + 1 - ctx.degrees[w_idx]
+                if not coords:
                     matrices[(w_pos, k)].append({})
                     continue
-                pdeg = psi.degree()
-                coords = fiber.to_coords(psi, pdeg)
                 if not frep.is_cocycle(pdeg, coords):
                     raise RhtError("holonomy coefficient is not a fiber cocycle")
-                if pdeg > n + 1:
-                    matrices[(w_pos, k)].append({})
-                    continue
                 matrices[(w_pos, k)].append(frep.class_coordinates(pdeg, coords))
     report = HolonomyReport([ctx.names[i] for i in base_idx],
                             [ctx.degrees[i] for i in base_idx], frep, matrices, n)
@@ -512,14 +492,10 @@ def diagonal_class(A):
 
 
 class ConfigSpaceModel:
-    """F(A, k) as a QuotientCDGA plus the bookkeeping used by tests."""
+    """F(A, k) for k >= 2, held as the QuotientCDGA `quotient` (k = 1 gives A.cdga itself)."""
 
-    def __init__(self, quotient, slot_gen, x_name, pd, k):
+    def __init__(self, quotient):
         self.quotient = quotient
-        self.slot_gen = slot_gen      # (slot, p, i) -> generator name
-        self.x_name = x_name          # (i, j) with i < j -> generator name
-        self.pd = pd
-        self.k = k
 
 
 def config_space_model(A, k, name=None, max_k=3):
@@ -617,7 +593,7 @@ def config_space_model(A, k, name=None, max_k=3):
                 if not rel.is_zero():
                     ideal.append(rel)
     quot = QuotientCDGA(ambient, ideal, name=name or ("F(%s,%d)" % (A.name, k)))
-    return ConfigSpaceModel(quot, slot_gen, x_name, A, k)
+    return ConfigSpaceModel(quot)
 
 
 def _safe(label):

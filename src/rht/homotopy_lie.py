@@ -319,17 +319,9 @@ def hurewicz_matrix(result, k):
     """
     model = result.model if hasattr(result, "model") else result
     rep = cohomology(model, k, k)
-    ctx = model.ctx
-    vk = [i for i, d in enumerate(ctx.degrees) if d == k]
-    vk_pos = {g: c for c, g in enumerate(vk)}
-    cols = []
-    for el in rep.representative_elements(k):
-        lin = el.linear_part()
-        col = {}
-        for mono, c in lin.terms.items():
-            (i, _), = mono
-            col[vk_pos[i]] = c
-        cols.append(col)
+    # basis(k) positions of the generators of degree k, in V^k order
+    vk = [model.index(k)[((g, 1),)] for g, d in enumerate(model.ctx.degrees) if d == k]
+    cols = [{pos: v[i] for pos, i in enumerate(vk) if i in v} for v in rep.representatives(k)]
     span = Echelon()
     for col in cols:
         span.add(col)

@@ -201,11 +201,12 @@ def massey_triple(p, a, b, c):
     rep_class = hrep.class_coordinates(top, p.to_coords(rep_el, top)) if not rep_el.is_zero() else {}
     ind = Echelon()
     ind_classes = []
-    reps = {k: hrep.representative_elements(k) if k >= 0 else []
-            for k in (da + db - 1, db + dc - 1)}
-    for z in [a * h for h in reps[db + dc - 1]] + [h * c for h in reps[da + db - 1]]:
-        if not z.is_zero():
-            cls = hrep.class_coordinates(top, p.to_coords(z, top))
+    reps = {k: hrep.representatives(k) if k >= 0 else [] for k in (da + db - 1, db + dc - 1)}
+    a_coords, c_coords = p.to_coords(a), p.to_coords(c)
+    for z in ([p.multiply_coords(da, a_coords, db + dc - 1, h) for h in reps[db + dc - 1]]
+              + [p.multiply_coords(da + db - 1, h, dc, c_coords) for h in reps[da + db - 1]]):
+        if z:
+            cls = hrep.class_coordinates(top, z)
             if cls and ind.add(dict(cls)):
                 ind_classes.append(cls)
     nontrivial = bool(rep_class) and not ind.contains(rep_class)

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rht.algebra
+import rht.cdga
 import rht.constructions
 from rht import dsl
-from rht.algebra import ONE, AlgElement, GeneratorContext, degree_basis, rebase
+from rht.algebra import (ONE, AlgElement, GeneratorContext, apply_derivation, degree_basis,
+                         rebase)
 from rht.cdga import (CdgaMorphism, SullivanPresentation, cohomology,
                       cohomology_algebra, validate)
 from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
@@ -374,6 +376,104 @@ def test_holonomy_acyclic_closure_nilpotent(s2):
     # theta_a sends [a_bar] to a nonzero multiple of [1]
     cols = rep.matrix(0, 1)
     assert any(c for c in cols)
+
+
+def parent_holonomy(ext, n):
+    """theta_i through the element path holonomy took before it read
+    coordinates: lift each fiber representative by generator name, apply d as
+    an AlgElement, keep the terms with exactly one base factor, of exponent 1,
+    and read the fiber part with `to_coords`."""
+    total, ctx = ext.total, ext.total.ctx
+    base_idx = [ctx.index[g] for g in ext.base_names]
+    fiber = ext.fiber_presentation()
+    frep = cohomology(fiber, 0, n + 1)
+    matrices = {(w_pos, k): [] for k in range(n + 1) for w_pos in range(len(base_idx))}
+    for k in range(n + 1):
+        for rep_vec in frep.representatives(k):
+            lifted = AlgElement(ctx, {tuple((ctx.index[fiber.ctx.names[j]], e)
+                                            for j, e in fiber.basis(k)[i]): c
+                                      for i, c in rep_vec.items()})
+            parts = {}
+            for mono, c in apply_derivation(total.d, lifted).terms.items():
+                base_part = [(j, e) for j, e in mono if j in base_idx]
+                if len(base_part) == 1 and base_part[0][1] == 1:
+                    fib = tuple((fiber.ctx.index[ctx.names[j]], e)
+                                for j, e in mono if j not in base_idx)
+                    parts.setdefault(base_part[0][0], {})[fib] = c
+            for w_pos, w in enumerate(base_idx):
+                psi = AlgElement(fiber.ctx, parts.get(w, {}))
+                if psi.is_zero():
+                    matrices[(w_pos, k)].append({})
+                    continue
+                coords = fiber.to_coords(psi, psi.degree())
+                assert frep.is_cocycle(psi.degree(), coords)
+                matrices[(w_pos, k)].append(frep.class_coordinates(psi.degree(), coords))
+    return matrices
+
+
+def two_base_factor_extension(base=("u", "v")):
+    """Base u, v of degree 1; dy = u x + u v z puts a second base factor beside u."""
+    ctx = GeneratorContext([("u", 1), ("v", 1), ("z", 1), ("x", 2), ("y", 2)])
+    u, v, z, x = (ctx.generator(g) for g in "uvzx")
+    zero = AlgElement.zero(ctx)
+    p = SullivanPresentation(ctx, {"u": zero, "v": zero, "z": zero, "x": zero,
+                                   "y": u * x + u * v * z})
+    return LambdaExtension(p, list(base), name="two-base")
+
+
+def dy_wx_extension():
+    ctx = GeneratorContext([("w", 1), ("x", 2), ("y", 2)])
+    w, x = ctx.generator("w"), ctx.generator("x")
+    zero = AlgElement.zero(ctx)
+    return LambdaExtension(SullivanPresentation(ctx, {"w": zero, "x": zero, "y": w * x}), ["w"])
+
+
+def two_term_rep_extension():
+    """da = u + w c, db = -u + w e: the fiber class [a + b] has two terms, and
+    d(a + b) = w e + w c reaches its W-linear part out of monomial order."""
+    ctx = GeneratorContext([("w", 1), ("c", 2), ("e", 2), ("u", 3), ("a", 2), ("b", 2)])
+    w, c, e, u = (ctx.generator(g) for g in "wceu")
+    zero = AlgElement.zero(ctx)
+    return LambdaExtension(SullivanPresentation(ctx, {"w": zero, "c": zero, "e": zero, "u": zero,
+                                                      "a": u + w * c, "b": -u + w * e}), ["w"])
+
+
+@pytest.mark.parametrize("make, n", [
+    (lambda: free_loop_extension(sphere(2)), 6),
+    (lambda: free_loop_extension(cp(2)), 6),
+    (lambda: free_loop_extension(sphere(3)), 6),
+    (lambda: acyclic_closure(sphere2_model(), 6).extension, 5),
+    (lambda: acyclic_closure(cp(2), 8).extension, 6),
+    (lambda: LambdaExtension(tensor_presentations(sphere2_model(), sphere(3)), ["b_1", "a_1"]), 5),
+    (dy_wx_extension, 4),
+    (two_term_rep_extension, 4),
+    (two_base_factor_extension, 4),
+    (lambda: two_base_factor_extension(("v", "u")), 4),
+], ids=["LS2", "LCP2", "LS3", "closure-S2", "closure-CP2", "S2xS3-b-first", "dy=wx",
+        "two-term-rep", "two-base", "two-base-v-first"])
+def test_holonomy_matches_the_element_path(make, n, monkeypatch):
+    # Coordinates in, coordinates out: the matrices and every class read on
+    # the way (its degree, coordinates, their types and key order) are those
+    # of the element path, on extensions whose d has W-linear terms, w^2
+    # terms (the closure of CP2: d b_bar = b - a^2 a_bar) and a second base
+    # factor, and on bases listed out of context order.
+    ext = make()
+    calls = []
+    record = rht.cdga.CohomologyReport.class_coordinates
+
+    def recording(self, k, coords):
+        calls.append((k, [(i, type(c), c) for i, c in coords.items()]))
+        return record(self, k, coords)
+    monkeypatch.setattr(rht.cdga.CohomologyReport, "class_coordinates", recording)
+    want = parent_holonomy(ext, n)
+    expected_calls, calls[:] = calls[:], []
+    report = holonomy_representation(ext, n)
+    assert calls == expected_calls
+    assert report.base_labels == ext.base_names
+    assert list(report.matrices) == list(want)
+    assert [[[(i, type(c), c) for i, c in col.items()] for col in cols]
+            for cols in report.matrices.values()] == \
+        [[[(i, type(c), c) for i, c in col.items()] for col in cols] for cols in want.values()]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rht.algebra import ONE, ZERO, AlgElement, GeneratorContext, apply_derivation
-from rht.cdga import SullivanPresentation, cohomology_algebra
+from rht.cdga import SullivanPresentation, cohomology, cohomology_algebra
 from rht.constructions import (cp, k_z, point, sphere, tensor_presentations, torus,
                                wedge_cohomology)
 from rht.errors import RhtError, UnsupportedInputError
@@ -374,8 +374,8 @@ def test_hurewicz_builds_only_its_degree(report_windows):
     assert (rep.h_dim, rep.v_dim, rep.rank) == (2, 2, 2)
     # Representatives in degree k do not depend on the rest of the window.
     for k in range(5):
-        assert cohomology(mm.model, k, k).representative_elements(k) == \
-            cohomology(mm.model, 0, k).representative_elements(k)
+        assert cohomology(mm.model, k, k).representatives(k) == \
+            cohomology(mm.model, 0, k).representatives(k)
 
 
 def test_hurewicz_s2_k3_image_orthogonal_to_whitehead(s2):
@@ -406,6 +406,39 @@ def test_hurewicz_rank_of_its_sparse_columns_is_the_solver_rank(space):
         assert isinstance(rep.matrix, list) and len(rep.matrix) == rep.h_dim
         solver = solve_linear(RationalMatrix.from_columns(rep.v_dim, rep.matrix))
         assert rep.rank == solver.rank
+
+
+def parent_hurewicz_columns(model, k):
+    """The columns hurewicz_matrix read off AlgElement representatives: the
+    word-length-1 terms of each, keyed by V^k position in term order."""
+    vk = [i for i, d in enumerate(model.ctx.degrees) if d == k]
+    return [{vk.index(mono[0][0]): c
+             for mono, c in model.from_coords(k, v).linear_part().terms.items()}
+            for v in cohomology(model, k, k).representatives(k)]
+
+
+def two_linear_terms():
+    """da = u, db = -u: H^2 is spanned by a + b, two linear terms, and the
+    degree-2 basis lists b before a."""
+    ctx = GeneratorContext([("a", 2), ("b", 2), ("u", 3)])
+    u = ctx.generator("u")
+    return SullivanPresentation(ctx, {"a": u, "b": -u, "u": AlgElement.zero(ctx)}, name="a+b")
+
+
+@pytest.mark.parametrize("space", ["a+b", "S2", "S3", "S2vS2", "CP2", "S2xS3"])
+def test_hurewicz_columns_match_the_element_path(space):
+    # Values, value types and key order (V^k position, not basis position).
+    model = {"a+b": two_linear_terms, "S2": sphere2_model, "S3": lambda: sphere(3),
+             "CP2": lambda: cp(2), "S2vS2": lambda: minimal_model(wedge_two_s2_cohomology(), 5),
+             "S2xS3": lambda: tensor_presentations(sphere2_model(), sphere(3))}[space]()
+    model = getattr(model, "model", model)
+    for k in range(1, 6):
+        got = hurewicz_matrix(model, k).matrix
+        assert [[(i, type(c), c) for i, c in col.items()] for col in got] == \
+            [[(i, type(c), c) for i, c in col.items()] for col in parent_hurewicz_columns(model, k)]
+    if space == "a+b":
+        assert model.basis(2) == [((1, 1),), ((0, 1),)]
+        assert [list(col) for col in hurewicz_matrix(model, 2).matrix] == [[0, 1]]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from rht.invariants import (DegreeSequence, _representable, _toomer_fails_at, ca
                             loop_homology_dims, massey_triple,
                             tc_cup_length, toomer_invariant, trichotomy_report,
                             ELLIPTIC, HYPERBOLIC)
-from rht.linalg import Echelon
+from rht.linalg import Echelon, lincomb
 from rht.minimal_model import minimal_model
 
 from conftest import (nonformal_uvw, random_monomial_algebras, sphere2_model,
@@ -333,6 +333,83 @@ def test_massey_representative_moves_within_indeterminacy(uvw):
             cls = hrep.class_coordinates(top, cx.to_coords(diff, top))
             if cls:
                 assert ech.contains(cls)
+
+
+def parent_indeterminacy(p, a, c, top):
+    """The indeterminacy classes and span massey_triple formed from
+    AlgElement representatives: a h for h in H^(top - |a|), then h c for h in
+    H^(top - |c|), each class kept when it is new."""
+    hrep, ind, classes = cohomology(p, 0, top), Echelon(), []
+
+    def reps(k):
+        return [p.from_coords(k, v) for v in hrep.representatives(k)] if k >= 0 else []
+    for z in [a * h for h in reps(top - a.degree())] + [h * c for h in reps(top - c.degree())]:
+        if not z.is_zero():
+            cls = hrep.class_coordinates(top, p.to_coords(z, top))
+            if cls and ind.add(dict(cls)):
+                classes.append(cls)
+    return classes, ind
+
+
+def heisenberg_circle():
+    """x, y, z, t of degree 1, dt = xy: x, y odd classes whose products with z survive."""
+    ctx = GeneratorContext([("x", 1), ("y", 1), ("z", 1), ("t", 1)])
+    zero = AlgElement.zero(ctx)
+    return SullivanPresentation(ctx, {"x": zero, "y": zero, "z": zero,
+                                      "t": ctx.generator("x") * ctx.generator("y")})
+
+
+def a3_b3_z5():
+    """a, b of degree 3, dz = ab: <a, a, b> = [a z] != 0."""
+    ctx = GeneratorContext([("a", 3), ("b", 3), ("z", 5)])
+    zero = AlgElement.zero(ctx)
+    return SullivanPresentation(ctx, {"a": zero, "b": zero,
+                                      "z": ctx.generator("a") * ctx.generator("b")})
+
+
+def seeded_cocycles(p, top, rng):
+    """Cocycles of degree 0..top: each representative, a boundary, and a
+    representative plus a boundary, with coefficients drawn from [-2, 2];
+    then 0."""
+    rep = cohomology(p, 0, top)
+    out = []
+    for k in range(top + 1):
+        reps = rep.representatives(k)
+        bound = lincomb((rng.randint(-2, 2), p.differential_column(k - 1, i))
+                        for i in range(p.dim(k - 1)))
+        vecs = [bound] + [lincomb([(rng.choice([-2, -1, 1, 2]), v)]) for v in reps]
+        vecs += [lincomb([(1, rng.choice(reps)), (1, bound)])] if reps else []
+        out += [p.from_coords(k, v) for v in vecs if v]
+    return out + [AlgElement.zero(p.ctx)]
+
+
+@pytest.mark.parametrize("space, top", [("uvw", 2), ("heisenberg", 2), ("S2", 3), ("CP2", 4),
+                                        ("S2xS3", 3), ("a3b3z5", 3)])
+def test_massey_indeterminacy_matches_the_element_path(space, top):
+    # Seeded cocycle triples, degree-0 and zero slots among them: the
+    # indeterminacy classes, their value types and key order, are those of
+    # the AlgElement products a h and h c, and so is `nontrivial`.
+    p = {"uvw": nonformal_uvw, "heisenberg": heisenberg_circle, "S2": sphere2_model,
+         "CP2": lambda: cp(2), "S2xS3": lambda: tensor_presentations(sphere2_model(), sphere(3)),
+         "a3b3z5": a3_b3_z5}[space]()
+    rng = random.Random(space)
+    cocycles = seeded_cocycles(p, top, rng)
+    triples = list(itertools.product(cocycles, repeat=3))
+    counts = {"zero": 0, "undefined": 0, "defined": 0}
+    for a, b, c in rng.sample(triples, min(len(triples), 400)):
+        res = massey_triple(p, a, b, c)
+        if a.is_zero() or b.is_zero() or c.is_zero():
+            assert res.defined and res.indeterminacy == [] and not res.nontrivial
+            counts["zero"] += 1
+        elif not res.defined:
+            counts["undefined"] += 1
+        else:
+            counts["defined"] += 1
+            classes, ind = parent_indeterminacy(p, a, c, a.degree() + b.degree() + c.degree() - 1)
+            assert [[(i, type(v), v) for i, v in cls.items()] for cls in res.indeterminacy] == \
+                [[(i, type(v), v) for i, v in cls.items()] for cls in classes]
+            assert res.nontrivial == (bool(res.rep_class) and not ind.contains(res.rep_class))
+    assert all(counts.values()), counts
 
 
 # ---------------------------------------------------------------------------
