@@ -26,7 +26,7 @@ from . import algebra
 from .algebra import (AlgElement, Derivation, MonomialBases, ONE, apply_derivation, as_q,
                       monomial_degree, monomial_products, monomial_str, rebase)
 from .errors import BudgetExceededError, DegreeError, RhtError, ValidationError
-from .linalg import Echelon, _addmul, lincomb, slice_homology
+from .linalg import Echelon, RationalMatrix, _addmul, lincomb, solve_linear
 
 
 class ValidationReport:
@@ -474,52 +474,87 @@ def _validate_finite(A):
 # ---------------------------------------------------------------------------
 
 class CohomologyReport:
-    """Per-degree Betti numbers with representative cocycles, reusable."""
+    """Per-degree Betti numbers with representative cocycles, reusable.
+
+    Degree k is computed on a reduced complex (Kaczynski-Mischaikow-Mrozek
+    2004).  Kernel vector j of d^k (`solve_linear`) is 1 at its free column
+    f_j, 0 at the other free columns F, and elsewhere nonzero only at pivots
+    left of f_j, so z -> z|F maps the cocycles onto Q^F; the boundaries (d^2
+    = 0 makes them cocycles) are eliminated there, in dimension nullity, not
+    dim C^k.  The representatives are the kernel vectors j with e_j outside
+    the span of the b|F and e_0 .. e_(j-1), in kernel order.
+    """
 
     def __init__(self, pres, lo, hi):
         self.pres = pres
         self.lo = lo
         self.hi = hi
         self._reps = {}        # k -> list of coordinate vectors
-        self._classes = {}     # k -> what class coordinates are read from (slice_homology)
+        # k -> (free, tails, echelon, index): free maps f_j to column -j, tails
+        # maps -j to kernel vector j less its unit entry, the Echelon holds
+        # every b|F on those columns (a row's pivot is its largest j: the j
+        # that are not reps), and index maps -j to i for reps[i].
+        self._classes = {}
         # Each degree's columns are read once: d out of C^k is d into C^(k+1).
         d_in = [pres.differential_column(lo - 1, i) for i in range(pres.dim(lo - 1))]
         for k in range(lo, hi + 1):
             d_out = [pres.differential_column(k, i) for i in range(pres.dim(k))]
-            self._reps[k], self._classes[k] = slice_homology(d_out, pres.dim(k + 1), d_in)
+            kernel = solve_linear(RationalMatrix(pres.dim(k + 1), d_out)).kernel
+            free, tails = {}, {}
+            for j, vec in enumerate(kernel):
+                f = max(vec)
+                free[f] = -j
+                tails[-j] = tail = dict(vec)
+                del tail[f]
+            echelon = Echelon()
+            for vec in filter(None, ({free[c]: v for c, v in col.items() if c in free}
+                                     for col in d_in)):
+                echelon.add(vec)
+            index = {}
+            for j in range(len(kernel)):
+                if -j not in echelon.position:
+                    index[-j] = len(index)
+            self._reps[k] = [kernel[-col] for col in index]
+            self._classes[k] = free, tails, echelon, index
             d_in = d_out
 
-    def dim(self, k):
+    def _window(self, k):
         if k < self.lo or k > self.hi:
             raise DegreeError("degree %d outside computed window [%d, %d]" % (k, self.lo, self.hi))
+        return self._classes[k]
+
+    def dim(self, k):
+        self._window(k)
         return len(self._reps[k])
 
     def dims(self):
         return {k: len(self._reps[k]) for k in range(self.lo, self.hi + 1)}
 
     def representatives(self, k):
+        self._window(k)
         return [dict(v) for v in self._reps[k]]
 
     def class_coordinates(self, k, cocycle_coords):
         """Coordinates of a cocycle's class in the representative basis.
 
         Solves cocycle = sum c_i rep_i + boundary; returns {i: c_i}, keys in
-        ascending order, or raises if the input is not a cocycle.  A vector z
-        is a cocycle exactly when its entries off the free columns F are those
-        of sum z[f] (k_f less its unit entry); then the residue of z|F modulo
-        the restricted boundaries of `slice_homology` lies on the reps'
-        columns and holds the c_i.
+        ascending order, or raises if the input is not a cocycle.  The residue
+        of z|F modulo the restricted boundaries lies on the reps' columns and
+        holds the c_i.
         """
-        free, tails, echelon, index = self._classes[k]
-        z = {c: v for c, v in cocycle_coords.items() if v}
-        restricted = {free[c]: v for c, v in z.items() if c in free}
-        if lincomb((v, tails[col]) for col, v in restricted.items()) != \
-                {c: v for c, v in z.items() if c not in free}:
+        if not self.is_cocycle(k, cocycle_coords):
             raise RhtError("vector is not a cocycle modulo the computed boundaries")
+        free, _, echelon, index = self._classes[k]
+        restricted = {free[c]: v for c, v in cocycle_coords.items() if v and c in free}
         return dict(sorted((index[col], c) for col, c in echelon.residue(restricted).items()))
 
     def is_cocycle(self, k, coords):
-        return not lincomb((c, self.pres.differential_column(k, i)) for i, c in coords.items())
+        """d z = 0, read off the kernel: z is a cocycle exactly when its
+        entries off the free columns F are those of sum z[f] (k_f less its
+        unit entry)."""
+        free, tails, _, _ = self._window(k)
+        return lincomb((v, tails[free[c]]) for c, v in coords.items() if v and c in free) == \
+            {c: v for c, v in coords.items() if v and c not in free}
 
     def certified_above(self):
         """True when H^{>hi} = 0 is certified, not merely unobserved."""

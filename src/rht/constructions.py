@@ -18,7 +18,7 @@ from .algebra import (AlgElement, Derivation, GeneratorContext, ONE, ZERO, apply
 from .cdga import (FiniteCDGA, QuotientCDGA, SullivanPresentation, cohomology, tensor_finite,
                    tensor_positions, validate)
 from .errors import BudgetExceededError, DegreeError, RhtError, UnsupportedInputError
-from .linalg import Echelon, RationalMatrix, lincomb, slice_homology, solve_linear
+from .linalg import Echelon, RationalMatrix, lincomb, solve_linear
 from .minimal_model import LambdaExtension
 
 
@@ -312,12 +312,7 @@ def holonomy_representation(ext, n):
                     parts.setdefault(w, {})[fiber.index(k + 1 - ctx.degrees[w])[fib_mono]] = c
             for w_pos, w_idx in enumerate(base_idx):
                 coords, pdeg = parts.get(w_idx), k + 1 - ctx.degrees[w_idx]
-                if not coords:
-                    matrices[(w_pos, k)].append({})
-                    continue
-                if not frep.is_cocycle(pdeg, coords):
-                    raise RhtError("holonomy coefficient is not a fiber cocycle")
-                matrices[(w_pos, k)].append(frep.class_coordinates(pdeg, coords))
+                matrices[(w_pos, k)].append(frep.class_coordinates(pdeg, coords) if coords else {})
     report = HolonomyReport([ctx.names[i] for i in base_idx],
                             [ctx.degrees[i] for i in base_idx], frep, matrices, n)
     for i in range(len(base_idx)):
@@ -402,12 +397,13 @@ def mapping_space_pi(phi, n):
             cols.append(lincomb(rows))
         return src, tgt, cols
 
+    # dim H_n = nullity D_n - rank D_(n+1), as D^2 = 0 puts im D_(n+1) in ker D_n.
     src_n, tgt_n, cols_n = d_matrix(n)
-    _, _, cols_n1 = d_matrix(n + 1)
-    reps, _ = slice_homology(cols_n, len(tgt_n), cols_n1)
-    dim = len(reps)
+    nullity = len(solve_linear(RationalMatrix(len(tgt_n), cols_n)).kernel)
+    boundaries = Echelon()
+    rank = sum(1 for col in d_matrix(n + 1)[2] if col and boundaries.add(col))
     contributing = sorted({(V.ctx.degree_of(g), wdeg) for (g, wdeg, _) in src_n})
-    return MappingSpaceReport(n, dim, contributing)
+    return MappingSpaceReport(n, nullity - rank, contributing)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +451,9 @@ class PDAlgebra:
                     for j in range(A.dim(q))]
             # Solve for each k the vector x with eps(a_i . sum_j x_j c_j) = delta_ik,
             # all k in one solve: each solution is canonical per target.
-            mat = RationalMatrix.from_columns(npairs, cols)
+            mat = RationalMatrix(npairs, cols)
             sol = solve_linear(mat, targets=[{k: ONE} for k in range(npairs)])
-            if not all(sol.solvable):
+            if None in sol.solutions:
                 raise UnsupportedInputError("top pairing is degenerate in degree %d" % p)
             self._duals[p] = sol.solutions
 

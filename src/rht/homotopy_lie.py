@@ -249,7 +249,7 @@ def lcs_filtrations(p, k, depth=32):
 
     def preimage(span_ech):
         """{v in V^k : delta v in span} as vectors over vk_idx coordinates."""
-        mat = RationalMatrix.from_columns(len(basis_k1), [span_ech.residue(c) for c in delta_cols])
+        mat = RationalMatrix(len(basis_k1), [span_ech.residue(c) for c in delta_cols])
         return solve_linear(mat).kernel
 
     def span_of_level(f_basis):

@@ -14,7 +14,7 @@ from .cdga import FiniteCDGA, cohomology, tensor_mul
 from .constructions import PDAlgebra
 from .errors import DegreeError, UnsupportedInputError
 from .homotopy_lie import homotopy_ranks
-from .linalg import Echelon
+from .linalg import Echelon, lincomb
 from .minimal_model import MinimalModelResult, is_minimal, primitives
 
 
@@ -153,7 +153,7 @@ class MasseyResult:
     def __init__(self, defined, representative, rep_class, indeterminacy,
                  nontrivial, reason=None):
         self.defined = defined
-        self.representative = representative    # element (AlgElement or coords)
+        self.representative = representative    # AlgElement of degree |a| + |b| + |c| - 1
         self.rep_class = rep_class              # class coordinates in H
         self.indeterminacy = indeterminacy      # list of class coordinate vectors
         self.nontrivial = nontrivial
@@ -182,27 +182,26 @@ def massey_triple(p, a, b, c):
     if None in (da, db, dc):
         if a.is_zero() or b.is_zero() or c.is_zero():
             # A zero slot: the product is defined and trivially zero.
-            zero = AlgElement.zero(p.ctx)
-            return MasseyResult(True, zero, {}, [], False)
+            return MasseyResult(True, AlgElement.zero(p.ctx), {}, [], False)
         raise DegreeError("Massey inputs must be homogeneous")
-    x = primitives(p, da + db - 1, [p.to_coords(a * b, da + db)], range(p.dim(da + db - 1)))[0]
+    a_coords, b_coords, c_coords = p.to_coords(a), p.to_coords(b), p.to_coords(c)
+    x = primitives(p, da + db - 1, [p.multiply_coords(da, a_coords, db, b_coords)],
+                   range(p.dim(da + db - 1)))[0]
     if x is None:
         return MasseyResult(False, None, None, None, None,
                             reason="[a][b] != 0 in cohomology")
-    y = primitives(p, db + dc - 1, [p.to_coords(b * c, db + dc)], range(p.dim(db + dc - 1)))[0]
+    y = primitives(p, db + dc - 1, [p.multiply_coords(db, b_coords, dc, c_coords)],
+                   range(p.dim(db + dc - 1)))[0]
     if y is None:
         return MasseyResult(False, None, None, None, None,
                             reason="[b][c] != 0 in cohomology")
-    sign = (-1) ** (da + 1)
-    rep_el = (p.from_coords(da + db - 1, x) * c
-              + a.scale(sign) * p.from_coords(db + dc - 1, y))
     top = da + db + dc - 1
+    rep = lincomb([(1, p.multiply_coords(da + db - 1, x, dc, c_coords)),
+                   ((-1) ** (da + 1), p.multiply_coords(da, a_coords, db + dc - 1, y))])
     hrep = cohomology(p, 0, top)
-    rep_class = hrep.class_coordinates(top, p.to_coords(rep_el, top)) if not rep_el.is_zero() else {}
-    ind = Echelon()
-    ind_classes = []
+    rep_class = hrep.class_coordinates(top, rep) if rep else {}
+    ind, ind_classes = Echelon(), []
     reps = {k: hrep.representatives(k) if k >= 0 else [] for k in (da + db - 1, db + dc - 1)}
-    a_coords, c_coords = p.to_coords(a), p.to_coords(c)
     for z in ([p.multiply_coords(da, a_coords, db + dc - 1, h) for h in reps[db + dc - 1]]
               + [p.multiply_coords(da + db - 1, h, dc, c_coords) for h in reps[da + db - 1]]):
         if z:
@@ -210,7 +209,7 @@ def massey_triple(p, a, b, c):
             if cls and ind.add(dict(cls)):
                 ind_classes.append(cls)
     nontrivial = bool(rep_class) and not ind.contains(rep_class)
-    return MasseyResult(True, rep_el, rep_class, ind_classes, nontrivial)
+    return MasseyResult(True, p.from_coords(top, rep), rep_class, ind_classes, nontrivial)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact sparse linear algebra over Q.
+"""Exact sparse linear algebra over Q: the elimination engine.
 
 Everything the package computes (cohomology, quasi-isomorphism checks,
 surjectivity/cokernel bookkeeping) reduces to one elimination engine,
@@ -8,9 +8,7 @@ changes the work, and `solve_linear` feeds the rows of [M | -T] in a
 fill-reducing one.  Inside, rows are primitive integer vectors, eliminated by
 cross-multiplication, with a column -> rows occupancy index; Fractions appear
 only at the boundary: `residue`, `rows`, and the kernel and solutions read
-off the RREF.  `slice_homology` eliminates boundaries in the kernel's free
-coordinates, a space of dimension nullity, and class coordinates are a
-residue there.  `RationalMatrix` holds the shape and Fraction entries that
+off the RREF.  `RationalMatrix` holds the shape and Fraction entries that
 `solve_linear` reads.  Sparse vectors are {index: Fraction} dicts; `lincomb`,
 the one sparse sum, adds them in place, on the same loop `Echelon` reduces with.
 """
@@ -25,33 +23,21 @@ ONE = Fraction(1)
 
 class RationalMatrix:
     """Shape and nonzero entries {(row, col): Fraction} of a sparse matrix over Q,
-    the input of `solve_linear`."""
+    the input of `solve_linear`: column j is the sparse vector columns[j],
+    converted once."""
 
-    def __init__(self, rows, cols, entries=None):
+    def __init__(self, rows, columns):
         self.rows = rows
-        self.cols = cols
+        self.cols = len(columns)
         self.entries = {}
-        if entries:
-            for (r, c), v in entries.items():
-                v = Fraction(v)
-                if v != 0:
-                    if not (0 <= r < rows and 0 <= c < cols):
-                        raise RhtError("entry (%d,%d) outside %dx%d matrix" % (r, c, rows, cols))
-                    self.entries[(r, c)] = v
-
-    @staticmethod
-    def from_columns(rows, columns):
-        """Matrix whose j-th column is the sparse vector columns[j], converted once."""
-        m = RationalMatrix(rows, len(columns))
         for j, col in enumerate(columns):
             for r, v in col.items():
                 if type(v) is not Fraction:
                     v = Fraction(v)
                 if v:
                     if not 0 <= r < rows:
-                        raise RhtError("entry (%d,%d) outside %dx%d matrix" % (r, j, rows, m.cols))
-                    m.entries[(r, j)] = v
-        return m
+                        raise RhtError("entry (%d,%d) outside %dx%d matrix" % (r, j, rows, self.cols))
+                    self.entries[(r, j)] = v
 
     def __repr__(self):
         return "RationalMatrix(%dx%d, %d nonzero)" % (self.rows, self.cols, len(self.entries))
@@ -60,18 +46,17 @@ class RationalMatrix:
 class LinearSolveResult:
     """Kernel basis, rank, and per-target particular solutions."""
 
-    def __init__(self, rank, kernel, solutions, solvable):
+    def __init__(self, rank, kernel, solutions):
         self.rank = rank
         self.kernel = kernel          # list of sparse {col: Fraction}, M k = 0
-        self.solutions = solutions    # list of sparse {col: Fraction} or None
-        self.solvable = solvable      # list of bool, parallel to targets
+        self.solutions = solutions    # per target: sparse {col: Fraction}, or None if unsolvable
 
 
 def solve_linear(matrix, targets=None):
     """Exact kernel / rank / solve for M x = t over Q.
 
     `targets` is an optional list of sparse {row: Fraction} vectors.  Targets
-    that are not in the column space are flagged unsolvable, never an error.
+    that are not in the column space get the solution None, never an error.
     The answers are canonical: kernel vector j is 1 at the j-th free column
     and 0 at the others, and each solution is 0 on every free column.
     Postcondition: rank + len(kernel) == cols (rank-nullity).
@@ -109,8 +94,7 @@ def solve_linear(matrix, targets=None):
                     kernel[c][pc] = Fraction(-v, p)
             elif solutions[c - ncols] is not None:
                 solutions[c - ncols][pc] = Fraction(-v, p)
-    return LinearSolveResult(len(pivots), list(kernel.values()), solutions,
-                             [s is not None for s in solutions])
+    return LinearSolveResult(len(pivots), list(kernel.values()), solutions)
 
 
 class Echelon:
@@ -224,36 +208,3 @@ def lincomb(terms):
             _addmul(out, c, v)
     return out
 
-
-def slice_homology(d_out, out_dim, d_in):
-    """Cocycles modulo boundaries at one degree k of a cochain complex.
-
-    `d_out` holds the columns of d: C^k -> C^{k+1}, vectors in a space of
-    dimension `out_dim`; `d_in` holds the columns of d: C^{k-1} -> C^k, which
-    are cocycles (d^2 = 0).  Kernel vector j of `solve_linear` is 1 at its
-    free column f_j, 0 at the other free columns F, and elsewhere nonzero only
-    at pivots left of f_j.  So z -> z|F maps the cocycles onto Q^F, and H^k is
-    computed there, in dimension nullity, not dim C^k (homology on a reduced
-    complex: Kaczynski-Mischaikow-Mrozek 2004).  Returns (reps, classes):
-    reps are the kernel vectors j with e_j outside the span of the b|F and
-    e_0 .. e_(j-1), in kernel order.  classes = (free, tails, echelon, index):
-    free maps f_j to column -j, tails maps -j to kernel vector j less its unit
-    entry, the Echelon holds every b|F on those columns (a row's pivot is its
-    largest j: the j that are not reps), and index maps -j to i for reps[i].
-    """
-    kernel = solve_linear(RationalMatrix.from_columns(out_dim, d_out)).kernel
-    free, tails = {}, {}
-    for j, vec in enumerate(kernel):
-        f = max(vec)
-        free[f] = -j
-        tails[-j] = tail = dict(vec)
-        del tail[f]
-    echelon = Echelon()
-    restricted = ({free[c]: v for c, v in col.items() if c in free} for col in d_in)
-    for vec in filter(None, restricted):
-        echelon.add(vec)
-    index = {}
-    for j in range(len(kernel)):
-        if -j not in echelon.position:
-            index[-j] = len(index)
-    return [kernel[-col] for col in index], (free, tails, echelon, index)

@@ -135,7 +135,7 @@ def minimal_model(A, n=16, name=None):
         src_rep = cohomology(model, stage + 1, stage + 1)
         reps = src_rep.representatives(stage + 1)
         cols = induced_classes(phi, src_rep, tgt_rep, stage + 1)
-        mat = RationalMatrix.from_columns(tgt_rep.dim(stage + 1), cols)
+        mat = RationalMatrix(tgt_rep.dim(stage + 1), cols)
         ker = solve_linear(mat).kernel
         if not ker:
             continue
@@ -337,6 +337,6 @@ def primitives(pres, deg, targets, candidates):
     degree deg + 1: the canonical s as {basis index: Fraction} (0 on every
     free column, whatever the other targets), or None when there is none."""
     cols = [pres.differential_column(deg, i) for i in candidates]
-    sol = solve_linear(RationalMatrix.from_columns(pres.dim(deg + 1), cols), targets=targets)
+    sol = solve_linear(RationalMatrix(pres.dim(deg + 1), cols), targets=targets)
     return [None if s is None else {candidates[i]: c for i, c in s.items()}
             for s in sol.solutions]

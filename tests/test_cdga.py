@@ -963,6 +963,21 @@ def test_algebra_refuses_a_window_above_degree_0(monkeypatch):
         report.algebra()
 
 
+def test_reads_outside_the_window_raise_the_degree_error_of_dim(monkeypatch):
+    # Degree 5 lies outside [0, 3], and so does -1: class coordinates,
+    # representatives and the cocycle test refuse them as `dim` does, and
+    # the cocycle test reads no differential column on the way.
+    report = cohomology(sphere(2), 0, 3)
+    reads = [report.dim, report.representatives,
+             lambda k: report.class_coordinates(k, {0: 1}), lambda k: report.is_cocycle(k, {0: 1})]
+    monkeypatch.setattr(report.pres, "differential_column", None)
+    for read in reads:
+        for k in (5, -1):
+            with pytest.raises(DegreeError, match=r"degree %d outside computed window \[0, 3\]"
+                               % k):
+                read(k)
+
+
 # -- sparse sums through lincomb, pinned against the loops they replaced ------
 
 def reference_lincomb(terms):

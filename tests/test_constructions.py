@@ -20,7 +20,7 @@ from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_compl
                                mapping_space_pi, point, sphere, tensor_presentations,
                                torus, truncated_poly, wedge_cohomology)
 from rht.errors import BudgetExceededError, RhtError, UnsupportedInputError
-from rht.linalg import lincomb
+from rht.linalg import Echelon, RationalMatrix, lincomb, solve_linear
 from rht.minimal_model import LambdaExtension, acyclic_closure, minimal_model
 
 from conftest import leibniz_loop, sphere2_model, wedge_two_s2_cohomology
@@ -595,22 +595,53 @@ MAPPING_SPACE_MORPHISMS = _mapping_space_morphisms()
 @pytest.mark.parametrize("name, phi", MAPPING_SPACE_MORPHISMS,
                          ids=[name for name, _ in MAPPING_SPACE_MORPHISMS])
 def test_mapping_space_d_matrices_match_the_generic_theta(name, phi, monkeypatch):
-    # The D matrices `mapping_space_pi` hands to `slice_homology` equal the
-    # ones the generic theta(x) extension gives, for n = 1..6.
+    # The D matrices `mapping_space_pi` reads equal the ones the generic
+    # theta(x) extension gives, for n = 1..6: D_n and the dimension of its
+    # target through the matrix it solves, and D_(n+1) through the columns it
+    # ranks in an Echelon, every nonzero one in order (a 0 column is skipped).
     seen = []
-    original = rht.constructions.slice_homology
 
-    def recording_slice_homology(d_out, out_dim, d_in):
-        seen.append((d_out, out_dim, d_in))
-        return original(d_out, out_dim, d_in)
+    def recording_matrix(rows, columns):
+        seen.append((columns, rows, []))
+        return RationalMatrix(rows, columns)
 
-    monkeypatch.setattr(rht.constructions, "slice_homology", recording_slice_homology)
+    class RecordingEchelon(Echelon):
+        def add(self, vec):
+            seen[-1][2].append(dict(vec))
+            return super().add(vec)
+
+    monkeypatch.setattr(rht.constructions, "RationalMatrix", recording_matrix)
+    monkeypatch.setattr(rht.constructions, "Echelon", RecordingEchelon)
     assert phi.validate().ok
+    reference = {m: reference_d_matrix(phi, m) for m in range(1, 8)}
     for n in range(1, 7):
         mapping_space_pi(phi, n)
-        cols_n, dim_n1 = reference_d_matrix(phi, n)
-        cols_n1, _ = reference_d_matrix(phi, n + 1)
-        assert seen.pop() == (cols_n, dim_n1, cols_n1)
+        (cols_n, dim_n1), (cols_n1, _) = reference[n], reference[n + 1]
+        assert seen == [(cols_n, dim_n1, [col for col in cols_n1 if col])]
+        seen.clear()
+
+
+def slice_homology_count(d_out, out_dim, d_in):
+    """dim H at one degree as `linalg.slice_homology` counted it: the kernel
+    vectors j of d_out whose unit e_j lies outside the span of the boundaries
+    d_in, restricted to the free columns, and of e_0 .. e_(j-1)."""
+    kernel = solve_linear(RationalMatrix(out_dim, d_out)).kernel
+    free = {max(vec): -j for j, vec in enumerate(kernel)}
+    echelon = Echelon()
+    for vec in filter(None, ({free[c]: v for c, v in col.items() if c in free} for col in d_in)):
+        echelon.add(vec)
+    return sum(1 for j in range(len(kernel)) if -j not in echelon.position)
+
+
+@pytest.mark.parametrize("name, phi", MAPPING_SPACE_MORPHISMS,
+                         ids=[name for name, _ in MAPPING_SPACE_MORPHISMS])
+def test_mapping_space_rank_nullity_matches_the_slice_homology_count(name, phi):
+    # nullity D_n - rank D_(n+1) is the count the cocycles-modulo-boundaries
+    # copy gave, on the generic theta's D matrices, for n = 1..6.
+    reference = {m: reference_d_matrix(phi, m) for m in range(1, 8)}
+    for n in range(1, 7):
+        (cols_n, dim_n1), (cols_n1, _) = reference[n], reference[n + 1]
+        assert mapping_space_pi(phi, n).dim == slice_homology_count(cols_n, dim_n1, cols_n1)
 
 
 # ---------------------------------------------------------------------------

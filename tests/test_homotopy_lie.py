@@ -278,7 +278,7 @@ def reference_lcs(p, k, depth=32):
                  if relevant(m)} for i in vk_idx}
 
     def preimage(ech):
-        mat = RationalMatrix.from_columns(len(basis_k1), [ech.residue(delta[i]) for i in vk_idx])
+        mat = RationalMatrix(len(basis_k1), [ech.residue(delta[i]) for i in vk_idx])
         return solve_linear(mat).kernel
 
     def span_of_level(level):
@@ -404,7 +404,7 @@ def test_hurewicz_rank_of_its_sparse_columns_is_the_solver_rank(space):
     for k in range(2, 5):
         rep = hurewicz_matrix(model, k)
         assert isinstance(rep.matrix, list) and len(rep.matrix) == rep.h_dim
-        solver = solve_linear(RationalMatrix.from_columns(rep.v_dim, rep.matrix))
+        solver = solve_linear(RationalMatrix(rep.v_dim, rep.matrix))
         assert rep.rank == solver.rank
 
 

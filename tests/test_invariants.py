@@ -18,7 +18,7 @@ from rht.invariants import (DegreeSequence, _representable, _toomer_fails_at, ca
                             tc_cup_length, toomer_invariant, trichotomy_report,
                             ELLIPTIC, HYPERBOLIC)
 from rht.linalg import Echelon, lincomb
-from rht.minimal_model import minimal_model
+from rht.minimal_model import minimal_model, primitives
 
 from conftest import (nonformal_uvw, random_monomial_algebras, sphere2_model,
                       wedge_two_s2_cohomology)
@@ -383,20 +383,30 @@ def seeded_cocycles(p, top, rng):
     return out + [AlgElement.zero(p.ctx)]
 
 
-@pytest.mark.parametrize("space, top", [("uvw", 2), ("heisenberg", 2), ("S2", 3), ("CP2", 4),
-                                        ("S2xS3", 3), ("a3b3z5", 3)])
-def test_massey_indeterminacy_matches_the_element_path(space, top):
-    # Seeded cocycle triples, degree-0 and zero slots among them: the
-    # indeterminacy classes, their value types and key order, are those of
-    # the AlgElement products a h and h c, and so is `nontrivial`.
+def seeded_triples(space, top):
+    """The presentation named `space` and up to 400 seeded triples of its
+    cocycles of degree 0..top."""
     p = {"uvw": nonformal_uvw, "heisenberg": heisenberg_circle, "S2": sphere2_model,
          "CP2": lambda: cp(2), "S2xS3": lambda: tensor_presentations(sphere2_model(), sphere(3)),
          "a3b3z5": a3_b3_z5}[space]()
     rng = random.Random(space)
     cocycles = seeded_cocycles(p, top, rng)
     triples = list(itertools.product(cocycles, repeat=3))
+    return p, rng.sample(triples, min(len(triples), 400))
+
+
+SEEDED_SPACES = [("uvw", 2), ("heisenberg", 2), ("S2", 3), ("CP2", 4), ("S2xS3", 3),
+                 ("a3b3z5", 3)]
+
+
+@pytest.mark.parametrize("space, top", SEEDED_SPACES)
+def test_massey_indeterminacy_matches_the_element_path(space, top):
+    # Seeded cocycle triples, degree-0 and zero slots among them: the
+    # indeterminacy classes, their value types and key order, are those of
+    # the AlgElement products a h and h c, and so is `nontrivial`.
+    p, triples = seeded_triples(space, top)
     counts = {"zero": 0, "undefined": 0, "defined": 0}
-    for a, b, c in rng.sample(triples, min(len(triples), 400)):
+    for a, b, c in triples:
         res = massey_triple(p, a, b, c)
         if a.is_zero() or b.is_zero() or c.is_zero():
             assert res.defined and res.indeterminacy == [] and not res.nontrivial
@@ -410,6 +420,50 @@ def test_massey_indeterminacy_matches_the_element_path(space, top):
                 [[(i, type(v), v) for i, v in cls.items()] for cls in classes]
             assert res.nontrivial == (bool(res.rep_class) and not ind.contains(res.rep_class))
     assert all(counts.values()), counts
+
+
+def parent_massey_triple(p, a, b, c):
+    """`massey_triple` as it was on AlgElements: a b and b c multiplied and
+    read with `to_coords`, the representative x c + (-1)^(|a| + 1) a y formed
+    as an element; (defined, reason, repr of the representative, class,
+    indeterminacy, nontrivial)."""
+    da, db, dc = a.degree(), b.degree(), c.degree()
+    if a.is_zero() or b.is_zero() or c.is_zero():
+        return True, None, "0", {}, [], False
+    x = primitives(p, da + db - 1, [p.to_coords(a * b, da + db)], range(p.dim(da + db - 1)))[0]
+    if x is None:
+        return False, "[a][b] != 0 in cohomology", None, None, None, None
+    y = primitives(p, db + dc - 1, [p.to_coords(b * c, db + dc)], range(p.dim(db + dc - 1)))[0]
+    if y is None:
+        return False, "[b][c] != 0 in cohomology", None, None, None, None
+    rep_el = (p.from_coords(da + db - 1, x) * c
+              + a.scale((-1) ** (da + 1)) * p.from_coords(db + dc - 1, y))
+    top = da + db + dc - 1
+    hrep = cohomology(p, 0, top)
+    rep_class = {} if rep_el.is_zero() else hrep.class_coordinates(top, p.to_coords(rep_el, top))
+    classes, ind = parent_indeterminacy(p, a, c, top)
+    return (True, None, repr(rep_el), rep_class, classes,
+            bool(rep_class) and not ind.contains(rep_class))
+
+
+@pytest.mark.parametrize("space, top", SEEDED_SPACES)
+def test_massey_representative_matches_the_element_path(space, top):
+    # On the same seeded triples, the representative built in coordinates
+    # prints as the AlgElement one, and its class, the indeterminacy and the
+    # verdict are the element path's, value types and key order included.
+    def typed(cls):
+        return [(i, type(v), v) for i, v in cls.items()]
+
+    def seen(defined, reason, rep, rep_class, classes, nontrivial):
+        if not defined:
+            return reason, rep, rep_class, classes, nontrivial
+        return reason, rep, typed(rep_class), [typed(cls) for cls in classes], nontrivial
+    p, triples = seeded_triples(space, top)
+    for a, b, c in triples:
+        res = massey_triple(p, a, b, c)
+        rep = None if res.representative is None else repr(res.representative)
+        assert seen(res.defined, res.reason, rep, res.rep_class, res.indeterminacy,
+                    res.nontrivial) == seen(*parent_massey_triple(p, a, b, c))
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +620,7 @@ def brute_force_tc(H):
     kernel = []
     for k, pairs in sorted(by_deg.items()):
         cols = [H.product(p, i, q, j) for ((p, i), (q, j)) in pairs]
-        mat = RationalMatrix.from_columns(H.dim(k), cols)
+        mat = RationalMatrix(H.dim(k), cols)
         for vec in solve_linear(mat).kernel:
             kernel.append({pairs[c]: v for c, v in vec.items()})
     if not kernel:

@@ -3,6 +3,7 @@ import os
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,26 +26,36 @@ import rht.minimal_model
 from conftest import wedge_two_s2_cohomology
 
 
+def matrix(rows, cols, entries):
+    """The matrix with the given {(row, col): value} entries, built from its columns."""
+    return RationalMatrix(rows, [{r: v for (r, c), v in entries.items() if c == j}
+                                 for j in range(cols)])
+
+
+def solvable(res):
+    return [s is not None for s in res.solutions]
+
+
 def test_identity_matrix():
-    m = RationalMatrix(3, 3, {(i, i): 1 for i in range(3)})
+    m = matrix(3, 3, {(i, i): 1 for i in range(3)})
     res = solve_linear(m, targets=[{0: Fraction(5)}, {1: 2, 2: 3}])
     assert res.rank == 3
     assert res.kernel == []
-    assert res.solvable == [True, True]
+    assert solvable(res) == [True, True]
     assert res.solutions[0] == {0: Fraction(5)}
 
 
 def test_zero_matrix_kernel():
-    m = RationalMatrix(2, 2)
+    m = matrix(2, 2, {})
     res = solve_linear(m)
     assert res.rank == 0
     assert len(res.kernel) == 2
 
 
 def test_unsolvable_flagged_not_raised():
-    m = RationalMatrix(2, 1, {(0, 0): 1})
+    m = matrix(2, 1, {(0, 0): 1})
     res = solve_linear(m, targets=[{1: Fraction(1)}, {0: Fraction(2)}])
-    assert res.solvable == [False, True]
+    assert solvable(res) == [False, True]
     assert res.solutions[0] is None
     assert res.solutions[1] == {0: Fraction(2)}
 
@@ -64,7 +75,7 @@ def random_matrix(rng, rows, cols, density=0.5):
         for c in range(cols):
             if rng.random() < density:
                 entries[(r, c)] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-    return RationalMatrix(rows, cols, entries)
+    return matrix(rows, cols, entries)
 
 
 def test_rank_nullity_and_kernel_on_random_matrices():
@@ -93,7 +104,7 @@ def test_particular_solutions_are_exact():
         x = {c: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for c in range(6)}
         t = apply(m, x)
         res = solve_linear(m, targets=[t])
-        assert res.solvable[0]
+        assert solvable(res)[0]
         assert apply(m, res.solutions[0]) == t
 
 
@@ -105,14 +116,14 @@ def test_row_permutation_invariance():
         targets = [apply(m, x), {rng.randrange(5): Fraction(1)}]
         perm = list(range(5))
         rng.shuffle(perm)
-        pm = RationalMatrix(5, 5, {(perm[r], c): v for (r, c), v in m.entries.items()})
+        pm = matrix(5, 5, {(perm[r], c): v for (r, c), v in m.entries.items()})
         ptargets = [{perm[r]: v for r, v in t.items()} for t in targets]
         a = solve_linear(m, targets)
         b = solve_linear(pm, ptargets)
         assert a.rank == b.rank
         assert a.kernel == b.kernel
         assert a.solutions == b.solutions
-        assert a.solvable == b.solvable
+        assert solvable(a) == solvable(b)
 
 
 def test_lincomb_key_order_after_cancellation():
@@ -144,8 +155,7 @@ def systems(draw):
     """A small rational matrix with solvable and arbitrary targets."""
     rows = draw(st.integers(1, 5))
     cols = draw(st.integers(1, 6))
-    m = RationalMatrix(rows, cols, {(r, c): draw(ENTRY)
-                                    for r in range(rows) for c in range(cols)})
+    m = matrix(rows, cols, {(r, c): draw(ENTRY) for r in range(rows) for c in range(cols)})
     targets = [apply(m, {c: draw(ENTRY) for c in range(cols)})
                for _ in range(draw(st.integers(0, 2)))]
     targets += draw(st.lists(st.dictionaries(st.integers(0, rows - 1), ENTRY,
@@ -153,15 +163,29 @@ def systems(draw):
     return m, targets
 
 
+def entries_matrix(rows, cols, entries):
+    """The `RationalMatrix(rows, cols, entries)` constructor as it was: each
+    entry converted to a Fraction, zeros dropped, and one outside the shape
+    refused."""
+    m = SimpleNamespace(rows=rows, cols=cols, entries={})
+    for (r, c), v in entries.items():
+        v = Fraction(v)
+        if v != 0:
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise RhtError("entry (%d,%d) outside %dx%d matrix" % (r, c, rows, cols))
+            m.entries[(r, c)] = v
+    return m
+
+
 def converting_from_columns(rows, columns):
     """`RationalMatrix.from_columns` as it was: each entry converted here and
-    again by the constructor."""
+    again by the entries constructor."""
     entries = {}
     for j, col in enumerate(columns):
         for r, v in col.items():
             if v != 0:
                 entries[(r, j)] = Fraction(v)
-    return RationalMatrix(rows, len(columns), entries)
+    return entries_matrix(rows, len(columns), entries)
 
 
 @settings(max_examples=100, deadline=None)
@@ -174,7 +198,7 @@ def test_from_columns_matches_the_converting_copy(columns):
         except RhtError as exc:
             return str(exc)
         return m.rows, m.cols, [(key, type(v), v) for key, v in m.entries.items()]
-    assert build(RationalMatrix.from_columns) == build(converting_from_columns)
+    assert build(RationalMatrix) == build(converting_from_columns)
 
 
 def column_rank(columns):
@@ -208,7 +232,7 @@ def test_solutions_vanish_on_free_columns(system):
     res = solve_linear(m, targets)
     free = set(free_columns(m))
     rank = column_rank(column(m, c) for c in range(m.cols))
-    for t, x, ok in zip(targets, res.solutions, res.solvable):
+    for t, x, ok in zip(targets, res.solutions, solvable(res)):
         t = {r: v for r, v in t.items() if v != 0}
         augmented = column_rank([column(m, c) for c in range(m.cols)] + [t])
         assert ok == (augmented == rank)
@@ -408,18 +432,18 @@ def test_echelon_matches_fraction_echelon(steps):
 @given(st.data())
 def test_solve_linear_matches_fraction_solve(data):
     rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
-    m = RationalMatrix(rows, cols, {(r, c): data.draw(BIG_ENTRY)
-                                    for r in range(rows) for c in range(cols)})
+    m = matrix(rows, cols, {(r, c): data.draw(BIG_ENTRY)
+                            for r in range(rows) for c in range(cols)})
     targets = [apply(m, {c: data.draw(BIG_ENTRY) for c in range(cols)})
                for _ in range(data.draw(st.integers(0, 2)))]
     targets += data.draw(st.lists(st.dictionaries(st.integers(0, rows - 1), BIG_ENTRY,
                                                   max_size=rows), max_size=2))
     res = solve_linear(m, targets)
-    rank, kernel, solutions, solvable = fraction_solve_linear(m, targets)
+    rank, kernel, solutions, ok = fraction_solve_linear(m, targets)
     assert res.rank == rank
     assert [typed(k) for k in res.kernel] == [typed(k) for k in kernel]
     assert [typed(s) for s in res.solutions] == [typed(s) for s in solutions]
-    assert res.solvable == solvable
+    assert solvable(res) == ok
 
 
 def test_cohomology_of_many_free_generators_is_fast():
@@ -477,25 +501,25 @@ def test_solve_linear_matches_insertion_order(data):
     # Rows enter sorted by their smallest column, largest first; the answers
     # are read off the RREF, so they cannot see the order.
     rows, cols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
-    m = RationalMatrix(rows, cols, {(r, c): data.draw(SPARSE_ENTRY)
-                                    for r in range(rows) for c in range(cols)})
+    m = matrix(rows, cols, {(r, c): data.draw(SPARSE_ENTRY)
+                            for r in range(rows) for c in range(cols)})
     targets = [apply(m, {c: data.draw(SPARSE_ENTRY) for c in range(cols)})
                for _ in range(data.draw(st.integers(0, 2)))]
     targets += data.draw(st.lists(st.dictionaries(st.integers(0, rows - 1), SPARSE_ENTRY,
                                                   max_size=rows), max_size=2))
     res = solve_linear(m, targets)
-    rank, kernel, solutions, solvable = insertion_order_solve_linear(m, targets)
+    rank, kernel, solutions, ok = insertion_order_solve_linear(m, targets)
     assert res.rank == rank
     assert [typed(k) for k in res.kernel] == [typed(k) for k in kernel]
     assert [typed(s) for s in res.solutions] == [typed(s) for s in solutions]
-    assert res.solvable == solvable
+    assert solvable(res) == ok
 
 
 def full_space_slice_homology(d_out, out_dim, d_in):
     """`slice_homology` as it was: boundaries and tagged representatives
     eliminated in C^k itself."""
     n = len(d_out)
-    kernel = solve_linear(RationalMatrix.from_columns(out_dim, d_out)).kernel
+    kernel = solve_linear(RationalMatrix(out_dim, d_out)).kernel
     classes = Echelon()
     for col in d_in:
         classes.add(col)
@@ -543,7 +567,7 @@ def random_complexes(draw):
                for _ in range(dims[top])]}
     dims[top + 1] = 3
     for k in range(top - 1, -1, -1):
-        m = RationalMatrix.from_columns(dims[k + 2], d[k + 1])
+        m = RationalMatrix(dims[k + 2], d[k + 1])
         _, kernel, _, _ = fraction_solve_linear(m, [])
         d[k] = [lincomb((draw(SPARSE_ENTRY), vec) for vec in kernel
                         if draw(st.booleans())) for _ in range(dims[k])]
@@ -561,7 +585,7 @@ def test_class_coordinates_match_the_full_space_echelon(case, data):
         d_in = [cx.differential_column(k - 1, i) for i in range(cx.dim(k - 1))]
         reps, classes = full_space_slice_homology(d_out, cx.dim(k + 1), d_in)
         assert [typed(v) for v in report.representatives(k)] == [typed(v) for v in reps]
-        kernel = solve_linear(RationalMatrix.from_columns(cx.dim(k + 1), d_out)).kernel
+        kernel = solve_linear(RationalMatrix(cx.dim(k + 1), d_out)).kernel
         probes = [lincomb((data.draw(SPARSE_ENTRY), vec) for vec in kernel + d_in)
                   for _ in range(3)]
         probes += [data.draw(st.dictionaries(st.integers(0, max(n - 1, 0)), SPARSE_ENTRY,
@@ -576,6 +600,26 @@ def test_class_coordinates_match_the_full_space_echelon(case, data):
             except RhtError as exc:
                 got = str(exc)
             assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_complexes(), st.data())
+def test_is_cocycle_is_d_z_equals_0(case, data):
+    # The report's one cocycle test reads the kernel tails; on cocycles,
+    # boundaries, and random vectors (mostly not cocycles) it says d z = 0.
+    cx, top = case
+    report = CohomologyReport(cx, 0, top)
+    for k in range(top + 1):
+        n = cx.dim(k)
+        d_out = [cx.differential_column(k, i) for i in range(n)]
+        d_in = [cx.differential_column(k - 1, i) for i in range(cx.dim(k - 1))]
+        kernel = solve_linear(RationalMatrix(cx.dim(k + 1), d_out)).kernel
+        probes = [lincomb((data.draw(SPARSE_ENTRY), vec) for vec in vecs)
+                  for vecs in (kernel, d_in, kernel + d_in) for _ in range(2)]
+        probes += [data.draw(st.dictionaries(st.integers(0, max(n - 1, 0)), SPARSE_ENTRY,
+                                             max_size=n)) for _ in range(3)]
+        for z in probes:
+            assert report.is_cocycle(k, z) == (not lincomb((c, d_out[i]) for i, c in z.items()))
 
 
 # -- deterministic work counts ----------------------------------------------
@@ -632,7 +676,7 @@ def work_counts(run, monkeypatch):
             patch.setattr(module, "_addmul", counted_addmul)
         patch.setattr(Echelon, "add", counted_add)
         patch.setattr(rht.algebra, "monomial_mul", counted_monomial_mul)
-        for module in (rht.linalg, rht.constructions, rht.homotopy_lie, rht.minimal_model):
+        for module in (rht.cdga, rht.constructions, rht.homotopy_lie, rht.minimal_model):
             patch.setattr(module, "solve_linear", counted_solve)
         run()
     return counts

@@ -496,7 +496,7 @@ def _two_report_minimal_model(A, n):
         src_rep = cohomology(model, stage + 1, stage + 1)
         reps = src_rep.representatives(stage + 1)
         cols = induced_classes(phi, src_rep, tgt_rep, stage + 1)
-        ker = solve_linear(RationalMatrix.from_columns(tgt_rep.dim(stage + 1), cols)).kernel
+        ker = solve_linear(RationalMatrix(tgt_rep.dim(stage + 1), cols)).kernel
         held = None if ker else src_rep
         if not ker:
             continue
