@@ -478,11 +478,18 @@ class CohomologyReport:
 
     Degree k is computed on a reduced complex (Kaczynski-Mischaikow-Mrozek
     2004).  Kernel vector j of d^k (`solve_linear`) is 1 at its free column
-    f_j, 0 at the other free columns F, and elsewhere nonzero only at pivots
-    left of f_j, so z -> z|F maps the cocycles onto Q^F; the boundaries (d^2
-    = 0 makes them cocycles) are eliminated there, in dimension nullity, not
-    dim C^k.  The representatives are the kernel vectors j with e_j outside
-    the span of the b|F and e_0 .. e_(j-1), in kernel order.
+    f_j, 0 at the other free columns F_k, and elsewhere nonzero only at pivots
+    left of f_j, so z -> z|F_k maps the cocycles onto Q^(F_k); the boundaries
+    (d^2 = 0 makes them cocycles) are eliminated there, in dimension nullity,
+    not dim C^k.  The representatives are the kernel vectors j with e_j
+    outside the span of the b|F_k and e_0 .. e_(j-1), in kernel order.
+
+    The degrees are solved from hi down to lo, and d^2 = 0 cuts both sides of
+    each solve.  Below hi, d^k is solved on the rows F_(k+1) alone: its
+    columns are cocycles, fixed by their entries there.  Above lo, the
+    boundaries of degree k are the pivot columns of d^(k-1) restricted to F_k,
+    a basis of B^k; degree lo takes every column of d^(lo-1).  The RREF of a
+    span is unique, so every answer is that of the unrestricted solves.
     """
 
     def __init__(self, pres, lo, hi):
@@ -490,33 +497,39 @@ class CohomologyReport:
         self.lo = lo
         self.hi = hi
         self._reps = {}        # k -> list of coordinate vectors
-        # k -> (free, tails, echelon, index): free maps f_j to column -j, tails
-        # maps -j to kernel vector j less its unit entry, the Echelon holds
-        # every b|F on those columns (a row's pivot is its largest j: the j
-        # that are not reps), and index maps -j to i for reps[i].
+        # k -> (free, tails, echelon, index): free maps f_j to column n - 1 - j
+        # (n the nullity), tails maps that column to kernel vector j less its
+        # unit entry, the Echelon holds every b|F on those columns (a row's
+        # pivot is its largest j: the j that are not reps), and index maps a
+        # rep's column to i for reps[i].
         self._classes = {}
-        # Each degree's columns are read once: d out of C^k is d into C^(k+1).
-        d_in = [pres.differential_column(lo - 1, i) for i in range(pres.dim(lo - 1))]
-        for k in range(lo, hi + 1):
-            d_out = [pres.differential_column(k, i) for i in range(pres.dim(k))]
-            kernel = solve_linear(RationalMatrix(pres.dim(k + 1), d_out)).kernel
-            free, tails = {}, {}
-            for j, vec in enumerate(kernel):
-                f = max(vec)
-                free[f] = -j
-                tails[-j] = tail = dict(vec)
-                del tail[f]
-            echelon = Echelon()
-            for vec in filter(None, ({free[c]: v for c, v in col.items() if c in free}
-                                     for col in d_in)):
-                echelon.add(vec)
-            index = {}
-            for j in range(len(kernel)):
-                if -j not in echelon.position:
-                    index[-j] = len(index)
-            self._reps[k] = [kernel[-col] for col in index]
-            self._classes[k] = free, tails, echelon, index
-            d_in = d_out
+        upper = None           # degree k + 1's (kernel, free): its free columns are d^k's rows
+        for k in range(hi, lo - 2, -1):
+            cols = [pres.differential_column(k, i) for i in range(pres.dim(k))]
+            if upper:
+                rows = upper[1]
+                cols = [{rows[c]: v for c, v in col.items() if c in rows} for col in cols]
+            solved = None
+            if k >= lo:
+                kernel = solve_linear(RationalMatrix(len(rows) if upper else pres.dim(k + 1),
+                                                     cols)).kernel
+                solved = kernel, {max(vec): len(kernel) - 1 - j for j, vec in enumerate(kernel)}
+                # Its pivot columns are a basis of degree k + 1's boundaries.
+                cols = [col for c, col in enumerate(cols) if c not in solved[1]]
+            if upper:
+                kernel, free = upper
+                n, tails, echelon, index = len(kernel), {}, Echelon(), {}
+                for f, col in free.items():
+                    tails[col] = tail = dict(kernel[n - 1 - col])
+                    del tail[f]
+                for vec in filter(None, cols):
+                    echelon.add(vec)
+                for col in range(n - 1, -1, -1):
+                    if col not in echelon.position:
+                        index[col] = len(index)
+                self._reps[k + 1] = [kernel[n - 1 - col] for col in index]
+                self._classes[k + 1] = free, tails, echelon, index
+            upper = solved
 
     def _window(self, k):
         if k < self.lo or k > self.hi:

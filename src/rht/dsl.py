@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 
 from .algebra import AlgElement, GeneratorContext, ONE, ZERO, monomial_degree
-from .cdga import CdgaMorphism, SullivanPresentation, cohomology, cohomology_algebra
+from .cdga import CdgaMorphism, SullivanPresentation, cohomology, cohomology_algebra, validate
 from .constructions import PDAlgebra, SubspaceArrangement, catalog
 from .errors import ParseError, RhtError, UnsupportedInputError
 
@@ -93,8 +93,13 @@ class CdgaDocument:
         self.pd_algebras = {}        # name -> PDAlgebra over H(presentation)
 
     def presentation(self, name):
+        """The named cdga, refused with its first violation when d^2 != 0:
+        every computation on it assumes d^2 = 0 (`rht validate` lists them all)."""
         if name not in self.presentations:
             raise RhtError("no cdga named %r in the document" % name)
+        violations = validate(self.presentations[name]).violations
+        if violations:
+            raise RhtError("cdga %s is invalid: %s" % (name, violations[0]))
         return self.presentations[name]
 
     def __eq__(self, other):

@@ -198,14 +198,15 @@ def massey_triple(p, a, b, c):
     top = da + db + dc - 1
     rep = lincomb([(1, p.multiply_coords(da + db - 1, x, dc, c_coords)),
                    ((-1) ** (da + 1), p.multiply_coords(da, a_coords, db + dc - 1, y))])
-    hrep = cohomology(p, 0, top)
-    rep_class = hrep.class_coordinates(top, rep) if rep else {}
+    # One report per degree read: a one-degree report equals a window's there.
+    hrep = {k: cohomology(p, k, k) for k in {top, da + db - 1, db + dc - 1}}
+    rep_class = hrep[top].class_coordinates(top, rep) if rep else {}
     ind, ind_classes = Echelon(), []
-    reps = {k: hrep.representatives(k) if k >= 0 else [] for k in (da + db - 1, db + dc - 1)}
+    reps = {k: hrep[k].representatives(k) for k in (da + db - 1, db + dc - 1)}
     for z in ([p.multiply_coords(da, a_coords, db + dc - 1, h) for h in reps[db + dc - 1]]
               + [p.multiply_coords(da + db - 1, h, dc, c_coords) for h in reps[da + db - 1]]):
         if z:
-            cls = hrep.class_coordinates(top, z)
+            cls = hrep[top].class_coordinates(top, z)
             if cls and ind.add(dict(cls)):
                 ind_classes.append(cls)
     nontrivial = bool(rep_class) and not ind.contains(rep_class)

@@ -224,6 +224,23 @@ def test_parse_error_exit_code(tmp_path):
     assert "degree mismatch" in err
 
 
+def test_a_cdga_with_d_squared_nonzero_is_refused(tmp_path, capsys):
+    # Cohomology windows assume d^2 = 0; every command but `validate` refuses
+    # the cdga with its first violation, and `validate` lists them all.
+    path = str(tmp_path / "bad.rht")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("cdga Bad { gen t:1; gen a:2; d t = a; d a = t*a; }\n")
+    for argv in (["cohomology", path, "--name", "Bad", "--max", "5"],
+                 ["homotopy", path, "--name", "Bad", "--ranks", "4"],
+                 ["invariants", path, "--name", "Bad", "--max", "4", "--toomer"],
+                 ["loopspace", path, "--name", "Bad", "--max", "4"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr() == ("", "error: cdga Bad is invalid: d^2(t) = t*a != 0\n")
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr() == ("cdga Bad: INVALID\n  - d^2(t) = t*a != 0\n"
+                                   "  - d^2(a) = a^2 != 0\n", "")
+
+
 def test_semantic_error_exit_code():
     code, _, err = run_cli("cohomology", DATA, "--name", "Nope", "--max", "4")
     assert code == 1

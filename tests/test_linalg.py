@@ -12,7 +12,7 @@ from rht.algebra import AlgElement, GeneratorContext
 from rht.cdga import (CohomologyReport, SullivanPresentation, cohomology, cohomology_algebra,
                       is_quasi_iso)
 from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
-                               config_space_model, sphere, torus)
+                               config_space_model, free_loop_model, sphere, torus)
 from rht.errors import RhtError
 from rht.linalg import Echelon, RationalMatrix, lincomb, solve_linear
 from rht.minimal_model import minimal_model
@@ -622,6 +622,61 @@ def test_is_cocycle_is_d_z_equals_0(case, data):
             assert report.is_cocycle(k, z) == (not lincomb((c, d_out[i]) for i, c in z.items()))
 
 
+def window_probes(cx, k, coef):
+    """Vectors of C^k to ask a report about: a cocycle, a boundary, their sum
+    (combinations with coefficients coef()) and up to three basis vectors."""
+    n = cx.dim(k)
+    kernel = solve_linear(RationalMatrix(cx.dim(k + 1), [cx.differential_column(k, i)
+                                                         for i in range(n)])).kernel
+    d_in = [cx.differential_column(k - 1, i) for i in range(cx.dim(k - 1))]
+    return ([lincomb((coef(), vec) for vec in vecs) for vecs in (kernel, d_in, kernel + d_in)]
+            + [{i: coef()} for i in range(min(n, 3))])
+
+
+def assert_window_matches_one_degree_reports(cx, lo, hi, probes):
+    """The report over [lo, hi] answers as the one-degree report [k, k] at
+    every k: representatives, class coordinates (or their error) and the
+    cocycle test, with value types and key order.  A one-degree report
+    restricts neither the rows of its solve nor the boundaries it adds."""
+    def answers(report, k, vecs):
+        out = [typed(v) for v in report.representatives(k)]
+        for z in vecs:
+            try:
+                cls = typed(report.class_coordinates(k, z))
+            except RhtError as exc:
+                cls = str(exc)
+            out.append((cls, report.is_cocycle(k, z)))
+        return out
+
+    window = CohomologyReport(cx, lo, hi)
+    for k in range(lo, hi + 1):
+        vecs = probes(k)
+        assert answers(window, k, vecs) == answers(CohomologyReport(cx, k, k), k, vecs), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_complexes(), st.data())
+def test_a_window_matches_its_one_degree_reports(case, data):
+    # Below hi the window solves d^k on the free columns of d^(k+1) only, and
+    # above lo it adds only the pivot columns of d^(k-1) as boundaries.
+    cx, top = case
+    lo = data.draw(st.integers(0, top))
+    hi = data.draw(st.integers(lo, top))
+    assert_window_matches_one_degree_reports(
+        cx, lo, hi, lambda k: window_probes(cx, k, lambda: data.draw(SPARSE_ENTRY)))
+
+
+@pytest.mark.parametrize("build, hi", [
+    (lambda: minimal_model(wedge_two_s2_cohomology(), 6).model, 6),
+    (lambda: free_loop_model(sphere(2)), 30)], ids=["M(H(S2vS2)) to 6", "free loop S2 to 30"])
+def test_deep_windows_match_their_one_degree_reports(build, hi):
+    rng = random.Random(hi)
+    p = build()
+    assert_window_matches_one_degree_reports(
+        p, 0, hi, lambda k: window_probes(p, k, lambda: Fraction(rng.randint(-3, 3),
+                                                                 rng.randint(1, 3))))
+
+
 # -- deterministic work counts ----------------------------------------------
 
 WORK_COUNTS = os.path.join(os.path.dirname(__file__), "data", "work_counts.json")
@@ -639,10 +694,16 @@ def config_s3_4():
     assert [dims[k] for k in range(13)] == [1, 0, 3, 1, 2, 3, 0, 2, 0, 0, 0, 0, 0]
 
 
+def loop_s2_100():
+    # H(LS^2; Q) has Betti number 1 in every degree.
+    assert set(cohomology(free_loop_model(sphere(2)), 0, 100).dims().values()) == {1}
+
+
 WORKLOADS = {
     "minimal_model(H(S2vS2), 12) + is_quasi_iso": wedge_model_and_quasi_iso,
     "cohomology_algebra(T7, 7)": lambda: cohomology_algebra(torus(7), 7),
     "cohomology(F(S3, 4), 0, 12)": config_s3_4,
+    "cohomology(free_loop_model(S2), 0, 100)": loop_s2_100,
 }
 
 
