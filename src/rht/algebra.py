@@ -82,12 +82,62 @@ class GeneratorContext:
 
     def generator(self, name):
         """The generator as an AlgElement."""
-        i = self.index[name]
-        return AlgElement(self, {((i, 1),): ONE})
+        return AlgElement(self, {generator_monomial(self.index[name]): ONE})
 
 
 # A monomial is a tuple of (generator_index, exponent) pairs, sorted by index,
 # exponents >= 1, odd generators with exponent exactly 1.  () is the unit.
+# Only this module reads that layout; other modules use the functions below.
+
+def generator_monomial(i):
+    return ((i, 1),)
+
+
+def monomial_factors(mono):
+    """The generator indices of mono, ascending, each repeated by its exponent."""
+    return [i for i, e in mono for _ in range(e)]
+
+
+def monomial_times(ctx, mono, i):
+    """mono * x_i (no sign) if x_i is at or after mono's last generator and nonzero, else None."""
+    if not mono or mono[-1][0] < i:
+        return mono + ((i, 1),)
+    if mono[-1][0] == i and not ctx.odd[i]:
+        return mono[:-1] + ((i, mono[-1][1] + 1),)
+    return None
+
+
+def monomial_order(mono):
+    """Sort key of the basis order within a degree (lexicographic in exponent vectors)."""
+    return [(-j, e) for j, e in mono]
+
+
+def monomial_divide(mono, divisor):
+    """mono / divisor as a monomial, or None when divisor does not divide mono."""
+    exps = dict(mono)
+    for j, e in divisor:
+        if exps.get(j, 0) < e:
+            return None
+        exps[j] -= e
+    return tuple((j, e) for j, e in exps.items() if e)
+
+
+def monomial_lcm(m1, m2):
+    exps = dict(m1)
+    for j, e in m2:
+        exps[j] = max(exps.get(j, 0), e)
+    return tuple(sorted(exps.items()))
+
+
+def monomial_shift(mono, offset):
+    return tuple((i + offset, e) for i, e in mono)
+
+
+def monomial_blocks(mono):
+    """(i, e, left, right) per block x_i^e of mono = left * x_i * right (left keeps x_i^(e-1))."""
+    for pos, (i, e) in enumerate(mono):
+        yield i, e, mono[:pos] + (((i, e - 1),) if e > 1 else ()), mono[pos + 1:]
+
 
 def monomial_degree(ctx, mono):
     return sum(ctx.degrees[i] * e for i, e in mono)
@@ -421,12 +471,8 @@ def substitute(x, images, new_ctx):
     terms = []
     for mono, coeff in x.terms.items():
         term = AlgElement.unit(new_ctx, coeff)
-        for i, e in mono:
-            img = images[x.ctx.names[i]]
-            for _ in range(e):
-                term = term * img
-                if term.is_zero():
-                    break
+        for i in monomial_factors(mono):
+            term = term * images[x.ctx.names[i]]
             if term.is_zero():
                 break
         terms.append((1, term.terms))

@@ -19,12 +19,14 @@ total dimension, an all-odd generator argument, or a full gap window in a
 quotient); otherwise results are labelled as verified up to N.
 """
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from heapq import heappop, heappush
 
 from . import algebra
 from .algebra import (AlgElement, Derivation, MonomialBases, ONE, apply_derivation, as_q,
-                      monomial_degree, monomial_products, monomial_str, rebase)
+                      generator_monomial, monomial_degree, monomial_divide, monomial_factors,
+                      monomial_lcm, monomial_order, monomial_products, monomial_str,
+                      monomial_times, rebase)
 from .errors import BudgetExceededError, DegreeError, RhtError, ValidationError
 from .linalg import Echelon, RationalMatrix, _addmul, lincomb, solve_linear
 
@@ -207,21 +209,6 @@ class FiniteCDGA:
         return "FiniteCDGA(%s; dims %s)" % (self.name, dims)
 
 
-def _order(mono):
-    """Sort key of the ambient basis order within a degree (lexicographic in exponent vectors)."""
-    return [(-j, e) for j, e in mono]
-
-
-def _divide(mono, lead):
-    """mono / lead as a monomial, or None when lead does not divide mono."""
-    exps = dict(mono)
-    for j, e in lead:
-        if exps.get(j, 0) < e:
-            return None
-        exps[j] -= e
-    return tuple((j, e) for j, e in exps.items() if e)
-
-
 class QuotientCDGA:
     """Free ambient Lambda(V) modulo a differential-stable homogeneous ideal,
     read off a Groebner basis grown one degree at a time.
@@ -258,7 +245,7 @@ class QuotientCDGA:
     def _divisor(self, mono):
         if mono not in self._reducers:
             for lead, f in self._lead.items():
-                u = _divide(mono, lead)
+                u = monomial_divide(mono, lead)
                 if u is not None:
                     self._reducers[mono] = u, f
                     break
@@ -268,7 +255,7 @@ class QuotientCDGA:
         """Normal form of {monomial: coeff}, summed in place: each monomial a leading
         monomial divides is cancelled, first to last, by a multiple adding later ones."""
         ctx, out = self.ambient.ctx, {m: c for m, c in vec.items() if c}
-        todo = sorted((_order(m), m) for m in out)     # a sorted list is a heap
+        todo = sorted((monomial_order(m), m) for m in out)     # a sorted list is a heap
         while todo:
             mono = heappop(todo)[1]
             hit = mono in out and self._divisor(mono)
@@ -276,7 +263,7 @@ class QuotientCDGA:
                 prod = monomial_products(ctx, {hit[0]: 1}, hit[1])
                 _addmul(out, -out[mono] * prod[mono], prod)
                 for m in prod.keys() & out.keys():
-                    heappush(todo, (_order(m), m))
+                    heappush(todo, (monomial_order(m), m))
         return out
 
     def _standard_monomials(self, k):
@@ -286,25 +273,24 @@ class QuotientCDGA:
         for e in range(len(self._standard), k + 1):
             todo = [g.terms for g in self.ideal if g.degree() == e] + pairs.pop(e, [])
             for h in filter(None, map(self._reduce, todo)):
-                lead = min(h, key=_order)
-                h, gens = {m: c / h[lead] for m, c in h.items()}, {j for j, _ in lead}
+                lead = min(h, key=monomial_order)
+                h, gens = {m: c / h[lead] for m, c in h.items()}, set(monomial_factors(lead))
                 for other, g in self._lead.items():
-                    if gens.isdisjoint(j for j, _ in other):
+                    if gens.isdisjoint(monomial_factors(other)):
                         continue    # coprime leading monomials (Buchberger 1979)
-                    lcm = tuple(sorted((Counter(dict(other)) | Counter(dict(lead))).items()))
-                    s, w = (monomial_products(ctx, {_divide(lcm, a): 1}, b)
+                    lcm = monomial_lcm(other, lead)
+                    s, w = (monomial_products(ctx, {monomial_divide(lcm, a): 1}, b)
                             for a, b in ((lead, h), (other, g)))
                     _addmul(s, -s[lcm] * w[lcm], w)
                     pairs[monomial_degree(ctx, lcm)].append(s)
-                for j in (j for j, _ in lead if ctx.odd[j]):
-                    pairs[e + ctx.degrees[j]].append(monomial_products(ctx, {((j, 1),): 1}, h))
+                for x in (generator_monomial(j) for j in monomial_factors(lead) if ctx.odd[j]):
+                    pairs[e + monomial_degree(ctx, x)].append(monomial_products(ctx, {x: 1}, h))
                 self._lead[lead] = h
             # m * x, m standard of degree e - |x| and x its last generator or after it
-            cands = [()] if e == 0 else [
-                m[:-1] + ((x, m[-1][1] + 1),) if m and m[-1][0] == x else m + ((x, 1),)
-                for x, d in enumerate(ctx.degrees) if d <= e for m in self._standard[e - d]
-                if not m or m[-1][0] < x or m[-1][0] == x and not ctx.odd[x]]
-            std = sorted((m for m in cands if self._divisor(m) is None), key=_order)
+            cands = [()] if e == 0 else filter(None, (
+                monomial_times(ctx, m, x)
+                for x, d in enumerate(ctx.degrees) if d <= e for m in self._standard[e - d]))
+            std = sorted((m for m in cands if self._divisor(m) is None), key=monomial_order)
             if len(std) > algebra.MONOMIAL_BUDGET:
                 raise BudgetExceededError("degree %d basis exceeds %d monomials"
                                           % (e, algebra.MONOMIAL_BUDGET))
@@ -683,17 +669,11 @@ class CdgaMorphism:
         """Image coordinates of a source monomial."""
         if mono in self._mono_cache:
             return self._mono_cache[mono]
-        ctx = self.source.ctx
-        deg = 0
-        coords = self.target.unit_coords()
-        for i, e in mono:
-            g = ctx.names[i]
+        ctx, deg, coords = self.source.ctx, 0, self.target.unit_coords()
+        for i in monomial_factors(mono):
             gdeg = ctx.degrees[i]
-            for _ in range(e):
-                coords = self.target.multiply_coords(deg, coords, gdeg, self.images[g])
-                deg += gdeg
-                if not coords:
-                    break
+            coords = self.target.multiply_coords(deg, coords, gdeg, self.images[ctx.names[i]])
+            deg += gdeg
             if not coords:
                 break
         self._mono_cache[mono] = coords

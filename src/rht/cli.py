@@ -287,9 +287,7 @@ def cmd_fibration(args):
     total = doc.presentation(args.total)
     base_gens = [g.strip() for g in args.base.split(",") if g.strip()]
     ext = LambdaExtension(total, base_gens)
-    phi = doc.morphisms.get(args.along)
-    if phi is None:
-        raise RhtError("no morphism named %r" % args.along)
+    phi = doc.morphism(args.along)
     out = pushout_extension(phi, ext)
     payload = {"schema": dsl.SCHEMA, "kind": "fibration_pullback",
                "total": dsl.presentation_json(out.total),
@@ -361,9 +359,7 @@ def cmd_catalog(args):
 
 def cmd_mapping_space(args):
     doc = _load(args.file)
-    phi = doc.morphisms.get(args.morphism)
-    if phi is None:
-        raise RhtError("no morphism named %r" % args.morphism)
+    phi = doc.morphism(args.morphism)
     rep = mapping_space_pi(phi, args.n)
     payload = {"schema": dsl.SCHEMA, "kind": "mapping_space", "n": args.n,
                "dim": rep.dim,

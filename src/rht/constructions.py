@@ -14,7 +14,8 @@ from itertools import combinations
 
 from . import algebra
 from .algebra import (AlgElement, Derivation, GeneratorContext, ONE, ZERO, apply_derivation,
-                      as_q, monomial_degree, rebase, substitute)
+                      as_q, generator_monomial, monomial_blocks, monomial_degree,
+                      monomial_divide, monomial_factors, monomial_shift, rebase)
 from .cdga import (FiniteCDGA, QuotientCDGA, SullivanPresentation, cohomology, tensor_finite,
                    tensor_positions, validate)
 from .errors import BudgetExceededError, DegreeError, RhtError, UnsupportedInputError
@@ -89,17 +90,13 @@ def truncated_poly(degree, power, name=None):
 
 
 def tensor_presentations(p1, p2, name=None):
-    """Model of a product: the tensor cdga, generators suffixed _1 / _2."""
-    gens = [("%s_1" % g, d) for g, d in p1.ctx.gens] + \
-           [("%s_2" % g, d) for g, d in p2.ctx.gens]
-    ctx = GeneratorContext(gens)
-    a1 = {g: ctx.generator("%s_1" % g) for g in p1.ctx.names}
-    a2 = {g: ctx.generator("%s_2" % g) for g in p2.ctx.names}
-    images = {}
-    for g in p1.ctx.names:
-        images["%s_1" % g] = substitute(p1.d.image_of(g), a1, ctx)
-    for g in p2.ctx.names:
-        images["%s_2" % g] = substitute(p2.d.image_of(g), a2, ctx)
+    """Model of a product: the tensor cdga, generators suffixed _1 / _2.  p2's
+    generators follow p1's in their own order, so a shifted image takes no sign."""
+    sides = ((1, p1, 0), (2, p2, len(p1.ctx)))
+    ctx = GeneratorContext([("%s_%d" % (g, s), d) for s, p, _ in sides for g, d in p.ctx.gens])
+    images = {"%s_%d" % (g, s): AlgElement(ctx, {monomial_shift(m, offset): c for m, c
+                                                 in p.d.image_of(g).terms.items()})
+              for s, p, offset in sides for g in p.ctx.names}
     return SullivanPresentation(ctx, images,
                                 name=name or "%sx%s" % (p1.name, p2.name))
 
@@ -302,13 +299,13 @@ def holonomy_representation(ext, n):
     for k in range(0, n + 1):
         basis = fiber.basis(k)
         for rep_vec in frep.representatives(k):
-            image = lincomb((c, total.d.column(tuple((nb + j, e) for j, e in basis[i])))
+            image = lincomb((c, total.d.column(monomial_shift(basis[i], nb)))
                             for i, c in rep_vec.items())
             parts = {}      # w -> fiber coordinates of its coefficient, monomials ascending
             for mono, c in sorted(image.items()):
-                w, e = mono[0]
-                if w < nb and e == 1 and (len(mono) == 1 or mono[1][0] >= nb):
-                    fib_mono = tuple((j - nb, f) for j, f in mono[1:])
+                w, *rest = monomial_factors(mono)
+                if w < nb and (not rest or rest[0] >= nb):
+                    fib_mono = monomial_shift(monomial_divide(mono, generator_monomial(w)), -nb)
                     parts.setdefault(w, {})[fiber.index(k + 1 - ctx.degrees[w])[fib_mono]] = c
             for w_pos, w_idx in enumerate(base_idx):
                 coords, pdeg = parts.get(w_idx), k + 1 - ctx.degrees[w_idx]
@@ -375,10 +372,8 @@ def mapping_space_pi(phi, n):
     slots = {g: [] for g in V.ctx.names}
     for v in V.ctx.names:
         for mono, c in V.d.image_of(v).terms.items():
-            for pos, (j, e) in enumerate(mono):
-                left = mono[:pos] + (((j, e - 1),) if e > 1 else ())
-                halves = [(monomial_degree(V.ctx, w), phi.apply_monomial(w))
-                          for w in (left, mono[pos + 1:])]
+            for j, e, left, right in monomial_blocks(mono):
+                halves = [(monomial_degree(V.ctx, w), phi.apply_monomial(w)) for w in (left, right)]
                 slots[V.ctx.names[j]].append((v, e * c, *halves))
 
     def d_matrix(m):
@@ -532,7 +527,7 @@ def config_space_model(A, k, name=None, max_k=3):
 
     def slot_vec(slot, p, coords):
         """A-coordinates at degree p > 0 -> ambient element in slot `slot`."""
-        return AlgElement(ctx, {((ctx.index[slot_gen[(slot, p, i)]], 1),): c
+        return AlgElement(ctx, {generator_monomial(ctx.index[slot_gen[(slot, p, i)]]): c
                                 for i, c in coords.items()})
 
     # Differential: slot copies follow d_A; x_ij maps to p_ij(D_A).

@@ -102,6 +102,15 @@ class CdgaDocument:
             raise RhtError("cdga %s is invalid: %s" % (name, violations[0]))
         return self.presentations[name]
 
+    def morphism(self, name):
+        """The named morphism, refused as `presentation` refuses its source or target."""
+        if name not in self.morphisms:
+            raise RhtError("no morphism named %r" % name)
+        phi = self.morphisms[name]
+        for cdga in dict.fromkeys((phi.source.name, phi.target.name)):
+            self.presentation(cdga)
+        return phi
+
     def __eq__(self, other):
         if not isinstance(other, CdgaDocument):
             return NotImplemented
@@ -332,7 +341,7 @@ class _Parser:
             self.error("orientation element must be homogeneous of degree %d" % m,
                        start_tok)
         try:
-            pd = pd_algebra_from_presentation(pres, m, expr)
+            pd = pd_algebra_from_presentation(doc.presentation(ntok.value), m, expr)
         except RhtError as exc:
             self.error("pd declaration failed: %s" % exc, start_tok)
         return ntok.value, m, str(expr), pd

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import factorial, lcm
 
-from .algebra import ONE
+from .algebra import ONE, generator_monomial, monomial_factors
 from .cdga import SullivanPresentation, cohomology, validate
 from .errors import DegreeError, RhtError, UnsupportedInputError
 from .linalg import Echelon, RationalMatrix, lincomb, solve_linear
@@ -145,13 +145,10 @@ def lie_table(pres, bound, name=None):
             continue
         m = slot[v][1]
         for mono, c in pres.d.image_of(g).word_part(2).terms.items():
-            if len(mono) == 1:
-                (a, _), = mono
-                contributions = [(a, a, 2 * c * (-1) ** ctx.degrees[a])]
-            else:
-                (a, _), (b, _) = mono
-                da, db = ctx.degrees[a], ctx.degrees[b]
-                contributions = [(b, a, c * (-1) ** da), (a, b, c * (-1) ** (da * db + db))]
+            a, b = monomial_factors(mono)
+            da, db = ctx.degrees[a], ctx.degrees[b]
+            contributions = ([(a, a, 2 * c * (-1) ** da)] if a == b else
+                             [(b, a, c * (-1) ** da), (a, b, c * (-1) ** (da * db + db))])
             # Distinct terms of d_1 v give distinct (p, q): one value per m, in m order.
             for p, q, x in contributions:
                 entries.setdefault((slot[p], slot[q]), {})[m] = x
@@ -238,12 +235,12 @@ def lcs_filtrations(p, k, depth=32):
         return FiltrationReport(k, [0], [0], 0, 0)
 
     # --- V-side, in the coordinates of pres.basis(k + 1) ---------------------
-    v1 = [pres.index(1)[((i, 1),)] for i, d in enumerate(ctx.degrees) if d == 1]
-    vk = [pres.index(k)[((i, 1),)] for i in vk_idx]
+    v1 = [pres.index(1)[generator_monomial(i)] for i, d in enumerate(ctx.degrees) if d == 1]
+    vk = [pres.index(k)[generator_monomial(i)] for i in vk_idx]
     basis_k1 = pres.basis(k + 1)
     # delta keeps the monomials x y of d_1 with |x| = 1 and |y| = k
     relevant = {j for j, mono in enumerate(basis_k1)
-                if sorted(ctx.degrees[i] for i, e in mono for _ in range(e)) == [1, k]}
+                if sorted(ctx.degrees[i] for i in monomial_factors(mono)) == [1, k]}
     delta_cols = [{j: c for j, c in pres.differential_column(k, g).items() if j in relevant}
                   for g in vk]
 
@@ -320,7 +317,7 @@ def hurewicz_matrix(result, k):
     model = result.model if hasattr(result, "model") else result
     rep = cohomology(model, k, k)
     # basis(k) positions of the generators of degree k, in V^k order
-    vk = [model.index(k)[((g, 1),)] for g, d in enumerate(model.ctx.degrees) if d == k]
+    vk = [model.index(k)[generator_monomial(g)] for g, d in enumerate(model.ctx.degrees) if d == k]
     cols = [{pos: v[i] for pos, i in enumerate(vk) if i in v} for v in rep.representatives(k)]
     span = Echelon()
     for col in cols:

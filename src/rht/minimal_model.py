@@ -10,8 +10,8 @@ free columns) under the fixed monomial order, so the output is determined by
 the input alone.
 """
 
-from .algebra import (AlgElement, GeneratorContext, ONE, monomial_word_length, rebase,
-                      substitute)
+from .algebra import (AlgElement, GeneratorContext, ONE, monomial_factors, monomial_word_length,
+                      rebase, substitute)
 from .cdga import (CdgaMorphism, SullivanPresentation, ValidationReport, cohomology,
                    induced_classes, validate)
 from .errors import DegreeError, RhtError, UnsupportedInputError
@@ -51,8 +51,8 @@ def _generation_stages(p, known, remaining):
     known, remaining = set(known), set(remaining)
     stages = []
     while remaining:
-        stage = [i for i in sorted(remaining) if all(
-            j in known for mono in p.d.image_of(p.ctx.names[i]).terms for j, _ in mono)]
+        stage = [i for i in sorted(remaining) if known.issuperset(
+            j for mono in p.d.image_of(p.ctx.names[i]).terms for j in monomial_factors(mono))]
         if not stage:
             break
         known.update(stage)
@@ -197,7 +197,7 @@ class LambdaExtension:
         base_idx = {self.total.ctx.index[g] for g in self.base_names}
         return [g for g in self.base_names
                 if any(j not in base_idx for mono in self.total.d.image_of(g).terms
-                       for j, _ in mono)]
+                       for j in monomial_factors(mono))]
 
     def validate(self):
         violations = list(validate(self.total).violations)
@@ -312,7 +312,8 @@ def acyclic_closure(p, n):
         sols = primitives(total, vdeg,
                           [total.to_coords(total.d.image_of(v), vdeg + 1) for v in batch],
                           [pos for pos, mono in enumerate(total.basis(vdeg))
-                           if monomial_word_length(mono) >= 2 and mono[0][0] < len(p.ctx)])
+                           if monomial_word_length(mono) >= 2
+                           and monomial_factors(mono)[0] < len(p.ctx)])
         if None in sols:
             raise RhtError("no primitive in the V-ideal; closure construction failed")
         total = total.extend([(v + "_bar", vdeg - 1) for v in batch],

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rht.algebra
-from rht.algebra import (ZERO, AlgElement, Derivation, GeneratorContext, apply_derivation,
-                         degree_basis, monomial_degree, monomial_mul, monomial_str,
-                         substitute)
+from rht.algebra import (ZERO, AlgElement, Derivation, GeneratorContext, MonomialBases,
+                         apply_derivation, degree_basis, generator_monomial, monomial_blocks,
+                         monomial_degree, monomial_divide, monomial_factors, monomial_lcm,
+                         monomial_mul, monomial_order, monomial_shift, monomial_str,
+                         monomial_times, monomial_word_length, substitute)
 from rht.cdga import SullivanPresentation, cohomology
 from rht.constructions import sphere
 from rht.errors import (BudgetExceededError, ContextMismatchError, DegreeError,
@@ -454,6 +456,76 @@ def test_monomial_mul_matches_merge_loop(case):
     sign, mono = monomial_mul(ctx, m1, m2)
     assert (sign, mono) == _monomial_mul_loop(ctx, m1, m2)
     assert type(sign) is int
+
+
+# The monomial vocabulary, pinned through monomial_mul and the bases alone:
+# no test below writes a monomial out, so the pins hold for any representation.
+
+@st.composite
+def monomials_in_a_context(draw, count):
+    """A random context with odd and even generators and `count` monomials of
+    degree 0..8 drawn from its bases."""
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    ctx = GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])
+    bases = MonomialBases(ctx)
+    monos = [m for k in range(9) for m in bases.basis(k)]
+    return ctx, [draw(st.sampled_from(monos)) for _ in range(count)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomials_in_a_context(1), st.data())
+def test_monomial_times_is_the_product_by_a_generator_at_or_after_the_last(case, data):
+    ctx, (m,) = case
+    i = data.draw(st.integers(0, len(ctx) - 1))
+    sign, prod = monomial_mul(ctx, m, generator_monomial(i))
+    got = monomial_times(ctx, m, i)
+    if sign == 0 or monomial_factors(m)[-1:] > [i]:
+        assert got is None
+    else:
+        assert (sign, got) == (1, prod)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomials_in_a_context(2))
+def test_monomial_divide_and_lcm(case):
+    ctx, (a, b) = case
+    sign, ab = monomial_mul(ctx, a, b)
+    if sign:
+        assert monomial_divide(ab, b) == a and monomial_divide(ab, a) == b
+    divides = not Counter(monomial_factors(b)) - Counter(monomial_factors(a))
+    assert (monomial_divide(a, b) is not None) == divides
+    if divides:
+        assert monomial_mul(ctx, monomial_divide(a, b), b)[1] == a
+    lcm = monomial_lcm(a, b)
+    over_a, over_b = monomial_divide(lcm, a), monomial_divide(lcm, b)
+    assert over_a is not None and over_b is not None
+    assert set(monomial_factors(over_a)).isdisjoint(monomial_factors(over_b))
+    assert monomial_lcm(b, a) == lcm
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomials_in_a_context(1), st.integers(0, 5))
+def test_monomial_factors_shift_and_blocks(case, k):
+    ctx, (m,) = case
+    factors = monomial_factors(m)
+    assert factors == sorted(factors) and len(factors) == monomial_word_length(m)
+    assert sum(ctx.degrees[i] for i in factors) == monomial_degree(ctx, m)
+    assert all(monomial_factors(generator_monomial(i)) == [i] for i in factors)
+    shifted = monomial_shift(m, k)
+    assert monomial_factors(shifted) == [i + k for i in factors]
+    assert monomial_shift(shifted, -k) == m
+    blocks = list(monomial_blocks(m))
+    assert [(i, e) for i, e, _, _ in blocks] == sorted(Counter(factors).items())
+    for i, _, left, right in blocks:
+        sign_left, left_x = monomial_mul(ctx, left, generator_monomial(i))
+        sign_right, whole = monomial_mul(ctx, left_x, right)
+        assert (sign_left, sign_right, whole) == (1, 1, m)
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=6), st.integers(0, 10))
+def test_monomial_order_is_the_basis_order(degrees, k):
+    basis = MonomialBases(GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])).basis(k)
+    assert sorted(basis, key=monomial_order) == basis
 
 
 def _format_element_loop(x):

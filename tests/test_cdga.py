@@ -14,13 +14,17 @@ from rht.cdga import (CdgaMorphism, FiniteCDGA, FiniteMorphism, QuotientCDGA,
                       finite_truncation, is_quasi_iso, tensor_finite, tensor_mul,
                       tensor_positions, validate)
 from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
-                               config_space_model, cp, sphere, torus)
+                               biquotient_model, config_space_model, cp, free_loop_model, k_z,
+                               point, sphere, tensor_presentations, torus, truncated_poly,
+                               wedge_cohomology)
 from rht.errors import DegreeError, RhtError
 from rht.linalg import Echelon, lincomb
+from rht.minimal_model import minimal_model
 import rht.algebra
 
 from conftest import (ZeroTouchDict, assert_matches_reference_sum, leibniz_loop,
-                      nonformal_uvw, random_monomial_algebras, sphere2_model)
+                      nonformal_uvw, random_monomial_algebras, sphere2_model,
+                      wedge_two_s2_cohomology)
 
 
 def test_validate_s2(s2):
@@ -543,6 +547,56 @@ def test_ideal_span_criterion_matches_full_products(quot, data):
                                                  min_size=len(ks), max_size=len(ks)))))
                 for ks in [data.draw(keys) for _ in range(2)]]
     assert_span_matches_full_products(quot, 8, vectors)
+
+
+def _config_space(space, m, k):
+    return config_space_model(PDAlgebra(cohomology_algebra(space, m), m), k).quotient
+
+
+# name -> (builder, truncation degree n): the catalog constructors, products,
+# free loop models and a biquotient of catalog inputs, configuration spaces
+# F(S^2, 3), F(S^3, 3) and F(CP^2, 3), and a minimal model.
+AXIOM_CASES = {
+    "point": (point, 4),
+    "S2": (lambda: sphere(2), 10),
+    "S3": (lambda: sphere(3), 7),
+    "CP2": (lambda: cp(2), 12),
+    "K(Z,3)": (lambda: k_z(3), 7),
+    "T3": (lambda: torus(3), 3),
+    "Q[x]/x^3": (lambda: truncated_poly(2, 3), 6),
+    "H(S2) v H(CP2)": (lambda: wedge_cohomology(cohomology_algebra(sphere(2), 2),
+                                                 cohomology_algebra(cp(2), 4)), 6),
+    "S2 x S3": (lambda: tensor_presentations(sphere(2), sphere(3)), 7),
+    "CP2 x S2": (lambda: tensor_presentations(cp(2), sphere(2)), 6),
+    "LS2": (lambda: free_loop_model(sphere(2)), 8),
+    "LCP2": (lambda: free_loop_model(cp(2)), 8),
+    "biquotient": (lambda: biquotient_model([3, 5], [1], [1], lambda t: [t[0] ** 2, t[0] ** 3],
+                                            lambda s: [s[0] ** 2, s[0] ** 3]), 9),
+    "F(S2,3)": (lambda: _config_space(sphere(2), 2, 3), 8),
+    "F(S3,3)": (lambda: _config_space(sphere(3), 3, 3), 6),
+    "F(CP2,3)": (lambda: _config_space(cp(2), 4, 3), 8),
+    "M(H(S2vS2))": (lambda: minimal_model(wedge_two_s2_cohomology(), 5).model, 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AXIOM_CASES))
+def test_cdga_axioms_hold_through_the_coordinate_protocol(case):
+    # `finite_truncation` reads only dim, labels, differential_column and
+    # multiply_coords, and `validate` then checks d^2 = 0, the unit, graded
+    # commutativity, the Leibniz rule and associativity on basis elements
+    # (products above n are dropped, which keeps every axiom).  The check
+    # knows nothing of how a presentation stores its monomials.
+    build, n = AXIOM_CASES[case]
+    p = build()
+    assert validate(p).violations == []
+    assert validate(finite_truncation(p, n)).violations == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_quotients())
+def test_cdga_axioms_hold_on_random_quotients(quot):
+    assert validate(quot).violations == []      # d preserves the ideal
+    assert validate(finite_truncation(quot, 6)).violations == []
 
 
 def fixed_quotients():

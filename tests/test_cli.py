@@ -239,6 +239,29 @@ def test_a_cdga_with_d_squared_nonzero_is_refused(tmp_path, capsys):
     assert main(["validate", path]) == 1
     assert capsys.readouterr() == ("cdga Bad: INVALID\n  - d^2(t) = t*a != 0\n"
                                    "  - d^2(a) = a^2 != 0\n", "")
+    # A morphism is refused with its source or target: mapping-space printed
+    # a negative rank for it and exited 0.
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("cdga S3 { gen u:3; d u = 0; }\n"
+                 "morphism g : Bad -> Bad { t |-> t; a |-> a; }\n"
+                 "morphism h : Bad -> S3 { t |-> 0; a |-> 0; }\n")
+    for argv in (["mapping-space", path, "--morphism", "g", "--n", "1"],
+                 ["mapping-space", path, "--morphism", "h", "--n", "1"],
+                 ["fibration", "pullback", path, "--total", "S3", "--base", "u", "--along", "h"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr() == ("", "error: cdga Bad is invalid: d^2(t) = t*a != 0\n")
+    assert main(["mapping-space", path, "--morphism", "k", "--n", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: no morphism named 'k'\n")
+
+
+def test_a_pd_declaration_on_a_cdga_with_d_squared_nonzero_names_the_violation(tmp_path, capsys):
+    path = str(tmp_path / "bad_pd.rht")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("cdga Bad { gen t:1; gen a:2; d t = a; d a = t*a; }\n"
+                 "pd Bad dim 2 orientation a;\n")
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr() == ("", "parse error: line 2, col 26: pd declaration failed: "
+                                       "cdga Bad is invalid: d^2(t) = t*a != 0\n")
 
 
 def test_semantic_error_exit_code():
