@@ -9,7 +9,7 @@ Coefficients are `fractions.Fraction` throughout the API (`linalg` eliminates
 on integer rows inside): exact and canonical.  There is no floating-point mode.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 
@@ -153,8 +153,16 @@ def monomial_mul(ctx, m1, m2):
         return 1, m2
     if not m2:
         return 1, m1
-    # Sign: each odd factor of m2 hops over the odd factors of m1 with larger index.
     odd = ctx.odd
+    if len(m1) == 1:    # x^e m2: x^e goes in at its position in m2
+        i, e = m1[0]
+        pos = bisect_left(m2, (i, 0))
+        if pos < len(m2) and m2[pos][0] == i:
+            return (0, None) if odd[i] else (1, m2[:pos] + ((i, e + m2[pos][1]),) + m2[pos + 1:])
+        # an odd x hops over the odd factors of m2 before it
+        sign = -1 if odd[i] and sum(odd[j] for j, _ in m2[:pos]) & 1 else 1
+        return sign, m2[:pos] + m1 + m2[pos:]
+    # Sign: each odd factor of m2 hops over the odd factors of m1 with larger index.
     odd1 = [i for i, _ in m1 if odd[i]]
     merged = dict(m1)
     swaps = 0
@@ -370,10 +378,15 @@ class Derivation:
 
 
 def apply_derivation(theta, x):
-    """Leibniz extension of a derivation to an arbitrary element."""
+    """Leibniz extension of a derivation to an arbitrary element: one `lincomb`
+    of the stored columns, summed on integer views (an entry with denominator
+    1 becomes its numerator) and made Fractions again by `AlgElement`."""
     if x.ctx != theta.ctx:
         raise ContextMismatchError("derivation and element contexts differ")
-    return AlgElement(x.ctx, lincomb((c, theta.column(m)) for m, c in x.terms.items()))
+    return AlgElement(x.ctx, lincomb(
+        (c.numerator if c.denominator == 1 else c,
+         {n: v.numerator if v.denominator == 1 else v for n, v in theta.column(m).items()})
+        for m, c in x.terms.items()))
 
 
 class MonomialBases:

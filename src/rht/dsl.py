@@ -91,16 +91,21 @@ class CdgaDocument:
         self.arrangements = {}
         self.pd_decls = {}           # name -> (dim, orientation source text)
         self.pd_algebras = {}        # name -> PDAlgebra over H(presentation)
+        self._violations = {}        # name -> (the presentation checked, its violations)
 
     def presentation(self, name):
         """The named cdga, refused with its first violation when d^2 != 0:
-        every computation on it assumes d^2 = 0 (`rht validate` lists them all)."""
+        every computation on it assumes d^2 = 0 (`rht validate` lists them all).
+        Each presentation object is checked once; a replaced one is checked afresh."""
         if name not in self.presentations:
             raise RhtError("no cdga named %r in the document" % name)
-        violations = validate(self.presentations[name]).violations
+        p = self.presentations[name]
+        if self._violations.get(name, (None,))[0] is not p:
+            self._violations[name] = (p, validate(p).violations)
+        violations = self._violations[name][1]
         if violations:
             raise RhtError("cdga %s is invalid: %s" % (name, violations[0]))
-        return self.presentations[name]
+        return p
 
     def morphism(self, name):
         """The named morphism, refused as `presentation` refuses its source or target."""

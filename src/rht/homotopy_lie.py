@@ -13,7 +13,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import factorial, lcm
 
-from .algebra import ONE, generator_monomial, monomial_factors
+from .algebra import ONE, generator_monomial, monomial_factors, monomial_word_length
 from .cdga import SullivanPresentation, cohomology, validate
 from .errors import DegreeError, RhtError, UnsupportedInputError
 from .linalg import Echelon, RationalMatrix, lincomb, solve_linear
@@ -144,7 +144,9 @@ def lie_table(pres, bound, name=None):
         if ctx.degrees[v] - 1 > bound:
             continue
         m = slot[v][1]
-        for mono, c in pres.d.image_of(g).word_part(2).terms.items():
+        for mono, c in pres.d.image_of(g).terms.items():
+            if monomial_word_length(mono) != 2:
+                continue
             a, b = monomial_factors(mono)
             da, db = ctx.degrees[a], ctx.degrees[b]
             contributions = ([(a, a, 2 * c * (-1) ** da)] if a == b else

@@ -186,7 +186,17 @@ def _primitive(vec, negate):
 
 def _addmul(dst, x, src):
     """dst += x * src in place, dropping 0 entries; an absent key takes x * v,
-    of its own type (int * int stays int, which `Echelon` needs)."""
+    of its own type (int * int stays int, which `Echelon` needs).  An int
+    x = +-1 adds or subtracts v itself: v * +-1 is +-v, of v's type."""
+    if type(x) is int and (x == 1 or x == -1):
+        for c, v in src.items():
+            y = dst.get(c)
+            y = (v if x == 1 else -v) if y is None else (y + v if x == 1 else y - v)
+            if y:
+                dst[c] = y
+            else:
+                dst.pop(c, None)
+        return
     for c, v in src.items():
         y = dst.get(c)
         y = v * x if y is None else y + v * x

@@ -2,12 +2,13 @@ import gc
 import inspect
 import sys
 import weakref
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import rht.algebra
 from rht.algebra import (ZERO, AlgElement, Derivation, GeneratorContext, MonomialBases,
@@ -15,7 +16,7 @@ from rht.algebra import (ZERO, AlgElement, Derivation, GeneratorContext, Monomia
                          monomial_degree, monomial_divide, monomial_factors, monomial_lcm,
                          monomial_mul, monomial_order, monomial_shift, monomial_str,
                          monomial_times, monomial_word_length, substitute)
-from rht.cdga import SullivanPresentation, cohomology
+from rht.cdga import SullivanPresentation, cohomology, validate
 from rht.constructions import sphere
 from rht.errors import (BudgetExceededError, ContextMismatchError, DegreeError,
                         DerivationError)
@@ -411,6 +412,42 @@ def test_apply_derivation_matches_product_loop(case):
             list(leibniz_loop(theta, x).terms.items())
 
 
+@st.composite
+def presentations_with_halves_and_thirds(draw):
+    """A free presentation whose images have coefficients with denominators
+    1, 2 and 3, usually with d^2 != 0, and an element of degree 0..6."""
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    ctx = GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    images = {}
+    for name, d in ctx.gens:
+        basis = degree_basis(ctx, d + 1)
+        picks = draw(st.lists(st.sampled_from(basis), max_size=3)) if basis else []
+        images[name] = AlgElement(ctx, {m: draw(coeff) for m in picks})
+    pool = [m for k in range(7) for m in degree_basis(ctx, k)]
+    x = AlgElement(ctx, {m: draw(coeff) for m in draw(st.lists(st.sampled_from(pool), max_size=4))})
+    return SullivanPresentation(ctx, images, name="P"), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations_with_halves_and_thirds())
+def test_integer_view_derivation_and_validate_match_the_product_loop(case):
+    # apply_derivation sums integer views of Fraction entries: the values,
+    # the Fraction type and the order of its terms, and validate's d^2
+    # violations, are those of the product loop.
+    p, x = case
+    for y in [x] + [p.d.image_of(g) for g in p.ctx.names]:
+        got, want = apply_derivation(p.d, y), leibniz_loop(p.d, y)
+        assert [(m, type(c), c) for m, c in got.terms.items()] == \
+            [(m, type(c), c) for m, c in want.terms.items()]
+    violations = []
+    for g in p.ctx.names:
+        dd = leibniz_loop(p.d, p.d.image_of(g))
+        if not dd.is_zero():
+            violations.append("d^2(%s) = %s != 0" % (g, dd))
+    assert validate(p).violations == violations
+
+
 def _monomial_mul_loop(ctx, m1, m2):
     """Merge-then-check monomial product with a (-1)**swaps sign, kept as the oracle."""
     if not m1:
@@ -456,6 +493,57 @@ def test_monomial_mul_matches_merge_loop(case):
     sign, mono = monomial_mul(ctx, m1, m2)
     assert (sign, mono) == _monomial_mul_loop(ctx, m1, m2)
     assert type(sign) is int
+
+
+def _general_monomial_merge(ctx, m1, m2):
+    """monomial_mul's general merge (a dict, a sort, a bisect per odd factor
+    of m2), kept as the slow path that a one-block left factor skips."""
+    odd = ctx.odd
+    odd1 = [i for i, _ in m1 if odd[i]]
+    merged = dict(m1)
+    swaps = 0
+    for j, e in m2:
+        if odd[j]:
+            if j in merged:
+                return 0, None
+            swaps += len(odd1) - bisect_right(odd1, j)
+        merged[j] = merged.get(j, 0) + e
+    return -1 if swaps & 1 else 1, tuple(sorted(merged.items()))
+
+
+@st.composite
+def one_block_products(draw):
+    """A left factor x^e and a nonempty monomial m2 in a random context, even
+    exponents up to 4; m2 holds x about half the time, so an odd x often
+    meets itself and the product is 0."""
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    ctx = GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])
+    i = draw(st.integers(0, len(degrees) - 1))
+    e = 1 if degrees[i] % 2 else draw(st.integers(1, 4))
+    exps = [draw(st.integers(0, 1 if d % 2 else 4)) for d in degrees]
+    assume(any(exps))
+    return ctx, ((i, e),), tuple((j, f) for j, f in enumerate(exps) if f)
+
+
+@settings(max_examples=400, deadline=None)
+@given(one_block_products())
+def test_one_block_monomial_mul_matches_the_general_merge(case):
+    ctx, m1, m2 = case
+    sign, mono = monomial_mul(ctx, m1, m2)
+    assert (sign, mono) == _general_monomial_merge(ctx, m1, m2)
+    assert type(sign) is int
+
+
+def test_one_block_monomial_mul_examples():
+    ctx = GeneratorContext([("u", 1), ("a", 2), ("v", 3), ("b", 4), ("w", 5)])
+    u, a, v, b, w = range(5)
+    cases = [(((v, 1),), ((u, 1), (a, 2), (b, 1)), (-1, ((u, 1), (a, 2), (v, 1), (b, 1)))),
+             (((w, 1),), ((u, 1), (v, 1)), (1, ((u, 1), (v, 1), (w, 1)))),
+             (((v, 1),), ((u, 1), (v, 1)), (0, None)),
+             (((a, 3),), ((u, 1), (a, 1), (v, 1)), (1, ((u, 1), (a, 4), (v, 1)))),
+             (((u, 1),), ((a, 1), (v, 1)), (1, ((u, 1), (a, 1), (v, 1))))]
+    for m1, m2, want in cases:
+        assert monomial_mul(ctx, m1, m2) == want == _general_monomial_merge(ctx, m1, m2)
 
 
 # The monomial vocabulary, pinned through monomial_mul and the bases alone:

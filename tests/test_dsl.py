@@ -27,6 +27,22 @@ def test_parse_nonformal_example():
     assert p.d.image_of("w") == p.ctx.generator("u") * p.ctx.generator("v")
 
 
+def test_presentation_checks_each_presentation_object_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(dsl, "validate", lambda p: calls.append(p.name) or validate(p))
+    doc = dsl.parse(S2_TEXT + UVW_TEXT)
+    for name in ("S2", "X", "S2", "X", "S2"):
+        doc.presentation(name)
+    assert calls == ["S2", "X"]
+    # A replaced presentation is checked afresh, and refused when d^2 != 0.
+    bad = dsl.parse("cdga S2 { gen t:1; gen a:2; d t = a; d a = t*a; }").presentations["S2"]
+    doc.presentations["S2"] = bad
+    for _ in range(2):
+        with pytest.raises(RhtError, match="cdga S2 is invalid: d\\^2\\(t\\) = t\\*a != 0"):
+            doc.presentation("S2")
+    assert calls == ["S2", "X", "S2"]
+
+
 def test_parse_degree_mismatch_reports_location():
     with pytest.raises(ParseError) as err:
         dsl.parse("cdga Bad { gen a:2; d a = a; }")

@@ -144,6 +144,39 @@ def test_lincomb_key_order_after_cancellation():
     assert list(vec.items()) == [(0, Fraction(1)), (1, Fraction(2)), (5, Fraction(1))]
 
 
+def _multiplying_lincomb(terms):
+    """lincomb with every entry multiplied by its coefficient, kept as the
+    reference for the int +-1 path that adds or subtracts the entry."""
+    out = {}
+    for c, v in terms:
+        for k, x in (v or {}).items():
+            y = out.get(k)
+            y = x * c if y is None else y + x * c
+            if y:
+                out[k] = y
+            else:
+                out.pop(k, None)
+    return out
+
+
+UNIT_KEYS = st.integers(0, 5)
+UNIT_INTS = st.integers(-2, 2)
+UNIT_FRACTIONS = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+UNIT_ROWS = st.one_of(st.none(), st.dictionaries(UNIT_KEYS, UNIT_INTS, max_size=4),
+                      st.dictionaries(UNIT_KEYS, UNIT_FRACTIONS, max_size=4),
+                      st.dictionaries(UNIT_KEYS, st.one_of(UNIT_INTS, UNIT_FRACTIONS), max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([1, -1, 1, -1, 2, -3, Fraction(1), Fraction(-1),
+                                           Fraction(1, 2)]), UNIT_ROWS), max_size=6))
+def test_lincomb_with_unit_coefficients_matches_the_multiplying_loop(terms):
+    # Small entries on six keys cancel often, and a key that cancels and is
+    # touched again moves to the end: values, types and key order all count.
+    got, want = lincomb(terms), _multiplying_lincomb(terms)
+    assert [(k, type(v), v) for k, v in got.items()] == [(k, type(v), v) for k, v in want.items()]
+
+
 # -- properties of the single elimination engine ----------------------------
 
 ENTRY = st.one_of(st.just(Fraction(0)),
