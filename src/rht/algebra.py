@@ -86,8 +86,10 @@ class GeneratorContext:
 
 
 # A monomial is a tuple of (generator_index, exponent) pairs, sorted by index,
-# exponents >= 1, odd generators with exponent exactly 1.  () is the unit.
-# Only this module reads that layout; other modules use the functions below.
+# exponents >= 1, odd generators with exponent exactly 1, and () is the unit.
+# Only this module reads that layout; other modules use the names below.
+UNIT_MONOMIAL = ()
+
 
 def generator_monomial(i):
     return ((i, 1),)
@@ -219,7 +221,7 @@ class AlgElement:
 
     @staticmethod
     def unit(ctx, coeff=ONE):
-        return AlgElement(ctx, {(): as_q(coeff)})
+        return AlgElement(ctx, {UNIT_MONOMIAL: as_q(coeff)})
 
     # -- structure ---------------------------------------------------------
     def is_zero(self):

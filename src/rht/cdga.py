@@ -23,10 +23,10 @@ from collections import defaultdict
 from heapq import heappop, heappush
 
 from . import algebra
-from .algebra import (AlgElement, Derivation, MonomialBases, ONE, apply_derivation, as_q,
-                      generator_monomial, monomial_degree, monomial_divide, monomial_factors,
-                      monomial_lcm, monomial_order, monomial_products, monomial_str,
-                      monomial_times, rebase)
+from .algebra import (AlgElement, Derivation, MonomialBases, ONE, UNIT_MONOMIAL,
+                      apply_derivation, as_q, generator_monomial, monomial_degree,
+                      monomial_divide, monomial_factors, monomial_lcm, monomial_order,
+                      monomial_products, monomial_str, monomial_times, rebase)
 from .errors import BudgetExceededError, DegreeError, RhtError, ValidationError
 from .linalg import Echelon, RationalMatrix, _addmul, lincomb, solve_linear
 
@@ -287,7 +287,7 @@ class QuotientCDGA:
                     pairs[e + monomial_degree(ctx, x)].append(monomial_products(ctx, {x: 1}, h))
                 self._lead[lead] = h
             # m * x, m standard of degree e - |x| and x its last generator or after it
-            cands = [()] if e == 0 else filter(None, (
+            cands = [UNIT_MONOMIAL] if e == 0 else filter(None, (
                 monomial_times(ctx, m, x)
                 for x, d in enumerate(ctx.degrees) if d <= e for m in self._standard[e - d]))
             std = sorted((m for m in cands if self._divisor(m) is None), key=monomial_order)

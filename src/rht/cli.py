@@ -19,8 +19,7 @@ from .constructions import (arrangement_complex, config_space_model, free_loop_m
                             mapping_space_pi)
 from .errors import ParseError, RhtError
 from .homotopy_lie import (NILPOTENCY_STEPS, bch_product, hurewicz_matrix,
-                           lcs_filtrations, lie_table, nilpotency_class,
-                           quadratic_part)
+                           lcs_filtrations, lie_table, nilpotency_class)
 from .invariants import (DegreeSequence, cat_bounds, elliptic_degrees_check,
                          loop_homology_dims, massey_triple, tc_cup_length,
                          toomer_invariant, trichotomy_report)
@@ -49,21 +48,17 @@ def cmd_validate(args):
     failed = False
     for kind, name in doc.order:
         if kind == "cdga":
-            rep = validate(doc.presentations[name])
-        elif kind == "morphism":
-            rep = doc.morphisms[name].validate()
+            violations = doc.violations(name)
+        elif kind == "morphism":     # the parser refuses a morphism that is not a chain map
+            violations = []
         elif kind == "arrangement":
-            rep = validate(arrangement_complex(doc.arrangements[name]))
+            violations = validate(arrangement_complex(doc.arrangements[name])).violations
         else:
             lines.append("pd %s: verified at parse time" % name)
             continue
-        if rep.ok:
-            lines.append("%s %s: valid" % (kind, name))
-        else:
-            failed = True
-            lines.append("%s %s: INVALID" % (kind, name))
-            for v in rep.violations:
-                lines.append("  - %s" % v)
+        lines.append("%s %s: %s" % (kind, name, "INVALID" if violations else "valid"))
+        lines += ["  - %s" % v for v in violations]
+        failed = failed or bool(violations)
     sys.stdout.write("\n".join(lines) + "\n")
     return 1 if failed else 0
 
@@ -114,7 +109,7 @@ def cmd_homotopy(args):
         for k in sorted(ranks):
             lines.append("  k=%d: %d" % (k, ranks[k]))
     if args.brackets is not None:
-        t = lie_table(quadratic_part(p), args.brackets)
+        t = lie_table(p, args.brackets, name="L(%s.d1)" % p.name)
         out["lie_table"] = dsl.lie_table_json(t)
         lines.append("Lie table to degree %d:" % args.brackets)
         for key, val in sorted(out["lie_table"]["brackets"].items()):
@@ -152,7 +147,7 @@ def _parse_vector(text, dim):
 def cmd_bch(args):
     doc = _load(args.file)
     p = doc.presentation(args.name)
-    t = lie_table(quadratic_part(p), 0)
+    t = lie_table(p, 0)
     vectors = []
     for text in (args.a, args.b):
         vec = _parse_vector(text, t.dim(0))
@@ -210,8 +205,9 @@ def cmd_invariants(args):
                             res.representative, len(res.indeterminacy)))
         else:
             lines.append("massey: undefined (%s)" % res.reason)
-    if args.tc:
+    if args.tc or args.trichotomy and args.of_cohomology:     # one algebra serves both
         H = t.cohomology.algebra() if t else cohomology_algebra(p, n)
+    if args.tc:
         value = tc_cup_length(H)
         payload["tc_cup_length"] = {"value": value,
                                     "window_certified": H.window_certified}
@@ -223,8 +219,7 @@ def cmd_invariants(args):
         lines.append("loop homology dims: %s" % json.dumps(
             {str(k): v for k, v in dims.items()}, sort_keys=True))
     if args.trichotomy:
-        result = minimal_model((t.cohomology.algebra() if t else cohomology_algebra(p, n))
-                               if args.of_cohomology else p, n)
+        result = minimal_model(H if args.of_cohomology else p, n)
         rep = trichotomy_report(result, n)
         payload["trichotomy"] = {
             "tag": rep.tag, "chi_pi": rep.chi_pi,

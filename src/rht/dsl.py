@@ -18,7 +18,7 @@ import json
 import re
 from fractions import Fraction
 
-from .algebra import AlgElement, GeneratorContext, ONE, ZERO, monomial_degree
+from .algebra import AlgElement, GeneratorContext, ONE, UNIT_MONOMIAL, ZERO, monomial_degree
 from .cdga import CdgaMorphism, SullivanPresentation, cohomology, cohomology_algebra, validate
 from .constructions import PDAlgebra, SubspaceArrangement, catalog
 from .errors import ParseError, RhtError, UnsupportedInputError
@@ -93,19 +93,21 @@ class CdgaDocument:
         self.pd_algebras = {}        # name -> PDAlgebra over H(presentation)
         self._violations = {}        # name -> (the presentation checked, its violations)
 
-    def presentation(self, name):
-        """The named cdga, refused with its first violation when d^2 != 0:
-        every computation on it assumes d^2 = 0 (`rht validate` lists them all).
-        Each presentation object is checked once; a replaced one is checked afresh."""
+    def violations(self, name):
+        """The named cdga's violations of the axioms, checked once per presentation object."""
         if name not in self.presentations:
             raise RhtError("no cdga named %r in the document" % name)
         p = self.presentations[name]
         if self._violations.get(name, (None,))[0] is not p:
             self._violations[name] = (p, validate(p).violations)
-        violations = self._violations[name][1]
+        return self._violations[name][1]
+
+    def presentation(self, name):
+        """The named cdga, refused with its first violation: every computation assumes d^2 = 0."""
+        violations = self.violations(name)
         if violations:
             raise RhtError("cdga %s is invalid: %s" % (name, violations[0]))
-        return p
+        return self.presentations[name]
 
     def morphism(self, name):
         """The named morphism, refused as `presentation` refuses its source or target."""
@@ -404,7 +406,7 @@ class _Parser:
             if top * e.value > degree:
                 self.error("power of degree %d exceeds the expected degree %d"
                            % (top * e.value, degree), e)
-            c = x.terms.get((), ZERO) if top == 0 else ZERO
+            c = x.terms.get(UNIT_MONOMIAL, ZERO) if top == 0 else ZERO
             m = max(abs(c.numerator), c.denominator)     # the first test bounds m ** e
             if (m.bit_length() - 1) * e.value >= MAX_CONSTANT_BITS or \
                     (m ** e.value).bit_length() > MAX_CONSTANT_BITS:

@@ -226,24 +226,26 @@ def lcs_filtrations(p, k, depth=32):
 
     For k = 1 the filtration is F_0 = ker d_1, F_{r+1} = d_1^{-1}(Lambda^2 F_r);
     for k >= 2 it is F_0 = ker delta, F_{r+1} = delta^{-1}(V^1 ^ F_r), delta
-    the V^1 ^ V-component of d.  Both sides are computed independently and
-    the Theorem equality nil V^k = nil L_{k-1} is asserted whenever both
-    stabilize.
+    the V^1 ^ V-component of d.  Both sides are computed independently, from
+    the minimal presentation p itself (its columns and products; the L-side
+    is lie_table(p, k - 1)), and the Theorem equality nil V^k = nil L_{k-1}
+    is asserted whenever both stabilize.
     """
-    pres = quadratic_part(p)
-    ctx = pres.ctx
+    if not is_minimal(p):
+        raise UnsupportedInputError("quadratic part requires a minimal presentation")
+    ctx = p.ctx
     vk_idx = [i for i, d in enumerate(ctx.degrees) if d == k]
     if not vk_idx:
         return FiltrationReport(k, [0], [0], 0, 0)
 
-    # --- V-side, in the coordinates of pres.basis(k + 1) ---------------------
-    v1 = [pres.index(1)[generator_monomial(i)] for i, d in enumerate(ctx.degrees) if d == 1]
-    vk = [pres.index(k)[generator_monomial(i)] for i in vk_idx]
-    basis_k1 = pres.basis(k + 1)
-    # delta keeps the monomials x y of d_1 with |x| = 1 and |y| = k
+    # --- V-side, in the coordinates of p.basis(k + 1) ------------------------
+    v1 = [p.index(1)[generator_monomial(i)] for i, d in enumerate(ctx.degrees) if d == 1]
+    vk = [p.index(k)[generator_monomial(i)] for i in vk_idx]
+    basis_k1 = p.basis(k + 1)
+    # delta keeps the monomials x y of d (word length 2, so of d_1) with |x| = 1, |y| = k
     relevant = {j for j, mono in enumerate(basis_k1)
                 if sorted(ctx.degrees[i] for i in monomial_factors(mono)) == [1, k]}
-    delta_cols = [{j: c for j, c in pres.differential_column(k, g).items() if j in relevant}
+    delta_cols = [{j: c for j, c in p.differential_column(k, g).items() if j in relevant}
                   for g in vk]
 
     def preimage(span_ech):
@@ -258,7 +260,7 @@ def lcs_filtrations(p, k, depth=32):
         ech = Echelon()
         for a, x in enumerate(left):
             for y in f[a:] if k == 1 else f:
-                prod = pres.multiply_coords(1, x, k, y)
+                prod = p.multiply_coords(1, x, k, y)
                 if prod:
                     ech.add(prod)
         return ech
@@ -281,7 +283,7 @@ def lcs_filtrations(p, k, depth=32):
         nil_v = ">=%d" % depth
 
     # --- L-side -----------------------------------------------------------
-    t = lie_table(pres, k - 1)
+    t = lie_table(p, k - 1)
     l_dims, nil_l = _lower_central_series(t, k - 1, depth)
     if t.dim(k - 1) == 0:
         nil_l = 0

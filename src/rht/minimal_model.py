@@ -19,12 +19,8 @@ from .linalg import Echelon, RationalMatrix, lincomb, solve_linear
 
 
 def is_minimal(p):
-    """True iff d(V) lies in Lambda^{>=2} V (no generator image has a linear term)."""
-    for name in p.ctx.names:
-        img = p.d.image_of(name)
-        if not img.linear_part().is_zero() or () in img.terms:
-            return False
-    return True
+    """True iff d(V) lies in Lambda^{>=2} V (no image has a term of word length 0 or 1)."""
+    return all(monomial_word_length(m) >= 2 for g in p.ctx.names for m in p.d.image_of(g).terms)
 
 
 class SullivanCertificate:
@@ -237,7 +233,9 @@ def pushout_extension(phi, ext, name=None):
     total is (Lambda V (x) Lambda Z, d') with d'(z) = (phi (x) id)(dz) and the
     fiber unchanged.
     """
-    base = ext.base_presentation()
+    escapes = ext._escapes()
+    if escapes:
+        raise DegreeError("d(%s) leaves the base algebra" % escapes[0])
     if set(phi.source.ctx.names) != set(ext.base_names):
         raise DegreeError("morphism source must be the extension base")
     new_base = phi.target

@@ -121,6 +121,57 @@ def test_invariants_reads_one_window(monkeypatch, capsys):
     assert len(built) == 3 and built[-1][1:] == (0, 8)
 
 
+def test_each_command_derives_each_object_once(monkeypatch, capsys):
+    """In-process counts on the catalog.  The document checks d^2 = 0 once per
+    cdga (S2 and S3 at parse time for the `pd` lines), and the commands read
+    that record: the Lie commands read d_1 off the checked cdga, `validate`
+    lists its violations, `invariants` builds one cohomology algebra besides
+    the `pd` ones, and a pullback restricts nothing."""
+    from rht.cdga import CdgaMorphism, CohomologyReport, validate
+    from rht.homotopy_lie import quadratic_part
+    from rht.minimal_model import LambdaExtension
+    calls = []
+
+    def counted(label, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((label, getattr(args[0], "name", None)))
+            return fn(*args, **kwargs)
+        return wrapper
+    # every binding of the two functions, in the module that defines it and in its importers
+    for module in [m for name, m in sys.modules.items() if name.startswith("rht.")]:
+        for fn in (validate, quadratic_part):
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted(fn.__name__, fn))
+    for cls, attr in ((CohomologyReport, "algebra"), (CdgaMorphism, "validate"),
+                      (LambdaExtension, "_restriction")):
+        monkeypatch.setattr(cls, attr, counted(cls.__name__ + "." + attr, getattr(cls, attr)))
+
+    def run(*argv):
+        calls.clear()
+        assert main(list(argv)) == 0
+        capsys.readouterr()
+        return [label for label, _ in calls], [name for label, name in calls if label == "validate"]
+
+    for argv, name in ((["homotopy", DATA, "--name", "S2", "--brackets", "4"], "S2"),
+                       (["homotopy", DATA, "--name", "X", "--filtration", "1"], "X"),
+                       (["bch", DATA, "--name", "X", "1,0,0", "0,1,0"], "X")):
+        labels, checked = run(*argv)
+        assert "quadratic_part" not in labels and "CdgaMorphism.validate" not in labels
+        assert checked == list(dict.fromkeys(["S2", "S3", name])), argv
+    # the five cdgas once each, in parse order, then the two arrangement complexes
+    labels, checked = run("validate", DATA)
+    assert checked == ["S2", "S3", "CP3", "X", "Hopf", "boolean3", "braid3"]
+    assert "CdgaMorphism.validate" not in labels
+    # H(S2) is checked by the minimal model of --of-cohomology
+    labels, checked = run("invariants", DATA, "--name", "S2", "--max", "6", "--tc",
+                          "--trichotomy", "--of-cohomology")
+    assert labels.count("CohomologyReport.algebra") == 3     # the two `pd` windows, then S2
+    assert checked == ["S2", "S3", "H(S2)"]
+    labels, _ = run("fibration", "pullback", DATA, "--total", "Hopf", "--base", "a,b",
+                    "--along", "double")
+    assert "LambdaExtension._restriction" not in labels
+
+
 def test_loopspace_command():
     code, out, _ = run_cli("loopspace", DATA, "--name", "S3", "--max", "8", "--json")
     assert code == 0

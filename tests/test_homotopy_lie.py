@@ -234,6 +234,16 @@ def test_lcs_zero_space():
     assert rep.nil_v == 0 and rep.nil_l == 0
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_lcs_refuses_a_non_minimal_presentation_first(k):
+    # d z = a is linear, so there is no quadratic part to read, also where V^k = 0 (k = 5)
+    ctx = GeneratorContext([("a", 2), ("b", 3), ("z", 1)])
+    a = ctx.generator("a")
+    p = SullivanPresentation(ctx, {"a": AlgElement.zero(ctx), "b": a * a, "z": a})
+    with pytest.raises(UnsupportedInputError, match="requires a minimal presentation"):
+        lcs_filtrations(p, k)
+
+
 def test_lcs_non_nilpotent_is_infinite_on_both_sides():
     # du = 0, dv = uv: [x_u, x_v] = +-x_v, so the LCS stabilizes at a
     # nonzero subspace and the V-filtration stabilizes below V^1.
