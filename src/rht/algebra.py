@@ -115,13 +115,19 @@ def monomial_order(mono):
 
 
 def monomial_divide(mono, divisor):
-    """mono / divisor as a monomial, or None when divisor does not divide mono."""
-    exps = dict(mono)
+    """mono / divisor as a monomial, or None when divisor does not divide mono:
+    one walk of mono's blocks, which are sorted by index as the divisor's are."""
+    out, pos, n = [], 0, len(mono)
     for j, e in divisor:
-        if exps.get(j, 0) < e:
+        while pos < n and mono[pos][0] < j:
+            out.append(mono[pos])
+            pos += 1
+        if pos == n or mono[pos][0] != j or mono[pos][1] < e:
             return None
-        exps[j] -= e
-    return tuple((j, e) for j, e in exps.items() if e)
+        if mono[pos][1] > e:
+            out.append((j, mono[pos][1] - e))
+        pos += 1
+    return tuple(out) + mono[pos:]
 
 
 def monomial_lcm(m1, m2):

@@ -382,13 +382,14 @@ def _validate_finite(A):
 
     Every cdga is checked, including ones the library built itself.  Each
     pass visits only what the keys of `A.mul` and `A.diff` can make nonzero:
-    commutativity and Leibniz the pairs (a, b) with ab or ba a key of `A.mul`
-    or with a row of `A.diff` at a or b, associativity the c for which (ab)c
-    or a(bc) can be nonzero.  Every pair and triple skipped is 0 = 0, so the
-    violations and their order are those of the full N^2 and N^3 loops.  The
-    per-element and pair checks sum rows of integer copies of the tables (an
-    entry with denominator 1 becomes its numerator, zeros are kept); an
-    absent row is read as None, which `lincomb` skips.
+    commutativity and Leibniz the pairs (a, b), in either order, with ab or
+    ba a key of `A.mul`, or with a t in supp(da) for which tb or bt is a key
+    (the terms (da)b of (a, b) and b(da) of (b, a)); associativity the c for
+    which (ab)c or a(bc) can be nonzero.  Every pair and triple skipped is
+    0 = 0, so the violations and their order are those of the full N^2 and
+    N^3 loops.  The per-element and pair checks sum rows of integer copies of
+    the tables (an entry with denominator 1 becomes its numerator, zeros are
+    kept); an absent row is read as None, which `lincomb` skips.
     """
     violations = []
     items = [(k, i) for k in sorted(A.basis) for i in range(A.dim(k))]
@@ -412,9 +413,16 @@ def _validate_finite(A):
         if lincomb([(1, mul.get(((0, 0), (k, i))))]) != {i: 1}:
             violations.append("1 * %s != %s" % (A.label(k, i), A.label(k, i)))
     # Graded commutativity and Leibniz on the basis pairs of a key of `mul`,
-    # in either order, and of an element with a row of `diff`.
+    # and of a and b with a key tb or bt for some t in supp(da), in either
+    # order.  right[x] = {y : xy a key}, left[y] = {x : xy a key}.
+    right, left = {}, {}
+    for x, y in mul:
+        right.setdefault(x, set()).add(y)
+        left.setdefault(y, set()).add(x)
     pairs = {pair for key in mul for pair in (key, key[::-1])}
-    pairs.update(pair for a in diff.keys() & item_set for b in items for pair in ((a, b), (b, a)))
+    pairs.update(pair for (p_, i), row in diff.items() for j in row
+                 for b in right.get((p_ + 1, j), set()) | left.get((p_ + 1, j), set())
+                 for pair in (((p_, i), b), (b, (p_, i))))
     for a, b in sorted(pair for pair in pairs if pair[0] in item_set and pair[1] in item_set):
         (p_, i), (q_, j) = a, b
         ab, ba = mul.get((a, b), {}), mul.get((b, a), {})
@@ -429,23 +437,20 @@ def _validate_finite(A):
                       for k, c in diff.get(b, {}).items()]):
             violations.append("Leibniz fails on (%s, %s)"
                               % (A.label(p_, i), A.label(q_, j)))
-    # Associativity on basis triples.  With partners[x] = {y : xy != 0},
-    # (ab)c can be nonzero only for c in partners[k], k in supp(ab), and a(bc)
-    # only for c in partners[b] with some k in supp(bc) in partners[a]; every
-    # other triple is 0 = 0, and so is every triple whose a has no partners.
-    partners = {}
-    for x, y in A.mul:
-        partners.setdefault(x, set()).add(y)
+    # Associativity on basis triples.  (ab)c can be nonzero only for c in
+    # right[k], k in supp(ab), and a(bc) only for c in right[b] with some k in
+    # supp(bc) in right[a]; every other triple is 0 = 0, and so is every
+    # triple whose a has no right partners.
     for a in items:
-        if a not in partners:
+        if a not in right:
             continue
-        (p_, i), pa = a, partners[a]
+        (p_, i), pa = a, right[a]
         for (q_, j) in items:
             ab = A.mul.get((a, (q_, j)), {})
-            cs = {c for c in partners.get((q_, j), ())
+            cs = {c for c in right.get((q_, j), ())
                   if any((q_ + c[0], k) in pa for k in A.mul[((q_, j), c)])}
             for k in ab:
-                cs.update(partners.get((p_ + q_, k), ()))
+                cs.update(right.get((p_ + q_, k), ()))
             for (r_, l) in sorted(cs & item_set):
                 lhs = A.multiply_coords(p_ + q_, ab, r_, {l: ONE})
                 rhs = A.multiply_coords(p_, {i: ONE}, q_ + r_, A.mul.get(((q_, j), (r_, l)), {}))
@@ -571,6 +576,8 @@ class CohomologyReport:
         cohomology algebra exactly when the report certifies H^{>hi} = 0.  A
         free presentation is graded-commutative, so there each pair (b, a)
         that the loop reaches after (a, b) is read off it: ba = (-1)^pq ab.
+        When degree 0 is one class, it is the unit: its products are pinned to
+        the identity, so the result is independent of representative scaling.
         """
         p, n = self.pres, self.hi
         if self.lo > 0:
@@ -584,10 +591,14 @@ class CohomologyReport:
             basis[0] = ["h0_0"]
         mul = {}
         degs = sorted(basis)
-        commutes = isinstance(p, SullivanPresentation)
+        commutes, unit = isinstance(p, SullivanPresentation), len(basis[0]) == 1
         for p_ in degs:
             for q_ in degs:
                 if p_ + q_ > n or (p_ + q_) not in basis:
+                    continue
+                if unit and not (p_ and q_):
+                    mul.update((((p_, i), (q_, j)), {i or j: ONE})
+                               for i in range(len(basis[p_])) for j in range(len(basis[q_])))
                     continue
                 odd = p_ * q_ % 2
                 for i, u in enumerate(self._reps[p_]):
@@ -600,13 +611,6 @@ class CohomologyReport:
                             cls = prod and self.class_coordinates(p_ + q_, prod)
                         if cls:
                             mul[((p_, i), (q_, j))] = cls
-        # The degree-0 class is the unit; pin its products to the identity so the
-        # result is independent of representative scaling.
-        if len(basis[0]) == 1:
-            for k in degs:
-                for i in range(len(basis[k])):
-                    mul[((0, 0), (k, i))] = {i: ONE}
-                    mul[((k, i), (0, 0))] = {i: ONE}
         A = FiniteCDGA(basis, {}, mul, name=name or ("H(%s)" % getattr(p, "name", "A")))
         A.window_certified = self.certified_above()
         return A

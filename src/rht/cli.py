@@ -206,7 +206,7 @@ def cmd_invariants(args):
         else:
             lines.append("massey: undefined (%s)" % res.reason)
     if args.tc or args.trichotomy and args.of_cohomology:     # one algebra serves both
-        H = t.cohomology.algebra() if t else cohomology_algebra(p, n)
+        H = c.algebra if c else t.cohomology.algebra() if t else cohomology_algebra(p, n)
     if args.tc:
         value = tc_cup_length(H)
         payload["tc_cup_length"] = {"value": value,

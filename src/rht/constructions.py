@@ -653,42 +653,37 @@ class SubspaceArrangement:
 
 
 def arrangement_complex(arr, name=None):
-    """Feichner-Yuzvinsky complex (D, d) of a subspace arrangement.
+    """Feichtner-Yuzvinsky complex (D, d) of a subspace arrangement.
 
     Basis: subsets sigma, graded by 2 codim(cap sigma) - |sigma|.  The
     differential removes the i-th element (position counted from 1) with
     sign (-1)^i whenever the intersection is unchanged; the product merges
     disjoint subsets with the shuffle sign when codimensions add, else 0.
+    A subset is read as the bitmask sum 2^i over its elements, so one lookup
+    `bits[mask]` gives its codimension and basis key: disjointness is
+    m1 & m2 == 0, the union m1 | m2 and the shuffle sign the parity of the
+    elements of s2 below each element of s1.
     """
     n = len(arr)
-    subsets = []
-    for r in range(n + 1):
-        subsets.extend(combinations(range(n), r))
-    deg_of = {}
+    subsets = [s for r in range(n + 1) for s in combinations(range(n), r)]
+    basis, bits = {}, {}
     for sigma in subsets:
-        deg_of[sigma] = 2 * arr.codim(sigma) - len(sigma)
-    basis = {}
-    index = {}
-    for sigma in sorted(subsets, key=lambda s: (len(s), s)):
-        k = deg_of[sigma]
-        basis.setdefault(k, [])
-        index[sigma] = (k, len(basis[k]))
-        basis[k].append("{%s}" % ",".join(str(i + 1) for i in sigma))
-    if index[()] != (0, 0):
+        c = arr.codim(sigma)
+        k = 2 * c - len(sigma)
+        labels = basis.setdefault(k, [])
+        bits[sum(1 << i for i in sigma)] = c, (k, len(labels))
+        labels.append("{%s}" % ",".join(str(i + 1) for i in sigma))
+    if bits[0][1] != (0, 0):
         # force the empty subset to be the unit at position (0, 0)
         raise RhtError("unit ordering failed")  # pragma: no cover
+    rows = list(zip(subsets, bits.items()))     # subset order, which is the dict's order
 
     diff = {}
-    for sigma in subsets:
-        if not sigma:
-            continue
-        k, idx = index[sigma]
+    for sigma, (mask, (c, (k, idx))) in rows:
         col = {}
-        full = arr.codim(sigma)
         for pos, i in enumerate(sigma, start=1):
-            tau = tuple(x for x in sigma if x != i)
-            if arr.codim(tau) == full:
-                kt, it = index[tau]
+            ct, (kt, it) = bits[mask ^ (1 << i)]
+            if ct == c:
                 if kt != k + 1:
                     raise RhtError("differential is not of degree +1")  # pragma: no cover
                 col[it] = Fraction((-1) ** pos)
@@ -696,17 +691,14 @@ def arrangement_complex(arr, name=None):
             diff[(k, idx)] = col
 
     mul = {}
-    for s1 in subsets:
-        for s2 in subsets:
-            if set(s1) & set(s2):
+    for s1, (m1, (c1, key1)) in rows:
+        below = [(1 << a) - 1 for a in s1]
+        for m2, (c2, key2) in bits.items():
+            if m1 & m2:
                 continue
-            union = tuple(sorted(s1 + s2))
-            if arr.codim(s1) + arr.codim(s2) != arr.codim(union):
-                continue
-            inv = sum(1 for a in s1 for b in s2 if a > b)
-            k1, i1 = index[s1]
-            k2, i2 = index[s2]
-            ku, iu = index[union]
-            mul[((k1, i1), (k2, i2))] = {iu: Fraction((-1) ** inv)}
+            cu, (_, iu) = bits[m1 | m2]
+            if c1 + c2 == cu:
+                inv = sum(bin(m2 & low).count("1") for low in below)
+                mul[(key1, key2)] = {iu: Fraction((-1) ** inv)}
     return FiniteCDGA(basis, diff, mul, name=name or arr.name,
                       h0_is_unit_span=False)

@@ -93,8 +93,9 @@ def _toomer_fails_at(p, rep, m, n):
 class CatReport:
     """Interval [e, upper] with a PD equality certificate when available."""
 
-    def __init__(self, toomer, upper, pd, cat_exact, window):
+    def __init__(self, toomer, upper, pd, cat_exact, window, algebra):
         self.toomer = toomer            # the ToomerReport the bounds were read from
+        self.algebra = algebra          # its cohomology algebra, which the PD check read
         self.e = toomer.value
         self.upper = upper
         self.certified = toomer.exact
@@ -138,11 +139,12 @@ def cat_bounds(m, n=12, h_vanishes_above=None):
     toomer = toomer_invariant(model, n=n, h_vanishes_above=h_vanishes_above)
     rep = toomer.cohomology
     top = max((k for k in range(0, n + 1) if rep.dim(k)), default=0)
-    pd = is_poincare_duality(rep.algebra())
+    H = rep.algebra()
+    pd = is_poincare_duality(H)
     cat_exact = None
     if pd and toomer.exact and toomer.value is not None:
         cat_exact = toomer.value
-    return CatReport(toomer, top, pd, cat_exact, n)
+    return CatReport(toomer, top, pd, cat_exact, n, H)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations, product as iproduct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rht.algebra import (ONE, ZERO, AlgElement, GeneratorContext, MonomialBases, as_q,
                          degree_basis, monomial_degree)
@@ -424,8 +424,22 @@ def perturbed_finite_cdgas(draw):
     return FiniteCDGA(A.basis, diff, mul, name="P", h0_is_unit_span=A.h0_is_unit_span)
 
 
+def one_sided_leibniz(side):
+    """1, a, b, t, s in degrees 0, 1, 1, 2, 3 with unit products, ab = ba = 0,
+    and one nonzero Leibniz term on (a, b): (da)b with da = t and tb = s the
+    one other key ("da.b"), or a(db) with db = t and at = s ("a.db")."""
+    basis = {0: ["1"], 1: ["a", "b"], 2: ["t"], 3: ["s"]}
+    mul = {pair: {i: ONE} for k in basis for i in range(len(basis[k]))
+           for pair in (((0, 0), (k, i)), ((k, i), (0, 0)))}
+    mul[((2, 0), (1, 1)) if side == "da.b" else ((1, 0), (2, 0))] = {0: ONE}
+    d = (1, 0) if side == "da.b" else (1, 1)
+    return FiniteCDGA(basis, {d: {0: ONE}}, mul, name=side)
+
+
 @settings(max_examples=80, deadline=None)
 @given(perturbed_finite_cdgas())
+@example(one_sided_leibniz("da.b"))
+@example(one_sided_leibniz("a.db"))
 def test_validate_finite_matches_dense_loops(A):
     assert validate(A).violations == dense_validate_finite(A)
 

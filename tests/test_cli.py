@@ -121,6 +121,23 @@ def test_invariants_reads_one_window(monkeypatch, capsys):
     assert len(built) == 3 and built[-1][1:] == (0, 8)
 
 
+def test_invariants_cat_and_tc_share_one_cohomology_algebra(monkeypatch, capsys):
+    # --cat checks Poincare duality on the algebra of its window, and --tc
+    # reads that same algebra: the two `pd` windows, then CP3's once.
+    from rht.cdga import CohomologyReport
+    windows = []
+    algebra = CohomologyReport.algebra
+
+    def recording(self, *args, **kwargs):
+        windows.append((self.lo, self.hi))
+        return algebra(self, *args, **kwargs)
+    monkeypatch.setattr(CohomologyReport, "algebra", recording)
+    assert main(["invariants", DATA, "--name", "CP3", "--max", "8", "--cat", "--tc"]) == 0
+    assert capsys.readouterr().out == ("cat bounds: [3, 6]\n"
+                                       "TC cup length c_H = 6 (cohomology windowed at 8)\n")
+    assert windows == [(0, 2), (0, 3), (0, 8)]
+
+
 def test_each_command_derives_each_object_once(monkeypatch, capsys):
     """In-process counts on the catalog.  The document checks d^2 = 0 once per
     cdga (S2 and S3 at parse time for the `pd` lines), and the commands read

@@ -1,6 +1,7 @@
 import os
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -886,6 +887,70 @@ def test_random_arrangements_give_valid_cdgas():
         rep = validate(D)
         assert rep.ok, rep.violations
         done += 1
+
+
+def loop_arrangement_complex(arr):
+    """The tables of the subset complex as the full 4^n loop over ordered
+    pairs of subsets forms them: set intersections for disjointness, a
+    sorted union and a codimension lookup for every pair."""
+    n = len(arr)
+    subsets = [s for r in range(n + 1) for s in combinations(range(n), r)]
+    basis, index = {}, {}
+    for sigma in subsets:
+        k = 2 * arr.codim(sigma) - len(sigma)
+        index[sigma] = (k, len(basis.setdefault(k, [])))
+        basis[k].append("{%s}" % ",".join(str(i + 1) for i in sigma))
+    diff = {}
+    for sigma in subsets[1:]:
+        col = {}
+        for pos, i in enumerate(sigma, start=1):
+            tau = tuple(x for x in sigma if x != i)
+            if arr.codim(tau) == arr.codim(sigma):
+                col[index[tau][1]] = Fraction((-1) ** pos)
+        if col:
+            diff[index[sigma]] = col
+    mul = {}
+    for s1 in subsets:
+        for s2 in subsets:
+            if set(s1) & set(s2):
+                continue
+            union = tuple(sorted(s1 + s2))
+            if arr.codim(s1) + arr.codim(s2) != arr.codim(union):
+                continue
+            inv = sum(1 for a in s1 for b in s2 if a > b)
+            mul[(index[s1], index[s2])] = {index[union][1]: Fraction((-1) ** inv)}
+    return basis, diff, mul
+
+
+@st.composite
+def nested_arrangements(draw):
+    """One to five subspaces of Q^2, Q^3 or Q^4; after the first, each is new,
+    a repeat of an earlier one, or an earlier one cut by one more equation."""
+    n = draw(st.integers(2, 4))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+    subs = []
+    for _ in range(draw(st.integers(1, 5))):
+        how = draw(st.sampled_from(["new", "repeat", "nested"])) if subs else "new"
+        if how == "new":
+            subs.append(draw(st.lists(row, min_size=1, max_size=2)))
+        else:
+            sub = draw(st.sampled_from(subs))
+            subs.append(sub + ([draw(row)] if how == "nested" else []))
+    return SubspaceArrangement(n, subs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(nested_arrangements())
+def test_arrangement_complex_matches_the_pair_loop(arr):
+    # The bitmask tables equal the loop's: basis, and diff and mul with their
+    # key order, values and value types.
+    def typed(table):
+        return [(key, [(c, type(x), x) for c, x in row.items()]) for key, row in table.items()]
+    D = arrangement_complex(arr)
+    basis, diff, mul = loop_arrangement_complex(arr)
+    assert list(D.basis.items()) == list(basis.items())
+    assert typed(D.diff) == typed(diff)
+    assert typed(D.mul) == typed(mul)
 
 
 def window_gap_certified(quot, lo, hi):

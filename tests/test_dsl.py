@@ -363,6 +363,30 @@ def test_parse_pd_declaration():
     assert doc.pd_decls["S2"] == (2, "a")
 
 
+def test_pd_windows_form_no_products(monkeypatch):
+    # S2 on [0, 2] and S3 on [0, 3] hold the unit and one class each, so every
+    # product of their algebras has the unit as a factor: each is pinned to
+    # the identity without a multiplication or a class lookup.
+    from rht.cdga import CohomologyReport
+    windows, work = [], []
+    algebra = CohomologyReport.algebra
+
+    def tracked(self, *args, **kwargs):
+        windows.append((self.pres.name, self.lo, self.hi))
+        multiply, classes = self.pres.multiply_coords, self.class_coordinates
+        with pytest.MonkeyPatch.context() as inside:
+            inside.setattr(self.pres, "multiply_coords",
+                           lambda *a: work.append("product") or multiply(*a))
+            inside.setattr(self, "class_coordinates",
+                           lambda *a: work.append("class") or classes(*a))
+            return algebra(self, *args, **kwargs)
+    monkeypatch.setattr(CohomologyReport, "algebra", tracked)
+    dsl.parse(S2_TEXT + "cdga S3 { gen u:3; d u = 0; }"
+              "pd S2 dim 2 orientation a; pd S3 dim 3 orientation u;")
+    assert windows == [("S2", 0, 2), ("S3", 0, 3)]
+    assert work == []
+
+
 def test_pd_rejects_wrong_degree():
     text = S2_TEXT + "\npd S2 dim 3 orientation b;"
     with pytest.raises(ParseError):
