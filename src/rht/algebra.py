@@ -316,34 +316,50 @@ class Derivation:
     """Degree-r derivation of Lambda(V), given by its values on generators.
 
     Extension to monomials follows the graded Leibniz rule
-    theta(xy) = theta(x) y + (-1)^(r deg x) x theta(y).  A derivation keeps
-    one column store {monomial: theta(monomial)}: images are fixed at
-    construction, so a stored column never changes.
+    theta(xy) = theta(x) y + (-1)^(r deg x) x theta(y).  The image of g, of
+    degree |g| + r, may live over an initial segment of the context (each
+    distinct one compared once): appending generators keeps every index, so
+    it is stored as its term dict and `SullivanPresentation.extend` takes
+    over the parent's images unchecked.  One column store {monomial:
+    theta(monomial)} is kept; images never change, so neither do columns.
     """
 
     def __init__(self, ctx, degree, images):
         self.ctx = ctx
         self.degree = degree
-        self.images = {}
+        self._images = {}           # generator name -> image as {monomial: Fraction}
+        accepted = {id(ctx)}        # the contexts seen to begin ctx
         for name, img in images.items():
             if name not in ctx.index:
                 raise DerivationError("image given for unknown generator %r" % name)
-            if img.ctx != ctx:
-                raise ContextMismatchError("image of %r lives in a different context" % name)
+            if id(img.ctx) not in accepted:
+                if ctx.gens[:len(img.ctx)] != img.ctx.gens:
+                    raise ContextMismatchError(
+                        "image of %r lives in a context that does not begin this one" % name)
+                accepted.add(id(img.ctx))
             if not img.is_zero():
                 d = img.degree()
                 if d is None or d != ctx.degree_of(name) + degree:
                     raise DegreeError(
                         "image of %r must be homogeneous of degree %d"
                         % (name, ctx.degree_of(name) + degree))
-            self.images[name] = img
+            self._images[name] = img.terms
         self._columns = {(): {}}    # monomial -> theta(monomial) as {monomial: Fraction}, sorted
         self._monos = {}            # monomial -> the one tuple the columns use for it
 
-    def image_of(self, name):
-        if name not in self.images:
+    def image_terms(self, name):
+        if name not in self._images:
             raise DerivationError("derivation has no image for generator %r" % name)
-        return self.images[name]
+        return self._images[name]
+
+    def image_of(self, name):
+        x = AlgElement.__new__(AlgElement)      # on the stored terms: canonical, not copied
+        x.ctx, x.terms = self.ctx, self.image_terms(name)
+        return x
+
+    @property
+    def images(self):
+        return {name: self.image_of(name) for name in self._images}
 
     def column(self, mono):
         """theta(mono) by the Leibniz rule, stored for each suffix of mono, from
@@ -354,7 +370,7 @@ class Derivation:
             j += 1
             col = store.get(mono[j:])
         for i, _ in mono[:j]:       # a missing image is named leftmost first
-            self.image_of(self.ctx.names[i])
+            self.image_terms(self.ctx.names[i])
         for j in range(j - 1, -1, -1):
             suffix = monos.setdefault(mono[j:], mono[j:])
             col = store[suffix] = self._leibniz(mono[j], mono[j + 1:], col)
@@ -368,7 +384,7 @@ class Derivation:
         i, e = block
         tail = (((i, e - 1),) if e > 1 else ()) + rest
         first, second = {}, {}
-        for m, c in self.image_of(ctx.names[i]).terms.items():
+        for m, c in self._images[ctx.names[i]].items():
             sign, prod = monomial_mul(ctx, m, tail)
             if sign:
                 first[prod] = c if sign * e == 1 else sign * e * c
@@ -499,9 +515,3 @@ def substitute(x, images, new_ctx):
         terms.append((1, term.terms))
     return AlgElement(new_ctx, lincomb(terms))
 
-
-def rebase(x, new_ctx):
-    """Reinterpret x in an extended context sharing the same initial segment."""
-    if new_ctx.gens[:len(x.ctx.gens)] != x.ctx.gens:
-        raise ContextMismatchError("rebase target does not extend the source context")
-    return AlgElement(new_ctx, x.terms)

@@ -26,7 +26,7 @@ from . import algebra
 from .algebra import (AlgElement, Derivation, MonomialBases, ONE, UNIT_MONOMIAL,
                       apply_derivation, as_q, generator_monomial, monomial_degree,
                       monomial_divide, monomial_factors, monomial_lcm, monomial_order,
-                      monomial_products, monomial_str, monomial_times, rebase)
+                      monomial_products, monomial_str, monomial_times)
 from .errors import BudgetExceededError, DegreeError, RhtError, ValidationError
 from .linalg import Echelon, RationalMatrix, _addmul, lincomb, solve_linear
 
@@ -63,8 +63,8 @@ class ValidationReport:
 class SullivanPresentation:
     """Free cdga (Lambda(V), d) given by generators and their differentials.
 
-    `d` maps generator names to AlgElements of degree deg+1; a missing image
-    is an error at validation time, not construction time.
+    `d` maps generator names to AlgElements of degree deg+1 over an initial
+    segment of ctx; a missing image is an error at validation time only.
     """
 
     def __init__(self, ctx, d_images, name="cdga"):
@@ -74,15 +74,14 @@ class SullivanPresentation:
         self._bases = MonomialBases(ctx)
 
     def extend(self, generators, images, name=None):
-        """The presentation on ctx.extend(generators), d(g) = images[g] (in this
-        context or the new one) on the new generators.  d of an old monomial is
-        unchanged, so its d starts from a copy of this d's column store (a copy:
-        two extensions never see each other's columns), and its bases from this
-        one's in the degrees below the new generators."""
+        """The presentation on ctx.extend(generators), d(g) = images[g] on the new
+        generators.  d of an old monomial is unchanged, so only the new images
+        are checked: this d's term dicts are taken over as they are, its column
+        store is copied (two extensions never see each other's columns), and its
+        bases are kept in the degrees below the new generators."""
         ctx = self.ctx.extend(generators)
-        out = SullivanPresentation(
-            ctx, {g: rebase(img, ctx) for g, img in {**self.d.images, **images}.items()},
-            name=self.name if name is None else name)
+        out = SullivanPresentation(ctx, images, name=self.name if name is None else name)
+        out.d._images = {**self.d._images, **out.d._images}
         out.d._columns, out.d._monos = dict(self.d._columns), self.d._monos
         out._bases = self._bases.extended(ctx)
         return out
@@ -355,11 +354,12 @@ def validate(p):
     violations = []
     if isinstance(p, SullivanPresentation):
         # `Derivation` already refuses a constant or inhomogeneous image.
+        images = p.d.images
         violations = ["generator %s has no differential" % name
-                      for name in p.ctx.names if name not in p.d.images]
+                      for name in p.ctx.names if name not in images]
         if not violations:
             for name in p.ctx.names:
-                dd = apply_derivation(p.d, p.d.images[name])
+                dd = apply_derivation(p.d, images[name])
                 if not dd.is_zero():
                     violations.append("d^2(%s) = %s != 0" % (name, dd))
         return ValidationReport(p.name, violations)
@@ -700,8 +700,8 @@ class CdgaMorphism:
         """phi(dv) = d(phi(v)) on every generator."""
         for gname in self.source.ctx.names:
             deg = self.source.ctx.degree_of(gname)
-            dv = self.source.d.image_of(gname)
-            lhs = self.apply_coords(deg + 1, self.source.to_coords(dv, deg + 1))
+            lhs = lincomb((c, self.apply_monomial(m))
+                          for m, c in self.source.d.image_terms(gname).items())
             rhs = lincomb((c, self.target.differential_column(deg, i))
                           for i, c in self.images[gname].items())
             if lhs != rhs:

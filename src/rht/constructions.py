@@ -15,7 +15,7 @@ from itertools import combinations
 from . import algebra
 from .algebra import (AlgElement, Derivation, GeneratorContext, ONE, ZERO, apply_derivation,
                       as_q, generator_monomial, monomial_blocks, monomial_degree,
-                      monomial_divide, monomial_factors, monomial_shift, rebase)
+                      monomial_divide, monomial_factors, monomial_shift)
 from .cdga import (FiniteCDGA, QuotientCDGA, SullivanPresentation, cohomology, tensor_finite,
                    tensor_positions, validate)
 from .errors import BudgetExceededError, DegreeError, RhtError, UnsupportedInputError
@@ -95,7 +95,7 @@ def tensor_presentations(p1, p2, name=None):
     sides = ((1, p1, 0), (2, p2, len(p1.ctx)))
     ctx = GeneratorContext([("%s_%d" % (g, s), d) for s, p, _ in sides for g, d in p.ctx.gens])
     images = {"%s_%d" % (g, s): AlgElement(ctx, {monomial_shift(m, offset): c for m, c
-                                                 in p.d.image_of(g).terms.items()})
+                                                 in p.d.image_terms(g).items()})
               for s, p, offset in sides for g in p.ctx.names}
     return SullivanPresentation(ctx, images,
                                 name=name or "%sx%s" % (p1.name, p2.name))
@@ -177,7 +177,8 @@ def biquotient_model(g_degrees, h_degrees, k_degrees, bf_images, bg_images,
     dx = H(Bf)(x) - H(Bg)(x) for x in V_G.
 
     bf_images(h_gens) and bg_images(k_gens) each return one polynomial per
-    G-generator, in the s^{-1}V_H and s^{-1}V_K variables respectively.
+    G-generator x, of degree |x| + 1, in the s^{-1}V_H and s^{-1}V_K variables
+    respectively (over an initial segment of the model's context).
     """
     for ds in (g_degrees, h_degrees, k_degrees):
         if any(d % 2 == 0 for d in ds):
@@ -188,19 +189,15 @@ def biquotient_model(g_degrees, h_degrees, k_degrees, bf_images, bg_images,
     ctx = GeneratorContext(gens)
     s_gens = [ctx.generator("s%d" % (i + 1)) for i in range(len(k_degrees))]
     t_gens = [ctx.generator("t%d" % (i + 1)) for i in range(len(h_degrees))]
-    d_imgs = {g: AlgElement.zero(ctx) for g, _ in gens[:len(k_degrees) + len(h_degrees)]}
+    x_names = ctx.names[len(k_degrees) + len(h_degrees):]
+    d_imgs = {g: AlgElement.zero(ctx) for g in ctx.names if g not in x_names}
     f_polys = bf_images(t_gens) if callable(bf_images) else list(bf_images)
     g_polys = bg_images(s_gens) if callable(bg_images) else list(bg_images)
     if len(f_polys) != len(g_degrees) or len(g_polys) != len(g_degrees):
         raise DegreeError("one Bf and one Bg image per V_G generator is required")
-    for i in range(len(g_degrees)):
-        fi = rebase(f_polys[i], ctx) if f_polys[i].ctx != ctx else f_polys[i]
-        gi = rebase(g_polys[i], ctx) if g_polys[i].ctx != ctx else g_polys[i]
-        img = fi - gi
-        want = g_degrees[i] + 1
-        if not img.is_zero() and img.degree() != want:
-            raise DegreeError("dx%d must have degree %d" % (i + 1, want))
-        d_imgs["x%d" % (i + 1)] = img
+    # x -> H(Bf)(x) and x -> H(Bg)(x): Derivation checks each polynomial's context and degree
+    bf, bg = (Derivation(ctx, +1, dict(zip(x_names, polys))) for polys in (f_polys, g_polys))
+    d_imgs.update((x, bf.image_of(x) - bg.image_of(x)) for x in x_names)
     return SullivanPresentation(ctx, d_imgs, name=name)
 
 
@@ -218,15 +215,11 @@ def free_loop_model(p, name=None):
         raise UnsupportedInputError("free loop model requires a simply connected model")
     gens = list(p.ctx.gens) + [("s_%s" % g, d - 1) for g, d in p.ctx.gens]
     ctx = GeneratorContext(gens)
-    s_images = {}
-    for g, d in p.ctx.gens:
-        s_images[g] = ctx.generator("s_%s" % g)
-        s_images["s_%s" % g] = AlgElement.zero(ctx)
-    s_der = Derivation(ctx, -1, s_images)
+    s_der = Derivation(ctx, -1, {g: ctx.generator("s_%s" % g) if g in p.ctx.index
+                                 else AlgElement.zero(ctx) for g in ctx.names})
     images = {}
     for g in p.ctx.names:
-        dv = rebase(p.d.image_of(g), ctx)
-        images[g] = dv
+        images[g] = dv = AlgElement(ctx, p.d.image_terms(g))
         images["s_%s" % g] = -apply_derivation(s_der, dv)
     total = SullivanPresentation(ctx, images, name=name or ("L%s" % p.name))
     if not validate(total).ok:
@@ -371,7 +364,7 @@ def mapping_space_pi(phi, n):
     # copies of g (g is even when e > 1, so they move without a sign).
     slots = {g: [] for g in V.ctx.names}
     for v in V.ctx.names:
-        for mono, c in V.d.image_of(v).terms.items():
+        for mono, c in V.d.image_terms(v).items():
             for j, e, left, right in monomial_blocks(mono):
                 halves = [(monomial_degree(V.ctx, w), phi.apply_monomial(w)) for w in (left, right)]
                 slots[V.ctx.names[j]].append((v, e * c, *halves))

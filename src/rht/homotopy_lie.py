@@ -144,7 +144,7 @@ def lie_table(pres, bound, name=None):
         if ctx.degrees[v] - 1 > bound:
             continue
         m = slot[v][1]
-        for mono, c in pres.d.image_of(g).terms.items():
+        for mono, c in pres.d.image_terms(g).items():
             if monomial_word_length(mono) != 2:
                 continue
             a, b = monomial_factors(mono)

@@ -11,7 +11,7 @@ the input alone.
 """
 
 from .algebra import (AlgElement, GeneratorContext, ONE, monomial_factors, monomial_word_length,
-                      rebase, substitute)
+                      substitute)
 from .cdga import (CdgaMorphism, SullivanPresentation, ValidationReport, cohomology,
                    induced_classes, validate)
 from .errors import DegreeError, RhtError, UnsupportedInputError
@@ -20,7 +20,7 @@ from .linalg import Echelon, RationalMatrix, lincomb, solve_linear
 
 def is_minimal(p):
     """True iff d(V) lies in Lambda^{>=2} V (no image has a term of word length 0 or 1)."""
-    return all(monomial_word_length(m) >= 2 for g in p.ctx.names for m in p.d.image_of(g).terms)
+    return all(monomial_word_length(m) >= 2 for g in p.ctx.names for m in p.d.image_terms(g))
 
 
 class SullivanCertificate:
@@ -48,7 +48,7 @@ def _generation_stages(p, known, remaining):
     stages = []
     while remaining:
         stage = [i for i in sorted(remaining) if known.issuperset(
-            j for mono in p.d.image_of(p.ctx.names[i]).terms for j in monomial_factors(mono))]
+            j for mono in p.d.image_terms(p.ctx.names[i]) for j in monomial_factors(mono))]
         if not stage:
             break
         known.update(stage)
@@ -192,7 +192,7 @@ class LambdaExtension:
         """The base generators whose differential leaves the base algebra."""
         base_idx = {self.total.ctx.index[g] for g in self.base_names}
         return [g for g in self.base_names
-                if any(j not in base_idx for mono in self.total.d.image_of(g).terms
+                if any(j not in base_idx for mono in self.total.d.image_terms(g)
                        for j in monomial_factors(mono))]
 
     def validate(self):
@@ -244,12 +244,8 @@ def pushout_extension(phi, ext, name=None):
         if g in new_base.ctx.index:
             raise DegreeError("fiber generator %s collides with the new base" % g)
     ctx = new_base.ctx.extend(fiber_gens)
-    assign = {}
-    for g in ext.total.ctx.names:
-        if g in ext.base_names:
-            assign[g] = rebase(phi.apply_element(phi.source.ctx.generator(g)), ctx)
-        else:
-            assign[g] = ctx.generator(g)
+    assign = {g: AlgElement(ctx, phi.apply_element(phi.source.ctx.generator(g)).terms)
+              if g in ext.base_names else ctx.generator(g) for g in ext.total.ctx.names}
     total = new_base.extend(fiber_gens, {g: substitute(ext.total.d.image_of(g), assign, ctx)
                                          for g in ext.fiber_names},
                             name=name or ("%s^*%s" % (phi.name, ext.name)))

@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
@@ -17,7 +18,7 @@ from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_compl
                                biquotient_model, config_space_model, cp, free_loop_model, k_z,
                                point, sphere, tensor_presentations, torus, truncated_poly,
                                wedge_cohomology)
-from rht.errors import DegreeError, RhtError
+from rht.errors import ContextMismatchError, DegreeError, RhtError
 from rht.linalg import Echelon, lincomb
 from rht.minimal_model import minimal_model
 import rht.algebra
@@ -801,6 +802,82 @@ def test_sibling_extensions_keep_their_own_columns(degrees, z_degree, data):
         assert_columns_match_reference(pres, monos)
         assert_columns_match_reference(pres, random_monomials(data.draw, new_ctx, 3))
 
+
+# ---------------------------------------------------------------------------
+# Generator images: over the derivation's context or an initial segment of it
+# ---------------------------------------------------------------------------
+
+def test_images_over_a_context_that_is_not_an_initial_segment_are_refused():
+    ctx = GeneratorContext([("a", 2), ("b", 3)])
+    a = ctx.generator("a")
+    parent = SullivanPresentation(ctx, {"a": AlgElement.zero(ctx), "b": a * a})
+    full = ctx.extend([("c", 5)])
+    # a^3 has the degree d(c) needs; only its context is wrong
+    for other in (GeneratorContext([("b", 3), ("a", 2)]),       # reordered
+                  GeneratorContext([("a", 2), ("b", 5)])):      # b of another degree
+        img = other.generator("a") ** 3
+        with pytest.raises(ContextMismatchError):
+            SullivanPresentation(full, {"a": AlgElement.zero(ctx), "b": a * a, "c": img})
+        with pytest.raises(ContextMismatchError):
+            parent.extend([("c", 5)], {"c": img})
+    # biquotient_model([3], [1], [], ...) lives over t1:2, x1:3; d(x1) has degree 4
+    zero = AlgElement.zero(GeneratorContext([]))
+    for other, poly in ((GeneratorContext([("x1", 3), ("t1", 2)]), lambda t: t ** 2),
+                        (GeneratorContext([("t1", 4), ("x1", 3)]), lambda t: t)):
+        img = poly(other.generator("t1"))
+        for bf, bg in (([img], [zero]), ([zero], [img])):
+            with pytest.raises(ContextMismatchError):
+                biquotient_model([3], [1], [], bf, bg)
+
+
+def test_images_over_an_initial_segment_read_back_over_the_full_context():
+    ctx = GeneratorContext([("a", 2), ("b", 3)])
+    a = ctx.generator("a")
+    given = {"a": AlgElement.zero(GeneratorContext([])), "b": a * a, "c": (a ** 3).scale(-2)}
+    full = ctx.extend([("c", 5)])
+    parent = SullivanPresentation(ctx, {g: given[g] for g in ("a", "b")})
+    for p in (SullivanPresentation(full, given), parent.extend([("c", 5)], {"c": given["c"]})):
+        assert validate(p).ok and list(p.d.images) == ["a", "b", "c"]
+        for g, img in given.items():
+            want = AlgElement(p.ctx, img.terms)         # the old `rebase(img, p.ctx)`
+            got = p.d.image_of(g)
+            assert got == want and got.ctx is p.ctx
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert repr(p.d.images[g]) == repr(img)
+
+
+def test_extend_shares_the_parent_images(monkeypatch):
+    H = wedge_two_s2_cohomology()
+    small, big = (minimal_model(H, n).model for n in (4, 10))
+    assert (len(small.ctx), len(big.ctx)) == (7, 131)
+    counts = Counter()
+    init, degree = AlgElement.__init__, rht.algebra.monomial_degree
+
+    def counting_init(self, *args):
+        counts["AlgElement"] += 1
+        init(self, *args)
+
+    def counting_degree(ctx, mono):
+        counts["monomial_degree"] += 1
+        return degree(ctx, mono)
+
+    seen, outs = [], []
+    for parent in (small, big):
+        a, b = (parent.generator(g) for g in parent.ctx.names[:2])
+        img = a ** 6 - a ** 5 * b * 3
+        with monkeypatch.context() as m:
+            m.setattr(AlgElement, "__init__", counting_init)
+            m.setattr(rht.algebra, "monomial_degree", counting_degree)
+            counts.clear()
+            outs.append((parent, img, parent.extend([("z", 11)], {"z": img})))
+            seen.append(dict(counts))
+    # one degree count per term of the one new image, whatever the parent's size
+    assert seen[0] == seen[1] == {"monomial_degree": 2}
+    for parent, img, out in outs:
+        for g in parent.ctx.names:
+            assert out.d.image_of(g) == AlgElement(out.ctx, parent.d.image_of(g).terms)
+            assert out.d.image_terms(g) is parent.d.image_terms(g)
+        assert out.d.image_of("z") == AlgElement(out.ctx, img.terms)
 
 def test_leibniz_columns_of_a_long_word_without_recursion():
     # H^3000(S2) = 0 is read off words of length 1500; the product of 300

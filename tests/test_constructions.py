@@ -10,8 +10,7 @@ import rht.algebra
 import rht.cdga
 import rht.constructions
 from rht import dsl
-from rht.algebra import (ONE, AlgElement, GeneratorContext, apply_derivation, degree_basis,
-                         rebase)
+from rht.algebra import ONE, AlgElement, GeneratorContext, apply_derivation, degree_basis
 from rht.cdga import (CdgaMorphism, SullivanPresentation, cohomology,
                       cohomology_algebra, validate)
 from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
@@ -161,7 +160,7 @@ def _homogeneous_oracle(g_degrees, h_degrees, images, name="G/H"):
     assert len(polys) == len(g_degrees)
     for i, poly in enumerate(polys):
         assert poly.is_zero() or poly.degree() == g_degrees[i] + 1
-        d_imgs["x%d" % (i + 1)] = rebase(poly, ctx) if poly.ctx != ctx else poly
+        d_imgs["x%d" % (i + 1)] = AlgElement(ctx, poly.terms) if poly.ctx != ctx else poly
     return SullivanPresentation(ctx, d_imgs, name=name)
 
 
@@ -202,7 +201,7 @@ def _homogeneous_inputs(draw):
     h_degrees = draw(st.lists(st.sampled_from([1, 3]), max_size=3))
     t_gens = [("t%d" % (i + 1), d + 1) for i, d in enumerate(h_degrees)]
     x_gens = [("x%d" % (i + 1), d) for i, d in enumerate(g_degrees)]
-    # Images over the s^{-1}V_H generators alone (rebased) or over all of them.
+    # Images over the s^{-1}V_H generators alone (an initial segment) or over all of them.
     ctx = GeneratorContext(t_gens + (x_gens if draw(st.booleans()) else []))
     coeff = st.integers(-3, 3)
     polys = [AlgElement(ctx, {mono: draw(coeff) for mono in degree_basis(ctx, d + 1)})

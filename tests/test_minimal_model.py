@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from rht.algebra import (AlgElement, Derivation, GeneratorContext, ONE, degree_basis,
                          substitute)
-from rht.cdga import (CdgaMorphism, SullivanPresentation, cohomology,
+from rht.cdga import (CdgaMorphism, FiniteCDGA, SullivanPresentation, cohomology,
                       cohomology_algebra, is_quasi_iso, validate)
 from rht.constructions import sphere, cp, free_loop_extension, tensor_presentations
 from rht.errors import DegreeError, UnsupportedInputError
+from rht.homotopy_lie import lie_table
 from rht.dsl import minimal_model_json, serialize_presentation, to_json_text
 from rht.linalg import Echelon, lincomb, solve_linear
 from rht.minimal_model import (AcyclicClosure, LambdaExtension, acyclic_closure,
@@ -113,9 +114,9 @@ def pbw_inverted_dims(h_loop_dims, n):
             for m in range(0, n // k + 1):
                 if m <= need:
                     factor[k * m] = math.comb(need, m)
-        else:
+        else:       # (1 - t^k)^(-need); its m = 0 factor is 1, also when need = 0
             for m in range(0, n // k + 1):
-                factor[k * m] = math.comb(need + m - 1, m)
+                factor[k * m] = math.comb(need + m - 1, m) if m else 1
         cur = mul(cur, factor)
     return l
 
@@ -133,6 +134,36 @@ def test_minimal_model_wedge_ranks_match_pbw_oracle():
     for k in range(2, 9):
         assert ranks[k] == oracle[k - 1]
 
+
+def wedge_of_spheres(dims):
+    """H(S^n1 v ... v S^nr) as a FiniteCDGA: the unit and one class per sphere,
+    every product of two classes zero."""
+    basis = {0: ["1"]}
+    for j, n in enumerate(dims):
+        basis.setdefault(n, []).append("e%d" % j)
+    mul = {}
+    for k, labels in basis.items():
+        for i in range(len(labels)):
+            mul[((0, 0), (k, i))] = mul[((k, i), (0, 0))] = {i: 1}
+    return FiniteCDGA(basis, {}, mul, name="v".join("S%d" % n for n in dims))
+
+
+@pytest.mark.parametrize("dims, n", [([2, 3], 14), ([3, 3], 14), ([2, 2, 3], 10), ([4, 5, 6], 16)],
+                         ids=["S2vS3", "S3vS3", "S2vS2vS3", "S4vS5vS6"])
+def test_wedge_of_spheres_ranks_match_pbw_oracle(dims, n):
+    # H_*(Omega X) of a wedge of spheres is the tensor algebra on classes of
+    # degrees n_i - 1 (Bott-Samelson), series 1 / (1 - sum t^(n_i - 1)), and
+    # U(L_X) (Milnor-Moore): PBW inversion gives dim L_k = rank V^(k+1).
+    # Mixed parities and gaps give generator chains S2 v S2 never builds.
+    loop = [1] + [0] * n
+    for k in range(1, n + 1):
+        loop[k] = sum(loop[k - d + 1] for d in dims if d - 1 <= k)
+    oracle = pbw_inverted_dims(loop, n - 1)
+    mm = minimal_model(wedge_of_spheres(dims), n)
+    assert mm.ranks() == {k: oracle[k - 1] for k in range(2, n + 1)}
+    assert is_quasi_iso(mm.phi, n)[0]
+    # lie_table checks Jacobi on the brackets it reads off d_1
+    assert lie_table(mm.model, n - 1).dims() == {k: l for k, l in oracle.items() if l}
 
 def test_minimal_model_of_kunneth_input():
     # H(S2 x S4) fed as a finite cdga: ranks are the sums of the factors'.
