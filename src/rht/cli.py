@@ -1,9 +1,11 @@
 """Command line interface.
 
 One command per invocation; every command is a pure function of its input
-file and flags, so outputs are byte-identical across runs.  Exit codes:
-0 success, 1 semantic failure, 2 parse error.  `--seed` is accepted and
-ignored (all computations are deterministic).
+file and flags, so outputs are byte-identical across runs.  A command
+returns (exit code, JSON payload, text) and writes nothing; `main` is the one
+writer: it prints the payload under --json and the text otherwise, or one
+error line.  Exit codes: 0 success, 1 semantic failure, 2 parse or usage
+error.  `--seed` is accepted and ignored (all computations are deterministic).
 """
 
 import argparse
@@ -17,13 +19,13 @@ from . import dsl
 from .cdga import SullivanPresentation, cohomology, cohomology_algebra, validate
 from .constructions import (arrangement_complex, config_space_model, free_loop_model,
                             mapping_space_pi)
-from .errors import ParseError, RhtError
+from .errors import ParseError, RhtError, UnsupportedInputError, UsageError
 from .homotopy_lie import (NILPOTENCY_STEPS, bch_product, hurewicz_matrix,
                            lcs_filtrations, lie_table, nilpotency_class)
 from .invariants import (DegreeSequence, cat_bounds, elliptic_degrees_check,
                          loop_homology_dims, massey_triple, tc_cup_length,
                          toomer_invariant, trichotomy_report)
-from .minimal_model import LambdaExtension, minimal_model, pushout_extension
+from .minimal_model import LambdaExtension, minimal_model, pushout_extension, require_minimal
 
 
 def _load(path):
@@ -33,13 +35,6 @@ def _load(path):
     except UnicodeDecodeError as exc:
         raise ParseError("%s: byte %d is not UTF-8" % (path, exc.start)) from None
     return dsl.parse(text)
-
-
-def _emit(args, payload, text):
-    if getattr(args, "json", False):
-        sys.stdout.write(dsl.to_json_text(payload))
-    else:
-        sys.stdout.write(text)
 
 
 def cmd_validate(args):
@@ -59,8 +54,7 @@ def cmd_validate(args):
         lines.append("%s %s: %s" % (kind, name, "INVALID" if violations else "valid"))
         lines += ["  - %s" % v for v in violations]
         failed = failed or bool(violations)
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 1 if failed else 0
+    return (1 if failed else 0), None, "\n".join(lines) + "\n"
 
 
 def cmd_cohomology(args):
@@ -77,8 +71,7 @@ def cmd_cohomology(args):
         text_lines.append("  H^%d: dim %d" % (k, rep.dim(k)))
     text_lines.append("euler characteristic (window): %d%s"
                       % (chi, " (exact)" if exact else ""))
-    _emit(args, payload, "\n".join(text_lines) + "\n")
-    return 0
+    return 0, payload, "\n".join(text_lines) + "\n"
 
 
 def cmd_minimal_model(args):
@@ -93,8 +86,7 @@ def cmd_minimal_model(args):
     text += "certified_degree: %d\n" % result.certified_degree
     text += "ranks: %s\n" % json.dumps({str(k): v for k, v in sorted(result.ranks().items())},
                                        sort_keys=True)
-    _emit(args, payload, text)
-    return 0
+    return 0, payload, text
 
 
 def cmd_homotopy(args):
@@ -103,6 +95,7 @@ def cmd_homotopy(args):
     out = {}
     lines = []
     if args.ranks is not None:
+        require_minimal(p, "--ranks")
         ranks = p.ctx.ranks(range(2, args.ranks + 1))
         out["ranks"] = {str(k): v for k, v in ranks.items()}
         lines.append("ranks (dim V^k of the given minimal presentation):")
@@ -123,14 +116,14 @@ def cmd_homotopy(args):
         lines.append("filtration at k=%d: V-dims %s, LCS dims %s, nil V = %s, nil L = %s"
                      % (rep.k, rep.v_dims, rep.l_dims, rep.nil_v, rep.nil_l))
     if args.hurewicz is not None:
+        require_minimal(p, "--hurewicz")
         h = hurewicz_matrix(p, args.hurewicz)
         out["hurewicz"] = {"k": h.k, "h_dim": h.h_dim, "v_dim": h.v_dim, "rank": h.rank}
         lines.append("hurewicz at k=%d: H-dim %d, V-dim %d, rank %d"
                      % (h.k, h.h_dim, h.v_dim, h.rank))
     payload = {"schema": dsl.SCHEMA, "kind": "homotopy", "name": args.name}
     payload.update(out)
-    _emit(args, payload, "\n".join(lines) + "\n")
-    return 0
+    return 0, payload, "\n".join(lines) + "\n"
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?$")
@@ -152,23 +145,20 @@ def cmd_bch(args):
     for text in (args.a, args.b):
         vec = _parse_vector(text, t.dim(0))
         if vec is None:
-            sys.stderr.write("error: %r is not %d comma-separated rationals (dim L_0 = %d)\n"
+            raise UsageError("%r is not %d comma-separated rationals (dim L_0 = %d)"
                              % (text, t.dim(0), t.dim(0)))
-            return 2
         vectors.append(vec)
     nil = nilpotency_class(t)
     if args.cls is not None and not nil <= args.cls <= NILPOTENCY_STEPS:
-        sys.stderr.write("error: --class must lie in %d..%d (the nilpotency class of L_0 "
-                         "is %d), got %d\n" % (nil, NILPOTENCY_STEPS, nil, args.cls))
-        return 2
+        raise UsageError("--class must lie in %d..%d (the nilpotency class of L_0 is %d), "
+                         "got %d" % (nil, NILPOTENCY_STEPS, nil, args.cls))
     # Brackets longer than the class vanish, so every valid --class gives this.
     z = bch_product(t, vectors[0], vectors[1], nil_class=nil)
     labels = t.basis.get(0, [])
     payload = {"schema": dsl.SCHEMA, "kind": "bch",
                "result": {labels[i]: dsl.format_coefficient(c) for i, c in sorted(z.items())}}
     terms = ["%s*%s" % (dsl.format_coefficient(c), labels[i]) for i, c in sorted(z.items())]
-    _emit(args, payload, "a*b = %s\n" % (" + ".join(terms) if terms else "0"))
-    return 0
+    return 0, payload, "a*b = %s\n" % (" + ".join(terms) if terms else "0")
 
 
 def cmd_invariants(args):
@@ -214,6 +204,9 @@ def cmd_invariants(args):
         lines.append("TC cup length c_H = %d%s" % (
             value, "" if H.window_certified else " (cohomology windowed at %d)" % n))
     if args.loop_betti is not None:
+        require_minimal(p, "--loop-betti")
+        if 1 in p.ctx.degrees:
+            raise UnsupportedInputError("--loop-betti needs a simply connected model (V^1 = 0)")
         dims = loop_homology_dims({k - 1: r for k, r in p.ctx.ranks().items()}, args.loop_betti)
         payload["loop_betti"] = {str(k): v for k, v in dims.items()}
         lines.append("loop homology dims: %s" % json.dumps(
@@ -240,8 +233,7 @@ def cmd_invariants(args):
             for k, v in sorted(result.ranks().items()):
                 fh.write("%d,%d\n" % (k, v))
         lines.append("rank table written to %s" % args.plot)
-    _emit(args, payload, "\n".join(lines) + "\n")
-    return 0
+    return 0, payload, "\n".join(lines) + "\n"
 
 
 def cmd_elliptic_check(args):
@@ -249,14 +241,12 @@ def cmd_elliptic_check(args):
         evens, odds = ([int(x) for x in text.split(",") if x.strip()]
                        for text in (args.evens, args.odds))
     except ValueError as exc:
-        sys.stderr.write("error: --evens and --odds take comma-separated integers (%s)\n" % exc)
-        return 2
+        raise UsageError("--evens and --odds take comma-separated integers (%s)" % exc) from None
     ok, witness = elliptic_degrees_check(DegreeSequence(evens, odds))
     payload = {"schema": dsl.SCHEMA, "kind": "elliptic_check", "realizable": ok,
                "witness": witness}
-    _emit(args, payload, "realizable: %s%s\n"
-          % (ok, "" if ok else " (failing subsequence %s)" % witness))
-    return 0
+    return 0, payload, "realizable: %s%s\n" % (ok, "" if ok else
+                                                " (failing subsequence %s)" % witness)
 
 
 def cmd_loopspace(args):
@@ -271,8 +261,7 @@ def cmd_loopspace(args):
     text = dsl.serialize_presentation(lp) + "\n"
     text += "betti: %s\n" % json.dumps({str(k): rep.dim(k)
                                         for k in range(args.max + 1)}, sort_keys=True)
-    _emit(args, payload, text)
-    return 0
+    return 0, payload, text
 
 
 def cmd_fibration(args):
@@ -287,8 +276,7 @@ def cmd_fibration(args):
     payload = {"schema": dsl.SCHEMA, "kind": "fibration_pullback",
                "total": dsl.presentation_json(out.total),
                "base": out.base_names, "fiber": out.fiber_names}
-    _emit(args, payload, dsl.serialize_presentation(out.total) + "\n")
-    return 0
+    return 0, payload, dsl.serialize_presentation(out.total) + "\n"
 
 
 def cmd_config_space(args):
@@ -297,25 +285,22 @@ def cmd_config_space(args):
         raise RhtError("no pd declaration named %r" % args.pd)
     pd = doc.pd_algebras[args.pd]
     model = config_space_model(pd, args.k)
-    if args.k == 1:
-        sys.stdout.write("F(A,1) = A itself\n")
-        return 0
-    quot = model.quotient
-    rep = validate(quot)
-    rep.raise_if_invalid()
+    algebra = model if args.k == 1 else model.quotient       # F(A,1) = A
+    validate(algebra).raise_if_invalid()
     window = args.max if args.max is not None else 2 * pd.m * args.k
-    h = cohomology(quot, 0, window)
+    h = cohomology(algebra, 0, window)
     chi, exact = h.euler_characteristic()
     payload = {"schema": dsl.SCHEMA, "kind": "config_space", "k": args.k,
                "certified_degree": window,
                "euler_characteristic": {"value": chi, "exact": exact},
                "betti": {str(k): h.dim(k) for k in range(window + 1)}}
+    if args.k == 1:
+        return 0, payload, "F(A,1) = A itself\n"
     text = "F(%s,%d): valid (ideal differential-stable)\n" % (args.pd, args.k)
     text += "euler characteristic: %d%s\n" % (chi, " (exact)" if exact else " (window)")
     text += "betti: %s\n" % json.dumps({str(k): h.dim(k) for k in range(window + 1)},
                                        sort_keys=True)
-    _emit(args, payload, text)
-    return 0
+    return 0, payload, text
 
 
 def cmd_arrangement(args):
@@ -336,8 +321,7 @@ def cmd_arrangement(args):
     text += "betti: %s\n" % json.dumps({str(k): rep.dim(k)
                                         for k in range(rep.lo, hi + 1)}, sort_keys=True)
     text += "poincare polynomial: %s\n" % (poincare or "0")
-    _emit(args, payload, text)
-    return 0
+    return 0, payload, text
 
 
 def cmd_catalog(args):
@@ -348,8 +332,7 @@ def cmd_catalog(args):
     else:
         payload = dsl.finite_cdga_json(obj)
         text = dsl.to_json_text(payload)
-    _emit(args, payload, text)
-    return 0
+    return 0, payload, text
 
 
 def cmd_mapping_space(args):
@@ -359,8 +342,7 @@ def cmd_mapping_space(args):
     payload = {"schema": dsl.SCHEMA, "kind": "mapping_space", "n": args.n,
                "dim": rep.dim,
                "contributing": [list(t) for t in rep.contributing]}
-    _emit(args, payload, "dim pi_%d (x) Q of the mapping space: %d\n" % (args.n, rep.dim))
-    return 0
+    return 0, payload, "dim pi_%d (x) Q of the mapping space: %d\n" % (args.n, rep.dim)
 
 
 @functools.cache
@@ -487,18 +469,21 @@ NON_NEGATIVE = ("max", "of_cohomology", "ranks", "brackets",     # degree bounds
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    for dest in NON_NEGATIVE:
-        value = getattr(args, dest, None)
-        if value is not None and value < 0:
-            sys.stderr.write("error: --%s must be >= 0, got %d\n"
-                             % (dest.replace("_", "-"), value))
-            return 2
+    """Run one command: the only code in `rht` that writes stdout or stderr."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        for dest in NON_NEGATIVE:
+            value = getattr(args, dest, None)
+            if value is not None and value < 0:
+                raise UsageError("--%s must be >= 0, got %d" % (dest.replace("_", "-"), value))
+        code, payload, text = args.fn(args)
+        sys.stdout.write(dsl.to_json_text(payload) if getattr(args, "json", False) else text)
+        return code
     except ParseError as exc:
         sys.stderr.write("parse error: %s\n" % exc)
+        return 2
+    except UsageError as exc:
+        sys.stderr.write("error: %s\n" % exc)
         return 2
     except (RhtError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -165,6 +165,22 @@ class _Parser:
         t = token or self.peek()
         raise ParseError(message, t.line, t.col)
 
+    def keyword(self, word):
+        """The identifier `word` itself."""
+        t = self.expect("ident", "`%s`" % word)
+        if t.value != word:
+            self.error("expected `%s`" % word, t)
+
+    def bracketed(self, item):
+        """'[' item {',' item} ']' as a list."""
+        self.expect("[")
+        items = [item()]
+        while self.peek().kind == ",":
+            self.next()
+            items.append(item())
+        self.expect("]")
+        return items
+
     # -- document ----------------------------------------------------------
     def document(self):
         doc = CdgaDocument()
@@ -293,38 +309,20 @@ class _Parser:
     # -- arrangement -------------------------------------------------------
     def arrangement_block(self):
         name = self.expect("ident", "an arrangement name").value
-        kw = self.expect("ident", "`ambient`")
-        if kw.value != "ambient":
-            self.error("expected `ambient`", kw)
+        self.keyword("ambient")
         n = self.expect("int", "the ambient dimension").value
+
+        def row():
+            entries = self.bracketed(self.rational)
+            if len(entries) != n:
+                self.error("subspace rows must have %d entries" % n)
+            return entries
         self.expect("{")
         subs = []
         while self.peek().kind != "}":
-            kw = self.expect("ident", "`subspace`")
-            if kw.value != "subspace":
-                self.error("expected `subspace`", kw)
-            self.expect("[")
-            rows = []
-            while True:
-                self.expect("[")
-                row = []
-                while True:
-                    row.append(self.rational())
-                    if self.peek().kind == ",":
-                        self.next()
-                        continue
-                    break
-                self.expect("]")
-                if len(row) != n:
-                    self.error("subspace rows must have %d entries" % n)
-                rows.append(row)
-                if self.peek().kind == ",":
-                    self.next()
-                    continue
-                break
-            self.expect("]")
+            self.keyword("subspace")
+            subs.append(self.bracketed(row))
             self.expect(";")
-            subs.append(rows)
         self.expect("}")
         return name, SubspaceArrangement(n, subs, name=name)
 
@@ -333,13 +331,9 @@ class _Parser:
         ntok = self.expect("ident", "a cdga name")
         if ntok.value not in doc.presentations:
             self.error("unknown cdga %r in pd declaration" % ntok.value, ntok)
-        kw = self.expect("ident", "`dim`")
-        if kw.value != "dim":
-            self.error("expected `dim`", kw)
+        self.keyword("dim")
         m = self.expect("int", "the formal dimension").value
-        kw = self.expect("ident", "`orientation`")
-        if kw.value != "orientation":
-            self.error("expected `orientation`", kw)
+        self.keyword("orientation")
         pres = doc.presentations[ntok.value]
         start_tok = self.peek()
         expr = self.expression(pres.ctx, m)

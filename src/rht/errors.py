@@ -33,6 +33,10 @@ class BudgetExceededError(RhtError):
     """A degree window or monomial-count budget was exceeded."""
 
 
+class UsageError(RhtError):
+    """A command-line value the command cannot take (exit code 2, like a parse error)."""
+
+
 class ParseError(RhtError):
     """Syntax or semantic error in the description language, with location."""
 

@@ -17,14 +17,13 @@ from .algebra import ONE, generator_monomial, monomial_factors, monomial_word_le
 from .cdga import SullivanPresentation, cohomology, validate
 from .errors import DegreeError, RhtError, UnsupportedInputError
 from .linalg import Echelon, RationalMatrix, lincomb, solve_linear
-from .minimal_model import is_minimal
+from .minimal_model import require_minimal
 
 
 def quadratic_part(p):
     """(Lambda V, d_1) of a minimal presentation: only the word-length-2
     component of d, verified d_1^2 = 0."""
-    if not is_minimal(p):
-        raise UnsupportedInputError("quadratic part requires a minimal presentation")
+    require_minimal(p, "quadratic part")
     ctx = p.ctx
     images = {g: p.d.image_of(g).word_part(2) for g in ctx.names}
     q = SullivanPresentation(ctx, images, name="%s.d1" % p.name)
@@ -127,8 +126,7 @@ def lie_table(pres, bound, name=None):
     gives <v, s[x_a, x_a]> = 2c (-1)^|a|, with |.| the degree in V.  The
     table's Jacobi check is, on its degrees, the dual of d_1^2 = 0.
     """
-    if not is_minimal(pres):
-        raise UnsupportedInputError("quadratic part requires a minimal presentation")
+    require_minimal(pres, "lie_table")
     ctx = pres.ctx
     gens_by_degree = {}
     slot = {}            # generator index -> (Lie degree, position in that degree)
@@ -231,8 +229,7 @@ def lcs_filtrations(p, k, depth=32):
     is lie_table(p, k - 1)), and the Theorem equality nil V^k = nil L_{k-1}
     is asserted whenever both stabilize.
     """
-    if not is_minimal(p):
-        raise UnsupportedInputError("quadratic part requires a minimal presentation")
+    require_minimal(p, "lcs_filtrations")
     ctx = p.ctx
     vk_idx = [i for i, d in enumerate(ctx.degrees) if d == k]
     if not vk_idx:

@@ -15,7 +15,7 @@ from .constructions import PDAlgebra
 from .errors import DegreeError, UnsupportedInputError
 from .homotopy_lie import homotopy_ranks
 from .linalg import Echelon, lincomb
-from .minimal_model import MinimalModelResult, is_minimal, primitives
+from .minimal_model import MinimalModelResult, primitives, require_minimal
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +44,7 @@ def toomer_invariant(p, n=12, h_vanishes_above=None):
     H^{>bound} = 0 (e.g. from a finite quasi-isomorphic cdga), which makes
     the verdict exact once n covers that bound.
     """
-    if not is_minimal(p):
-        raise UnsupportedInputError("the Toomer invariant is computed on minimal models")
+    require_minimal(p, "the Toomer invariant")
     rep = cohomology(p, 0, n)
     certified = rep.certified_above() or (h_vanishes_above is not None
                                           and h_vanishes_above <= n)

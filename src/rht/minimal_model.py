@@ -23,6 +23,12 @@ def is_minimal(p):
     return all(monomial_word_length(m) >= 2 for g in p.ctx.names for m in p.d.image_terms(g))
 
 
+def require_minimal(p, what):
+    """Refuse p unless it is minimal: `what` names the computation that needs it."""
+    if not is_minimal(p):
+        raise UnsupportedInputError("%s requires a minimal presentation" % what)
+
+
 class SullivanCertificate:
     """Greedy filtration V(0) subset V(1) subset ... exhibiting the Sullivan condition."""
 
@@ -289,8 +295,7 @@ def acyclic_closure(p, n):
     presentations are one chain of `extend` calls from a copy of p, so the
     final check of H^{1..n} reads the columns the solves computed.
     """
-    if not is_minimal(p):
-        raise UnsupportedInputError("acyclic closure requires a minimal presentation")
+    require_minimal(p, "acyclic closure")
     if any(d < 2 for d in p.ctx.degrees):
         raise UnsupportedInputError("acyclic closure requires V = V^{>=2} "
                                     "(V^1 would force U^0 != 0)")

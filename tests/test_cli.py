@@ -460,6 +460,26 @@ def test_fibration_unknown_base_generator_exits_1(capsys):
     assert capsys.readouterr() == ("", "error: base generator u is not in S2\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    # Hopf (da = 0, db = a^2, dz = a) is a non-minimal model of S^3: its dim V^k
+    # are not the ranks of pi_k (x) Q, and PBW on them gives the answer for
+    # Omega S^2 (1, 1, 1, ...) where Omega S^3 has 1, 0, 1, 0, ...
+    (["invariants", DATA, "--name", "Hopf", "--max", "4", "--loop-betti", "4"],
+     "--loop-betti requires a minimal presentation"),
+    (["homotopy", DATA, "--name", "Hopf", "--ranks", "4"],
+     "--ranks requires a minimal presentation"),
+    (["homotopy", DATA, "--name", "Hopf", "--hurewicz", "2"],
+     "--hurewicz requires a minimal presentation"),
+    # X has V^1 != 0: L_0 has dim 3, and the loop-space series would drop it
+    (["invariants", DATA, "--name", "X", "--max", "4", "--loop-betti", "3"],
+     "--loop-betti needs a simply connected model (V^1 = 0)"),
+], ids=["Hopf-loop-betti", "Hopf-ranks", "Hopf-hurewicz", "X-loop-betti"])
+def test_ranks_hurewicz_and_loop_betti_need_a_minimal_simply_connected_model(
+        capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
 @pytest.mark.parametrize("argv", [
     ["minimal-model", DATA, "--name", "S2", "--of-cohomology"],
     ["homotopy", DATA, "--name", "S2", "--ranks"],
@@ -594,7 +614,8 @@ def test_equivalent_catalog_specs_print_the_same(capsys, specs):
 
 # In-process CLI fuzz: random argv over every subcommand, on copies of the
 # catalog with up to three token mutations.  Every run must end in exit code
-# 0, 1 or 2 (argparse's SystemExit counts as its code) and raise nothing else.
+# 0, 1 or 2 (argparse's SystemExit counts as its code) and raise nothing else,
+# and a run that exits 0 under --json prints one JSON document.
 with open(DATA, encoding="utf-8") as _fh:
     _CATALOG = "".join(line for line in _fh if not line.startswith("#"))
 _TOKENS = re.findall(r"\|->|->|[A-Za-z_]\w*|\d+|\S", _CATALOG)
@@ -679,16 +700,20 @@ def _cli_cases(draw):
 @example(case=(_CATALOG, ["invariants", "{file}", "--name", "S2", "--loop-betti", "-1"]))
 @example(case=(_CATALOG, ["homotopy", "{file}", "--name", "S2", "--hurewicz", "-1"]))
 @example(case=(_CATALOG, ["catalog", "wedge_cohomology(1,2)"]))
+@example(case=(_CATALOG, ["config-space", "{file}", "--pd", "S2", "--k", "1", "--json"]))
 def test_cli_fuzz_exits_0_1_or_2(case):
     text, argv = case
+    out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.rht")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         argv = [a.replace("{file}", path).replace("{dir}", tmp) for a in argv]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             try:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
     assert code in (0, 1, 2), argv
+    if code == 0 and "--json" in argv:
+        json.loads(out.getvalue())
