@@ -72,6 +72,7 @@ class SullivanPresentation:
         self.name = name
         self.d = Derivation(ctx, +1, d_images)
         self._bases = MonomialBases(ctx)
+        self.validation = None      # the d^2 = 0 record `validate` leaves
 
     def extend(self, generators, images, name=None):
         """The presentation on ctx.extend(generators), d(g) = images[g] on the new
@@ -349,7 +350,9 @@ class QuotientCDGA:
 def validate(p):
     """Check the cdga axioms appropriate to the presentation kind.
 
-    Returns a ValidationReport; never raises on mathematical violations.
+    Returns a ValidationReport; never raises on mathematical violations.  A
+    SullivanPresentation, never changed once built (`extend` builds a new one),
+    keeps it as `p.validation`: `CdgaDocument.violations` and `lie_table` read it.
     """
     violations = []
     if isinstance(p, SullivanPresentation):
@@ -362,7 +365,8 @@ def validate(p):
                 dd = apply_derivation(p.d, images[name])
                 if not dd.is_zero():
                     violations.append("d^2(%s) = %s != 0" % (name, dd))
-        return ValidationReport(p.name, violations)
+        p.validation = ValidationReport(p.name, violations)
+        return p.validation
 
     if isinstance(p, FiniteCDGA):
         return _validate_finite(p)

@@ -82,7 +82,8 @@ def tokenize(text):
 # ---------------------------------------------------------------------------
 
 class CdgaDocument:
-    """Named presentations, morphisms, arrangements, and PD declarations."""
+    """Named presentations, morphisms, arrangements, and PD declarations.  A
+    cdga is checked once: `violations` and `lie_table` read its `validation`."""
 
     def __init__(self):
         self.order = []              # (kind, name) in declaration order
@@ -91,16 +92,13 @@ class CdgaDocument:
         self.arrangements = {}
         self.pd_decls = {}           # name -> (dim, orientation source text)
         self.pd_algebras = {}        # name -> PDAlgebra over H(presentation)
-        self._violations = {}        # name -> (the presentation checked, its violations)
 
     def violations(self, name):
-        """The named cdga's violations of the axioms, checked once per presentation object."""
+        """The named cdga's violations: its d^2 = 0 record, made if it has none."""
         if name not in self.presentations:
             raise RhtError("no cdga named %r in the document" % name)
         p = self.presentations[name]
-        if self._violations.get(name, (None,))[0] is not p:
-            self._violations[name] = (p, validate(p).violations)
-        return self._violations[name][1]
+        return (p.validation or validate(p)).violations
 
     def presentation(self, name):
         """The named cdga, refused with its first violation: every computation assumes d^2 = 0."""

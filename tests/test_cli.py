@@ -141,11 +141,12 @@ def test_invariants_cat_and_tc_share_one_cohomology_algebra(monkeypatch, capsys)
 def test_each_command_derives_each_object_once(monkeypatch, capsys):
     """In-process counts on the catalog.  The document checks d^2 = 0 once per
     cdga (S2 and S3 at parse time for the `pd` lines), and the commands read
-    that record: the Lie commands read d_1 off the checked cdga, `validate`
+    that record: the Lie commands read d_1 off the checked cdga and skip the
+    table's Jacobi pass (a passing record proves d_1^2 = 0), `validate`
     lists its violations, `invariants` builds one cohomology algebra besides
     the `pd` ones, and a pullback restricts nothing."""
     from rht.cdga import CdgaMorphism, CohomologyReport, validate
-    from rht.homotopy_lie import quadratic_part
+    from rht.homotopy_lie import LieTable, quadratic_part
     from rht.minimal_model import LambdaExtension
     calls = []
 
@@ -160,7 +161,7 @@ def test_each_command_derives_each_object_once(monkeypatch, capsys):
             if getattr(module, fn.__name__, None) is fn:
                 monkeypatch.setattr(module, fn.__name__, counted(fn.__name__, fn))
     for cls, attr in ((CohomologyReport, "algebra"), (CdgaMorphism, "validate"),
-                      (LambdaExtension, "_restriction")):
+                      (LambdaExtension, "_restriction"), (LieTable, "validate")):
         monkeypatch.setattr(cls, attr, counted(cls.__name__ + "." + attr, getattr(cls, attr)))
 
     def run(*argv):
@@ -174,6 +175,7 @@ def test_each_command_derives_each_object_once(monkeypatch, capsys):
                        (["bch", DATA, "--name", "X", "1,0,0", "0,1,0"], "X")):
         labels, checked = run(*argv)
         assert "quadratic_part" not in labels and "CdgaMorphism.validate" not in labels
+        assert "LieTable.validate" not in labels, argv
         assert checked == list(dict.fromkeys(["S2", "S3", name])), argv
     # the five cdgas once each, in parse order, then the two arrangement complexes
     labels, checked = run("validate", DATA)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rht.algebra import ONE, ZERO, AlgElement, GeneratorContext, apply_derivation
-from rht.cdga import SullivanPresentation, cohomology, cohomology_algebra
+from rht.cdga import SullivanPresentation, cohomology, cohomology_algebra, validate
 from rht.constructions import (cp, k_z, point, sphere, tensor_presentations, torus,
                                wedge_cohomology)
 from rht.errors import RhtError, UnsupportedInputError
@@ -111,6 +111,68 @@ def test_lie_table_refuses_a_non_minimal_presentation():
     p = SullivanPresentation(ctx, {"w": ctx.generator("u"), "u": AlgElement.zero(ctx)})
     with pytest.raises(UnsupportedInputError, match="requires a minimal presentation"):
         lie_table(p, 3)
+
+
+def lie_table_outcome(p, bound):
+    """lie_table(p, bound) as its brackets (keys, order, values), or its error text."""
+    try:
+        return list(lie_table(p, bound).brackets.items())
+    except RhtError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=2, max_size=4), st.integers(1, 3),
+       st.integers(0, 3), st.data())
+def test_the_d2_record_only_skips_the_jacobi_pass(degrees, z_degree, bound, data):
+    # A random minimal p and its extension by z: both valid, or d_1^2 != 0
+    # inside or outside the bound (then lie_table raises or returns a table).
+    # validate(x) leaves a d^2 = 0 record on x that lets lie_table skip its
+    # Jacobi pass; the table or the error is the same whether validate ran on
+    # p, on the extension, on both or on neither, and `extend` carries no
+    # record over.  Where x is valid the test runs the Jacobi pass itself.
+    ctx = GeneratorContext([("g%d" % i, d) for i, d in enumerate(degrees)])
+    z_ctx = ctx.extend([("z", z_degree)])
+    images = {g: random_image(data.draw, ctx, d + 1) for g, d in ctx.gens}
+    images["z"] = random_image(data.draw, z_ctx, z_degree + 1)
+    images = {g: img - img.linear_part() for g, img in images.items()}
+
+    def build(checked):
+        p = SullivanPresentation(ctx, {g: images[g] for g in ctx.names})
+        if "p" in checked:
+            validate(p)
+        ext = p.extend([("z", z_degree)], {"z": images["z"]})
+        assert ext.validation is None
+        if "ext" in checked:
+            validate(ext)
+        return p, ext
+
+    want = [lie_table_outcome(x, bound) for x in build(())]
+    for checked in (("p",), ("ext",), ("p", "ext")):
+        assert [lie_table_outcome(x, bound) for x in build(checked)] == want, checked
+    for x in build(("p", "ext")):
+        if x.validation.ok:
+            assert lie_table(x, bound).validate() == (True, None)
+
+
+def test_lie_table_runs_jacobi_only_without_a_passing_record(monkeypatch):
+    jacobi = []
+    check = LieTable.validate
+    monkeypatch.setattr(LieTable, "validate", lambda t: jacobi.append(t) or check(t))
+    mm = minimal_model(wedge_two_s2_cohomology(), 10)
+    lie_table(quadratic_part(mm.model), 9)       # quadratic_part validated its d_1
+    assert jacobi == []
+    assert mm.model.validation is None
+    lie_table(mm.model, 9)
+    assert len(jacobi) == 1
+    # a failing record is no proof: d^2 v = a^3 != 0, and Jacobi still runs and fails
+    ctx = GeneratorContext([("a", 2), ("b", 3), ("v", 4)])
+    a, b = ctx.generator("a"), ctx.generator("b")
+    p = SullivanPresentation(ctx, {"a": AlgElement.zero(ctx), "b": a * a, "v": a * b})
+    assert not validate(p).ok
+    with pytest.raises(RhtError, match=re.escape("Jacobi fails on degrees (1,1,1)")):
+        lie_table(p, 3)
+    assert len(jacobi) == 2
 
 
 # Frozen pairing oracle (hand evaluation of <v, s[x,y]> = (-1)^{deg y+1}

@@ -14,7 +14,7 @@ from rht.cdga import (CdgaMorphism, FiniteCDGA, SullivanPresentation, cohomology
                       cohomology_algebra, is_quasi_iso, validate)
 from rht.constructions import sphere, cp, free_loop_extension, tensor_presentations
 from rht.errors import DegreeError, UnsupportedInputError
-from rht.homotopy_lie import lie_table
+from rht.homotopy_lie import lie_table, quadratic_part
 from rht.dsl import minimal_model_json, serialize_presentation, to_json_text
 from rht.linalg import Echelon, lincomb, solve_linear
 from rht.minimal_model import (AcyclicClosure, LambdaExtension, acyclic_closure,
@@ -148,13 +148,14 @@ def wedge_of_spheres(dims):
     return FiniteCDGA(basis, {}, mul, name="v".join("S%d" % n for n in dims))
 
 
-@pytest.mark.parametrize("dims, n", [([2, 3], 14), ([3, 3], 14), ([2, 2, 3], 10), ([4, 5, 6], 16)],
-                         ids=["S2vS3", "S3vS3", "S2vS2vS3", "S4vS5vS6"])
-def test_wedge_of_spheres_ranks_match_pbw_oracle(dims, n):
-    # H_*(Omega X) of a wedge of spheres is the tensor algebra on classes of
-    # degrees n_i - 1 (Bott-Samelson), series 1 / (1 - sum t^(n_i - 1)), and
-    # U(L_X) (Milnor-Moore): PBW inversion gives dim L_k = rank V^(k+1).
-    # Mixed parities and gaps give generator chains S2 v S2 never builds.
+def assert_wedge_matches_pbw(dims, n):
+    """M(H(S^n1 v ... v S^nr)) to degree n against the PBW inversion.
+
+    H_*(Omega X) of a wedge of spheres is the tensor algebra on classes of
+    degrees n_i - 1 (Bott-Samelson), series 1 / (1 - sum t^(n_i - 1)), and
+    U(L_X) (Milnor-Moore): PBW inversion gives dim L_k = rank V^(k+1).
+    Mixed parities and gaps give generator chains S2 v S2 never builds.
+    """
     loop = [1] + [0] * n
     for k in range(1, n + 1):
         loop[k] = sum(loop[k - d + 1] for d in dims if d - 1 <= k)
@@ -162,8 +163,26 @@ def test_wedge_of_spheres_ranks_match_pbw_oracle(dims, n):
     mm = minimal_model(wedge_of_spheres(dims), n)
     assert mm.ranks() == {k: oracle[k - 1] for k in range(2, n + 1)}
     assert is_quasi_iso(mm.phi, n)[0]
-    # lie_table checks Jacobi on the brackets it reads off d_1
-    assert lie_table(mm.model, n - 1).dims() == {k: l for k, l in oracle.items() if l}
+    # Both paths to L: mm.model carries no d^2 = 0 record, so lie_table checks
+    # Jacobi on it; quadratic_part's d_1 carries a passing one, so it does not.
+    want = {k: l for k, l in oracle.items() if l}
+    assert mm.model.validation is None
+    assert lie_table(mm.model, n - 1).dims() == want
+    assert lie_table(quadratic_part(mm.model), n - 1).dims() == want
+
+
+@pytest.mark.parametrize("dims, n", [([2, 3], 14), ([3, 3], 14), ([2, 2, 3], 10), ([4, 5, 6], 16)],
+                         ids=["S2vS3", "S3vS3", "S2vS2vS3", "S4vS5vS6"])
+def test_wedge_of_spheres_ranks_match_pbw_oracle(dims, n):
+    assert_wedge_matches_pbw(dims, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+def test_random_wedges_of_spheres_match_pbw_oracle(dims):
+    # Degree 9: the largest draw, S2 v S2 v S2 (1,329 generators), takes about
+    # 0.7 s, and the 30 draws about 0.3-1.3 s in all.
+    assert_wedge_matches_pbw(dims, 9)
 
 def test_minimal_model_of_kunneth_input():
     # H(S2 x S4) fed as a finite cdga: ranks are the sums of the factors'.
