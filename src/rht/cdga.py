@@ -151,24 +151,35 @@ class SullivanPresentation:
 
 
 class FiniteCDGA:
-    """Cdga with an explicit finite basis in each degree.
+    """Cdga with an explicit finite basis in each degree, well formed by construction.
 
-    basis: {degree: [labels]}; diff: {(deg, i): {j: coeff}} into degree+1;
-    mul: {((p, i), (q, j)): {k: coeff}} into degree p+q; coefficients go
-    through `as_q`, zeros kept for validation to see.  Unit is basis element
-    0 of degree 0.  `h0_is_unit_span` records whether degree 0 is required
-    to be spanned by the unit (arrangement complexes set it False because
-    their degree-0 slot holds more than the empty subset).
+    basis: {degree: [labels]}; diff: {(deg, i): {j: coeff}} into degree+1, checked as
+    the pair ((deg, i), 1); mul: {((p, i), (q, j)): {k: coeff}} into degree p+q.  Unit
+    is basis element 0 of degree 0.  A key naming a missing basis element, or a row
+    index outside its target degree's basis (negative, or of coefficient 0, too),
+    raises `DegreeError` naming the key; coefficients go through `as_q`, zeros dropped.
     """
 
-    def __init__(self, basis, diff, mul, name="A", h0_is_unit_span=True):
+    def __init__(self, basis, diff, mul, name="A"):
         self.basis = {k: list(v) for k, v in basis.items() if v}
-        self.diff = {k: {j: as_q(c) for j, c in v.items()} for k, v in diff.items() if v}
-        self.mul = {k: {j: as_q(c) for j, c in v.items()} for k, v in mul.items() if v}
         self.name = name
-        self.h0_is_unit_span = h0_is_unit_span
-        if 0 not in self.basis or not self.basis[0]:
+        if 0 not in self.basis:
             raise DegreeError("FiniteCDGA must contain a unit in degree 0")
+        dims, self.diff, self.mul = {k: len(v) for k, v in self.basis.items()}, {}, {}
+        for table, out, shift in ((diff, self.diff, 1), (mul, self.mul, 0)):
+            for key, row in table.items():
+                (p, i), (q, j) = (key, (0, 0)) if shift else key
+                if not (0 <= i < dims.get(p, 0) and 0 <= j < dims.get(q, 0)) or row and not (
+                        0 <= min(row) and max(row) < dims.get(p + q + shift, 0)):
+                    raise DegreeError("FiniteCDGA %s key %r names a missing basis element"
+                                      % ("diff" if shift else "mul", key))
+                vec = {}
+                for t, c in row.items():
+                    c = as_q(c)
+                    if c:
+                        vec[t] = c
+                if vec:
+                    out[key] = vec
 
     def degrees(self):
         return sorted(self.basis)
@@ -348,7 +359,7 @@ class QuotientCDGA:
 # ---------------------------------------------------------------------------
 
 def validate(p):
-    """Check the cdga axioms appropriate to the presentation kind.
+    """Check the cdga axioms appropriate to the presentation kind (not connectedness).
 
     Returns a ValidationReport; never raises on mathematical violations.  A
     SullivanPresentation, never changed once built (`extend` builds a new one),
@@ -391,24 +402,17 @@ def _validate_finite(A):
     (the terms (da)b of (a, b) and b(da) of (b, a)); associativity the c for
     which (ab)c or a(bc) can be nonzero.  Every pair and triple skipped is
     0 = 0, so the violations and their order are those of the full N^2 and
-    N^3 loops.  The per-element and pair checks sum rows of integer copies of
-    the tables (an entry with denominator 1 becomes its numerator, zeros are
-    kept); an absent row is read as None, which `lincomb` skips.
+    N^3 loops.  The constructor checked every key and index, so only the axioms
+    are left.  The per-element and pair checks sum rows of integer copies of
+    the tables (an entry with denominator 1 becomes its numerator); an absent
+    row is read as None, which `lincomb` skips.
     """
     violations = []
     items = [(k, i) for k in sorted(A.basis) for i in range(A.dim(k))]
-    item_set = set(items)
     mul, diff = ({key: {j: c.numerator if c.denominator == 1 else c for j, c in row.items()}
                   for key, row in table.items()} for table in (A.mul, A.diff))
-    if A.h0_is_unit_span and A.dim(0) != 1:
-        violations.append("degree 0 is not spanned by the unit")
-    # d^2 = 0 and degree sanity.
     for (k, i) in items:
-        col = diff.get((k, i), {})
-        for j in col:
-            if j >= A.dim(k + 1):
-                violations.append("d(%s) hits a missing basis index" % A.label(k, i))
-        if lincomb((c, diff.get((k + 1, j))) for j, c in col.items()):
+        if lincomb((c, diff.get((k + 1, j))) for j, c in diff.get((k, i), {}).items()):
             violations.append("d^2(%s) != 0" % A.label(k, i))
     # Unit is a two-sided identity and a cocycle.
     if diff.get((0, 0)):
@@ -427,7 +431,7 @@ def _validate_finite(A):
     pairs.update(pair for (p_, i), row in diff.items() for j in row
                  for b in right.get((p_ + 1, j), set()) | left.get((p_ + 1, j), set())
                  for pair in (((p_, i), b), (b, (p_, i))))
-    for a, b in sorted(pair for pair in pairs if pair[0] in item_set and pair[1] in item_set):
+    for a, b in sorted(pairs):
         (p_, i), (q_, j) = a, b
         ab, ba = mul.get((a, b), {}), mul.get((b, a), {})
         sign = -1 if (p_ % 2) and (q_ % 2) else 1
@@ -455,7 +459,7 @@ def _validate_finite(A):
                   if any((q_ + c[0], k) in pa for k in A.mul[((q_, j), c)])}
             for k in ab:
                 cs.update(right.get((p_ + q_, k), ()))
-            for (r_, l) in sorted(cs & item_set):
+            for (r_, l) in sorted(cs):
                 lhs = A.multiply_coords(p_ + q_, ab, r_, {l: ONE})
                 rhs = A.multiply_coords(p_, {i: ONE}, q_ + r_, A.mul.get(((q_, j), (r_, l)), {}))
                 if lhs != rhs:
@@ -811,20 +815,13 @@ def finite_truncation(p, n, name=None):
     for k in range(0, n + 1):
         if p.dim(k):
             basis[k] = list(p.labels(k))
-    diff = {}
-    for k in range(0, n):
-        for i in range(p.dim(k)):
-            col = p.differential_column(k, i)
-            if col:
-                diff[(k, i)] = col
+    diff = {(k, i): p.differential_column(k, i) for k in range(n) for i in range(p.dim(k))}
     mul = {}
     for p_ in range(0, n + 1):
         for q_ in range(0, n + 1 - p_):
             for i in range(p.dim(p_)):
                 for j in range(p.dim(q_)):
-                    prod = p.multiply_coords(p_, {i: ONE}, q_, {j: ONE})
-                    if prod:
-                        mul[((p_, i), (q_, j))] = prod
+                    mul[((p_, i), (q_, j))] = p.multiply_coords(p_, {i: ONE}, q_, {j: ONE})
     return FiniteCDGA(basis, diff, mul, name=name or ("%s|<=%d" % (getattr(p, "name", "A"), n)))
 
 
@@ -893,5 +890,4 @@ def tensor_finite(A, B, name=None):
         out = {pairs[t][1]: c for t, c in tensor_mul(A, B, {t1: ONE}, {t2: ONE}).items()}
         if out:
             mul[(pairs[t1], pairs[t2])] = out
-    return FiniteCDGA(basis, diff, mul, name=name or ("%s(x)%s" % (A.name, B.name)),
-                      h0_is_unit_span=A.h0_is_unit_span and B.h0_is_unit_span)
+    return FiniteCDGA(basis, diff, mul, name=name or ("%s(x)%s" % (A.name, B.name)))

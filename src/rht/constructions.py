@@ -102,10 +102,12 @@ def tensor_presentations(p1, p2, name=None):
 
 
 def wedge_cohomology(H1, H2, name=None):
-    """H1 (+)_Q H2: unit glued, positive parts orthogonal (wedge of spaces)."""
+    """H1 (+)_Q H2 of connected H1, H2: unit glued, positive parts orthogonal (wedge of spaces)."""
     for X in (H1, H2):
         if X.diff:
             raise UnsupportedInputError("wedge sum expects zero differentials")
+        if X.dim(0) != 1:
+            raise UnsupportedInputError("wedge sum expects connected algebras (H^0 = Q)")
     basis = {0: ["1"]}
     maps = ({}, {})      # (k, i) of H1, resp. H2 -> index in degree k of the sum
     for X, xmap, side in ((H1, maps[0], "L"), (H2, maps[1], "R")):
@@ -693,5 +695,4 @@ def arrangement_complex(arr, name=None):
             if c1 + c2 == cu:
                 inv = sum(bin(m2 & low).count("1") for low in below)
                 mul[(key1, key2)] = {iu: Fraction((-1) ** inv)}
-    return FiniteCDGA(basis, diff, mul, name=name or arr.name,
-                      h0_is_unit_span=False)
+    return FiniteCDGA(basis, diff, mul, name=name or arr.name)

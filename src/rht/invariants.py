@@ -325,8 +325,9 @@ def trichotomy_report(result, n=None):
 
     Tags never claim a proof: elliptic-evidence needs a certified finite
     cohomology and no new generators in the last third of the window;
-    hyperbolic-evidence needs the rank table to majorize a geometric
-    sequence with ratio > 1 anchored at the start of the last half-window.
+    hyperbolic-evidence needs the rank table to majorize a geometric sequence
+    with ratio > 1 anchored at the start of the last half-window, two degrees
+    or more (with one, "every later rank is larger" would hold vacuously).
     """
     if n is None:
         n = result.certified_degree
@@ -353,7 +354,7 @@ def trichotomy_report(result, n=None):
         tag = ELLIPTIC
     else:
         half = [k for k in range(n - n // 2 + 1, n + 1) if k >= 2]
-        if half and all(ranks.get(k, 0) >= 1 for k in half):
+        if len(half) >= 2 and all(ranks.get(k, 0) >= 1 for k in half):
             k0 = half[0]
             if all(ranks[k] > ranks[k0] for k in half[1:]):
                 tag = HYPERBOLIC

@@ -1,5 +1,6 @@
 import inspect
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -18,7 +19,8 @@ from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_compl
                                biquotient_model, config_space_model, cp, free_loop_model, k_z,
                                point, sphere, tensor_presentations, torus, truncated_poly,
                                wedge_cohomology)
-from rht.errors import ContextMismatchError, DegreeError, RhtError
+from rht.errors import ContextMismatchError, DegreeError, RhtError, UnsupportedInputError
+from rht.invariants import tc_cup_length
 from rht.linalg import Echelon, lincomb
 from rht.minimal_model import minimal_model
 import rht.algebra
@@ -326,13 +328,8 @@ def dense_validate_finite(A):
     """The full N^2 / N^3 loops of FiniteCDGA validation, kept as the oracle."""
     violations = []
     items = [(k, i) for k in sorted(A.basis) for i in range(A.dim(k))]
-    if A.h0_is_unit_span and A.dim(0) != 1:
-        violations.append("degree 0 is not spanned by the unit")
     for (k, i) in items:
         col = A.differential_column(k, i)
-        for j in col:
-            if j >= A.dim(k + 1):
-                violations.append("d(%s) hits a missing basis index" % A.label(k, i))
         dd = {}
         for j, c in col.items():
             for l, c2 in A.differential_column(k + 1, j).items():
@@ -388,15 +385,16 @@ def small_arrangements(draw):
                                                 min_size=1, max_size=3)))
 
 
-@st.composite
-def perturbed_finite_cdgas(draw):
-    """A valid small FiniteCDGA, then a few random edits of `mul` and `diff`.
+def unit_products(basis):
+    """The `mul` rows 1 * x = x * 1 = x of every basis element x."""
+    return {pair: {i: ONE} for k in basis for i in range(len(basis[k]))
+            for pair in (((0, 0), (k, i)), ((k, i), (0, 0)))}
 
-    Coefficients are p/q with q <= 3, explicit zeros among them.  An edited
-    key's source or target index, and a `diff` row's source, may lie one past
-    its degree's basis.  Arrangement complexes bring a nonempty `diff` and
-    h0_is_unit_span=False.
-    """
+
+@st.composite
+def finite_tables(draw):
+    """(basis, diff, mul) of a valid small FiniteCDGA, the rows fresh dicts.
+    Arrangement complexes bring a nonempty `diff` and dim A^0 above 1."""
     base = draw(st.sampled_from(["monomial", "s2", "uvw", "arrangement"]))
     if base == "monomial":
         A = draw(random_monomial_algebras(max_dim=8))
@@ -405,24 +403,106 @@ def perturbed_finite_cdgas(draw):
     else:
         A = finite_truncation(sphere2_model() if base == "s2" else nonformal_uvw(),
                               draw(st.integers(2, 5)))
-    items = [(k, i) for k in sorted(A.basis) for i in range(A.dim(k))]
-    past = [(k, A.dim(k)) for k in sorted(A.basis)]
-    mul = {k: dict(v) for k, v in A.mul.items()}
-    diff = {k: dict(v) for k, v in A.diff.items()}
-    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    return (A.basis, {k: dict(v) for k, v in A.diff.items()},
+            {k: dict(v) for k, v in A.mul.items()})
+
+
+# p/q with q <= 3, 0 among them.
+COEFFICIENTS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def perturbed_finite_cdgas(draw):
+    """A valid small FiniteCDGA, then a few random in-range edits of `mul` and
+    `diff`; an explicit 0 among the coefficients is dropped by the constructor."""
+    basis, diff, mul = draw(finite_tables())
+    dim = {k: len(v) for k, v in basis.items()}
+    items = [(k, i) for k in sorted(basis) for i in range(dim[k])]
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["mul", "extend", "diff", "drop"]))
-        (p, i), (q, j) = draw(st.sampled_from(items + past)), draw(st.sampled_from(items + past))
-        if kind in ("mul", "extend"):
-            # Target index range one past the basis, so missing indices occur
-            # too; "extend" widens a product's support instead of replacing it.
+        (p, i), (q, j) = draw(st.sampled_from(items)), draw(st.sampled_from(items))
+        if kind in ("mul", "extend") and dim.get(p + q):
+            # "extend" widens a product's support instead of replacing it.
             old = mul.get(((p, i), (q, j)), {}) if kind == "extend" else {}
-            mul[((p, i), (q, j))] = {**old, draw(st.integers(0, A.dim(p + q))): draw(coeff)}
-        elif kind == "diff":
-            diff[(p, i)] = {draw(st.integers(0, A.dim(p + 1))): draw(coeff)}
-        elif mul:
+            mul[((p, i), (q, j))] = {**old, draw(st.integers(0, dim[p + q] - 1)):
+                                     draw(COEFFICIENTS)}
+        elif kind == "diff" and dim.get(p + 1):
+            diff[(p, i)] = {draw(st.integers(0, dim[p + 1] - 1)): draw(COEFFICIENTS)}
+        elif kind == "drop" and mul:
             del mul[draw(st.sampled_from(sorted(mul)))]
-    return FiniteCDGA(A.basis, diff, mul, name="P", h0_is_unit_span=A.h0_is_unit_span)
+    return FiniteCDGA(basis, diff, mul, name="P")
+
+
+@st.composite
+def out_of_range_edits(draw):
+    """Valid tables and one edit of a `mul` or `diff` row that names a missing
+    basis element: a key's first or second source one past its degree's
+    basis, or a row index one past its target degree's basis or negative,
+    with any coefficient, 0 included.  Returns (basis, diff, mul, edited key)."""
+    basis, diff, mul = draw(finite_tables())
+    dim = {k: len(v) for k, v in basis.items()}
+    items = [(k, i) for k in sorted(basis) for i in range(dim[k])]
+    (p, i), (q, j) = draw(st.sampled_from(items)), draw(st.sampled_from(items))
+    table = draw(st.sampled_from(["mul", "diff"]))
+    bad = draw(st.sampled_from(["first", "second", "past", "negative"] if table == "mul"
+                               else ["first", "past", "negative"]))
+    i, j = dim[p] if bad == "first" else i, dim[q] if bad == "second" else j
+    key, target = (((p, i), (q, j)), p + q) if table == "mul" else ((p, i), p + 1)
+    index = (dim.get(target, 0) if bad == "past" else -1 if bad == "negative"
+             else draw(st.integers(0, dim.get(target, 0))))
+    rows = mul if table == "mul" else diff
+    rows[key] = {**rows.get(key, {}), index: draw(COEFFICIENTS)}
+    return basis, diff, mul, key
+
+
+@settings(max_examples=80, deadline=None)
+@given(out_of_range_edits())
+def test_finite_cdga_refuses_a_missing_basis_element(tables):
+    basis, diff, mul, key = tables
+    with pytest.raises(DegreeError, match=r"key %s names a missing basis element$"
+                       % re.escape(repr(key))):
+        FiniteCDGA(basis, diff, mul)
+
+
+def test_finite_cdga_refuses_what_cohomology_dropped():
+    # A d(x) row with index -1 was built, and cohomology dropped that entry
+    # without saying so: Betti numbers 1, 1, 1, where d(x) = y gives 1, 0, 0.
+    # An index past the basis is refused even with coefficient 0.
+    basis = {0: ["1"], 1: ["x"], 2: ["y"]}
+    unit = unit_products(basis)
+    for row in ({-1: 1}, {0: 1, 1: 0}):
+        with pytest.raises(DegreeError, match=r"^FiniteCDGA diff key \(1, 0\) names"):
+            FiniteCDGA(basis, {(1, 0): row}, unit)
+    A = FiniteCDGA(basis, {(1, 0): {0: 1}}, unit)
+    assert cohomology(A, 0, 2).dims() == {0: 1, 1: 0, 2: 0}
+
+
+def test_finite_cdga_drops_explicit_zeros():
+    # ab = 0 given as {0: 0}: validation read it as ab != -ba = 0 and
+    # reported "commutativity fails on (a, b)".
+    basis = {0: ["1"], 2: ["a", "b"], 4: ["c"]}
+    mul = unit_products(basis)
+    mul[((2, 0), (2, 1))] = {0: 0}
+    A = FiniteCDGA(basis, {}, mul)
+    assert ((2, 0), (2, 1)) not in A.mul
+    assert validate(A).ok
+
+
+def test_disconnected_tables_validate_and_the_connected_consumers_refuse_them():
+    # Q x Q: 1 = (1, 1) and the idempotent e = (1, 0) span degree 0.  It is a
+    # cdga; PD algebras, TC cup length and wedge sums need H^0 = Q.
+    basis = {0: ["1", "e"]}
+    A = FiniteCDGA(basis, {}, {((0, 0), (0, 0)): {0: 1}, ((0, 0), (0, 1)): {1: 1},
+                               ((0, 1), (0, 0)): {1: 1}, ((0, 1), (0, 1)): {1: 1}}, name="QxQ")
+    assert validate(A).ok
+    with pytest.raises(UnsupportedInputError, match="connected"):
+        PDAlgebra(A, 0)
+    with pytest.raises(UnsupportedInputError, match="connected"):
+        tc_cup_length(A)
+    H = cohomology_algebra(sphere(2), 2)
+    for pair in ((A, H), (H, A)):
+        with pytest.raises(UnsupportedInputError, match="connected"):
+            wedge_cohomology(*pair)
 
 
 def one_sided_leibniz(side):
@@ -430,8 +510,7 @@ def one_sided_leibniz(side):
     and one nonzero Leibniz term on (a, b): (da)b with da = t and tb = s the
     one other key ("da.b"), or a(db) with db = t and at = s ("a.db")."""
     basis = {0: ["1"], 1: ["a", "b"], 2: ["t"], 3: ["s"]}
-    mul = {pair: {i: ONE} for k in basis for i in range(len(basis[k]))
-           for pair in (((0, 0), (k, i)), ((k, i), (0, 0)))}
+    mul = unit_products(basis)
     mul[((2, 0), (1, 1)) if side == "da.b" else ((1, 0), (2, 0))] = {0: ONE}
     d = (1, 0) if side == "da.b" else (1, 1)
     return FiniteCDGA(basis, {d: {0: ONE}}, mul, name=side)
@@ -1269,14 +1348,14 @@ def test_tensor_mul_matches_reference_loop(ints, data):
 
 
 def test_tensor_mul_drops_the_entries_that_cancel():
-    # Not a cdga (1 * b = a), but tensor_mul only reads the tables: one entry
-    # of the table is 0, and the two products of 1 (x) 1 land on one key.
+    # Not a cdga (1 * b = a), but tensor_mul only reads the tables: the two
+    # products of 1 (x) 1 land on one key.
     A = FiniteCDGA({0: ["1"], 2: ["a", "b"]}, {},
-                   {((0, 0), (0, 0)): {0: 1}, ((0, 0), (2, 0)): {0: 1, 1: 0},
+                   {((0, 0), (0, 0)): {0: 1}, ((0, 0), (2, 0)): {0: 1},
                     ((0, 0), (2, 1)): {0: 1}})
     v, w = {(0, 0, 0, 0): ONE}, {(2, 0, 0, 0): ONE, (2, 1, 0, 0): -ONE}
     ref, _ = reference_tensor_mul(A.mul, A.mul, v, w)
-    assert ref == {(2, 0, 0, 0): 0, (2, 1, 0, 0): 0}
+    assert ref == {(2, 0, 0, 0): 0}
     assert tensor_mul(A, A, v, w) == {}
 
 
@@ -1310,11 +1389,12 @@ def test_finite_cdga_coefficients_are_exact():
         FiniteCDGA(basis, {}, {((0, 0), (0, 0)): {0: 1.0}})
     with pytest.raises(TypeError):
         FiniteCDGA(basis, {(0, 0): {0: 0.0}}, {((0, 0), (0, 0)): {0: 1}})
-    A = FiniteCDGA(basis, {(1, 0): {3: 0}}, {((0, 0), (0, 0)): {0: 1}})
+    A = FiniteCDGA(basis, {}, {((0, 0), (0, 0)): {0: 1}})
     assert type(A.mul[((0, 0), (0, 0))][0]) is Fraction
     assert type(A.multiply_coords(0, {0: 1}, 0, {0: 1})[0]) is Fraction
-    # A zero entry is kept, so validation still sees its out-of-range index.
-    assert "d(x) hits a missing basis index" in validate(A).violations
+    # A zero entry at an out-of-range index is refused, not dropped.
+    with pytest.raises(DegreeError):
+        FiniteCDGA(basis, {(1, 0): {3: 0}}, {((0, 0), (0, 0)): {0: 1}})
 
 
 def test_morphism_coefficients_are_exact(s2):

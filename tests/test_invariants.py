@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from rht.algebra import AlgElement, GeneratorContext, monomial_word_length
 from rht.cdga import (FiniteCDGA, SullivanPresentation, cohomology, cohomology_algebra,
                       tensor_finite, validate)
-from rht.constructions import (cp, k_z, sphere, tensor_presentations, torus,
+from rht.constructions import (catalog, cp, k_z, sphere, tensor_presentations, torus,
                                truncated_poly, wedge_cohomology)
 from rht.errors import DegreeError, UnsupportedInputError
 from rht.homotopy_lie import homotopy_ranks
@@ -177,7 +177,8 @@ def _outcome(f, H):
 def random_tables(draw):
     """A FiniteCDGA table with random dimensions in degrees -1..4 (degree 0
     at least 1), or with dim A^k = dim A^(m-k) and dim A^0 = dim A^m = 1, so
-    that only the pairing decides; products with zero entries kept, and
+    that only the pairing decides; product coefficients drawn with 0 among
+    them (the constructor drops those entries, so a product may vanish), and
     sometimes a nonzero d."""
     if draw(st.booleans()):
         dims = {k: draw(st.integers(1 if k == 0 else 0, 2)) for k in range(-1, 5)}
@@ -562,10 +563,18 @@ def test_trichotomy_cp3_elliptic():
 
 
 def test_trichotomy_wedge_hyperbolic():
-    mm = minimal_model(wedge_two_s2_cohomology(), 8)
-    rep = trichotomy_report(mm, 8)
-    assert rep.tag == HYPERBOLIC
-    assert rep.alpha_estimate > 0
+    for n in (8, 10):
+        rep = trichotomy_report(minimal_model(wedge_two_s2_cohomology(), n), n)
+        assert rep.tag == HYPERBOLIC
+        assert rep.alpha_estimate > 0
+
+
+@pytest.mark.parametrize("space, dim, n", [("sphere", 2, 2), ("sphere", 2, 3),
+                                           ("sphere", 3, 3), ("cp", 3, 2)])
+def test_trichotomy_needs_two_degrees_in_the_last_half_window(space, dim, n):
+    # The last half-window holds one degree here, so "every rank exceeds the
+    # first" held vacuously and these elliptic spaces were tagged hyperbolic.
+    assert trichotomy_report(minimal_model(catalog(space, dim), n), n).tag != HYPERBOLIC
 
 
 def test_trichotomy_point():
