@@ -27,7 +27,8 @@ from .algebra import (AlgElement, Derivation, MonomialBases, ONE, UNIT_MONOMIAL,
                       apply_derivation, as_q, generator_monomial, monomial_degree,
                       monomial_divide, monomial_factors, monomial_lcm, monomial_order,
                       monomial_products, monomial_str, monomial_times)
-from .errors import BudgetExceededError, DegreeError, RhtError, ValidationError
+from .errors import (BudgetExceededError, DegreeError, RhtError, UnsupportedInputError,
+                     ValidationError)
 from .linalg import Echelon, RationalMatrix, _addmul, lincomb, solve_linear
 
 
@@ -586,6 +587,7 @@ class CohomologyReport:
         that the loop reaches after (a, b) is read off it: ba = (-1)^pq ab.
         When degree 0 is one class, it is the unit: its products are pinned to
         the identity, so the result is independent of representative scaling.
+        H^0 = 0 is refused: there is no unit class to build the table on.
         """
         p, n = self.pres, self.hi
         if self.lo > 0:
@@ -596,7 +598,7 @@ class CohomologyReport:
             if d:
                 basis[k] = ["h%d_%d" % (k, i) for i in range(d)]
         if 0 not in basis:
-            basis[0] = ["h0_0"]
+            raise UnsupportedInputError("algebra needs a unit class, but H^0 = 0")
         mul = {}
         degs = sorted(basis)
         commutes, unit = isinstance(p, SullivanPresentation), len(basis[0]) == 1

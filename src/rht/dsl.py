@@ -346,20 +346,23 @@ class _Parser:
         return ntok.value, m, str(expr), pd
 
     # -- expressions -------------------------------------------------------
+    def literal(self):
+        """int ['/' int] as a Fraction; a zero denominator is reported at its token."""
+        num = self.expect("int", "a number").value
+        if self.peek().kind != "/":
+            return Fraction(num)
+        self.next()
+        den = self.expect("int", "a denominator")
+        if den.value == 0:
+            self.error("zero denominator", den)
+        return Fraction(num, den.value)
+
     def rational(self):
         neg = False
         while self.peek().kind in ("+", "-"):
             if self.next().kind == "-":
                 neg = not neg
-        t = self.expect("int", "a number")
-        num = t.value
-        den = 1
-        if self.peek().kind == "/":
-            self.next()
-            den = self.expect("int", "a denominator").value
-            if den == 0:
-                self.error("zero denominator", t)
-        q = Fraction(num, den)
+        q = self.literal()
         return -q if neg else q
 
     # An expression is parsed for a statement of known degree: a power whose
@@ -408,16 +411,9 @@ class _Parser:
         return x
 
     def atom(self, ctx, degree):
+        if self.peek().kind == "int":
+            return AlgElement.unit(ctx, self.literal())
         t = self.next()
-        if t.kind == "int":
-            num = t.value
-            if self.peek().kind == "/":
-                self.next()
-                den = self.expect("int", "a denominator")
-                if den.value == 0:
-                    self.error("zero denominator", den)
-                return AlgElement.unit(ctx, Fraction(num, den.value))
-            return AlgElement.unit(ctx, Fraction(num))
         if t.kind == "ident":
             if t.value not in ctx.index:
                 self.error("unknown generator %r" % t.value, t)

@@ -307,13 +307,14 @@ class HurewiczReport:
             self.k, self.h_dim, self.v_dim, self.rank)
 
 
-def hurewicz_matrix(result, k):
+def hurewicz_matrix(model, k):
     """Matrix of H(zeta): H^k(Lambda V, d) -> V^k on representatives.
 
-    zeta is the projection onto word length 1; it vanishes on boundaries of
-    a minimal presentation, so the class map is well defined.
+    `model` is the minimal presentation itself (a `MinimalModelResult`'s
+    `.model`), as for `lie_table` and `lcs_filtrations`.  zeta is the
+    projection onto word length 1; it vanishes on boundaries of a minimal
+    presentation, so the class map is well defined.
     """
-    model = result.model if hasattr(result, "model") else result
     rep = cohomology(model, k, k)
     # basis(k) positions of the generators of degree k, in V^k order
     vk = [model.index(k)[generator_monomial(g)] for g, d in enumerate(model.ctx.degrees) if d == k]

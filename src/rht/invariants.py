@@ -416,22 +416,15 @@ def loop_homology_dims(lie_dims, n):
 
     PBW: U L has the generating series
     prod_{odd k} (1 + t^k)^{dim L_k} * prod_{even k} (1 - t^k)^{-dim L_k}.
-    Input: {k: dim L_k} for k >= 1, a LieTable, or a MinimalModelResult
-    (then dim L_k = rk_{k+1}).
+    Input: the map {k: dim L_k}; keys below 1 are ignored.  For a minimal
+    model mm, dim L_k = rk_(k+1): pass {k - 1: r for k, r in mm.ranks().items()}.
     """
-    if isinstance(lie_dims, MinimalModelResult):
-        ranks = lie_dims.ranks()
-        dims = {k: ranks.get(k + 1, 0) for k in range(1, n + 1)}
-    elif hasattr(lie_dims, "dims"):
-        dims = {k: d for k, d in lie_dims.dims().items() if k >= 1}
-    else:
-        dims = {int(k): int(v) for k, v in lie_dims.items() if int(k) >= 1}
     series = [0] * (n + 1)
     series[0] = 1
-    for k in sorted(dims):
-        if k > n or dims[k] == 0:
+    for k in sorted(lie_dims):
+        e = lie_dims[k]
+        if k < 1 or k > n or e == 0:
             continue
-        e = dims[k]
         factor = [0] * (n + 1)
         if k % 2 == 1:
             for m_ in range(0, n // k + 1):

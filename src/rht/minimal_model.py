@@ -2,9 +2,9 @@
 
 The model of a cdga A with H^0(A) = Q and H^1(A) = 0 is built degree by
 degree.  At stage n the partial morphism phi: (Lambda V^{<=n-1}, d) -> A has
-H^{<=n-1}(phi) iso and H^n(phi) injective; the stage adjoins cocycle
-generators spanning coker H^n(phi), then degree-n generators whose
-differentials kill ker H^{n+1}(phi).  Representatives are the canonical
+H^{<=n-1}(phi) iso and H^n(phi) injective; the stage adjoins, in one
+extension, cocycle generators spanning coker H^n(phi) and degree-n generators
+whose differentials kill ker H^{n+1}(phi).  Representatives are the canonical
 answers of the exact solver (RREF kernel vectors, solutions that vanish on
 free columns) under the fixed monomial order, so the output is determined by
 the input alone.
@@ -92,13 +92,18 @@ class MinimalModelResult:
 def minimal_model(A, n=16, name=None):
     """Minimal Sullivan model of A with H(phi) iso up to n, injective at n+1.
 
-    A stage computes the partial model's cohomology in one degree: H^(stage+1)
-    for its kernel step, whose induced classes the next cocycle step reuses as
-    im H^(stage+1)(phi) (at stage 2 it is H^2(Q) = 0).  As V^1 = 0, the kernel
-    step's generators w (degree `stage`, dw = z) occur in no degree-(stage+1)
-    monomial: the cocycles stay, the new boundaries z map to 0 in H(A).  So one
-    `primitives` solve (canonical per target) and one `extend` adjoin all w of
-    a stage; the stages are one `extend` chain, each column computed once.
+    Stage s adjoins all of V^s in one `extend` (Felix-Halperin-Thomas, Rational
+    Homotopy Theory, section 14): cocycles v spanning coker H^s(phi), and
+    generators w with dw = z for z spanning ker H^(s+1)(phi).  Both steps read
+    the model as it was before the stage.  As V^1 = 0, a degree-s generator
+    occurs in no monomial of degree s + 1, so the v's change neither H^(s+1)
+    of the partial model, nor its representatives, nor the classes they
+    induce in H(A), nor the `primitives` targets phi(z); and the w's change no
+    degree-(s+1) cocycle, while their boundaries z map to 0 in H(A).  So the
+    classes that the kernel step induces span im H^(s+1)(phi) for the next
+    stage's cocycle step (at stage 2 it is H^2(Q) = 0), one `primitives` solve
+    (canonical per target) finds every phi(w), and the stages are one `extend`
+    chain with one `CdgaMorphism` per link, each column computed once.
     """
     validate(A).raise_if_invalid()
     tgt_rep = cohomology(A, 0, max(n + 1, 1))
@@ -129,31 +134,26 @@ def minimal_model(A, n=16, name=None):
             new[gname] = AlgElement.zero(model.ctx)
             phi_imgs[gname] = t_rep
             provenance[gname] = ("cocycle", stage)
-        if new:
-            model = model.extend([(g, stage) for g in new], new)
-            phi = CdgaMorphism(model, A, dict(phi_imgs), name="phi")
 
         # --- kernel-killing generators: ker H^{stage+1}(phi) ---------------
         src_rep = cohomology(model, stage + 1, stage + 1)
         reps = src_rep.representatives(stage + 1)
         cols = induced_classes(phi, src_rep, tgt_rep, stage + 1)
-        mat = RationalMatrix(tgt_rep.dim(stage + 1), cols)
-        ker = solve_linear(mat).kernel
-        if not ker:
-            continue
+        ker = solve_linear(RationalMatrix(tgt_rep.dim(stage + 1), cols)).kernel
         cycles = [lincomb((c, reps[i]) for i, c in kvec.items()) for kvec in ker]
-        sols = primitives(A, stage, [phi.apply_coords(stage + 1, z) for z in cycles],
-                          range(A.dim(stage)))
+        sols = cycles and primitives(A, stage, [phi.apply_coords(stage + 1, z) for z in cycles],
+                                     range(A.dim(stage)))
         if None in sols:
             raise RhtError("kernel class is not exact in the target")  # pragma: no cover
-        new = {}
         for j, (z_coords, s) in enumerate(zip(cycles, sols)):
             gname = "w%d_%d" % (stage, j)
             new[gname] = model.from_coords(stage + 1, z_coords)
             phi_imgs[gname] = s
             provenance[gname] = ("kernel", stage)
-        model = model.extend([(g, stage) for g in new], new)
-        phi = CdgaMorphism(model, A, dict(phi_imgs), name="phi")
+
+        if new:
+            model = model.extend([(g, stage) for g in new], new)
+            phi = CdgaMorphism(model, A, dict(phi_imgs), name="phi")
 
     return MinimalModelResult(model, phi, n, provenance, A)
 

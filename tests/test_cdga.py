@@ -1187,6 +1187,18 @@ def test_algebra_refuses_a_window_above_degree_0(monkeypatch):
         report.algebra()
 
 
+def test_algebra_refuses_h0_zero():
+    # d(e) = 1 kills the unit: H = 0 in both degrees, so there is no unit
+    # class, and the table must not invent one (it would be Q, not 0).
+    unit = {((0, 0), (0, 0)): {0: 1}, ((0, 0), (-1, 0)): {0: 1}, ((-1, 0), (0, 0)): {0: 1}}
+    A = FiniteCDGA({-1: ["e"], 0: ["1"]}, {(-1, 0): {0: 1}}, unit)
+    assert validate(A).ok
+    report = cohomology(A, -1, 0)
+    assert report.dims() == {-1: 0, 0: 0}
+    with pytest.raises(UnsupportedInputError, match="H\\^0 = 0"):
+        report.algebra()
+
+
 def test_reads_outside_the_window_raise_the_degree_error_of_dim(monkeypatch):
     # Degree 5 lies outside [0, 3], and so does -1: class coordinates,
     # representatives and the cocycle test refuse them as `dim` does, and

@@ -56,6 +56,17 @@ def test_parse_unknown_generator():
     assert "unknown generator" in str(err.value)
 
 
+@pytest.mark.parametrize("text, col", [
+    ("arrangement A ambient 2 {\n  subspace [[1, -3/0]]; }", 20),
+    ("cdga C { gen x:2; gen y:3;\n  d y = 2/0*x^2; }", 11),
+])
+def test_zero_denominator_is_reported_at_the_denominator(text, col):
+    # Arrangement rows and expressions share one literal rule.
+    with pytest.raises(ParseError) as err:
+        dsl.parse(text)
+    assert str(err.value) == "line 2, col %d: zero denominator" % col
+
+
 def test_parse_syntax_error_location():
     with pytest.raises(ParseError) as err:
         dsl.parse("cdga Bad { gen a:! }")

@@ -425,14 +425,14 @@ def test_hurewicz_s3_iso():
     from rht.constructions import sphere
     H = cohomology_algebra(sphere(3), 3)
     mm = minimal_model(H, 6)
-    rep = hurewicz_matrix(mm, 3)
+    rep = hurewicz_matrix(mm.model, 3)
     assert rep.h_dim == 1 and rep.v_dim == 1 and rep.rank == 1
 
 
 def test_hurewicz_wedge_iso_in_metastable_range():
     from conftest import wedge_two_s2_cohomology
     mm = minimal_model(wedge_two_s2_cohomology(), 4)
-    rep = hurewicz_matrix(mm, 2)
+    rep = hurewicz_matrix(mm.model, 2)
     assert rep.h_dim == 2 and rep.v_dim == 2 and rep.rank == 2
 
 
@@ -441,7 +441,7 @@ def test_hurewicz_builds_only_its_degree(report_windows):
     from rht.cdga import cohomology
     mm = minimal_model(wedge_two_s2_cohomology(), 4)
     report_windows.clear()
-    rep = hurewicz_matrix(mm, 2)
+    rep = hurewicz_matrix(mm.model, 2)
     assert report_windows == [(mm.model.name, 2, 2)]
     assert (rep.h_dim, rep.v_dim, rep.rank) == (2, 2, 2)
     # Representatives in degree k do not depend on the rest of the window.
@@ -472,7 +472,7 @@ def test_hurewicz_s2_k4_zero_map(s2):
 def test_hurewicz_rank_of_its_sparse_columns_is_the_solver_rank(space):
     # On CP2 the class of a^2 in H^4 maps to V^4 = 0: rank 0 < h_dim.
     model = {"S2": sphere2_model, "S3": lambda: sphere(3), "CP2": lambda: cp(2),
-             "S2vS2": lambda: minimal_model(wedge_two_s2_cohomology(), 5)}[space]()
+             "S2vS2": lambda: minimal_model(wedge_two_s2_cohomology(), 5).model}[space]()
     for k in range(2, 5):
         rep = hurewicz_matrix(model, k)
         assert isinstance(rep.matrix, list) and len(rep.matrix) == rep.h_dim

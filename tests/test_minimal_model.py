@@ -678,3 +678,35 @@ def test_wedge_model_to_degree_13_is_unchanged():
     text = to_json_text(minimal_model_json(mm))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
         "364956e43ae2f052456372152af370431f370186ed056e29b6135a52e277fdac"
+
+
+def test_one_extend_per_generator_degree(monkeypatch):
+    # Stage s adjoins all of V^s in one link of the extend chain, with one
+    # CdgaMorphism: S2 v S3 v S4 to degree 12 has generators in 11 degrees,
+    # and stages 3 and 4 gain both cocycles and kernel-killers.  The sha256
+    # of its minimal_model_json was recorded with two links for such stages.
+    from rht.constructions import wedge_cohomology
+    H = [cohomology_algebra(sphere(k), k, name="H(S%d)" % k) for k in (2, 3, 4)]
+    A = wedge_cohomology(wedge_cohomology(H[0], H[1], name="H(S2vS3)"), H[2],
+                         name="H(S2vS3vS4)")
+    calls = Counter()
+    extend, morphism = SullivanPresentation.extend, CdgaMorphism.__init__
+
+    def counted_extend(self, *args, **kwargs):
+        calls["extend"] += 1
+        return extend(self, *args, **kwargs)
+
+    def counted_morphism(self, *args, **kwargs):
+        calls["morphism"] += 1
+        return morphism(self, *args, **kwargs)
+
+    monkeypatch.setattr(SullivanPresentation, "extend", counted_extend)
+    monkeypatch.setattr(CdgaMorphism, "__init__", counted_morphism)
+    mm = minimal_model(A, 12)
+    kinds = Counter(stage for _, stage in set(mm.provenance.values()))
+    assert len(set(mm.model.ctx.degrees)) == 11
+    assert sorted(stage for stage, n in kinds.items() if n == 2) == [3, 4]
+    assert calls == {"extend": 11, "morphism": 12}    # one more: the empty phi
+    text = to_json_text(minimal_model_json(mm))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        "2fb55c40f52406e4ff59a3dc1419c043688615d09839844a0630d45079741cbf"
