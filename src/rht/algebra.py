@@ -5,8 +5,8 @@ normal order (context order), odd generators square to zero, and every sign
 is computed by counting transpositions of odd factors.  Elements are sparse
 maps monomial -> Fraction in canonical form, so equality is literal equality.
 
-Coefficients are `fractions.Fraction` throughout the API (`linalg` eliminates
-on integer rows inside): exact and canonical.  There is no floating-point mode.
+Coefficients are exact, canonical and never floats: `fractions.Fraction` in
+the API, an `int` for an integral value inside the engine (Leibniz columns).
 """
 
 from bisect import bisect_left, bisect_right
@@ -321,13 +321,15 @@ class Derivation:
     distinct one compared once): appending generators keeps every index, so
     it is stored as its term dict and `SullivanPresentation.extend` takes
     over the parent's images unchecked.  One column store {monomial:
-    theta(monomial)} is kept; images never change, so neither do columns.
+    theta(monomial)} is kept, integral values int, on one integer view of
+    each image made here; images never change, so neither do columns.
     """
 
     def __init__(self, ctx, degree, images):
         self.ctx = ctx
         self.degree = degree
         self._images = {}           # generator name -> image as {monomial: Fraction}
+        self._views = {}            # generator index -> image, integral values int
         accepted = {id(ctx)}        # the contexts seen to begin ctx
         for name, img in images.items():
             if name not in ctx.index:
@@ -344,7 +346,9 @@ class Derivation:
                         "image of %r must be homogeneous of degree %d"
                         % (name, ctx.degree_of(name) + degree))
             self._images[name] = img.terms
-        self._columns = {(): {}}    # monomial -> theta(monomial) as {monomial: Fraction}, sorted
+            self._views[ctx.index[name]] = {
+                m: c.numerator if c.denominator == 1 else c for m, c in img.terms.items()}
+        self._columns = {(): {}}    # monomial -> theta(monomial), sorted, integral values int
         self._monos = {}            # monomial -> the one tuple the columns use for it
 
     def image_terms(self, name):
@@ -384,7 +388,7 @@ class Derivation:
         i, e = block
         tail = (((i, e - 1),) if e > 1 else ()) + rest
         first, second = {}, {}
-        for m, c in self._images[ctx.names[i]].items():
+        for m, c in self._views[i].items():
             sign, prod = monomial_mul(ctx, m, tail)
             if sign:
                 first[prod] = c if sign * e == 1 else sign * e * c
@@ -394,7 +398,8 @@ class Derivation:
             if sign:
                 second[prod] = c if sign == sign_x else -c
         col = lincomb([(1, first), (1, second)]) if first and second else first or second
-        return {self._monos.setdefault(m, m): c for m, c in sorted(col.items())}
+        return {self._monos.setdefault(m, m): c.numerator if c.denominator == 1 else c
+                for m, c in sorted(col.items())}
 
     def __repr__(self):
         body = ", ".join("%s -> %s" % (n, v) for n, v in self.images.items())
@@ -402,15 +407,12 @@ class Derivation:
 
 
 def apply_derivation(theta, x):
-    """Leibniz extension of a derivation to an arbitrary element: one `lincomb`
-    of the stored columns, summed on integer views (an entry with denominator
-    1 becomes its numerator) and made Fractions again by `AlgElement`."""
+    """theta(x): one `lincomb` of the stored columns as they are, each scaled by
+    its coefficient in x (an int if integral), made Fractions by `AlgElement`."""
     if x.ctx != theta.ctx:
         raise ContextMismatchError("derivation and element contexts differ")
-    return AlgElement(x.ctx, lincomb(
-        (c.numerator if c.denominator == 1 else c,
-         {n: v.numerator if v.denominator == 1 else v for n, v in theta.column(m).items()})
-        for m, c in x.terms.items()))
+    return AlgElement(x.ctx, lincomb((c.numerator if c.denominator == 1 else c, theta.column(m))
+                                     for m, c in x.terms.items()))
 
 
 class MonomialBases:

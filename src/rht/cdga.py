@@ -78,12 +78,13 @@ class SullivanPresentation:
     def extend(self, generators, images, name=None):
         """The presentation on ctx.extend(generators), d(g) = images[g] on the new
         generators.  d of an old monomial is unchanged, so only the new images
-        are checked: this d's term dicts are taken over as they are, its column
-        store is copied (two extensions never see each other's columns), and its
-        bases are kept in the degrees below the new generators."""
+        are checked: this d's term dicts and integer views are taken over as they
+        are, its column store is copied (two extensions never see each other's
+        columns), and its bases are kept in the degrees below the new generators."""
         ctx = self.ctx.extend(generators)
         out = SullivanPresentation(ctx, images, name=self.name if name is None else name)
         out.d._images = {**self.d._images, **out.d._images}
+        out.d._views = {**self.d._views, **out.d._views}
         out.d._columns, out.d._monos = dict(self.d._columns), self.d._monos
         out._bases = self._bases.extended(ctx)
         return out
@@ -318,21 +319,23 @@ class QuotientCDGA:
         return [monomial_str(self.ambient.ctx, m) for m in self._standard_monomials(k)]
 
     def _coords(self, k, vec):
-        """Quotient coordinates at degree k of an ambient {monomial: coeff}, keys ascending."""
+        """Quotient coordinates at degree k of an ambient {monomial: coeff}, sorted pairs."""
         nf = self._reduce(vec) if self._standard_monomials(k) else {}
-        return dict(sorted((self._position[k][m], as_q(c)) for m, c in nf.items()))
+        return sorted((self._position[k][m], c) for m, c in nf.items())
 
     def project(self, k, amb_coords):
-        """Ambient coordinates -> quotient coordinates at degree k."""
-        return self._coords(k, {self.ambient.basis(k)[i]: c for i, c in amb_coords.items()})
+        """Ambient coordinates -> quotient coordinates at degree k, in Fractions."""
+        return {j: as_q(c) for j, c in self._coords(
+            k, {self.ambient.basis(k)[i]: c for i, c in amb_coords.items()})}
 
     def differential_column(self, k, i):
-        return self._coords(k + 1, self.ambient.d.column(self._standard_monomials(k)[i]))
+        return {j: c.numerator if c.denominator == 1 else c for j, c in self._coords(
+            k + 1, self.ambient.d.column(self._standard_monomials(k)[i]))}
 
     def multiply_coords(self, p, u, q, v):
         sp, sq = self._standard_monomials(p), self._standard_monomials(q)
-        return self._coords(p + q, monomial_products(
-            self.ambient.ctx, {sp[i]: c for i, c in u.items()}, {sq[j]: c for j, c in v.items()}))
+        return {j: as_q(c) for j, c in self._coords(p + q, monomial_products(
+            self.ambient.ctx, {sp[i]: c for i, c in u.items()}, {sq[j]: c for j, c in v.items()}))}
 
     def unit_coords(self):
         if not self._standard_monomials(0):

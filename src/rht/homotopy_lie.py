@@ -144,8 +144,8 @@ def lie_table(pres, bound, name=None):
                 continue
             a, b = monomial_factors(mono)
             da, db = ctx.degrees[a], ctx.degrees[b]
-            contributions = ([(a, a, 2 * c * (-1) ** da)] if a == b else
-                             [(b, a, c * (-1) ** da), (a, b, c * (-1) ** (da * db + db))])
+            contributions = ([(a, a, c + c)] if a == b else     # a^2 != 0: |a| is even
+                             [(b, a, -c if da % 2 else c), (a, b, -c if db % 2 > da % 2 else c)])
             # Distinct terms of d_1 v give distinct (p, q): one value per m, in m order.
             for p, q, x in contributions:
                 entries.setdefault((slot[p], slot[q]), {})[m] = x

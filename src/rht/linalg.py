@@ -6,11 +6,12 @@ surjectivity/cokernel bookkeeping) reduces to one elimination engine,
 read off it is canonical, whatever order the vectors came in; the order only
 changes the work, and `solve_linear` feeds the rows of [M | -T] in a
 fill-reducing one.  Inside, rows are primitive integer vectors, eliminated by
-cross-multiplication, with a column -> rows occupancy index; Fractions appear
-only at the boundary: `residue`, `rows`, and the kernel and solutions read
-off the RREF.  `RationalMatrix` holds the shape and Fraction entries that
-`solve_linear` reads.  Sparse vectors are {index: Fraction} dicts; `lincomb`,
-the one sparse sum, adds them in place, on the same loop `Echelon` reduces with.
+cross-multiplication, with a column -> rows occupancy index.  An integral
+value is an int inside; what leaves the package is a Fraction: `residue`,
+`rows`, and the kernel and solutions read off the RREF.  `RationalMatrix`
+holds the shape and entries that `solve_linear` reads.  Sparse vectors are
+{index: value} dicts; `lincomb`, the one sparse sum, adds them in place, on
+the same loop `Echelon` reduces with.
 """
 
 from fractions import Fraction
@@ -22,9 +23,9 @@ ONE = Fraction(1)
 
 
 class RationalMatrix:
-    """Shape and nonzero entries {(row, col): Fraction} of a sparse matrix over Q,
+    """Shape and nonzero entries {(row, col): value} of a sparse matrix over Q,
     the input of `solve_linear`: column j is the sparse vector columns[j],
-    converted once."""
+    its values taken as they are."""
 
     def __init__(self, rows, columns):
         self.rows = rows
@@ -32,8 +33,6 @@ class RationalMatrix:
         self.entries = {}
         for j, col in enumerate(columns):
             for r, v in col.items():
-                if type(v) is not Fraction:
-                    v = Fraction(v)
                 if v:
                     if not 0 <= r < rows:
                         raise RhtError("entry (%d,%d) outside %dx%d matrix" % (r, j, rows, self.cols))
@@ -63,14 +62,12 @@ def solve_linear(matrix, targets=None):
     """
     targets = targets or []
     ncols = matrix.cols
-    # RREF of [M | -T]: target j sits in column ncols + j.
+    # RREF of [M | -T]: target j sits in column ncols + j, T range-checked as M is.
     rows = [{} for _ in range(matrix.rows)]
     for (r, c), v in matrix.entries.items():
         rows[r][c] = v
-    for j, t in enumerate(targets):
-        for r, v in t.items():
-            if v != 0:
-                rows[r][ncols + j] = -Fraction(v)
+    for (r, j), v in RationalMatrix(matrix.rows, targets).entries.items():
+        rows[r][ncols + j] = -Fraction(v)
     # Nonzero rows in a fill-reducing order (Markowitz 1957): largest smallest
     # column first, so a row mostly pivots left of the rows before it, and
     # they, 0 left of their own pivots, need no back-reduction.
@@ -114,11 +111,16 @@ class Echelon:
         self._occupied = {}   # non-pivot col -> indices of the rows nonzero there, or once were
 
     def _reduce(self, vec):
-        """(out, den), out integral: out / den equals the vector a Fraction
-        elimination holds at every step, so zeros and key order are the same."""
-        ratios = [(c, v.as_integer_ratio()) for c, v in vec.items()]
-        den = lcm(*[d for _, (n, d) in ratios if n])
-        out = {c: n * (den // d) for c, (n, d) in ratios if n}
+        """(out, den), out integral, an all-int vec as it is (den 1): out / den is
+        the vector a Fraction elimination holds at each step (same zeros, key order)."""
+        for v in vec.values():
+            if type(v) is not int:
+                ratios = [(c, v.as_integer_ratio()) for c, v in vec.items()]
+                den = lcm(*[d for _, (n, d) in ratios if n])
+                out = {c: n * (den // d) for c, (n, d) in ratios if n}
+                break
+        else:
+            den, out = 1, {c: v for c, v in vec.items() if v}
         for i in [self.position[c] for c in out if c in self.position]:
             pc, row = self._rows[i]
             den *= _eliminate(out, row, pc)

@@ -7,10 +7,10 @@ from fractions import Fraction
 from itertools import combinations, product as iproduct
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rht.algebra import (ONE, ZERO, AlgElement, GeneratorContext, MonomialBases, as_q,
-                         degree_basis, monomial_degree)
+                         degree_basis, monomial_degree, substitute)
 from rht.cdga import (CdgaMorphism, FiniteCDGA, FiniteMorphism, QuotientCDGA,
                       SullivanPresentation, cohomology, cohomology_algebra,
                       finite_truncation, is_quasi_iso, tensor_finite, tensor_mul,
@@ -21,7 +21,8 @@ from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_compl
                                wedge_cohomology)
 from rht.errors import ContextMismatchError, DegreeError, RhtError, UnsupportedInputError
 from rht.invariants import tc_cup_length
-from rht.linalg import Echelon, lincomb
+from rht.homotopy_lie import lie_table
+from rht.linalg import Echelon, RationalMatrix, lincomb, solve_linear
 from rht.minimal_model import minimal_model
 import rht.algebra
 
@@ -565,10 +566,11 @@ def assert_span_matches_full_products(quot, top, vectors):
     `multiply_coords` agree with the full product loop at every degree up to
     `top`: the labels are the ambient labels of the loop's non-pivot columns,
     and each vector is the loop's residue on them, in values and `Fraction`
-    types, keys ascending.  `vectors(k)` gives the ambient vectors to project
-    at degree k; the first projection of each degree multiplies the others,
-    and the sums of the bases of two degrees, with int coefficients, multiply
-    to Fractions."""
+    types (an integral entry of a differential column is an int), keys
+    ascending.  `vectors(k)` gives the ambient vectors to project at degree
+    k; the first projection of each degree multiplies the others, and the
+    sums of the bases of two degrees, with int coefficients, multiply to
+    Fractions."""
     amb, spans, free, projected = quot.ambient, {}, {}, {}
 
     def reference(k, vec):
@@ -586,7 +588,8 @@ def assert_span_matches_full_products(quot, top, vectors):
         assert quot.labels(k) == [labels[i] for i in free[k]] and quot.dim(k) == len(free[k])
         for i, m in enumerate(free[k]):
             want = reference(k + 1, amb.differential_column(k, m))
-            assert typed(quot.differential_column(k, i)) == want
+            assert typed(quot.differential_column(k, i)) == [
+                (j, int if v.denominator == 1 else Fraction, v) for j, _, v in want]
         projected[k] = []
         for vec in vectors(k):
             projected[k].append(quot.project(k, vec))
@@ -824,11 +827,12 @@ def test_ideal_span_fills_lower_degrees_without_recursion():
 
 def reference_column(pres, mono):
     """d(mono) in coordinates through the element path of the test-local
-    Leibniz loop: values, value types and key order as `differential_column`
-    must give them."""
+    Leibniz loop: values, value types (int for an integral value, else
+    Fraction) and key order as `differential_column` must give them."""
     k = sum(pres.ctx.degrees[i] * e for i, e in mono)
     img = leibniz_loop(pres.d, AlgElement(pres.ctx, {mono: ONE}))
-    return [(i, type(c), c) for i, c in pres.to_coords(img, k + 1).items()]
+    return [(i, int if c.denominator == 1 else Fraction, c)
+            for i, c in pres.to_coords(img, k + 1).items()]
 
 
 def assert_columns_match_reference(pres, monos):
@@ -880,6 +884,82 @@ def test_sibling_extensions_keep_their_own_columns(degrees, z_degree, data):
     for pres in (first, second, first):
         assert_columns_match_reference(pres, monos)
         assert_columns_match_reference(pres, random_monomials(data.draw, new_ctx, 3))
+
+
+# Minimal presentations to rescale, each with the top degree of its checks.
+RESCALED_BASES = {
+    "S2": (lambda: sphere(2), 8),
+    "CP2": (lambda: cp(2), 9),
+    "uvw": (nonformal_uvw, 3),
+    "S2 x S3": (lambda: tensor_presentations(sphere(2), sphere(3)), 7),
+    "LS2": (lambda: free_loop_model(sphere(2)), 5),
+    "M(H(S2vS2))": (lambda: minimal_model(wedge_two_s2_cohomology(), 4).model, 5),
+}
+
+
+def rescaled(base, scales):
+    """The presentation phi^-1 d phi for phi(g) = scales[g] * g: minimal with
+    d^2 = 0 as the base is, with rational image coefficients."""
+    ctx = base.ctx
+    phi = {g: ctx.generator(g).scale(c) for g, c in scales.items()}
+    return SullivanPresentation(ctx, {g: substitute(base.d.image_of(g), phi, ctx).scale(1 / c)
+                                      for g, c in scales.items()}, name=base.name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(RESCALED_BASES)), st.data())
+def test_integer_columns_inside_and_fractions_outside(case, data):
+    # Inside the engine an integral value is an int: every differential
+    # column, free or of a quotient, has the values and key order of the
+    # Fraction reference, an entry an int exactly when it is integral.  What
+    # leaves the package stays a Fraction: images, AlgElement terms,
+    # solve_linear's kernel and solutions, Echelon residues and rows,
+    # representatives and class coordinates, FiniteCDGA tables, Lie brackets,
+    # and the quotient's project and multiply_coords.
+    build, top = RESCALED_BASES[case]
+    base = build()
+    scale = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
+                             Fraction(-2, 3), Fraction(3, 2)])
+    pres = rescaled(base, {g: data.draw(scale) for g in base.ctx.names})
+    assume(any(c.denominator > 1 for g in pres.ctx.names for c in pres.d.image_terms(g).values()))
+
+    def fractions(*vectors):
+        return all(type(c) is Fraction for vec in vectors for c in vec.values())
+
+    queries = [(k, i) for k in range(top + 1) for i in range(pres.dim(k))]
+    for k, i in data.draw(st.permutations(queries)):
+        col = pres.differential_column(k, i)
+        assert [(j, type(c), c) for j, c in col.items()] == reference_column(pres, pres.basis(k)[i])
+    assert fractions(*(pres.d.image_terms(g) for g in pres.ctx.names),
+                     *(x.terms for x in pres.d.images.values()))
+    gens = [pres.generator(g) for g in pres.ctx.names]
+    assert fractions(*((x * y).terms for x in gens for y in gens),
+                     *(pres.differential(x * y).terms for x in gens for y in gens))
+
+    report = cohomology(pres, 0, top - 1)
+    cols = {k: [pres.differential_column(k, i) for i in range(pres.dim(k))] for k in range(-1, top)}
+    for k in range(top):
+        ones = dict.fromkeys(range(pres.dim(k + 1)), 1)
+        res = solve_linear(RationalMatrix(pres.dim(k + 1), cols[k]), targets=cols[k] + [ones])
+        assert fractions(*res.kernel, *filter(None, res.solutions))
+        ech = Echelon()
+        for col in cols[k]:
+            ech.add(col)
+        assert fractions(*(row for _, row in ech.rows), *map(ech.residue, cols[k] + [ones]))
+        reps = report.representatives(k)
+        bounded = [lincomb([(1, rep)] + [(1, c) for c in cols[k - 1]]) for rep in reps]
+        assert fractions(*reps, *(report.class_coordinates(k, z) for z in reps + bounded))
+
+    truncation = finite_truncation(pres, min(top, 5))
+    assert fractions(*truncation.diff.values(), *truncation.mul.values())
+    assert fractions(*lie_table(pres, top - 1).brackets.values())
+
+    ideal = [next(x for x in pres.d.images.values() if not x.is_zero())]   # d-stable
+
+    def vectors(k):     # int coefficients, projected to Fractions
+        n = pres.dim(k)
+        return [dict.fromkeys(range(n), 1), {i: i - 1 for i in range(n)}] if n else []
+    assert_span_matches_full_products(QuotientCDGA(pres, ideal), min(top, 6), vectors)
 
 
 # ---------------------------------------------------------------------------

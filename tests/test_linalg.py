@@ -78,6 +78,18 @@ def random_matrix(rng, rows, cols, density=0.5):
     return matrix(rows, cols, entries)
 
 
+def test_targets_outside_the_matrix_are_refused():
+    # A target row is range-checked as a matrix entry is, an entry (row, j) of
+    # the matrix T of the targets: -1 must not wrap to the last row, and 2 must
+    # not surface as a bare IndexError.  A zero entry, which the elimination
+    # never reads, is not checked.
+    m = RationalMatrix(2, [{0: 1}, {1: 1}])
+    for row in (-1, 2):
+        with pytest.raises(RhtError, match=r"^entry \(%d,1\) outside 2x2 matrix$" % row):
+            solve_linear(m, [{0: 1}, {row: 5}])
+    assert solve_linear(m, [{5: 0}, {-1: Fraction(0)}]).solutions == [{}, {}]
+
+
 def test_rank_nullity_and_kernel_on_random_matrices():
     rng = random.Random(42)
     for trial in range(30):
@@ -225,13 +237,16 @@ def converting_from_columns(rows, columns):
 @given(st.lists(st.dictionaries(st.integers(0, 6), st.one_of(ENTRY, st.integers(-3, 3)),
                                 max_size=5), max_size=5))
 def test_from_columns_matches_the_converting_copy(columns):
-    def build(from_columns):
+    # The same entries, values and order as the converting copy, each of the
+    # type it was given in: RationalMatrix keeps an int an int.
+    def build(from_columns, typed):
         try:    # 5 rows, so some entries fall outside
             m = from_columns(5, columns)
         except RhtError as exc:
             return str(exc)
-        return m.rows, m.cols, [(key, type(v), v) for key, v in m.entries.items()]
-    assert build(RationalMatrix) == build(converting_from_columns)
+        return m.rows, m.cols, [(key, typed(key, v), v) for key, v in m.entries.items()]
+    assert build(RationalMatrix, lambda key, v: type(v)) == \
+        build(converting_from_columns, lambda key, v: type(columns[key[1]][key[0]]))
 
 
 def column_rank(columns):
