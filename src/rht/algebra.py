@@ -80,6 +80,10 @@ class GeneratorContext:
         """New context with extra generators appended (order preserved)."""
         return GeneratorContext(list(self.gens) + list(more))
 
+    def starts_with(self, other):
+        """Whether `other` is an initial segment of this context, whose indices it keeps."""
+        return self.gens[:len(other)] == other.gens
+
     def generator(self, name):
         """The generator as an AlgElement."""
         return AlgElement(self, {generator_monomial(self.index[name]): ONE})
@@ -335,7 +339,7 @@ class Derivation:
             if name not in ctx.index:
                 raise DerivationError("image given for unknown generator %r" % name)
             if id(img.ctx) not in accepted:
-                if ctx.gens[:len(img.ctx)] != img.ctx.gens:
+                if not ctx.starts_with(img.ctx):
                     raise ContextMismatchError(
                         "image of %r lives in a context that does not begin this one" % name)
                 accepted.add(id(img.ctx))

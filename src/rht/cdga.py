@@ -27,8 +27,8 @@ from .algebra import (AlgElement, Derivation, MonomialBases, ONE, UNIT_MONOMIAL,
                       apply_derivation, as_q, generator_monomial, monomial_degree,
                       monomial_divide, monomial_factors, monomial_lcm, monomial_order,
                       monomial_products, monomial_str, monomial_times)
-from .errors import (BudgetExceededError, DegreeError, RhtError, UnsupportedInputError,
-                     ValidationError)
+from .errors import (BudgetExceededError, ContextMismatchError, DegreeError, RhtError,
+                     UnsupportedInputError, ValidationError)
 from .linalg import Echelon, RationalMatrix, _addmul, lincomb, solve_linear
 
 
@@ -231,14 +231,19 @@ class QuotientCDGA:
     leading monomial for a monomial order.  At degree e the ideal generators,
     S-pairs (Buchberger 1965) and x * f, x odd in the leading monomial of f
     (Stokes 1990, for exterior algebras), of degree e are reduced; a nonzero
-    normal form joins the basis, scaled to 1 at its leading monomial, and
-    queues its pairs.  A pair whose leading monomials share no generator is
-    skipped, as it reduces to 0 (Buchberger 1979): g * f = +-f * g gives
-    S(f, g) = +-(tail(g) * f -+ tail(f) * g), and a term t * f with
-    t * lead(f) = 0 is t' * (x * f), x odd in both, which is reduced.
-    The normal form is then the one vector congruent to the
-    input on the standard monomials, which no leading monomial divides: the
+    normal form joins the basis, scaled to 1 at its leading monomial with
+    each integral value an int (so S-pairs and reductions run on ints where
+    they can), and queues its pairs.  A pair whose leading monomials share
+    no generator is skipped, as it reduces to 0 (Buchberger 1979):
+    g * f = +-f * g gives S(f, g) = +-(tail(g) * f -+ tail(f) * g), and a
+    term t * f with t * lead(f) = 0 is t' * (x * f), x odd in both, which is
+    reduced.  The normal form is then the one vector congruent to the input
+    on the standard monomials, which no leading monomial divides: the
     residue of the RREF of the ideal span, whose pivots are its first columns.
+    The standard monomials of degree e are the products m * x, m standard and
+    x at or after m's last generator, that no leading monomial divides; only
+    those holding x are tried, as one without x dividing m * x would divide m
+    (at degree 0 all are: a constant in the ideal makes 1 non-standard).
     Quotient coordinates at degree k are the standard monomials in ambient
     order, keys ascending.  A query at degree k builds [0, k].
     """
@@ -246,18 +251,23 @@ class QuotientCDGA:
     def __init__(self, ambient, ideal_generators, name="quotient"):
         self.ambient = ambient
         self.ideal = [g for g in ideal_generators if not g.is_zero()]
+        if not all(map(ambient.ctx.starts_with, {id(g.ctx): g.ctx for g in self.ideal}.values())):
+            raise ContextMismatchError("an ideal generator's context does not begin the ambient's")
         if any(g.degree() is None for g in self.ideal):
             raise DegreeError("ideal generators must be homogeneous")
         self.name = name
         self._lead = {}       # leading monomial -> basis element {monomial: coeff}, 1 there
+        self._holding = defaultdict(list)   # generator -> (lead, f) for the leads holding it
         self._reducers = {}   # monomial -> (u, f), lead of f times u; None once standard
         self._pairs = defaultdict(list)   # degree -> S-pairs and x * f, not yet reduced
         self._standard = []   # degree -> standard monomials in ambient order
         self._position = []   # degree -> {standard monomial: its position}
 
-    def _divisor(self, mono):
+    def _divisor(self, mono, leads):
+        """(mono / L, f) for L the first leading monomial dividing mono in `_lead`
+        order, or None, memoized; `leads`, (L, f) pairs in that order, holds every such L."""
         if mono not in self._reducers:
-            for lead, f in self._lead.items():
+            for lead, f in leads:
                 u = monomial_divide(mono, lead)
                 if u is not None:
                     self._reducers[mono] = u, f
@@ -271,7 +281,7 @@ class QuotientCDGA:
         todo = sorted((monomial_order(m), m) for m in out)     # a sorted list is a heap
         while todo:
             mono = heappop(todo)[1]
-            hit = mono in out and self._divisor(mono)
+            hit = mono in out and self._divisor(mono, self._lead.items())
             if hit:
                 prod = monomial_products(ctx, {hit[0]: 1}, hit[1])
                 _addmul(out, -out[mono] * prod[mono], prod)
@@ -287,7 +297,9 @@ class QuotientCDGA:
             todo = [g.terms for g in self.ideal if g.degree() == e] + pairs.pop(e, [])
             for h in filter(None, map(self._reduce, todo)):
                 lead = min(h, key=monomial_order)
-                h, gens = {m: c / h[lead] for m, c in h.items()}, set(monomial_factors(lead))
+                lc, gens = h[lead], set(monomial_factors(lead))
+                h = {m: q.numerator if q.denominator == 1 else q
+                     for m, q in ((m, c if lc == 1 else as_q(c) / lc) for m, c in h.items())}
                 for other, g in self._lead.items():
                     if gens.isdisjoint(monomial_factors(other)):
                         continue    # coprime leading monomials (Buchberger 1979)
@@ -299,11 +311,14 @@ class QuotientCDGA:
                 for x in (generator_monomial(j) for j in monomial_factors(lead) if ctx.odd[j]):
                     pairs[e + monomial_degree(ctx, x)].append(monomial_products(ctx, {x: 1}, h))
                 self._lead[lead] = h
+                for j in gens:
+                    self._holding[j].append((lead, h))
             # m * x, m standard of degree e - |x| and x its last generator or after it
-            cands = [UNIT_MONOMIAL] if e == 0 else filter(None, (
-                monomial_times(ctx, m, x)
-                for x, d in enumerate(ctx.degrees) if d <= e for m in self._standard[e - d]))
-            std = sorted((m for m in cands if self._divisor(m) is None), key=monomial_order)
+            cands = [(UNIT_MONOMIAL, self._lead.items())] if e == 0 else (
+                (monomial_times(ctx, m, x), self._holding[x])
+                for x, d in enumerate(ctx.degrees) if d <= e for m in self._standard[e - d])
+            std = sorted((m for m, leads in cands if m is not None
+                          and self._divisor(m, leads) is None), key=monomial_order)
             if len(std) > algebra.MONOMIAL_BUDGET:
                 raise BudgetExceededError("degree %d basis exceeds %d monomials"
                                           % (e, algebra.MONOMIAL_BUDGET))

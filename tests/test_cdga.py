@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rht.algebra import (ONE, ZERO, AlgElement, GeneratorContext, MonomialBases, as_q,
-                         degree_basis, monomial_degree, substitute)
+                         degree_basis, monomial_degree, monomial_divide, monomial_order,
+                         substitute)
 from rht.cdga import (CdgaMorphism, FiniteCDGA, FiniteMorphism, QuotientCDGA,
                       SullivanPresentation, cohomology, cohomology_algebra,
                       finite_truncation, is_quasi_iso, tensor_finite, tensor_mul,
@@ -775,6 +776,62 @@ def test_skipped_pairs_reduce_to_zero_on_fixed_quotients():
     # these counts, do not depend on the order in which the basis grows).
     checked = [coprime_pair_certificate(quot, top) for quot, top in fixed_quotients()]
     assert checked == [1, 0, 1, 2, 2, 0, 15, 1, 13, 39]
+
+
+def assert_sweep_matches_brute_force(quot, top):
+    """Grow the basis through degree top and check the standard-monomial sweep
+    against every leading monomial: each degree's standard monomials are the
+    ambient basis monomials that no leading monomial divides, in basis order;
+    each memoized reducer of a monomial m is (m / L, f), L the first leading
+    monomial in `_lead` order that divides m and f its basis element; and each
+    basis element, read in Fractions, lies in the ideal span (the full product
+    loop's residue is 0) and is 1 at its leading monomial, its first, with
+    each value an int exactly when it is integral."""
+    quot.dim(top)
+    amb, leads = quot.ambient, list(quot._lead)
+    for k in range(top + 1):
+        want = [m for m in amb.basis(k) if all(monomial_divide(m, a) is None for a in leads)]
+        assert quot._standard_monomials(k) == want, k
+    for m, hit in quot._reducers.items():
+        if hit is not None:
+            first = next(a for a in leads if monomial_divide(m, a) is not None)
+            assert hit[0] == monomial_divide(m, first) and hit[1] is quot._lead[first], m
+    spans = {}
+    for lead, f in quot._lead.items():
+        k = monomial_degree(amb.ctx, lead)
+        spans.setdefault(k, full_product_span(quot, k))
+        assert min(f, key=monomial_order) == lead and f[lead] == 1, lead
+        assert [type(c) for c in f.values()] == [
+            int if Fraction(c).denominator == 1 else Fraction for c in f.values()], lead
+        assert spans[k].residue(amb.to_coords(AlgElement(amb.ctx, f), k)) == {}, lead
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_quotients())
+def test_sweep_matches_brute_force_on_random_quotients(quot):
+    assert_sweep_matches_brute_force(quot, 8)
+
+
+def test_sweep_matches_brute_force_on_fixed_quotients():
+    for quot, _ in fixed_quotients():
+        assert_sweep_matches_brute_force(quot, 8)
+
+
+def test_ideal_generators_over_another_context_are_refused():
+    # b^2 over another context would be read as y^2 = 0 in the ambient's, and
+    # the quotient would be the ambient itself: dims 1, 0, 1, 1, 1, ...
+    ctx = GeneratorContext([("x", 2), ("y", 3)])
+    amb = SullivanPresentation(ctx, {g: AlgElement.zero(ctx) for g in ctx.names})
+    for other, name in ((GeneratorContext([("b", 2)]), "b"),
+                        (GeneratorContext([("y", 3), ("x", 2)]), "x")):     # reordered
+        b = other.generator(name)
+        with pytest.raises(ContextMismatchError):
+            QuotientCDGA(amb, [ctx.generator("x") ** 2, b * b])
+    # over the ambient's context or an initial segment of it, the same quotient
+    segment = GeneratorContext([("x", 2)])
+    for x in (ctx.generator("x"), segment.generator("x")):
+        dims = cohomology(QuotientCDGA(amb, [x * x]), 0, 8).dims()
+        assert [dims[k] for k in range(9)] == [1, 0, 1, 1, 0, 1, 0, 0, 0]
 
 
 def test_ideal_span_skips_redundant_products(monkeypatch):

@@ -757,12 +757,14 @@ WORKLOADS = {
 
 def work_counts(run, monkeypatch):
     """Entries passed through `_addmul` (by `linalg` and by the quotient normal
-    forms of `cdga`), `Echelon.add` calls, `solve_linear` calls and products of
-    two monomials (`algebra.monomial_mul`) while `run()` runs; counts that do
-    not depend on the machine."""
+    forms of `cdga`), `Echelon.add` calls, `solve_linear` calls, products of
+    two monomials (`algebra.monomial_mul`) and monomial divisions in `cdga`
+    (the quotient's divisor tests) while `run()` runs; counts that do not
+    depend on the machine."""
     counts = {"addmul_entries": 0, "echelon_add_calls": 0, "solve_linear_calls": 0,
-              "monomial_products": 0}
+              "monomial_products": 0, "monomial_divides": 0}
     addmul, add, monomial_mul = rht.linalg._addmul, Echelon.add, rht.algebra.monomial_mul
+    monomial_divide = rht.cdga.monomial_divide
 
     def counted_addmul(dst, x, src):
         counts["addmul_entries"] += len(src)
@@ -780,11 +782,16 @@ def work_counts(run, monkeypatch):
         counts["monomial_products"] += 1
         return monomial_mul(*args)
 
+    def counted_monomial_divide(*args):
+        counts["monomial_divides"] += 1
+        return monomial_divide(*args)
+
     with monkeypatch.context() as patch:
         for module in (rht.linalg, rht.cdga):
             patch.setattr(module, "_addmul", counted_addmul)
         patch.setattr(Echelon, "add", counted_add)
         patch.setattr(rht.algebra, "monomial_mul", counted_monomial_mul)
+        patch.setattr(rht.cdga, "monomial_divide", counted_monomial_divide)
         for module in (rht.cdga, rht.constructions, rht.homotopy_lie, rht.minimal_model):
             patch.setattr(module, "solve_linear", counted_solve)
         run()
