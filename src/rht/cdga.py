@@ -65,7 +65,8 @@ class SullivanPresentation:
     """Free cdga (Lambda(V), d) given by generators and their differentials.
 
     `d` maps generator names to AlgElements of degree deg+1 over an initial
-    segment of ctx; a missing image is an error at validation time only.
+    segment of ctx; a missing image is an error at validation time only.  Not
+    changed once built (`extend` builds a new one, with an empty window record).
     """
 
     def __init__(self, ctx, d_images, name="cdga"):
@@ -74,6 +75,7 @@ class SullivanPresentation:
         self.d = Derivation(ctx, +1, d_images)
         self._bases = MonomialBases(ctx)
         self.validation = None      # the d^2 = 0 record `validate` leaves
+        self._windows = {}          # the window record `cohomology` keeps
 
     def extend(self, generators, images, name=None):
         """The presentation on ctx.extend(generators), d(g) = images[g] on the new
@@ -160,6 +162,7 @@ class FiniteCDGA:
     is basis element 0 of degree 0.  A key naming a missing basis element, or a row
     index outside its target degree's basis (negative, or of coefficient 0, too),
     raises `DegreeError` naming the key; coefficients go through `as_q`, zeros dropped.
+    Not changed once built, so `cohomology` keeps its windows in `_windows`.
     """
 
     def __init__(self, basis, diff, mul, name="A"):
@@ -168,6 +171,7 @@ class FiniteCDGA:
         if 0 not in self.basis:
             raise DegreeError("FiniteCDGA must contain a unit in degree 0")
         dims, self.diff, self.mul = {k: len(v) for k, v in self.basis.items()}, {}, {}
+        self._windows = {}
         for table, out, shift in ((diff, self.diff, 1), (mul, self.mul, 0)):
             for key, row in table.items():
                 (p, i), (q, j) = (key, (0, 0)) if shift else key
@@ -245,7 +249,8 @@ class QuotientCDGA:
     those holding x are tried, as one without x dividing m * x would divide m
     (at degree 0 all are: a constant in the ideal makes 1 non-standard).
     Quotient coordinates at degree k are the standard monomials in ambient
-    order, keys ascending.  A query at degree k builds [0, k].
+    order, keys ascending.  A query at degree k builds [0, k], with the same answers
+    whenever it runs: the quotient is not changed once built (see `cohomology`).
     """
 
     def __init__(self, ambient, ideal_generators, name="quotient"):
@@ -262,6 +267,7 @@ class QuotientCDGA:
         self._pairs = defaultdict(list)   # degree -> S-pairs and x * f, not yet reduced
         self._standard = []   # degree -> standard monomials in ambient order
         self._position = []   # degree -> {standard monomial: its position}
+        self._windows = {}
 
     def _divisor(self, mono, leads):
         """(mono / L, f) for L the first leading monomial dividing mono in `_lead`
@@ -645,12 +651,24 @@ class CohomologyReport:
 
 
 def cohomology(p, lo, hi):
-    """Exact Betti numbers and representatives in the window [lo, hi]."""
+    """Exact Betti numbers and representatives in the window [lo, hi].
+
+    A presentation, not changed once built, keeps each window it has answered in
+    `p._windows`: (lo, hi), a FiniteCDGA's lo lowered first, -> the report's state,
+    never the report, which keeps `pres` (a cycle would wait for the collector).
+    """
     if not isinstance(p, (SullivanPresentation, FiniteCDGA, QuotientCDGA)):
         raise RhtError("not a presentation: %r" % (p,))
     if isinstance(p, FiniteCDGA):
         lo = min(lo, p.min_degree())
-    return CohomologyReport(p, lo, hi)
+    if (lo, hi) not in p._windows:
+        report = CohomologyReport(p, lo, hi)
+        p._windows[lo, hi] = report._reps, report._classes
+        return report
+    report = object.__new__(CohomologyReport)
+    report.pres, report.lo, report.hi = p, lo, hi
+    report._reps, report._classes = p._windows[lo, hi]
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +818,6 @@ def is_quasi_iso(phi, n):
     src = cohomology(phi.source, 0, n)
     tgt = cohomology(phi.target, 0, n)
     witness = {}
-    ok = True
     lo = min(src.lo, tgt.lo)
     for k in range(lo, n + 1):
         ds = src.dim(k) if k >= src.lo else 0
@@ -811,9 +828,7 @@ def is_quasi_iso(phi, n):
         else:       # no classes on one side: H^k(phi) has rank 0
             rank = 0
         witness[k] = (ds, dt, rank)
-        if not (ds == dt == rank):
-            ok = False
-    return ok, witness
+    return all(ds == dt == rank for ds, dt, rank in witness.values()), witness
 
 
 # ---------------------------------------------------------------------------

@@ -242,9 +242,9 @@ def free_loop_extension(p, name=None):
 class HolonomyReport:
     """Matrices theta_i of the base-W action on fiber cohomology.
 
-    entry(i, k) is the list of columns of theta_i : H^k -> H^{k+1-deg(w_i)},
-    one per H^k class (class coordinates of the fiber report).  For degree-1
-    base generators these are degree-preserving and nilpotent.
+    entry(i, k) is the list of columns of theta_i : H^k -> H^{k+1-deg(w_i)}, one
+    per H^k class, in the class coordinates of `fiber_report`, the fiber's window
+    [0, window].  For degree-1 base generators these are degree-preserving and nilpotent.
     """
 
     def __init__(self, base_labels, base_degrees, fiber_report, matrices, window):
@@ -289,7 +289,7 @@ def holonomy_representation(ext, n):
     ctx, nb = total.ctx, len(ext.base_names)
     base_idx = [ctx.index[g] for g in ext.base_names]
     fiber = ext.fiber_presentation()
-    frep = cohomology(fiber, 0, n + 1)
+    frep = cohomology(fiber, 0, n)      # each theta_i(Phi) has degree k + 1 - |w_i| <= k
     matrices = {(w_pos, k): [] for k in range(0, n + 1) for w_pos in range(nb)}
     for k in range(0, n + 1):
         basis = fiber.basis(k)

@@ -1,7 +1,9 @@
+import gc
 import inspect
 import random
 import re
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product as iproduct
@@ -26,6 +28,7 @@ from rht.homotopy_lie import lie_table
 from rht.linalg import Echelon, RationalMatrix, lincomb, solve_linear
 from rht.minimal_model import minimal_model
 import rht.algebra
+import rht.cdga
 
 from conftest import (ZeroTouchDict, assert_matches_reference_sum, leibniz_loop,
                       nonformal_uvw, random_monomial_algebras, sphere2_model,
@@ -1564,3 +1567,136 @@ def test_pd_orientation_is_exact():
         PDAlgebra(H, 2, eps={0: 0.25})
     pd = PDAlgebra(H, 2, eps={0: 2})
     assert pd.eps == {0: 2} and type(pd.eps[0]) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# The window record: each window once per presentation object
+# ---------------------------------------------------------------------------
+
+def with_degree_minus_one(A):
+    """A with one more basis element e of degree -1: d e = 0, and e times
+    anything but the unit is 0."""
+    mul = {**A.mul, ((0, 0), (-1, 0)): {0: 1}, ((-1, 0), (0, 0)): {0: 1}}
+    return FiniteCDGA({**A.basis, -1: ["e"]}, A.diff, mul, name=A.name + "+e")
+
+
+RECORDED_WINDOWS = {
+    "free uvw": (nonformal_uvw, 0, 6),
+    "finite, lowest degree -1": (
+        lambda: with_degree_minus_one(finite_truncation(nonformal_uvw(), 5)), 0, 4),
+    "quotient F(S2, 3)": (lambda: config_space_model(
+        PDAlgebra(cohomology_algebra(sphere(2), 2), 2), 3).quotient, 0, 8),
+}
+
+
+def typed(vec):
+    return [(i, type(c), c) for i, c in vec.items()]
+
+
+def counted_work(monkeypatch, p, run):
+    """run() and the solve_linear, Echelon.add and differential_column calls it makes."""
+    counts = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+    with monkeypatch.context() as patch:
+        patch.setattr(rht.cdga, "solve_linear", counted("solve_linear", rht.cdga.solve_linear))
+        patch.setattr(Echelon, "add", counted("Echelon.add", Echelon.add))
+        patch.setattr(type(p), "differential_column",
+                      counted("differential_column", type(p).differential_column))
+        return run(), counts
+
+
+def report_answers(p, report):
+    """Every answer of a report, with the types and key order of its values:
+    dims, representatives, the cocycle test and class coordinates of basis
+    vectors, representatives and a sum of representatives and boundaries, and
+    the table of `algebra()` when the window holds degree 0."""
+    out = [list(report.dims().items())]
+    for k in range(report.lo, report.hi + 1):
+        reps = report.representatives(k)
+        bounds = [p.differential_column(k - 1, i) for i in range(p.dim(k - 1))]
+        mixed = lincomb((Fraction(j + 1, 2), v) for j, v in enumerate(reps + bounds))
+        out.append([typed(v) for v in reps])
+        for z in [{i: 1} for i in range(p.dim(k))] + reps + [mixed]:
+            cocycle = report.is_cocycle(k, z)
+            out.append((cocycle, typed(report.class_coordinates(k, z)) if cocycle else None))
+    if report.lo > 0:
+        return out
+    A = report.algebra()
+    out.append((A.name, list(A.basis.items()), A.window_certified,
+                [(key, typed(row)) for key, row in A.mul.items()], A._windows))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED_WINDOWS))
+def test_a_recorded_window_is_answered_without_work(case, monkeypatch):
+    make, lo, hi = RECORDED_WINDOWS[case]
+    p = make()
+    first, counts = counted_work(monkeypatch, p, lambda: cohomology(p, lo, hi))
+    assert counts["solve_linear"] and counts["differential_column"]
+    second, counts = counted_work(monkeypatch, p, lambda: cohomology(p, lo, hi))
+    assert counts == Counter()
+    assert second is not first and (second.lo, second.hi) == (first.lo, first.hi)
+    assert len(p._windows) == 1
+    fresh = make()
+    assert report_answers(p, second) == report_answers(fresh, cohomology(fresh, lo, hi))
+
+
+def test_windows_with_another_lo_are_their_own_entries():
+    p, fresh = nonformal_uvw(), nonformal_uvw()
+    for lo in (2, 0, 2, 0):
+        report = cohomology(p, lo, 5)
+        assert report.lo == lo
+        assert report_answers(p, report) == report_answers(fresh, cohomology(fresh, lo, 5))
+    assert list(p._windows) == [(2, 5), (0, 5)]
+
+
+def test_a_finite_window_is_keyed_after_its_lo_is_lowered(monkeypatch):
+    A = with_degree_minus_one(finite_truncation(nonformal_uvw(), 5))
+    assert A.min_degree() == -1 and validate(A).ok
+    first = cohomology(A, 0, 4)
+    second, counts = counted_work(monkeypatch, A, lambda: cohomology(A, -1, 4))
+    assert counts == Counter() and (first.lo, second.lo) == (-1, -1)
+    assert list(A._windows) == [(-1, 4)]
+
+
+def test_an_extension_answers_as_a_freshly_built_one():
+    # The parent's record is of another complex: K(Q, 2) has a class in every
+    # even degree, its extension by d b = a^2 is S^2.
+    ctx = GeneratorContext([("a", 2)])
+    parent = SullivanPresentation(ctx, {"a": AlgElement.zero(ctx)})
+    assert cohomology(parent, 0, 6).dims() == {0: 1, 1: 0, 2: 1, 3: 0, 4: 1, 5: 0, 6: 1}
+    a = ctx.generator("a")
+    child = parent.extend([("b", 3)], {"b": a * a})
+    full = ctx.extend([("b", 3)])
+    fresh = SullivanPresentation(full, {"a": AlgElement.zero(full), "b": full.generator("a") ** 2})
+    assert child._windows == {}
+    report = cohomology(child, 0, 6)
+    assert report.dims() == {0: 1, 1: 0, 2: 1, 3: 0, 4: 0, 5: 0, 6: 0}
+    assert report_answers(child, report) == report_answers(fresh, cohomology(fresh, 0, 6))
+    assert list(parent._windows) == [(0, 6)]
+
+
+def test_a_model_with_recorded_windows_is_freed_by_reference_counting():
+    # The record holds a report's state, never the report: a report keeps its
+    # presentation, so storing it there would make a cycle that only the
+    # cyclic collector frees.
+    H = wedge_two_s2_cohomology()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        mm = minimal_model(H, 6)
+        assert is_quasi_iso(mm.phi, 6)[0] and is_quasi_iso(mm.phi, 6)[0]
+        assert list(mm.model._windows) == [(0, 6)]
+        model, target = weakref.ref(mm.model), weakref.ref(mm.phi.target)
+        del mm
+        assert model() is None and target() is H
+        del H
+        assert target() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -19,7 +19,7 @@ from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_compl
                                holonomy_representation, homogeneous_space_model,
                                mapping_space_pi, point, sphere, tensor_presentations,
                                torus, truncated_poly, wedge_cohomology)
-from rht.errors import BudgetExceededError, RhtError, UnsupportedInputError
+from rht.errors import BudgetExceededError, DegreeError, RhtError, UnsupportedInputError
 from rht.linalg import Echelon, RationalMatrix, lincomb, solve_linear
 from rht.minimal_model import LambdaExtension, acyclic_closure, minimal_model
 
@@ -474,6 +474,18 @@ def test_holonomy_matches_the_element_path(make, n, monkeypatch):
     assert [[[(i, type(c), c) for i, c in col.items()] for col in cols]
             for cols in report.matrices.values()] == \
         [[[(i, type(c), c) for i, c in col.items()] for col in cols] for cols in want.values()]
+
+
+def test_holonomy_builds_the_fiber_window_it_reads(report_windows):
+    # Each theta_i(Phi) for Phi in H^k has degree k + 1 - |w_i| <= k, and
+    # is_nilpotent reads degrees 0..n: the fiber window is [0, n].
+    ext = free_loop_extension(cp(2))
+    report_windows.clear()
+    report = holonomy_representation(ext, 6)
+    assert report_windows == [(ext.fiber_presentation().name, 0, 6)]
+    assert (report.fiber_report.lo, report.fiber_report.hi, report.window) == (0, 6, 6)
+    with pytest.raises(DegreeError):
+        report.fiber_report.dim(7)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rht.algebra import AlgElement, GeneratorContext
-from rht.cdga import (CohomologyReport, SullivanPresentation, cohomology, cohomology_algebra,
-                      is_quasi_iso)
+from rht.cdga import (CdgaMorphism, CohomologyReport, SullivanPresentation, cohomology,
+                      cohomology_algebra, is_quasi_iso)
 from rht.constructions import (PDAlgebra, SubspaceArrangement, arrangement_complex,
                                config_space_model, free_loop_model, sphere, torus)
 from rht.errors import RhtError
@@ -735,6 +735,19 @@ def wedge_model_and_quasi_iso():
     assert is_quasi_iso(mm.phi, 12)[0]
 
 
+def wedge_model_and_two_quasi_isos():
+    # The model pipeline's re-verification: phi, then phi after a change of
+    # basis of H^2 (an automorphism of H, all of whose products on H^+ vanish),
+    # on the same model and H.  Their windows are built once.
+    H = wedge_two_s2_cohomology()
+    mm = minimal_model(H, 10)
+    assert is_quasi_iso(mm.phi, 10)[0]
+    change = [[2, 1], [1, 1]]
+    images = {g: {i: sum(change[i][j] * coords.get(j, 0) for j in range(2)) for i in range(2)}
+              if mm.model.ctx.degree_of(g) == 2 else coords for g, coords in mm.phi.images.items()}
+    assert is_quasi_iso(CdgaMorphism(mm.model, H, images, name="phi_U"), 10)[0]
+
+
 def config_s3_4():
     pd = PDAlgebra(cohomology_algebra(sphere(3), 3), 3)
     dims = cohomology(config_space_model(pd, 4, max_k=4).quotient, 0, 12).dims()
@@ -749,6 +762,7 @@ def loop_s2_100():
 
 WORKLOADS = {
     "minimal_model(H(S2vS2), 12) + is_quasi_iso": wedge_model_and_quasi_iso,
+    "minimal_model(H(S2vS2), 10) + is_quasi_iso twice": wedge_model_and_two_quasi_isos,
     "cohomology_algebra(T7, 7)": lambda: cohomology_algebra(torus(7), 7),
     "cohomology(F(S3, 4), 0, 12)": config_s3_4,
     "cohomology(free_loop_model(S2), 0, 100)": loop_s2_100,
